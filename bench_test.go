@@ -485,20 +485,23 @@ func BenchmarkProxyThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkUDPBatchServe compares the two UDP cache-hit serving loops on
-// real kernel sockets under concurrent client load:
+// BenchmarkUDPBatchServe runs the one UDP serve loop over the two socket
+// implementations udpio offers, on real kernel sockets under concurrent
+// client load:
 //
-//   - per-packet: one ReadFrom and one WriteTo syscall per datagram
-//     (UDPServer.Serve), the pre-batching baseline.
+//   - per-packet: the portable fallback conn — one ReadFrom and one WriteTo
+//     syscall per datagram, vector size 1 (the socket's concrete type is
+//     hidden from udpio.Wrap to select it on any platform).
 //   - batch: SO_REUSEPORT shard sockets each draining up to 32 datagrams
 //     per recvmmsg and flushing every hit in one sendmmsg
-//     (UDPServer.ServeBatch over udpio.ListenShards).
+//     (udpio.ListenShards).
 //
-// Every query is a cache hit on the proxy's wire fast path, so the gap is
-// purely syscall amortization — the batch variant's queries/s should hold
-// a ≥2x advantage under load; the bench CI job tracks it across commits.
-// On platforms without kernel batch support the batch variant degrades to
-// the portable fallback and the two converge.
+// Every query is a cache hit on the proxy's wire fast path and both
+// variants run the same serving code, so the gap is purely syscall
+// amortization and sharding — the batch variant's queries/s should hold a
+// ≥2x advantage under load; the bench CI job tracks it across commits. On
+// platforms without kernel batch support both are the fallback and the two
+// converge.
 func BenchmarkUDPBatchServe(b *testing.B) {
 	p, err := proxy.New(proxy.Config{
 		Upstreams: []dnstransport.PoolUpstream{{
@@ -607,7 +610,7 @@ func BenchmarkUDPBatchServe(b *testing.B) {
 		}
 		defer pc.Close()
 		srv := &dnsserver.UDPServer{Handler: handler}
-		go srv.Serve(pc)
+		go srv.Serve(struct{ net.PacketConn }{pc})
 		run(b, pc.LocalAddr().String())
 	})
 
@@ -687,20 +690,12 @@ func BenchmarkCacheHitPathShardedVsMutex(b *testing.B) {
 	}
 }
 
-// BenchmarkCacheHitWirePath compares the two cache-hit serving pipelines
-// head to head, each mirroring what the UDP server runs per datagram:
-//
-//   - wire-path (the default): dnswire.ParseQuery on the packet, a
-//     telemetry transaction, and Cache.ServeWire copying the stored packed
-//     response into a reusable buffer with ID and TTLs patched in place.
-//     No Message is built; the loop should report ~0 allocs/op.
-//   - message-path (the pre-wire-path behaviour, kept benchmarkable behind
-//     dnscache.WithMessageEntries): Message.Unpack of the query, a
-//     Cache.Exchange hit served by deep clone, and Message.Pack of the
-//     response.
-//
-// The wire path must hold a ≥2x ns/op advantage and ≤2 allocs/op; the
-// bench CI job tracks both across commits.
+// BenchmarkCacheHitWirePath measures the cache-hit serving pipeline the
+// UDP server runs per datagram: dnswire.ParseQuery on the packet, a
+// telemetry transaction, and Cache.ServeWire copying the stored packed
+// response into a reusable buffer with ID and TTLs patched in place. No
+// Message is built; the loop must report ≤2 allocs/op, which the bench CI
+// job tracks across commits.
 func BenchmarkCacheHitWirePath(b *testing.B) {
 	queryWire, err := dnswire.NewQuery(4242, "hot00.bench.example.", dnswire.TypeA).Pack()
 	if err != nil {
@@ -769,32 +764,6 @@ func BenchmarkCacheHitWirePath(b *testing.B) {
 			tx.SetVerdict(telemetry.VerdictOK)
 			tx.Finish()
 			_ = resp
-		}
-	})
-
-	b.Run("message-path", func(b *testing.B) {
-		c := dnscache.New(staticResolver{}, dnscache.WithMessageEntries())
-		defer c.Close()
-		prime(b, c)
-		tel := telemetry.New()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			var q dnswire.Message
-			if err := q.Unpack(queryWire); err != nil {
-				b.Fatal(err)
-			}
-			tx := tel.Begin(telemetry.ProtoUDP)
-			ctx := telemetry.NewContext(context.Background(), tx)
-			resp, err := c.Exchange(ctx, &q)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := resp.Pack(); err != nil {
-				b.Fatal(err)
-			}
-			tx.SetVerdict(telemetry.VerdictOK)
-			tx.Finish()
 		}
 	})
 }

@@ -70,7 +70,6 @@ func main() {
 		degradedRTT = flag.Duration("degraded-upstream-rtt", 0, "slow the preferred upstream's link to this round trip (0 = none)")
 		serveStale  = flag.Duration("serve-stale", 0, "proxy cache RFC 8767 stale window (0 disables)")
 		prefetch    = flag.Duration("prefetch", 0, "proxy cache near-expiry prefetch window (0 disables)")
-		udpBatch    = flag.Int("udp-batch", 0, "serve the proxy's UDP listener with the batched loop at this vector size (0 = per-packet)")
 		attackers   = flag.Int("attackers", 0, "flooder clients blasting random-subdomain UDP queries alongside every transport leg (0 = none)")
 		attackQPS   = flag.Float64("attack-qps", 0, "per-flooder target query rate (0 = default 200)")
 		guardOn     = flag.Bool("guard", false, "arm the proxy's abuse guard (RRL, DNS cookies, miss breaker)")
@@ -136,7 +135,6 @@ func main() {
 		DegradedUpstreamRTT: *degradedRTT,
 		ServeStale:          *serveStale,
 		PrefetchWindow:      *prefetch,
-		UDPBatch:            *udpBatch,
 		Attackers:           *attackers,
 		AttackQPS:           *attackQPS,
 		Guard:               gcfg,

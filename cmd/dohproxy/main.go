@@ -116,7 +116,7 @@ func main() {
 	flag.StringVar(&o.metricsAddr, "metrics-addr", "", "serve /metrics and /debug/cost on this real TCP address (e.g. 127.0.0.1:9090); empty disables")
 	flag.DurationVar(&o.hold, "hold", 0, "keep serving the observability endpoints this long after the workload")
 	flag.BoolVar(&o.costJSON, "cost-json", false, "print the /debug/cost JSON report to stdout at exit")
-	flag.IntVar(&o.udpBatch, "udp-batch", 0, "serve UDP with the batched loop at this vector size (recvmmsg/sendmmsg where supported; 0 = per-packet)")
+	flag.IntVar(&o.udpBatch, "udp-batch", 0, "vector size of the UDP serve loop (recvmmsg/sendmmsg where supported; 0 = default 32)")
 	flag.StringVar(&o.udpListen, "udp-listen", "", "also serve classic UDP DNS on real kernel sockets at this address (e.g. 127.0.0.1:5300); empty disables")
 	flag.IntVar(&o.udpShards, "udp-shards", 0, "SO_REUSEPORT socket count for -udp-listen (0 = one per CPU)")
 	flag.BoolVar(&o.guardOn, "guard", false, "arm the abuse guard: per-client RRL with slip/TC on UDP, REFUSED on streams, DNS cookies, cache-miss circuit breaker")
@@ -314,7 +314,7 @@ func run(o options) error {
 	fmt.Printf("proxy up at %s: udp/tcp :53, dot :853, doh :443 — %d upstream(s) × %d conns, %d cache shards, policy %s\n",
 		host, upstreams, conns, shards, o.policy)
 	if o.udpBatch > 0 {
-		fmt.Printf("udp serving: batched, vector %d\n", o.udpBatch)
+		fmt.Printf("udp serve loop: vector %d\n", o.udpBatch)
 	}
 	if addr := p.UDPAddr(); addr != nil {
 		fmt.Printf("udp real socket: %s (%d shard(s))\n", addr, p.UDPShardCount())

@@ -206,10 +206,6 @@ var (
 	// count-min sketch with doorkeeper), protecting the working set from
 	// one-hit-wonder floods.
 	CacheTinyLFU = dnscache.WithTinyLFU
-	// CacheMessageEntries restores the pre-wire-path storage (*Message
-	// entries served by deep clone) — kept for comparison benchmarks; the
-	// default packed-wire entries are both faster and immutable.
-	CacheMessageEntries = dnscache.WithMessageEntries
 	// CacheServeStale keeps expired entries answerable for a window past
 	// expiry (RFC 8767), served immediately while one background refresh
 	// re-populates them.

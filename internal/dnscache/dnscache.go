@@ -18,9 +18,7 @@
 // restamping the transaction ID and decaying the TTLs in place (ServeWire
 // — no Unpack, no clone, no Pack), or, for callers that need a
 // *dnswire.Message, by unpacking a fresh message that shares nothing with
-// the stored entry. The pre-wire-path behaviour — *Message entries served
-// by deep clone — remains available behind WithMessageEntries for
-// comparison benchmarks.
+// the stored entry.
 //
 // Capacity can be bounded two ways: WithMaxEntries counts entries, while
 // WithMemoryBudget accounts bytes — each entry charged its arena block,
@@ -95,8 +93,7 @@ type entry struct {
 	// wire is the packed response, still carrying the upstream exchange's
 	// transaction ID (hits restamp their own copy); toffs is the packed
 	// big-endian uint16 list of its TTL offsets (dnswire.PackTTLOffsets)
-	// for in-place decay. Both alias one arena block. Unused in
-	// message-entry mode.
+	// for in-place decay. Both alias one arena block.
 	wire  []byte
 	toffs []byte
 	// cost is the entry's accounted footprint against the memory budget:
@@ -105,9 +102,7 @@ type entry struct {
 	// negative records the RFC 2308 NXDOMAIN/NODATA classification, so the
 	// wire hit path can label telemetry without parsing.
 	negative bool
-	// msg holds the response in message-entry mode (WithMessageEntries).
-	msg     *dnswire.Message
-	expires time.Time
+	expires  time.Time
 	// ttl is the clamped lifetime the entry was inserted with; the
 	// prefetch gate compares it against the prefetch window.
 	ttl  time.Duration
@@ -224,9 +219,6 @@ type Cache struct {
 	// response carries no SOA (RFC 2308 leaves that response uncacheable;
 	// we hold it briefly, the way production resolvers do).
 	negTTL time.Duration
-	// messageEntries selects the legacy *Message storage (see
-	// WithMessageEntries); the default is packed wire entries.
-	messageEntries bool
 	// staleWindow keeps expired entries answerable this long past expiry
 	// (RFC 8767 serve-stale); 0 disables.
 	staleWindow time.Duration
@@ -311,13 +303,6 @@ func WithShards(n int) Option { return func(c *Cache) { c.nshards = n } }
 // WithNegativeTTL caps how long NXDOMAIN/NODATA answers are cached; it is
 // also the TTL used when a negative response carries no SOA.
 func WithNegativeTTL(d time.Duration) Option { return func(c *Cache) { c.negTTL = d } }
-
-// WithMessageEntries stores cached responses as unpacked *dnswire.Message
-// values and serves hits by deep-cloning them — the behaviour before the
-// wire fast path existed. It disables ServeWire (every query takes the
-// Message path) and exists to keep the old hit path measurable:
-// BenchmarkCacheHitWirePath runs both modes side by side.
-func WithMessageEntries() Option { return func(c *Cache) { c.messageEntries = true } }
 
 // WithServeStale keeps expired entries answerable for window past expiry
 // (RFC 8767): a query hitting an expired-but-stale entry is answered
@@ -429,9 +414,7 @@ func New(upstream dnstransport.Resolver, opts ...Option) *Cache {
 			flights:    make(map[string]*flight),
 			maxEntries: max,
 			budget:     budget,
-		}
-		if !c.messageEntries {
-			sh.arena = newArena(slab)
+			arena:      newArena(slab),
 		}
 		if c.admission {
 			sh.sk = newSketch(c.expectedPerShard(budget, max))
@@ -547,8 +530,8 @@ func (c *Cache) Flush() {
 // plus the telemetry outcome to record. ok=false sends the caller to the
 // Message path without anything having been counted: a miss or an expired
 // entry past any stale window (the Message path re-counts and refreshes
-// it), a response larger than limit (truncation needs Message-level
-// surgery), or a cache in message-entry mode.
+// it), or a response larger than limit (truncation needs Message-level
+// surgery).
 //
 // With a serve-stale window configured, an expired-but-stale entry is
 // served with StaleTTL-capped TTLs while a singleflight background refresh
@@ -557,9 +540,6 @@ func (c *Cache) Flush() {
 // with the prefetch. Only those resilience paths allocate; the fresh-hit
 // path stays allocation-free.
 func (c *Cache) ServeWire(tx *telemetry.Transaction, q *dnswire.Query, dst []byte, limit int) ([]byte, telemetry.CacheOutcome, bool) {
-	if c.messageEntries {
-		return nil, telemetry.CacheNone, false
-	}
 	var kbuf [keyBufLen]byte
 	kb := appendKeyTail(q.AppendCanonicalName(kbuf[:0]), q.Type, q.Class)
 	sh, h := c.shardFor(kb)
@@ -691,13 +671,10 @@ func (c *Cache) Exchange(ctx context.Context, q *dnswire.Message) (*dnswire.Mess
 				_, inflight := sh.flights[string(kb)]
 				prefetch = !inflight
 			}
-			neg, msg := e.negative, e.msg
-			var w []byte
-			if !c.messageEntries {
-				// Copy under the lock: an epoch rotation may relocate the
-				// entry's payload and recycle its slab.
-				w = append([]byte(nil), e.wire...)
-			}
+			neg := e.negative
+			// Copy under the lock: an epoch rotation may relocate the
+			// entry's payload and recycle its slab.
+			w := append([]byte(nil), e.wire...)
 			sh.mu.Unlock()
 			tx.TraceSpan(qtrace.PhaseCache, tl)
 			if neg {
@@ -708,9 +685,6 @@ func (c *Cache) Exchange(ctx context.Context, q *dnswire.Message) (*dnswire.Mess
 			if prefetch && c.maybeRefresh(sh, string(kb), true) {
 				tx.Prefetch()
 			}
-			if c.messageEntries {
-				return cloneResponse(msg, q.ID, remaining), nil
-			}
 			return unpackWire(w, q.ID, remaining)
 		case c.staleWindow > 0 && now.Before(e.expires.Add(c.staleWindow)):
 			// RFC 8767 serve-stale: answer immediately from the expired
@@ -719,19 +693,12 @@ func (c *Cache) Exchange(ctx context.Context, q *dnswire.Message) (*dnswire.Mess
 			sh.lru.MoveToFront(e.elem)
 			sh.stats.StaleHits++
 			_, inflight := sh.flights[string(kb)]
-			msg := e.msg
-			var w []byte
-			if !c.messageEntries {
-				w = append([]byte(nil), e.wire...)
-			}
+			w := append([]byte(nil), e.wire...)
 			sh.mu.Unlock()
 			tx.TraceSpan(qtrace.PhaseCache, tl)
 			tx.SetCache(telemetry.CacheStaleHit)
 			if !inflight {
 				c.maybeRefresh(sh, string(kb), false)
-			}
-			if c.messageEntries {
-				return cloneResponse(msg, q.ID, StaleTTL), nil
 			}
 			return unpackWire(w, q.ID, StaleTTL)
 		default:
@@ -803,12 +770,11 @@ func (c *Cache) Exchange(ctx context.Context, q *dnswire.Message) (*dnswire.Mess
 	return cloneResponse(resp, q.ID, 0), nil
 }
 
-// buildEntry packs resp into an immutable cache entry (or records the
-// message itself in message-entry mode). It runs outside the shard lock —
-// packing is the expensive part of a miss's insert, and the miss has
-// already paid an upstream round trip. A response the codec cannot
-// re-pack (never seen in practice: it was just unpacked by the transport)
-// is simply not cached.
+// buildEntry packs resp into an immutable cache entry. It runs outside the
+// shard lock — packing is the expensive part of a miss's insert, and the
+// miss has already paid an upstream round trip. A response the codec
+// cannot re-pack (never seen in practice: it was just unpacked by the
+// transport) is simply not cached.
 func (c *Cache) buildEntry(k string, resp *dnswire.Message) *entry {
 	ttl := c.clampTTL(c.ttlOf(resp))
 	e := &entry{
@@ -816,10 +782,6 @@ func (c *Cache) buildEntry(k string, resp *dnswire.Message) *entry {
 		negative: negative(resp),
 		ttl:      ttl,
 		expires:  c.now().Add(ttl),
-	}
-	if c.messageEntries {
-		e.msg = resp
-		return e
 	}
 	wire, err := resp.Pack()
 	if err != nil {
@@ -955,10 +917,7 @@ func (c *Cache) rotateLocked(sh *shard) {
 // admission refused the insert. Caller holds sh.mu.
 func (c *Cache) insertLocked(sh *shard, e *entry, h uint64) (evicted int, rejected bool) {
 	e.hash = h
-	block := 0
-	if !c.messageEntries {
-		block = len(e.wire) + len(e.toffs)
-	}
+	block := len(e.wire) + len(e.toffs)
 	e.cost = entryOverhead + len(e.key) + block
 	if sh.budget > 0 && int64(e.cost) > sh.budget {
 		// Larger than the whole shard's budget: uncacheable at this size.
@@ -974,9 +933,7 @@ func (c *Cache) insertLocked(sh *shard, e *entry, h uint64) (evicted int, reject
 	if replacing {
 		sh.removeLocked(old)
 	}
-	if !c.messageEntries {
-		c.placeLocked(sh, e)
-	}
+	c.placeLocked(sh, e)
 	e.elem = sh.lru.PushFront(e)
 	sh.entries[e.key] = e
 	sh.bytes += int64(e.cost)

@@ -110,16 +110,6 @@ func TestServeWireDeclines(t *testing.T) {
 	if _, _, ok := c.ServeWire(nil, &fq, nil, 0); ok {
 		t.Error("wire path served an expired entry")
 	}
-
-	// Message-entry mode disables the wire path entirely.
-	cm := New(&countingUpstream{ttl: 60}, WithMessageEntries())
-	defer cm.Close()
-	if _, err := cm.Exchange(context.Background(), dnswire.NewQuery(1, "miss.example.", dnswire.TypeA)); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok := cm.ServeWire(nil, &fq, nil, 0); ok {
-		t.Error("wire path active in message-entry mode")
-	}
 }
 
 func TestServeWireNegativeHit(t *testing.T) {

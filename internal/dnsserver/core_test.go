@@ -1,0 +1,309 @@
+package dnsserver
+
+// Cross-transport coverage for the serving core: every front end must
+// return the bytes the handler produces — nothing a serve loop adds or
+// loses — and record the same trace phases for the same kind of query.
+
+import (
+	"bytes"
+	"context"
+	"crypto/tls"
+	"net"
+	"net/netip"
+	"slices"
+	"strings"
+	"sync/atomic"
+	"testing"
+
+	"dohcost/internal/dnswire"
+	"dohcost/internal/guard"
+	"dohcost/internal/h2"
+	"dohcost/internal/hpack"
+	"dohcost/internal/qtrace"
+	"dohcost/internal/telemetry"
+	"dohcost/internal/tlsx"
+	"dohcost/internal/udpio"
+)
+
+// refStub answers every A query from a fixed rule — one record, or forty
+// (≈700 bytes packed, past the 512-byte default) for names containing
+// "big" — and offers a wire fast path that packs that same answer, for
+// every name not starting with "slow" and every answer within the limit.
+type refStub struct{ fast, msg atomic.Int64 }
+
+func refAnswer(q *dnswire.Message) *dnswire.Message {
+	r := q.Reply()
+	name := q.Question1().Name
+	n := 1
+	if strings.Contains(string(name), "big") {
+		n = 40
+	}
+	for i := 0; i < n; i++ {
+		r.Answers = append(r.Answers, dnswire.ResourceRecord{
+			Name: name, Class: dnswire.ClassINET, TTL: 60,
+			Data: &dnswire.A{Addr: netip.AddrFrom4([4]byte{192, 0, 2, byte(i + 1)})},
+		})
+	}
+	return r
+}
+
+func (s *refStub) ServeDNS(ctx context.Context, q *dnswire.Message) (*dnswire.Message, error) {
+	s.msg.Add(1)
+	return refAnswer(q), nil
+}
+
+func (s *refStub) ServeDNSWire(tx *telemetry.Transaction, q *dnswire.Query, dst []byte, limit int) ([]byte, bool) {
+	var m dnswire.Message
+	if err := m.Unpack(q.Raw); err != nil || strings.HasPrefix(string(m.Question1().Name), "slow") {
+		return nil, false
+	}
+	wire, err := refAnswer(&m).Pack()
+	if err != nil || len(wire) > limit {
+		return nil, false
+	}
+	s.fast.Add(1)
+	tx.SetCache(telemetry.CacheHit)
+	return append(dst, wire...), true
+}
+
+// openGuard is a guard no test client can exhaust: every check runs, none
+// limits.
+func openGuard() *guard.Guard {
+	return guard.New(guard.Config{ClientQPS: 1e9, Burst: 1 << 30, CookieSecret: 0xc0ffee}, nil)
+}
+
+// streamExchange sends each query over one stream connection, in order.
+func streamExchange(t *testing.T, conn net.Conn, queries map[uint16][]byte) map[uint16][]byte {
+	t.Helper()
+	got := make(map[uint16][]byte, len(queries))
+	for id, q := range queries {
+		if err := WriteStreamMessage(conn, q); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := ReadStreamMessage(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[id] = resp
+	}
+	return got
+}
+
+var dohPOSTHeader = []hpack.HeaderField{{Name: "content-type", Value: ContentTypeWire}}
+
+// TestTransportEquivalence is the contract that makes the transport the
+// only variable: for a query set mixing fast hits, names the wire path
+// declines, EDNS and no EDNS, a client cookie, and an answer past the
+// 512-byte default, the DNS payload returned over UDP (portable fallback
+// conn, vector 1), UDP (kernel socket, vector 16), TCP, DoT and DoH POST
+// equals Respond(ctx, handler, q).Pack() computed with no serve loop
+// involved. UDP's TC=1 truncation and its cookie echo are the only
+// permitted differences, and both are asserted.
+func TestTransportEquivalence(t *testing.T) {
+	clientCookie := []byte{1, 2, 3, 4, 5, 6, 7, 8}
+	queries := make(map[uint16][]byte)
+	want := make(map[uint16][]byte)
+	truncated := make(map[uint16]bool) // over UDP only
+	cookied := make(map[uint16]bool)   // echoed over UDP only
+	ref := &refStub{}
+	for i, c := range []struct {
+		name   dnswire.Name
+		edns   uint16 // advertised buffer, 0 for no OPT
+		cookie bool
+	}{
+		{name: "fast.example."},
+		{name: "fast.example.", edns: 1232},
+		{name: "slow.example."},
+		{name: "slow.example.", edns: 1232},
+		{name: "big.example."},             // a hit behind framing, over the limit on UDP
+		{name: "big.example.", edns: 4096}, // a hit everywhere
+		{name: "slow-big.example."},
+		{name: "slow-cookie.example.", edns: 1232, cookie: true},
+	} {
+		id := uint16(0x4000 + i)
+		q := dnswire.NewQuery(id, c.name, dnswire.TypeA)
+		q.EDNS = nil // NewQuery advertises a 4096-byte buffer
+		if c.edns > 0 {
+			q.EDNS = &dnswire.EDNS{UDPSize: c.edns}
+			if c.cookie {
+				q.EDNS.Options = []dnswire.EDNS0Option{{Code: guard.EDNS0CookieCode, Data: clientCookie}}
+			}
+		}
+		wire, err := q.Pack()
+		if err != nil {
+			t.Fatal(err)
+		}
+		queries[id] = wire
+		if want[id], err = Respond(context.Background(), ref, q).Pack(); err != nil {
+			t.Fatal(err)
+		}
+		truncated[id] = c.edns == 0 && len(want[id]) > 512
+		cookied[id] = c.cookie
+	}
+
+	stub := &refStub{}
+	g := openGuard()
+	chain, err := tlsx.GenerateChain(tlsx.CloudflareLike("dns.test"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	got := make(map[string]map[uint16][]byte)
+
+	pc1 := listenLoopback(t)
+	// Hiding the concrete type makes udpio.Wrap choose the fallback.
+	go (&UDPServer{Handler: stub, Guard: g}).Serve(struct{ net.PacketConn }{pc1})
+	got["udp/1"] = collectResponses(t, pc1.LocalAddr().String(), queries)
+
+	pc16 := listenLoopback(t)
+	go (&UDPServer{Handler: stub, Guard: g}).ServeBatch([]udpio.BatchConn{udpio.Wrap(pc16)}, 16)
+	got["udp/16"] = collectResponses(t, pc16.LocalAddr().String(), queries)
+
+	tcpC, tcpS := net.Pipe()
+	defer tcpC.Close()
+	go (&StreamServer{Handler: stub, Guard: g}).ServeConn(tcpS)
+	got["tcp"] = streamExchange(t, tcpC, queries)
+
+	dotC, dotS := net.Pipe()
+	defer dotC.Close()
+	go (&StreamServer{Handler: stub, OutOfOrder: true, Guard: g, Proto: telemetry.ProtoDoT}).
+		ServeConn(tls.Server(dotS, chain.ServerConfig(0, 0)))
+	got["dot"] = streamExchange(t, tls.Client(dotC, chain.ClientConfig("dns.test")), queries)
+
+	doh := &DoH{Handler: stub, Guard: g}
+	got["doh"] = make(map[uint16][]byte)
+	for id, q := range queries {
+		resp := doh.ServeH2(&h2.Request{Method: "POST", Path: "/dns-query", Header: dohPOSTHeader, Body: q})
+		if resp.Status != 200 {
+			t.Fatalf("doh ID %#x: status %d", id, resp.Status)
+		}
+		got["doh"][id] = resp.Body
+	}
+
+	for transport, resps := range got {
+		udp := strings.HasPrefix(transport, "udp")
+		for id := range queries {
+			raw, wantRaw := resps[id], want[id]
+			if udp && (truncated[id] || cookied[id]) {
+				// Undo exactly the permitted difference and nothing else.
+				var m, w dnswire.Message
+				if err := m.Unpack(raw); err != nil {
+					t.Fatalf("%s ID %#x: %v", transport, id, err)
+				}
+				if err := w.Unpack(wantRaw); err != nil {
+					t.Fatal(err)
+				}
+				if truncated[id] {
+					if !m.Truncated || len(raw) > 512 {
+						t.Errorf("%s ID %#x: want a TC=1 reply within 512 bytes, got tc=%v %d bytes", transport, id, m.Truncated, len(raw))
+					}
+					w.Truncated, w.Answers = true, nil
+				}
+				if cookied[id] {
+					if m.EDNS == nil {
+						t.Fatalf("%s ID %#x: reply lost its OPT record", transport, id)
+					}
+					opts := m.EDNS.Options
+					if len(opts) != 1 || opts[0].Code != guard.EDNS0CookieCode || len(opts[0].Data) != 24 || !bytes.HasPrefix(opts[0].Data, clientCookie) {
+						t.Errorf("%s ID %#x: want one 24-byte cookie echoing the client's, got %+v", transport, id, opts)
+					}
+					m.EDNS.Options = nil
+				}
+				var err error
+				if raw, err = m.Pack(); err != nil {
+					t.Fatal(err)
+				}
+				if wantRaw, err = w.Pack(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !bytes.Equal(raw, wantRaw) {
+				t.Errorf("%s ID %#x: payload differs from Respond().Pack():\n got  %x\n want %x", transport, id, raw, wantRaw)
+			}
+		}
+	}
+	if stub.fast.Load() == 0 || stub.msg.Load() == 0 {
+		t.Fatalf("query set did not cover both steps: fast=%d msg=%d", stub.fast.Load(), stub.msg.Load())
+	}
+}
+
+// TestTracePhasesAcrossTransports pins the phase set a kept trace carries:
+// the same for the same kind of query whatever carried it, because one
+// core records everything but the write. DoH records no write span — its
+// transaction ends where the DNS payload is handed to the HTTP layer.
+func TestTracePhasesAcrossTransports(t *testing.T) {
+	hit, err := dnswire.NewQuery(7, "fast.example.", dnswire.TypeA).Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	declined, err := dnswire.NewQuery(8, "slow.example.", dnswire.TypeA).Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	udp := func(wrap func(net.PacketConn) udpio.BatchConn, batch int) func(*testing.T, *telemetry.Metrics, []byte) {
+		return func(t *testing.T, tel *telemetry.Metrics, q []byte) {
+			pc := listenLoopback(t)
+			srv := &UDPServer{Handler: &refStub{}, Guard: openGuard(), Telemetry: tel}
+			go srv.ServeBatch([]udpio.BatchConn{wrap(pc)}, batch)
+			collectResponses(t, pc.LocalAddr().String(), map[uint16][]byte{uint16(q[0])<<8 | uint16(q[1]): q})
+		}
+	}
+	for _, tr := range []struct {
+		name  string
+		write bool // the adapter owns the socket write
+		drive func(t *testing.T, tel *telemetry.Metrics, q []byte)
+	}{
+		{"udp-vector-1", true, udp(func(pc net.PacketConn) udpio.BatchConn {
+			return udpio.Wrap(struct{ net.PacketConn }{pc})
+		}, 1)},
+		{"udp-vector-16", true, udp(udpio.Wrap, 16)},
+		{"tcp", true, func(t *testing.T, tel *telemetry.Metrics, q []byte) {
+			c, s := net.Pipe()
+			defer c.Close()
+			go (&StreamServer{Handler: &refStub{}, Guard: openGuard(), Telemetry: tel}).ServeConn(s)
+			streamExchange(t, c, map[uint16][]byte{0: q})
+		}},
+		{"doh-post", false, func(t *testing.T, tel *telemetry.Metrics, q []byte) {
+			d := &DoH{Handler: &refStub{}, Guard: openGuard(), Telemetry: tel}
+			h2h, _ := d.Bind(guard.NewContext(t.Context(), 424242))
+			if resp := h2h.ServeH2(&h2.Request{Method: "POST", Path: "/dns-query", Header: dohPOSTHeader, Body: q}); resp.Status != 200 {
+				t.Fatalf("status %d", resp.Status)
+			}
+		}},
+	} {
+		for _, kind := range []struct {
+			name   string
+			query  []byte
+			phases []string
+		}{
+			{"hit", hit, []string{"guard", "parse", "cache", "write"}},
+			{"wire-declined", declined, []string{"guard", "parse", "write"}},
+		} {
+			t.Run(tr.name+"/"+kind.name, func(t *testing.T) {
+				tel := telemetry.New()
+				tracer := qtrace.New(qtrace.Config{SampleEvery: 1})
+				defer tracer.Close()
+				tel.SetTracer(tracer)
+				tr.drive(t, tel, kind.query)
+
+				// UDP finishes the transaction just after the reply leaves.
+				var views []qtrace.View
+				waitFor(t, func() bool {
+					views = tracer.Traces(qtrace.Filter{})
+					return len(views) > 0
+				})
+				var got []string
+				for _, sp := range views[0].Spans {
+					got = append(got, sp.Phase)
+				}
+				want := kind.phases
+				if !tr.write {
+					want = want[:len(want)-1]
+				}
+				if len(views) != 1 || !slices.Equal(got, want) {
+					t.Errorf("%d traces, phases %v; want 1 trace with %v", len(views), got, want)
+				}
+			})
+		}
+	}
+}

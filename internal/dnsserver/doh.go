@@ -14,7 +14,6 @@ import (
 	"dohcost/internal/h1"
 	"dohcost/internal/h2"
 	"dohcost/internal/hpack"
-	"dohcost/internal/qtrace"
 	"dohcost/internal/telemetry"
 )
 
@@ -184,7 +183,11 @@ func (d *DoH) serve(ctx context.Context, method, rawPath, contentType string, bo
 		return 405, "", nil
 	}
 
+	var tGuard time.Time
 	if d.Guard != nil {
+		if d.Telemetry.Tracing() {
+			tGuard = time.Now()
+		}
 		if key, bound := guard.KeyFromContext(ctx); bound &&
 			d.Guard.CheckStream(key) == guard.ActionRefuse {
 			if rawQ != nil {
@@ -204,56 +207,36 @@ func (d *DoH) serve(ctx context.Context, method, rawPath, contentType string, bo
 	}
 
 	// The transaction spans decode → handler → DNS-payload encode; the
-	// HTTP framing and socket write below this layer are not included
-	// (UDP and stream servers include their single write syscall, a few
-	// microseconds of skew at most).
+	// HTTP framing and socket write below this layer are not included, so
+	// DoH traces carry no write span (UDP and stream servers include their
+	// single write syscall, a few microseconds of skew at most).
+	c := newCore(d.Handler, d.Telemetry, telemetry.ProtoDoH)
 	var tx *telemetry.Transaction
 	if rawQ != nil {
-		// Wire-format queries get the serving fast path when the handler
-		// offers one: a cache hit's packed bytes become the HTTP body with
-		// no Message in between. The body escapes into the HTTP response,
-		// so it is appended to a fresh slice rather than a pooled buffer.
-		if wr, ok := d.Handler.(WireResponder); ok {
-			var tParse time.Time
-			if d.Telemetry.Tracing() {
-				tParse = time.Now()
-			}
-			if fq, ok := dnswire.ParseQuery(rawQ); ok {
-				tx = d.Telemetry.Begin(telemetry.ProtoDoH)
-				if tx.Traced() {
-					tx.TraceSpanBetween(qtrace.PhaseParse, tParse, time.Now())
-					tx.TraceQuery(&fq)
-				}
-				tc := tx.TraceStart()
-				if out, handled := wr.ServeDNSWire(tx, &fq, nil, dnswire.MaxMessageLen); handled {
-					tx.TraceSpan(qtrace.PhaseCache, tc)
-					tx.SetVerdict(telemetry.VerdictOK)
-					tx.Finish()
-					return 200, ContentTypeWire, out
-				}
-				// Unhandled: the Message path below reuses the transaction.
+		// Hit step: a cache hit's packed bytes become the HTTP body with no
+		// Message in between. The body escapes into the HTTP response, so
+		// dst is nil — a fresh slice rather than a pooled buffer.
+		var fq dnswire.Query
+		var ok bool
+		if tx, ok = c.parse(&fq, rawQ, tGuard); ok {
+			if out, handled := c.serveWire(tx, &fq, nil, dnswire.MaxMessageLen); handled {
+				tx.Finish()
+				return 200, ContentTypeWire, out
 			}
 		}
 		q = new(dnswire.Message)
-		if err := q.Unpack(rawQ); err != nil {
-			if tx != nil {
-				tx.SetVerdict(telemetry.VerdictServFail)
-				tx.Finish()
-			}
+		if tx, err = c.unpack(tx, rawQ, q); err != nil {
 			return 400, "", nil
 		}
-	}
-	if tx == nil {
+	} else {
+		// A JSON query never was in wire form: neither step's parse ran,
+		// so the adapter that decoded it begins its transaction.
 		tx = d.Telemetry.Begin(telemetry.ProtoDoH)
 	}
-	if tx.Traced() && len(q.Questions) > 0 {
-		tx.TraceQueryName(string(q.Questions[0].Name.Canonical()), uint16(q.Questions[0].Type))
-	}
 	defer tx.Finish()
-	ctx = telemetry.NewContext(ctx, tx)
 	// Handler failures surface as DNS-level SERVFAIL in an HTTP 200, the
 	// way RFC 8484 servers report resolution (not transport) errors.
-	resp := Respond(ctx, d.Handler, q)
+	resp := c.respond(ctx, tx, q)
 	if wantJSON {
 		out, err := dnsjson.Encode(resp)
 		if err != nil {

@@ -1,7 +1,7 @@
 package dnsserver
 
-// Serving-path coverage for the abuse guard: the per-packet UDP loop's
-// slip/drop/cookie behaviour, the batch loop's guard accounting, and the
+// Serving-path coverage for the abuse guard: the UDP loop's
+// slip/drop/cookie behaviour and guard accounting, and the
 // stream path's REFUSED synthesis. The guard's own semantics (bucket math,
 // cookie crypto, breaker) are pinned in internal/guard; here we prove the
 // servers consult it and account for it correctly.
@@ -70,7 +70,7 @@ func respCookie(m *dnswire.Message) []byte {
 }
 
 // TestUDPGuardSlipAndCookieBypass walks the full RRL + cookie story over
-// the per-packet UDP loop: answers carry server cookies, over-limit
+// the UDP loop: answers carry server cookies, over-limit
 // queries degrade to TC=1 slips (never silence, with SlipEvery=1), and
 // presenting the issued cookie bypasses the exhausted bucket.
 func TestUDPGuardSlipAndCookieBypass(t *testing.T) {
@@ -127,7 +127,7 @@ func TestUDPGuardSlipAndCookieBypass(t *testing.T) {
 // guard consumes (drops and slips) land in their own shard counter and the
 // batch ledger stays exact — Datagrams == FastHits + SlowPath +
 // GuardDropped — while the batch-size histogram keeps counting every read
-// datagram, consistent with the per-packet path.
+// datagram.
 func TestBatchGuardDroppedAccounting(t *testing.T) {
 	stub := newWireStub(t, "hot.example.")
 	g := guard.New(guard.Config{ClientQPS: noRefill, Burst: 3, SlipEvery: 2}, nil)

@@ -38,7 +38,8 @@ import (
 // that needs Message-level surgery (truncation over limit). dst may be
 // sliced from a pooled buffer: the returned slice must be its extension
 // (or a reallocation the caller only uses before reclaiming dst), and
-// implementations must not retain it.
+// implementations must retain neither it nor q, which serve loops reuse
+// for the next query.
 type WireResponder interface {
 	ServeDNSWire(tx *telemetry.Transaction, q *dnswire.Query, dst []byte, limit int) ([]byte, bool)
 }
@@ -59,11 +60,12 @@ func putBuf(b *[]byte) { bufPool.Put(b) }
 // handled concurrently — UDP has no ordering, which is why Figure 2 shows
 // it immune to slow-query knock-on effects.
 //
-// The serve loop is a small pipeline: Readers goroutines pull datagrams
-// from the socket into pooled buffers and feed a bounded pool of Workers
-// goroutines, which answer on the wire fast path when the Handler offers
-// one (WireResponder) and on the Unpack → Respond → AppendPack Message
-// path otherwise. Both paths pack and write from pooled buffers; the
+// One loop serves every socket (ServeBatch; Serve is the same loop over a
+// single net.PacketConn): a reader per socket pulls a vector of datagrams,
+// answers every wire fast-path hit (WireResponder) inline into a write
+// vector flushed once per batch, and hands everything else to a bounded
+// pool of Workers goroutines running the Unpack → Respond → AppendPack
+// Message path. Both paths pack and write from pooled buffers; the
 // cache-hit fast path allocates nothing per query.
 type UDPServer struct {
 	Handler Handler
@@ -85,19 +87,13 @@ type UDPServer struct {
 	// up would re-blackhole exactly the responses it exists to save, and
 	// the TC=1 referral itself (header + question) stays tiny.
 	MaxUDPSize int
-	// Readers is the number of goroutines blocked in ReadFrom; 0 means
-	// max(2, GOMAXPROCS). Real sockets benefit from several concurrent
-	// receivers; every reader reads into a pooled buffer handed off to the
-	// workers, never copied.
-	Readers int
 	// Workers sizes the resident worker pool; 0 means 4×GOMAXPROCS. The
-	// pool absorbs the steady state — fast-path hits take microseconds, so
-	// a handful of workers serve enormous hit rates with zero goroutine
-	// churn. When every worker is busy and the queue is full (a burst of
-	// slow queries blocking on upstream or emulated delays), the reader
-	// spills the packet to a transient goroutine rather than stalling the
-	// socket: slow queries cost a goroutine each, exactly as the
-	// goroutine-per-packet design did, while the hot path never does.
+	// pool absorbs the steady state of slow-path queries with zero
+	// goroutine churn. When every worker is busy and the queue is full (a
+	// burst of slow queries blocking on upstream or emulated delays), the
+	// reader spills the packet to a transient goroutine rather than
+	// stalling the socket: slow queries cost a goroutine each while the
+	// hot path never does.
 	Workers int
 	// MaxSpill bounds the transient spill goroutines alive at once; 0
 	// means 8×Workers. With the budget exhausted the reader blocks on the
@@ -113,31 +109,24 @@ type UDPServer struct {
 	shardStats atomic.Pointer[[]shardCounters]
 }
 
-// packetWriter is the slice of net.PacketConn the response paths need;
-// both net.PacketConn and udpio.BatchConn satisfy it.
-type packetWriter interface {
-	WriteTo(b []byte, addr net.Addr) (int, error)
-}
-
-// packet is one received datagram travelling from a reader to a worker,
-// carrying its pooled buffer and the conn to answer on. tx, when non-nil,
-// is a transaction the reader already began; msgOnly routes straight to
-// the Message path (the batch reader already tried — or ruled out — the
-// wire fast path before handing off).
+// packet is one received datagram the batch reader could not answer
+// inline, travelling to a worker with its pooled buffer and the conn to
+// answer on. tx, when non-nil, is the transaction the declined hit step
+// already began.
 type packet struct {
-	buf     *[]byte
-	n       int
-	from    net.Addr
-	w       packetWriter
-	tx      *telemetry.Transaction
-	msgOnly bool
+	buf  *[]byte
+	n    int
+	from net.Addr
+	w    udpio.BatchConn
+	tx   *telemetry.Transaction
 }
 
-// workPool is the bounded worker pool both serve loops dispatch into:
+// workPool is the bounded worker pool the shard readers dispatch into:
 // resident workers for the steady state, a spill budget of transient
 // goroutines for slow-query bursts, blocking backpressure beyond that.
 type workPool struct {
 	s        *UDPServer
+	c        *core
 	ctx      context.Context
 	work     chan packet
 	spillSem chan struct{}
@@ -145,9 +134,18 @@ type workPool struct {
 }
 
 // startWorkers spins up the resident workers and sizes the spill budget.
-func (s *UDPServer) startWorkers(ctx context.Context, workers, maxSpill int) *workPool {
+func (s *UDPServer) startWorkers(ctx context.Context, c *core) *workPool {
+	workers := s.Workers
+	if workers <= 0 {
+		workers = 4 * runtime.GOMAXPROCS(0)
+	}
+	maxSpill := s.MaxSpill
+	if maxSpill <= 0 {
+		maxSpill = 8 * workers
+	}
 	p := &workPool{
 		s:        s,
+		c:        c,
 		ctx:      ctx,
 		work:     make(chan packet, workers),
 		spillSem: make(chan struct{}, maxSpill),
@@ -157,21 +155,11 @@ func (s *UDPServer) startWorkers(ctx context.Context, workers, maxSpill int) *wo
 		go func() {
 			defer p.wg.Done()
 			for pkt := range p.work {
-				p.serve(pkt)
+				p.s.serveMessage(p.ctx, p.c, pkt)
 			}
 		}()
 	}
 	return p
-}
-
-// serve answers one packet and reclaims its buffer.
-func (p *workPool) serve(pkt packet) {
-	if pkt.msgOnly {
-		p.s.serveMessage(p.ctx, pkt.w, (*pkt.buf)[:pkt.n], pkt.from, pkt.tx)
-	} else {
-		p.s.servePacket(p.ctx, pkt.w, (*pkt.buf)[:pkt.n], pkt.from)
-	}
-	putBuf(pkt.buf)
 }
 
 // dispatch hands pkt to a resident worker; when the pool and queue are
@@ -195,7 +183,7 @@ func (p *workPool) dispatch(pkt packet) bool {
 		go func() {
 			defer p.wg.Done()
 			defer func() { <-p.spillSem }()
-			p.serve(pkt)
+			p.s.serveMessage(p.ctx, p.c, pkt)
 		}()
 		return true
 	}
@@ -207,90 +195,14 @@ func (p *workPool) stop() {
 	p.wg.Wait()
 }
 
-// poolSizes resolves the Workers/MaxSpill defaults.
-func (s *UDPServer) poolSizes() (workers, maxSpill int) {
-	workers = s.Workers
-	if workers <= 0 {
-		workers = 4 * runtime.GOMAXPROCS(0)
-	}
-	maxSpill = s.MaxSpill
-	if maxSpill <= 0 {
-		maxSpill = 8 * workers
-	}
-	return workers, maxSpill
-}
-
-// Serve reads queries from pc until it closes. Every in-flight handler's
-// context is cancelled when the serve loop exits, which also drains and
-// stops the worker pool.
+// Serve reads queries from pc until it closes: ServeBatch over the one
+// socket, at the default vector size where pc supports kernel batching and
+// one datagram per syscall elsewhere (see udpio.Wrap).
 func (s *UDPServer) Serve(pc net.PacketConn) error {
-	base := s.BaseContext
-	if base == nil {
-		base = context.Background()
-	}
-	ctx, cancel := context.WithCancel(base)
-	defer cancel()
-
-	readers := s.Readers
-	if readers <= 0 {
-		// Scale receive capacity with the machine: sharded deployments
-		// spread readers across sockets, a single socket still benefits
-		// from concurrent receivers.
-		readers = max(2, runtime.GOMAXPROCS(0))
-	}
-	workers, maxSpill := s.poolSizes()
-	pool := s.startWorkers(ctx, workers, maxSpill)
-
-	var (
-		readerWG sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-	)
-	for i := 0; i < readers; i++ {
-		readerWG.Add(1)
-		go func() {
-			defer readerWG.Done()
-			consecutive := 0
-			for {
-				buf := getBuf()
-				n, from, err := pc.ReadFrom(*buf)
-				if err != nil {
-					putBuf(buf)
-					if errors.Is(err, net.ErrClosed) {
-						return
-					}
-					// Transient read errors (ICMP-induced, momentary
-					// resource pressure) must not kill a reader and
-					// silently shrink read capacity; retry with a small
-					// pause. A reader that gives up closes the socket so
-					// its peers unblock and Serve fails fast with the
-					// first error instead of limping at reduced capacity
-					// (the socket is persistently broken at that point —
-					// closing it destroys nothing usable).
-					consecutive++
-					if consecutive >= maxReadRetries {
-						errOnce.Do(func() { firstErr = err; pc.Close() })
-						return
-					}
-					time.Sleep(readRetryPause)
-					continue
-				}
-				consecutive = 0
-				pool.dispatch(packet{buf: buf, n: n, from: from, w: pc})
-			}
-		}()
-	}
-	readerWG.Wait()
-	// Readers are done (socket closed or broken): cancel every in-flight
-	// handler context before draining the workers, so shutdown is never
-	// held hostage by queries parked on a slow upstream — the property
-	// the goroutine-per-packet loop had by returning immediately.
-	cancel()
-	pool.stop()
-	return firstErr
+	return s.ServeBatch([]udpio.BatchConn{udpio.Wrap(pc)}, 0)
 }
 
-// Reader-loop error policy: how many consecutive failed ReadFrom calls a
+// Reader-loop error policy: how many consecutive failed reads a shard
 // reader tolerates (pausing between attempts) before declaring the socket
 // dead and shutting the serve loop down.
 const (
@@ -312,120 +224,30 @@ func (s *UDPServer) udpLimit(hasEDNS bool, udpSize uint16) int {
 	return limit
 }
 
-// servePacket answers one datagram: guard verdict first (drop or slip
-// without parsing), then wire fast path, then the Message path, all
-// writing from pooled buffers.
-func (s *UDPServer) servePacket(ctx context.Context, w packetWriter, pkt []byte, from net.Addr) {
-	// Guard and parse run before a Transaction exists, so their spans are
-	// timed here and recorded (with slightly negative offsets) once Begin
-	// has created the trace; the clock reads happen only when a tracer is
-	// actually installed.
-	var tGuard, tParse time.Time
-	tracing := s.Telemetry.Tracing()
-	if s.Guard != nil {
-		if tracing {
-			tGuard = time.Now()
-		}
-		if !s.guardAdmitUDP(w, pkt, from) {
-			return
-		}
-	}
-	if wr, ok := s.Handler.(WireResponder); ok {
-		if tracing {
-			tParse = time.Now()
-		}
-		if q, ok := dnswire.ParseQuery(pkt); ok {
-			out := getBuf()
-			tx := s.Telemetry.Begin(telemetry.ProtoUDP)
-			if tx.Traced() {
-				now := time.Now()
-				if !tGuard.IsZero() {
-					tx.TraceSpanBetween(qtrace.PhaseGuard, tGuard, tParse)
-				}
-				tx.TraceSpanBetween(qtrace.PhaseParse, tParse, now)
-				tx.TraceQuery(&q)
-			}
-			tc := tx.TraceStart()
-			if resp, handled := wr.ServeDNSWire(tx, &q, (*out)[:0], s.udpLimit(q.HasEDNS, q.UDPSize)); handled {
-				tx.TraceSpan(qtrace.PhaseCache, tc)
-				tw := tx.TraceStart()
-				w.WriteTo(resp, from)
-				tx.TraceSpan(qtrace.PhaseWrite, tw)
-				tx.SetVerdict(telemetry.VerdictOK)
-				tx.Finish()
-				putBuf(out)
-				return
-			}
-			putBuf(out)
-			// Fall through to the Message path with the same transaction.
-			s.serveMessage(ctx, w, pkt, from, tx)
-			return
-		}
-	}
-	s.serveMessage(ctx, w, pkt, from, nil)
-}
-
-// guardAdmitUDP runs the guard's UDP verdict for one datagram. It reports
-// whether the packet may proceed to the serve path; limited packets are
-// dropped silently or answered with the guard's minimal TC=1 slip.
-func (s *UDPServer) guardAdmitUDP(w packetWriter, pkt []byte, from net.Addr) bool {
-	key := guard.ClientKey(from)
-	switch s.Guard.CheckUDP(key, pkt) {
-	case guard.ActionAllow:
-		return true
-	case guard.ActionSlip:
-		out := getBuf()
-		if resp, ok := s.Guard.AppendLimited((*out)[:0], pkt, key, guard.ActionSlip); ok {
-			w.WriteTo(resp, from)
-		}
-		putBuf(out)
-	}
-	return false
-}
-
-// serveMessage runs the Unpack → Respond → AppendPack path for one
-// datagram, with the truncation and OPT-shedding policy UDP demands. tx
-// is the transaction an attempted fast path already began, or nil to
-// begin one here; serveMessage finishes it either way.
-func (s *UDPServer) serveMessage(ctx context.Context, w packetWriter, pkt []byte, from net.Addr, tx *telemetry.Transaction) {
-	out := getBuf()
-	defer putBuf(out)
-	var tParse time.Time
-	if tx == nil && s.Telemetry.Tracing() {
-		tParse = time.Now()
-	}
+// serveMessage runs the Message step for one datagram the batch reader
+// handed off, with the truncation, OPT-shedding and cookie-echo policy UDP
+// demands, finishes the packet's transaction and reclaims its buffer.
+func (s *UDPServer) serveMessage(ctx context.Context, c *core, pkt packet) {
+	defer putBuf(pkt.buf)
+	wire := (*pkt.buf)[:pkt.n]
 	var q dnswire.Message
-	if err := q.Unpack(pkt); err != nil {
-		// Drop unparseable datagrams, like real servers. ParseQuery is
-		// strictly narrower than Unpack, so a fast-parse success cannot
-		// leave an open transaction here — but close one defensively.
-		if tx != nil {
-			tx.SetVerdict(telemetry.VerdictServFail)
-			tx.Finish()
-		}
-		return
-	}
-	if tx == nil {
-		tx = s.Telemetry.Begin(telemetry.ProtoUDP)
-		tx.TraceSpanBetween(qtrace.PhaseParse, tParse, time.Now())
-	}
-	if tx.Traced() && len(q.Questions) > 0 {
-		tx.TraceQueryName(string(q.Questions[0].Name.Canonical()), uint16(q.Questions[0].Type))
+	tx, err := c.unpack(pkt.tx, wire, &q)
+	if err != nil {
+		return // drop unparseable datagrams, like real servers
 	}
 	defer tx.Finish()
-	ctx = telemetry.NewContext(ctx, tx)
 	var gkey uint64
 	if s.Guard != nil {
 		// Attribute downstream work (the cache-miss breaker) to the client.
-		gkey = guard.ClientKey(from)
+		gkey = guard.ClientKey(pkt.from)
 		ctx = guard.NewContext(ctx, gkey)
 	}
-	resp := Respond(ctx, s.Handler, &q)
+	resp := c.respond(ctx, tx, &q)
 	if s.Guard != nil {
 		// Echo a DNS cookie so the client can earn the rate-limit bypass.
 		// Cached entries share their EDNS between clones, so attach to a
 		// fresh one instead of mutating in place.
-		if data, ok := s.Guard.ServerCookie(nil, pkt, gkey); ok {
+		if data, ok := s.Guard.ServerCookie(nil, wire, gkey); ok {
 			e := &dnswire.EDNS{UDPSize: 1232}
 			if resp.EDNS != nil {
 				cp := *resp.EDNS
@@ -436,7 +258,9 @@ func (s *UDPServer) serveMessage(ctx context.Context, w packetWriter, pkt []byte
 			resp.EDNS = e
 		}
 	}
-	wire, err := resp.AppendPack((*out)[:0])
+	out := getBuf()
+	defer putBuf(out)
+	reply, err := resp.AppendPack((*out)[:0])
 	if err != nil {
 		// The client receives nothing; don't let Respond's ok verdict
 		// stand for a reply that never left.
@@ -448,27 +272,27 @@ func (s *UDPServer) serveMessage(ctx context.Context, w packetWriter, pkt []byte
 		udpSize = q.EDNS.UDPSize
 	}
 	limit := s.udpLimit(q.EDNS != nil, udpSize)
-	if len(wire) > limit {
+	if len(reply) > limit {
 		trunc := *resp
 		trunc.Truncated = true
 		trunc.Answers, trunc.Authorities, trunc.Additionals = nil, nil, nil
-		if wire, err = trunc.AppendPack((*out)[:0]); err != nil {
+		if reply, err = trunc.AppendPack((*out)[:0]); err != nil {
 			tx.SetVerdict(telemetry.VerdictServFail)
 			return
 		}
-		if len(wire) > limit && trunc.EDNS != nil {
+		if len(reply) > limit && trunc.EDNS != nil {
 			// On aggressive MaxUDPSize caps a long QNAME can push even the
 			// referral over the limit; the OPT record is the only thing
 			// left to shed (header + question cannot shrink further).
 			trunc.EDNS = nil
-			if wire, err = trunc.AppendPack((*out)[:0]); err != nil {
+			if reply, err = trunc.AppendPack((*out)[:0]); err != nil {
 				tx.SetVerdict(telemetry.VerdictServFail)
 				return
 			}
 		}
 	}
 	tw := tx.TraceStart()
-	w.WriteTo(wire, from)
+	pkt.w.WriteTo(reply, pkt.from)
 	tx.TraceSpan(qtrace.PhaseWrite, tw)
 }
 
@@ -521,12 +345,13 @@ func (s *StreamServer) ServeConn(conn net.Conn) error {
 	defer conn.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var writeMu sync.Mutex
+	sc := streamConn{Conn: conn}
 	var wg sync.WaitGroup
 	defer wg.Wait()
 	rbuf := getBuf()
 	defer putBuf(rbuf)
-	wr, fast := s.Handler.(WireResponder)
+	c := newCore(s.Handler, s.Telemetry, s.Proto)
+	var q dnswire.Query // per connection: &q escapes into the WireResponder call
 	var gkey uint64
 	if s.Guard != nil {
 		gkey = guard.ClientKey(conn.RemoteAddr())
@@ -540,123 +365,94 @@ func (s *StreamServer) ServeConn(conn net.Conn) error {
 			}
 			return err
 		}
-		if s.Guard != nil && s.Guard.CheckStream(gkey) == guard.ActionRefuse {
-			if err := s.writeRefusal(conn, &writeMu, wire, gkey); err != nil {
-				return err
+		var tGuard time.Time
+		if s.Guard != nil {
+			if s.Telemetry.Tracing() {
+				tGuard = time.Now()
 			}
-			continue
-		}
-		var tx *telemetry.Transaction
-		var tParse time.Time
-		if s.Telemetry.Tracing() {
-			tParse = time.Now()
-		}
-		if fast {
-			if q, ok := dnswire.ParseQuery(wire); ok {
-				tx = s.Telemetry.Begin(s.Proto)
-				if tx.Traced() {
-					tx.TraceSpanBetween(qtrace.PhaseParse, tParse, time.Now())
-					tx.TraceQuery(&q)
+			if s.Guard.CheckStream(gkey) == guard.ActionRefuse {
+				if err := s.writeRefusal(&sc, wire, gkey); err != nil {
+					return err
 				}
-				handled, err := s.answerWire(conn, &writeMu, wr, tx, &q)
-				if handled {
-					if err != nil {
-						return err
-					}
-					continue
-				}
-				// Unhandled: the Message path below reuses the transaction.
+				continue
 			}
 		}
-		var q dnswire.Message
-		if err := q.Unpack(wire); err != nil {
-			if tx != nil {
-				tx.SetVerdict(telemetry.VerdictServFail)
+		// Hit step: packed bytes behind the length prefix, one pooled write.
+		tx, ok := c.parse(&q, wire, tGuard)
+		if ok {
+			out := getBuf()
+			if resp, handled := c.serveWire(tx, &q, (*out)[2:2], dnswire.MaxMessageLen); handled {
+				err = sc.writeFrame(tx, *out, len(resp))
 				tx.Finish()
+				putBuf(out)
+				if err != nil {
+					return err
+				}
+				continue
 			}
+			putBuf(out)
+		}
+		// Message step. Unpack runs here because the next read reuses rbuf;
+		// m and mtx are never reassigned, so the goroutine captures values.
+		m := new(dnswire.Message)
+		mtx, err := c.unpack(tx, wire, m)
+		if err != nil {
 			return fmt.Errorf("dnsserver: bad query on stream: %w", err)
 		}
 		if s.OutOfOrder {
-			qc := q // copy; the loop reuses nothing, Unpack reallocated slices
-			txc := tx
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				s.answerStream(ctx, conn, &writeMu, &qc, txc)
+				sc.answer(ctx, &c, mtx, m)
 			}()
 			continue
 		}
-		if err := s.answerStream(ctx, conn, &writeMu, &q, tx); err != nil {
+		if err := sc.answer(ctx, &c, mtx, m); err != nil {
 			return err
 		}
 	}
+}
+
+// streamConn is one served connection's write side: the inline hit step
+// and the goroutines out-of-order Message steps run on share it, so whole
+// frames go out under a mutex.
+type streamConn struct {
+	net.Conn
+	writeMu sync.Mutex
+}
+
+// writeFrame sends the n-octet message packed at out[2:] behind its
+// two-octet length prefix (RFC 1035 §4.2.2) as one write, recorded as tx's
+// write span.
+func (sc *streamConn) writeFrame(tx *telemetry.Transaction, out []byte, n int) error {
+	binary.BigEndian.PutUint16(out, uint16(n))
+	tw := tx.TraceStart()
+	sc.writeMu.Lock()
+	_, err := sc.Write(out[:2+n])
+	sc.writeMu.Unlock()
+	tx.TraceSpan(qtrace.PhaseWrite, tw)
+	return err
 }
 
 // writeRefusal frames and writes the guard's minimal REFUSED response for
 // one rate-limited stream query; un-echoable queries get nothing (the
 // connection stays up — stream framing is intact, only this query was
 // malformed past the question).
-func (s *StreamServer) writeRefusal(conn net.Conn, writeMu *sync.Mutex, wire []byte, gkey uint64) error {
+func (s *StreamServer) writeRefusal(sc *streamConn, wire []byte, gkey uint64) error {
 	out := getBuf()
 	defer putBuf(out)
 	resp, ok := s.Guard.AppendLimited((*out)[2:2], wire, gkey, guard.ActionRefuse)
 	if !ok || len(resp) > dnswire.MaxMessageLen {
 		return nil
 	}
-	if &resp[0] != &(*out)[2] {
-		resp = append((*out)[2:2], resp...)
-	}
-	frame := (*out)[:2+len(resp)]
-	binary.BigEndian.PutUint16(frame, uint16(len(resp)))
-	writeMu.Lock()
-	defer writeMu.Unlock()
-	_, err := conn.Write(frame)
-	return err
+	// Guard decisions are counted in guard metrics, not as served queries.
+	return sc.writeFrame(nil, *out, len(resp))
 }
 
-// answerWire serves one query on the wire fast path: the response is
-// appended behind a two-octet length prefix in a pooled buffer and written
-// in one flight. handled=false leaves the connection untouched (and tx
-// unfinished) for the Message path.
-func (s *StreamServer) answerWire(conn net.Conn, writeMu *sync.Mutex, wr WireResponder, tx *telemetry.Transaction, q *dnswire.Query) (bool, error) {
-	out := getBuf()
-	tc := tx.TraceStart()
-	resp, handled := wr.ServeDNSWire(tx, q, (*out)[2:2], dnswire.MaxMessageLen)
-	if !handled || len(resp) < 12 /* DNS header */ || len(resp) > dnswire.MaxMessageLen {
-		putBuf(out)
-		return false, nil
-	}
-	tx.TraceSpan(qtrace.PhaseCache, tc)
-	if &resp[0] != &(*out)[2] {
-		// The responder reallocated (or returned its own storage); fold
-		// the bytes back behind the prefix — cap suffices, resp fits.
-		resp = append((*out)[2:2], resp...)
-	}
-	frame := (*out)[:2+len(resp)]
-	binary.BigEndian.PutUint16(frame, uint16(len(resp)))
-	tw := tx.TraceStart()
-	writeMu.Lock()
-	_, err := conn.Write(frame)
-	writeMu.Unlock()
-	tx.TraceSpan(qtrace.PhaseWrite, tw)
-	putBuf(out)
-	tx.SetVerdict(telemetry.VerdictOK)
-	tx.Finish()
-	return true, err
-}
-
-// answerStream runs the Message path for one query. tx is the transaction
-// an attempted fast path already began, or nil to begin one here.
-func (s *StreamServer) answerStream(ctx context.Context, conn net.Conn, writeMu *sync.Mutex, q *dnswire.Message, tx *telemetry.Transaction) error {
-	if tx == nil {
-		tx = s.Telemetry.Begin(s.Proto)
-	}
-	if tx.Traced() && len(q.Questions) > 0 {
-		tx.TraceQueryName(string(q.Questions[0].Name.Canonical()), uint16(q.Questions[0].Type))
-	}
+// answer closes the Message step for one query and writes the reply.
+func (sc *streamConn) answer(ctx context.Context, c *core, tx *telemetry.Transaction, q *dnswire.Message) error {
 	defer tx.Finish()
-	ctx = telemetry.NewContext(ctx, tx)
-	resp := Respond(ctx, s.Handler, q)
+	resp := c.respond(ctx, tx, q)
 	out := getBuf()
 	defer putBuf(out)
 	// Pack directly behind the length prefix (AppendPack keeps compression
@@ -668,41 +464,31 @@ func (s *StreamServer) answerStream(ctx context.Context, conn net.Conn, writeMu 
 		tx.SetVerdict(telemetry.VerdictServFail)
 		return err
 	}
-	binary.BigEndian.PutUint16(buf, uint16(len(buf)-2))
-	tw := tx.TraceStart()
-	writeMu.Lock()
-	defer writeMu.Unlock()
-	_, err = conn.Write(buf)
-	tx.TraceSpan(qtrace.PhaseWrite, tw)
-	return err
+	return sc.writeFrame(tx, buf, len(buf)-2)
 }
 
-// ReadStreamMessage reads one length-prefixed DNS message.
+// ReadStreamMessage reads one length-prefixed DNS message into a slice of
+// its own.
 func ReadStreamMessage(r io.Reader) ([]byte, error) {
-	var lenBuf [2]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		return nil, err
-	}
-	msg := make([]byte, binary.BigEndian.Uint16(lenBuf[:]))
-	if _, err := io.ReadFull(r, msg); err != nil {
-		return nil, err
-	}
-	return msg, nil
+	return readStreamMessageInto(r, nil)
 }
 
-// readStreamMessageInto reads one length-prefixed DNS message into buf,
-// which must hold dnswire.MaxMessageLen bytes — the pooled no-allocation
-// variant of ReadStreamMessage used by the serving loop.
+// readStreamMessageInto reads one length-prefixed DNS message into buf —
+// the serving loop's pooled dnswire.MaxMessageLen buffer, so it allocates
+// nothing — or into a fresh slice when buf is too short to hold it.
 func readStreamMessageInto(r io.Reader, buf []byte) ([]byte, error) {
 	var lenBuf [2]byte
 	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
 		return nil, err
 	}
-	msg := buf[:binary.BigEndian.Uint16(lenBuf[:])]
-	if _, err := io.ReadFull(r, msg); err != nil {
+	n := int(binary.BigEndian.Uint16(lenBuf[:]))
+	if n > len(buf) {
+		buf = make([]byte, n)
+	}
+	if _, err := io.ReadFull(r, buf[:n]); err != nil {
 		return nil, err
 	}
-	return msg, nil
+	return buf[:n], nil
 }
 
 // WriteStreamMessage writes one length-prefixed DNS message as a single
@@ -757,14 +543,6 @@ type Server struct {
 	// MaxUDPSize caps UDP response datagrams regardless of the client's
 	// EDNS buffer (see UDPServer.MaxUDPSize); zero applies no cap.
 	MaxUDPSize int
-	// UDPReaders/UDPWorkers tune the UDP listener's reader and worker
-	// pools (see UDPServer.Readers/Workers); zero uses the defaults.
-	UDPReaders, UDPWorkers int
-	// UDPBatch, when positive, serves the UDP listener with the batched
-	// loop (UDPServer.ServeBatch) at that vector size — one kernel batch
-	// read/write per wakeup where the platform supports it, the portable
-	// per-packet fallback elsewhere. Zero keeps the per-packet Serve.
-	UDPBatch int
 	// Telemetry, when non-nil, is propagated to every listener so each
 	// query produces one cost Transaction (see internal/telemetry).
 	Telemetry *telemetry.Metrics
@@ -778,14 +556,8 @@ type Running struct {
 	udp     *UDPServer
 }
 
-// UDPShardStats snapshots the UDP listener's per-shard batch counters;
-// nil when the listener runs the per-packet loop.
-func (r *Running) UDPShardStats() []UDPShardStats {
-	if r.udp == nil {
-		return nil
-	}
-	return r.udp.ShardStats()
-}
+// UDPShardStats snapshots the UDP listener's per-shard serving counters.
+func (r *Running) UDPShardStats() []UDPShardStats { return r.udp.ShardStats() }
 
 // Close shuts down all listeners and waits for serving loops.
 func (r *Running) Close() {
@@ -805,22 +577,9 @@ func (s *Server) Start(n *netsim.Network, host string) (*Running, error) {
 		return nil, err
 	}
 	r.closers = append(r.closers, pc)
-	udp := &UDPServer{
-		Handler:    s.Handler,
-		Guard:      s.Guard,
-		MaxUDPSize: s.MaxUDPSize,
-		Readers:    s.UDPReaders,
-		Workers:    s.UDPWorkers,
-		Telemetry:  s.Telemetry,
-	}
-	r.udp = udp
+	r.udp = &UDPServer{Handler: s.Handler, Guard: s.Guard, MaxUDPSize: s.MaxUDPSize, Telemetry: s.Telemetry}
 	r.wg.Add(1)
-	if s.UDPBatch > 0 {
-		conn := udpio.Wrap(pc)
-		go func() { defer r.wg.Done(); udp.ServeBatch([]udpio.BatchConn{conn}, s.UDPBatch) }()
-	} else {
-		go func() { defer r.wg.Done(); udp.Serve(pc) }()
-	}
+	go func() { defer r.wg.Done(); r.udp.Serve(pc) }()
 
 	tcpL, err := n.Listen(host + ":53")
 	if err != nil {
@@ -846,16 +605,7 @@ func (s *Server) Start(n *netsim.Network, host string) (*Running, error) {
 		dot := &StreamServer{Handler: s.Handler, OutOfOrder: s.DoTOutOfOrder, Proto: telemetry.ProtoDoT, Guard: s.Guard, Telemetry: s.Telemetry}
 		cfg := s.Chain.ServerConfig(s.TLSMin, s.TLSMax)
 		r.wg.Add(1)
-		go func() {
-			defer r.wg.Done()
-			for {
-				conn, err := dotL.Accept()
-				if err != nil {
-					return
-				}
-				go dot.ServeConn(tls.Server(conn, cfg))
-			}
-		}()
+		go func() { defer r.wg.Done(); dot.Serve(tls.NewListener(dotL, cfg)) }()
 	}
 
 	dohL, err := n.Listen(host + ":443")

@@ -1,12 +1,12 @@
 package dnsserver
 
-// Kernel-assisted batched UDP serving. ServeBatch is the sharded
-// counterpart of UDPServer.Serve: one goroutine per SO_REUSEPORT shard
-// socket pulls up to a batch of datagrams in a single recvmmsg, answers
-// every cache hit into a per-shard response vector, and flushes the
-// vector in a single sendmmsg — so under load the syscall cost of the
-// fast path is amortized over tens of datagrams. Misses and unparseable
-// packets peel off to the same bounded worker pool Serve uses.
+// The UDP serve loop, the batch adapter over the serving core. One
+// goroutine per shard socket pulls up to a batch of datagrams in a single
+// read (recvmmsg on a kernel-batched conn, one datagram on the portable
+// fallback), answers every cache hit into a per-shard response vector, and
+// flushes the vector in a single write — so under load the syscall cost of
+// the fast path is amortized over tens of datagrams. Misses and
+// unparseable packets peel off to a bounded worker pool.
 
 import (
 	"context"
@@ -57,7 +57,7 @@ type UDPShardStats struct {
 	// TC=1 slip). Every read datagram lands in exactly one of the three,
 	// so Datagrams == FastHits + SlowPath + GuardDropped — guard-limited
 	// datagrams still count in the batch-size histogram, which samples at
-	// read time, consistent with the per-packet path.
+	// read time.
 	FastHits     uint64 `json:"fast_hits"`
 	SlowPath     uint64 `json:"slow_path"`
 	GuardDropped uint64 `json:"guard_dropped"`
@@ -97,8 +97,9 @@ func (s *UDPServer) ShardStats() []UDPShardStats {
 
 // ServeBatch serves conns until they close, one batch loop per shard
 // socket, sharing a single worker pool for the slow path. batch<=0 means
-// DefaultBatch; values above udpio.MaxBatch are clamped. Like Serve, the
-// first persistent socket error shuts every shard down and is returned.
+// DefaultBatch; values above udpio.MaxBatch are clamped. Every in-flight
+// handler's context is cancelled when the loop exits. The first persistent
+// socket error shuts every shard down and is returned.
 func (s *UDPServer) ServeBatch(conns []udpio.BatchConn, batch int) error {
 	if len(conns) == 0 {
 		return errors.New("dnsserver: ServeBatch needs at least one conn")
@@ -116,8 +117,8 @@ func (s *UDPServer) ServeBatch(conns []udpio.BatchConn, batch int) error {
 	ctx, cancel := context.WithCancel(base)
 	defer cancel()
 
-	workers, maxSpill := s.poolSizes()
-	pool := s.startWorkers(ctx, workers, maxSpill)
+	c := newCore(s.Handler, s.Telemetry, telemetry.ProtoUDP)
+	pool := s.startWorkers(ctx, &c)
 
 	scs := make([]shardCounters, len(conns))
 	s.shardStats.Store(&scs)
@@ -127,11 +128,14 @@ func (s *UDPServer) ServeBatch(conns []udpio.BatchConn, batch int) error {
 		errOnce  sync.Once
 		firstErr error
 	)
-	for i, c := range conns {
+	for i, conn := range conns {
 		wg.Add(1)
-		go func(c udpio.BatchConn, sc *shardCounters) {
+		go func(conn udpio.BatchConn, sc *shardCounters) {
 			defer wg.Done()
-			if err := s.serveShard(c, batch, pool, sc); err != nil {
+			if err := s.serveShard(conn, batch, pool, sc); err != nil {
+				// The socket is persistently broken: closing every shard
+				// unblocks its peers, so the loop fails fast with the first
+				// error instead of limping at reduced capacity.
 				errOnce.Do(func() {
 					firstErr = err
 					for _, cc := range conns {
@@ -139,7 +143,7 @@ func (s *UDPServer) ServeBatch(conns []udpio.BatchConn, batch int) error {
 					}
 				})
 			}
-		}(c, &scs[i])
+		}(conn, &scs[i])
 	}
 	wg.Wait()
 	// Shards are done: cancel in-flight handler contexts before draining
@@ -187,20 +191,26 @@ func (v *batchVec) release() {
 
 // serveShard runs one socket's read→answer→flush loop until the conn
 // closes or persistently errors.
-func (s *UDPServer) serveShard(c udpio.BatchConn, batch int, pool *workPool, sc *shardCounters) error {
-	wr, fast := s.Handler.(WireResponder)
+func (s *UDPServer) serveShard(conn udpio.BatchConn, batch int, pool *workPool, sc *shardCounters) error {
+	if !conn.Batched() {
+		// The portable fallback returns one datagram per read; a longer
+		// vector would only pin pooled buffers it can never fill.
+		batch = 1
+	}
+	c := pool.c
 	v := newBatchVec(batch)
 	defer v.release()
+	var q dnswire.Query // per shard: &q escapes into the WireResponder call
 	consecutive := 0
 	for {
-		n, err := c.ReadBatch(v.ms)
+		n, err := conn.ReadBatch(v.ms)
 		if err != nil {
 			if errors.Is(err, net.ErrClosed) {
 				return nil
 			}
-			// Same transient-error policy as Serve's readers: retry with
-			// a pause, give up only when the socket looks persistently
-			// broken.
+			// Transient read errors (ICMP-induced, momentary resource
+			// pressure) must not kill a reader: retry with a small pause,
+			// give up only when the socket looks persistently broken.
 			consecutive++
 			if consecutive >= maxReadRetries {
 				return err
@@ -216,11 +226,15 @@ func (s *UDPServer) serveShard(c udpio.BatchConn, batch int, pool *workPool, sc 
 
 		// Answer the batch: fast-path hits pack into the write vector,
 		// everything else peels off to the worker pool.
-		nw := 0
 		v.txs = v.txs[:0]
 		for i := 0; i < n; i++ {
 			pkt := v.ms[i].Buf[:v.ms[i].N]
+			dst := (*v.obufs[len(v.txs)])[:0] // the write vector's next free slot
+			var tGuard time.Time
 			if s.Guard != nil {
+				if tracing {
+					tGuard = time.Now()
+				}
 				gkey := guard.ClientKey(v.ms[i].Addr)
 				switch s.Guard.CheckUDP(gkey, pkt) {
 				case guard.ActionDrop:
@@ -230,58 +244,28 @@ func (s *UDPServer) serveShard(c udpio.BatchConn, batch int, pool *workPool, sc 
 					// The slip rides the batch's write vector like a fast
 					// hit, with a nil transaction slot (guard decisions are
 					// counted in guard metrics, not as served queries).
-					if resp, ok := s.Guard.AppendLimited((*v.obufs[nw])[:0], pkt, gkey, guard.ActionSlip); ok {
-						if len(resp) > 0 && &resp[0] != &(*v.obufs[nw])[0] {
-							resp = append((*v.obufs[nw])[:0], resp...)
-						}
-						v.out[nw] = udpio.Message{Buf: *v.obufs[nw], N: len(resp), Addr: v.ms[i].Addr}
-						nw++
-						v.txs = append(v.txs, nil)
+					if resp, ok := s.Guard.AppendLimited(dst, pkt, gkey, guard.ActionSlip); ok {
+						v.queue(len(resp), v.ms[i].Addr, nil)
 					}
 					sc.guardDropped.Add(1)
 					continue
 				}
 			}
-			if fast {
-				var tParse time.Time
-				if tracing {
-					tParse = time.Now()
-				}
-				if q, ok := dnswire.ParseQuery(pkt); ok {
-					tx := s.Telemetry.Begin(telemetry.ProtoUDP)
-					if tx.Traced() {
-						tx.TraceSpanBetween(qtrace.PhaseParse, tParse, time.Now())
-						tx.TraceQuery(&q)
-					}
-					tc := tx.TraceStart()
-					dst := (*v.obufs[nw])[:0]
-					if resp, handled := wr.ServeDNSWire(tx, &q, dst, s.udpLimit(q.HasEDNS, q.UDPSize)); handled {
-						tx.TraceSpan(qtrace.PhaseCache, tc)
-						if len(resp) > 0 && &resp[0] != &(*v.obufs[nw])[0] {
-							// The responder reallocated (or returned its
-							// own storage); fold the bytes back into the
-							// pooled slot — a UDP response always fits.
-							resp = append((*v.obufs[nw])[:0], resp...)
-						}
-						// Responses flush before the next ReadBatch, so
-						// sharing the read vector's Addr is safe.
-						v.out[nw] = udpio.Message{Buf: *v.obufs[nw], N: len(resp), Addr: v.ms[i].Addr}
-						nw++
-						v.txs = append(v.txs, tx)
-						sc.fastHits.Add(1)
-						continue
-					}
-					s.batchHandoff(c, v, i, tx, pool, sc)
+			tx, ok := c.parse(&q, pkt, tGuard)
+			if ok {
+				if resp, handled := c.serveWire(tx, &q, dst, s.udpLimit(q.HasEDNS, q.UDPSize)); handled {
+					v.queue(len(resp), v.ms[i].Addr, tx)
+					sc.fastHits.Add(1)
 					continue
 				}
 			}
-			s.batchHandoff(c, v, i, nil, pool, sc)
+			s.batchHandoff(conn, v, i, tx, pool, sc)
 		}
 
 		// One sendmmsg for the whole batch of hits. A write error is not
 		// fatal to the shard (the kernel can refuse one destination);
 		// the affected clients retry, like any dropped datagram.
-		if nw > 0 {
+		if nw := len(v.txs); nw > 0 {
 			// Traced hits share the flush interval: every response in the
 			// vector left in the same sendmmsg, so each transaction's write
 			// span is the batched syscall itself.
@@ -289,7 +273,7 @@ func (s *UDPServer) serveShard(c udpio.BatchConn, batch int, pool *workPool, sc 
 			if tracing {
 				tFlush = time.Now()
 			}
-			c.WriteBatch(v.out[:nw])
+			conn.WriteBatch(v.out[:nw])
 			sc.flushes.Add(1)
 			sc.flushed.Add(uint64(nw))
 			var flushEnd time.Time
@@ -298,25 +282,32 @@ func (s *UDPServer) serveShard(c udpio.BatchConn, batch int, pool *workPool, sc 
 			}
 			for _, tx := range v.txs {
 				tx.TraceSpanBetween(qtrace.PhaseWrite, tFlush, flushEnd)
-				tx.SetVerdict(telemetry.VerdictOK)
 				tx.Finish()
 			}
 		}
 	}
 }
 
+// queue claims the write vector's next free slot — one per entry of txs —
+// for the n-octet response packed in that slot's own buffer. Responses
+// flush before the next ReadBatch, so sharing the read vector's addr is
+// safe.
+func (v *batchVec) queue(n int, addr net.Addr, tx *telemetry.Transaction) {
+	nw := len(v.txs)
+	v.out[nw] = udpio.Message{Buf: *v.obufs[nw], N: n, Addr: addr}
+	v.txs = append(v.txs, tx)
+}
+
 // batchHandoff hands read-vector slot i to the worker pool: the slot's
 // pooled buffer travels with the packet and a fresh one takes its place,
 // and the source address is cloned out of the reusable vector. tx is the
-// transaction a declined fast-path attempt already began, or nil.
-func (s *UDPServer) batchHandoff(c udpio.BatchConn, v *batchVec, i int, tx *telemetry.Transaction, pool *workPool, sc *shardCounters) {
+// transaction a declined hit step already began, or nil.
+func (s *UDPServer) batchHandoff(conn udpio.BatchConn, v *batchVec, i int, tx *telemetry.Transaction, pool *workPool, sc *shardCounters) {
 	sc.slowPath.Add(1)
-	pb := v.bufs[i]
-	n := v.ms[i].N
-	from := udpio.CloneAddr(v.ms[i].Addr)
+	pkt := packet{buf: v.bufs[i], n: v.ms[i].N, from: udpio.CloneAddr(v.ms[i].Addr), w: conn, tx: tx}
 	v.bufs[i] = getBuf()
 	v.ms[i].Buf = *v.bufs[i]
-	if pool.dispatch(packet{buf: pb, n: n, from: from, w: c, tx: tx, msgOnly: true}) {
+	if pool.dispatch(pkt) {
 		sc.spills.Add(1)
 	}
 }

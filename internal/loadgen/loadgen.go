@@ -148,10 +148,6 @@ type Scenario struct {
 	// stale window and near-expiry prefetch (0 disables each).
 	ServeStale     time.Duration
 	PrefetchWindow time.Duration
-	// UDPBatch, when positive, serves the proxy's UDP listener with the
-	// batched loop at this vector size (see proxy.Config.UDPBatch); 0
-	// keeps the per-packet loop.
-	UDPBatch int
 	// Attackers, when positive, adds that many flooder clients running
 	// concurrently with every transport leg: each blasts random-subdomain
 	// queries over UDP (cache-busting — every query is a guaranteed miss)
@@ -492,7 +488,6 @@ func Run(s Scenario) (*Result, error) {
 		HedgeDelay:     s.HedgeDelay,
 		ServeStale:     s.ServeStale,
 		PrefetchWindow: s.PrefetchWindow,
-		UDPBatch:       s.UDPBatch,
 		CacheBudget:    s.CacheBudget,
 		CacheAdmission: s.CacheAdmission,
 		Guard:          s.Guard,

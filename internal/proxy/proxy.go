@@ -79,11 +79,11 @@ type Config struct {
 	// truncated so clients retry over TCP instead of losing oversized
 	// datagrams on small-MTU paths. Zero applies no cap.
 	MaxUDPSize int
-	// UDPBatch, when positive, serves UDP with the batched loop at that
-	// vector size: up to UDPBatch datagrams per read syscall, cache hits
-	// flushed in one write syscall (dnsserver.UDPServer.ServeBatch). It
-	// applies to the simulated-network listener and to UDPListen sockets.
-	// Zero keeps the per-packet loop.
+	// UDPBatch is the UDPListen serve loop's vector size: up to UDPBatch
+	// datagrams per read syscall, cache hits flushed in one write syscall
+	// (dnsserver.UDPServer.ServeBatch). Zero means dnsserver.DefaultBatch
+	// (32). The simulated-network listener runs the same loop, but its
+	// sockets move one datagram per call whatever the vector.
 	UDPBatch int
 	// UDPListen, when non-empty, additionally serves classic UDP DNS on
 	// real kernel sockets at this address (e.g. "127.0.0.1:5300") with
@@ -323,7 +323,6 @@ func New(cfg Config) (*Proxy, error) {
 		Endpoints:     cfg.Endpoints,
 		DoTOutOfOrder: !cfg.InOrderDoT,
 		MaxUDPSize:    cfg.MaxUDPSize,
-		UDPBatch:      cfg.UDPBatch,
 		Guard:         g,
 		Telemetry:     tel,
 	}
@@ -492,9 +491,9 @@ func (p *Proxy) UDPShardCount() int {
 	return len(p.udpConns)
 }
 
-// UDPShardStats snapshots the batched UDP listener's per-shard counters:
+// UDPShardStats snapshots the UDP listener's per-shard serving counters:
 // the real-socket listener's when one is up, otherwise the simulated
-// listener's (non-nil only with Config.UDPBatch set).
+// listener's; nil before Start.
 func (p *Proxy) UDPShardStats() []dnsserver.UDPShardStats {
 	if p.udpSrv != nil {
 		return p.udpSrv.ShardStats()
@@ -587,8 +586,8 @@ type CostReport struct {
 	// StormsFired counts error storms that triggered a bootstrap
 	// re-sweep.
 	StormsFired int `json:"storms_fired,omitempty"`
-	// UDPShards is the batched UDP listener's per-shard serving counters;
-	// omitted when UDP runs the per-packet loop.
+	// UDPShards is the UDP listener's per-shard serving counters (see
+	// UDPShardStats); omitted before Start.
 	UDPShards []dnsserver.UDPShardStats `json:"udp_shards,omitempty"`
 	// Trace is the tail sampler's decision counters and live slow
 	// thresholds; omitted without Config.Tracing.
