@@ -96,15 +96,15 @@ type EnvironmentConfig = core.TopologyConfig
 
 // Environment is the standard study topology, ready to hand out resolvers.
 type Environment struct {
-	topo        *core.Topology
-	proxies     []*proxy.Proxy
-	proxyChains []proxyChain
+	topo    *core.Topology
+	proxies []startedProxy
 }
 
-// proxyChain records the certificate material of a started proxy.
-type proxyChain struct {
+// startedProxy is one StartProxy deployment and its certificate material.
+type startedProxy struct {
 	host  string
 	chain *tlsx.Chain
+	proxy *proxy.Proxy
 }
 
 // NewEnvironment builds and starts the simulated network.
@@ -118,8 +118,8 @@ func NewEnvironment(cfg EnvironmentConfig) (*Environment, error) {
 
 // Close stops all deployments, including any started proxies.
 func (e *Environment) Close() {
-	for _, p := range e.proxies {
-		p.Close()
+	for _, sp := range e.proxies {
+		sp.proxy.Close()
 	}
 	e.proxies = nil
 	e.topo.Close()
@@ -175,88 +175,35 @@ func NewQuery(name string, t Type) *Message {
 // ParseType maps an RR type mnemonic ("A", "AAAA", …) to its Type.
 func ParseType(s string) (Type, bool) { return dnswire.ParseType(s) }
 
-// WithCache wraps any resolver with a sharded, TTL-respecting,
-// singleflight-coalescing cache — the production-mode counterpart of the
-// paper's deliberately cold-cache methodology. Closing the returned
-// resolver closes the upstream.
-func WithCache(upstream Resolver, opts ...CacheOption) Resolver {
-	return dnscache.New(upstream, opts...)
-}
-
-// Cache configuration, re-exported from the sharded cache.
+// Forwarding proxy, re-exported from internal/proxy. ForwardingProxyConfig
+// is the one configuration surface: it is validated once (its Validate
+// method, run first by NewForwardingProxy), and LoadScenario.Proxy carries
+// one. The aliases and constants below are what an embedder must be able
+// to name to fill it; reports and stats come back as method results
+// (CacheStats, UpstreamStats, SteeringReport, CostReport, Guard, Tracer)
+// and need no names here.
 type (
-	// CacheOption configures WithCache.
-	CacheOption = dnscache.Option
-	// CacheStats counts cache effectiveness.
-	CacheStats = dnscache.Stats
-)
-
-// Re-exported cache options.
-var (
-	CacheMaxEntries  = dnscache.WithMaxEntries
-	CacheTTLBounds   = dnscache.WithTTLBounds
-	CacheShards      = dnscache.WithShards
-	CacheNegativeTTL = dnscache.WithNegativeTTL
-	// CacheMemoryBudget bounds the cache by accounted bytes (entry payload
-	// + key + index overhead) instead of entry count — the bound that stays
-	// honest when answer sizes vary.
-	CacheMemoryBudget = dnscache.WithMemoryBudget
-	// CacheTinyLFU enables frequency-gated admission: an insert that would
-	// evict must beat its victims' estimated lookup frequency (per-shard
-	// count-min sketch with doorkeeper), protecting the working set from
-	// one-hit-wonder floods.
-	CacheTinyLFU = dnscache.WithTinyLFU
-	// CacheServeStale keeps expired entries answerable for a window past
-	// expiry (RFC 8767), served immediately while one background refresh
-	// re-populates them.
-	CacheServeStale = dnscache.WithServeStale
-	// CachePrefetch refreshes hot entries in the background when a hit
-	// finds them within the window of expiry.
-	CachePrefetch = dnscache.WithPrefetch
-	// CacheRefreshTimeout bounds each background refresh exchange.
-	CacheRefreshTimeout = dnscache.WithRefreshTimeout
-)
-
-// Upstream pooling, re-exported from dnstransport.
-type (
-	// Pool multiplexes queries over persistent upstream connections with
-	// health tracking and failover.
-	Pool = dnstransport.Pool
-	// PoolUpstream names one upstream and how to connect to it.
+	// ForwardingProxy serves the full listener set through cache →
+	// singleflight → steering → upstream pool.
+	ForwardingProxy = proxy.Proxy
+	// ForwardingProxyConfig assembles a ForwardingProxy.
+	ForwardingProxyConfig = proxy.Config
+	// PoolUpstream is one of ForwardingProxyConfig.Upstreams: name and dial.
 	PoolUpstream = dnstransport.PoolUpstream
-	// PoolConfig tunes a Pool.
+	// PoolConfig tunes the connection pool (ForwardingProxyConfig.Pool).
 	PoolConfig = dnstransport.PoolConfig
-	// UpstreamStats snapshots one pooled upstream's health.
-	UpstreamStats = dnstransport.UpstreamStats
+	// AbuseGuardConfig arms the abuse guard (ForwardingProxyConfig.Guard):
+	// per-client response rate limiting with RRL slip/TC=1 on UDP and
+	// honest REFUSED on stream transports, RFC 7873 server cookies, and a
+	// cache-miss circuit breaker. Zero values take defaults.
+	AbuseGuardConfig = guard.Config
+	// TraceConfig arms per-query lifecycle tracing
+	// (ForwardingProxyConfig.Tracing): phase spans per served query,
+	// tail-sampled onto /debug/trace. Zero values take defaults.
+	TraceConfig = qtrace.Config
 )
 
-// NewPool builds a pooled resolver over the given upstreams.
-func NewPool(upstreams []PoolUpstream, cfg PoolConfig) (*Pool, error) {
-	return dnstransport.NewPool(upstreams, cfg)
-}
-
-// Adaptive upstream steering, re-exported from internal/steer: the layer
-// between the cache and the pool that decides which upstream answers each
-// query from a live per-upstream EWMA SRTT + success model. A
-// ForwardingProxyConfig selects the policy by name (Policy, HedgeDelay,
-// ExploreEvery); these re-exports serve embedders composing the layers by
-// hand.
-type (
-	// Steerer routes queries over a pool's upstreams by policy.
-	Steerer = steer.Steerer
-	// SteeringPolicy selects failover, fastest or hedged routing.
-	SteeringPolicy = steer.Policy
-	// SteeringConfig tunes a Steerer.
-	SteeringConfig = steer.Config
-	// SteeringBackend is the upstream capability a Steerer drives (a *Pool).
-	SteeringBackend = steer.Backend
-	// SteeringReport is the steering section of a proxy cost report.
-	SteeringReport = steer.Report
-	// SteeringUpstreamScore is one upstream's live latency/health model.
-	SteeringUpstreamScore = steer.UpstreamScore
-)
-
-// The steering policies.
+// The steering policies (ForwardingProxyConfig.Policy).
 const (
 	// SteerFailover preserves the pool's static preference order.
 	SteerFailover = steer.PolicyFailover
@@ -266,79 +213,20 @@ const (
 	SteerHedged = steer.PolicyHedged
 )
 
-// ParseSteeringPolicy maps a policy name to its SteeringPolicy.
-var ParseSteeringPolicy = steer.ParsePolicy
-
-// NewSteerer wraps a pool (or any SteeringBackend) with a steering layer.
-func NewSteerer(backend SteeringBackend, cfg SteeringConfig) *Steerer {
-	return steer.New(backend, cfg)
-}
-
-// Forwarding proxy, re-exported from internal/proxy.
-type (
-	// ForwardingProxy serves the full listener set through cache →
-	// singleflight → upstream pool.
-	ForwardingProxy = proxy.Proxy
-	// ForwardingProxyConfig assembles a ForwardingProxy.
-	ForwardingProxyConfig = proxy.Config
-	// ProxyCostReport is the /debug/cost payload of a ForwardingProxy.
-	ProxyCostReport = proxy.CostReport
+// The cache admission policies (ForwardingProxyConfig.CacheAdmission); the
+// zero value is TinyLFU under a CacheBudget and LRU otherwise.
+const (
+	// CacheAdmitLRU admits every insert and evicts least-recently-used.
+	CacheAdmitLRU = dnscache.AdmissionLRU
+	// CacheAdmitTinyLFU gates inserts on estimated lookup frequency.
+	CacheAdmitTinyLFU = dnscache.AdmissionTinyLFU
 )
-
-// Per-query lifecycle tracing (internal/qtrace), armed through
-// ForwardingProxyConfig.Tracing: every served query records monotonic
-// phase spans (parse, guard, cache, steer, hedge legs, dial, upstream,
-// write) and a tail-based sampler keeps errored queries, queries slower
-// than an adaptive per-class p99, and a 1-in-N healthy baseline in a
-// lock-free ring served on /debug/trace.
-type (
-	// TraceConfig tunes the tracer (zero values take defaults).
-	TraceConfig = qtrace.Config
-	// QueryTracer owns the sampling policy and kept-trace rings; obtain a
-	// ForwardingProxy's with its Tracer method.
-	QueryTracer = qtrace.Tracer
-	// TraceStats is the sampler's decision counters and live thresholds.
-	TraceStats = qtrace.Stats
-	// TraceFilter selects traces from the rings.
-	TraceFilter = qtrace.Filter
-	// TraceView is one kept trace rendered for JSON consumers.
-	TraceView = qtrace.View
-	// TraceSpanView is one phase interval of a TraceView.
-	TraceSpanView = qtrace.SpanView
-	// TraceQueryLog is the size-rotated JSONL query log
-	// (TraceConfig.Log).
-	TraceQueryLog = qtrace.QueryLog
-)
-
-// NewQueryTracer builds a standalone tracer, for embedders serving DNS
-// without the proxy assembly: install it on a Telemetry sink with
-// SetTracer.
-func NewQueryTracer(cfg TraceConfig) *QueryTracer { return qtrace.New(cfg) }
 
 // OpenTraceQueryLog opens (appending) a JSONL query log rotated at
 // maxBytes (0 = the 64 MiB default), for TraceConfig.Log.
-func OpenTraceQueryLog(path string, maxBytes int64) (*TraceQueryLog, error) {
+func OpenTraceQueryLog(path string, maxBytes int64) (*qtrace.QueryLog, error) {
 	return qtrace.OpenQueryLog(path, maxBytes)
 }
-
-// Abuse guard (internal/guard), armed through ForwardingProxyConfig.Guard:
-// per-client response rate limiting with RRL slip/TC=1 on UDP and honest
-// REFUSED on stream transports, RFC 7873 server cookies whose holders
-// bypass the UDP limits, and a cache-miss circuit breaker in front of the
-// upstream path.
-type (
-	// AbuseGuard is the live guard; obtain a ForwardingProxy's with its
-	// Guard method.
-	AbuseGuard = guard.Guard
-	// AbuseGuardConfig tunes the guard (zero values take defaults).
-	AbuseGuardConfig = guard.Config
-	// AbuseGuardReport is the guard's decision counters and breaker state.
-	AbuseGuardReport = guard.Report
-)
-
-// ErrMissBudget is how the guard's circuit breaker refuses a cache miss;
-// the serving layer answers REFUSED when an exchange returns it.
-var ErrMissBudget = guard.ErrMissBudget
 
 // Resilient upstream connectivity (internal/dialer), wired through
 // ForwardingProxyConfig.Dialer / .Bootstrap / .Storm: a Happy-Eyeballs
@@ -352,17 +240,11 @@ type (
 	RacingDialer = dialer.HappyEyeballs
 	// RacingDialerConfig assembles a RacingDialer.
 	RacingDialerConfig = dialer.Config
-	// RacingDialerReport is the dialer section of a proxy cost report.
-	RacingDialerReport = dialer.Report
 	// BootstrapProber sweeps upstream×protocol reachability and caches
 	// verdicts.
 	BootstrapProber = dialer.Prober
 	// BootstrapTarget is one upstream×protocol probe.
 	BootstrapTarget = dialer.Target
-	// BootstrapVerdict is one cached probe outcome.
-	BootstrapVerdict = dialer.Verdict
-	// BootstrapReport is the prober's verdict table snapshot.
-	BootstrapReport = dialer.ProbeReport
 	// ErrorStorm detects runs of consecutive upstream failures and fires
 	// a (rate-limited) network-change callback.
 	ErrorStorm = dialer.Storm
@@ -372,10 +254,6 @@ type (
 // Config.Dial are required.
 func NewRacingDialer(cfg RacingDialerConfig) *RacingDialer { return dialer.New(cfg) }
 
-// NewAbuseGuard builds a standalone guard around a telemetry sink (nil is
-// fine), for embedders serving DNS without the proxy assembly.
-func NewAbuseGuard(cfg AbuseGuardConfig, tel *Telemetry) *AbuseGuard { return guard.New(cfg, tel) }
-
 // Per-query cost telemetry, re-exported from internal/telemetry. A
 // ForwardingProxy always carries a Telemetry sink; embedders can also
 // build one with NewTelemetry and pass it through ForwardingProxyConfig
@@ -384,10 +262,6 @@ func NewAbuseGuard(cfg AbuseGuardConfig, tel *Telemetry) *AbuseGuard { return gu
 type (
 	// Telemetry is the lock-free sharded metrics sink.
 	Telemetry = telemetry.Metrics
-	// TelemetryOption configures NewTelemetry.
-	TelemetryOption = telemetry.Option
-	// TelemetrySnapshot is a merged view of a Telemetry at one instant.
-	TelemetrySnapshot = telemetry.Snapshot
 	// TransactionSummary is one completed query's cost record.
 	TransactionSummary = telemetry.Summary
 	// TransactionListener receives one TransactionSummary per query.
@@ -397,11 +271,7 @@ type (
 )
 
 // NewTelemetry builds a telemetry sink (one shard per CPU).
-func NewTelemetry(opts ...TelemetryOption) *Telemetry { return telemetry.New(opts...) }
-
-// TelemetryWithListener registers a per-transaction listener at
-// construction time.
-var TelemetryWithListener = telemetry.WithListener
+func NewTelemetry() *Telemetry { return telemetry.New() }
 
 // NewForwardingProxy builds a forwarding proxy from explicit configuration.
 func NewForwardingProxy(cfg ForwardingProxyConfig) (*ForwardingProxy, error) {
@@ -414,9 +284,6 @@ func NewForwardingProxy(cfg ForwardingProxyConfig) (*ForwardingProxy, error) {
 // one). The proxy serves UDP/TCP :53, DoT :853 and DoH :443 with its own
 // certificate chain, retrievable via ProxyChain for client trust.
 func (e *Environment) StartProxy(host string, upstreams ...ResolverHost) (*ForwardingProxy, error) {
-	if len(upstreams) == 0 {
-		return nil, fmt.Errorf("dohcost: StartProxy needs at least one upstream")
-	}
 	chain, err := tlsx.GenerateChain(tlsx.CloudflareLike(host))
 	if err != nil {
 		return nil, err
@@ -437,17 +304,16 @@ func (e *Environment) StartProxy(host string, upstreams ...ResolverHost) (*Forwa
 		p.Close()
 		return nil, err
 	}
-	e.proxies = append(e.proxies, p)
-	e.proxyChains = append(e.proxyChains, proxyChain{host: host, chain: chain})
+	e.proxies = append(e.proxies, startedProxy{host: host, chain: chain, proxy: p})
 	return p, nil
 }
 
 // ProxyChain returns the certificate chain of a proxy started by
 // StartProxy, for building DoT/DoH clients that trust it.
 func (e *Environment) ProxyChain(host string) *tlsx.Chain {
-	for _, pc := range e.proxyChains {
-		if pc.host == host {
-			return pc.chain
+	for _, sp := range e.proxies {
+		if sp.host == host {
+			return sp.chain
 		}
 	}
 	return nil
@@ -505,48 +371,21 @@ func (e *Environment) poolUpstream(from string, host ResolverHost) PoolUpstream 
 	}}
 }
 
-// Network impairment and multi-client load generation, re-exported from
-// internal/netsim and internal/loadgen. An ImpairmentProfile names one of
-// the degraded access-network regimes ("broadband", "4g", "3g",
-// "lossy-wifi", "satellite"); a LoadScenario replays an Alexa-derived
-// workload from N concurrent clients against a forwarding proxy over any
-// subset of the four transports under one of those profiles.
+// Multi-client load generation, re-exported from internal/loadgen. A
+// LoadScenario replays an Alexa-derived workload from N concurrent clients
+// against a forwarding proxy over any subset of the four transports, with
+// every client's access link degraded by a named impairment profile
+// ("broadband", "4g", "3g", "lossy-wifi", "satellite"); its Proxy field is
+// the ForwardingProxyConfig of the proxy under test.
 type (
-	// ImpairmentProfile is a named access-network impairment (link delay,
-	// jitter, loss, reordering, MTU, bandwidth).
-	ImpairmentProfile = netsim.Profile
 	// LoadScenario configures one load-generation run.
 	LoadScenario = loadgen.Scenario
 	// LoadResult is one load-generation run's harvest.
 	LoadResult = loadgen.Result
-	// TransportLoadResult is one transport's slice of a LoadResult.
-	TransportLoadResult = loadgen.TransportResult
-	// AttackLoadResult is the flooder population's slice of a LoadResult.
-	AttackLoadResult = loadgen.AttackResult
 )
 
-// DialFaultProfile is a named dial-level impairment regime for an
-// upstream's dual-homed addresses ("broken-v6", "flaky-dial"), applied
-// through LoadScenario.DialFault or netsim directly.
-type DialFaultProfile = netsim.DialProfile
-
-// Impairment profile registry and scenario rendering, re-exported.
-var (
-	// ImpairmentProfiles lists the built-in profiles.
-	ImpairmentProfiles = netsim.Profiles
-	// ImpairmentProfileNames lists the built-in profile names.
-	ImpairmentProfileNames = netsim.ProfileNames
-	// LookupImpairmentProfile resolves a profile by name.
-	LookupImpairmentProfile = netsim.LookupProfile
-	// DialFaultProfiles lists the built-in dial-fault profiles.
-	DialFaultProfiles = netsim.DialProfiles
-	// DialFaultProfileNames lists the built-in dial-fault profile names.
-	DialFaultProfileNames = netsim.DialProfileNames
-	// LookupDialFaultProfile resolves a dial-fault profile by name.
-	LookupDialFaultProfile = netsim.LookupDialProfile
-	// RenderScenario formats a LoadResult as a per-transport table.
-	RenderScenario = loadgen.Render
-)
+// RenderScenario formats a LoadResult as a per-transport table.
+var RenderScenario = loadgen.Render
 
 // RunScenario executes a load-generation scenario: it deploys an upstream
 // resolver and a forwarding proxy on a fresh simulated network, applies the
@@ -608,9 +447,3 @@ var (
 	RenderFigure6  = core.RenderFig6
 	RenderTables   = core.RenderTables
 )
-
-// Version identifies the reproduction release.
-const Version = "1.0.0"
-
-// String implements fmt.Stringer for ResolverHost.
-func (h ResolverHost) String() string { return string(h) }

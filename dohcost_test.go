@@ -4,7 +4,6 @@ import (
 	"context"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestFacadeResolvers(t *testing.T) {
@@ -116,19 +115,13 @@ func TestFacadeFigure1(t *testing.T) {
 }
 
 func TestFacadeRunScenario(t *testing.T) {
-	if len(ImpairmentProfiles()) != 5 || len(ImpairmentProfileNames()) != 5 {
-		t.Fatalf("profile registry: %v", ImpairmentProfileNames())
-	}
-	p, ok := LookupImpairmentProfile("satellite")
-	if !ok || p.Link.Delay < 100*time.Millisecond {
-		t.Fatalf("LookupImpairmentProfile(satellite) = %+v, %v", p, ok)
-	}
 	res, err := RunScenario(LoadScenario{
 		Transports: []string{"udp", "doh"},
 		Clients:    2,
 		Queries:    16,
 		Names:      4,
 		Seed:       11,
+		Proxy:      ForwardingProxyConfig{Policy: SteerFastest, CacheBudget: 1 << 20, CacheAdmission: CacheAdmitLRU},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -141,55 +134,10 @@ func TestFacadeRunScenario(t *testing.T) {
 			t.Errorf("%s: %+v", tr.Transport, tr)
 		}
 	}
+	if res.Steering.Policy != "fastest" || res.Scenario.Proxy.CacheAdmission != CacheAdmitLRU {
+		t.Errorf("LoadScenario.Proxy did not reach the proxy: policy %q, admission %v", res.Steering.Policy, res.Scenario.Proxy.CacheAdmission)
+	}
 	if out := RenderScenario(res); !strings.Contains(out, "udp") || !strings.Contains(out, "doh") {
 		t.Errorf("render:\n%s", out)
-	}
-}
-
-func TestFacadeSteeringAndCacheResilience(t *testing.T) {
-	if p, err := ParseSteeringPolicy("hedged"); err != nil || p != SteerHedged {
-		t.Fatalf("ParseSteeringPolicy(hedged) = %v, %v", p, err)
-	}
-	if _, err := ParseSteeringPolicy("nope"); err == nil {
-		t.Fatal("bogus policy accepted")
-	}
-
-	// Compose the layers by hand through the facade: pool → steerer →
-	// cache with serve-stale, against two in-process upstreams.
-	env, err := NewEnvironment(EnvironmentConfig{Seed: 21})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer env.Close()
-	pool, err := NewPool([]PoolUpstream{
-		{Name: "cf", Dial: func(ctx context.Context) (Resolver, error) { return env.DoT(Cloudflare, Options{Persistent: true}) }},
-		{Name: "go", Dial: func(ctx context.Context) (Resolver, error) { return env.DoT(Google, Options{Persistent: true}) }},
-	}, PoolConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := NewSteerer(pool, SteeringConfig{Policy: SteerFastest})
-	cached := WithCache(st, CacheServeStale(time.Minute), CachePrefetch(10*time.Second))
-	defer cached.Close()
-
-	for i := 0; i < 3; i++ {
-		resp, err := cached.Exchange(context.Background(), NewQuery("steered.example.com", TypeA))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(resp.Answers) != 1 {
-			t.Fatalf("answers = %v", resp.Answers)
-		}
-	}
-	rep := st.Report()
-	if rep.Policy != "fastest" || len(rep.Upstreams) != 2 {
-		t.Fatalf("steering report = %+v", rep)
-	}
-	var samples uint64
-	for _, u := range rep.Upstreams {
-		samples += u.Samples
-	}
-	if samples == 0 {
-		t.Error("steerer scored no traffic")
 	}
 }

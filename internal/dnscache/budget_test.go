@@ -288,6 +288,7 @@ func TestParseByteSize(t *testing.T) {
 	}{
 		{"0", 0}, {"123", 123}, {"1k", 1 << 10}, {"8K", 8 << 10},
 		{"64m", 64 << 20}, {"2M", 2 << 20}, {"1g", 1 << 30}, {"3G", 3 << 30},
+		{"8589934591g", 8589934591 << 30}, // the largest g count whose product still fits int64
 	}
 	for _, tt := range good {
 		got, err := ParseByteSize(tt.in)
@@ -295,7 +296,7 @@ func TestParseByteSize(t *testing.T) {
 			t.Errorf("ParseByteSize(%q) = %d, %v; want %d", tt.in, got, err, tt.want)
 		}
 	}
-	for _, in := range []string{"", "k", "-1", "-4m", "8x", "1.5m", "8mm"} {
+	for _, in := range []string{"", "k", "-1", "-4m", "8x", "1.5m", "8mm", "9999999999g", "9223372036854775808"} {
 		if v, err := ParseByteSize(in); err == nil {
 			t.Errorf("ParseByteSize(%q) = %d, want error", in, v)
 		}

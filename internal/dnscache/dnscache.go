@@ -271,7 +271,9 @@ func ParseByteSize(s string) (int64, error) {
 		}
 	}
 	v, err := strconv.ParseInt(digits, 10, 64)
-	if err != nil || v < 0 {
+	// The range check covers the product too: a count whose multiple wraps
+	// int64 would come back negative and be dropped as "no budget".
+	if err != nil || v < 0 || v > math.MaxInt64/mult {
 		return 0, fmt.Errorf("dnscache: invalid byte size %q (want e.g. 8388608, 8m, 512k)", s)
 	}
 	return v * mult, nil

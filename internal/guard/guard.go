@@ -122,7 +122,7 @@ type Config struct {
 	// an attack is distributed across sources.
 	MaxInflightMiss int
 	// Now overrides the clock (tests and deterministic fuzzing).
-	Now func() time.Time
+	Now func() time.Time `json:"-"`
 }
 
 // withDefaults fills unset fields.

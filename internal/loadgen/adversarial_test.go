@@ -56,7 +56,7 @@ func TestAdversarialFloodGuarded(t *testing.T) {
 		t.Skip("multi-run adversarial scenario under -short")
 	}
 	base := adversarialBase()
-	base.Guard = adversarialGuard()
+	base.Proxy.Guard = adversarialGuard()
 	baseline, err := Run(base)
 	if err != nil {
 		t.Fatal(err)

@@ -26,6 +26,7 @@ package loadgen
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -110,12 +111,6 @@ type Scenario struct {
 	ZipfNames int
 	// ZipfS is the Zipf exponent (default 1.0, the classic web skew).
 	ZipfS float64
-	// CacheBudget bounds the proxy cache in accounted bytes
-	// (proxy.Config.CacheBudget); 0 keeps the entry-count default.
-	CacheBudget int64
-	// CacheAdmission selects the proxy cache's admission policy ("lru",
-	// "tinylfu", or empty for the proxy default).
-	CacheAdmission string
 	// Timeout bounds one whole client query, fallback legs included
 	// (default 10s).
 	Timeout time.Duration
@@ -138,16 +133,6 @@ type Scenario struct {
 	// because the upstream still answers, while fastest/hedged route
 	// around it.
 	DegradedUpstreamRTT time.Duration
-	// Policy selects the proxy's upstream steering policy ("failover",
-	// "fastest", "hedged"); empty means failover.
-	Policy string
-	// HedgeDelay is the hedged policy's wait before its second exchange
-	// (0 = adaptive from the primary's live latency model).
-	HedgeDelay time.Duration
-	// ServeStale and PrefetchWindow configure the proxy cache's RFC 8767
-	// stale window and near-expiry prefetch (0 disables each).
-	ServeStale     time.Duration
-	PrefetchWindow time.Duration
 	// Attackers, when positive, adds that many flooder clients running
 	// concurrently with every transport leg: each blasts random-subdomain
 	// queries over UDP (cache-busting — every query is a guaranteed miss)
@@ -158,10 +143,6 @@ type Scenario struct {
 	Attackers int
 	// AttackQPS is each flooder's target query rate (default 200).
 	AttackQPS float64
-	// Guard, when non-nil, arms the proxy's abuse guard
-	// (proxy.Config.Guard); nil runs the proxy unguarded, which is how the
-	// no-guard comparison baseline is measured.
-	Guard *guard.Config
 	// HappyEyeballs dual-homes every upstream (v4.<host> and v6.<host>
 	// each run a full resolver) and opens the proxy's upstream
 	// connections through the RFC 8305 racing dialer instead of a direct
@@ -191,14 +172,15 @@ type Scenario struct {
 	// upstream's winning-family memory) so the first client queries
 	// never explore a dead combination.
 	BootstrapProbe bool
-	// Trace arms the proxy's per-query lifecycle tracing
-	// (proxy.Config.Tracing): every served query records phase spans and
-	// the tail sampler keeps errored, slow and 1-in-TraceSample baseline
-	// traces. The harvest lands in Result.Trace and Result.SlowTraces.
-	Trace bool
-	// TraceSample is the tracer's baseline keep rate (1-in-N
-	// unremarkable traces; 0 = the qtrace default 64).
-	TraceSample int
+	// Proxy configures the forwarding proxy under test — every proxy knob
+	// (cache bound and admission, steering policy, serve-stale, guard,
+	// tracing, the real-socket UDP listener, …) exactly as proxy.New takes
+	// it. Deploy overlays what the topology owns — Upstreams, Chain,
+	// Endpoints, Dialer, Bootstrap, Telemetry and the MTU-derived
+	// MaxUDPSize — and rejects a scenario that set any of those itself.
+	// With Proxy.Tracing armed the harvest grows Result.Trace and
+	// Result.SlowTraces; with Proxy.Guard armed, Result.Guard.
+	Proxy proxy.Config
 }
 
 // withDefaults fills unset fields.
@@ -261,8 +243,9 @@ func (s Scenario) withDefaults() (Scenario, netsim.Profile, error) {
 	if s.Upstreams <= 0 {
 		s.Upstreams = 1
 	}
-	if _, err := steer.ParsePolicy(s.Policy); err != nil {
-		return s, prof, fmt.Errorf("loadgen: %w", err)
+	if p := &s.Proxy; p.Upstreams != nil || p.Chain != nil || p.Endpoints != nil || p.Dialer != nil ||
+		p.Bootstrap != nil || p.Telemetry != nil || p.MaxUDPSize != 0 {
+		return s, prof, errors.New("loadgen: Scenario.Proxy must leave Upstreams, Chain, Endpoints, Dialer, Bootstrap, Telemetry and MaxUDPSize unset: the scenario topology supplies them")
 	}
 	if s.Attackers > 0 && s.AttackQPS <= 0 {
 		s.AttackQPS = 200
@@ -336,6 +319,9 @@ type Result struct {
 	Server *telemetry.Snapshot `json:"server"`
 	// Cache is the proxy cache's effectiveness over the whole run.
 	Cache dnscache.Stats `json:"cache"`
+	// Upstreams is the pool's end-of-run per-upstream health: exchanges,
+	// failures and whether the upstream finished in backoff.
+	Upstreams []dnstransport.UpstreamStats `json:"upstreams"`
 	// Steering is the proxy's end-of-run steering model: policy and
 	// per-upstream SRTT/success scores, best-ranked first.
 	Steering steer.Report `json:"steering"`
@@ -351,16 +337,45 @@ type Result struct {
 	// Scenario.BootstrapProbe.
 	Bootstrap *dialer.ProbeReport `json:"bootstrap,omitempty"`
 	// Trace is the tail sampler's decision counters and live slow
-	// thresholds; nil without Scenario.Trace.
+	// thresholds; nil without Scenario.Proxy.Tracing.
 	Trace *qtrace.Stats `json:"trace,omitempty"`
 	// SlowTraces is the slow-trace digest: the slowest sampled traces of
 	// the run (up to five), phase spans included, slowest first. Nil
-	// without Scenario.Trace.
+	// without Scenario.Proxy.Tracing.
 	SlowTraces []qtrace.View `json:"slow_traces,omitempty"`
 }
 
-// Run executes the scenario and returns the harvest.
+// Deployment is a scenario's testbed, up and serving: the simulated
+// network, the upstream recursive resolvers (dual-homed under
+// HappyEyeballs), the racing dialer and bootstrap prober when asked for,
+// and the started forwarding proxy. It is the only simulated proxy testbed
+// in the tree — Run drives it and harvests; cmd/dohproxy additionally
+// serves Proxy.Observability() on a real socket while it runs.
+type Deployment struct {
+	// Proxy is the started forwarding proxy under test.
+	Proxy *proxy.Proxy
+
+	s         Scenario // defaults resolved
+	prof      netsim.Profile
+	net       *netsim.Network
+	chain     *tlsx.Chain
+	upstreams []*dnsserver.Running
+	flapHosts []string
+}
+
+// Run executes the scenario and returns the harvest: Deploy, drive, Close.
 func Run(s Scenario) (*Result, error) {
+	d, err := Deploy(s)
+	if err != nil {
+		return nil, err
+	}
+	defer d.Close()
+	return d.Run()
+}
+
+// Deploy builds the scenario's testbed and starts the proxy. Close
+// releases it, whether or not Run was called.
+func Deploy(s Scenario) (_ *Deployment, err error) {
 	s, prof, err := s.withDefaults()
 	if err != nil {
 		return nil, err
@@ -371,6 +386,12 @@ func Run(s Scenario) (*Result, error) {
 			n.ApplyProfile(clientHost(c), ProxyHost, prof)
 		}
 	}
+	d := &Deployment{s: s, prof: prof, net: n}
+	defer func() {
+		if err != nil {
+			d.Close() // whatever was started before the failure
+		}
+	}()
 
 	// The shared metrics sink: the proxy's server-side view, also fed by
 	// the racing dialer's per-family attempt counters.
@@ -392,11 +413,8 @@ func Run(s Scenario) (*Result, error) {
 		})
 	}
 
-	var (
-		poolUps   []dnstransport.PoolUpstream
-		probes    []dialer.Target
-		flapHosts []string
-	)
+	cfg := s.Proxy
+	cfg.Dialer = he
 	for i := 0; i < s.Upstreams; i++ {
 		uhost := upstreamHost(i)
 		rtt := s.UpstreamRTT
@@ -414,7 +432,7 @@ func Run(s Scenario) (*Result, error) {
 			if err != nil {
 				return nil, fmt.Errorf("loadgen: starting upstream %s: %w", home, err)
 			}
-			defer upRun.Close()
+			d.upstreams = append(d.upstreams, upRun)
 		}
 		if s.DialFault != "" {
 			dp, _ := netsim.LookupDialProfile(s.DialFault)
@@ -425,7 +443,7 @@ func Run(s Scenario) (*Result, error) {
 			}
 		}
 		if s.FlapAfter > 0 && i == 0 {
-			flapHosts = homes
+			d.flapHosts = homes
 		}
 		dialConn := func(ctx context.Context) (net.Conn, error) {
 			if he != nil {
@@ -433,14 +451,17 @@ func Run(s Scenario) (*Result, error) {
 			}
 			return n.DialContext(ctx, ProxyHost, uhost+":53")
 		}
-		poolUps = append(poolUps, dnstransport.PoolUpstream{
+		cfg.Upstreams = append(cfg.Upstreams, dnstransport.PoolUpstream{
 			Name: uhost,
 			Dial: func(ctx context.Context) (dnstransport.Resolver, error) {
 				return dnstransport.NewTCPClient(dialConn), nil
 			},
 		})
 		if s.BootstrapProbe {
-			probes = append(probes, dialer.Target{
+			if cfg.Bootstrap == nil {
+				cfg.Bootstrap = &dialer.Prober{Timeout: 2 * time.Second}
+			}
+			cfg.Bootstrap.Targets = append(cfg.Bootstrap.Targets, dialer.Target{
 				Upstream: uhost,
 				Proto:    "tcp",
 				Probe: func(ctx context.Context) (time.Duration, error) {
@@ -459,50 +480,43 @@ func Run(s Scenario) (*Result, error) {
 			})
 		}
 	}
-	var prober *dialer.Prober
-	if s.BootstrapProbe {
-		prober = &dialer.Prober{Targets: probes, Timeout: 2 * time.Second}
-	}
 
-	chain, err := tlsx.GenerateChain(tlsx.CloudflareLike(ProxyHost))
-	if err != nil {
+	if d.chain, err = tlsx.GenerateChain(tlsx.CloudflareLike(ProxyHost)); err != nil {
 		return nil, err
 	}
-	var trcfg *qtrace.Config
-	if s.Trace {
-		trcfg = &qtrace.Config{SampleEvery: s.TraceSample}
-	}
-	maxUDP := 0
+	cfg.Chain = d.chain
+	cfg.Endpoints = []dnsserver.Endpoint{{Path: "/dns-query", Wire: true, JSON: true}}
+	cfg.Telemetry = tel
 	if prof.Link.MTU > 0 {
 		// Clamp UDP responses to the path MTU so oversized answers come
 		// back as honest TC=1 (driving the RFC 7766 TCP fallback) instead
 		// of being blackholed by the link.
-		maxUDP = prof.Link.MTU - netsim.DatagramHeaderBytes
+		cfg.MaxUDPSize = prof.Link.MTU - netsim.DatagramHeaderBytes
 	}
-	p, err := proxy.New(proxy.Config{
-		Upstreams:      poolUps,
-		Chain:          chain,
-		Endpoints:      []dnsserver.Endpoint{{Path: "/dns-query", Wire: true, JSON: true}},
-		MaxUDPSize:     maxUDP,
-		Policy:         s.Policy,
-		HedgeDelay:     s.HedgeDelay,
-		ServeStale:     s.ServeStale,
-		PrefetchWindow: s.PrefetchWindow,
-		CacheBudget:    s.CacheBudget,
-		CacheAdmission: s.CacheAdmission,
-		Guard:          s.Guard,
-		Dialer:         he,
-		Bootstrap:      prober,
-		Telemetry:      tel,
-		Tracing:        trcfg,
-	})
-	if err != nil {
+	if d.Proxy, err = proxy.New(cfg); err != nil {
 		return nil, err
 	}
-	defer p.Close()
-	if err := p.Start(n, ProxyHost); err != nil {
+	if err = d.Proxy.Start(n, ProxyHost); err != nil {
 		return nil, err
 	}
+	return d, nil
+}
+
+// Close stops the proxy and the upstream resolvers.
+func (d *Deployment) Close() {
+	if d.Proxy != nil {
+		d.Proxy.Close()
+	}
+	for _, up := range d.upstreams {
+		up.Close()
+	}
+}
+
+// Run replays the scenario's workload against the deployment, one
+// transport leg after another, and harvests both sides' telemetry. A
+// Deployment is driven once.
+func (d *Deployment) Run() (*Result, error) {
+	s, n, p := d.s, d.net, d.Proxy
 
 	// The shared third-party pool gives clients realistic name popularity;
 	// the per-client prefix (see clientNames) keeps cache interaction
@@ -514,7 +528,7 @@ func Run(s Scenario) (*Result, error) {
 		domains = corpus.AllDomains()
 	}
 
-	res := &Result{Scenario: s, Profile: prof}
+	res := &Result{Scenario: s, Profile: d.prof}
 
 	// The flooders run for the whole scenario, overlapping every honest
 	// transport leg — the regime the guard's fairness claim is about.
@@ -537,12 +551,12 @@ func Run(s Scenario) (*Result, error) {
 	// Arm the mid-run flap now, not at topology-build time: the windows
 	// offset from this call, so FlapAfter counts from (just before) the
 	// moment clients start issuing queries.
-	for _, h := range flapHosts {
+	for _, h := range d.flapHosts {
 		n.SetLinkFlap(h, netsim.FlapWindow{Start: s.FlapAfter, End: s.FlapAfter + s.FlapFor})
 	}
 
 	for _, tr := range s.Transports {
-		trRes, err := runTransport(n, chain, s, tr, domains)
+		trRes, err := runTransport(n, d.chain, s, tr, domains)
 		if err != nil {
 			if atkStop != nil {
 				close(atkStop)
@@ -564,24 +578,12 @@ func Run(s Scenario) (*Result, error) {
 			Dropped:   atk.dropped.Load(),
 		}
 	}
-	res.Server = p.Telemetry().Snapshot()
-	res.Cache = p.CacheStats()
-	res.Steering = p.SteeringReport()
-	if g := p.Guard(); g != nil {
-		gr := g.Report()
-		res.Guard = &gr
-	}
-	if he != nil {
-		dr := he.Report()
-		res.Dialer = &dr
-	}
-	if prober != nil {
-		br := prober.Report()
-		res.Bootstrap = &br
-	}
+	// The proxy-side sections are the proxy's own cost report, as
+	// /debug/cost would serve it at this instant.
+	cost := p.CostReport()
+	res.Server, res.Cache, res.Upstreams, res.Steering = cost.Telemetry, cost.Cache.Stats, cost.Upstreams, cost.Steering
+	res.Guard, res.Dialer, res.Bootstrap, res.Trace = cost.Guard, cost.Dialer, cost.Bootstrap, cost.Trace
 	if tr := p.Tracer(); tr != nil {
-		st := tr.Stats()
-		res.Trace = &st
 		res.SlowTraces = slowestTraces(tr, 5)
 	}
 	return res, nil
@@ -978,6 +980,38 @@ func Render(r *Result) string {
 			r.Server.PoolExchanges, r.Server.UpstreamBytesSent, r.Server.UpstreamBytesReceived)
 	} else {
 		sb.WriteString("\n")
+	}
+	if b := r.Scenario.Proxy.CacheBudget; b > 0 {
+		fmt.Fprintf(&sb, "cache budget: %d B live of %d B, %d evictions, %d admission rejects, %d arena epochs\n",
+			cs.BytesLive, b, cs.Evictions, cs.AdmissionRejects, cs.ArenaEpochs)
+	}
+	for _, u := range r.Upstreams {
+		state := "up"
+		if u.Down {
+			state = "down"
+		}
+		fmt.Fprintf(&sb, "upstream %-22s %5d exchanges, %d failures, %s\n", u.Name, u.Exchanges, u.Failures, state)
+	}
+	for _, u := range r.Steering.Upstreams {
+		fmt.Fprintf(&sb, "steer    %-22s srtt %.2fms ±%.2fms, success %.2f (%d samples)\n",
+			u.Name, u.SRTTMs, u.RTTVarMs, u.SuccessRate, u.Samples)
+	}
+	if r.Server == nil {
+		return sb.String()
+	}
+	// The proxy's own view of the same workload: accept-to-response latency
+	// per listener transport, beside the client-observed table above.
+	for _, proto := range Transports {
+		if d := r.Server.Latency[proto]; d != nil {
+			fmt.Fprintf(&sb, "server   %-4s %8d queries | %7.2fms %7.2fms %7.2fms (p50 p95 p99)\n",
+				proto, d.Count, d.P50Ms, d.P95Ms, d.P99Ms)
+		}
+	}
+	for _, fam := range []string{"v4", "v6", "unknown"} {
+		if d := r.Server.Dials[fam]; d != nil {
+			fmt.Fprintf(&sb, "dials    %-7s ok=%d error=%d backoff=%d wins=%d\n",
+				fam, d["ok"], d["error"], d["backoff"], r.Server.DialWins[fam])
+		}
 	}
 	return sb.String()
 }

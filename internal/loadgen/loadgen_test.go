@@ -4,6 +4,9 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"dohcost/internal/proxy"
+	"dohcost/internal/steer"
 )
 
 // TestScenarioSmokeIdeal drives a small closed-loop scenario over ideal
@@ -177,24 +180,24 @@ func TestHedgedBeatsFailoverWithDegradedUpstream(t *testing.T) {
 				Upstreams:           2,
 				UpstreamRTT:         4 * time.Millisecond,
 				DegradedUpstreamRTT: 600 * time.Millisecond,
-				HedgeDelay:          40 * time.Millisecond,
+				Proxy:               proxy.Config{HedgeDelay: 40 * time.Millisecond},
 				Timeout:             30 * time.Second,
 			}
-			run := func(policy string) *Result {
+			run := func(policy steer.Policy) *Result {
 				t.Helper()
 				s := base
-				s.Policy = policy
+				s.Proxy.Policy = policy
 				res, err := Run(s)
 				if err != nil {
-					t.Fatalf("%s run: %v", policy, err)
+					t.Fatalf("%v run: %v", policy, err)
 				}
 				if len(res.PerTransport) != 1 || res.PerTransport[0].Queries == 0 {
-					t.Fatalf("%s run harvested nothing: %+v", policy, res.PerTransport)
+					t.Fatalf("%v run harvested nothing: %+v", policy, res.PerTransport)
 				}
 				return res
 			}
-			failover := run("failover")
-			hedged := run("hedged")
+			failover := run(steer.PolicyFailover)
+			hedged := run(steer.PolicyHedged)
 
 			fp99 := failover.PerTransport[0].P99Ms
 			hp99 := hedged.PerTransport[0].P99Ms

@@ -3,6 +3,9 @@ package loadgen
 import (
 	"strings"
 	"testing"
+
+	"dohcost/internal/proxy"
+	"dohcost/internal/qtrace"
 )
 
 // TestScenarioTraceHarvest runs an impaired lossy-wifi scenario with
@@ -11,20 +14,19 @@ import (
 // spans — slow and errored queries under loss must be captured.
 func TestScenarioTraceHarvest(t *testing.T) {
 	res, err := Run(Scenario{
-		Profile:     "lossy-wifi",
-		Transports:  []string{"udp", "doh"},
-		Clients:     4,
-		Queries:     60,
-		Names:       6,
-		Seed:        11,
-		Trace:       true,
-		TraceSample: 4,
+		Profile:    "lossy-wifi",
+		Transports: []string{"udp", "doh"},
+		Clients:    4,
+		Queries:    60,
+		Names:      6,
+		Seed:       11,
+		Proxy:      proxy.Config{Tracing: &qtrace.Config{SampleEvery: 4}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Trace == nil {
-		t.Fatal("Scenario.Trace did not harvest sampler stats")
+		t.Fatal("Scenario.Proxy.Tracing did not harvest sampler stats")
 	}
 	if res.Trace.Offered < 2*60 {
 		t.Errorf("tracer saw %d offers, want >= %d (one per served query)", res.Trace.Offered, 2*60)
@@ -80,7 +82,7 @@ func TestScenarioTraceOverhead(t *testing.T) {
 	}
 	plain := run(base)
 	traced := base
-	traced.Trace = true
+	traced.Proxy.Tracing = &qtrace.Config{}
 	tracedQPS := run(traced)
 	if tracedQPS < 0.95*plain {
 		t.Errorf("traced run %.1f qps vs untraced %.1f qps: overhead above 5%%", tracedQPS, plain)

@@ -7,6 +7,7 @@ import (
 
 	"dohcost/internal/dnscache"
 	"dohcost/internal/dnswire"
+	"dohcost/internal/proxy"
 )
 
 func TestZipfSampler(t *testing.T) {
@@ -108,13 +109,12 @@ func TestZipfTinyLFUBeatsLRU(t *testing.T) {
 // (hits despite a huge universe) and admission activity.
 func TestScenarioZipfSmoke(t *testing.T) {
 	res, err := Run(Scenario{
-		Transports:     []string{"udp", "doh"},
-		Clients:        4,
-		Queries:        400,
-		Seed:           11,
-		ZipfNames:      200_000,
-		CacheBudget:    16 << 10,
-		CacheAdmission: "tinylfu",
+		Transports: []string{"udp", "doh"},
+		Clients:    4,
+		Queries:    400,
+		Seed:       11,
+		ZipfNames:  200_000,
+		Proxy:      proxy.Config{CacheBudget: 16 << 10, CacheAdmission: dnscache.AdmissionTinyLFU},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -301,6 +301,9 @@ func TestProfileRegistry(t *testing.T) {
 	if _, ok := LookupProfile("5g"); ok {
 		t.Error("LookupProfile invented a profile")
 	}
+	if sat, _ := LookupProfile("satellite"); sat.Link.Delay < 100*time.Millisecond {
+		t.Errorf("satellite delay = %v, want the geostationary regime (≥100ms one way)", sat.Link.Delay)
+	}
 	base, _ := LookupProfile("3g")
 	layered := base.WithExtraDelay(30 * time.Millisecond)
 	if layered.Link.Delay != base.Link.Delay+30*time.Millisecond {

@@ -10,6 +10,7 @@ import (
 	"dohcost/internal/dnstransport"
 	"dohcost/internal/dnswire"
 	"dohcost/internal/netsim"
+	"dohcost/internal/steer"
 )
 
 // probeTarget builds a bootstrap probe that performs one real TCP
@@ -58,7 +59,7 @@ func TestBootstrapSeedsSteering(t *testing.T) {
 			tcpUpstream(n, "proxy.dns", "dead.up"),
 			tcpUpstream(n, "proxy.dns", "alive.up"),
 		},
-		Policy:    "fastest",
+		Policy:    steer.PolicyFastest,
 		Bootstrap: prober,
 	})
 	if err != nil {

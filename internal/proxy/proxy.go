@@ -37,11 +37,16 @@ import (
 	"dohcost/internal/udpio"
 )
 
-// Config assembles a forwarding proxy.
+// Config assembles a forwarding proxy. It is the one place a proxy knob is
+// declared: New validates it (Validate) before building anything,
+// BindFlags is the only flag table over it, and loadgen.Scenario carries
+// one instead of mirroring its fields. Fields tagged json:"-" are wiring
+// (live objects and callbacks); the rest are plain data, so an echoed
+// Config shows an operator the effective knobs.
 type Config struct {
 	// Upstreams are the recursive resolvers to forward cache misses to, in
 	// failover preference order. Required.
-	Upstreams []dnstransport.PoolUpstream
+	Upstreams []dnstransport.PoolUpstream `json:"-"`
 	// Pool tunes the upstream connection pool (conns per upstream, health
 	// thresholds, backoff).
 	Pool dnstransport.PoolConfig
@@ -50,12 +55,12 @@ type Config struct {
 	// CacheBudget bounds the response cache in accounted bytes instead of
 	// entries (dnscache.WithMemoryBudget); 0 keeps the entry-count bound.
 	CacheBudget int64
-	// CacheAdmission selects the cache admission policy: "" or "lru"
-	// (admit everything, evict LRU) or "tinylfu" (frequency-gated
-	// admission, dnscache.WithTinyLFU). A CacheBudget without an explicit
-	// choice defaults to "tinylfu" — the combination built for heavy-tailed
-	// name streams.
-	CacheAdmission string
+	// CacheAdmission selects the cache admission policy: AdmissionLRU
+	// (admit everything, evict LRU) or AdmissionTinyLFU (frequency-gated
+	// admission, dnscache.WithTinyLFU). The zero value, AdmissionAuto, is
+	// TinyLFU under a CacheBudget — the combination built for heavy-tailed
+	// name streams — and LRU otherwise.
+	CacheAdmission dnscache.Admission
 	// CacheShards sets the cache's lock partitions; 0 means the default.
 	CacheShards int
 	// MinTTL/MaxTTL clamp cached TTLs; zero values use dnscache defaults.
@@ -67,7 +72,7 @@ type Config struct {
 	UpstreamTimeout time.Duration
 	// Chain supplies TLS material for the DoT and DoH listeners; nil
 	// serves UDP/TCP only.
-	Chain *tlsx.Chain
+	Chain *tlsx.Chain `json:"-"`
 	// Endpoints configures DoH paths; nil serves the RFC default.
 	Endpoints []dnsserver.Endpoint
 	// InOrderDoT disables the out-of-order DoT reply scheduling that is
@@ -83,7 +88,8 @@ type Config struct {
 	// datagrams per read syscall, cache hits flushed in one write syscall
 	// (dnsserver.UDPServer.ServeBatch). Zero means dnsserver.DefaultBatch
 	// (32). The simulated-network listener runs the same loop, but its
-	// sockets move one datagram per call whatever the vector.
+	// sockets move one datagram per call whatever the vector — which is
+	// why Validate rejects a UDPBatch (or UDPShards) without UDPListen.
 	UDPBatch int
 	// UDPListen, when non-empty, additionally serves classic UDP DNS on
 	// real kernel sockets at this address (e.g. "127.0.0.1:5300") with
@@ -93,12 +99,12 @@ type Config struct {
 	// UDPShards is the SO_REUSEPORT socket count for UDPListen; 0 means
 	// one per GOMAXPROCS, and platforms without SO_REUSEPORT clamp to 1.
 	UDPShards int
-	// Policy selects the upstream steering policy: "failover" (default and
-	// the pre-steering behaviour: static preference order with health
-	// failover), "fastest" (SRTT-ranked with periodic exploration probes)
-	// or "hedged" (a delayed second exchange races the primary, first
-	// answer wins).
-	Policy string
+	// Policy selects the upstream steering policy: steer.PolicyFailover
+	// (the zero value and the pre-steering behaviour: static preference
+	// order with health failover), PolicyFastest (SRTT-ranked with periodic
+	// exploration probes) or PolicyHedged (a delayed second exchange races
+	// the primary, first answer wins).
+	Policy steer.Policy
 	// HedgeDelay is the hedged policy's wait before the second exchange;
 	// 0 adapts per query to the primary upstream's live SRTT + 4·RTTVAR.
 	HedgeDelay time.Duration
@@ -125,7 +131,7 @@ type Config struct {
 	// through it directly — the closures already do — but registering it
 	// here puts its per-upstream race memory (winning family, demotion
 	// state) into CostReport and /debug/cost.
-	Dialer *dialer.HappyEyeballs
+	Dialer *dialer.HappyEyeballs `json:"-"`
 	// Bootstrap, when non-nil, is the reachability prober: Start sweeps
 	// it synchronously before the listeners come up, seeding the
 	// steering scoreboard with per-upstream verdicts so the first real
@@ -133,22 +139,22 @@ type Config struct {
 	// an error storm on the forwarding path kicks an asynchronous
 	// re-sweep (network-change recovery). Its Seeder defaults to the
 	// proxy's steerer when unset.
-	Bootstrap *dialer.Prober
+	Bootstrap *dialer.Prober `json:"-"`
 	// Storm tunes the error-storm detector that triggers Bootstrap
 	// re-sweeps; nil with Bootstrap set uses the dialer defaults
 	// (5 consecutive failures, 30 s cooldown).
-	Storm *dialer.Storm
+	Storm *dialer.Storm `json:"-"`
 	// Telemetry, when non-nil, is the metrics sink shared with the caller;
 	// nil makes the proxy create its own (telemetry is always on — its
 	// hot path is sharded atomics, cheap enough to never gate).
-	Telemetry *telemetry.Metrics
+	Telemetry *telemetry.Metrics `json:"-"`
 	// OnTransaction, when non-nil, receives one Summary per completed
 	// query — the embedder hook mirroring the DNSSummary idiom. It is
 	// installed on the Telemetry sink with SetListener, so when several
 	// proxies share one sink the listener is shared too (the last
 	// configured one wins); give each proxy its own sink for per-proxy
 	// callbacks.
-	OnTransaction telemetry.Listener
+	OnTransaction telemetry.Listener `json:"-"`
 	// Tracing, when non-nil, arms per-query lifecycle tracing
 	// (internal/qtrace): every serving layer records monotonic phase
 	// spans into a per-transaction record, and completed records are
@@ -170,6 +176,7 @@ type Config struct {
 // miss is forwarded to — static failover order, SRTT-ranked fastest, or
 // hedged — and the cache can serve stale and prefetch around it.
 type Proxy struct {
+	cfg     Config // as validated by New
 	pool    *dnstransport.Pool
 	steer   *steer.Steerer
 	cache   *dnscache.Cache
@@ -181,35 +188,74 @@ type Proxy struct {
 
 	// Real-socket batched UDP listener (Config.UDPListen), alongside the
 	// simulated-network listener set.
-	udpListen string
-	udpShards int
-	udpBatch  int
-	udpSrv    *dnsserver.UDPServer
-	udpConns  []udpio.BatchConn
-	udpWG     sync.WaitGroup
+	udpSrv   *dnsserver.UDPServer
+	udpConns []udpio.BatchConn
+	udpWG    sync.WaitGroup
 
-	// Resilient-connectivity layer (Config.Dialer / Config.Bootstrap).
-	dialer    *dialer.HappyEyeballs
-	bootstrap *dialer.Prober
-	storm     *dialer.Storm
+	// storm is Config.Storm, or the default detector New built for a
+	// Config.Bootstrap without one.
+	storm *dialer.Storm
+	// tracer is the query tracer built from Config.Tracing.
+	tracer *qtrace.Tracer
+}
 
-	// Observability extras (Config.Tracing / Config.Profiling).
-	tracer    *qtrace.Tracer
-	profiling bool
+// Validate rejects a configuration that can be shown to be nonsense,
+// before anything is built from it: no upstreams, an out-of-range enum, a
+// negative size or duration, inverted TTL bounds, and knobs that would be
+// silently inert (UDP serve-loop tuning without the real-socket listener,
+// a storm detector without the prober it kicks). It does not police
+// combinations that are merely unused — a HedgeDelay under a non-hedged
+// Policy is legal, so a policy sweep can hold it constant.
+func (c *Config) Validate() error {
+	if len(c.Upstreams) == 0 {
+		return errors.New("proxy: no upstreams configured")
+	}
+	return c.validateKnobs()
+}
+
+// validateKnobs is Validate without the upstream requirement: the part a
+// flag set can check at parse time, before its caller has wired upstreams.
+func (c *Config) validateKnobs() error {
+	if !c.Policy.Valid() {
+		return fmt.Errorf("proxy: Policy %d out of range", c.Policy)
+	}
+	if !c.CacheAdmission.Valid() {
+		return fmt.Errorf("proxy: CacheAdmission %d out of range", c.CacheAdmission)
+	}
+	for _, f := range [...]struct {
+		name string
+		v    int64
+	}{
+		{"CacheEntries", int64(c.CacheEntries)}, {"CacheBudget", c.CacheBudget},
+		{"CacheShards", int64(c.CacheShards)}, {"MaxUDPSize", int64(c.MaxUDPSize)},
+		{"UDPShards", int64(c.UDPShards)}, {"UDPBatch", int64(c.UDPBatch)},
+		{"MinTTL", int64(c.MinTTL)}, {"MaxTTL", int64(c.MaxTTL)}, {"NegativeTTL", int64(c.NegativeTTL)},
+		{"UpstreamTimeout", int64(c.UpstreamTimeout)}, {"HedgeDelay", int64(c.HedgeDelay)},
+		{"ServeStale", int64(c.ServeStale)}, {"PrefetchWindow", int64(c.PrefetchWindow)},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("proxy: %s must not be negative", f.name)
+		}
+	}
+	if c.MinTTL > 0 && c.MaxTTL > 0 && c.MinTTL > c.MaxTTL {
+		return fmt.Errorf("proxy: MinTTL %v exceeds MaxTTL %v", c.MinTTL, c.MaxTTL)
+	}
+	if c.UDPListen == "" && (c.UDPShards > 0 || c.UDPBatch > 0) {
+		return errors.New("proxy: UDPShards/UDPBatch (-udp-shards/-udp-batch) tune the UDPListen (-udp-listen) serve loop and do nothing without it")
+	}
+	if c.Storm != nil && c.Bootstrap == nil {
+		return errors.New("proxy: Storm set without Bootstrap: the storm detector only triggers bootstrap re-sweeps")
+	}
+	return nil
 }
 
 // New builds the forwarding pipeline. Close releases it.
 func New(cfg Config) (*Proxy, error) {
-	if len(cfg.Upstreams) == 0 {
-		return nil, fmt.Errorf("proxy: no upstreams configured")
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	pool, err := dnstransport.NewPool(cfg.Upstreams, cfg.Pool)
 	if err != nil {
-		return nil, err
-	}
-	policy, err := steer.ParsePolicy(cfg.Policy)
-	if err != nil {
-		pool.Close()
 		return nil, err
 	}
 	var opts []dnscache.Option
@@ -219,16 +265,8 @@ func New(cfg Config) (*Proxy, error) {
 	if cfg.CacheBudget > 0 {
 		opts = append(opts, dnscache.WithMemoryBudget(cfg.CacheBudget))
 	}
-	switch cfg.CacheAdmission {
-	case "", "lru":
-		if cfg.CacheAdmission == "" && cfg.CacheBudget > 0 {
-			opts = append(opts, dnscache.WithTinyLFU())
-		}
-	case "tinylfu":
+	if a := cfg.CacheAdmission; a == dnscache.AdmissionTinyLFU || (a == dnscache.AdmissionAuto && cfg.CacheBudget > 0) {
 		opts = append(opts, dnscache.WithTinyLFU())
-	default:
-		pool.Close()
-		return nil, fmt.Errorf("proxy: unknown cache admission policy %q (want lru or tinylfu)", cfg.CacheAdmission)
 	}
 	if cfg.CacheShards > 0 {
 		opts = append(opts, dnscache.WithShards(cfg.CacheShards))
@@ -267,7 +305,7 @@ func New(cfg Config) (*Proxy, error) {
 		tel.SetTracer(tracer)
 	}
 	st := steer.New(pool, steer.Config{
-		Policy:       policy,
+		Policy:       cfg.Policy,
 		HedgeDelay:   cfg.HedgeDelay,
 		ExploreEvery: cfg.ExploreEvery,
 	})
@@ -302,20 +340,15 @@ func New(cfg Config) (*Proxy, error) {
 		resolver = breakerResolver{g: g, next: resolver}
 	}
 	p := &Proxy{
-		pool:      pool,
-		steer:     st,
-		cache:     dnscache.New(resolver, opts...),
-		guard:     g,
-		timeout:   timeout,
-		tel:       tel,
-		udpListen: cfg.UDPListen,
-		udpShards: cfg.UDPShards,
-		udpBatch:  cfg.UDPBatch,
-		dialer:    cfg.Dialer,
-		bootstrap: bootstrap,
-		storm:     storm,
-		tracer:    tracer,
-		profiling: cfg.Profiling,
+		cfg:     cfg,
+		pool:    pool,
+		steer:   st,
+		cache:   dnscache.New(resolver, opts...),
+		guard:   g,
+		timeout: timeout,
+		tel:     tel,
+		storm:   storm,
+		tracer:  tracer,
 	}
 	p.server = &dnsserver.Server{
 		Handler:       p.Handler(),
@@ -431,19 +464,19 @@ func (p *Proxy) Start(n *netsim.Network, host string) error {
 	if p.run != nil {
 		return fmt.Errorf("proxy: already started")
 	}
-	if p.bootstrap != nil {
+	if p.cfg.Bootstrap != nil {
 		// Sweep reachability before accepting queries: by the time the
 		// listeners are up, the steering scoreboard already knows which
 		// upstream×protocol combinations are dead, so the first clients
 		// never pay to rediscover them.
-		p.bootstrap.Run(context.Background())
+		p.cfg.Bootstrap.Run(context.Background())
 	}
 	run, err := p.server.Start(n, host)
 	if err != nil {
 		return err
 	}
 	p.run = run
-	if p.udpListen != "" {
+	if p.cfg.UDPListen != "" {
 		if err := p.startUDPListen(); err != nil {
 			p.run.Close()
 			p.run = nil
@@ -456,9 +489,9 @@ func (p *Proxy) Start(n *netsim.Network, host string) error {
 // startUDPListen binds the SO_REUSEPORT shard sockets and serves them
 // with the batched loop.
 func (p *Proxy) startUDPListen() error {
-	conns, err := udpio.ListenShards("udp", p.udpListen, p.udpShards)
+	conns, err := udpio.ListenShards("udp", p.cfg.UDPListen, p.cfg.UDPShards)
 	if err != nil {
-		return fmt.Errorf("proxy: udp listen %s: %w", p.udpListen, err)
+		return fmt.Errorf("proxy: udp listen %s: %w", p.cfg.UDPListen, err)
 	}
 	p.udpConns = conns
 	p.udpSrv = &dnsserver.UDPServer{
@@ -469,7 +502,7 @@ func (p *Proxy) startUDPListen() error {
 	p.udpWG.Add(1)
 	go func() {
 		defer p.udpWG.Done()
-		p.udpSrv.ServeBatch(conns, p.udpBatch)
+		p.udpSrv.ServeBatch(conns, p.cfg.UDPBatch)
 	}()
 	return nil
 }
@@ -543,7 +576,7 @@ func (p *Proxy) Guard() *guard.Guard { return p.guard }
 // Bootstrap returns the proxy's reachability prober, or nil when
 // Config.Bootstrap was not set — for embedders that want to Kick a
 // re-sweep on an external network-change signal.
-func (p *Proxy) Bootstrap() *dialer.Prober { return p.bootstrap }
+func (p *Proxy) Bootstrap() *dialer.Prober { return p.cfg.Bootstrap }
 
 // Telemetry returns the proxy's metrics sink, for snapshots beyond what
 // CostReport packages or for registering a transaction Listener late.
@@ -617,12 +650,12 @@ func (p *Proxy) CostReport() CostReport {
 		gr := p.guard.Report()
 		report.Guard = &gr
 	}
-	if p.dialer != nil {
-		dr := p.dialer.Report()
+	if p.cfg.Dialer != nil {
+		dr := p.cfg.Dialer.Report()
 		report.Dialer = &dr
 	}
-	if p.bootstrap != nil {
-		br := p.bootstrap.Report()
+	if p.cfg.Bootstrap != nil {
+		br := p.cfg.Bootstrap.Report()
 		report.Bootstrap = &br
 	}
 	if p.storm != nil {
@@ -663,7 +696,7 @@ func (p *Proxy) Observability() http.Handler {
 			return
 		}
 		writeGauges(w, report)
-		if p.profiling {
+		if p.cfg.Profiling {
 			writeRuntimeGauges(w)
 		}
 	})
@@ -704,7 +737,7 @@ func (p *Proxy) Observability() http.Handler {
 		enc.SetIndent("", "  ")
 		enc.Encode(TraceReport{Stats: p.tracer.Stats(), Traces: p.tracer.Traces(f)})
 	})
-	if p.profiling {
+	if p.cfg.Profiling {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

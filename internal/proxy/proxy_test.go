@@ -14,10 +14,12 @@ import (
 	"testing"
 	"time"
 
+	"dohcost/internal/core"
 	"dohcost/internal/dnsserver"
 	"dohcost/internal/dnstransport"
 	"dohcost/internal/dnswire"
 	"dohcost/internal/netsim"
+	"dohcost/internal/steer"
 	"dohcost/internal/tlsx"
 )
 
@@ -293,7 +295,7 @@ func TestProxyHedgedPolicySteersAroundDegradedUpstream(t *testing.T) {
 			tcpUpstream(n, "proxy.dns", "slow.upstream"),
 			tcpUpstream(n, "proxy.dns", "fast.upstream"),
 		},
-		Policy:          "hedged",
+		Policy:          steer.PolicyHedged,
 		HedgeDelay:      10 * time.Millisecond,
 		UpstreamTimeout: 2 * time.Second,
 	})
@@ -360,6 +362,63 @@ func TestProxyHedgedPolicySteersAroundDegradedUpstream(t *testing.T) {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+}
+
+// TestProxyFastestScoresThroughServeStaleCache is the configured form of
+// the composition embedders used to build by hand (pool → steerer →
+// serve-stale cache): against the study topology's two cloud resolvers
+// over DoT, the fastest policy behind a serve-stale + prefetch cache still
+// sees — and scores — the upstream traffic the cache lets through.
+func TestProxyFastestScoresThroughServeStaleCache(t *testing.T) {
+	topo, err := core.NewTopology(core.TopologyConfig{Seed: 21})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer topo.Close()
+	dot := func(host string) dnstransport.PoolUpstream {
+		return dnstransport.PoolUpstream{Name: host, Dial: func(ctx context.Context) (dnstransport.Resolver, error) {
+			c, err := topo.DoTResolver(core.ClientHost, host)
+			if err != nil {
+				return nil, err
+			}
+			c.Persistent = true
+			return c, nil
+		}}
+	}
+	p, err := New(Config{
+		Upstreams:      []dnstransport.PoolUpstream{dot(core.CFHost), dot(core.GOHost)},
+		Policy:         steer.PolicyFastest,
+		ServeStale:     time.Minute,
+		PrefetchWindow: 10 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+
+	for i := 0; i < 3; i++ {
+		resp, err := p.Handler().ServeDNS(context.Background(), dnswire.NewQuery(0, "steered.example.com.", dnswire.TypeA))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(resp.Answers) != 1 {
+			t.Fatalf("answers = %v", resp.Answers)
+		}
+	}
+	rep := p.SteeringReport()
+	if rep.Policy != "fastest" || len(rep.Upstreams) != 2 {
+		t.Fatalf("steering report = %+v", rep)
+	}
+	var samples uint64
+	for _, u := range rep.Upstreams {
+		samples += u.Samples
+	}
+	if samples == 0 {
+		t.Error("steerer scored no traffic")
+	}
+	if cs := p.CacheStats(); cs.Misses != 1 || cs.Hits != 2 {
+		t.Errorf("cache stats = %+v, want 1 miss + 2 hits", cs)
 	}
 }
 

@@ -29,10 +29,10 @@ type Config struct {
 	// SlowLog, when non-nil, receives one formatted line per over-threshold
 	// query with its phase breakdown — the operator's no-scrape-stack view.
 	// Writes are serialized by the tracer.
-	SlowLog io.Writer
+	SlowLog io.Writer `json:"-"`
 	// Log, when non-nil, receives every kept trace as one JSONL record
 	// (the structured query log). The tracer closes it on Close.
-	Log *QueryLog
+	Log *QueryLog `json:"-"`
 }
 
 // Sampling classes: the adaptive threshold is tracked per class so an

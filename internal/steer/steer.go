@@ -87,6 +87,24 @@ func ParsePolicy(s string) (Policy, error) {
 	return PolicyFailover, fmt.Errorf("steer: unknown policy %q (want failover, fastest or hedged)", s)
 }
 
+// Valid reports whether p is one of the declared policies.
+func (p Policy) Valid() bool { return p <= PolicyHedged }
+
+// MarshalText implements encoding.TextMarshaler, so flags print and JSON
+// echoes the policy by name.
+func (p Policy) MarshalText() ([]byte, error) { return []byte(p.String()), nil }
+
+// UnmarshalText implements encoding.TextUnmarshaler over ParsePolicy, which
+// is how flag.TextVar rejects a misspelt -policy at parse time.
+func (p *Policy) UnmarshalText(text []byte) error {
+	v, err := ParsePolicy(string(text))
+	if err != nil {
+		return err
+	}
+	*p = v
+	return nil
+}
+
 // Backend is the upstream capability the steerer drives. dnstransport.Pool
 // implements it; tests substitute scripted fakes.
 type Backend interface {
