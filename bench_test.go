@@ -7,6 +7,7 @@ package dohcost
 
 import (
 	"context"
+	"crypto/tls"
 	"fmt"
 	"math/rand"
 	"net"
@@ -25,6 +26,7 @@ import (
 	"dohcost/internal/dnstransport"
 	"dohcost/internal/dnswire"
 	"dohcost/internal/guard"
+	"dohcost/internal/h2"
 	"dohcost/internal/hpack"
 	"dohcost/internal/landscape"
 	"dohcost/internal/loadgen"
@@ -34,6 +36,7 @@ import (
 	"dohcost/internal/stats"
 	"dohcost/internal/steer"
 	"dohcost/internal/telemetry"
+	"dohcost/internal/tlsx"
 	"dohcost/internal/udpio"
 )
 
@@ -628,6 +631,88 @@ func BenchmarkUDPBatchServe(b *testing.B) {
 		go srv.ServeBatch(conns, 32)
 		run(b, conns[0].LocalAddr().String())
 	})
+}
+
+// BenchmarkDoHHitRoundTrip is the DoH counterpart of the UDP hit series:
+// one POST cache hit through h2.ClientConn → TLS 1.3 over an in-memory
+// connection → h2.Server → dnsserver.DoH (bound, so the hit step runs on
+// the h2 read loop) → the proxy's wire cache. Beside ns/op and allocs/op it
+// reports what the transport adds on the wire per resolution: wire-B/op,
+// both directions below TLS, and writes/op, the flights a resolution
+// costs — two when a message is one flight.
+func BenchmarkDoHHitRoundTrip(b *testing.B) {
+	p, err := proxy.New(proxy.Config{
+		Upstreams: []dnstransport.PoolUpstream{{
+			Name: "static.upstream",
+			Dial: func(ctx context.Context) (dnstransport.Resolver, error) { return staticResolver{}, nil },
+		}},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer p.Close()
+	if _, err := p.Handler().ServeDNS(context.Background(), dnswire.NewQuery(0, "hot.bench.example.", dnswire.TypeA)); err != nil {
+		b.Fatal(err)
+	}
+	queryWire, err := dnswire.NewQuery(4242, "hot.bench.example.", dnswire.TypeA).Pack()
+	if err != nil {
+		b.Fatal(err)
+	}
+	chain, err := tlsx.GenerateChain(tlsx.CloudflareLike("doh.bench"))
+	if err != nil {
+		b.Fatal(err)
+	}
+
+	n := netsim.New(1) // links default to zero delay: a buffered pipe that counts
+	l, err := n.Listen("doh.bench:443")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer l.Close()
+	go func() {
+		conn, err := l.Accept()
+		if err != nil {
+			return
+		}
+		tc := tls.Server(conn, chain.ServerConfig(tls.VersionTLS13, tls.VersionTLS13, "h2"))
+		h2h, _ := (&dnsserver.DoH{Handler: p.Handler(), Telemetry: p.Telemetry()}).Bind(context.Background())
+		(&h2.Server{Handler: h2h}).ServeConn(tc)
+	}()
+	raw, err := n.Dial("client", "doh.bench:443")
+	if err != nil {
+		b.Fatal(err)
+	}
+	tc := tls.Client(raw, chain.ClientConfig("doh.bench", "h2"))
+	if err := tc.Handshake(); err != nil {
+		b.Fatal(err)
+	}
+	cc, err := h2.NewClientConn(tc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cc.Close()
+
+	req := &h2.Request{Method: "POST", Scheme: "https", Authority: "doh.bench", Path: "/dns-query", Body: queryWire,
+		Header: []hpack.HeaderField{{Name: "content-type", Value: dnsserver.ContentTypeWire}, {Name: "accept", Value: dnsserver.ContentTypeWire}}}
+	roundTrip := func() {
+		resp, err := cc.RoundTrip(context.Background(), req)
+		if err != nil || resp.Status != 200 || len(resp.Body) < 12 {
+			b.Fatalf("DoH hit: %v %+v", err, resp)
+		}
+	}
+	for i := 0; i < 8; i++ { // SETTINGS, session tickets and HPACK indexing are behind us
+		roundTrip()
+	}
+	before := raw.(*netsim.Conn).Stats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		roundTrip()
+	}
+	b.StopTimer()
+	wire := raw.(*netsim.Conn).Stats().Sub(before)
+	b.ReportMetric(float64(wire.Total())/float64(b.N), "wire-B/op")
+	b.ReportMetric(float64(wire.OutSegments+wire.InSegments)/float64(b.N), "writes/op")
 }
 
 // BenchmarkCacheHitPathShardedVsMutex isolates the cache's hot path under

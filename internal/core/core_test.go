@@ -135,7 +135,7 @@ func TestOverheadScaledDown(t *testing.T) {
 	ub, up := med("U/CF")
 	hb, hp := med("H/CF")
 	hgb, _ := med("H/GO")
-	pb, pp := med("HP/CF")
+	pb, _ := med("HP/CF") // TestOverheadGolden pins the DoH packet medians exactly
 	pgb, _ := med("HP/GO")
 
 	// Paper's ordering claims (Figures 3-4):
@@ -160,9 +160,6 @@ func TestOverheadScaledDown(t *testing.T) {
 	}
 	if pb <= ub {
 		t.Errorf("HP/CF %.0f B not > U/CF %.0f B", pb, ub)
-	}
-	if pp < 3 || pp > 16 {
-		t.Errorf("HP/CF packets = %.0f, want ~8", pp)
 	}
 	if pgb <= pb {
 		t.Errorf("HP/GO %.0f B not > HP/CF %.0f B", pgb, pb)

@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"dohcost/internal/stats"
 )
 
 // update rewrites the golden files from the current run:
@@ -116,4 +118,18 @@ func TestOverheadGolden(t *testing.T) {
 		golden = append(golden, g)
 	}
 	checkGolden(t, "overhead.golden.json", marshalGolden(t, golden))
+
+	// The golden file leaves stream totals unpinned, so the emission model
+	// — how many flights carry one resolution — is pinned here: the median
+	// packets per resolution the reproduction publishes for Figure 4. They
+	// move only if the topology stops setting h2.FramePerFlight or that
+	// model stops meaning one frame per flight and credit per DATA frame.
+	for _, want := range []struct {
+		scenario string
+		packets  float64
+	}{{"H/CF", 33}, {"H/GO", 35}, {"HP/CF", 10}, {"HP/GO", 10}} {
+		if got := stats.NewCDF(r.Scenario(want.scenario).Packets()).Quantile(0.5); got != want.packets {
+			t.Errorf("%s: median %.0f packets per resolution, want %.0f", want.scenario, got, want.packets)
+		}
+	}
 }

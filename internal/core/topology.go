@@ -15,6 +15,7 @@ import (
 
 	"dohcost/internal/dnsserver"
 	"dohcost/internal/dnstransport"
+	"dohcost/internal/h2"
 	"dohcost/internal/netsim"
 	"dohcost/internal/tlsx"
 )
@@ -152,6 +153,7 @@ func NewTopology(cfg TopologyConfig) (*Topology, error) {
 			DoTOutOfOrder: cfg.DoTOutOfOrder,
 			HTTP1Only:     cfg.HTTP1Only,
 			DoHProcessing: cfg.DoHProcessing,
+			DoHEmission:   h2.FramePerFlight, // the resolvers the paper captured
 			Endpoints:     []dnsserver.Endpoint{{Path: "/dns-query", Wire: true, JSON: true}},
 		}
 		run, err := srv.Start(n, d.host)
@@ -220,5 +222,6 @@ func (t *Topology) DoHResolver(from, host string, mode dnstransport.DoHMode, per
 		TLS:        chain.ClientConfig(host),
 		Mode:       mode,
 		Persistent: persistent,
+		Emission:   h2.FramePerFlight, // the browsers the paper captured
 	}, nil
 }

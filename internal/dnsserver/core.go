@@ -10,16 +10,18 @@ import (
 )
 
 // core is the transport-agnostic serving core. Every front end — the UDP
-// batch loop, StreamServer.ServeConn, DoH.serve — funnels its queries
-// through the same two steps, so the transport wrapped around the resolver
-// is the only thing that differs between them (the paper's method, §4–5):
+// batch loop, StreamServer.ServeConn, DoH's HTTP handlers — funnels its
+// queries through the same two steps, so the transport wrapped around the
+// resolver is the only thing that differs between them (the paper's method,
+// §4–5):
 //
 //   - the hit step (parse, then serveWire) answers from the handler's wire
 //     fast path into the caller's buffer. It never blocks and never
-//     allocates, so read loops run it inline.
+//     allocates, so read loops run it inline — the h2 read loop too, for
+//     DoH (boundDoH.ServeH2Inline).
 //   - the Message step (unpack, then respond) runs the handler on a
-//     *dnswire.Message. It may block on upstream work, so batched UDP and
-//     out-of-order streams run its second half on another goroutine.
+//     *dnswire.Message. It may block on upstream work, so batched UDP,
+//     out-of-order streams and DoH over h2 run it on another goroutine.
 //
 // Adapters keep what is genuinely per-transport: the guard's verdict form,
 // the size limit, UDP's truncation and cookie echo, framing, the write and

@@ -83,19 +83,62 @@ func (d *DoH) ServeH1(req *h1.Request) *h1.Response {
 // Bind derives per-connection HTTP handlers whose DNS queries inherit ctx.
 // Server accept loops bind once per connection, cancelling ctx when the
 // connection closes, so every in-flight handler learns its client is gone.
+// The HTTP/2 handler is an h2.InlineHandler: it offers the hit step to the
+// connection's read loop.
 func (d *DoH) Bind(ctx context.Context) (h2.Handler, h1.Handler) {
-	return h2.HandlerFunc(func(req *h2.Request) *h2.Response { return d.serveH2(ctx, req) }),
+	return &boundDoH{d: d, ctx: ctx, c: newCore(d.Handler, d.Telemetry, telemetry.ProtoDoH)},
 		h1.HandlerFunc(func(req *h1.Request) *h1.Response { return d.serveH1(ctx, req) })
 }
 
-func (d *DoH) serveH2(ctx context.Context, req *h2.Request) *h2.Response {
-	var ct string
+// boundDoH is the HTTP/2 handler of one connection.
+type boundDoH struct {
+	d   *DoH
+	ctx context.Context
+	c   core
+	q   dnswire.Query // read loop only; per connection because &q escapes into the WireResponder call
+}
+
+// ServeH2 implements h2.Handler.
+func (b *boundDoH) ServeH2(req *h2.Request) *h2.Response { return b.d.serveH2(b.ctx, req) }
+
+// ServeH2Inline implements h2.InlineHandler with the split out-of-order
+// DoT has: a plain POST to a wire endpoint gets its guard verdict and the
+// hit step on the read loop, which never block; a hit the wire path
+// declines carries its transaction on to the Message step as next, so
+// telemetry, trace and guard see one query. Anything else — GET, JSON, a
+// path needing decoding, Processing to sleep through — is ServeH2's.
+func (b *boundDoH) ServeH2Inline(req *h2.Request) (*h2.Response, func() *h2.Response) {
+	d := b.d
+	ep := d.endpoint(req.Path)
+	if d.Processing > 0 || req.Method != "POST" || ep == nil || !ep.Wire ||
+		strings.ContainsAny(req.Path, "?%#") || h2ContentType(req) != ContentTypeWire {
+		return nil, nil
+	}
+	tGuard, key, refused := d.checkGuard(b.ctx)
+	if refused {
+		return d.h2Response(d.refuseWire(req.Body, key)), nil
+	}
+	out, tx, handled := b.c.hit(&b.q, req.Body, tGuard)
+	if handled {
+		return d.h2Response(200, ContentTypeWire, out), nil
+	}
+	return nil, func() *h2.Response { return d.h2Response(d.message(b.ctx, &b.c, tx, req.Body)) }
+}
+
+func h2ContentType(req *h2.Request) (ct string) {
 	for _, f := range req.Header {
 		if f.Name == "content-type" {
 			ct = f.Value
 		}
 	}
-	status, respCT, body := d.serve(ctx, req.Method, req.Path, ct, req.Body)
+	return ct
+}
+
+func (d *DoH) serveH2(ctx context.Context, req *h2.Request) *h2.Response {
+	return d.h2Response(d.serve(ctx, req.Method, req.Path, h2ContentType(req), req.Body))
+}
+
+func (d *DoH) h2Response(status int, respCT string, body []byte) *h2.Response {
 	resp := &h2.Response{Status: status, Body: body}
 	if respCT != "" {
 		resp.Header = append(resp.Header, hpack.HeaderField{Name: "content-type", Value: respCT})
@@ -118,6 +161,42 @@ func (d *DoH) serveH1(ctx context.Context, req *h1.Request) *h1.Response {
 	return resp
 }
 
+// endpoint returns the endpoint served at exactly path, or nil.
+func (d *DoH) endpoint(path string) *Endpoint {
+	endpoints := d.Endpoints
+	if endpoints == nil {
+		endpoints = DefaultEndpoints
+	}
+	for i := range endpoints {
+		if endpoints[i].Path == path {
+			return &endpoints[i]
+		}
+	}
+	return nil
+}
+
+// checkGuard charges one query to the client bound into ctx and reports
+// whether it is over its limit; tGuard is when the check began (zero
+// without a guard or a tracer). Unbound contexts are not limited.
+func (d *DoH) checkGuard(ctx context.Context) (tGuard time.Time, key uint64, refused bool) {
+	if d.Guard == nil {
+		return
+	}
+	if d.Telemetry.Tracing() {
+		tGuard = time.Now()
+	}
+	key, bound := guard.KeyFromContext(ctx)
+	return tGuard, key, bound && d.Guard.CheckStream(key) == guard.ActionRefuse
+}
+
+// refuseWire answers an over-limit wireformat query.
+func (d *DoH) refuseWire(rawQ []byte, key uint64) (status int, respCT string, respBody []byte) {
+	if resp, ok := d.Guard.AppendLimited(nil, rawQ, key, guard.ActionRefuse); ok {
+		return 200, ContentTypeWire, resp
+	}
+	return 400, "", nil
+}
+
 // serve is the transport-independent DoH core: it routes by path, decodes
 // the query per RFC 8484 (POST body or GET ?dns= base64url) or the JSON
 // convention (GET ?name=&type=), runs the handler, and encodes the answer
@@ -128,29 +207,18 @@ func (d *DoH) serve(ctx context.Context, method, rawPath, contentType string, bo
 			return 500, "", nil
 		}
 	}
-	endpoints := d.Endpoints
-	if endpoints == nil {
-		endpoints = DefaultEndpoints
-	}
 	u, err := url.ParseRequestURI(rawPath)
 	if err != nil {
 		return 400, "", nil
 	}
-	var ep *Endpoint
-	for i := range endpoints {
-		if endpoints[i].Path == u.Path {
-			ep = &endpoints[i]
-			break
-		}
-	}
+	ep := d.endpoint(u.Path)
 	if ep == nil {
 		return 404, "", nil
 	}
 
 	values := u.Query()
-	wantJSON := false
 	var rawQ []byte
-	var q *dnswire.Message
+	var q *dnswire.Message // a JSON query, which never was in wire form
 	switch method {
 	case "POST":
 		if contentType != ContentTypeWire || !ep.Wire {
@@ -171,7 +239,6 @@ func (d *DoH) serve(ctx context.Context, method, rawPath, contentType string, bo
 			if !ep.JSON {
 				return 415, "", nil
 			}
-			wantJSON = true
 			q, err = dnsjson.ParseQuery(values)
 			if err != nil {
 				return 400, "", nil
@@ -183,27 +250,18 @@ func (d *DoH) serve(ctx context.Context, method, rawPath, contentType string, bo
 		return 405, "", nil
 	}
 
-	var tGuard time.Time
-	if d.Guard != nil {
-		if d.Telemetry.Tracing() {
-			tGuard = time.Now()
+	tGuard, key, refused := d.checkGuard(ctx)
+	if refused {
+		if rawQ != nil {
+			return d.refuseWire(rawQ, key)
 		}
-		if key, bound := guard.KeyFromContext(ctx); bound &&
-			d.Guard.CheckStream(key) == guard.ActionRefuse {
-			if rawQ != nil {
-				if resp, ok := d.Guard.AppendLimited(nil, rawQ, key, guard.ActionRefuse); ok {
-					return 200, ContentTypeWire, resp
-				}
-				return 400, "", nil
-			}
-			// JSON queries already parsed to a Message; refuse in kind.
-			r := q.Reply()
-			r.RCode = dnswire.RCodeRefused
-			if out, err := dnsjson.Encode(r); err == nil {
-				return 200, ContentTypeJSON, out
-			}
-			return 500, "", nil
+		// JSON queries already parsed to a Message; refuse in kind.
+		r := q.Reply()
+		r.RCode = dnswire.RCodeRefused
+		if out, err := dnsjson.Encode(r); err == nil {
+			return 200, ContentTypeJSON, out
 		}
+		return 500, "", nil
 	}
 
 	// The transaction spans decode → handler → DNS-payload encode; the
@@ -211,43 +269,54 @@ func (d *DoH) serve(ctx context.Context, method, rawPath, contentType string, bo
 	// DoH traces carry no write span (UDP and stream servers include their
 	// single write syscall, a few microseconds of skew at most).
 	c := newCore(d.Handler, d.Telemetry, telemetry.ProtoDoH)
-	var tx *telemetry.Transaction
 	if rawQ != nil {
-		// Hit step: a cache hit's packed bytes become the HTTP body with no
-		// Message in between. The body escapes into the HTTP response, so
-		// dst is nil — a fresh slice rather than a pooled buffer.
 		var fq dnswire.Query
-		var ok bool
-		if tx, ok = c.parse(&fq, rawQ, tGuard); ok {
-			if out, handled := c.serveWire(tx, &fq, nil, dnswire.MaxMessageLen); handled {
-				tx.Finish()
-				return 200, ContentTypeWire, out
-			}
+		out, tx, handled := c.hit(&fq, rawQ, tGuard)
+		if handled {
+			return 200, ContentTypeWire, out
 		}
-		q = new(dnswire.Message)
-		if tx, err = c.unpack(tx, rawQ, q); err != nil {
-			return 400, "", nil
+		return d.message(ctx, &c, tx, rawQ)
+	}
+	// Neither step's parse ran for a JSON query, so the adapter that
+	// decoded it begins its transaction.
+	tx := d.Telemetry.Begin(telemetry.ProtoDoH)
+	defer tx.Finish()
+	out, err := dnsjson.Encode(c.respond(ctx, tx, q))
+	if err != nil {
+		// The client sees HTTP 500, not the ok response Respond
+		// recorded — correct the verdict to match its fate.
+		tx.SetVerdict(telemetry.VerdictServFail)
+		return 500, "", nil
+	}
+	return 200, ContentTypeJSON, out
+}
+
+// hit is the hit step for an HTTP body: a cache hit's packed bytes become
+// the response body with no Message in between, in a slice of their own
+// because the body escapes into the HTTP response. handled=false leaves tx
+// (nil if the fast parse declined) for message to carry on with.
+func (c *core) hit(q *dnswire.Query, rawQ []byte, tGuard time.Time) (out []byte, tx *telemetry.Transaction, handled bool) {
+	tx, ok := c.parse(q, rawQ, tGuard)
+	if ok {
+		if out, handled = c.serveWire(tx, q, nil, dnswire.MaxMessageLen); handled {
+			tx.Finish()
 		}
-	} else {
-		// A JSON query never was in wire form: neither step's parse ran,
-		// so the adapter that decoded it begins its transaction.
-		tx = d.Telemetry.Begin(telemetry.ProtoDoH)
+	}
+	return out, tx, handled
+}
+
+// message is the Message step for a wireformat query, under the transaction
+// the hit step began, if it began one. Handler failures surface as
+// DNS-level SERVFAIL in an HTTP 200, the way RFC 8484 servers report
+// resolution (not transport) errors.
+func (d *DoH) message(ctx context.Context, c *core, tx *telemetry.Transaction, rawQ []byte) (status int, respCT string, respBody []byte) {
+	q := new(dnswire.Message)
+	tx, err := c.unpack(tx, rawQ, q)
+	if err != nil {
+		return 400, "", nil
 	}
 	defer tx.Finish()
-	// Handler failures surface as DNS-level SERVFAIL in an HTTP 200, the
-	// way RFC 8484 servers report resolution (not transport) errors.
-	resp := c.respond(ctx, tx, q)
-	if wantJSON {
-		out, err := dnsjson.Encode(resp)
-		if err != nil {
-			// The client sees HTTP 500, not the ok response Respond
-			// recorded — correct the verdict to match its fate.
-			tx.SetVerdict(telemetry.VerdictServFail)
-			return 500, "", nil
-		}
-		return 200, ContentTypeJSON, out
-	}
-	out, err := resp.Pack()
+	out, err := c.respond(ctx, tx, q).Pack()
 	if err != nil {
 		tx.SetVerdict(telemetry.VerdictServFail)
 		return 500, "", nil

@@ -536,6 +536,10 @@ type Server struct {
 	// DoHProcessing models HTTPS frontend per-request latency; see
 	// DoH.Processing.
 	DoHProcessing time.Duration
+	// DoHEmission is the h2.Emission model of the DoH listener: the study
+	// sets h2.FramePerFlight to reproduce the endpoints the paper captured;
+	// every other deployment leaves the zero value.
+	DoHEmission h2.Emission
 	// DoHHandler, when non-nil, answers DoH queries instead of Handler —
 	// providers that pad encrypted responses (RFC 8467) but not classic
 	// UDP/TCP need the split.
@@ -650,7 +654,7 @@ func (s *Server) Start(n *netsim.Network, host string) (*Running, error) {
 				h2h, h1h := doh.Bind(ctx)
 				switch tc.ConnectionState().NegotiatedProtocol {
 				case "h2":
-					(&h2.Server{Handler: h2h}).ServeConn(tc)
+					(&h2.Server{Handler: h2h, Emission: s.DoHEmission}).ServeConn(tc)
 				default:
 					(&h1.Server{Handler: h1h}).ServeConn(tc)
 				}

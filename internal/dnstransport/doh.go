@@ -75,6 +75,10 @@ type DoHClient struct {
 	// much of the per-connection overhead Figures 3–5 charge to the "H"
 	// scenarios — an extension the paper's §7 hints at.
 	ResumeSessions bool
+	// Emission is the h2.Emission model of this client's HTTP/2
+	// connections: the study sets h2.FramePerFlight to reproduce the
+	// browsers the paper captured; every other client leaves the zero value.
+	Emission h2.Emission
 	// Recorder, when set, receives per-exchange costs.
 	Recorder CostRecorder
 
@@ -159,7 +163,7 @@ func (c *DoHClient) connect(ctx context.Context) error {
 	c.mu.Unlock()
 
 	if c.Mode == ModeH2 {
-		h2c, err := h2.NewClientConn(tc)
+		h2c, err := h2.NewClientConn(tc, c.Emission)
 		if err != nil {
 			tc.Close()
 			return err

@@ -2,11 +2,11 @@ package h2
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
 	"strconv"
-	"sync"
 
 	"dohcost/internal/hpack"
 )
@@ -44,33 +44,22 @@ var ErrConnClosed = errors.New("h2: connection closed")
 
 // clientStream tracks one in-flight request.
 type clientStream struct {
-	id   uint32
+	stream
 	resp Response
 	err  error
 	done chan struct{}
 
-	sendWindow int64
-	hasStatus  bool
-	endStream  bool
+	hasStatus bool
 }
 
 // ClientConn is an HTTP/2 client connection multiplexing concurrent
 // requests over one transport connection. Safe for concurrent use.
 type ClientConn struct {
+	link
 	conn net.Conn
-	fr   *Framer
 
-	encMu sync.Mutex // serializes HPACK encoding and HEADERS emission
-	henc  *hpack.Encoder
-
-	mu             sync.Mutex
-	cond           *sync.Cond
-	streams        map[uint32]*clientStream
-	nextID         uint32
-	connSendWindow int64
-	initialWindow  int64
-	peerMaxFrame   uint32
-	closeErr       error
+	streams map[uint32]*clientStream // under mu
+	nextID  uint32                   // under encMu: ids ascend in emission order
 
 	// header continuation accumulation (read loop only)
 	hdec       *hpack.Decoder
@@ -81,20 +70,21 @@ type ClientConn struct {
 }
 
 // NewClientConn performs the client side of connection setup (preface and
-// SETTINGS) on conn and starts the read loop.
-func NewClientConn(conn net.Conn) (*ClientConn, error) {
+// SETTINGS) on conn and starts the read loop. model is the study's
+// Emission parameter (see the package comment); omitted, it is
+// MessagePerFlight.
+func NewClientConn(conn net.Conn, model ...Emission) (*ClientConn, error) {
 	cc := &ClientConn{
-		conn:           conn,
-		fr:             NewFramer(conn),
-		henc:           hpack.NewEncoder(),
-		hdec:           hpack.NewDecoder(),
-		streams:        make(map[uint32]*clientStream),
-		nextID:         1,
-		connSendWindow: defaultInitialWindowSize,
-		initialWindow:  defaultInitialWindowSize,
-		peerMaxFrame:   defaultMaxFrameSize,
+		conn:    conn,
+		hdec:    hpack.NewDecoder(),
+		streams: make(map[uint32]*clientStream),
+		nextID:  1,
 	}
-	cc.cond = sync.NewCond(&cc.mu)
+	var e Emission
+	if len(model) > 0 {
+		e = model[0]
+	}
+	cc.init(conn, e)
 	if err := cc.fr.WritePreface(); err != nil {
 		return nil, fmt.Errorf("h2: writing preface: %w", err)
 	}
@@ -121,19 +111,16 @@ func (cc *ClientConn) Close() error {
 }
 
 // failAll marks the connection dead and completes every pending stream with
-// err.
+// its first error.
 func (cc *ClientConn) failAll(err error) {
+	cc.fail(err)
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
-	if cc.closeErr == nil {
-		cc.closeErr = err
-	}
 	for id, cs := range cc.streams {
-		cs.err = cc.closeErr
+		cs.err = cc.err
 		close(cs.done)
 		delete(cc.streams, id)
 	}
-	cc.cond.Broadcast()
 }
 
 // RoundTrip sends req and waits for the complete response or ctx expiry.
@@ -142,12 +129,6 @@ func (cc *ClientConn) RoundTrip(ctx context.Context, req *Request) (*Response, e
 	cs, err := cc.startRequest(req)
 	if err != nil {
 		return nil, err
-	}
-	if len(req.Body) > 0 {
-		if err := cc.writeBody(cs, req.Body); err != nil {
-			cc.abortStream(cs, ErrCodeInternal)
-			return nil, err
-		}
 	}
 	select {
 	case <-cs.done:
@@ -161,148 +142,55 @@ func (cc *ClientConn) RoundTrip(ctx context.Context, req *Request) (*Response, e
 	}
 }
 
-// startRequest allocates a stream and writes the HEADERS frame.
+// startRequest opens a stream and sends req on it as one message.
 func (cc *ClientConn) startRequest(req *Request) (*clientStream, error) {
+	cs := &clientStream{done: make(chan struct{})}
+	cc.encMu.Lock()
 	cc.mu.Lock()
-	if cc.closeErr != nil {
+	if err := cc.err; err != nil {
 		cc.mu.Unlock()
-		return nil, cc.closeErr
+		cc.encMu.Unlock()
+		return nil, err
 	}
-	cs := &clientStream{
-		id:         cc.nextID,
-		done:       make(chan struct{}),
-		sendWindow: cc.initialWindow,
-	}
+	cs.id = cc.nextID
 	cc.nextID += 2
 	cc.streams[cs.id] = cs
 	cc.mu.Unlock()
 
-	fields := make([]hpack.HeaderField, 0, 4+len(req.Header))
-	fields = append(fields,
+	cc.fields = append(cc.fields[:0],
 		hpack.HeaderField{Name: ":method", Value: req.Method},
 		hpack.HeaderField{Name: ":scheme", Value: req.Scheme},
 		hpack.HeaderField{Name: ":authority", Value: req.Authority},
 		hpack.HeaderField{Name: ":path", Value: req.Path},
 	)
-	fields = append(fields, req.Header...)
-
-	var flags uint8
-	if len(req.Body) == 0 {
-		flags |= FlagEndStream
-	}
-	// Encoding and frame emission must stay ordered, so both happen under
-	// encMu. (The framer additionally serializes the actual write.)
-	cc.mu.Lock()
-	maxFrame := cc.peerMaxFrame
-	cc.mu.Unlock()
-	cc.encMu.Lock()
-	block := cc.henc.AppendEncode(nil, fields)
-	err := writeHeaderBlock(cc.fr, cs.id, flags, block, maxFrame)
-	cc.encMu.Unlock()
-	if err != nil {
-		cc.removeStream(cs)
-		return nil, fmt.Errorf("h2: writing HEADERS: %w", err)
+	cc.fields = append(cc.fields, req.Header...)
+	if _, err := cc.writeMessage(&cs.stream, req.Body, false); err != nil {
+		cc.abortStream(cs, ErrCodeInternal)
+		return nil, fmt.Errorf("h2: writing request: %w", err)
 	}
 	return cs, nil
 }
 
-// writeHeaderBlock emits a header block as HEADERS plus as many
-// CONTINUATION frames as the peer's frame-size limit requires. extraFlags
-// carries END_STREAM when there is no body.
-func writeHeaderBlock(fr *Framer, streamID uint32, extraFlags uint8, block []byte, maxFrame uint32) error {
-	first := true
-	for {
-		chunk := block
-		if uint32(len(chunk)) > maxFrame {
-			chunk = chunk[:maxFrame]
-		}
-		block = block[len(chunk):]
-		var flags uint8
-		typ := FrameContinuation
-		if first {
-			typ = FrameHeaders
-			flags = extraFlags
-			first = false
-		}
-		if len(block) == 0 {
-			flags |= FlagEndHeaders
-		}
-		if err := fr.WriteFrame(typ, flags, streamID, chunk); err != nil {
-			return err
-		}
-		if len(block) == 0 {
-			return nil
-		}
-	}
-}
-
-// writeBody sends DATA frames under connection and stream flow control,
-// ending the stream on the final frame.
-func (cc *ClientConn) writeBody(cs *clientStream, body []byte) error {
-	for len(body) > 0 {
-		n, err := cc.reserveWindow(cs, len(body))
-		if err != nil {
-			return err
-		}
-		chunk := body[:n]
-		body = body[n:]
-		var flags uint8
-		if len(body) == 0 {
-			flags = FlagEndStream
-		}
-		if err := cc.fr.WriteFrame(FrameData, flags, cs.id, chunk); err != nil {
-			return fmt.Errorf("h2: writing DATA: %w", err)
-		}
-	}
-	return nil
-}
-
-// reserveWindow blocks until some send window is available on both the
-// connection and the stream, then reserves and returns a chunk size.
-func (cc *ClientConn) reserveWindow(cs *clientStream, want int) (int, error) {
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	for {
-		if cc.closeErr != nil {
-			return 0, cc.closeErr
-		}
-		if cs.err != nil {
-			return 0, cs.err
-		}
-		n := int64(want)
-		if n > cc.connSendWindow {
-			n = cc.connSendWindow
-		}
-		if n > cs.sendWindow {
-			n = cs.sendWindow
-		}
-		if n > int64(cc.peerMaxFrame) {
-			n = int64(cc.peerMaxFrame)
-		}
-		if n > 0 {
-			cc.connSendWindow -= n
-			cs.sendWindow -= n
-			return int(n), nil
-		}
-		cc.cond.Wait()
-	}
-}
-
 // abortStream resets a stream after a local failure or cancellation.
 func (cc *ClientConn) abortStream(cs *clientStream, code ErrCode) {
-	payload := make([]byte, 4)
-	payload[0] = byte(uint32(code) >> 24)
-	payload[1] = byte(uint32(code) >> 16)
-	payload[2] = byte(uint32(code) >> 8)
-	payload[3] = byte(uint32(code))
-	cc.fr.WriteFrame(FrameRSTStream, 0, cs.id, payload)
-	cc.removeStream(cs)
+	cc.fr.WriteFrame(FrameRSTStream, 0, cs.id, binary.BigEndian.AppendUint32(nil, uint32(code)))
+	cc.take(cs.id)
 }
 
-func (cc *ClientConn) removeStream(cs *clientStream) {
+// take removes and returns the open stream with the given id, or nil.
+func (cc *ClientConn) take(id uint32) *clientStream {
 	cc.mu.Lock()
-	delete(cc.streams, cs.id)
-	cc.mu.Unlock()
+	defer cc.mu.Unlock()
+	cs := cc.streams[id]
+	delete(cc.streams, id)
+	return cs
+}
+
+// lookup returns the open stream with the given id, or nil.
+func (cc *ClientConn) lookup(id uint32) *clientStream {
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	return cc.streams[id]
 }
 
 // readLoop dispatches inbound frames until the connection dies.
@@ -336,18 +224,10 @@ func (cc *ClientConn) handleFrame(fr Frame) error {
 			return cc.fr.WriteFrame(FramePing, FlagAck, 0, payload)
 		}
 	case FrameWindowUpdate:
-		if len(fr.Payload) != 4 {
-			return ConnError{ErrCodeFrameSize, "bad WINDOW_UPDATE"}
+		if cs := cc.lookup(fr.StreamID); cs != nil {
+			return cc.handleWindowUpdate(fr, &cs.stream)
 		}
-		inc := int64(uint32(fr.Payload[0])<<24|uint32(fr.Payload[1])<<16|uint32(fr.Payload[2])<<8|uint32(fr.Payload[3])) & maxWindow
-		cc.mu.Lock()
-		if fr.StreamID == 0 {
-			cc.connSendWindow += inc
-		} else if cs := cc.streams[fr.StreamID]; cs != nil {
-			cs.sendWindow += inc
-		}
-		cc.cond.Broadcast()
-		cc.mu.Unlock()
+		return cc.handleWindowUpdate(fr, nil)
 	case FrameHeaders:
 		block, err := stripPadding(fr)
 		if err != nil {
@@ -372,12 +252,9 @@ func (cc *ClientConn) handleFrame(fr Frame) error {
 	case FrameData:
 		return cc.handleData(fr)
 	case FrameRSTStream:
-		cc.mu.Lock()
-		cs := cc.streams[fr.StreamID]
-		delete(cc.streams, fr.StreamID)
-		cc.mu.Unlock()
-		if cs != nil {
-			cs.err = StreamError{fr.StreamID, ErrCodeStreamClosed, "reset by peer"}
+		if cs := cc.take(fr.StreamID); cs != nil {
+			cc.peerReset(&cs.stream, fr)
+			cs.err = cs.reset
 			close(cs.done)
 		}
 	case FrameGoAway:
@@ -389,38 +266,6 @@ func (cc *ClientConn) handleFrame(fr Frame) error {
 	return nil
 }
 
-func (cc *ClientConn) handleSettings(fr Frame) error {
-	if fr.Flags&FlagAck != 0 {
-		return nil
-	}
-	settings, err := decodeSettings(fr.Payload)
-	if err != nil {
-		return err
-	}
-	for _, s := range settings {
-		switch s.ID {
-		case SettingInitialWindowSize:
-			cc.mu.Lock()
-			delta := int64(s.Value) - cc.initialWindow
-			cc.initialWindow = int64(s.Value)
-			for _, cs := range cc.streams {
-				cs.sendWindow += delta
-			}
-			cc.cond.Broadcast()
-			cc.mu.Unlock()
-		case SettingMaxFrameSize:
-			cc.mu.Lock()
-			cc.peerMaxFrame = s.Value
-			cc.mu.Unlock()
-		case SettingHeaderTableSize:
-			cc.encMu.Lock()
-			cc.henc.SetMaxDynamicTableSize(int(s.Value))
-			cc.encMu.Unlock()
-		}
-	}
-	return cc.fr.WriteFrame(FrameSettings, FlagAck, 0, nil)
-}
-
 // finishHeaders decodes an assembled header block and applies it to its
 // stream.
 func (cc *ClientConn) finishHeaders() error {
@@ -428,9 +273,7 @@ func (cc *ClientConn) finishHeaders() error {
 	if err != nil {
 		return ConnError{ErrCodeCompression, err.Error()}
 	}
-	cc.mu.Lock()
-	cs := cc.streams[cc.contStream]
-	cc.mu.Unlock()
+	cs := cc.lookup(cc.contStream)
 	if cs == nil {
 		return nil // stream already gone (cancelled); state remains valid
 	}
@@ -457,40 +300,21 @@ func (cc *ClientConn) handleData(fr Frame) error {
 	if err != nil {
 		return err
 	}
-	cc.mu.Lock()
-	cs := cc.streams[fr.StreamID]
-	cc.mu.Unlock()
+	cs := cc.lookup(fr.StreamID)
 	if cs == nil {
-		// Stale DATA for a cancelled stream: replenish the connection
-		// window and move on.
-		return cc.sendWindowUpdate(0, len(fr.Payload))
+		// Stale DATA for a cancelled stream: only the connection is owed.
+		return cc.credit(0, len(fr.Payload))
 	}
 	cs.resp.Body = append(cs.resp.Body, data...)
 	if fr.Flags&FlagEndStream != 0 {
 		cc.completeStream(cs)
-		return cc.sendWindowUpdate(0, len(fr.Payload))
+		return cc.credit(0, len(fr.Payload))
 	}
-	if err := cc.sendWindowUpdate(0, len(fr.Payload)); err != nil {
-		return err
-	}
-	return cc.sendWindowUpdate(fr.StreamID, len(fr.Payload))
-}
-
-// sendWindowUpdate replenishes flow-control credit consumed by a DATA frame.
-func (cc *ClientConn) sendWindowUpdate(streamID uint32, n int) error {
-	if n <= 0 {
-		return nil
-	}
-	payload := []byte{byte(n >> 24), byte(n >> 16), byte(n >> 8), byte(n)}
-	return cc.fr.WriteFrame(FrameWindowUpdate, 0, streamID, payload)
+	return cc.credit(cs.id, len(fr.Payload))
 }
 
 func (cc *ClientConn) completeStream(cs *clientStream) {
-	cc.mu.Lock()
-	_, live := cc.streams[cs.id]
-	delete(cc.streams, cs.id)
-	cc.mu.Unlock()
-	if !live {
+	if cc.take(cs.id) == nil {
 		return
 	}
 	if !cs.hasStatus {

@@ -13,8 +13,21 @@
 //     (Hdr), and frame headers plus connection-management frames (Mgmt) —
 //     so layer costs are measured, not inferred.
 //
-// Each frame is written with a single Write call, so the simulated network
-// observes realistic per-frame flights for packet accounting.
+// A message, not a frame, is the unit of emission: a request or response
+// whose body fits the send windows and one frame leaves as HEADERS
+// (+CONTINUATION) + DATA(END_STREAM) in a single Write — one TLS record, one
+// syscall, one wake-up at the peer — and connection-level flow-control
+// credit is returned when half the window is owed, not per DATA frame. A
+// Framer flight (Begin/Add/End) is the mechanism; bodies that do not fit
+// fall back to one flight per DATA frame under flow control.
+//
+// The paper's Figures 3–5 were captured from 2019 browser/provider pairs
+// that emitted every frame as its own flight and credited every DATA frame
+// at once (8–11 packets per persistent resolution). The Emission model
+// parameter FramePerFlight reproduces that through the same code — flights
+// of one frame, a credit threshold of one byte. Only the study sets it:
+// core.Topology on the resolvers it deploys and on the DoH clients it hands
+// out. Everything else, the forwarding proxy included, takes the default.
 package h2
 
 import (
@@ -190,8 +203,8 @@ func (s *FrameStats) Layer() meter.H2Layer {
 func (s *FrameStats) Snapshot() meter.H2Layer { return s.Layer() }
 
 // Framer reads and writes HTTP/2 frames on one connection and owns the
-// byte accounting. Writes are serialized by the caller (connection write
-// mutex); reads happen on the read loop.
+// byte accounting. Writes are serialized flight by flight; reads happen on
+// the read loop.
 type Framer struct {
 	r io.Reader
 	w io.Writer
@@ -200,8 +213,10 @@ type Framer struct {
 	readBuf          []byte
 	readHeader       [frameHeaderLen]byte
 
-	wmu      sync.Mutex
+	wmu      sync.Mutex // held from Begin to End
 	writeBuf []byte
+	werr     error
+	emission Emission
 
 	Stats FrameStats
 }
@@ -253,25 +268,68 @@ func (f *Framer) ReadFrame() (Frame, error) {
 	return fr, nil
 }
 
-// WriteFrame emits one frame with a single Write call so the network sees
-// one flight per frame. Safe for concurrent use.
-func (f *Framer) WriteFrame(t FrameType, flags uint8, streamID uint32, payload []byte) error {
-	if len(payload) >= 1<<24 {
-		return ConnError{ErrCodeFrameSize, "payload too large"}
-	}
+// Emission is the model parameter that sets how frames are grouped into
+// flights and how soon connection-level flow-control credit is returned.
+// It is a property of the endpoint being modelled, not a tuning knob: see
+// the package comment for who sets it.
+type Emission uint8
+
+const (
+	// MessagePerFlight, the default, coalesces a message's frames into one
+	// Write and returns connection credit at half the window.
+	MessagePerFlight Emission = iota
+	// FramePerFlight writes every frame on its own and returns connection
+	// credit on every DATA frame, as the endpoints the paper captured did.
+	FramePerFlight
+)
+
+// Begin opens a flight: the frames Added until End leave in one Write (or,
+// under FramePerFlight, one Write each). Flights from concurrent writers
+// do not interleave.
+func (f *Framer) Begin() {
 	f.wmu.Lock()
-	defer f.wmu.Unlock()
-	f.writeBuf = f.writeBuf[:0]
+	f.writeBuf, f.werr = f.writeBuf[:0], nil
+}
+
+// Add appends one frame to the open flight and accounts it. payload must be
+// shorter than 1<<24 bytes.
+func (f *Framer) Add(t FrameType, flags uint8, streamID uint32, payload []byte) {
 	f.writeBuf = append(f.writeBuf,
 		byte(len(payload)>>16), byte(len(payload)>>8), byte(len(payload)),
 		byte(t), flags)
 	f.writeBuf = binary.BigEndian.AppendUint32(f.writeBuf, streamID&0x7FFFFFFF)
 	f.writeBuf = append(f.writeBuf, payload...)
-	if _, err := f.w.Write(f.writeBuf); err != nil {
-		return err
-	}
 	f.Stats.record(t, len(payload))
-	return nil
+	if f.emission == FramePerFlight {
+		f.flush()
+	}
+}
+
+// flush writes what the flight holds; the first error sticks until End.
+func (f *Framer) flush() {
+	if len(f.writeBuf) > 0 && f.werr == nil {
+		_, f.werr = f.w.Write(f.writeBuf)
+	}
+	f.writeBuf = f.writeBuf[:0]
+}
+
+// End sends the flight and reports its first write error. An empty flight
+// writes nothing.
+func (f *Framer) End() error {
+	f.flush()
+	err := f.werr
+	f.wmu.Unlock()
+	return err
+}
+
+// WriteFrame emits a flight of one frame. Safe for concurrent use.
+func (f *Framer) WriteFrame(t FrameType, flags uint8, streamID uint32, payload []byte) error {
+	if len(payload) >= 1<<24 {
+		return ConnError{ErrCodeFrameSize, "payload too large"}
+	}
+	f.Begin()
+	f.Add(t, flags, streamID, payload)
+	return f.End()
 }
 
 // WritePreface sends the client connection preface and accounts it as

@@ -18,13 +18,18 @@ import (
 // startServer serves h on a netsim listener and returns a dialer.
 func startServer(t *testing.T, h Handler) func() (net.Conn, error) {
 	t.Helper()
+	return serve(t, &Server{Handler: h})
+}
+
+// serve runs srv on a netsim listener and returns a dialer.
+func serve(t *testing.T, srv *Server) func() (net.Conn, error) {
+	t.Helper()
 	n := netsim.New(1)
 	l, err := n.Listen("h2.test:443")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { l.Close() })
-	srv := &Server{Handler: h}
 	go func() {
 		for {
 			c, err := l.Accept()
@@ -209,20 +214,33 @@ func TestLargeBodyFlowControl(t *testing.T) {
 }
 
 func TestLargeRequestBodyUpload(t *testing.T) {
-	big := bytes.Repeat([]byte("u"), 200<<10)
+	// The server resets a request body past maxRequestBody, so what forces
+	// uploads through flow control is several at once: each 60 KB body
+	// exceeds the 16 KB frame size, and four exceed the 64 KB connection
+	// window until the server's WINDOW_UPDATEs arrive.
+	big := bytes.Repeat([]byte("u"), 60<<10)
 	dial := startServer(t, HandlerFunc(func(req *Request) *Response {
 		return &Response{Status: 200, Body: []byte(fmt.Sprintf("%d", len(req.Body)))}
 	}))
 	cc := dialClient(t, dial)
-	resp, err := cc.RoundTrip(context.Background(), &Request{
-		Method: "POST", Scheme: "https", Authority: "h2.test", Path: "/up", Body: big,
-	})
-	if err != nil {
-		t.Fatal(err)
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := cc.RoundTrip(context.Background(), &Request{
+				Method: "POST", Scheme: "https", Authority: "h2.test", Path: "/up", Body: big,
+			})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if string(resp.Body) != fmt.Sprintf("%d", len(big)) {
+				t.Errorf("server saw %s bytes, want %d", resp.Body, len(big))
+			}
+		}()
 	}
-	if string(resp.Body) != fmt.Sprintf("%d", len(big)) {
-		t.Errorf("server saw %s bytes, want %d", resp.Body, len(big))
-	}
+	wg.Wait()
 }
 
 func TestLargeHeadersUseContinuation(t *testing.T) {

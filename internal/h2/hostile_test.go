@@ -1,0 +1,303 @@
+package h2
+
+// The server against peers that do not follow the protocol, or follow it to
+// exhaust the server: frames on finished streams, unbounded bodies, more
+// streams than advertised, arbitrary bytes.
+
+import (
+	"bytes"
+	"context"
+	"encoding/binary"
+	"errors"
+	"net"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"dohcost/internal/hpack"
+)
+
+// rawClient speaks frames directly: preface and SETTINGS are sent, the
+// server's SETTINGS are not yet read.
+func rawClient(t *testing.T, srv *Server) *Framer {
+	t.Helper()
+	c, s := pipe(t)
+	go srv.ServeConn(s)
+	fr := NewFramer(c)
+	if err := fr.WritePreface(); err != nil {
+		t.Fatal(err)
+	}
+	if err := fr.WriteFrame(FrameSettings, 0, 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	return fr
+}
+
+func requestBlock(method, path string) []byte {
+	return hpack.NewEncoder().AppendEncode(nil, []hpack.HeaderField{
+		{Name: ":method", Value: method}, {Name: ":scheme", Value: "https"},
+		{Name: ":authority", Value: "h2.test"}, {Name: ":path", Value: path},
+	})
+}
+
+// readUntil returns the frames read up to and including the first that
+// matches, payloads copied.
+func readUntil(t *testing.T, fr *Framer, match func(Frame) bool) []Frame {
+	t.Helper()
+	var seen []Frame
+	for {
+		f, err := fr.ReadFrame()
+		if err != nil {
+			t.Fatalf("after %d frames: %v", len(seen), err)
+		}
+		f.Payload = append([]byte(nil), f.Payload...)
+		if seen = append(seen, f); match(f) {
+			return seen
+		}
+	}
+}
+
+func isReset(id uint32, code ErrCode) func(Frame) bool {
+	return func(f Frame) bool {
+		return f.Type == FrameRSTStream && f.StreamID == id && len(f.Payload) == 4 &&
+			ErrCode(binary.BigEndian.Uint32(f.Payload)) == code
+	}
+}
+
+// TestFramesOnHalfClosedStreamAreReset: once a request has ended, DATA or
+// HEADERS on its stream is answered RST_STREAM(STREAM_CLOSED). The handler
+// ran once, on a request nobody appends to under it, and the reset stream
+// gets no response.
+func TestFramesOnHalfClosedStreamAreReset(t *testing.T) {
+	var runs atomic.Int64
+	entered, release := make(chan struct{}, 2), make(chan struct{})
+	fr := rawClient(t, &Server{Handler: HandlerFunc(func(req *Request) *Response {
+		runs.Add(1)
+		entered <- struct{}{}
+		<-release
+		return &Response{Status: 200, Body: req.Body}
+	})})
+	for i, second := range []FrameType{FrameData, FrameHeaders} {
+		id := uint32(2*i + 1)
+		if err := fr.WriteFrame(FrameHeaders, FlagEndHeaders, id, requestBlock("POST", "/")); err != nil {
+			t.Fatal(err)
+		}
+		if err := fr.WriteFrame(FrameData, FlagEndStream, id, []byte("once")); err != nil {
+			t.Fatal(err)
+		}
+		<-entered
+		payload, flags := []byte("twice"), uint8(FlagEndStream)
+		if second == FrameHeaders {
+			payload, flags = requestBlock("POST", "/"), FlagEndStream|FlagEndHeaders
+		}
+		if err := fr.WriteFrame(second, flags, id, payload); err != nil {
+			t.Fatal(err)
+		}
+		readUntil(t, fr, isReset(id, ErrCodeStreamClosed))
+	}
+	close(release)
+	if err := fr.WriteFrame(FramePing, 0, 0, make([]byte, 8)); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range readUntil(t, fr, func(f Frame) bool { return f.Type == FramePing }) {
+		if f.Type == FrameHeaders || f.Type == FrameData {
+			t.Errorf("%s on reset stream %d", f.Type, f.StreamID)
+		}
+	}
+	if runs.Load() != 2 {
+		t.Errorf("handler ran %d times for 2 streams", runs.Load())
+	}
+}
+
+// TestClosedStreamIDIsNotReopened: HEADERS on an id at or below the highest
+// one opened, its stream gone, is a connection error, not a second request.
+func TestClosedStreamIDIsNotReopened(t *testing.T) {
+	var runs atomic.Int64
+	fr := rawClient(t, &Server{Handler: HandlerFunc(func(*Request) *Response {
+		runs.Add(1)
+		return &Response{Status: 200}
+	})})
+	open := func() {
+		if err := fr.WriteFrame(FrameHeaders, FlagEndHeaders|FlagEndStream, 5, requestBlock("GET", "/")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	open()
+	readUntil(t, fr, func(f Frame) bool { return f.Type == FrameHeaders && f.StreamID == 5 })
+	open()
+	readUntil(t, fr, func(f Frame) bool { return f.Type == FrameGoAway })
+	if runs.Load() != 1 {
+		t.Errorf("handler ran %d times for one stream id", runs.Load())
+	}
+}
+
+// TestRequestBodyCap: a request body past the largest DNS message is reset,
+// not buffered, and the connection carries on.
+func TestRequestBodyCap(t *testing.T) {
+	var runs atomic.Int64
+	cc := dialClient(t, startServer(t, HandlerFunc(func(req *Request) *Response {
+		runs.Add(1)
+		return &Response{Status: 200, Body: req.Body}
+	})))
+	_, err := cc.RoundTrip(context.Background(), &Request{
+		Method: "POST", Scheme: "https", Authority: "h2.test", Path: "/", Body: bytes.Repeat([]byte("B"), 70<<10),
+	})
+	var reset StreamError
+	if !errors.As(err, &reset) || reset.Code != ErrCodeEnhanceYourCalm {
+		t.Fatalf("70 KB body: %v, want RST_STREAM(ENHANCE_YOUR_CALM)", err)
+	}
+	if runs.Load() != 0 {
+		t.Error("handler ran on a request that was reset")
+	}
+	limit := bytes.Repeat([]byte("b"), maxRequestBody)
+	if resp := post(t, cc, "/", limit); !bytes.Equal(resp.Body, limit) {
+		t.Errorf("a %d-byte body after the reset: %d bytes back", len(limit), len(resp.Body))
+	}
+}
+
+// TestMaxConcurrentStreamsEnforced: with every advertised slot held by a
+// blocked handler the next dispatched stream is refused, while hits the
+// inline step answers need no slot; slots free as handlers return.
+func TestMaxConcurrentStreamsEnforced(t *testing.T) {
+	h := &splitHandler{entered: make(chan struct{}, maxConcurrentStreams), release: make(chan struct{})}
+	cc := dialClient(t, startServer(t, h))
+	get := func(path string) error {
+		_, err := cc.RoundTrip(context.Background(), &Request{Method: "GET", Scheme: "https", Authority: "h2.test", Path: path})
+		return err
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < maxConcurrentStreams; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := get("/block"); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	for i := 0; i < maxConcurrentStreams; i++ {
+		<-h.entered
+	}
+	var reset StreamError
+	if err := get("/one-too-many"); !errors.As(err, &reset) || reset.Code != ErrCodeRefusedStream {
+		t.Errorf("stream %d: %v, want RST_STREAM(REFUSED_STREAM)", maxConcurrentStreams+1, err)
+	}
+	if err := get("/hit"); err != nil {
+		t.Errorf("inline hit with every slot held: %v", err)
+	}
+	close(h.release)
+	wg.Wait()
+	if err := get("/after"); err != nil {
+		t.Errorf("after the slots freed: %v", err)
+	}
+}
+
+// scriptConn plays a fixed byte string to the server and records what the
+// server writes back.
+type scriptConn struct {
+	net.Conn // nil: the server must need nothing but Read, Write and Close
+	mu       sync.Mutex
+	in       *bytes.Reader
+	out      bytes.Buffer
+}
+
+func (c *scriptConn) Read(p []byte) (int, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.in.Read(p)
+}
+
+func (c *scriptConn) Write(p []byte) (int, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.out.Write(p)
+}
+
+func (c *scriptConn) Close() error { return nil }
+
+// FuzzServerConn feeds the server arbitrary bytes after a valid preface.
+// Whatever they are: no panic, ServeConn returns with every handler
+// goroutine finished, no request is handed to the handler twice, and no
+// stream carries two responses.
+func FuzzServerConn(f *testing.F) {
+	script := func(write func(fr *Framer)) []byte {
+		var b bytes.Buffer
+		fr := NewFramer(&b)
+		fr.WriteFrame(FrameSettings, 0, 0, nil)
+		write(fr)
+		return b.Bytes()
+	}
+	block := requestBlock("POST", "/dns-query")
+	f.Add(script(func(fr *Framer) { // a recorded POST
+		fr.WriteFrame(FrameHeaders, FlagEndHeaders, 1, block)
+		fr.WriteFrame(FrameData, FlagEndStream, 1, []byte("query"))
+	}))
+	f.Add(script(func(fr *Framer) { // a header block split across CONTINUATION
+		fr.WriteFrame(FrameHeaders, FlagEndStream, 1, block[:3])
+		fr.WriteFrame(FrameContinuation, 0, 1, block[3:5])
+		fr.WriteFrame(FrameContinuation, FlagEndHeaders, 1, block[5:])
+	}))
+	f.Add(script(func(fr *Framer) { // END_STREAM twice on one stream
+		fr.WriteFrame(FrameHeaders, FlagEndHeaders, 1, block)
+		fr.WriteFrame(FrameData, FlagEndStream, 1, []byte("once"))
+		fr.WriteFrame(FrameData, FlagEndStream, 1, []byte("twice"))
+		fr.WriteFrame(FrameHeaders, FlagEndHeaders|FlagEndStream, 1, block)
+	}))
+	f.Add(script(func(fr *Framer) { // windows pushed to and past 2^31-1
+		fr.WriteFrame(FrameWindowUpdate, 0, 0, []byte{0x7f, 0xff, 0xff, 0xff})
+		fr.WriteFrame(FrameHeaders, FlagEndHeaders, 1, block)
+		fr.WriteFrame(FrameWindowUpdate, 0, 1, []byte{0x7f, 0xff, 0xff, 0xff})
+		fr.WriteFrame(FrameData, FlagEndStream, 1, []byte("query"))
+	}))
+	f.Add(script(func(fr *Framer) { // a response that must wait for window forever
+		fr.WriteFrame(FrameSettings, 0, 0, encodeSettings([]Setting{{SettingInitialWindowSize, 0}, {SettingMaxFrameSize, 0}}))
+		fr.WriteFrame(FrameSettings, 0, 0, encodeSettings([]Setting{{SettingInitialWindowSize, 0}}))
+		fr.WriteFrame(FrameHeaders, FlagEndHeaders|FlagEndStream, 1, block)
+		fr.WriteFrame(FramePing, 0, 0, make([]byte, 8))
+	}))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var mu sync.Mutex
+		seen := make(map[*Request]bool)
+		var running atomic.Int64
+		srv := &Server{Handler: HandlerFunc(func(req *Request) *Response {
+			running.Add(1)
+			defer running.Add(-1)
+			mu.Lock()
+			if seen[req] {
+				t.Error("one request handed to the handler twice")
+			}
+			seen[req] = true
+			mu.Unlock()
+			return &Response{Status: 200, Body: req.Body}
+		})}
+		conn := &scriptConn{in: bytes.NewReader(append([]byte(ClientPreface), data...))}
+		done := make(chan struct{})
+		go func() { srv.ServeConn(conn); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatal("ServeConn did not return after its input ended")
+		}
+		if n := running.Load(); n != 0 {
+			t.Errorf("%d handlers still running after ServeConn returned", n)
+		}
+		responses := make(map[uint32]int)
+		for b := conn.out.Bytes(); len(b) > 0; {
+			if len(b) < frameHeaderLen {
+				t.Fatalf("server output ends in a partial frame header: %x", b)
+			}
+			end := frameHeaderLen + (int(b[0])<<16 | int(b[1])<<8 | int(b[2]))
+			if len(b) < end {
+				t.Fatalf("server output ends in a partial frame: %x", b)
+			}
+			if id := binary.BigEndian.Uint32(b[5:]); FrameType(b[3]) == FrameHeaders {
+				if responses[id]++; responses[id] > 1 {
+					t.Errorf("stream %d carries %d responses", id, responses[id])
+				}
+			}
+			b = b[end:]
+		}
+	})
+}

@@ -1,6 +1,7 @@
 package h2
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -13,7 +14,8 @@ import (
 
 // Handler produces the response for one request. Handlers run concurrently,
 // one goroutine per stream — a slow handler delays only its own stream,
-// which is precisely the property Figure 2 measures.
+// which is precisely the property Figure 2 measures. What an InlineHandler
+// answers on the read loop never gets that far.
 type Handler interface {
 	ServeH2(req *Request) *Response
 }
@@ -24,40 +26,56 @@ type HandlerFunc func(req *Request) *Response
 // ServeH2 implements Handler.
 func (f HandlerFunc) ServeH2(req *Request) *Response { return f(req) }
 
+// InlineHandler is the optional step a Handler offers the connection's read
+// loop, asked once a request is complete and before the stream gets its
+// goroutine. ServeH2Inline must not block. A non-nil resp answers the
+// request: the server writes it from the read loop when it fits the send
+// windows, else from the stream's goroutine. A nil resp declines, and the
+// stream's goroutine runs next — the handler's way to carry on with what the
+// inline step began — or ServeH2 when next is nil too.
+type InlineHandler interface {
+	Handler
+	ServeH2Inline(req *Request) (resp *Response, next func() *Response)
+}
+
 // Server serves HTTP/2 connections.
 type Server struct {
 	Handler Handler
 	// MaxFrameSize advertised to peers; zero means the 16 KB default.
 	MaxFrameSize uint32
+	// Emission is the study's model parameter (see the package comment);
+	// the zero value is MessagePerFlight.
+	Emission Emission
 }
+
+const (
+	// maxConcurrentStreams is advertised, and enforced on streams whose
+	// handler is running or whose response is waiting for window.
+	maxConcurrentStreams = 1000
+	// maxRequestBody is the largest DNS message: nothing this server
+	// carries needs a longer request, so a longer one is reset rather
+	// than buffered.
+	maxRequestBody = 65535
+)
 
 // serverStream accumulates one inbound request.
 type serverStream struct {
-	id        uint32
-	req       Request
-	gotEnd    bool
-	headersOK bool
-
-	sendWindow int64
+	stream
+	req    Request
+	gotEnd bool // half-closed (remote): the request is complete
 }
 
 // serverConn is the per-connection state.
 type serverConn struct {
-	srv  *Server
-	conn net.Conn
-	fr   *Framer
+	link
+	srv    *Server
+	inline InlineHandler // srv.Handler's inline step, if it has one
+	conn   net.Conn
+	hdec   *hpack.Decoder
 
-	encMu sync.Mutex
-	henc  *hpack.Encoder
-	hdec  *hpack.Decoder
-
-	mu             sync.Mutex
-	cond           *sync.Cond
-	streams        map[uint32]*serverStream
-	connSendWindow int64
-	initialWindow  int64
-	peerMaxFrame   uint32
-	closed         bool
+	streams    map[uint32]*serverStream // under mu
+	active     int                      // streams holding a goroutine, under mu
+	lastStream uint32                   // highest id opened (read loop only)
 
 	contStream uint32
 	contEnd    bool
@@ -72,22 +90,15 @@ type serverConn struct {
 // (client GOAWAY or EOF).
 func (s *Server) ServeConn(conn net.Conn) error {
 	sc := &serverConn{
-		srv:            s,
-		conn:           conn,
-		fr:             NewFramer(conn),
-		henc:           hpack.NewEncoder(),
-		hdec:           hpack.NewDecoder(),
-		streams:        make(map[uint32]*serverStream),
-		connSendWindow: defaultInitialWindowSize,
-		initialWindow:  defaultInitialWindowSize,
-		peerMaxFrame:   defaultMaxFrameSize,
+		srv:     s,
+		conn:    conn,
+		hdec:    hpack.NewDecoder(),
+		streams: make(map[uint32]*serverStream),
 	}
-	sc.cond = sync.NewCond(&sc.mu)
+	sc.init(conn, s.Emission)
+	sc.inline, _ = s.Handler.(InlineHandler)
 	defer func() {
-		sc.mu.Lock()
-		sc.closed = true
-		sc.cond.Broadcast()
-		sc.mu.Unlock()
+		sc.fail(ErrConnClosed)
 		conn.Close()
 		sc.wg.Wait()
 	}()
@@ -100,7 +111,7 @@ func (s *Server) ServeConn(conn net.Conn) error {
 		maxFrame = defaultMaxFrameSize
 	}
 	err := sc.fr.WriteFrame(FrameSettings, 0, 0, encodeSettings([]Setting{
-		{SettingMaxConcurrentStreams, 1000},
+		{SettingMaxConcurrentStreams, maxConcurrentStreams},
 		{SettingMaxFrameSize, maxFrame},
 		{SettingInitialWindowSize, defaultInitialWindowSize},
 	}))
@@ -130,6 +141,13 @@ func (s *Server) ServeConn(conn net.Conn) error {
 // Stats returns nil until ServeConn has started; exposed mainly for tests.
 func (sc *serverConn) Stats() *FrameStats { return &sc.fr.Stats }
 
+// lookup returns the open stream with the given id, or nil.
+func (sc *serverConn) lookup(id uint32) *serverStream {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	return sc.streams[id]
+}
+
 func (sc *serverConn) handleFrame(fr Frame) error {
 	if sc.inContinue && fr.Type != FrameContinuation {
 		return ConnError{ErrCodeProtocol, "expected CONTINUATION"}
@@ -143,18 +161,10 @@ func (sc *serverConn) handleFrame(fr Frame) error {
 			return sc.fr.WriteFrame(FramePing, FlagAck, 0, payload)
 		}
 	case FrameWindowUpdate:
-		if len(fr.Payload) != 4 {
-			return ConnError{ErrCodeFrameSize, "bad WINDOW_UPDATE"}
+		if st := sc.lookup(fr.StreamID); st != nil {
+			return sc.handleWindowUpdate(fr, &st.stream)
 		}
-		inc := int64(uint32(fr.Payload[0])<<24|uint32(fr.Payload[1])<<16|uint32(fr.Payload[2])<<8|uint32(fr.Payload[3])) & maxWindow
-		sc.mu.Lock()
-		if fr.StreamID == 0 {
-			sc.connSendWindow += inc
-		} else if st := sc.streams[fr.StreamID]; st != nil {
-			st.sendWindow += inc
-		}
-		sc.cond.Broadcast()
-		sc.mu.Unlock()
+		return sc.handleWindowUpdate(fr, nil)
 	case FrameHeaders:
 		if fr.StreamID == 0 || fr.StreamID%2 == 0 {
 			return ConnError{ErrCodeProtocol, "bad stream id for HEADERS"}
@@ -182,9 +192,10 @@ func (sc *serverConn) handleFrame(fr Frame) error {
 	case FrameData:
 		return sc.handleData(fr)
 	case FrameRSTStream:
-		sc.mu.Lock()
-		delete(sc.streams, fr.StreamID)
-		sc.mu.Unlock()
+		if st := sc.lookup(fr.StreamID); st != nil {
+			sc.peerReset(&st.stream, fr)
+			sc.closeStream(st)
+		}
 	case FrameGoAway:
 		return ConnError{ErrCodeNo, "client GOAWAY"}
 	case FramePriority, FramePushPromise:
@@ -193,49 +204,25 @@ func (sc *serverConn) handleFrame(fr Frame) error {
 	return nil
 }
 
-func (sc *serverConn) handleSettings(fr Frame) error {
-	if fr.Flags&FlagAck != 0 {
-		return nil
-	}
-	settings, err := decodeSettings(fr.Payload)
-	if err != nil {
-		return err
-	}
-	for _, s := range settings {
-		switch s.ID {
-		case SettingInitialWindowSize:
-			sc.mu.Lock()
-			delta := int64(s.Value) - sc.initialWindow
-			sc.initialWindow = int64(s.Value)
-			for _, st := range sc.streams {
-				st.sendWindow += delta
-			}
-			sc.cond.Broadcast()
-			sc.mu.Unlock()
-		case SettingMaxFrameSize:
-			sc.mu.Lock()
-			sc.peerMaxFrame = s.Value
-			sc.mu.Unlock()
-		case SettingHeaderTableSize:
-			sc.encMu.Lock()
-			sc.henc.SetMaxDynamicTableSize(int(s.Value))
-			sc.encMu.Unlock()
-		}
-	}
-	return sc.fr.WriteFrame(FrameSettings, FlagAck, 0, nil)
-}
-
 func (sc *serverConn) finishHeaders() error {
 	fields, err := sc.hdec.Decode(sc.contBuf)
 	if err != nil {
 		return ConnError{ErrCodeCompression, err.Error()}
 	}
-	st := &serverStream{id: sc.contStream}
-	sc.mu.Lock()
-	st.sendWindow = sc.initialWindow
-	sc.streams[st.id] = st
-	sc.mu.Unlock()
-
+	id := sc.contStream
+	if st := sc.lookup(id); st != nil {
+		// A second header block is trailers, which may only end an open
+		// request; half-closed (remote) takes no more frames.
+		if st.gotEnd || !sc.contEnd {
+			return sc.resetStream(st, ErrCodeStreamClosed)
+		}
+		return sc.endStream(st)
+	}
+	if id <= sc.lastStream {
+		return ConnError{ErrCodeProtocol, "HEADERS on a closed stream"}
+	}
+	sc.lastStream = id
+	st := &serverStream{stream: stream{id: id}}
 	for _, f := range fields {
 		switch f.Name {
 		case ":method":
@@ -250,12 +237,14 @@ func (sc *serverConn) finishHeaders() error {
 			st.req.Header = append(st.req.Header, f)
 		}
 	}
-	st.headersOK = st.req.Method != "" && st.req.Path != ""
-	if !st.headersOK {
-		return sc.resetStream(st.id, ErrCodeProtocol)
+	if st.req.Method == "" || st.req.Path == "" {
+		return sc.resetStream(st, ErrCodeProtocol)
 	}
+	sc.mu.Lock()
+	sc.streams[id] = st
+	sc.mu.Unlock()
 	if sc.contEnd {
-		sc.dispatch(st)
+		return sc.endStream(st)
 	}
 	return nil
 }
@@ -265,119 +254,117 @@ func (sc *serverConn) handleData(fr Frame) error {
 	if err != nil {
 		return err
 	}
-	sc.mu.Lock()
-	st := sc.streams[fr.StreamID]
-	sc.mu.Unlock()
-	if st == nil {
-		return sc.sendWindowUpdate(0, len(fr.Payload))
+	st, n := sc.lookup(fr.StreamID), len(fr.Payload)
+	switch {
+	case st == nil: // stale DATA for a stream already gone
+		return sc.credit(0, n)
+	case st.gotEnd, len(st.req.Body)+len(data) > maxRequestBody:
+		code := ErrCodeEnhanceYourCalm
+		if st.gotEnd {
+			code = ErrCodeStreamClosed // half-closed (remote) takes no more frames
+		}
+		if err := sc.credit(0, n); err != nil {
+			return err
+		}
+		return sc.resetStream(st, code)
 	}
 	st.req.Body = append(st.req.Body, data...)
-	if err := sc.sendWindowUpdate(0, len(fr.Payload)); err != nil {
+	if fr.Flags&FlagEndStream == 0 {
+		return sc.credit(st.id, n)
+	}
+	if err := sc.credit(0, n); err != nil {
 		return err
 	}
-	if fr.Flags&FlagEndStream != 0 {
-		sc.dispatch(st)
-		return nil
-	}
-	return sc.sendWindowUpdate(fr.StreamID, len(fr.Payload))
+	return sc.endStream(st)
 }
 
-func (sc *serverConn) sendWindowUpdate(streamID uint32, n int) error {
-	if n <= 0 {
-		return nil
-	}
-	payload := []byte{byte(n >> 24), byte(n >> 16), byte(n >> 8), byte(n)}
-	return sc.fr.WriteFrame(FrameWindowUpdate, 0, streamID, payload)
-}
-
-// dispatch runs the handler on its own goroutine and writes the response
-// when it returns. Streams answer in completion order, not arrival order.
-func (sc *serverConn) dispatch(st *serverStream) {
+// endStream runs once per stream, when its request is complete: the
+// handler's inline step here on the read loop, if it has one, and whatever
+// that leaves on the stream's own goroutine, so streams answer in completion
+// order, not arrival order. A stream holds one of the advertised
+// maxConcurrentStreams slots only while it holds a goroutine.
+func (sc *serverConn) endStream(st *serverStream) error {
 	st.gotEnd = true
+	var next func() *Response
+	if sc.inline != nil {
+		var resp *Response
+		if resp, next = sc.inline.ServeH2Inline(&st.req); resp != nil {
+			if sent, err := sc.writeResponse(st, resp, true); sent || err != nil {
+				return err
+			}
+			next = func() *Response { return resp }
+		}
+	}
+	sc.mu.Lock()
+	full := sc.active >= maxConcurrentStreams
+	if !full {
+		sc.active++
+	}
+	sc.mu.Unlock()
+	if full {
+		return sc.resetStream(st, ErrCodeRefusedStream)
+	}
 	sc.wg.Add(1)
 	go func() {
-		defer sc.wg.Done()
-		resp := sc.srv.Handler.ServeH2(&st.req)
+		var resp *Response
+		if next != nil {
+			resp = next()
+		} else {
+			resp = sc.srv.Handler.ServeH2(&st.req)
+		}
 		if resp == nil {
 			resp = &Response{Status: 500}
 		}
-		if err := sc.writeResponse(st, resp); err != nil {
-			sc.conn.Close() // connection is broken; read loop will exit
-		}
+		_, err := sc.writeResponse(st, resp, false)
+		sc.release(err)
 	}()
-}
-
-func (sc *serverConn) writeResponse(st *serverStream, resp *Response) error {
-	fields := make([]hpack.HeaderField, 0, 1+len(resp.Header))
-	fields = append(fields, hpack.HeaderField{Name: ":status", Value: strconv.Itoa(resp.Status)})
-	fields = append(fields, resp.Header...)
-
-	var flags uint8
-	if len(resp.Body) == 0 {
-		flags |= FlagEndStream
-	}
-	sc.mu.Lock()
-	maxFrame := sc.peerMaxFrame
-	sc.mu.Unlock()
-	sc.encMu.Lock()
-	block := sc.henc.AppendEncode(nil, fields)
-	err := writeHeaderBlock(sc.fr, st.id, flags, block, maxFrame)
-	sc.encMu.Unlock()
-	if err != nil {
-		return err
-	}
-	body := resp.Body
-	for len(body) > 0 {
-		n, err := sc.reserveWindow(st, len(body))
-		if err != nil {
-			return err
-		}
-		chunk := body[:n]
-		body = body[n:]
-		var f uint8
-		if len(body) == 0 {
-			f = FlagEndStream
-		}
-		if err := sc.fr.WriteFrame(FrameData, f, st.id, chunk); err != nil {
-			return err
-		}
-	}
-	sc.mu.Lock()
-	delete(sc.streams, st.id)
-	sc.mu.Unlock()
 	return nil
 }
 
-func (sc *serverConn) reserveWindow(st *serverStream, want int) (int, error) {
+// release ends a stream's goroutine: its slot is free, and a write error
+// other than the peer's reset of that stream means the connection is
+// broken. It and setFields are leaves of their own so that the frames the
+// response path nests under — the goroutine's, writeResponse's — stay
+// small: HPACK's table lookup is deep, and past a new goroutine's 2 KB
+// stack every response of a cheap handler would pay a stack copy.
+func (sc *serverConn) release(err error) {
 	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	for {
-		if sc.closed {
-			return 0, ErrConnClosed
-		}
-		n := int64(want)
-		if n > sc.connSendWindow {
-			n = sc.connSendWindow
-		}
-		if n > st.sendWindow {
-			n = st.sendWindow
-		}
-		if n > int64(sc.peerMaxFrame) {
-			n = int64(sc.peerMaxFrame)
-		}
-		if n > 0 {
-			sc.connSendWindow -= n
-			st.sendWindow -= n
-			return int(n), nil
-		}
-		sc.cond.Wait()
+	sc.active--
+	sc.mu.Unlock()
+	var reset StreamError
+	if err != nil && !errors.As(err, &reset) {
+		sc.conn.Close() // the read loop will exit
 	}
+	sc.wg.Done()
 }
 
-func (sc *serverConn) resetStream(id uint32, code ErrCode) error {
+// writeResponse sends resp as st's one message and closes the stream. From
+// the read loop (inline) it declines, sent false, a response that would have
+// to wait for window. A stream reset in the meantime gets nothing.
+func (sc *serverConn) writeResponse(st *serverStream, resp *Response, inline bool) (sent bool, err error) {
+	if sc.lookup(st.id) == nil {
+		return true, nil
+	}
+	sc.encMu.Lock()
+	sc.setFields(resp)
+	if sent, err = sc.writeMessage(&st.stream, resp.Body, inline); sent {
+		sc.closeStream(st)
+	}
+	return sent, err
+}
+
+func (sc *serverConn) setFields(resp *Response) {
+	sc.fields = append(sc.fields[:0], hpack.HeaderField{Name: ":status", Value: strconv.Itoa(resp.Status)})
+	sc.fields = append(sc.fields, resp.Header...)
+}
+
+func (sc *serverConn) closeStream(st *serverStream) {
 	sc.mu.Lock()
-	delete(sc.streams, id)
+	delete(sc.streams, st.id) // ids are never reopened, so the entry is st or absent
 	sc.mu.Unlock()
-	payload := []byte{byte(uint32(code) >> 24), byte(uint32(code) >> 16), byte(uint32(code) >> 8), byte(code)}
-	return sc.fr.WriteFrame(FrameRSTStream, 0, id, payload)
+}
+
+func (sc *serverConn) resetStream(st *serverStream, code ErrCode) error {
+	sc.closeStream(st)
+	return sc.fr.WriteFrame(FrameRSTStream, 0, st.id, binary.BigEndian.AppendUint32(nil, uint32(code)))
 }
