@@ -185,9 +185,8 @@ func TestOversizedEntryNotCached(t *testing.T) {
 	// shard's budget — no upstream answers at that size here, but operators
 	// can configure budgets smaller than a worst-case DNSSEC answer.
 	sh := small.shards[0]
-	e := &entry{key: "giant.example.", wire: make([]byte, int(sh.budget)+1)}
 	sh.mu.Lock()
-	_, rejected := small.insertLocked(sh, e, 1)
+	_, rejected := small.insertLocked(sh, "giant.example.", 1, make([]byte, int(sh.budget)+1), nil, &dnswire.ResponseScan{})
 	sh.mu.Unlock()
 	if !rejected {
 		t.Fatal("entry larger than the shard budget was admitted")

@@ -9,16 +9,20 @@
 // NODATA) are cached with the RFC 2308 TTL: the minimum of the authority
 // SOA record's TTL and its MINIMUM field.
 //
-// Entries are stored as packed wire bytes with their TTL field offsets
-// recorded at insert time, packed into per-shard append-only arenas so the
-// GC sees a handful of large slabs instead of one small allocation per
-// entry; when a shard's arena accumulates more dead bytes than live ones,
-// it rotates the epoch — live entries are compacted into fresh slabs and
-// the retired slabs recycled. A hit is served by copying the stored bytes,
-// restamping the transaction ID and decaying the TTLs in place (ServeWire
-// — no Unpack, no clone, no Pack), or, for callers that need a
-// *dnswire.Message, by unpacking a fresh message that shares nothing with
-// the stored entry.
+// The cache works on packed bytes end to end. A miss forwards the query's
+// own bytes and gets the upstream's bytes back; one strict scan
+// (dnswire.ScanResponse) decides whether they may be served and stored
+// verbatim and finds every TTL field on the way, so an entry holds
+// validated upstream bytes with their TTL offsets, packed into per-shard
+// append-only arenas so the GC sees a handful of large slabs instead of
+// one small allocation per entry; when a shard's arena accumulates more
+// dead bytes than live ones, it rotates the epoch — live entries are
+// compacted into fresh slabs and the retired slabs recycled. A hit is
+// served by copying the stored bytes, restamping the transaction ID and
+// decaying the TTLs in place (ServeWire — no Unpack, no clone, no Pack).
+// Callers that hold a *dnswire.Message go through one adapter (Exchange:
+// pack, ExchangeWire, unpack) and get a fresh message that shares nothing
+// with the stored entry.
 //
 // Capacity can be bounded two ways: WithMaxEntries counts entries, while
 // WithMemoryBudget accounts bytes — each entry charged its arena block,
@@ -90,10 +94,11 @@ type entry struct {
 	// hash is the key's maphash, retained so the admission filter can
 	// estimate an eviction victim's frequency without rehashing.
 	hash uint64
-	// wire is the packed response, still carrying the upstream exchange's
-	// transaction ID (hits restamp their own copy); toffs is the packed
-	// big-endian uint16 list of its TTL offsets (dnswire.PackTTLOffsets)
-	// for in-place decay. Both alias one arena block.
+	// wire is the packed response as the upstream sent it, still carrying
+	// the flight leader's transaction ID (hits restamp their own copy);
+	// toffs is the packed big-endian uint16 list of its TTL offsets
+	// (dnswire.PackTTLOffsets form) for in-place decay. Both alias one
+	// arena block.
 	wire  []byte
 	toffs []byte
 	// cost is the entry's accounted footprint against the memory budget:
@@ -165,10 +170,15 @@ func (s *Stats) add(o Stats) {
 }
 
 // flight is one in-progress upstream exchange shared by coalesced callers.
+// resp and err are written once, before done closes, and only read after:
+// every caller takes its own copy of resp and patches its own ID into that.
 type flight struct {
 	done chan struct{}
-	resp *dnswire.Message
+	resp []byte
 	err  error
+	// waiters counts the coalesced callers that will copy resp, under the
+	// shard lock; with none, the leader keeps resp for itself.
+	waiters int
 }
 
 // shard is one lock domain: a partition of the key space with its own LRU
@@ -187,8 +197,8 @@ type shard struct {
 	budget    int64
 	bytes     int64
 	wireBytes int
-	// arena packs entry payloads (nil in message-entry mode); sk is the
-	// TinyLFU admission sketch (nil without WithTinyLFU).
+	// arena packs entry payloads; sk is the TinyLFU admission sketch (nil
+	// without WithTinyLFU).
 	arena *arena
 	sk    *sketch
 }
@@ -196,6 +206,7 @@ type shard struct {
 // Cache is a sharded caching resolver. Safe for concurrent use.
 type Cache struct {
 	upstream dnstransport.Resolver
+	wire     dnstransport.WireResolver // upstream's wire capability
 	shards   []*shard
 	seed     maphash.Seed
 
@@ -225,8 +236,9 @@ type Cache struct {
 	// prefetchWindow triggers a background refresh when a hit finds a hot
 	// entry within this much of expiry; 0 disables.
 	prefetchWindow time.Duration
-	// refreshTimeout bounds one background refresh exchange.
-	refreshTimeout time.Duration
+	// exchangeTimeout bounds one upstream exchange: a flight, a background
+	// refresh, a bypass.
+	exchangeTimeout time.Duration
 	// tel, when set, makes background refreshes report their upstream
 	// resource usage (WithTelemetry).
 	tel *telemetry.Metrics
@@ -323,11 +335,13 @@ func WithPrefetch(window time.Duration) Option {
 	return func(c *Cache) { c.prefetchWindow = window }
 }
 
-// WithRefreshTimeout bounds each background refresh exchange (serve-stale
-// and prefetch); the default is 5s. Foreground misses are bounded by their
-// caller's context instead.
-func WithRefreshTimeout(d time.Duration) Option {
-	return func(c *Cache) { c.refreshTimeout = d }
+// WithExchangeTimeout bounds each upstream exchange the cache starts — a
+// miss's flight, a background refresh (serve-stale and prefetch), an
+// uncacheable query passing through; the default is 5s. A caller's earlier
+// deadline still applies to its own flight. The flight carries the one
+// timer of a miss: coalesced callers are bounded by the flight ending.
+func WithExchangeTimeout(d time.Duration) Option {
+	return func(c *Cache) { c.exchangeTimeout = d }
 }
 
 // WithTelemetry attaches the metrics sink background refreshes report
@@ -353,14 +367,15 @@ const minShardBudget = 2 << 10
 // New wraps upstream with a cache.
 func New(upstream dnstransport.Resolver, opts ...Option) *Cache {
 	c := &Cache{
-		upstream:       upstream,
-		maxEntries:     -1, // sentinel: default decided after options
-		nshards:        16,
-		maxTTL:         24 * time.Hour,
-		negTTL:         DefaultNegativeTTL,
-		refreshTimeout: 5 * time.Second,
-		now:            time.Now,
-		seed:           maphash.MakeSeed(),
+		upstream:        upstream,
+		wire:            dnstransport.AsWire(upstream),
+		maxEntries:      -1, // sentinel: default decided after options
+		nshards:         16,
+		maxTTL:          24 * time.Hour,
+		negTTL:          DefaultNegativeTTL,
+		exchangeTimeout: 5 * time.Second,
+		now:             time.Now,
+		seed:            maphash.MakeSeed(),
 	}
 	for _, o := range opts {
 		o(c)
@@ -530,10 +545,10 @@ func (c *Cache) Flush() {
 // with the client's transaction ID and decayed TTLs patched in — to dst
 // (typically sliced from a pooled buffer) and returns the extended slice
 // plus the telemetry outcome to record. ok=false sends the caller to the
-// Message path without anything having been counted: a miss or an expired
-// entry past any stale window (the Message path re-counts and refreshes
-// it), or a response larger than limit (truncation needs Message-level
-// surgery).
+// miss path (ExchangeQuery) without anything having been counted: a miss or
+// an expired entry past any stale window (the miss path re-counts and
+// refreshes it), or a response larger than limit (truncation needs
+// Message-level surgery on the bytes the miss path returns).
 //
 // With a serve-stale window configured, an expired-but-stale entry is
 // served with StaleTTL-capped TTLs while a singleflight background refresh
@@ -548,74 +563,91 @@ func (c *Cache) ServeWire(tx *telemetry.Transaction, q *dnswire.Query, dst []byt
 
 	sh.mu.Lock()
 	e, ok := sh.entries[string(kb)]
+	if !ok || (limit > 0 && len(e.wire) > limit) {
+		sh.mu.Unlock()
+		return nil, telemetry.CacheNone, false
+	}
+	hit, ok := c.serveLocked(sh, e, kb, q.ID, dst[:0])
 	if !ok {
 		sh.mu.Unlock()
 		return nil, telemetry.CacheNone, false
 	}
-	now := c.now()
-	if limit > 0 && len(e.wire) > limit {
-		sh.mu.Unlock()
-		return nil, telemetry.CacheNone, false
-	}
-	stale := !now.Before(e.expires)
-	if stale && (c.staleWindow <= 0 || !now.Before(e.expires.Add(c.staleWindow))) {
-		sh.mu.Unlock()
-		return nil, telemetry.CacheNone, false
-	}
-	sh.lru.MoveToFront(e.elem)
 	// Feed the admission sketch only on served hits; declined lookups
-	// fall through to Exchange, which counts them there — one frequency
-	// sample per query either way.
+	// fall through to ExchangeQuery, which counts them there — one
+	// frequency sample per query either way.
 	if sh.sk != nil && sh.sk.add(h) {
 		sh.stats.SketchResets++
 	}
-	var remaining time.Duration
-	refresh, prefetch := false, false
+	sh.mu.Unlock()
+	c.afterHit(tx, sh, kb, hit)
+	return hit.resp, hit.outcome, true
+}
+
+// served is what serving an entry decided under the shard lock, for the
+// caller to act on once the lock is released.
+type served struct {
+	resp    []byte
+	outcome telemetry.CacheOutcome
+	// refresh asks for a background refresh of the entry — serve-stale's,
+	// or with prefetch set the near-expiry one.
+	refresh, prefetch bool
+}
+
+// serveLocked answers from e — fresh, or expired within the stale window —
+// by appending the stored bytes to dst with id and decayed TTLs patched in;
+// ok=false means e is expired past any stale window and nothing was
+// counted. It counts the hit, promotes the entry and decides whether a
+// refresh is due. Caller holds sh.mu: an epoch rotation relocates entry
+// payloads and recycles their old slabs, so e.wire and e.toffs are only
+// safe to read while the lock pins the arena, and the copy — a few hundred
+// bytes, far cheaper than a second lock round trip — means a response never
+// aliases a slab.
+func (c *Cache) serveLocked(sh *shard, e *entry, kb []byte, id uint16, dst []byte) (h served, ok bool) {
+	now := c.now()
+	stale := !now.Before(e.expires)
+	if stale && (c.staleWindow <= 0 || !now.Before(e.expires.Add(c.staleWindow))) {
+		return h, false
+	}
+	sh.lru.MoveToFront(e.elem)
+	remaining := StaleTTL
 	if stale {
+		// RFC 8767 serve-stale: answer immediately from the expired entry
+		// while one background refresh re-populates it — the client never
+		// waits on the upstream.
 		sh.stats.StaleHits++
-		remaining = StaleTTL
+		h.outcome = telemetry.CacheStaleHit
+	} else {
+		sh.stats.Hits++
+		e.hits++
+		remaining = e.expires.Sub(now)
+		h.outcome = telemetry.CacheHit
+		if e.negative {
+			h.outcome = telemetry.CacheNegativeHit
+		}
+		h.prefetch = c.wantsPrefetch(e, remaining)
+	}
+	if stale || h.prefetch {
 		// Checked here, under the lock already held, so the steady state
 		// of an upstream outage — every hit stale, one refresh parked on
 		// the dead upstream — pays no extra lock round trip or key
 		// allocation per hit (the map index below does not materialize
 		// the string).
 		_, inflight := sh.flights[string(kb)]
-		refresh = !inflight
-	} else {
-		sh.stats.Hits++
-		e.hits++
-		remaining = e.expires.Sub(now)
-		if c.wantsPrefetch(e, remaining) {
-			_, inflight := sh.flights[string(kb)]
-			refresh, prefetch = !inflight, !inflight
-		}
+		h.refresh, h.prefetch = !inflight, h.prefetch && !inflight
 	}
-	// Copy, patch and decay under the lock: an epoch rotation relocates
-	// entry payloads and recycles their old slabs, so e.wire and e.toffs
-	// are only safe to read while the lock pins the arena. The copy lands
-	// in the caller's buffer — the response never aliases a slab.
-	resp := append(dst[:0], e.wire...)
-	dnswire.PatchID(resp, q.ID)
-	dnswire.DecayTTLsPacked(resp, e.toffs, uint32(remaining/time.Second))
-	negative := e.negative
-	sh.mu.Unlock()
+	h.resp = append(dst, e.wire...)
+	dnswire.PatchID(h.resp, id)
+	dnswire.DecayTTLsPacked(h.resp, e.toffs, uint32(remaining/time.Second))
+	return h, true
+}
 
-	if refresh {
-		// maybeRefresh re-checks the flight table under the lock, so the
-		// benign race with a just-started flight resolves to a no-op.
-		if started := c.maybeRefresh(sh, string(kb), prefetch); started && prefetch {
-			tx.Prefetch()
-		}
+// afterHit starts the refresh serveLocked asked for, outside the shard
+// lock. maybeRefresh re-checks the flight table under the lock, so the
+// benign race with a just-started flight resolves to a no-op.
+func (c *Cache) afterHit(tx *telemetry.Transaction, sh *shard, kb []byte, h served) {
+	if h.refresh && c.maybeRefresh(sh, string(kb), h.prefetch) && h.prefetch {
+		tx.Prefetch()
 	}
-
-	outcome := telemetry.CacheHit
-	switch {
-	case stale:
-		outcome = telemetry.CacheStaleHit
-	case negative:
-		outcome = telemetry.CacheNegativeHit
-	}
-	return resp, outcome, true
 }
 
 // wantsPrefetch decides whether a fresh hit should trigger the near-expiry
@@ -629,27 +661,100 @@ func (c *Cache) wantsPrefetch(e *entry, remaining time.Duration) bool {
 		e.hits >= prefetchMinHits && remaining <= c.prefetchWindow
 }
 
-// Exchange implements Resolver. Cache hits are answered with the stored
-// response re-stamped with the query's ID and decayed TTLs; misses go
-// upstream, coalescing concurrent identical questions into one exchange.
-// Only the query's shard is locked, and never across the upstream call.
-// The query's telemetry Transaction (if its server began one) learns the
-// outcome — hit, negative hit, miss, coalesced or bypass — outside the
-// shard lock.
+// Exchange implements Resolver over ExchangeWire: the Message face of the
+// cache, for callers that hold a *dnswire.Message (the study's clients,
+// tests, set-up code). The response is a fresh unpack that shares nothing
+// with the stored entry, so every caller may mutate it freely.
 func (c *Cache) Exchange(ctx context.Context, q *dnswire.Message) (*dnswire.Message, error) {
+	return dnstransport.ExchangeMessage(ctx, c, q)
+}
+
+// ExchangeWire implements dnstransport.WireResolver: ExchangeQuery for the
+// common stub shape dnswire.ParseQuery accepts. Any other query — several
+// questions, a non-ASCII name, an unknown EDNS version — is uncacheable
+// and passes straight through to the upstream.
+func (c *Cache) ExchangeWire(ctx context.Context, query []byte) ([]byte, error) {
+	if q, ok := dnswire.ParseQuery(query); ok {
+		return c.ExchangeQuery(ctx, &q)
+	}
+	return c.bypass(ctx, query, nil)
+}
+
+// bypass forwards an uncacheable query, bounded like any exchange the
+// cache starts; q is its parsed view, when it has one. The reply is vetted
+// like any other: nothing an upstream sends reaches a client unread.
+func (c *Cache) bypass(ctx context.Context, query []byte, q *dnswire.Query) ([]byte, error) {
+	telemetry.FromContext(ctx).SetCache(telemetry.CacheBypass)
+	ctx, cancel := c.exchangeContext(ctx, false)
+	defer cancel()
+	resp, err := c.wire.ExchangeWire(ctx, query)
+	if err != nil {
+		return nil, err
+	}
+	resp, _, _, _, err = vet(resp, q, nil)
+	return resp, err
+}
+
+// vet decides what becomes of an upstream's reply to q, hostile until
+// read. One the strict scan passes is forwarded as it came, and may be
+// stored as it came when storable is set. Anything else — and every reply
+// to a query with no parsed view (q nil) — takes the Message fallback: if
+// the codec can read it at all, its canonical re-pack is what is forwarded,
+// scanned in turn; refused again (a reply that echoes no question, say) it
+// still is forwarded, but never stored. What the codec cannot read fails
+// the exchange. The scan's TTL offsets are appended to toffs.
+func vet(resp []byte, q *dnswire.Query, toffs []byte) (_ []byte, scan dnswire.ResponseScan, _ []byte, storable bool, err error) {
+	if q != nil {
+		if scan, toffs, err = dnswire.ScanResponse(resp, q, toffs); err == nil {
+			return resp, scan, toffs, true, nil
+		}
+	}
+	var m dnswire.Message
+	if err = m.Unpack(resp); err != nil {
+		return nil, scan, toffs, false, err
+	}
+	if resp, err = m.Pack(); err != nil {
+		return nil, scan, toffs, false, err
+	}
+	if q != nil {
+		scan, toffs, err = dnswire.ScanResponse(resp, q, toffs[:0])
+	}
+	return resp, scan, toffs, q != nil && err == nil, nil
+}
+
+// exchangeContext derives the context one upstream exchange runs under:
+// bounded by the earlier of ctx's own deadline and the exchange timeout,
+// and with detach, deaf to ctx's cancellation.
+func (c *Cache) exchangeContext(ctx context.Context, detach bool) (context.Context, context.CancelFunc) {
+	deadline := time.Now().Add(c.exchangeTimeout)
+	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
+		deadline = d
+	}
+	if detach {
+		ctx = context.WithoutCancel(ctx)
+	}
+	return context.WithDeadline(ctx, deadline)
+}
+
+// ExchangeQuery answers the query q views, in packed form end to end: a
+// hit is the stored bytes re-stamped with q's ID and decayed TTLs; a miss
+// goes upstream as q.Raw, concurrent identical questions coalescing into
+// one exchange, and comes back as the upstream's own bytes once the strict
+// scan has passed them. The reply is a slice the caller owns. Only the
+// query's shard is locked, and never across the upstream call. The query's
+// telemetry Transaction (if its server began one) learns the outcome — hit,
+// negative hit, miss, coalesced or bypass — outside the shard lock.
+func (c *Cache) ExchangeQuery(ctx context.Context, q *dnswire.Query) ([]byte, error) {
 	tx := telemetry.FromContext(ctx)
-	qq := q.Question1()
-	if len(q.Questions) != 1 || qq.Type == dnswire.TypeANY {
-		// Uncacheable shapes pass straight through.
-		tx.SetCache(telemetry.CacheBypass)
-		return c.upstream.Exchange(ctx, q)
+	if q.Type == dnswire.TypeANY {
+		return c.bypass(ctx, q.Raw, q)
 	}
 	// The cache-lookup span covers key build, shard lock and the in-memory
 	// decision; on a miss it ends when the flight is registered, so the
 	// upstream wait never inflates it.
 	tl := tx.TraceStart()
 	var kbuf [keyBufLen]byte
-	kb := appendKey(kbuf[:0], qq.Name.Canonical(), qq.Type, qq.Class)
+	kb := appendKeyTail(q.AppendCanonicalName(kbuf[:0]), q.Type, q.Class)
 	sh, h := c.shardFor(kb)
 
 	sh.mu.Lock()
@@ -661,64 +766,32 @@ func (c *Cache) Exchange(ctx context.Context, q *dnswire.Message) (*dnswire.Mess
 		sh.stats.SketchResets++
 	}
 	if e, ok := sh.entries[string(kb)]; ok {
-		now := c.now()
-		switch {
-		case now.Before(e.expires):
-			sh.lru.MoveToFront(e.elem)
-			sh.stats.Hits++
-			e.hits++
-			remaining := e.expires.Sub(now)
-			prefetch := false
-			if c.wantsPrefetch(e, remaining) {
-				_, inflight := sh.flights[string(kb)]
-				prefetch = !inflight
-			}
-			neg := e.negative
-			// Copy under the lock: an epoch rotation may relocate the
-			// entry's payload and recycle its slab.
-			w := append([]byte(nil), e.wire...)
+		if hit, ok := c.serveLocked(sh, e, kb, q.ID, nil); ok {
 			sh.mu.Unlock()
 			tx.TraceSpan(qtrace.PhaseCache, tl)
-			if neg {
-				tx.SetCache(telemetry.CacheNegativeHit)
-			} else {
-				tx.SetCache(telemetry.CacheHit)
-			}
-			if prefetch && c.maybeRefresh(sh, string(kb), true) {
-				tx.Prefetch()
-			}
-			return unpackWire(w, q.ID, remaining)
-		case c.staleWindow > 0 && now.Before(e.expires.Add(c.staleWindow)):
-			// RFC 8767 serve-stale: answer immediately from the expired
-			// entry while one background refresh re-populates it — the
-			// client never waits on the upstream.
-			sh.lru.MoveToFront(e.elem)
-			sh.stats.StaleHits++
-			_, inflight := sh.flights[string(kb)]
-			w := append([]byte(nil), e.wire...)
-			sh.mu.Unlock()
-			tx.TraceSpan(qtrace.PhaseCache, tl)
-			tx.SetCache(telemetry.CacheStaleHit)
-			if !inflight {
-				c.maybeRefresh(sh, string(kb), false)
-			}
-			return unpackWire(w, q.ID, StaleTTL)
-		default:
-			sh.removeLocked(e)
+			tx.SetCache(hit.outcome)
+			c.afterHit(tx, sh, kb, hit)
+			return hit.resp, nil
 		}
+		sh.removeLocked(e)
 	}
 	// Miss: join or start a flight.
 	if f, ok := sh.flights[string(kb)]; ok {
 		sh.stats.Coalesced++
+		f.waiters++
 		sh.mu.Unlock()
 		tx.TraceSpan(qtrace.PhaseCache, tl)
 		tx.SetCache(telemetry.CacheCoalesced)
+		// The flight is bounded by its own deadline, so a follower needs
+		// no timer: it leaves when the flight lands or its client does.
 		select {
 		case <-f.done:
 			if f.err != nil {
 				return nil, f.err
 			}
-			return cloneResponse(f.resp, q.ID, 0), nil
+			resp := append([]byte(nil), f.resp...)
+			dnswire.PatchID(resp, q.ID)
+			return resp, nil
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
@@ -732,94 +805,59 @@ func (c *Cache) Exchange(ctx context.Context, q *dnswire.Message) (*dnswire.Mess
 	tx.SetCache(telemetry.CacheMiss)
 
 	// The flight is shared by every coalesced caller, so it must not die
-	// with the leader's client: detach from the leader's cancellation but
-	// keep its deadline, so a proxy-level upstream timeout still bounds
-	// the exchange while a mid-flight disconnect no longer poisons the
-	// other waiters with SERVFAIL.
-	exCtx := context.WithoutCancel(ctx)
-	if deadline, ok := ctx.Deadline(); ok {
-		var cancel context.CancelFunc
-		exCtx, cancel = context.WithDeadline(exCtx, deadline)
-		defer cancel()
-	}
-	resp, err := c.upstream.Exchange(exCtx, q)
-	f.resp, f.err = resp, err
+	// with the leader's client: its one context is detached from the
+	// leader's cancellation and bounded by the exchange timeout, so a
+	// black-holing upstream still ends the flight while a mid-flight
+	// disconnect no longer poisons the other waiters with SERVFAIL.
+	fctx, cancel := c.exchangeContext(ctx, true)
+	resp, err := c.wire.ExchangeWire(fctx, q.Raw)
+	cancel()
 
-	// The admission span covers entry packing, the admission filter and
-	// the insert (evictions included) — the post-upstream cost of a miss.
+	// The admission span covers the scan, the admission filter and the
+	// insert (evictions included) — the post-upstream cost of a miss.
 	ta := tx.TraceStart()
-	var e *entry
-	if err == nil && cacheable(resp) {
-		e = c.buildEntry(k, resp)
-	}
-
-	evicted, rejected := 0, false
-	sh.mu.Lock()
-	delete(sh.flights, k)
-	if e != nil {
-		evicted, rejected = c.insertLocked(sh, e, h)
-	}
-	sh.mu.Unlock()
+	resp, shared, evicted, rejected, err := c.land(sh, k, h, f, q, resp, err)
 	tx.TraceSpan(qtrace.PhaseAdmit, ta)
 	tx.CacheEvicted(evicted)
 	if rejected {
 		tx.CacheAdmissionRejected()
 	}
+	if err != nil {
+		return nil, err
+	}
+	if shared {
+		// Followers are copying the flight's bytes: the leader's reply
+		// must not alias them.
+		resp = append([]byte(nil), resp...)
+	}
+	dnswire.PatchID(resp, q.ID)
+	return resp, nil
+}
+
+// land closes flight f of key k with the outcome of its upstream exchange
+// for q: the reply is vetted, and one that may be stored verbatim and is
+// cacheable goes into the arena — admission is decided before anything is
+// built, and admitted bytes are copied straight in. The returned reply is
+// the flight's: with shared set coalesced callers are reading it, and it
+// must not be written.
+func (c *Cache) land(sh *shard, k string, h uint64, f *flight, q *dnswire.Query, resp []byte, err error) (_ []byte, shared bool, evicted int, rejected bool, _ error) {
+	var tbuf [64]byte // 32 records' TTL offsets before the scan allocates
+	toffs := tbuf[:0]
+	var scan dnswire.ResponseScan
+	storable := false
+	if err == nil {
+		resp, scan, toffs, storable, err = vet(resp, q, toffs)
+	}
+	sh.mu.Lock()
+	delete(sh.flights, k)
+	shared = f.waiters > 0
+	if storable && cacheable(&scan) {
+		evicted, rejected = c.insertLocked(sh, k, h, resp, toffs, &scan)
+	}
+	sh.mu.Unlock()
+	f.resp, f.err = resp, err
 	close(f.done)
-	if err != nil {
-		return nil, err
-	}
-	return cloneResponse(resp, q.ID, 0), nil
-}
-
-// buildEntry packs resp into an immutable cache entry. It runs outside the
-// shard lock — packing is the expensive part of a miss's insert, and the
-// miss has already paid an upstream round trip. A response the codec
-// cannot re-pack (never seen in practice: it was just unpacked by the
-// transport) is simply not cached.
-func (c *Cache) buildEntry(k string, resp *dnswire.Message) *entry {
-	ttl := c.clampTTL(c.ttlOf(resp))
-	e := &entry{
-		key:      k,
-		negative: negative(resp),
-		ttl:      ttl,
-		expires:  c.now().Add(ttl),
-	}
-	wire, err := resp.Pack()
-	if err != nil {
-		return nil
-	}
-	offsets, err := dnswire.TTLOffsets(wire)
-	if err != nil {
-		return nil
-	}
-	e.wire = wire
-	e.toffs = dnswire.PackTTLOffsets(nil, offsets)
-	return e
-}
-
-// unpackWire rebuilds a Message from a copy of an entry's packed bytes: a
-// fresh unpack shares no mutable state with the cache, which is what lets
-// every caller mutate its response freely (the shared-EDNS hazard the old
-// deep clone left open). The unpack cannot fail — the bytes came from our
-// own packer — but the error is propagated rather than swallowed.
-func unpackWire(wire []byte, id uint16, remaining time.Duration) (*dnswire.Message, error) {
-	m := new(dnswire.Message)
-	if err := m.Unpack(wire); err != nil {
-		return nil, err
-	}
-	m.ID = id
-	if remaining > 0 {
-		rem := uint32(remaining / time.Second)
-		for _, rrs := range [][]dnswire.ResourceRecord{m.Answers, m.Authorities, m.Additionals} {
-			for i := range rrs {
-				if rrs[i].TTL > rem {
-					rrs[i].TTL = rem
-				}
-			}
-		}
-	}
-	return m, nil
+	return resp, shared, evicted, rejected, err
 }
 
 // removeLocked unlinks an entry and releases its byte accounting (its arena
@@ -865,20 +903,21 @@ func (c *Cache) admitLocked(sh *shard, h uint64, cost int) bool {
 	return true
 }
 
-// placeLocked copies e's payload into the shard's arena — one block holding
-// the packed response followed by its packed TTL offsets — and re-points
-// e.wire and e.toffs into it. When the epoch's handed-out bytes outweigh
-// the live payload by more than a slab of slack, the shard rotates first:
-// compaction then reclaims more than it copies. Caller holds sh.mu.
-func (c *Cache) placeLocked(sh *shard, e *entry) {
-	need := len(e.wire) + len(e.toffs)
+// placeLocked copies an entry's payload into the shard's arena — one block
+// holding the packed response followed by its packed TTL offsets — and
+// points e.wire and e.toffs into it. When the epoch's handed-out bytes
+// outweigh the live payload by more than a slab of slack, the shard
+// rotates first: compaction then reclaims more than it copies. Caller
+// holds sh.mu.
+func (c *Cache) placeLocked(sh *shard, e *entry, wire, toffs []byte) {
+	need := len(wire) + len(toffs)
 	if sh.arena.used+need > 2*(sh.wireBytes+need)+sh.arena.slabSize {
 		c.rotateLocked(sh)
 	}
-	w := len(e.wire)
+	w := len(wire)
 	block := sh.arena.alloc(need)
-	copy(block, e.wire)
-	copy(block[w:], e.toffs)
+	copy(block, wire)
+	copy(block[w:], toffs)
 	e.wire = block[:w:w]
 	e.toffs = block[w:]
 }
@@ -911,34 +950,32 @@ func (c *Cache) rotateLocked(sh *shard) {
 	sh.stats.ArenaEpochs++
 }
 
-// insertLocked installs e — replacing any existing entry for its key, as a
-// background refresh of a still-present stale entry does; replacement
-// bypasses the admission filter, because a refresh that first dropped the
-// old entry and then lost the duel would lose the name entirely — and
-// evicts past the shard bounds. It reports the eviction count and whether
+// insertLocked stores the scanned response wire (TTL offsets toffs) under
+// key k — replacing any existing entry for it, as a background refresh of
+// a still-present stale entry does; replacement bypasses the admission
+// filter, because a refresh that first dropped the old entry and then lost
+// the duel would lose the name entirely — and evicts past the shard
+// bounds. Admission is decided from the sizes alone: a refused candidate
+// costs no entry and no copy. It reports the eviction count and whether
 // admission refused the insert. Caller holds sh.mu.
-func (c *Cache) insertLocked(sh *shard, e *entry, h uint64) (evicted int, rejected bool) {
-	e.hash = h
-	block := len(e.wire) + len(e.toffs)
-	e.cost = entryOverhead + len(e.key) + block
-	if sh.budget > 0 && int64(e.cost) > sh.budget {
-		// Larger than the whole shard's budget: uncacheable at this size.
-		sh.stats.AdmissionRejects++
-		return 0, true
-	}
-	old, replacing := sh.entries[e.key]
-	if !replacing && sh.sk != nil && sh.needsEvict(e.cost) &&
-		!c.admitLocked(sh, h, e.cost) {
+func (c *Cache) insertLocked(sh *shard, k string, h uint64, wire, toffs []byte, scan *dnswire.ResponseScan) (evicted int, rejected bool) {
+	block := len(wire) + len(toffs)
+	cost := entryOverhead + len(k) + block
+	old, replacing := sh.entries[k]
+	if (sh.budget > 0 && int64(cost) > sh.budget) || // larger than the whole shard's budget
+		(!replacing && sh.sk != nil && sh.needsEvict(cost) && !c.admitLocked(sh, h, cost)) {
 		sh.stats.AdmissionRejects++
 		return 0, true
 	}
 	if replacing {
 		sh.removeLocked(old)
 	}
-	c.placeLocked(sh, e)
+	ttl := c.clampTTL(c.ttlOf(scan))
+	e := &entry{key: k, hash: h, cost: cost, negative: scan.Negative(), ttl: ttl, expires: c.now().Add(ttl)}
+	c.placeLocked(sh, e, wire, toffs)
 	e.elem = sh.lru.PushFront(e)
-	sh.entries[e.key] = e
-	sh.bytes += int64(e.cost)
+	sh.entries[k] = e
+	sh.bytes += int64(cost)
 	sh.wireBytes += block
 	for len(sh.entries) > sh.maxEntries || (sh.budget > 0 && sh.bytes > sh.budget) {
 		oldest := sh.lru.Back()
@@ -980,39 +1017,38 @@ func (c *Cache) maybeRefresh(sh *shard, k string, prefetch bool) bool {
 // A failed refresh leaves the old entry in place — within a serve-stale
 // window that is exactly the availability RFC 8767 wants.
 func (c *Cache) refresh(sh *shard, k string, f *flight) {
-	ctx, cancel := context.WithTimeout(context.Background(), c.refreshTimeout)
-	defer cancel()
 	tx := c.tel.BeginBackground()
 	defer tx.Finish()
-	resp, err := c.upstream.Exchange(telemetry.NewContext(ctx, tx), refreshQuery(k))
-	f.resp, f.err = resp, err
-	var e *entry
-	if err == nil && cacheable(resp) {
-		e = c.buildEntry(k, resp)
+	ctx, cancel := c.exchangeContext(telemetry.NewContext(context.Background(), tx), false)
+	defer cancel()
+	q, err := refreshQuery(k)
+	var resp []byte
+	if err == nil {
+		resp, err = c.wire.ExchangeWire(ctx, q.Raw)
 	}
-	rejected := false
-	sh.mu.Lock()
-	delete(sh.flights, k)
-	if e != nil {
-		_, rejected = c.insertLocked(sh, e, maphash.Bytes(c.seed, []byte(k)))
-	}
-	sh.mu.Unlock()
-	if rejected {
+	if _, _, _, rejected, _ := c.land(sh, k, maphash.Bytes(c.seed, []byte(k)), f, &q, resp, err); rejected {
 		tx.CacheAdmissionRejected()
 	}
-	close(f.done)
 }
 
 // refreshQuery rebuilds the question a cache key encodes — the canonical
-// name followed by four octets of type and class — into a fresh query
-// message for the background refresh.
-func refreshQuery(k string) *dnswire.Message {
+// name followed by four octets of type and class — into a fresh packed
+// query for the background refresh, viewed the way a client's is.
+func refreshQuery(k string) (dnswire.Query, error) {
 	name := dnswire.Name(k[:len(k)-4])
 	qtype := dnswire.Type(uint16(k[len(k)-4])<<8 | uint16(k[len(k)-3]))
 	class := dnswire.Class(uint16(k[len(k)-2])<<8 | uint16(k[len(k)-1]))
-	q := dnswire.NewQuery(0, name, qtype)
-	q.Questions[0].Class = class
-	return q
+	m := dnswire.NewQuery(0, name, qtype)
+	m.Questions[0].Class = class
+	wire, err := m.Pack()
+	if err != nil {
+		return dnswire.Query{}, err
+	}
+	q, ok := dnswire.ParseQuery(wire)
+	if !ok {
+		return q, fmt.Errorf("dnscache: cannot rebuild the query of key %q", k)
+	}
+	return q, nil
 }
 
 func (c *Cache) clampTTL(ttl time.Duration) time.Duration {
@@ -1026,94 +1062,29 @@ func (c *Cache) clampTTL(ttl time.Duration) time.Duration {
 }
 
 // cacheable accepts positive answers and NXDOMAIN/NODATA (negative caching
-// per RFC 2308).
-func cacheable(resp *dnswire.Message) bool {
-	if resp == nil || resp.Truncated {
-		return false
-	}
-	switch resp.RCode {
-	case dnswire.RCodeSuccess, dnswire.RCodeNameError:
-		return true
-	}
-	return false
+// per RFC 2308); a truncated response, or any other RCODE, is forwarded
+// but never stored.
+func cacheable(scan *dnswire.ResponseScan) bool {
+	return !scan.Truncated && (scan.RCode == dnswire.RCodeSuccess || scan.RCode == dnswire.RCodeNameError)
 }
 
-// negative reports whether resp is an RFC 2308 negative answer: NXDOMAIN,
-// or NOERROR with an empty answer section (NODATA).
-func negative(resp *dnswire.Message) bool {
-	return resp.RCode == dnswire.RCodeNameError ||
-		(resp.RCode == dnswire.RCodeSuccess && len(resp.Answers) == 0)
+// ttlOf derives the cache lifetime of a scanned response: the smallest
+// answer- or authority-section TTL for positive answers, or the RFC 2308
+// §3/§5 negative TTL — min(SOA record TTL, SOA MINIMUM field) from the
+// authority section — for negative ones, capped at the configured negative
+// ceiling, which is also the lifetime of a negative answer carrying no SOA.
+func (c *Cache) ttlOf(scan *dnswire.ResponseScan) time.Duration {
+	if !scan.Negative() {
+		return time.Duration(scan.MinTTL) * time.Second
+	}
+	ttl := c.negTTL
+	if soa := time.Duration(scan.SOATTL) * time.Second; scan.HasSOA && (c.negTTL <= 0 || soa < c.negTTL) {
+		ttl = soa
+	}
+	return ttl
 }
 
-// ttlOf derives the cache lifetime of a response: the smallest answer-
-// section TTL for positive answers, or the RFC 2308 §3/§5 negative TTL —
-// min(SOA record TTL, SOA MINIMUM field) from the authority section — for
-// negative ones, capped at the configured negative ceiling.
-func (c *Cache) ttlOf(resp *dnswire.Message) time.Duration {
-	if negative(resp) {
-		return c.negativeTTL(resp)
-	}
-	min := time.Duration(-1)
-	for _, section := range [][]dnswire.ResourceRecord{resp.Answers, resp.Authorities} {
-		for _, rr := range section {
-			ttl := time.Duration(rr.TTL) * time.Second
-			if min < 0 || ttl < min {
-				min = ttl
-			}
-		}
-	}
-	if min < 0 {
-		return c.negTTL
-	}
-	return min
-}
-
-// negativeTTL implements the RFC 2308 negative-TTL derivation.
-func (c *Cache) negativeTTL(resp *dnswire.Message) time.Duration {
-	for _, rr := range resp.Authorities {
-		soa, ok := rr.Data.(*dnswire.SOA)
-		if !ok {
-			continue
-		}
-		secs := rr.TTL
-		if soa.Minimum < secs {
-			secs = soa.Minimum
-		}
-		ttl := time.Duration(secs) * time.Second
-		if c.negTTL > 0 && ttl > c.negTTL {
-			ttl = c.negTTL
-		}
-		return ttl
-	}
-	return c.negTTL
-}
-
-// cloneResponse copies resp, restamps the transaction ID, and decays TTLs
-// by the entry's age (remaining > 0 selects decay toward `remaining`). It
-// serves singleflight waiters (whose shared response is a live Message) and
-// message-entry-mode hits; the RData payloads and EDNS are shared between
-// the clones, which is the shallowness the wire-entry default eliminates.
-func cloneResponse(resp *dnswire.Message, id uint16, remaining time.Duration) *dnswire.Message {
-	cp := *resp
-	cp.ID = id
-	decay := func(rrs []dnswire.ResourceRecord) []dnswire.ResourceRecord {
-		if remaining <= 0 {
-			return append([]dnswire.ResourceRecord(nil), rrs...)
-		}
-		out := make([]dnswire.ResourceRecord, len(rrs))
-		copy(out, rrs)
-		rem := uint32(remaining / time.Second)
-		for i := range out {
-			if out[i].TTL > rem {
-				out[i].TTL = rem
-			}
-		}
-		return out
-	}
-	cp.Answers = decay(resp.Answers)
-	cp.Authorities = decay(resp.Authorities)
-	cp.Additionals = decay(resp.Additionals)
-	return &cp
-}
-
-var _ dnstransport.Resolver = (*Cache)(nil)
+var (
+	_ dnstransport.Resolver     = (*Cache)(nil)
+	_ dnstransport.WireResolver = (*Cache)(nil)
+)

@@ -11,7 +11,7 @@ import (
 
 // core is the transport-agnostic serving core. Every front end — the UDP
 // batch loop, StreamServer.ServeConn, DoH's HTTP handlers — funnels its
-// queries through the same two steps, so the transport wrapped around the
+// queries through the same three steps, so the transport wrapped around the
 // resolver is the only thing that differs between them (the paper's method,
 // §4–5):
 //
@@ -19,23 +19,30 @@ import (
 //     fast path into the caller's buffer. It never blocks and never
 //     allocates, so read loops run it inline — the h2 read loop too, for
 //     DoH (boundDoH.ServeH2Inline).
+//   - the wire miss step (miss) hands the query the hit step parsed to the
+//     handler's WireMissResponder and gets the reply back as packed bytes:
+//     no Message is built for the query or for the answer.
 //   - the Message step (unpack, then respond) runs the handler on a
-//     *dnswire.Message. It may block on upstream work, so batched UDP,
-//     out-of-order streams and DoH over h2 run it on another goroutine.
+//     *dnswire.Message, for what wire cannot answer: a shape ParseQuery
+//     declines, a handler with no wire steps, a JSON query.
 //
-// Adapters keep what is genuinely per-transport: the guard's verdict form,
-// the size limit, UDP's truncation and cookie echo, framing, the write and
-// its trace span, Finish, and the fate of a query that does not unpack.
+// The last two may block on upstream work, so batched UDP, out-of-order
+// streams and DoH over h2 run them on another goroutine. Adapters keep what
+// is genuinely per-transport: the guard's verdict form, the size limit,
+// UDP's truncation and cookie echo, framing, the write and its trace span,
+// Finish, and the fate of a query that does not unpack.
 type core struct {
-	handler Handler
-	wire    WireResponder // the handler's fast path; nil when it has none
-	tel     *telemetry.Metrics
-	proto   telemetry.Proto
+	handler  Handler
+	wire     WireResponder     // the handler's fast path; nil when it has none
+	wireMiss WireMissResponder // and its wire miss step, likewise
+	tel      *telemetry.Metrics
+	proto    telemetry.Proto
 }
 
 func newCore(h Handler, tel *telemetry.Metrics, proto telemetry.Proto) core {
 	wr, _ := h.(WireResponder)
-	return core{handler: h, wire: wr, tel: tel, proto: proto}
+	wm, _ := h.(WireMissResponder)
+	return core{handler: h, wire: wr, wireMiss: wm, tel: tel, proto: proto}
 }
 
 // parse opens the hit step: the fast parse of wire into the caller's q
@@ -43,10 +50,11 @@ func newCore(h Handler, tel *telemetry.Metrics, proto telemetry.Proto) core {
 // adapter's guard check began (zero without a guard or a tracer); the
 // guard ran, and the parse runs, before the transaction's clock starts, so
 // on every transport both spans carry slightly negative start offsets.
-// ok=false — no fast path, or a shape ParseQuery declines — leaves tx nil
-// for the Message step to begin.
+// ok=false — no fast path, or a shape ParseQuery declines — leaves q the
+// zero view and tx nil for the Message step to begin.
 func (c *core) parse(q *dnswire.Query, wire []byte, tGuard time.Time) (tx *telemetry.Transaction, ok bool) {
 	if c.wire == nil {
+		*q = dnswire.Query{}
 		return nil, false
 	}
 	var tParse time.Time
@@ -54,6 +62,7 @@ func (c *core) parse(q *dnswire.Query, wire []byte, tGuard time.Time) (tx *telem
 		tParse = time.Now()
 	}
 	if *q, ok = dnswire.ParseQuery(wire); !ok {
+		*q = dnswire.Query{}
 		return nil, false
 	}
 	tx = c.tel.Begin(c.proto)
@@ -84,6 +93,36 @@ func (c *core) serveWire(tx *telemetry.Transaction, q *dnswire.Query, dst []byte
 	}
 	tx.SetVerdict(telemetry.VerdictOK)
 	return resp, true
+}
+
+// miss is the wire miss step for a query the hit step parsed and declined:
+// the handler resolves q in packed form under a context carrying the
+// transaction, and the reply comes back in a slice the caller owns, its ID
+// already q's. A handler failure folds into the reply Respond would have
+// packed for it, so the adapter writes whatever comes back (nil only when
+// not even that could be built). ok=false — the handler has no wire miss
+// step, or q is the zero view of a query the hit step's parse declined —
+// sends the adapter to the Message step with tx as it was.
+func (c *core) miss(ctx context.Context, tx *telemetry.Transaction, q *dnswire.Query) (resp []byte, ok bool) {
+	if c.wireMiss == nil || q.Raw == nil {
+		return nil, false
+	}
+	ctx = telemetry.NewContext(ctx, tx)
+	resp, err := c.wireMiss.ServeDNSWireMiss(ctx, q)
+	if err == nil && len(resp) >= 12 /* DNS header */ && len(resp) <= dnswire.MaxMessageLen {
+		tx.SetVerdict(telemetry.VerdictOK)
+		return resp, true
+	}
+	// The failure path may allocate: the SERVFAIL is the one Respond would
+	// have packed, built from the unpacked query.
+	var m dnswire.Message
+	if m.Unpack(q.Raw) == nil {
+		if resp, err = failure(ctx, tx, &m).Pack(); err == nil {
+			return resp, true
+		}
+	}
+	tx.SetVerdict(telemetry.VerdictServFail)
+	return nil, true
 }
 
 // unpack opens the Message step for a query in wire form: it decodes wire

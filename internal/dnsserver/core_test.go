@@ -66,6 +66,22 @@ func (s *refStub) ServeDNSWire(tx *telemetry.Transaction, q *dnswire.Query, dst 
 	return append(dst, wire...), true
 }
 
+// missStub is refStub with the wire miss step: what its fast path declines
+// it resolves in packed form, so no parsed query reaches ServeDNS.
+type missStub struct {
+	refStub
+	miss atomic.Int64
+}
+
+func (s *missStub) ServeDNSWireMiss(ctx context.Context, q *dnswire.Query) ([]byte, error) {
+	s.miss.Add(1)
+	var m dnswire.Message
+	if err := m.Unpack(q.Raw); err != nil {
+		return nil, err
+	}
+	return refAnswer(&m).Pack()
+}
+
 // openGuard is a guard no test client can exhaust: every check runs, none
 // limits.
 func openGuard() *guard.Guard {
@@ -97,9 +113,27 @@ var dohPOSTHeader = []hpack.HeaderField{{Name: "content-type", Value: ContentTyp
 // 512-byte default, the DNS payload returned over UDP (portable fallback
 // conn, vector 1), UDP (kernel socket, vector 16), TCP, DoT and DoH POST
 // equals Respond(ctx, handler, q).Pack() computed with no serve loop
-// involved. UDP's TC=1 truncation and its cookie echo are the only
-// permitted differences, and both are asserted.
+// involved — whether what the fast path declines takes the Message step
+// or the handler's wire miss step. UDP's TC=1 truncation and its cookie
+// echo are the only permitted differences, and both are asserted.
 func TestTransportEquivalence(t *testing.T) {
+	t.Run("message-step", func(t *testing.T) {
+		stub := &refStub{}
+		testTransportEquivalence(t, stub)
+		if stub.fast.Load() == 0 || stub.msg.Load() == 0 {
+			t.Fatalf("query set did not cover both steps: fast=%d msg=%d", stub.fast.Load(), stub.msg.Load())
+		}
+	})
+	t.Run("wire-miss-step", func(t *testing.T) {
+		stub := &missStub{}
+		testTransportEquivalence(t, stub)
+		if stub.fast.Load() == 0 || stub.miss.Load() == 0 || stub.msg.Load() != 0 {
+			t.Fatalf("want hits and wire misses and no Message step: fast=%d miss=%d msg=%d", stub.fast.Load(), stub.miss.Load(), stub.msg.Load())
+		}
+	})
+}
+
+func testTransportEquivalence(t *testing.T, stub Handler) {
 	clientCookie := []byte{1, 2, 3, 4, 5, 6, 7, 8}
 	queries := make(map[uint16][]byte)
 	want := make(map[uint16][]byte)
@@ -141,7 +175,6 @@ func TestTransportEquivalence(t *testing.T) {
 		cookied[id] = c.cookie
 	}
 
-	stub := &refStub{}
 	g := openGuard()
 	chain, err := tlsx.GenerateChain(tlsx.CloudflareLike("dns.test"))
 	if err != nil {
@@ -222,9 +255,6 @@ func TestTransportEquivalence(t *testing.T) {
 			}
 		}
 	}
-	if stub.fast.Load() == 0 || stub.msg.Load() == 0 {
-		t.Fatalf("query set did not cover both steps: fast=%d msg=%d", stub.fast.Load(), stub.msg.Load())
-	}
 }
 
 // TestTracePhasesAcrossTransports pins the phase set a kept trace carries:
@@ -240,10 +270,10 @@ func TestTracePhasesAcrossTransports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	udp := func(wrap func(net.PacketConn) udpio.BatchConn, batch int) func(*testing.T, *telemetry.Metrics, []byte) {
-		return func(t *testing.T, tel *telemetry.Metrics, q []byte) {
+	udp := func(wrap func(net.PacketConn) udpio.BatchConn, batch int) func(*testing.T, Handler, *telemetry.Metrics, []byte) {
+		return func(t *testing.T, h Handler, tel *telemetry.Metrics, q []byte) {
 			pc := listenLoopback(t)
-			srv := &UDPServer{Handler: &refStub{}, Guard: openGuard(), Telemetry: tel}
+			srv := &UDPServer{Handler: h, Guard: openGuard(), Telemetry: tel}
 			go srv.ServeBatch([]udpio.BatchConn{wrap(pc)}, batch)
 			collectResponses(t, pc.LocalAddr().String(), map[uint16][]byte{uint16(q[0])<<8 | uint16(q[1]): q})
 		}
@@ -251,20 +281,26 @@ func TestTracePhasesAcrossTransports(t *testing.T) {
 	for _, tr := range []struct {
 		name  string
 		write bool // the adapter owns the socket write
-		drive func(t *testing.T, tel *telemetry.Metrics, q []byte)
+		drive func(t *testing.T, h Handler, tel *telemetry.Metrics, q []byte)
 	}{
 		{"udp-vector-1", true, udp(func(pc net.PacketConn) udpio.BatchConn {
 			return udpio.Wrap(struct{ net.PacketConn }{pc})
 		}, 1)},
 		{"udp-vector-16", true, udp(udpio.Wrap, 16)},
-		{"tcp", true, func(t *testing.T, tel *telemetry.Metrics, q []byte) {
+		{"tcp", true, func(t *testing.T, h Handler, tel *telemetry.Metrics, q []byte) {
 			c, s := net.Pipe()
 			defer c.Close()
-			go (&StreamServer{Handler: &refStub{}, Guard: openGuard(), Telemetry: tel}).ServeConn(s)
+			go (&StreamServer{Handler: h, Guard: openGuard(), Telemetry: tel}).ServeConn(s)
 			streamExchange(t, c, map[uint16][]byte{0: q})
 		}},
-		{"doh-post", false, func(t *testing.T, tel *telemetry.Metrics, q []byte) {
-			d := &DoH{Handler: &refStub{}, Guard: openGuard(), Telemetry: tel}
+		{"dot-out-of-order", true, func(t *testing.T, h Handler, tel *telemetry.Metrics, q []byte) {
+			c, s := net.Pipe()
+			defer c.Close()
+			go (&StreamServer{Handler: h, OutOfOrder: true, Guard: openGuard(), Proto: telemetry.ProtoDoT, Telemetry: tel}).ServeConn(s)
+			streamExchange(t, c, map[uint16][]byte{0: q})
+		}},
+		{"doh-post", false, func(t *testing.T, h Handler, tel *telemetry.Metrics, q []byte) {
+			d := &DoH{Handler: h, Guard: openGuard(), Telemetry: tel}
 			h2h, _ := d.Bind(guard.NewContext(t.Context(), 424242))
 			if resp := h2h.ServeH2(&h2.Request{Method: "POST", Path: "/dns-query", Header: dohPOSTHeader, Body: q}); resp.Status != 200 {
 				t.Fatalf("status %d", resp.Status)
@@ -272,19 +308,21 @@ func TestTracePhasesAcrossTransports(t *testing.T) {
 		}},
 	} {
 		for _, kind := range []struct {
-			name   string
-			query  []byte
-			phases []string
+			name    string
+			handler Handler
+			query   []byte
+			phases  []string
 		}{
-			{"hit", hit, []string{"guard", "parse", "cache", "write"}},
-			{"wire-declined", declined, []string{"guard", "parse", "write"}},
+			{"hit", &refStub{}, hit, []string{"guard", "parse", "cache", "write"}},
+			{"wire-declined", &refStub{}, declined, []string{"guard", "parse", "write"}},
+			{"wire-miss", &missStub{}, declined, []string{"guard", "parse", "write"}},
 		} {
 			t.Run(tr.name+"/"+kind.name, func(t *testing.T) {
 				tel := telemetry.New()
 				tracer := qtrace.New(qtrace.Config{SampleEvery: 1})
 				defer tracer.Close()
 				tel.SetTracer(tracer)
-				tr.drive(t, tel, kind.query)
+				tr.drive(t, kind.handler, tel, kind.query)
 
 				// UDP finishes the transaction just after the reply leaves.
 				var views []qtrace.View

@@ -104,9 +104,10 @@ func (b *boundDoH) ServeH2(req *h2.Request) *h2.Response { return b.d.serveH2(b.
 // ServeH2Inline implements h2.InlineHandler with the split out-of-order
 // DoT has: a plain POST to a wire endpoint gets its guard verdict and the
 // hit step on the read loop, which never block; a hit the wire path
-// declines carries its transaction on to the Message step as next, so
-// telemetry, trace and guard see one query. Anything else — GET, JSON, a
-// path needing decoding, Processing to sleep through — is ServeH2's.
+// declines carries its transaction and the view the step parsed on to the
+// miss steps as next, so telemetry, trace and guard see one query.
+// Anything else — GET, JSON, a path needing decoding, Processing to sleep
+// through — is ServeH2's.
 func (b *boundDoH) ServeH2Inline(req *h2.Request) (*h2.Response, func() *h2.Response) {
 	d := b.d
 	ep := d.endpoint(req.Path)
@@ -122,7 +123,8 @@ func (b *boundDoH) ServeH2Inline(req *h2.Request) (*h2.Response, func() *h2.Resp
 	if handled {
 		return d.h2Response(200, ContentTypeWire, out), nil
 	}
-	return nil, func() *h2.Response { return d.h2Response(d.message(b.ctx, &b.c, tx, req.Body)) }
+	q := b.q // the read loop reuses b.q; the view borrows req.Body, which is next's
+	return nil, func() *h2.Response { return d.h2Response(d.miss(b.ctx, &b.c, tx, &q, req.Body)) }
 }
 
 func h2ContentType(req *h2.Request) (ct string) {
@@ -275,7 +277,7 @@ func (d *DoH) serve(ctx context.Context, method, rawPath, contentType string, bo
 		if handled {
 			return 200, ContentTypeWire, out
 		}
-		return d.message(ctx, &c, tx, rawQ)
+		return d.miss(ctx, &c, tx, &fq, rawQ)
 	}
 	// Neither step's parse ran for a JSON query, so the adapter that
 	// decoded it begins its transaction.
@@ -294,7 +296,7 @@ func (d *DoH) serve(ctx context.Context, method, rawPath, contentType string, bo
 // hit is the hit step for an HTTP body: a cache hit's packed bytes become
 // the response body with no Message in between, in a slice of their own
 // because the body escapes into the HTTP response. handled=false leaves tx
-// (nil if the fast parse declined) for message to carry on with.
+// and q (nil and zero if the fast parse declined) for miss to carry on with.
 func (c *core) hit(q *dnswire.Query, rawQ []byte, tGuard time.Time) (out []byte, tx *telemetry.Transaction, handled bool) {
 	tx, ok := c.parse(q, rawQ, tGuard)
 	if ok {
@@ -303,6 +305,21 @@ func (c *core) hit(q *dnswire.Query, rawQ []byte, tGuard time.Time) (out []byte,
 		}
 	}
 	return out, tx, handled
+}
+
+// miss carries on with a wireformat query the hit step declined: the wire
+// miss step when that step parsed it, the reply becoming the response body
+// as it came back, and the Message step otherwise.
+func (d *DoH) miss(ctx context.Context, c *core, tx *telemetry.Transaction, q *dnswire.Query, rawQ []byte) (status int, respCT string, respBody []byte) {
+	out, ok := c.miss(ctx, tx, q)
+	if !ok {
+		return d.message(ctx, c, tx, rawQ)
+	}
+	tx.Finish()
+	if out == nil {
+		return 500, "", nil
+	}
+	return 200, ContentTypeWire, out
 }
 
 // message is the Message step for a wireformat query, under the transaction

@@ -58,15 +58,21 @@ func Respond(ctx context.Context, h Handler, q *dnswire.Message) *dnswire.Messag
 	resp, err := h.ServeDNS(ctx, q)
 	tx := telemetry.FromContext(ctx)
 	if err != nil || resp == nil {
-		if ctx.Err() != nil {
-			tx.SetVerdict(telemetry.VerdictCanceled)
-		} else {
-			tx.SetVerdict(telemetry.VerdictServFail)
-		}
-		return ServFail(q)
+		return failure(ctx, tx, q)
 	}
 	tx.SetVerdict(telemetry.VerdictOK)
 	return resp
+}
+
+// failure is the fate of a query its handler could not answer: the verdict
+// says whether the client gave up first, the reply is SERVFAIL either way.
+func failure(ctx context.Context, tx *telemetry.Transaction, q *dnswire.Message) *dnswire.Message {
+	if ctx.Err() != nil {
+		tx.SetVerdict(telemetry.VerdictCanceled)
+	} else {
+		tx.SetVerdict(telemetry.VerdictServFail)
+	}
+	return ServFail(q)
 }
 
 // sleepCtx pauses for d unless the context ends first, in which case it

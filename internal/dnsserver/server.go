@@ -44,6 +44,20 @@ type WireResponder interface {
 	ServeDNSWire(tx *telemetry.Transaction, q *dnswire.Query, dst []byte, limit int) ([]byte, bool)
 }
 
+// WireMissResponder is implemented by handlers that can also resolve what
+// their wire fast path declined without leaving packed form — the wire
+// miss step. Servers consult it (when their Handler implements it) for a
+// query ParseQuery accepted and ServeDNSWire declined, before any Message
+// is built: q is the view the hit step parsed, ctx carries the query's
+// telemetry transaction the way ServeDNS's does, and the reply comes back
+// as packed bytes in a slice the caller owns, its transaction ID already
+// q's. Unlike ServeDNSWire it may block on upstream work. An error is the
+// server's to fold into SERVFAIL, as with ServeDNS. Implementations must
+// not retain q past the call: serve loops recycle the packet it borrows.
+type WireMissResponder interface {
+	ServeDNSWireMiss(ctx context.Context, q *dnswire.Query) ([]byte, error)
+}
+
 // bufLen is the pooled scratch size: a maximum DNS message plus the
 // two-octet stream length prefix, so one pool serves packet reads,
 // response packing and stream frames without reallocation.
@@ -64,9 +78,9 @@ func putBuf(b *[]byte) { bufPool.Put(b) }
 // single net.PacketConn): a reader per socket pulls a vector of datagrams,
 // answers every wire fast-path hit (WireResponder) inline into a write
 // vector flushed once per batch, and hands everything else to a bounded
-// pool of Workers goroutines running the Unpack → Respond → AppendPack
-// Message path. Both paths pack and write from pooled buffers; the
-// cache-hit fast path allocates nothing per query.
+// pool of Workers goroutines running the wire miss step (WireMissResponder)
+// or, for what wire cannot answer, the Unpack → Respond → AppendPack
+// Message step. The cache-hit fast path allocates nothing per query.
 type UDPServer struct {
 	Handler Handler
 	// Guard, when non-nil, is consulted per datagram before any parse or
@@ -112,13 +126,14 @@ type UDPServer struct {
 // packet is one received datagram the batch reader could not answer
 // inline, travelling to a worker with its pooled buffer and the conn to
 // answer on. tx, when non-nil, is the transaction the declined hit step
-// already began.
+// already began, and q the view it parsed (borrowing buf).
 type packet struct {
 	buf  *[]byte
 	n    int
 	from net.Addr
 	w    udpio.BatchConn
 	tx   *telemetry.Transaction
+	q    dnswire.Query
 }
 
 // workPool is the bounded worker pool the shard readers dispatch into:
@@ -154,8 +169,11 @@ func (s *UDPServer) startWorkers(ctx context.Context, c *core) *workPool {
 		p.wg.Add(1)
 		go func() {
 			defer p.wg.Done()
-			for pkt := range p.work {
-				p.s.serveMessage(p.ctx, p.c, pkt)
+			// One packet per worker, not per query: the wire miss step
+			// takes the address of its view.
+			var pkt packet
+			for pkt = range p.work {
+				p.s.serveSlow(p.ctx, p.c, &pkt)
 			}
 		}()
 	}
@@ -180,10 +198,11 @@ func (p *workPool) dispatch(pkt packet) bool {
 	case p.spillSem <- struct{}{}:
 		p.s.Telemetry.UDPSpill()
 		p.wg.Add(1)
+		spilled := pkt // only a spill pays for a packet on the heap
 		go func() {
 			defer p.wg.Done()
 			defer func() { <-p.spillSem }()
-			p.s.serveMessage(p.ctx, p.c, pkt)
+			p.s.serveSlow(p.ctx, p.c, &spilled)
 		}()
 		return true
 	}
@@ -224,39 +243,65 @@ func (s *UDPServer) udpLimit(hasEDNS bool, udpSize uint16) int {
 	return limit
 }
 
-// serveMessage runs the Message step for one datagram the batch reader
-// handed off, with the truncation, OPT-shedding and cookie-echo policy UDP
-// demands, finishes the packet's transaction and reclaims its buffer.
-func (s *UDPServer) serveMessage(ctx context.Context, c *core, pkt packet) {
+// serveSlow answers one datagram the batch reader handed off, finishes its
+// transaction and reclaims its buffer. A query the hit step parsed takes
+// the wire miss step, and its reply leaves as the bytes that came back —
+// unless UDP demands Message-level surgery on it: a client cookie to echo,
+// or a reply over the size limit to truncate. Everything else takes the
+// Message step.
+func (s *UDPServer) serveSlow(ctx context.Context, c *core, pkt *packet) {
 	defer putBuf(pkt.buf)
 	wire := (*pkt.buf)[:pkt.n]
-	var q dnswire.Message
-	tx, err := c.unpack(pkt.tx, wire, &q)
-	if err != nil {
-		return // drop unparseable datagrams, like real servers
-	}
-	defer tx.Finish()
 	var gkey uint64
 	if s.Guard != nil {
 		// Attribute downstream work (the cache-miss breaker) to the client.
 		gkey = guard.ClientKey(pkt.from)
 		ctx = guard.NewContext(ctx, gkey)
 	}
-	resp := c.respond(ctx, tx, &q)
-	if s.Guard != nil {
-		// Echo a DNS cookie so the client can earn the rate-limit bypass.
+	tx := pkt.tx
+	wired, ok := c.miss(ctx, tx, &pkt.q)
+	hasEDNS, udpSize := pkt.q.HasEDNS, pkt.q.UDPSize
+	var resp *dnswire.Message
+	if !ok {
+		var q dnswire.Message
+		var err error
+		if tx, err = c.unpack(tx, wire, &q); err != nil {
+			return // drop unparseable datagrams, like real servers
+		}
+		resp = c.respond(ctx, tx, &q)
+		if hasEDNS = q.EDNS != nil; hasEDNS {
+			udpSize = q.EDNS.UDPSize
+		}
+	}
+	defer tx.Finish()
+	limit := s.udpLimit(hasEDNS, udpSize)
+	// Echo a DNS cookie so the client can earn the rate-limit bypass.
+	cookie, echo := s.Guard.ServerCookie(nil, wire, gkey)
+	if ok {
+		if wired == nil {
+			return // no reply could be built; the verdict says so
+		}
+		if !echo && len(wired) <= limit {
+			s.writeReply(tx, pkt, wired)
+			return
+		}
+		resp = new(dnswire.Message)
+		if err := resp.Unpack(wired); err != nil {
+			tx.SetVerdict(telemetry.VerdictServFail)
+			return
+		}
+	}
+	if echo {
 		// Cached entries share their EDNS between clones, so attach to a
 		// fresh one instead of mutating in place.
-		if data, ok := s.Guard.ServerCookie(nil, wire, gkey); ok {
-			e := &dnswire.EDNS{UDPSize: 1232}
-			if resp.EDNS != nil {
-				cp := *resp.EDNS
-				cp.Options = append([]dnswire.EDNS0Option(nil), resp.EDNS.Options...)
-				e = &cp
-			}
-			e.Options = append(e.Options, dnswire.EDNS0Option{Code: guard.EDNS0CookieCode, Data: data})
-			resp.EDNS = e
+		e := &dnswire.EDNS{UDPSize: 1232}
+		if resp.EDNS != nil {
+			cp := *resp.EDNS
+			cp.Options = append([]dnswire.EDNS0Option(nil), resp.EDNS.Options...)
+			e = &cp
 		}
+		e.Options = append(e.Options, dnswire.EDNS0Option{Code: guard.EDNS0CookieCode, Data: cookie})
+		resp.EDNS = e
 	}
 	out := getBuf()
 	defer putBuf(out)
@@ -267,11 +312,6 @@ func (s *UDPServer) serveMessage(ctx context.Context, c *core, pkt packet) {
 		tx.SetVerdict(telemetry.VerdictServFail)
 		return
 	}
-	var udpSize uint16
-	if q.EDNS != nil {
-		udpSize = q.EDNS.UDPSize
-	}
-	limit := s.udpLimit(q.EDNS != nil, udpSize)
 	if len(reply) > limit {
 		trunc := *resp
 		trunc.Truncated = true
@@ -291,6 +331,11 @@ func (s *UDPServer) serveMessage(ctx context.Context, c *core, pkt packet) {
 			}
 		}
 	}
+	s.writeReply(tx, pkt, reply)
+}
+
+// writeReply sends one worker-built reply, recorded as tx's write span.
+func (s *UDPServer) writeReply(tx *telemetry.Transaction, pkt *packet, reply []byte) {
 	tw := tx.TraceStart()
 	pkt.w.WriteTo(reply, pkt.from)
 	tx.TraceSpan(qtrace.PhaseWrite, tw)
@@ -392,6 +437,25 @@ func (s *StreamServer) ServeConn(conn net.Conn) error {
 			}
 			putBuf(out)
 		}
+		// Wire miss step, on what the hit step parsed and declined. The
+		// next read reuses rbuf, so an out-of-order query takes a copy of
+		// the bytes its view borrows.
+		if ok && c.wireMiss != nil {
+			if !s.OutOfOrder {
+				if err := sc.answerWire(ctx, &c, tx, &q); err != nil {
+					return err
+				}
+				continue
+			}
+			mq := q
+			mq.Raw = append([]byte(nil), wire...)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				sc.answerWire(ctx, &c, tx, &mq)
+			}()
+			continue
+		}
 		// Message step. Unpack runs here because the next read reuses rbuf;
 		// m and mtx are never reassigned, so the goroutine captures values.
 		m := new(dnswire.Message)
@@ -449,6 +513,19 @@ func (s *StreamServer) writeRefusal(sc *streamConn, wire []byte, gkey uint64) er
 	return sc.writeFrame(nil, *out, len(resp))
 }
 
+// answerWire runs the wire miss step for one query and writes the reply
+// that came back behind a length prefix.
+func (sc *streamConn) answerWire(ctx context.Context, c *core, tx *telemetry.Transaction, q *dnswire.Query) error {
+	defer tx.Finish()
+	resp, _ := c.miss(ctx, tx, q)
+	if resp == nil {
+		return errors.New("dnsserver: no reply could be built")
+	}
+	out := getBuf()
+	defer putBuf(out)
+	return sc.writeFrame(tx, *out, copy((*out)[2:], resp))
+}
+
 // answer closes the Message step for one query and writes the reply.
 func (sc *streamConn) answer(ctx context.Context, c *core, tx *telemetry.Transaction, q *dnswire.Message) error {
 	defer tx.Finish()
@@ -470,18 +547,19 @@ func (sc *streamConn) answer(ctx context.Context, c *core, tx *telemetry.Transac
 // ReadStreamMessage reads one length-prefixed DNS message into a slice of
 // its own.
 func ReadStreamMessage(r io.Reader) ([]byte, error) {
-	return readStreamMessageInto(r, nil)
+	var lenBuf [2]byte
+	return readStreamMessageInto(r, lenBuf[:])
 }
 
 // readStreamMessageInto reads one length-prefixed DNS message into buf —
-// the serving loop's pooled dnswire.MaxMessageLen buffer, so it allocates
-// nothing — or into a fresh slice when buf is too short to hold it.
+// the serving loop's pooled dnswire.MaxMessageLen buffer, whose head also
+// takes the length prefix, so it allocates nothing — or into a fresh slice
+// when buf, at least two octets, is too short to hold it.
 func readStreamMessageInto(r io.Reader, buf []byte) ([]byte, error) {
-	var lenBuf [2]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
+	if _, err := io.ReadFull(r, buf[:2]); err != nil {
 		return nil, err
 	}
-	n := int(binary.BigEndian.Uint16(lenBuf[:]))
+	n := int(binary.BigEndian.Uint16(buf))
 	if n > len(buf) {
 		buf = make([]byte, n)
 	}
@@ -495,6 +573,17 @@ func readStreamMessageInto(r io.Reader, buf []byte) ([]byte, error) {
 // flight. The frame is assembled in a pooled buffer, not allocated per
 // write.
 func WriteStreamMessage(w io.Writer, msg []byte) error {
+	return writeStreamMessage(w, msg, false, 0)
+}
+
+// WriteStreamMessageID is WriteStreamMessage with the frame's copy of msg
+// sent under transaction ID id: how a client forwards a query under an ID
+// of its own without touching, or copying twice, the caller's bytes.
+func WriteStreamMessageID(w io.Writer, msg []byte, id uint16) error {
+	return writeStreamMessage(w, msg, true, id)
+}
+
+func writeStreamMessage(w io.Writer, msg []byte, patch bool, id uint16) error {
 	if len(msg) > dnswire.MaxMessageLen {
 		return dnswire.ErrMessageTooLarge
 	}
@@ -503,6 +592,9 @@ func WriteStreamMessage(w io.Writer, msg []byte) error {
 	buf := (*out)[:2+len(msg)]
 	binary.BigEndian.PutUint16(buf, uint16(len(msg)))
 	copy(buf[2:], msg)
+	if patch {
+		dnswire.PatchID(buf[2:], id)
+	}
 	_, err := w.Write(buf)
 	return err
 }

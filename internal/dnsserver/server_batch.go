@@ -259,7 +259,7 @@ func (s *UDPServer) serveShard(conn udpio.BatchConn, batch int, pool *workPool, 
 					continue
 				}
 			}
-			s.batchHandoff(conn, v, i, tx, pool, sc)
+			s.batchHandoff(conn, v, i, tx, q, pool, sc)
 		}
 
 		// One sendmmsg for the whole batch of hits. A write error is not
@@ -301,10 +301,11 @@ func (v *batchVec) queue(n int, addr net.Addr, tx *telemetry.Transaction) {
 // batchHandoff hands read-vector slot i to the worker pool: the slot's
 // pooled buffer travels with the packet and a fresh one takes its place,
 // and the source address is cloned out of the reusable vector. tx is the
-// transaction a declined hit step already began, or nil.
-func (s *UDPServer) batchHandoff(conn udpio.BatchConn, v *batchVec, i int, tx *telemetry.Transaction, pool *workPool, sc *shardCounters) {
+// transaction a declined hit step already began, or nil, and q the view it
+// parsed — it borrows the buffer that travels — or the zero Query.
+func (s *UDPServer) batchHandoff(conn udpio.BatchConn, v *batchVec, i int, tx *telemetry.Transaction, q dnswire.Query, pool *workPool, sc *shardCounters) {
 	sc.slowPath.Add(1)
-	pkt := packet{buf: v.bufs[i], n: v.ms[i].N, from: udpio.CloneAddr(v.ms[i].Addr), w: conn, tx: tx}
+	pkt := packet{buf: v.bufs[i], n: v.ms[i].N, from: udpio.CloneAddr(v.ms[i].Addr), w: conn, tx: tx, q: q}
 	v.bufs[i] = getBuf()
 	v.ms[i].Buf = *v.bufs[i]
 	if pool.dispatch(pkt) {

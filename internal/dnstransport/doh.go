@@ -221,26 +221,116 @@ func (c *DoHClient) dropConn() {
 	}
 }
 
-// Exchange implements Resolver.
+// Exchange implements Resolver: over ExchangeWire for the wireformat
+// encodings, and natively for JSON, whose answers never were in wire form.
 func (c *DoHClient) Exchange(ctx context.Context, q *dnswire.Message) (*dnswire.Message, error) {
+	if c.Encoding != EncodingJSON {
+		return ExchangeMessage(ctx, c, q)
+	}
+	qq := q.Question1()
+	path := dnsserver.EncodeJSONGETPath(c.path(), qq.Name, qq.Type)
+	body, err := c.roundTrip(ctx, dohRequest{method: "GET", path: path, accept: dnsserver.ContentTypeJSON, size: len(path)})
+	if err != nil {
+		return nil, err
+	}
+	return dnsjson.Decode(body)
+}
+
+// ExchangeWire implements WireResolver for the wireformat encodings: query
+// travels as the POST body or the GET ?dns= parameter under transaction ID
+// 0 (RFC 8484 §4.1, so HTTP caches see identical bytes for identical
+// questions), and the response body comes back as it arrived. A JSON client
+// adapts through its Message exchange.
+func (c *DoHClient) ExchangeWire(ctx context.Context, query []byte) ([]byte, error) {
+	if c.Encoding == EncodingJSON {
+		return messageLeaf{c}.ExchangeWire(ctx, query)
+	}
+	qid, err := queryID(query)
+	if err != nil {
+		return nil, err
+	}
+	wire := append([]byte(nil), query...) // the request keeps it until sent
+	dnswire.PatchID(wire, 0)
+	var req dohRequest
+	switch c.Encoding {
+	case EncodingPOST:
+		req = dohRequest{method: "POST", path: c.path(), accept: dnsserver.ContentTypeWire,
+			contentType: dnsserver.ContentTypeWire, body: wire, size: len(wire)}
+	case EncodingGET:
+		req = dohRequest{method: "GET", path: dnsserver.EncodeGETPath(c.path(), wire),
+			accept: dnsserver.ContentTypeWire, size: len(wire)}
+	default:
+		return nil, fmt.Errorf("dnstransport: unknown encoding %d", c.Encoding)
+	}
+	resp, err := c.roundTrip(ctx, req)
+	if err != nil {
+		return nil, err
+	}
+	if err := dnswire.ValidateResponseWire(query, 0, resp); err != nil {
+		return nil, fmt.Errorf("dnstransport: bad doh body: %w", err)
+	}
+	dnswire.PatchID(resp, qid)
+	return resp, nil
+}
+
+// dohRequest is one DoH exchange's HTTP request, independent of the HTTP
+// version carrying it. size is the query's size in its chosen
+// representation — the POST body, the wireformat a GET carries
+// base64url-encoded, or the JSON GET path — so telemetry byte accounting
+// works for every encoding.
+type dohRequest struct {
+	method, path        string
+	accept, contentType string
+	body                []byte
+	size                int
+}
+
+// roundTrip runs req on the client's connection, dialing when needed, and
+// returns the body of a 200 response in a slice the caller owns. A failed
+// exchange drops the connection; a successful one records its cost, and
+// closes the connection of a non-persistent client.
+func (c *DoHClient) roundTrip(ctx context.Context, req dohRequest) ([]byte, error) {
 	start := time.Now()
 	h2c, h1c, fresh, err := c.ensure(ctx)
 	if err != nil {
 		return nil, err
 	}
-
-	// RFC 8484 §4.1: DoH queries SHOULD use transaction ID 0 so caches see
-	// identical bytes for identical questions.
-	msg := cloneWithID(q, 0)
-
-	var resp *dnswire.Message
+	tx := telemetry.FromContext(ctx)
+	tx.AddBytesSent(req.size)
+	var status int
+	var body []byte
 	switch {
 	case h2c != nil:
-		resp, err = c.exchangeH2(ctx, h2c, msg)
+		hreq := &h2.Request{
+			Method: req.method, Scheme: "https", Authority: c.authority(), Path: req.path,
+			Body: req.body,
+		}
+		if req.contentType != "" {
+			hreq.Header = append(hreq.Header, hpack.HeaderField{Name: "content-type", Value: req.contentType})
+		}
+		hreq.Header = append(hreq.Header, hpack.HeaderField{Name: "accept", Value: req.accept})
+		var resp *h2.Response
+		if resp, err = h2c.RoundTrip(ctx, hreq); err == nil {
+			status, body = resp.Status, resp.Body
+		}
 	case h1c != nil:
-		resp, err = c.exchangeH1(ctx, h1c, msg)
+		hreq := &h1.Request{Method: req.method, Path: req.path, Host: c.authority(), Body: req.body}
+		if req.contentType != "" {
+			hreq.Header = append(hreq.Header, [2]string{"Content-Type", req.contentType})
+		}
+		hreq.Header = append(hreq.Header, [2]string{"Accept", req.accept})
+		var resp *h1.Response
+		if resp, err = h1c.Do(ctx, hreq); err == nil {
+			status, body = resp.Status, resp.Body
+		}
 	default:
 		return nil, ErrClosed
+	}
+	if err == nil {
+		tx.AddBytesReceived(len(body))
+		if status != 200 {
+			err = fmt.Errorf("dnstransport: doh server returned HTTP %d", status)
+		}
 	}
 	if err != nil {
 		c.dropConn()
@@ -250,135 +340,7 @@ func (c *DoHClient) Exchange(ctx context.Context, q *dnswire.Message) (*dnswire.
 	if !c.Persistent {
 		c.dropConn()
 	}
-	return resp, nil
-}
-
-// buildH2 builds the HTTP/2 request for msg per the configured encoding.
-// querySize is the query's size in its chosen representation — the POST
-// body, the wireformat a GET carries base64url-encoded, or the JSON GET
-// path — so telemetry byte accounting works for every encoding.
-func (c *DoHClient) buildH2(msg *dnswire.Message) (req *h2.Request, querySize int, err error) {
-	switch c.Encoding {
-	case EncodingPOST:
-		body, err := msg.Pack()
-		if err != nil {
-			return nil, 0, err
-		}
-		return &h2.Request{
-			Method: "POST", Scheme: "https", Authority: c.authority(), Path: c.path(),
-			Header: []hpack.HeaderField{
-				{Name: "content-type", Value: dnsserver.ContentTypeWire},
-				{Name: "accept", Value: dnsserver.ContentTypeWire},
-			},
-			Body: body,
-		}, len(body), nil
-	case EncodingGET:
-		wire, err := msg.Pack()
-		if err != nil {
-			return nil, 0, err
-		}
-		return &h2.Request{
-			Method: "GET", Scheme: "https", Authority: c.authority(),
-			Path:   dnsserver.EncodeGETPath(c.path(), wire),
-			Header: []hpack.HeaderField{{Name: "accept", Value: dnsserver.ContentTypeWire}},
-		}, len(wire), nil
-	case EncodingJSON:
-		qq := msg.Question1()
-		path := dnsserver.EncodeJSONGETPath(c.path(), qq.Name, qq.Type)
-		return &h2.Request{
-			Method: "GET", Scheme: "https", Authority: c.authority(),
-			Path:   path,
-			Header: []hpack.HeaderField{{Name: "accept", Value: dnsserver.ContentTypeJSON}},
-		}, len(path), nil
-	}
-	return nil, 0, fmt.Errorf("dnstransport: unknown encoding %d", c.Encoding)
-}
-
-func (c *DoHClient) exchangeH2(ctx context.Context, h2c *h2.ClientConn, msg *dnswire.Message) (*dnswire.Message, error) {
-	req, querySize, err := c.buildH2(msg)
-	if err != nil {
-		return nil, err
-	}
-	tx := telemetry.FromContext(ctx)
-	tx.AddBytesSent(querySize)
-	resp, err := h2c.RoundTrip(ctx, req)
-	if err != nil {
-		return nil, err
-	}
-	tx.AddBytesReceived(len(resp.Body))
-	return c.parseResponse(msg, resp.Status, resp.HeaderValue("content-type"), resp.Body)
-}
-
-func (c *DoHClient) exchangeH1(ctx context.Context, h1c *h1.PipelineClient, msg *dnswire.Message) (*dnswire.Message, error) {
-	var req *h1.Request
-	var querySize int
-	switch c.Encoding {
-	case EncodingPOST:
-		body, err := msg.Pack()
-		if err != nil {
-			return nil, err
-		}
-		req = &h1.Request{
-			Method: "POST", Path: c.path(), Host: c.authority(),
-			Header: h1.Header{
-				{"Content-Type", dnsserver.ContentTypeWire},
-				{"Accept", dnsserver.ContentTypeWire},
-			},
-			Body: body,
-		}
-		querySize = len(body)
-	case EncodingGET:
-		wire, err := msg.Pack()
-		if err != nil {
-			return nil, err
-		}
-		req = &h1.Request{
-			Method: "GET", Path: dnsserver.EncodeGETPath(c.path(), wire), Host: c.authority(),
-			Header: h1.Header{{"Accept", dnsserver.ContentTypeWire}},
-		}
-		querySize = len(wire)
-	case EncodingJSON:
-		qq := msg.Question1()
-		req = &h1.Request{
-			Method: "GET", Path: dnsserver.EncodeJSONGETPath(c.path(), qq.Name, qq.Type), Host: c.authority(),
-			Header: h1.Header{{"Accept", dnsserver.ContentTypeJSON}},
-		}
-		querySize = len(req.Path)
-	default:
-		return nil, fmt.Errorf("dnstransport: unknown encoding %d", c.Encoding)
-	}
-	tx := telemetry.FromContext(ctx)
-	tx.AddBytesSent(querySize)
-	resp, err := h1c.Do(ctx, req)
-	if err != nil {
-		return nil, err
-	}
-	tx.AddBytesReceived(len(resp.Body))
-	return c.parseResponse(msg, resp.Status, resp.Header.Get("Content-Type"), resp.Body)
-}
-
-// parseResponse decodes the HTTP payload back into a DNS message.
-func (c *DoHClient) parseResponse(q *dnswire.Message, status int, contentType string, body []byte) (*dnswire.Message, error) {
-	if status != 200 {
-		return nil, fmt.Errorf("dnstransport: doh server returned HTTP %d", status)
-	}
-	switch contentType {
-	case dnsserver.ContentTypeJSON:
-		resp, err := dnsjson.Decode(body)
-		if err != nil {
-			return nil, err
-		}
-		return resp, nil
-	default:
-		resp := new(dnswire.Message)
-		if err := resp.Unpack(body); err != nil {
-			return nil, fmt.Errorf("dnstransport: bad doh body: %w", err)
-		}
-		if err := dnswire.ValidateResponse(q, resp); err != nil {
-			return nil, err
-		}
-		return resp, nil
-	}
+	return body, nil
 }
 
 // finish records the per-exchange cost deltas.

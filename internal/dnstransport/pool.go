@@ -66,10 +66,10 @@ func (c PoolConfig) withDefaults() PoolConfig {
 	return c
 }
 
-// Pool is a Resolver that multiplexes queries over N persistent connections
-// per upstream, with per-upstream health tracking, exponential-backoff
-// redial of broken connections, and failover across upstreams in the order
-// given. It is the production counterpart of the paper's persistent-
+// Pool is a Resolver and WireResolver that multiplexes queries over N
+// persistent connections per upstream, with per-upstream health tracking,
+// exponential-backoff redial of broken connections, and failover across
+// upstreams in the order given. It is the production counterpart of the paper's persistent-
 // connection scenarios: connection setup — the dominant DoH cost in
 // Figures 3–5 — is paid once per pooled connection instead of per query.
 //
@@ -115,10 +115,12 @@ func (p *Pool) observe(name string, d time.Duration, err error) {
 	}
 }
 
-// poolConn is one persistent connection slot, lazily dialed.
+// poolConn is one persistent connection slot, lazily dialed. w is r's wire
+// capability (AsWire), resolved once at dial time.
 type poolConn struct {
 	mu       sync.Mutex
 	r        Resolver
+	w        WireResolver
 	redialAt time.Time
 	backoff  time.Duration
 }
@@ -176,7 +178,7 @@ func (p *Pool) Close() error {
 			c.mu.Lock()
 			if c.r != nil {
 				c.r.Close()
-				c.r = nil
+				c.r, c.w = nil, nil
 			}
 			c.mu.Unlock()
 		}
@@ -262,31 +264,31 @@ func (u *poolUpstream) fail(cfg PoolConfig) {
 // established a fresh connection. A slot still in backoff refuses with an
 // error wrapping ErrBackoff so callers can tell local refusal from a dial
 // that actually failed.
-func (c *poolConn) get(ctx context.Context, p *Pool, u *poolUpstream) (r Resolver, dialed bool, err error) {
+func (c *poolConn) get(ctx context.Context, p *Pool, u *poolUpstream) (r Resolver, w WireResolver, dialed bool, err error) {
 	cfg := p.cfg
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.r != nil {
-		return c.r, false, nil
+		return c.r, c.w, false, nil
 	}
 	if cfg.now().Before(c.redialAt) {
-		return nil, false, fmt.Errorf("dnstransport: pool upstream %s: %w", u.name, ErrBackoff)
+		return nil, nil, false, fmt.Errorf("dnstransport: pool upstream %s: %w", u.name, ErrBackoff)
 	}
 	// Re-check under the slot lock: Close sets the flag before walking the
 	// slots, so either we see it here or Close's walk will close whatever
 	// we dial. Without this check a racing Exchange could redial after
 	// Close passed this slot and leak the connection.
 	if p.closed.Load() {
-		return nil, false, ErrClosed
+		return nil, nil, false, ErrClosed
 	}
 	r, err = u.dial(ctx)
 	if err != nil {
 		c.noteBroken(cfg)
-		return nil, false, fmt.Errorf("dnstransport: pool dial %s: %w", u.name, err)
+		return nil, nil, false, fmt.Errorf("dnstransport: pool dial %s: %w", u.name, err)
 	}
-	c.r = r
+	c.r, c.w = r, AsWire(r)
 	c.backoff = 0
-	return r, true, nil
+	return r, c.w, true, nil
 }
 
 // drop discards the slot's resolver after a failure; the next get redials
@@ -295,7 +297,7 @@ func (c *poolConn) drop(r Resolver, cfg PoolConfig) {
 	c.mu.Lock()
 	if c.r == r && r != nil {
 		r.Close()
-		c.r = nil
+		c.r, c.w = nil, nil
 	}
 	c.noteBroken(cfg)
 	c.mu.Unlock()
@@ -309,13 +311,18 @@ func (c *poolConn) noteBroken(cfg PoolConfig) {
 	c.redialAt = cfg.now().Add(jitterBackoff(c.backoff, cfg))
 }
 
-// Exchange implements Resolver. The query goes to the first healthy
+// Exchange implements Resolver over ExchangeWire.
+func (p *Pool) Exchange(ctx context.Context, q *dnswire.Message) (*dnswire.Message, error) {
+	return ExchangeMessage(ctx, p, q)
+}
+
+// ExchangeWire implements WireResolver. The query goes to the first healthy
 // upstream's next pooled connection; on failure the connection is dropped
 // for redial, the upstream's health is charged, and the exchange fails over
 // to the next upstream. When every upstream is marked down the pool tries
 // them anyway — returning an error without asking the network would turn a
 // transient blip into an outage.
-func (p *Pool) Exchange(ctx context.Context, q *dnswire.Message) (*dnswire.Message, error) {
+func (p *Pool) ExchangeWire(ctx context.Context, query []byte) ([]byte, error) {
 	if p.closed.Load() {
 		return nil, ErrClosed
 	}
@@ -332,7 +339,7 @@ func (p *Pool) Exchange(ctx context.Context, q *dnswire.Message) (*dnswire.Messa
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			resp, err := p.exchangeVia(ctx, u, q)
+			resp, err := p.exchangeVia(ctx, u, query)
 			if err == nil {
 				return resp, nil
 			}
@@ -358,11 +365,11 @@ func (p *Pool) Exchange(ctx context.Context, q *dnswire.Message) (*dnswire.Messa
 // upstream's health pays for a hedge loser's cancellation or a departed
 // client. A deadline expiring mid-exchange is an ordinary failure: a
 // black-holing upstream must still be marked down.
-func (p *Pool) exchangeVia(ctx context.Context, u *poolUpstream, q *dnswire.Message) (*dnswire.Message, error) {
+func (p *Pool) exchangeVia(ctx context.Context, u *poolUpstream, query []byte) ([]byte, error) {
 	tx := telemetry.FromContext(ctx)
 	start := time.Now()
 	slot := u.conns[u.next.Add(1)%uint64(len(u.conns))]
-	r, dialed, err := slot.get(ctx, p, u)
+	r, w, dialed, err := slot.get(ctx, p, u)
 	if dialed {
 		tx.PoolDial()
 		if tx.Traced() {
@@ -391,7 +398,7 @@ func (p *Pool) exchangeVia(ctx context.Context, u *poolUpstream, q *dnswire.Mess
 		return nil, err
 	}
 	t0 := time.Now()
-	resp, err := r.Exchange(ctx, q)
+	resp, err := w.ExchangeWire(ctx, query)
 	if tx.Traced() {
 		// Recorded for failures too: a trace of a SERVFAIL query should
 		// show where the time went before the attempt died.
@@ -423,20 +430,23 @@ func (p *Pool) UpstreamName(i int) string { return p.ups[i].name }
 // traffic (not marked down in failure backoff).
 func (p *Pool) UpstreamHealthy(i int) bool { return p.ups[i].healthy(p.cfg.now()) }
 
-// ExchangeUpstream runs one exchange against upstream i specifically — no
-// failover — so a steering layer can aim traffic by score instead of by
+// ExchangeUpstreamWire runs one exchange against upstream i specifically —
+// no failover — so a steering layer can aim traffic by score instead of by
 // static preference order. Connection checkout, health accounting and
-// redial backoff work exactly as in Exchange; the upstream is tried even
-// when marked down, because a directed probe is how a steering policy
+// redial backoff work exactly as in ExchangeWire; the upstream is tried
+// even when marked down, because a directed probe is how a steering policy
 // discovers recovery.
-func (p *Pool) ExchangeUpstream(ctx context.Context, i int, q *dnswire.Message) (*dnswire.Message, error) {
+func (p *Pool) ExchangeUpstreamWire(ctx context.Context, i int, query []byte) ([]byte, error) {
 	if p.closed.Load() {
 		return nil, ErrClosed
 	}
 	if i < 0 || i >= len(p.ups) {
 		return nil, fmt.Errorf("dnstransport: pool has no upstream %d", i)
 	}
-	return p.exchangeVia(ctx, p.ups[i], q)
+	return p.exchangeVia(ctx, p.ups[i], query)
 }
 
-var _ Resolver = (*Pool)(nil)
+var (
+	_ Resolver     = (*Pool)(nil)
+	_ WireResolver = (*Pool)(nil)
+)

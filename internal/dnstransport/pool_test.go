@@ -328,8 +328,16 @@ func TestExchangeUpstreamTargetsSpecific(t *testing.T) {
 	if p.UpstreamName(0) != "primary" || p.UpstreamName(1) != "secondary" {
 		t.Fatalf("names = %q, %q", p.UpstreamName(0), p.UpstreamName(1))
 	}
-	resp, err := p.ExchangeUpstream(context.Background(), 1, q("aim.example."))
+	aim, err := q("aim.example.").Pack()
 	if err != nil {
+		t.Fatal(err)
+	}
+	wire, err := p.ExchangeUpstreamWire(context.Background(), 1, aim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp := new(dnswire.Message)
+	if err := resp.Unpack(wire); err != nil {
 		t.Fatal(err)
 	}
 	if got := answeredBy(t, resp); got != "secondary" {
@@ -338,7 +346,7 @@ func TestExchangeUpstreamTargetsSpecific(t *testing.T) {
 	if prim.dialed() != 0 {
 		t.Error("primary dialed by a secondary-directed exchange")
 	}
-	if _, err := p.ExchangeUpstream(context.Background(), 5, q("oob.example.")); err == nil {
+	if _, err := p.ExchangeUpstreamWire(context.Background(), 5, aim); err == nil {
 		t.Error("out-of-range upstream index accepted")
 	}
 }

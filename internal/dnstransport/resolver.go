@@ -13,6 +13,7 @@ package dnstransport
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -32,6 +33,77 @@ type Resolver interface {
 	Exchange(ctx context.Context, q *dnswire.Message) (*dnswire.Message, error)
 	// Close releases connections. The resolver is unusable afterwards.
 	Close() error
+}
+
+// WireResolver is the optional packed-bytes capability beside Resolver —
+// the shape production forwarders converged on — implemented by every
+// stage of the forwarding chain whose native form is wire: the transport
+// clients, Pool, and the layers a proxy stacks on them. A stage that has
+// it implements Exchange as ExchangeMessage over it, so each stage has one
+// exchange, not two.
+type WireResolver interface {
+	// ExchangeWire sends the packed query and returns the matching
+	// response as packed bytes in a slice the caller owns. The stage owns
+	// transaction-ID assignment on the way up — query is never written to,
+	// and may be reused once the call returns — and the response carries
+	// query's own ID. A transport client vouches for the ID echo, the QR
+	// bit and the echoed question (dnswire.ValidateResponseWire); anything
+	// past the question is as the upstream sent it, hostile until scanned.
+	ExchangeWire(ctx context.Context, query []byte) ([]byte, error)
+}
+
+// AsWire returns r's own wire capability, or an adapter that unpacks the
+// query, runs r's Message exchange and packs the answer — what a
+// Message-only leaf (a test double, the study's handlers) costs behind a
+// wire chain. Callers resolve it once per resolver, not per exchange.
+func AsWire(r Resolver) WireResolver {
+	if w, ok := r.(WireResolver); ok {
+		return w
+	}
+	return messageLeaf{r}
+}
+
+type messageLeaf struct{ r Resolver }
+
+func (l messageLeaf) ExchangeWire(ctx context.Context, query []byte) ([]byte, error) {
+	q := new(dnswire.Message)
+	if err := q.Unpack(query); err != nil {
+		return nil, fmt.Errorf("dnstransport: unpacking query: %w", err)
+	}
+	resp, err := l.r.Exchange(ctx, q)
+	if err != nil {
+		return nil, err
+	}
+	wire, err := resp.Pack()
+	if err != nil {
+		return nil, fmt.Errorf("dnstransport: packing response: %w", err)
+	}
+	// Message resolvers answer under an ID of their own choosing, and resp
+	// may be shared: restamp the bytes, not the Message.
+	dnswire.PatchID(wire, q.ID)
+	return wire, nil
+}
+
+// ExchangeMessage is the Message face of a wire stage, the one adapter
+// behind every such stage's Exchange: pack q, exchange the bytes, unpack
+// the answer.
+func ExchangeMessage(ctx context.Context, w WireResolver, q *dnswire.Message) (*dnswire.Message, error) {
+	bp := packBufPool.Get().(*[]byte)
+	defer packBufPool.Put(bp)
+	query, err := q.AppendPack((*bp)[:0])
+	if err != nil {
+		return nil, fmt.Errorf("dnstransport: packing query: %w", err)
+	}
+	*bp = query[:0] // keep any growth for the next exchange
+	wire, err := w.ExchangeWire(ctx, query)
+	if err != nil {
+		return nil, err
+	}
+	resp := new(dnswire.Message)
+	if err := resp.Unpack(wire); err != nil {
+		return nil, fmt.Errorf("dnstransport: bad response: %w", err)
+	}
+	return resp, nil
 }
 
 // Cost is the measured wire cost of one exchange (or of one connection's
@@ -121,57 +193,44 @@ func wireStats(conn net.Conn) netsim.ConnStats {
 	return netsim.ConnStats{}
 }
 
-// exchangeID produces the transaction ID policy for one transport: DoH uses
-// zero (RFC 8484 §4.1, cache friendliness), everything else uses a
-// generated ID from the client's sequence.
-func cloneWithID(q *dnswire.Message, id uint16) *dnswire.Message {
-	cp := *q
-	cp.ID = id
-	return &cp
+// queryID reads the transaction ID an ExchangeWire caller's response must
+// carry, rejecting bytes too short to be a DNS message.
+func queryID(query []byte) (uint16, error) {
+	if len(query) < 12 {
+		return 0, fmt.Errorf("dnstransport: query: %w", dnswire.ErrShortMessage)
+	}
+	return binary.BigEndian.Uint16(query), nil
 }
 
-// packBufPool recycles per-exchange query-packing scratch. Queries are
+// packBufPool recycles ExchangeMessage's query-packing scratch. Queries are
 // small (a question plus OPT), so the buffers start at 512 bytes and the
 // pool keeps whatever growth padding or long names forced.
 var packBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
 
-// packQuery serializes m into a pooled buffer. The returned release
-// func recycles the buffer; the wire slice must not be used after calling
-// it (writes to the network copy the bytes before release is due).
-func packQuery(m *dnswire.Message) (wire []byte, release func(), err error) {
-	bp := packBufPool.Get().(*[]byte)
-	wire, err = m.AppendPack((*bp)[:0])
-	if err != nil {
-		packBufPool.Put(bp)
-		return nil, nil, err
-	}
-	*bp = wire[:0] // keep any growth for the next exchange
-	return wire, func() { packBufPool.Put(bp) }, nil
-}
-
-// delivery is one demultiplexed response together with its wire size —
-// retained at receive time so cost accounting never re-packs a message it
-// already saw on the wire.
-type delivery struct {
-	msg  *dnswire.Message
-	size int
-}
-
-// pendingMap tracks in-flight queries by transaction ID.
+// pendingMap tracks in-flight queries by transaction ID; a waiter receives
+// the response's bytes, in a slice it then owns.
 type pendingMap struct {
-	ch map[uint16]chan delivery
+	ch map[uint16]chan []byte
 }
 
 func newPendingMap() *pendingMap {
-	return &pendingMap{ch: make(map[uint16]chan delivery)}
+	return &pendingMap{ch: make(map[uint16]chan []byte)}
 }
 
+// waiterPool recycles waiter channels. A channel goes back only from the
+// exchange that received its one response (releaseWaiter): by then take
+// has unregistered it, so it is empty, open, and unreachable from any read
+// loop. Abandoned and failed waiters are left to the collector.
+var waiterPool = sync.Pool{New: func() any { return make(chan []byte, 1) }}
+
+func releaseWaiter(ch chan []byte) { waiterPool.Put(ch) }
+
 // reserve picks a free ID starting from a hint.
-func (p *pendingMap) reserve(hint uint16) (uint16, chan delivery, error) {
+func (p *pendingMap) reserve(hint uint16) (uint16, chan []byte, error) {
 	id := hint
 	for i := 0; i < 65536; i++ {
 		if _, taken := p.ch[id]; !taken {
-			ch := make(chan delivery, 1)
+			ch := waiterPool.Get().(chan []byte)
 			p.ch[id] = ch
 			return id, ch, nil
 		}
@@ -180,11 +239,17 @@ func (p *pendingMap) reserve(hint uint16) (uint16, chan delivery, error) {
 	return 0, nil, fmt.Errorf("dnstransport: no free transaction IDs")
 }
 
-func (p *pendingMap) deliver(id uint16, m *dnswire.Message, size int) {
-	if ch, ok := p.ch[id]; ok {
-		delete(p.ch, id)
-		ch <- delivery{msg: m, size: size}
+// take unregisters and returns the waiter for the transaction ID wire
+// carries, or nil for a response nobody waits for (too short to carry an
+// ID, late, unsolicited).
+func (p *pendingMap) take(wire []byte) chan []byte {
+	if len(wire) < 2 {
+		return nil
 	}
+	id := binary.BigEndian.Uint16(wire)
+	ch := p.ch[id]
+	delete(p.ch, id)
+	return ch
 }
 
 func (p *pendingMap) drop(id uint16) { delete(p.ch, id) }

@@ -3,7 +3,9 @@ package dnstransport
 import (
 	"context"
 	"crypto/tls"
+	"encoding/binary"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"time"
@@ -136,20 +138,26 @@ func unwrapRaw(conn net.Conn) net.Conn {
 	return conn
 }
 
+// readLoop hands every framed response to the exchange waiting on its
+// transaction ID, in a slice sized from the frame's length prefix. It
+// vouches for nothing but the framing: the waiter validates what it is
+// handed.
 func (c *StreamClient) readLoop(conn net.Conn) {
+	var prefix [2]byte // one per connection: it escapes through the Reader
 	for {
-		wire, err := dnsserver.ReadStreamMessage(conn)
-		if err != nil {
+		if _, err := io.ReadFull(conn, prefix[:]); err != nil {
 			c.dropConn(conn)
 			return
 		}
-		m := new(dnswire.Message)
-		if err := m.Unpack(wire); err != nil {
+		wire := make([]byte, binary.BigEndian.Uint16(prefix[:]))
+		if _, err := io.ReadFull(conn, wire); err != nil {
 			c.dropConn(conn)
 			return
 		}
 		c.mu.Lock()
-		c.pending.deliver(m.ID, m, len(wire))
+		if ch := c.pending.take(wire); ch != nil {
+			ch <- wire
+		}
 		c.mu.Unlock()
 	}
 }
@@ -166,9 +174,20 @@ func (c *StreamClient) dropConn(conn net.Conn) {
 	c.mu.Unlock()
 }
 
-// Exchange implements Resolver.
+// Exchange implements Resolver over ExchangeWire.
 func (c *StreamClient) Exchange(ctx context.Context, q *dnswire.Message) (*dnswire.Message, error) {
+	return ExchangeMessage(ctx, c, q)
+}
+
+// ExchangeWire implements WireResolver: query leaves in one framed write
+// under a transaction ID from the client's sequence, patched into the
+// frame's own copy of it.
+func (c *StreamClient) ExchangeWire(ctx context.Context, query []byte) ([]byte, error) {
 	start := time.Now()
+	qid, err := queryID(query)
+	if err != nil {
+		return nil, err
+	}
 	conn, fresh, err := c.ensureConn(ctx)
 	if err != nil {
 		return nil, err
@@ -183,35 +202,25 @@ func (c *StreamClient) Exchange(ctx context.Context, q *dnswire.Message) (*dnswi
 	c.nextID = id + 1
 	c.mu.Unlock()
 
-	msg := cloneWithID(q, id)
-	// Pooled pack scratch: WriteStreamMessage copies the bytes into its
-	// own pooled frame, so the buffer is free again right after the write.
-	wire, release, err := packQuery(msg)
-	if err != nil {
-		c.unregister(id)
-		return nil, fmt.Errorf("dnstransport: packing query: %w", err)
-	}
-	sent := len(wire)
-	werr := dnsserver.WriteStreamMessage(conn, wire)
-	release()
-	if werr != nil {
+	if err := dnsserver.WriteStreamMessageID(conn, query, id); err != nil {
 		c.unregister(id)
 		c.dropConn(conn)
-		return nil, fmt.Errorf("dnstransport: stream send: %w", werr)
+		return nil, fmt.Errorf("dnstransport: stream send: %w", err)
 	}
 	tx := telemetry.FromContext(ctx)
-	tx.AddBytesSent(sent)
+	tx.AddBytesSent(len(query))
 
 	select {
-	case d, ok := <-ch:
+	case resp, ok := <-ch:
 		if !ok {
 			return nil, fmt.Errorf("dnstransport: connection failed mid-query")
 		}
-		resp := d.msg
-		if err := dnswire.ValidateResponse(msg, resp); err != nil {
+		releaseWaiter(ch)
+		if err := dnswire.ValidateResponseWire(query, id, resp); err != nil {
 			return nil, err
 		}
-		tx.AddBytesReceived(d.size)
+		dnswire.PatchID(resp, qid)
+		tx.AddBytesReceived(len(resp))
 		c.finish(conn, fresh, start)
 		return resp, nil
 	case <-ctx.Done():

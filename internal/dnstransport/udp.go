@@ -64,6 +64,8 @@ func (c *UDPClient) Close() error {
 	return c.pc.Close()
 }
 
+// readLoop hands every datagram to the exchange waiting on its transaction
+// ID, copied out of the read buffer into a slice of its own size.
 func (c *UDPClient) readLoop() {
 	buf := make([]byte, 65535)
 	for {
@@ -74,19 +76,27 @@ func (c *UDPClient) readLoop() {
 			c.mu.Unlock()
 			return
 		}
-		m := new(dnswire.Message)
-		if err := m.Unpack(buf[:n]); err != nil {
-			continue // ignore malformed datagrams
-		}
 		c.mu.Lock()
-		c.pending.deliver(m.ID, m, n)
+		if ch := c.pending.take(buf[:n]); ch != nil {
+			ch <- append([]byte(nil), buf[:n]...)
+		}
 		c.mu.Unlock()
 	}
 }
 
-// Exchange implements Resolver.
+// Exchange implements Resolver over ExchangeWire.
 func (c *UDPClient) Exchange(ctx context.Context, q *dnswire.Message) (*dnswire.Message, error) {
+	return ExchangeMessage(ctx, c, q)
+}
+
+// ExchangeWire implements WireResolver: query is sent, and after a timeout
+// re-sent, under one transaction ID from the client's sequence.
+func (c *UDPClient) ExchangeWire(ctx context.Context, query []byte) ([]byte, error) {
 	start := time.Now()
+	qid, err := queryID(query)
+	if err != nil {
+		return nil, err
+	}
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -100,15 +110,13 @@ func (c *UDPClient) Exchange(ctx context.Context, q *dnswire.Message) (*dnswire.
 	c.nextID = id + 1
 	c.mu.Unlock()
 
-	msg := cloneWithID(q, id)
-	// The packed query lives in a pooled buffer across every retransmit;
-	// WriteTo copies it onto the wire, so releasing on return is safe.
-	wire, release, err := packQuery(msg)
-	if err != nil {
-		c.unregister(id)
-		return nil, fmt.Errorf("dnstransport: packing query: %w", err)
-	}
-	defer release()
+	// The datagram is the caller's query under the client's ID, in a pooled
+	// copy that lives across every retransmit.
+	bp := packBufPool.Get().(*[]byte)
+	defer packBufPool.Put(bp)
+	wire := append((*bp)[:0], query...)
+	*bp = wire[:0]
+	dnswire.PatchID(wire, id)
 
 	tx := telemetry.FromContext(ctx)
 	var payloads []int
@@ -128,32 +136,30 @@ func (c *UDPClient) Exchange(ctx context.Context, q *dnswire.Message) (*dnswire.
 
 		timer := time.NewTimer(c.Timeout)
 		select {
-		case d, ok := <-ch:
+		case resp, ok := <-ch:
 			timer.Stop()
 			if !ok {
 				return nil, ErrClosed
 			}
-			resp := d.msg
-			if err := dnswire.ValidateResponse(msg, resp); err != nil {
+			releaseWaiter(ch)
+			if err := dnswire.ValidateResponseWire(query, id, resp); err != nil {
 				return nil, err
 			}
-			tx.AddBytesReceived(d.size)
-			if resp.Truncated && c.Fallback != nil {
-				// RFC 7766 §5: a TC=1 answer is a referral to TCP, not an
-				// answer. The UDP attempt's payloads still went over the
-				// wire, so they are recorded here; the fallback's TCP leg
-				// is accounted by the fallback's own Recorder.
-				tx.TCFallback()
-				c.record(Cost{
-					UDPPayloads: append(payloads, d.size),
-					Duration:    time.Since(start),
-				})
-				return c.Fallback.Exchange(ctx, q)
-			}
+			tx.AddBytesReceived(len(resp))
+			// The UDP attempt's payloads went over the wire whatever
+			// follows, so they are recorded here.
 			c.record(Cost{
-				UDPPayloads: append(payloads, d.size),
+				UDPPayloads: append(payloads, len(resp)),
 				Duration:    time.Since(start),
 			})
+			if resp[2]&0x02 != 0 && c.Fallback != nil {
+				// RFC 7766 §5: a TC=1 answer is a referral to TCP, not an
+				// answer. The fallback's TCP leg is accounted by the
+				// fallback's own Recorder.
+				tx.TCFallback()
+				return AsWire(c.Fallback).ExchangeWire(ctx, query)
+			}
+			dnswire.PatchID(resp, qid)
 			return resp, nil
 		case <-ctx.Done():
 			timer.Stop()

@@ -179,51 +179,20 @@ func PatchID(wire []byte, id uint16) {
 	}
 }
 
-// TTLOffsets walks a packed message and records the byte offset of every
-// resource record's TTL field, skipping OPT pseudo-records (their TTL field
-// encodes EDNS flags, not a lifetime — exactly the records the Message
-// codec diverts into Message.EDNS). A cache computes the offsets once at
-// insert time; each hit then decays the stored answer with DecayTTLs
-// instead of a full unpack/repack cycle.
+// TTLOffsets reports the byte offset of every resource record's TTL field
+// in a packed message, skipping OPT pseudo-records (their TTL field encodes
+// EDNS flags, not a lifetime — exactly the records the Message codec
+// diverts into Message.EDNS). It is ScanResponse's structural pass without
+// the question check, for callers holding a message rather than a reply to
+// a query of their own.
 func TTLOffsets(wire []byte) ([]int, error) {
-	if len(wire) < headerLen {
-		return nil, ErrShortMessage
+	_, packed, err := scanResponse(wire, nil, nil)
+	if err != nil {
+		return nil, err
 	}
-	qd := int(binary.BigEndian.Uint16(wire[4:]))
-	rrs := int(binary.BigEndian.Uint16(wire[6:])) +
-		int(binary.BigEndian.Uint16(wire[8:])) +
-		int(binary.BigEndian.Uint16(wire[10:]))
-	off := headerLen
-	var err error
-	for i := 0; i < qd; i++ {
-		if off, err = skipPackedName(wire, off); err != nil {
-			return nil, err
-		}
-		if off+4 > len(wire) {
-			return nil, ErrShortMessage
-		}
-		off += 4
-	}
-	var offsets []int
-	for i := 0; i < rrs; i++ {
-		if off, err = skipPackedName(wire, off); err != nil {
-			return nil, err
-		}
-		if off+10 > len(wire) {
-			return nil, ErrShortMessage
-		}
-		typ := Type(binary.BigEndian.Uint16(wire[off:]))
-		rdlen := int(binary.BigEndian.Uint16(wire[off+8:]))
-		if typ != TypeOPT {
-			offsets = append(offsets, off+4)
-		}
-		off += 10 + rdlen
-		if off > len(wire) {
-			return nil, ErrRDataOutOfBounds
-		}
-	}
-	if off != len(wire) {
-		return nil, ErrTrailingGarbage
+	offsets := make([]int, len(packed)/2)
+	for i := range offsets {
+		offsets[i] = int(binary.BigEndian.Uint16(packed[2*i:]))
 	}
 	return offsets, nil
 }
@@ -265,30 +234,6 @@ func DecayTTLsPacked(wire []byte, packed []byte, remaining uint32) {
 		}
 		if binary.BigEndian.Uint32(wire[off:]) > remaining {
 			binary.BigEndian.PutUint32(wire[off:], remaining)
-		}
-	}
-}
-
-// skipPackedName advances past the name starting at off: consecutive plain
-// labels ended by a terminal zero octet or a compression pointer.
-func skipPackedName(wire []byte, off int) (int, error) {
-	for {
-		if off >= len(wire) {
-			return 0, ErrShortMessage
-		}
-		b := wire[off]
-		switch {
-		case b == 0:
-			return off + 1, nil
-		case b&0xC0 == 0xC0:
-			if off+2 > len(wire) {
-				return 0, ErrShortMessage
-			}
-			return off + 2, nil
-		case b&0xC0 != 0:
-			return 0, ErrShortMessage
-		default:
-			off += 1 + int(b)
 		}
 	}
 }

@@ -139,12 +139,14 @@ func nameWireLen(n Name) int {
 // returns the name plus the offset just past its in-place representation
 // (i.e. past the first pointer if one was followed). Pointer chains may only
 // jump strictly backwards, which both matches all real encoders and bounds
-// the walk, preventing decompression loops.
+// the walk, preventing decompression loops. The presentation form is
+// rendered into a stack buffer — a name's labels and dots never exceed
+// maxNameLen octets — and converted once, so a name costs one allocation.
 func readName(msg []byte, off int) (Name, int, error) {
-	var sb strings.Builder
+	var buf [maxNameLen]byte
+	n := 0     // presentation octets rendered so far; also the wire length minus the terminal octet
 	next := -1 // resume offset after the first pointer, -1 while unset
 	ptrBudget := len(msg)
-	nameLen := 0
 	for {
 		if off >= len(msg) {
 			return "", 0, ErrShortMessage
@@ -155,10 +157,10 @@ func readName(msg []byte, off int) (Name, int, error) {
 			if next == -1 {
 				next = off + 1
 			}
-			if sb.Len() == 0 {
+			if n == 0 {
 				return Root, next, nil
 			}
-			return Name(sb.String()), next, nil
+			return Name(buf[:n]), next, nil
 		case b&0xC0 == 0xC0: // compression pointer
 			if off+1 >= len(msg) {
 				return "", 0, ErrShortMessage
@@ -182,12 +184,12 @@ func readName(msg []byte, off int) (Name, int, error) {
 			if end > len(msg) {
 				return "", 0, ErrShortMessage
 			}
-			nameLen += int(b) + 1
-			if nameLen+1 > maxNameLen {
+			if n+int(b)+2 > maxNameLen {
 				return "", 0, ErrNameTooLong
 			}
-			sb.Write(msg[off+1 : end])
-			sb.WriteByte('.')
+			n += copy(buf[n:], msg[off+1:end])
+			buf[n] = '.'
+			n++
 			off = end
 		}
 	}

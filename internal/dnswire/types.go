@@ -183,4 +183,5 @@ var (
 	ErrNotAResponse     = fmt.Errorf("dnswire: message is not a response")
 	ErrIDMismatch       = fmt.Errorf("dnswire: response ID does not match query")
 	ErrRDataOutOfBounds = fmt.Errorf("dnswire: rdata extends past message")
+	ErrQuestionMismatch = fmt.Errorf("dnswire: response question does not match query")
 )

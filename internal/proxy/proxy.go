@@ -174,17 +174,20 @@ type Config struct {
 // steering → upstream pool, exposed over every transport the study
 // compares. The steering layer (internal/steer) decides which upstream a
 // miss is forwarded to — static failover order, SRTT-ranked fastest, or
-// hedged — and the cache can serve stale and prefetch around it.
+// hedged — and the cache can serve stale and prefetch around it. A miss
+// travels the whole chain as packed bytes (dnstransport.WireResolver).
 type Proxy struct {
-	cfg     Config // as validated by New
-	pool    *dnstransport.Pool
-	steer   *steer.Steerer
-	cache   *dnscache.Cache
-	guard   *guard.Guard
-	timeout time.Duration
-	server  *dnsserver.Server
-	run     *dnsserver.Running
-	tel     *telemetry.Metrics
+	cfg   Config // as validated by New
+	pool  *dnstransport.Pool
+	steer *steer.Steerer
+	cache *dnscache.Cache
+	guard *guard.Guard
+	// chain names the forwarding chain's stages in the order a miss
+	// crosses them.
+	chain  []string
+	server *dnsserver.Server
+	run    *dnsserver.Running
+	tel    *telemetry.Metrics
 
 	// Real-socket batched UDP listener (Config.UDPListen), alongside the
 	// simulated-network listener set.
@@ -287,14 +290,15 @@ func New(cfg Config) (*Proxy, error) {
 	if cfg.PrefetchWindow > 0 {
 		opts = append(opts, dnscache.WithPrefetch(cfg.PrefetchWindow))
 	}
-	// Background refreshes (serve-stale, prefetch) carry no client
-	// context, so they get the same bound a forwarded query would.
-	opts = append(opts, dnscache.WithRefreshTimeout(timeout))
+	// One bound for every upstream exchange the cache starts: a miss's
+	// flight, a background refresh, an uncacheable query passing through.
+	opts = append(opts, dnscache.WithExchangeTimeout(timeout))
 	tel := cfg.Telemetry
 	if tel == nil {
 		tel = telemetry.New()
 	}
-	// …and their upstream traffic stays visible in the cost accounting.
+	// …and background refreshes' upstream traffic stays visible in the
+	// cost accounting.
 	opts = append(opts, dnscache.WithTelemetry(tel))
 	if cfg.OnTransaction != nil {
 		tel.SetListener(cfg.OnTransaction)
@@ -309,9 +313,22 @@ func New(cfg Config) (*Proxy, error) {
 		HedgeDelay:   cfg.HedgeDelay,
 		ExploreEvery: cfg.ExploreEvery,
 	})
+
+	// The forwarding chain between the cache and the steerer, outermost
+	// first: the one place its order is decided.
+	var stages []stage
+	var g *guard.Guard
+	if cfg.Guard != nil {
+		// The breaker sits directly behind the cache, so every miss —
+		// foreground or background refresh — passes through AdmitMiss
+		// before it can occupy an upstream connection. It wraps outside the
+		// storm detector: breaker-refused misses are policy, not network
+		// evidence.
+		g = guard.New(*cfg.Guard, tel)
+		stages = append(stages, breakerStage(g))
+	}
 	bootstrap := cfg.Bootstrap
 	storm := cfg.Storm
-	var resolver dnstransport.Resolver = st
 	if bootstrap != nil {
 		if bootstrap.Seeder == nil {
 			bootstrap.Seeder = st
@@ -322,33 +339,32 @@ func New(cfg Config) (*Proxy, error) {
 		if storm.OnStorm == nil {
 			storm.OnStorm = func() { bootstrap.Kick(context.Background()) }
 		}
-		// The storm detector watches final forwarding outcomes, above the
-		// steerer: a query fails there only after steering and failover
-		// exhausted every upstream — and a run of those is what an
+		// The storm detector watches final forwarding outcomes, directly
+		// above the steerer: a query fails there only after steering and
+		// failover exhausted every upstream — and a run of those is what an
 		// access-network change looks like. Watching per-attempt pool
 		// events instead would starve the detector the moment the pool's
 		// slots settle into redial backoff (refusals bypass the observer).
-		resolver = stormResolver{storm: storm, next: st}
+		stages = append(stages, stormStage(storm))
 	}
-	var g *guard.Guard
-	// The breaker sits between the cache and the steerer, so every miss —
-	// foreground or background refresh — passes through AdmitMiss before
-	// it can occupy an upstream connection. It wraps outside the storm
-	// detector: breaker-refused misses are policy, not network evidence.
-	if cfg.Guard != nil {
-		g = guard.New(*cfg.Guard, tel)
-		resolver = breakerResolver{g: g, next: resolver}
+	var resolver link = st
+	for i := len(stages) - 1; i >= 0; i-- {
+		resolver = chained{stage: stages[i], next: resolver}
+	}
+	chain := []string{"cache"}
+	for _, s := range stages {
+		chain = append(chain, s.name)
 	}
 	p := &Proxy{
-		cfg:     cfg,
-		pool:    pool,
-		steer:   st,
-		cache:   dnscache.New(resolver, opts...),
-		guard:   g,
-		timeout: timeout,
-		tel:     tel,
-		storm:   storm,
-		tracer:  tracer,
+		cfg:    cfg,
+		pool:   pool,
+		steer:  st,
+		cache:  dnscache.New(resolver, opts...),
+		guard:  g,
+		chain:  append(chain, "steer", "pool"),
+		tel:    tel,
+		storm:  storm,
+		tracer: tracer,
 	}
 	p.server = &dnsserver.Server{
 		Handler:       p.Handler(),
@@ -362,77 +378,102 @@ func New(cfg Config) (*Proxy, error) {
 	return p, nil
 }
 
-// breakerResolver gates upstream exchanges behind the guard's cache-miss
+// link is what every element of the forwarding chain is: a resolver in
+// both forms, wire being the native one.
+type link interface {
+	dnstransport.Resolver
+	dnstransport.WireResolver
+}
+
+// stage is one middleware of the forwarding chain: exchange forwards query
+// to next, or decides not to.
+type stage struct {
+	name     string
+	exchange func(ctx context.Context, query []byte, next dnstransport.WireResolver) ([]byte, error)
+}
+
+// chained is a stage bound to the rest of the chain.
+type chained struct {
+	stage
+	next link
+}
+
+// ExchangeWire implements dnstransport.WireResolver.
+func (c chained) ExchangeWire(ctx context.Context, query []byte) ([]byte, error) {
+	return c.exchange(ctx, query, c.next)
+}
+
+// Exchange implements dnstransport.Resolver over ExchangeWire.
+func (c chained) Exchange(ctx context.Context, q *dnswire.Message) (*dnswire.Message, error) {
+	return dnstransport.ExchangeMessage(ctx, c, q)
+}
+
+// Close implements dnstransport.Resolver.
+func (c chained) Close() error { return c.next.Close() }
+
+// breakerStage gates upstream exchanges behind the guard's cache-miss
 // circuit breaker: a per-client miss-rate check (when the serving layer
 // put a client key in ctx) plus the global in-flight-miss ceiling. Refused
 // misses return guard.ErrMissBudget without touching the steerer; the
 // serving handler maps that to a DNS REFUSED.
-type breakerResolver struct {
-	g    *guard.Guard
-	next dnstransport.Resolver
+func breakerStage(g *guard.Guard) stage {
+	return stage{"breaker", func(ctx context.Context, query []byte, next dnstransport.WireResolver) ([]byte, error) {
+		// The breaker decision is the guard phase of a forwarded miss; on
+		// the listener side the guard runs before the transaction exists,
+		// so this span is the one place miss admission shows up in a trace.
+		tx := telemetry.FromContext(ctx)
+		tg := tx.TraceStart()
+		err := g.AdmitMiss(ctx)
+		tx.TraceSpan(qtrace.PhaseGuard, tg)
+		if err != nil {
+			return nil, err
+		}
+		defer g.MissDone()
+		return next.ExchangeWire(ctx, query)
+	}}
 }
 
-func (r breakerResolver) Exchange(ctx context.Context, q *dnswire.Message) (*dnswire.Message, error) {
-	// The breaker decision is the guard phase of a forwarded miss; on the
-	// listener side the guard runs before the transaction exists, so this
-	// span is the one place miss admission shows up in a trace.
-	tx := telemetry.FromContext(ctx)
-	tg := tx.TraceStart()
-	err := r.g.AdmitMiss(ctx)
-	tx.TraceSpan(qtrace.PhaseGuard, tg)
-	if err != nil {
-		return nil, err
-	}
-	defer r.g.MissDone()
-	return r.next.Exchange(ctx, q)
+// stormStage feeds every final forwarding outcome to the error-storm
+// detector: an error here means steering and pool failover exhausted every
+// upstream for this query. Caller cancellations are neither success nor
+// failure — a departed client says nothing about the network.
+func stormStage(storm *dialer.Storm) stage {
+	return stage{"storm", func(ctx context.Context, query []byte, next dnstransport.WireResolver) ([]byte, error) {
+		resp, err := next.ExchangeWire(ctx, query)
+		if err == nil || !errors.Is(err, context.Canceled) {
+			storm.Note(err)
+		}
+		return resp, err
+	}}
 }
 
-func (r breakerResolver) Close() error { return r.next.Close() }
-
-// stormResolver feeds every final forwarding outcome to the error-storm
-// detector. It sits directly above the steerer: an error here means
-// steering and pool failover exhausted every upstream for this query.
-// Caller cancellations are neither success nor failure — a departed
-// client says nothing about the network.
-type stormResolver struct {
-	storm *dialer.Storm
-	next  dnstransport.Resolver
-}
-
-func (r stormResolver) Exchange(ctx context.Context, q *dnswire.Message) (*dnswire.Message, error) {
-	resp, err := r.next.Exchange(ctx, q)
-	if err == nil || !errors.Is(err, context.Canceled) {
-		r.storm.Note(err)
-	}
-	return resp, err
-}
-
-func (r stormResolver) Close() error { return r.next.Close() }
-
-// fastHandler is the proxy's serving handler. It implements both serving
-// paths the servers know about: the Message path (ServeDNS: cache →
-// singleflight → upstream pool with a per-query timeout) and the wire fast
-// path (ServeDNSWire: a packed-cache hit copied, ID-patched and
-// TTL-decayed straight into the server's pooled buffer — no Unpack, no
-// clone, no Pack). Servers try the wire path first and fall back to the
-// Message path for misses and uncacheable shapes.
+// fastHandler is the proxy's serving handler. It implements the three
+// steps the servers know about: the wire fast path (ServeDNSWire: a
+// packed-cache hit copied, ID-patched and TTL-decayed straight into the
+// server's pooled buffer — no Unpack, no clone, no Pack), the wire miss
+// (ServeDNSWireMiss: the query's own bytes through cache → singleflight →
+// forwarding chain and the upstream's bytes back, bounded by the upstream
+// timeout) and, for what wire cannot answer, the Message step (ServeDNS,
+// one adapter over the same miss).
 type fastHandler struct{ p *Proxy }
 
 // ServeDNS implements dnsserver.Handler. Errors propagate to the server
 // layer, which synthesizes SERVFAIL.
 func (h fastHandler) ServeDNS(ctx context.Context, q *dnswire.Message) (*dnswire.Message, error) {
-	ctx, cancel := context.WithTimeout(ctx, h.p.timeout)
-	defer cancel()
 	resp, err := h.p.cache.Exchange(ctx, q)
 	if err != nil && errors.Is(err, guard.ErrMissBudget) {
-		// A breaker-refused miss is a policy decision, not a server
-		// failure: answer REFUSED so well-behaved clients back off or
-		// fail over instead of retrying a SERVFAIL.
-		r := q.Reply()
-		r.RCode = dnswire.RCodeRefused
-		return r, nil
+		return refused(q), nil
 	}
 	return resp, err
+}
+
+// refused answers a breaker-refused miss. It is a policy decision, not a
+// server failure: REFUSED lets well-behaved clients back off or fail over
+// instead of retrying a SERVFAIL.
+func refused(q *dnswire.Message) *dnswire.Message {
+	r := q.Reply()
+	r.RCode = dnswire.RCodeRefused
+	return r
 }
 
 // ServeDNSWire implements dnsserver.WireResponder: the zero-allocation
@@ -448,11 +489,26 @@ func (h fastHandler) ServeDNSWire(tx *telemetry.Transaction, q *dnswire.Query, d
 	return resp, true
 }
 
+// ServeDNSWireMiss implements dnsserver.WireMissResponder. The refusal is
+// built at Message level, from the unpacked query: that path may allocate.
+func (h fastHandler) ServeDNSWireMiss(ctx context.Context, q *dnswire.Query) ([]byte, error) {
+	resp, err := h.p.cache.ExchangeQuery(ctx, q)
+	if err != nil && errors.Is(err, guard.ErrMissBudget) {
+		var m dnswire.Message
+		if err := m.Unpack(q.Raw); err != nil {
+			return nil, err
+		}
+		return refused(&m).Pack()
+	}
+	return resp, err
+}
+
 // Handler returns the forwarding handler, usable behind any dnsserver
 // transport: answer from cache, coalesce concurrent identical misses, and
-// forward to the upstream pool with a per-query timeout. The handler also
-// implements dnsserver.WireResponder, so servers that consult the wire
-// fast path serve cache hits without building a Message.
+// forward to the upstream pool under the upstream timeout. The handler
+// also implements dnsserver.WireResponder and WireMissResponder, so
+// servers that consult the wire steps serve hits and misses alike without
+// building a Message.
 func (p *Proxy) Handler() dnsserver.Handler {
 	return fastHandler{p: p}
 }
@@ -607,6 +663,9 @@ type CostReport struct {
 	Cache     CacheReport                  `json:"cache"`
 	Upstreams []dnstransport.UpstreamStats `json:"upstreams"`
 	Steering  steer.Report                 `json:"steering"`
+	// Chain names the stages a cache miss crosses, in order; "breaker" and
+	// "storm" appear only when configured (Config.Guard, Config.Bootstrap).
+	Chain []string `json:"chain"`
 	// Guard is the abuse guard's decision counters and live breaker state;
 	// omitted when the proxy runs unguarded.
 	Guard *guard.Report `json:"guard,omitempty"`
@@ -644,6 +703,7 @@ func (p *Proxy) CostReport() CostReport {
 		Cache:     cr,
 		Upstreams: p.pool.Stats(),
 		Steering:  p.steer.Report(),
+		Chain:     p.chain,
 		UDPShards: p.UDPShardStats(),
 	}
 	if p.guard != nil {

@@ -3,17 +3,21 @@ package proxy
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"dohcost/internal/dialer"
 	"dohcost/internal/dnstransport"
 	"dohcost/internal/dnswire"
+	"dohcost/internal/guard"
 	"dohcost/internal/netsim"
 	"dohcost/internal/telemetry"
 )
@@ -136,6 +140,28 @@ func TestProxyTelemetryEndToEnd(t *testing.T) {
 	}
 	if len(report.Upstreams) != 1 || report.Upstreams[0].Exchanges != 1 {
 		t.Errorf("/debug/cost upstreams = %+v, want 1 upstream with 1 exchange", report.Upstreams)
+	}
+	// Neither a guard nor a bootstrap prober is configured here, so the
+	// chain a miss crosses is the bare one.
+	if want := []string{"cache", "steer", "pool"}; !slices.Equal(report.Chain, want) {
+		t.Errorf("/debug/cost chain = %v, want %v", report.Chain, want)
+	}
+}
+
+// TestForwardingChainOrder pins the order of the one stage list: the
+// breaker directly behind the cache, so refreshes pass it too, and outside
+// the storm detector, so its refusals are not network evidence.
+func TestForwardingChainOrder(t *testing.T) {
+	up := dnstransport.PoolUpstream{Name: "never-dialed", Dial: func(context.Context) (dnstransport.Resolver, error) {
+		return nil, errors.New("not in this test")
+	}}
+	p, err := New(Config{Upstreams: []dnstransport.PoolUpstream{up}, Guard: &guard.Config{}, Bootstrap: &dialer.Prober{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	if want := []string{"cache", "breaker", "storm", "steer", "pool"}; !slices.Equal(p.CostReport().Chain, want) {
+		t.Errorf("chain = %v, want %v", p.CostReport().Chain, want)
 	}
 }
 

@@ -1,0 +1,406 @@
+package proxy
+
+import (
+	"bytes"
+	"context"
+	"crypto/tls"
+	"encoding/binary"
+	"fmt"
+	"net"
+	"net/netip"
+	"slices"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"dohcost/internal/dnscache"
+	"dohcost/internal/dnsserver"
+	"dohcost/internal/dnstransport"
+	"dohcost/internal/dnswire"
+	"dohcost/internal/guard"
+	"dohcost/internal/h2"
+	"dohcost/internal/hpack"
+	"dohcost/internal/netsim"
+	"dohcost/internal/qtrace"
+	"dohcost/internal/telemetry"
+	"dohcost/internal/tlsx"
+)
+
+// wireUpstream is an in-memory upstream in native wire form: it answers
+// every query with one A record, encoded the way this repository's packer
+// would (question echoed, the answer's name a pointer to it), in a slice
+// sized to the answer — one allocation, like a client's frame read.
+type wireUpstream struct{ exchanges atomic.Int64 }
+
+func (u *wireUpstream) ExchangeWire(ctx context.Context, query []byte) ([]byte, error) {
+	u.exchanges.Add(1)
+	resp := make([]byte, len(query), len(query)+16)
+	copy(resp, query)
+	resp[2] |= 0x80 // QR
+	resp[3] |= 0x80 // RA
+	binary.BigEndian.PutUint16(resp[6:], 1)
+	return append(resp, 0xC0, 12, 0, 1, 0, 1, 0, 0, 1, 44, 0, 4, 192, 0, 2, 77), nil
+}
+
+func (u *wireUpstream) Exchange(ctx context.Context, q *dnswire.Message) (*dnswire.Message, error) {
+	return dnstransport.ExchangeMessage(ctx, u, q)
+}
+
+func (u *wireUpstream) Close() error { return nil }
+
+// missProxy builds a proxy over a wireUpstream with guard and tracing
+// armed, the way the benchmark arms them: every check runs, none refuses.
+func missProxy(t *testing.T, cfg Config) (*Proxy, *wireUpstream) {
+	t.Helper()
+	up := &wireUpstream{}
+	cfg.Upstreams = []dnstransport.PoolUpstream{{Name: "mem", Dial: func(context.Context) (dnstransport.Resolver, error) { return up, nil }}}
+	cfg.Guard = &guard.Config{ClientQPS: 1e9, Burst: 1 << 30, MissRate: 1e9, MaxInflightMiss: 1 << 20}
+	cfg.Tracing = &qtrace.Config{}
+	p, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { p.Close() })
+	return p, up
+}
+
+// missDriver sends never-repeated names through the handler's wire miss
+// step under the context a UDP worker builds for it: the client's guard key
+// and the query's transaction.
+type missDriver struct {
+	t    *testing.T
+	p    *Proxy
+	wm   dnsserver.WireMissResponder
+	base context.Context
+	wire []byte
+	seq  int
+}
+
+func newMissDriver(t *testing.T, p *Proxy) *missDriver {
+	wire, err := dnswire.NewQuery(7, "n0000000.miss.example.", dnswire.TypeA).Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &missDriver{t: t, p: p, wm: p.Handler().(dnsserver.WireMissResponder),
+		base: guard.NewContext(context.Background(), 0xfeedface), wire: wire}
+}
+
+func (d *missDriver) miss() {
+	d.seq++
+	copy(d.wire[14:21], fmt.Appendf(d.wire[14:14], "%07d", d.seq)) // the digits of "n0000000"
+	q, ok := dnswire.ParseQuery(d.wire)
+	if !ok {
+		d.t.Fatal("ParseQuery declined the driver's query")
+	}
+	tx := d.p.Telemetry().Begin(telemetry.ProtoUDP)
+	tx.TraceQuery(&q)
+	resp, err := d.wm.ServeDNSWireMiss(telemetry.NewContext(d.base, tx), &q)
+	if err != nil || len(resp) != len(d.wire)+16 || binary.BigEndian.Uint16(resp) != 7 {
+		d.t.Fatalf("wire miss: %d bytes, err %v", len(resp), err)
+	}
+	tx.SetVerdict(telemetry.VerdictOK)
+	tx.Finish()
+}
+
+// TestWireMissAllocs pins what a miss costs the proxy: the whole path from
+// the handler's wire miss step to the in-memory upstream and back — cache
+// lookup, flight, breaker, steerer, pool, strict scan, admission, arena
+// insert — with guard and tracing armed. The budget is the allocations the
+// design cannot share between misses: the transaction's context, the key,
+// the flight and its channel, the flight's one deadline (context and
+// timer), the upstream's reply, the entry and its LRU element.
+func TestWireMissAllocs(t *testing.T) {
+	p, up := missProxy(t, Config{})
+	d := newMissDriver(t, p)
+	d.miss() // settle pools, dial the pool slot
+	const budget = 16
+	if got := testing.AllocsPerRun(200, d.miss); got > budget {
+		t.Errorf("a UDP-shaped wire miss allocates %.1f times, budget %d", got, budget)
+	}
+	if s := p.CacheStats(); s.Misses != up.exchanges.Load() || s.Hits != 0 {
+		t.Errorf("driver did not miss every time: %+v, %d exchanges", s, up.exchanges.Load())
+	}
+}
+
+// TestRejectedMissBuildsNoEntry: admission is decided before anything is
+// built, so a miss TinyLFU refuses costs less than one it admits — by the
+// entry and the LRU element at least.
+func TestRejectedMissBuildsNoEntry(t *testing.T) {
+	admitting, _ := missProxy(t, Config{CacheShards: 1})
+	da := newMissDriver(t, admitting)
+	da.miss()
+	admitted := testing.AllocsPerRun(200, da.miss)
+
+	// One shard at the minimum budget, filled with names asked often enough
+	// that a once-asked newcomer never out-ranks its victims.
+	full, _ := missProxy(t, Config{CacheShards: 1, CacheBudget: 4 << 10, CacheAdmission: dnscache.AdmissionTinyLFU})
+	h := full.Handler()
+	for round := 0; round < 4; round++ {
+		for i := 0; i < 64; i++ {
+			q := dnswire.NewQuery(1, dnswire.Name(fmt.Sprintf("hot%02d.example.", i)), dnswire.TypeA)
+			if _, err := h.ServeDNS(context.Background(), q); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	before := full.CacheStats()
+	df := newMissDriver(t, full)
+	df.miss()
+	rejected := testing.AllocsPerRun(200, df.miss)
+	// The sketch is seeded per process: a stray collision may let a
+	// newcomer or two in, which the per-run average absorbs.
+	if got := full.CacheStats().AdmissionRejects - before.AdmissionRejects; got < 190 {
+		t.Fatalf("%d of 202 newcomers rejected: the cache is not exercising admission", got)
+	}
+	if rejected > admitted-2 {
+		t.Errorf("a rejected miss allocates %.1f times, an admitted one %.1f: want the entry and its LRU element saved", rejected, admitted)
+	}
+}
+
+// rawClient sends one packed query over some transport and returns the
+// packed reply, untouched.
+type rawClient func(t *testing.T, query []byte) []byte
+
+// TestMissAcrossTransports is the miss-path half of the transport
+// equivalence contract, against the real proxy: over UDP on the simulated
+// network (portable fallback socket, vector 1), UDP on a kernel socket
+// (batched loop), TCP, out-of-order DoT and DoH POST, a miss and a
+// coalesced miss return exactly the bytes the upstream's own packer
+// produced for the name, under the asking client's ID, and leave the same
+// trace: miss = guard, parse, cache, guard (the breaker), upstream, admit,
+// write; coalesced = guard, parse, cache, write. DoH records no write span.
+func TestMissAcrossTransports(t *testing.T) {
+	n := netsim.New(16)
+	static := dnsserver.Static(netip.MustParseAddr("192.0.2.77"), 300)
+	var upstreamQueries atomic.Int64
+	run, err := (&dnsserver.Server{Handler: dnsserver.HandlerFunc(func(ctx context.Context, q *dnswire.Message) (*dnswire.Message, error) {
+		upstreamQueries.Add(1)
+		// Slow enough that two queries sent back to back share one flight.
+		return dnsserver.Delay(60*time.Millisecond, static).ServeDNS(ctx, q)
+	})}).Start(n, "recursive.upstream")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(run.Close)
+
+	chain, err := tlsx.GenerateChain(tlsx.CloudflareLike("proxy.dns"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := New(Config{
+		Upstreams:       []dnstransport.PoolUpstream{tcpUpstream(n, "proxy.dns", "recursive.upstream")},
+		Pool:            dnstransport.PoolConfig{ConnsPerUpstream: 1},
+		Chain:           chain,
+		UDPListen:       "127.0.0.1:0",
+		UDPShards:       1,
+		UpstreamTimeout: 2 * time.Second,
+		Guard:           &guard.Config{ClientQPS: 1e9, Burst: 1 << 30, MissRate: 1e9, MaxInflightMiss: 1 << 20},
+		Tracing:         &qtrace.Config{SampleEvery: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Start(n, "proxy.dns"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { p.Close() })
+	// Dial the pool's one slot now, so no measured trace carries a dial span.
+	if _, err := p.Handler().ServeDNS(context.Background(), dnswire.NewQuery(1, "warm.example.", dnswire.TypeA)); err != nil {
+		t.Fatal(err)
+	}
+
+	datagram := func(dial func() (net.Conn, error)) rawClient {
+		return func(t *testing.T, query []byte) []byte {
+			c, err := dial()
+			if err != nil {
+				t.Error(err)
+				return nil
+			}
+			defer c.Close()
+			c.SetDeadline(time.Now().Add(5 * time.Second))
+			buf := make([]byte, 4096)
+			if _, err = c.Write(query); err == nil {
+				var nr int
+				if nr, err = c.Read(buf); err == nil {
+					return buf[:nr]
+				}
+			}
+			t.Error(err)
+			return nil
+		}
+	}
+	stream := func(dial func() (net.Conn, error)) rawClient {
+		return func(t *testing.T, query []byte) []byte {
+			c, err := dial()
+			if err != nil {
+				t.Error(err)
+				return nil
+			}
+			defer c.Close()
+			if err = dnsserver.WriteStreamMessage(c, query); err == nil {
+				var resp []byte
+				if resp, err = dnsserver.ReadStreamMessage(c); err == nil {
+					return resp
+				}
+			}
+			t.Error(err)
+			return nil
+		}
+	}
+	transports := []struct {
+		name  string
+		write bool // the adapter owns the socket write
+		send  rawClient
+	}{
+		{"udp-netsim", true, datagram(func() (net.Conn, error) {
+			pc, err := n.ListenPacket("")
+			if err != nil {
+				return nil, err
+			}
+			return connectedPacketConn{pc, netsim.Addr("proxy.dns:53")}, nil
+		})},
+		{"udp-kernel", true, datagram(func() (net.Conn, error) { return net.Dial("udp", p.UDPAddr().String()) })},
+		{"tcp", true, stream(func() (net.Conn, error) { return n.Dial("client", "proxy.dns:53") })},
+		{"dot", true, stream(func() (net.Conn, error) {
+			c, err := n.Dial("client", "proxy.dns:853")
+			if err != nil {
+				return nil, err
+			}
+			return tls.Client(c, chain.ClientConfig("proxy.dns")), nil
+		})},
+		{"doh", false, func(t *testing.T, query []byte) []byte {
+			c, err := n.Dial("client", "proxy.dns:443")
+			if err != nil {
+				t.Error(err)
+				return nil
+			}
+			cc, err := h2.NewClientConn(tls.Client(c, chain.ClientConfig("proxy.dns", "h2")))
+			if err != nil {
+				t.Error(err)
+				return nil
+			}
+			defer cc.Close()
+			resp, err := cc.RoundTrip(context.Background(), &h2.Request{Method: "POST", Scheme: "https", Authority: "proxy.dns", Path: "/dns-query",
+				Header: []hpack.HeaderField{{Name: "content-type", Value: dnsserver.ContentTypeWire}}, Body: query})
+			if err != nil || resp.Status != 200 {
+				t.Errorf("doh: %v %+v", err, resp)
+				return nil
+			}
+			return resp.Body
+		}},
+	}
+
+	// expect packs what the upstream answers q with — the proxy must hand
+	// back exactly these bytes.
+	expect := func(q *dnswire.Message) []byte {
+		resp, err := static.ServeDNS(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wire, err := resp.Pack()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return wire
+	}
+	phasesOf := func(qname string) (cache map[string][]string) {
+		cache = make(map[string][]string)
+		for _, v := range p.Tracer().Traces(qtrace.Filter{Limit: 1000}) {
+			if v.QName != qname {
+				continue
+			}
+			var phases []string
+			for _, sp := range v.Spans {
+				phases = append(phases, sp.Phase)
+			}
+			cache[v.Cache] = phases
+		}
+		return cache
+	}
+
+	for _, tr := range transports {
+		t.Run(tr.name, func(t *testing.T) {
+			before, exchanges := p.CacheStats(), upstreamQueries.Load()
+			name := dnswire.Name("miss-" + tr.name + ".example.")
+			queries := []*dnswire.Message{dnswire.NewQuery(0x1001, name, dnswire.TypeA), dnswire.NewQuery(0x2002, name, dnswire.TypeA)}
+			queries[1].EDNS = nil // coalescing keys on the question alone
+			replies := make([][]byte, 2)
+			var wg sync.WaitGroup
+			for i, q := range queries {
+				wire, err := q.Pack()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if i == 1 {
+					// The follower goes once the leader's flight is up.
+					waitForStats(t, p, func(s dnscache.Stats) bool { return s.Misses == before.Misses+1 })
+				}
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					replies[i] = tr.send(t, wire)
+				}()
+			}
+			wg.Wait()
+			after := p.CacheStats()
+			if after.Misses != before.Misses+1 || after.Coalesced != before.Coalesced+1 || upstreamQueries.Load() != exchanges+1 {
+				t.Fatalf("want one miss, one coalesced, one upstream exchange; stats %+v → %+v, %d exchanges",
+					before, after, upstreamQueries.Load()-exchanges)
+			}
+			// Both callers get the flight's bytes — the upstream's answer to
+			// the leader — each under its own ID.
+			want := expect(queries[0])
+			for i, q := range queries {
+				dnswire.PatchID(want, q.ID)
+				if !bytes.Equal(replies[i], want) {
+					t.Errorf("query %d: reply differs from the upstream's bytes:\n got  %x\n want %x", i, replies[i], want)
+				}
+			}
+
+			wantPhases := map[string][]string{
+				"miss":      {"guard", "parse", "cache", "guard", "upstream", "admit", "write"},
+				"coalesced": {"guard", "parse", "cache", "write"},
+			}
+			var got map[string][]string
+			deadline := time.Now().Add(2 * time.Second)
+			for got = phasesOf(string(name)); len(got) < 2 && time.Now().Before(deadline); got = phasesOf(string(name)) {
+				time.Sleep(2 * time.Millisecond) // UDP finishes the transaction just after the reply leaves
+			}
+			for outcome, want := range wantPhases {
+				if !tr.write {
+					want = want[:len(want)-1]
+				}
+				if !slices.Equal(got[outcome], want) {
+					t.Errorf("%s trace phases %v, want %v", outcome, got[outcome], want)
+				}
+			}
+		})
+	}
+}
+
+// connectedPacketConn gives a simulated datagram socket the Read/Write
+// face of a connected one.
+type connectedPacketConn struct {
+	net.PacketConn
+	peer net.Addr
+}
+
+func (c connectedPacketConn) Write(b []byte) (int, error) { return c.WriteTo(b, c.peer) }
+func (c connectedPacketConn) Read(b []byte) (int, error) {
+	n, _, err := c.ReadFrom(b)
+	return n, err
+}
+func (c connectedPacketConn) RemoteAddr() net.Addr { return c.peer }
+
+// waitForStats polls the cache counters until cond holds.
+func waitForStats(t *testing.T, p *Proxy, cond func(dnscache.Stats) bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond(p.CacheStats()) {
+		if time.Now().After(deadline) {
+			t.Fatalf("cache never reached the awaited state: %+v", p.CacheStats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}

@@ -27,8 +27,9 @@
 //     query at the runner-up; the first answer wins and the loser's
 //     exchange is cancelled.
 //
-// The Steerer is a dnstransport.Resolver, so it slots between the cache
-// and the pool without either knowing.
+// The Steerer is a dnstransport.Resolver and WireResolver, so it slots
+// between the cache and the pool without either knowing; queries pass
+// through it as the packed bytes the pool's clients send.
 package steer
 
 import (
@@ -108,10 +109,10 @@ func (p *Policy) UnmarshalText(text []byte) error {
 // Backend is the upstream capability the steerer drives. dnstransport.Pool
 // implements it; tests substitute scripted fakes.
 type Backend interface {
-	// Exchange is the backend's native (failover-ordered) exchange.
-	Exchange(ctx context.Context, q *dnswire.Message) (*dnswire.Message, error)
-	// ExchangeUpstream aims one exchange at upstream i, no failover.
-	ExchangeUpstream(ctx context.Context, i int, q *dnswire.Message) (*dnswire.Message, error)
+	// ExchangeWire is the backend's native (failover-ordered) exchange.
+	ExchangeWire(ctx context.Context, query []byte) ([]byte, error)
+	// ExchangeUpstreamWire aims one exchange at upstream i, no failover.
+	ExchangeUpstreamWire(ctx context.Context, i int, query []byte) ([]byte, error)
 	// NumUpstreams reports the upstream count; UpstreamName names them in
 	// preference order; UpstreamHealthy reports backoff state.
 	NumUpstreams() int
@@ -228,15 +229,21 @@ func (s *Steerer) Seed(name string, d time.Duration, ok bool) {
 // released.
 func (s *Steerer) Close() error { return s.backend.Close() }
 
-// Exchange implements Resolver, dispatching on the configured policy.
+// Exchange implements Resolver over ExchangeWire.
 func (s *Steerer) Exchange(ctx context.Context, q *dnswire.Message) (*dnswire.Message, error) {
+	return dnstransport.ExchangeMessage(ctx, s, q)
+}
+
+// ExchangeWire implements WireResolver, dispatching on the configured
+// policy.
+func (s *Steerer) ExchangeWire(ctx context.Context, query []byte) ([]byte, error) {
 	switch s.cfg.Policy {
 	case PolicyFastest:
-		return s.exchangeFastest(ctx, q)
+		return s.exchangeFastest(ctx, query)
 	case PolicyHedged:
-		return s.exchangeHedged(ctx, q)
+		return s.exchangeHedged(ctx, query)
 	}
-	return s.backend.Exchange(ctx, q)
+	return s.backend.ExchangeWire(ctx, query)
 }
 
 // rank orders upstream indices by effective score, best first. Unhealthy
@@ -265,7 +272,7 @@ const downPenalty = float64(24 * time.Hour)
 // exchangeFastest routes to the best-ranked upstream, falling through the
 // ranking on failure. Every ExploreEvery-th query instead probes one of
 // the runners-up (rotating, so each gets refreshed in turn).
-func (s *Steerer) exchangeFastest(ctx context.Context, q *dnswire.Message) (*dnswire.Message, error) {
+func (s *Steerer) exchangeFastest(ctx context.Context, query []byte) ([]byte, error) {
 	tx := telemetry.FromContext(ctx)
 	ts := tx.TraceStart()
 	order := s.rank()
@@ -290,7 +297,7 @@ func (s *Steerer) exchangeFastest(ctx context.Context, q *dnswire.Message) (*dns
 			}
 			break
 		}
-		resp, err := s.backend.ExchangeUpstream(ctx, i, q)
+		resp, err := s.backend.ExchangeUpstreamWire(ctx, i, query)
 		if err == nil {
 			return resp, nil
 		}
@@ -314,19 +321,22 @@ func (s *Steerer) exchangeFastest(ctx context.Context, q *dnswire.Message) (*dns
 // counters with exactly the measurement windows the other policies use,
 // and the caller's record is only attributed the winning upstream's name
 // (plus the hedge counters), never written from a leg goroutine.
-func (s *Steerer) exchangeHedged(ctx context.Context, q *dnswire.Message) (*dnswire.Message, error) {
+func (s *Steerer) exchangeHedged(ctx context.Context, query []byte) ([]byte, error) {
 	tx := telemetry.FromContext(ctx)
 	ts := tx.TraceStart()
 	order := s.rank()
 	tx.TraceSpan(qtrace.PhaseSteer, ts)
 	if len(order) == 1 {
-		return s.backend.ExchangeUpstream(ctx, order[0], q)
+		return s.backend.ExchangeUpstreamWire(ctx, order[0], query)
 	}
 	hctx, cancel := context.WithCancel(telemetry.DetachContext(ctx))
 	defer cancel()
+	// The caller may recycle query the moment this call returns, and the
+	// losing leg can still be reading it then: the legs share a copy.
+	query = append([]byte(nil), query...)
 
 	type outcome struct {
-		resp  *dnswire.Message
+		resp  []byte
 		err   error
 		hedge bool
 	}
@@ -347,7 +357,7 @@ func (s *Steerer) exchangeHedged(ctx context.Context, q *dnswire.Message) (*dnsw
 		legTx := tx.Metrics().BeginBackground()
 		legCtx := telemetry.NewContext(hctx, legTx)
 		go func() {
-			resp, err := s.backend.ExchangeUpstream(legCtx, up, q)
+			resp, err := s.backend.ExchangeUpstreamWire(legCtx, up, query)
 			legTx.Finish()
 			results <- outcome{resp, err, hedge}
 		}()
@@ -415,7 +425,7 @@ func (s *Steerer) exchangeHedged(ctx context.Context, q *dnswire.Message) (*dnsw
 				// point waiting out the timer, fire the hedge now.
 				fireHedge()
 			} else if pending == 0 {
-				return s.exchangeRest(ctx, order[2:], q, firstErr)
+				return s.exchangeRest(ctx, order[2:], query, firstErr)
 			}
 		case <-ctx.Done():
 			return nil, ctx.Err()
@@ -425,12 +435,12 @@ func (s *Steerer) exchangeHedged(ctx context.Context, q *dnswire.Message) (*dnsw
 
 // exchangeRest walks the post-hedge remainder of the ranking; firstErr is
 // returned when nothing answers.
-func (s *Steerer) exchangeRest(ctx context.Context, order []int, q *dnswire.Message, firstErr error) (*dnswire.Message, error) {
+func (s *Steerer) exchangeRest(ctx context.Context, order []int, query []byte, firstErr error) ([]byte, error) {
 	for _, i := range order {
 		if ctx.Err() != nil {
 			break
 		}
-		if resp, err := s.backend.ExchangeUpstream(ctx, i, q); err == nil {
+		if resp, err := s.backend.ExchangeUpstreamWire(ctx, i, query); err == nil {
 			return resp, nil
 		}
 	}
@@ -499,5 +509,8 @@ func (s *Steerer) Report() Report {
 	return r
 }
 
-var _ dnstransport.Resolver = (*Steerer)(nil)
-var _ Backend = (*dnstransport.Pool)(nil)
+var (
+	_ dnstransport.Resolver     = (*Steerer)(nil)
+	_ dnstransport.WireResolver = (*Steerer)(nil)
+	_ Backend                   = (*dnstransport.Pool)(nil)
+)

@@ -31,7 +31,7 @@ type fakeUpstream struct {
 type fakeBackend struct {
 	ups      []*fakeUpstream
 	observer atomic.Pointer[dnstransport.ExchangeObserver]
-	native   atomic.Int64 // Exchange (failover) calls
+	native   atomic.Int64 // ExchangeWire (failover) calls
 	// onExchange, when set, sees every directed exchange's context (for
 	// asserting what the steerer threads through to the legs).
 	onExchange func(ctx context.Context)
@@ -50,12 +50,16 @@ func (b *fakeBackend) observe(name string, d time.Duration, err error) {
 	}
 }
 
-func (b *fakeBackend) Exchange(ctx context.Context, q *dnswire.Message) (*dnswire.Message, error) {
+func (b *fakeBackend) ExchangeWire(ctx context.Context, query []byte) ([]byte, error) {
 	b.native.Add(1)
-	return b.ExchangeUpstream(ctx, 0, q)
+	return b.ExchangeUpstreamWire(ctx, 0, query)
 }
 
-func (b *fakeBackend) ExchangeUpstream(ctx context.Context, i int, q *dnswire.Message) (*dnswire.Message, error) {
+func (b *fakeBackend) ExchangeUpstreamWire(ctx context.Context, i int, query []byte) ([]byte, error) {
+	var q dnswire.Message
+	if err := q.Unpack(query); err != nil {
+		return nil, err
+	}
 	if b.onExchange != nil {
 		b.onExchange(ctx)
 	}
@@ -82,7 +86,7 @@ func (b *fakeBackend) ExchangeUpstream(ctx context.Context, i int, q *dnswire.Me
 		Data: &dnswire.TXT{Strings: []string{u.name}},
 	})
 	b.observe(u.name, time.Since(start), nil)
-	return r, nil
+	return r.Pack()
 }
 
 func (b *fakeBackend) NumUpstreams() int         { return len(b.ups) }

@@ -96,9 +96,13 @@ func CloneAddr(addr net.Addr) net.Addr {
 	if !ok {
 		return addr
 	}
-	c := &net.UDPAddr{Port: ua.Port, Zone: ua.Zone, IP: make(net.IP, len(ua.IP))}
-	copy(c.IP, ua.IP)
-	return c
+	// One allocation holds the address and the bytes its IP slices.
+	c := &struct {
+		net.UDPAddr
+		ip [net.IPv6len]byte
+	}{UDPAddr: net.UDPAddr{Port: ua.Port, Zone: ua.Zone}}
+	c.IP = c.ip[:copy(c.ip[:], ua.IP)]
+	return &c.UDPAddr
 }
 
 // fallbackConn is the portable BatchConn: one datagram per syscall under
