@@ -75,10 +75,11 @@ func (c *core) parse(q *dnswire.Query, wire []byte, tGuard time.Time) (tx *telem
 }
 
 // serveWire closes the hit step: the handler's wire fast path answers q
-// into dst under the adapter's size limit. dst is nil (the response is the
-// responder's own allocation) or empty with room for any DNS message;
-// handled responses then lie in dst's storage, so an adapter can frame
-// around them in place. handled=false leaves tx open for the Message step.
+// into dst under the adapter's size limit. dst is empty; a handled response
+// that fits its capacity lies in its storage — so an adapter that hands in
+// room for any message under its limit can frame around it in place — and
+// one that does not is an allocation of its own, always so for a nil dst.
+// handled=false leaves tx open for the Message step.
 func (c *core) serveWire(tx *telemetry.Transaction, q *dnswire.Query, dst []byte, limit int) (resp []byte, handled bool) {
 	tc := tx.TraceStart()
 	resp, handled = c.wire.ServeDNSWire(tx, q, dst, limit)
@@ -86,9 +87,9 @@ func (c *core) serveWire(tx *telemetry.Transaction, q *dnswire.Query, dst []byte
 		return nil, false
 	}
 	tx.TraceSpan(qtrace.PhaseCache, tc)
-	if cap(dst) > 0 && &resp[0] != &dst[:1][0] {
-		// The responder reallocated (or returned its own storage); fold
-		// the bytes back into the caller's buffer — cap suffices, resp fits.
+	if cap(dst) >= len(resp) && &resp[0] != &dst[:1][0] {
+		// The responder returned its own storage; fold the bytes back into
+		// the caller's buffer.
 		resp = append(dst, resp...)
 	}
 	tx.SetVerdict(telemetry.VerdictOK)

@@ -86,8 +86,9 @@ func (d *DoH) ServeH1(req *h1.Request) *h1.Response {
 // The HTTP/2 handler is an h2.InlineHandler: it offers the hit step to the
 // connection's read loop.
 func (d *DoH) Bind(ctx context.Context) (h2.Handler, h1.Handler) {
-	return &boundDoH{d: d, ctx: ctx, c: newCore(d.Handler, d.Telemetry, telemetry.ProtoDoH)},
-		h1.HandlerFunc(func(req *h1.Request) *h1.Response { return d.serveH1(ctx, req) })
+	b := &boundDoH{d: d, ctx: ctx, c: newCore(d.Handler, d.Telemetry, telemetry.ProtoDoH)}
+	b.hit = h2.Response{Status: 200, Header: d.h2Header(200, ContentTypeWire)}
+	return b, h1.HandlerFunc(func(req *h1.Request) *h1.Response { return d.serveH1(ctx, req) })
 }
 
 // boundDoH is the HTTP/2 handler of one connection.
@@ -95,7 +96,11 @@ type boundDoH struct {
 	d   *DoH
 	ctx context.Context
 	c   core
-	q   dnswire.Query // read loop only; per connection because &q escapes into the WireResponder call
+	// What the inline step reuses from hit to hit, read loop only: the view
+	// (&q escapes into the WireResponder call) and the response, whose Body
+	// is the scratch the next hit is appended into.
+	q   dnswire.Query
+	hit h2.Response
 }
 
 // ServeH2 implements h2.Handler.
@@ -119,9 +124,10 @@ func (b *boundDoH) ServeH2Inline(req *h2.Request) (*h2.Response, func() *h2.Resp
 	if refused {
 		return d.h2Response(d.refuseWire(req.Body, key)), nil
 	}
-	out, tx, handled := b.c.hit(&b.q, req.Body, tGuard)
+	out, tx, handled := b.c.hit(&b.q, req.Body, b.hit.Body[:0], tGuard)
 	if handled {
-		return d.h2Response(200, ContentTypeWire, out), nil
+		b.hit.Body = out
+		return &b.hit, nil
 	}
 	q := b.q // the read loop reuses b.q; the view borrows req.Body, which is next's
 	return nil, func() *h2.Response { return d.h2Response(d.miss(b.ctx, &b.c, tx, &q, req.Body)) }
@@ -141,14 +147,26 @@ func (d *DoH) serveH2(ctx context.Context, req *h2.Request) *h2.Response {
 }
 
 func (d *DoH) h2Response(status int, respCT string, body []byte) *h2.Response {
-	resp := &h2.Response{Status: status, Body: body}
+	return &h2.Response{Status: status, Header: d.h2Header(status, respCT), Body: body}
+}
+
+// wireHeader is the header of the common answer, shared by every response
+// that carries it: read, never appended to or written.
+var wireHeader = []hpack.HeaderField{{Name: "content-type", Value: ContentTypeWire}}
+
+func (d *DoH) h2Header(status int, respCT string) []hpack.HeaderField {
+	altSvc := d.AltSvc != "" && status == 200
+	if respCT == ContentTypeWire && !altSvc {
+		return wireHeader
+	}
+	var hdr []hpack.HeaderField
 	if respCT != "" {
-		resp.Header = append(resp.Header, hpack.HeaderField{Name: "content-type", Value: respCT})
+		hdr = append(hdr, hpack.HeaderField{Name: "content-type", Value: respCT})
 	}
-	if d.AltSvc != "" && status == 200 {
-		resp.Header = append(resp.Header, hpack.HeaderField{Name: "alt-svc", Value: d.AltSvc})
+	if altSvc {
+		hdr = append(hdr, hpack.HeaderField{Name: "alt-svc", Value: d.AltSvc})
 	}
-	return resp
+	return hdr
 }
 
 func (d *DoH) serveH1(ctx context.Context, req *h1.Request) *h1.Response {
@@ -218,7 +236,6 @@ func (d *DoH) serve(ctx context.Context, method, rawPath, contentType string, bo
 		return 404, "", nil
 	}
 
-	values := u.Query()
 	var rawQ []byte
 	var q *dnswire.Message // a JSON query, which never was in wire form
 	switch method {
@@ -228,6 +245,7 @@ func (d *DoH) serve(ctx context.Context, method, rawPath, contentType string, bo
 		}
 		rawQ = body
 	case "GET":
+		values := u.Query()
 		if dns := values.Get("dns"); dns != "" {
 			if !ep.Wire {
 				return 415, "", nil
@@ -273,7 +291,7 @@ func (d *DoH) serve(ctx context.Context, method, rawPath, contentType string, bo
 	c := newCore(d.Handler, d.Telemetry, telemetry.ProtoDoH)
 	if rawQ != nil {
 		var fq dnswire.Query
-		out, tx, handled := c.hit(&fq, rawQ, tGuard)
+		out, tx, handled := c.hit(&fq, rawQ, nil, tGuard)
 		if handled {
 			return 200, ContentTypeWire, out
 		}
@@ -294,13 +312,15 @@ func (d *DoH) serve(ctx context.Context, method, rawPath, contentType string, bo
 }
 
 // hit is the hit step for an HTTP body: a cache hit's packed bytes become
-// the response body with no Message in between, in a slice of their own
-// because the body escapes into the HTTP response. handled=false leaves tx
-// and q (nil and zero if the fast parse declined) for miss to carry on with.
-func (c *core) hit(q *dnswire.Query, rawQ []byte, tGuard time.Time) (out []byte, tx *telemetry.Transaction, handled bool) {
+// the response body with no Message in between, appended to dst — nil for a
+// slice of their own, when the body escapes into a response the caller
+// hands on, or the caller's scratch, which a longer answer outgrows into a
+// new one. handled=false leaves tx and q (nil and zero if the fast parse
+// declined) for miss to carry on with.
+func (c *core) hit(q *dnswire.Query, rawQ, dst []byte, tGuard time.Time) (out []byte, tx *telemetry.Transaction, handled bool) {
 	tx, ok := c.parse(q, rawQ, tGuard)
 	if ok {
-		if out, handled = c.serveWire(tx, q, nil, dnswire.MaxMessageLen); handled {
+		if out, handled = c.serveWire(tx, q, dst, dnswire.MaxMessageLen); handled {
 			tx.Finish()
 		}
 	}

@@ -6,7 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"strconv"
+	"sync"
 
 	"dohcost/internal/hpack"
 )
@@ -27,6 +29,10 @@ type Response struct {
 	Status int
 	Header []hpack.HeaderField
 	Body   []byte
+
+	// few backs Header for a response the client received with no more
+	// fields than a DoH answer has, so they cost no allocation of their own.
+	few [2]hpack.HeaderField
 }
 
 // HeaderValue returns the first value of a regular header field, or "".
@@ -42,15 +48,22 @@ func (r *Response) HeaderValue(name string) string {
 // ErrConnClosed reports the connection is no longer usable for new streams.
 var ErrConnClosed = errors.New("h2: connection closed")
 
-// clientStream tracks one in-flight request.
+// clientStream tracks one in-flight request. The response is the caller's
+// to keep, so it is an allocation of its own; the rest is pooled.
 type clientStream struct {
 	stream
-	resp Response
+	resp *Response
 	err  error
-	done chan struct{}
+	done chan struct{} // buffered: whoever takes the stream out of streams sends once
 
 	hasStatus bool
 }
+
+// clientStreams recycles the streams of requests that completed. One that
+// failed is left to the collector: whatever failed it — a reset, the
+// connection's end, the caller's cancellation — may run beside a read loop
+// that still holds it.
+var clientStreams = sync.Pool{New: func() any { return &clientStream{done: make(chan struct{}, 1)} }}
 
 // ClientConn is an HTTP/2 client connection multiplexing concurrent
 // requests over one transport connection. Safe for concurrent use.
@@ -60,13 +73,6 @@ type ClientConn struct {
 
 	streams map[uint32]*clientStream // under mu
 	nextID  uint32                   // under encMu: ids ascend in emission order
-
-	// header continuation accumulation (read loop only)
-	hdec       *hpack.Decoder
-	contStream uint32
-	contEnd    bool
-	contBuf    []byte
-	inContinue bool
 }
 
 // NewClientConn performs the client side of connection setup (preface and
@@ -76,7 +82,6 @@ type ClientConn struct {
 func NewClientConn(conn net.Conn, model ...Emission) (*ClientConn, error) {
 	cc := &ClientConn{
 		conn:    conn,
-		hdec:    hpack.NewDecoder(),
 		streams: make(map[uint32]*clientStream),
 		nextID:  1,
 	}
@@ -84,15 +89,15 @@ func NewClientConn(conn net.Conn, model ...Emission) (*ClientConn, error) {
 	if len(model) > 0 {
 		e = model[0]
 	}
-	cc.init(conn, e)
+	cc.init(conn, e, cc)
 	if err := cc.fr.WritePreface(); err != nil {
 		return nil, fmt.Errorf("h2: writing preface: %w", err)
 	}
-	err := cc.fr.WriteFrame(FrameSettings, 0, 0, encodeSettings([]Setting{
-		{SettingEnablePush, 0},
-		{SettingInitialWindowSize, defaultInitialWindowSize},
-		{SettingMaxConcurrentStreams, 1000},
-	}))
+	err := cc.writeSettings(
+		Setting{SettingEnablePush, 0},
+		Setting{SettingInitialWindowSize, defaultInitialWindowSize},
+		Setting{SettingMaxConcurrentStreams, 1000},
+	)
 	if err != nil {
 		return nil, fmt.Errorf("h2: writing settings: %w", err)
 	}
@@ -105,7 +110,7 @@ func (cc *ClientConn) Stats() *FrameStats { return &cc.fr.Stats }
 
 // Close tears the connection down, failing in-flight requests.
 func (cc *ClientConn) Close() error {
-	cc.fr.WriteFrame(FrameGoAway, 0, 0, make([]byte, 8))
+	cc.goAway(nil)
 	cc.failAll(ErrConnClosed)
 	return cc.conn.Close()
 }
@@ -118,7 +123,7 @@ func (cc *ClientConn) failAll(err error) {
 	defer cc.mu.Unlock()
 	for id, cs := range cc.streams {
 		cs.err = cc.err
-		close(cs.done)
+		cs.done <- struct{}{}
 		delete(cc.streams, id)
 	}
 }
@@ -135,7 +140,10 @@ func (cc *ClientConn) RoundTrip(ctx context.Context, req *Request) (*Response, e
 		if cs.err != nil {
 			return nil, cs.err
 		}
-		return &cs.resp, nil
+		resp := cs.resp
+		*cs = clientStream{done: cs.done}
+		clientStreams.Put(cs)
+		return resp, nil
 	case <-ctx.Done():
 		cc.abortStream(cs, ErrCodeCancel)
 		return nil, ctx.Err()
@@ -144,7 +152,8 @@ func (cc *ClientConn) RoundTrip(ctx context.Context, req *Request) (*Response, e
 
 // startRequest opens a stream and sends req on it as one message.
 func (cc *ClientConn) startRequest(req *Request) (*clientStream, error) {
-	cs := &clientStream{done: make(chan struct{})}
+	cs := clientStreams.Get().(*clientStream)
+	cs.resp = new(Response)
 	cc.encMu.Lock()
 	cc.mu.Lock()
 	if err := cc.err; err != nil {
@@ -203,7 +212,7 @@ func (cc *ClientConn) readLoop() {
 			return
 		}
 		if err := cc.handleFrame(fr); err != nil {
-			cc.fr.WriteFrame(FrameGoAway, 0, 0, make([]byte, 8))
+			cc.goAway(err)
 			cc.failAll(err)
 			cc.conn.Close()
 			return
@@ -211,85 +220,45 @@ func (cc *ClientConn) readLoop() {
 	}
 }
 
-func (cc *ClientConn) handleFrame(fr Frame) error {
-	if cc.inContinue && fr.Type != FrameContinuation {
-		return ConnError{ErrCodeProtocol, "expected CONTINUATION"}
-	}
-	switch fr.Type {
-	case FrameSettings:
-		return cc.handleSettings(fr)
-	case FramePing:
-		if fr.Flags&FlagAck == 0 {
-			payload := append([]byte(nil), fr.Payload...)
-			return cc.fr.WriteFrame(FramePing, FlagAck, 0, payload)
-		}
-	case FrameWindowUpdate:
-		if cs := cc.lookup(fr.StreamID); cs != nil {
-			return cc.handleWindowUpdate(fr, &cs.stream)
-		}
-		return cc.handleWindowUpdate(fr, nil)
-	case FrameHeaders:
-		block, err := stripPadding(fr)
-		if err != nil {
-			return err
-		}
-		cc.contStream = fr.StreamID
-		cc.contEnd = fr.Flags&FlagEndStream != 0
-		cc.contBuf = append(cc.contBuf[:0], block...)
-		if fr.Flags&FlagEndHeaders != 0 {
-			return cc.finishHeaders()
-		}
-		cc.inContinue = true
-	case FrameContinuation:
-		if !cc.inContinue || fr.StreamID != cc.contStream {
-			return ConnError{ErrCodeProtocol, "unexpected CONTINUATION"}
-		}
-		cc.contBuf = append(cc.contBuf, fr.Payload...)
-		if fr.Flags&FlagEndHeaders != 0 {
-			cc.inContinue = false
-			return cc.finishHeaders()
-		}
-	case FrameData:
-		return cc.handleData(fr)
-	case FrameRSTStream:
-		if cs := cc.take(fr.StreamID); cs != nil {
-			cc.peerReset(&cs.stream, fr)
-			cs.err = cs.reset
-			close(cs.done)
-		}
-	case FrameGoAway:
-		return ConnError{ErrCodeNo, "received GOAWAY"}
-	case FramePriority, FramePushPromise:
-		// PRIORITY is advisory; PUSH_PROMISE is disabled via settings and
-		// ignoring it is safe for this client's use.
+// sendStream implements endpoint.
+func (cc *ClientConn) sendStream(id uint32) *stream {
+	if cs := cc.lookup(id); cs != nil {
+		return &cs.stream
 	}
 	return nil
 }
 
-// finishHeaders decodes an assembled header block and applies it to its
-// stream.
-func (cc *ClientConn) finishHeaders() error {
-	fields, err := cc.hdec.Decode(cc.contBuf)
-	if err != nil {
-		return ConnError{ErrCodeCompression, err.Error()}
+// handleReset implements endpoint.
+func (cc *ClientConn) handleReset(fr Frame) {
+	if cs := cc.take(fr.StreamID); cs != nil {
+		cc.peerReset(&cs.stream, fr)
+		cs.err = cs.reset
+		cs.done <- struct{}{}
 	}
-	cs := cc.lookup(cc.contStream)
+}
+
+// handleHeaders implements endpoint: a response's header block, copied out
+// of the connection's scratch into the response in one step. Pseudo-header
+// fields lead a block (RFC 7540 §8.1.2.1), so a :status anywhere else is no
+// status.
+func (cc *ClientConn) handleHeaders(id uint32, fields []hpack.HeaderField, endStream bool) error {
+	cs := cc.lookup(id)
 	if cs == nil {
 		return nil // stream already gone (cancelled); state remains valid
 	}
-	for _, f := range fields {
-		if f.Name == ":status" {
-			code, err := strconv.Atoi(f.Value)
-			if err != nil {
-				return StreamError{cs.id, ErrCodeProtocol, "bad :status"}
-			}
-			cs.resp.Status = code
-			cs.hasStatus = true
-			continue
+	resp := cs.resp
+	if len(fields) > 0 && fields[0].Name == ":status" {
+		code, err := strconv.Atoi(fields[0].Value)
+		if err != nil {
+			return StreamError{cs.id, ErrCodeProtocol, "bad :status"}
 		}
-		cs.resp.Header = append(cs.resp.Header, f)
+		resp.Status, cs.hasStatus, fields = code, true, fields[1:]
 	}
-	if cc.contEnd {
+	if resp.Header == nil {
+		resp.Header = resp.few[:0]
+	}
+	resp.Header = append(slices.Grow(resp.Header, len(fields)), fields...)
+	if endStream {
 		cc.completeStream(cs)
 	}
 	return nil
@@ -313,6 +282,8 @@ func (cc *ClientConn) handleData(fr Frame) error {
 	return cc.credit(cs.id, len(fr.Payload))
 }
 
+// completeStream hands a finished response to its RoundTrip. The send is the
+// read loop's last use of cs, which RoundTrip then recycles.
 func (cc *ClientConn) completeStream(cs *clientStream) {
 	if cc.take(cs.id) == nil {
 		return
@@ -320,5 +291,5 @@ func (cc *ClientConn) completeStream(cs *clientStream) {
 	if !cs.hasStatus {
 		cs.err = StreamError{cs.id, ErrCodeProtocol, "response without :status"}
 	}
-	close(cs.done)
+	cs.done <- struct{}{}
 }

@@ -10,6 +10,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -193,6 +194,111 @@ func TestMaxConcurrentStreamsEnforced(t *testing.T) {
 	}
 }
 
+func isGoAway(code ErrCode) func(Frame) bool {
+	return func(f Frame) bool {
+		return f.Type == FrameGoAway && len(f.Payload) == 8 && ErrCode(binary.BigEndian.Uint32(f.Payload[4:])) == code
+	}
+}
+
+// TestContinuationFloodIsBounded: a header block that keeps growing across
+// CONTINUATION frames ends the connection with ENHANCE_YOUR_CALM once it is
+// past the advertised bound, instead of being buffered until END_HEADERS.
+func TestContinuationFloodIsBounded(t *testing.T) {
+	var runs atomic.Int64
+	fr := rawClient(t, &Server{Handler: HandlerFunc(func(*Request) *Response {
+		runs.Add(1)
+		return &Response{Status: 200}
+	})})
+	advertised := false
+	for _, f := range readUntil(t, fr, func(f Frame) bool { return f.Type == FrameSettings && f.Flags&FlagAck == 0 }) {
+		settings, err := decodeSettings(f.Payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range settings {
+			advertised = advertised || s == Setting{SettingMaxHeaderListSize, maxHeaderBlock}
+		}
+	}
+	if !advertised {
+		t.Errorf("SETTINGS_MAX_HEADER_LIST_SIZE %d not advertised", maxHeaderBlock)
+	}
+	// A never-indexed literal whose value is as long as the peer cares to
+	// make it: every fragment is plausible until the block ends.
+	chunk := bytes.Repeat([]byte("c"), defaultMaxFrameSize)
+	go func() { // the server stops reading at the bound; the pipe may then fill
+		fr.WriteFrame(FrameHeaders, 0, 1, requestBlock("POST", "/"))
+		for i := 0; i < 2*maxHeaderBlock/len(chunk); i++ {
+			if fr.WriteFrame(FrameContinuation, 0, 1, chunk) != nil {
+				return
+			}
+		}
+	}()
+	readUntil(t, fr, isGoAway(ErrCodeEnhanceYourCalm))
+	if runs.Load() != 0 {
+		t.Error("handler ran on a request whose header block never ended")
+	}
+}
+
+// TestMalformedPingIsAConnectionError: a PING that is not 8 octets, or is on
+// a stream, is answered with the connection error RFC 7540 §6.7 names, not
+// echoed — by the server and by the client, which share the handling.
+func TestMalformedPingIsAConnectionError(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		stream  uint32
+		payload []byte
+		want    ErrCode
+	}{
+		{"short", 0, []byte("1234"), ErrCodeFrameSize},
+		{"long", 0, []byte("123456789"), ErrCodeFrameSize},
+		{"on a stream", 1, []byte("12345678"), ErrCodeProtocol},
+	} {
+		t.Run("server/"+c.name, func(t *testing.T) {
+			fr := rawClient(t, &Server{Handler: HandlerFunc(sameBody)})
+			if err := fr.WriteFrame(FramePing, 0, c.stream, c.payload); err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range readUntil(t, fr, isGoAway(c.want)) {
+				if f.Type == FramePing {
+					t.Errorf("malformed PING echoed: %x", f.Payload)
+				}
+			}
+		})
+		t.Run("client/"+c.name, func(t *testing.T) {
+			clientEnd, serverEnd := pipe(t)
+			cc, err := NewClientConn(clientEnd)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cc.Close()
+			fr := NewFramer(serverEnd)
+			if err := fr.ReadPreface(); err != nil {
+				t.Fatal(err)
+			}
+			if err := fr.WriteFrame(FramePing, 0, c.stream, c.payload); err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range readUntil(t, fr, isGoAway(c.want)) {
+				if f.Type == FramePing {
+					t.Errorf("malformed PING echoed: %x", f.Payload)
+				}
+			}
+			if _, err := cc.RoundTrip(context.Background(), &Request{Method: "GET", Scheme: "https", Authority: "h2.test", Path: "/"}); err == nil {
+				t.Error("request accepted on a connection the peer broke")
+			}
+		})
+	}
+	// A well-formed PING is still echoed, payload intact.
+	fr := rawClient(t, &Server{Handler: HandlerFunc(sameBody)})
+	if err := fr.WriteFrame(FramePing, 0, 0, []byte("8 octets")); err != nil {
+		t.Fatal(err)
+	}
+	echo := readUntil(t, fr, func(f Frame) bool { return f.Type == FramePing })
+	if got := echo[len(echo)-1]; got.Flags&FlagAck == 0 || string(got.Payload) != "8 octets" {
+		t.Errorf("PING answered with flags %#x payload %q", got.Flags, got.Payload)
+	}
+}
+
 // scriptConn plays a fixed byte string to the server and records what the
 // server writes back.
 type scriptConn struct {
@@ -218,8 +324,10 @@ func (c *scriptConn) Close() error { return nil }
 
 // FuzzServerConn feeds the server arbitrary bytes after a valid preface.
 // Whatever they are: no panic, ServeConn returns with every handler
-// goroutine finished, no request is handed to the handler twice, and no
-// stream carries two responses.
+// goroutine finished, no request is handed to two handlers at once — streams
+// are recycled, but never from under a running handler — nor to more
+// handlers than the input opens streams, and no stream carries two
+// responses.
 func FuzzServerConn(f *testing.F) {
 	script := func(write func(fr *Framer)) []byte {
 		var b bytes.Buffer
@@ -256,21 +364,45 @@ func FuzzServerConn(f *testing.F) {
 		fr.WriteFrame(FrameHeaders, FlagEndHeaders|FlagEndStream, 1, block)
 		fr.WriteFrame(FramePing, 0, 0, make([]byte, 8))
 	}))
+	f.Add(script(func(fr *Framer) { // a header block that never ends, past the bound
+		fr.WriteFrame(FrameHeaders, 0, 1, block)
+		for i := 0; i < 5; i++ {
+			fr.WriteFrame(FrameContinuation, 0, 1, make([]byte, defaultMaxFrameSize))
+		}
+	}))
+	f.Add(script(func(fr *Framer) { // streams recycled under resets, late DATA and malformed PINGs
+		for id := uint32(1); id < 9; id += 2 {
+			fr.WriteFrame(FrameHeaders, FlagEndHeaders, id, block)
+			fr.WriteFrame(FrameData, FlagEndStream, id, []byte("query"))
+			fr.WriteFrame(FrameRSTStream, 0, id, []byte{0, 0, 0, 8})
+			fr.WriteFrame(FrameData, 0, id-2, []byte("late"))
+		}
+		fr.WriteFrame(FramePing, 0, 3, []byte("12345678"))
+	}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var mu sync.Mutex
-		seen := make(map[*Request]bool)
-		var running atomic.Int64
+		held := make(map[*Request]bool)
+		var running, runs atomic.Int64
 		srv := &Server{Handler: HandlerFunc(func(req *Request) *Response {
 			running.Add(1)
 			defer running.Add(-1)
+			runs.Add(1)
 			mu.Lock()
-			if seen[req] {
-				t.Error("one request handed to the handler twice")
+			if held[req] {
+				t.Error("one request handed to two handlers at once")
 			}
-			seen[req] = true
+			held[req] = true
 			mu.Unlock()
-			return &Response{Status: 200, Body: req.Body}
+			body := append([]byte(nil), req.Body...)
+			runtime.Gosched() // let the read loop run on under this handler
+			if !bytes.Equal(body, req.Body) {
+				t.Error("a request's body changed under its handler")
+			}
+			mu.Lock()
+			delete(held, req)
+			mu.Unlock()
+			return &Response{Status: 200, Body: req.Body} // borrowed: written before the stream is recycled
 		})}
 		conn := &scriptConn{in: bytes.NewReader(append([]byte(ClientPreface), data...))}
 		done := make(chan struct{})
@@ -282,6 +414,17 @@ func FuzzServerConn(f *testing.F) {
 		}
 		if n := running.Load(); n != 0 {
 			t.Errorf("%d handlers still running after ServeConn returned", n)
+		}
+		opened := make(map[uint32]bool)
+		for b := data; len(b) >= frameHeaderLen; {
+			end := frameHeaderLen + (int(b[0])<<16 | int(b[1])<<8 | int(b[2]))
+			if FrameType(b[3]) == FrameHeaders {
+				opened[binary.BigEndian.Uint32(b[5:])&0x7FFFFFFF] = true
+			}
+			b = b[min(end, len(b)):]
+		}
+		if n := runs.Load(); n > int64(len(opened)) {
+			t.Errorf("handler ran %d times for %d streams opened", n, len(opened))
 		}
 		responses := make(map[uint32]int)
 		for b := conn.out.Bytes(); len(b) > 0; {

@@ -2,6 +2,7 @@ package h2
 
 import (
 	"encoding/binary"
+	"errors"
 	"io"
 	"sync"
 
@@ -22,11 +23,36 @@ type stream struct {
 	reset error
 }
 
-// link is what ClientConn and serverConn share: the framer, the HPACK
-// encoder, the send windows the peer grants and the receive credit owed to
-// it. Messages leave through writeMessage on both ends.
+// endpoint is the part of inbound frame handling on which a client and a
+// server differ; link.handleFrame does the rest for both.
+type endpoint interface {
+	// sendStream returns the send-side state of the open stream id, or nil.
+	sendStream(id uint32) *stream
+	// handleHeaders takes a complete, decoded header block. fields is the
+	// connection's scratch: valid until the next frame is handled.
+	handleHeaders(id uint32, fields []hpack.HeaderField, endStream bool) error
+	handleData(fr Frame) error
+	handleReset(fr Frame)
+}
+
+const (
+	// maxHeaderBlock bounds one header block across HEADERS and its
+	// CONTINUATION frames, and is advertised as
+	// SETTINGS_MAX_HEADER_LIST_SIZE: far above any DoH request or response,
+	// so a peer that streams CONTINUATION past it is flooding.
+	maxHeaderBlock = 64 << 10
+	// maxKeptFields is the decoded-fields scratch, and a recycled request's
+	// header capacity, worth keeping between messages.
+	maxKeptFields = 32
+)
+
+// link is what ClientConn and serverConn share: the framer, both HPACK
+// directions, header-block assembly, the send windows the peer grants and
+// the receive credit owed to it. Frames arrive through handleFrame and
+// messages leave through writeMessage on both ends.
 type link struct {
-	fr *Framer
+	fr  *Framer
+	end endpoint
 
 	// encMu orders HPACK encoding with header-block emission, and a
 	// client's stream ids with both; hbuf and fields are scratch under it.
@@ -45,12 +71,24 @@ type link struct {
 	// Connection-level receive credit consumed but not yet returned, and
 	// the debt at which it is (read loop only).
 	owed, creditAt int
+
+	// The header block being assembled — its stream, whether its HEADERS
+	// carried END_STREAM, whether CONTINUATION must follow — and the scratch
+	// it is decoded into (read loop only).
+	hdec       *hpack.Decoder
+	contStream uint32
+	contEnd    bool
+	inContinue bool
+	contBuf    []byte
+	decoded    []hpack.HeaderField
 }
 
-func (l *link) init(rw io.ReadWriter, e Emission) {
+func (l *link) init(rw io.ReadWriter, e Emission, end endpoint) {
 	l.fr = NewFramer(rw)
 	l.fr.emission = e
+	l.end = end
 	l.henc = hpack.NewEncoder()
+	l.hdec = hpack.NewDecoder()
 	l.cond = sync.NewCond(&l.mu)
 	l.connSendWindow = defaultInitialWindowSize
 	l.initialWindow = defaultInitialWindowSize
@@ -59,6 +97,93 @@ func (l *link) init(rw io.ReadWriter, e Emission) {
 	if e == FramePerFlight {
 		l.creditAt = 1
 	}
+}
+
+// writeSettings opens the connection with this end's SETTINGS: own, and the
+// bound headerFragment enforces. The FramePerFlight model keeps to the
+// SETTINGS the study's figures were recorded with.
+func (l *link) writeSettings(own ...Setting) error {
+	if l.fr.emission != FramePerFlight {
+		own = append(own, Setting{SettingMaxHeaderListSize, maxHeaderBlock})
+	}
+	return l.fr.WriteFrame(FrameSettings, 0, 0, encodeSettings(own))
+}
+
+// handleFrame acts on one inbound frame: what both ends treat alike here,
+// the rest through l.end.
+func (l *link) handleFrame(fr Frame) error {
+	if l.inContinue && fr.Type != FrameContinuation {
+		return ConnError{ErrCodeProtocol, "expected CONTINUATION"}
+	}
+	switch fr.Type {
+	case FrameSettings:
+		return l.handleSettings(fr)
+	case FramePing:
+		return l.handlePing(fr)
+	case FrameWindowUpdate:
+		return l.handleWindowUpdate(fr, l.end.sendStream(fr.StreamID))
+	case FrameHeaders:
+		block, err := stripPadding(fr)
+		if err != nil {
+			return err
+		}
+		l.contStream, l.contEnd, l.contBuf = fr.StreamID, fr.Flags&FlagEndStream != 0, l.contBuf[:0]
+		return l.headerFragment(fr, block)
+	case FrameContinuation:
+		if !l.inContinue || fr.StreamID != l.contStream {
+			return ConnError{ErrCodeProtocol, "unexpected CONTINUATION"}
+		}
+		return l.headerFragment(fr, fr.Payload)
+	case FrameData:
+		return l.end.handleData(fr)
+	case FrameRSTStream:
+		l.end.handleReset(fr)
+	case FrameGoAway:
+		return ConnError{ErrCodeNo, "received GOAWAY"}
+	case FramePriority, FramePushPromise:
+		// PRIORITY is advisory; a client cannot push, and a server's push is
+		// disabled by the client's SETTINGS and safe to ignore.
+	}
+	return nil
+}
+
+// headerFragment adds one frame's share of the header block being assembled
+// and, when the frame ends it, decodes the block into the connection's
+// scratch and hands it to the end.
+func (l *link) headerFragment(fr Frame, block []byte) error {
+	if len(l.contBuf)+len(block) > maxHeaderBlock {
+		return ConnError{ErrCodeEnhanceYourCalm, "header block above 64 KiB"}
+	}
+	l.contBuf = append(l.contBuf, block...)
+	if l.inContinue = fr.Flags&FlagEndHeaders == 0; l.inContinue {
+		return nil
+	}
+	fields, err := l.hdec.DecodeAppend(l.decoded[:0], l.contBuf)
+	if err != nil {
+		return ConnError{ErrCodeCompression, err.Error()}
+	}
+	err = l.end.handleHeaders(l.contStream, fields, l.contEnd)
+	// Between messages the scratch pins no peer's strings, and no more
+	// memory than ordinary requests need.
+	clear(fields)
+	if l.decoded = fields; cap(fields) > maxKeptFields {
+		l.decoded = nil
+	}
+	return err
+}
+
+// handlePing answers a PING (RFC 7540 §6.7). The payload is echoed from the
+// framer's read buffer: the flight has copied it before the next read.
+func (l *link) handlePing(fr Frame) error {
+	switch {
+	case fr.StreamID != 0:
+		return ConnError{ErrCodeProtocol, "PING on a stream"}
+	case len(fr.Payload) != 8:
+		return ConnError{ErrCodeFrameSize, "PING payload is not 8 octets"}
+	case fr.Flags&FlagAck != 0:
+		return nil
+	}
+	return l.fr.WriteFrame(FramePing, FlagAck, 0, fr.Payload)
 }
 
 // peerReset records the peer's RST_STREAM on st and wakes its writer.
@@ -71,6 +196,18 @@ func (l *link) peerReset(st *stream, fr Frame) {
 	st.reset = StreamError{st.id, code, "reset by peer"}
 	l.cond.Broadcast()
 	l.mu.Unlock()
+}
+
+// goAway tells the peer the connection is over, with the code of the
+// connection error that ended it, if one did. The write is best effort: the
+// connection closes either way.
+func (l *link) goAway(err error) {
+	var payload [8]byte // last stream id 0: nothing is promised to be processed
+	var ce ConnError
+	if errors.As(err, &ce) {
+		binary.BigEndian.PutUint32(payload[4:], uint32(ce.Code))
+	}
+	_ = l.fr.WriteFrame(FrameGoAway, 0, 0, payload[:])
 }
 
 // fail marks the connection dead with its first error and wakes writers

@@ -1,11 +1,13 @@
 package h2
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -16,6 +18,11 @@ import (
 // one goroutine per stream — a slow handler delays only its own stream,
 // which is precisely the property Figure 2 measures. What an InlineHandler
 // answers on the read loop never gets that far.
+//
+// req is the connection's: it, its Header and its Body are valid until the
+// response has been written — which is after ServeH2 returns, so a response
+// may borrow from its request — and serve another request after that. A
+// handler that keeps any of it longer copies it.
 type Handler interface {
 	ServeH2(req *Request) *Response
 }
@@ -33,6 +40,12 @@ func (f HandlerFunc) ServeH2(req *Request) *Response { return f(req) }
 // windows, else from the stream's goroutine. A nil resp declines, and the
 // stream's goroutine runs next — the handler's way to carry on with what the
 // inline step began — or ServeH2 when next is nil too.
+//
+// An answered request is over when ServeH2Inline returns: req is valid only
+// that long. resp may be the handler's own, filled anew by each call — the
+// server has written it, or copied it for the stream's goroutine, before it
+// asks again. A declined request is its stream's goroutine's, and req valid,
+// like ServeH2's, until that has written the response.
 type InlineHandler interface {
 	Handler
 	ServeH2Inline(req *Request) (resp *Response, next func() *Response)
@@ -56,13 +69,23 @@ const (
 	// carries needs a longer request, so a longer one is reset rather
 	// than buffered.
 	maxRequestBody = 65535
+	// maxFreeStreams and maxKeptBody bound what a connection's free list
+	// holds on to: the streams a burst of DNS queries needs, with room for a
+	// DNS query each, whatever a peer once sent.
+	maxFreeStreams = 32
+	maxKeptBody    = 1 << 10
 )
 
-// serverStream accumulates one inbound request.
+// serverStream accumulates one inbound request. Streams are recycled through
+// the connection's free list, req's Header and Body capacity with them.
 type serverStream struct {
 	stream
 	req    Request
 	gotEnd bool // half-closed (remote): the request is complete
+	// held is set once the stream has a goroutine, which then is the one to
+	// recycle it; until then the read loop does, when it closes the stream
+	// (read loop only).
+	held bool
 }
 
 // serverConn is the per-connection state.
@@ -71,16 +94,11 @@ type serverConn struct {
 	srv    *Server
 	inline InlineHandler // srv.Handler's inline step, if it has one
 	conn   net.Conn
-	hdec   *hpack.Decoder
 
 	streams    map[uint32]*serverStream // under mu
+	free       []*serverStream          // closed streams to reuse, under mu
 	active     int                      // streams holding a goroutine, under mu
 	lastStream uint32                   // highest id opened (read loop only)
-
-	contStream uint32
-	contEnd    bool
-	contBuf    []byte
-	inContinue bool
 
 	wg sync.WaitGroup
 }
@@ -92,10 +110,9 @@ func (s *Server) ServeConn(conn net.Conn) error {
 	sc := &serverConn{
 		srv:     s,
 		conn:    conn,
-		hdec:    hpack.NewDecoder(),
 		streams: make(map[uint32]*serverStream),
 	}
-	sc.init(conn, s.Emission)
+	sc.init(conn, s.Emission, sc)
 	sc.inline, _ = s.Handler.(InlineHandler)
 	defer func() {
 		sc.fail(ErrConnClosed)
@@ -110,11 +127,11 @@ func (s *Server) ServeConn(conn net.Conn) error {
 	if maxFrame == 0 {
 		maxFrame = defaultMaxFrameSize
 	}
-	err := sc.fr.WriteFrame(FrameSettings, 0, 0, encodeSettings([]Setting{
-		{SettingMaxConcurrentStreams, maxConcurrentStreams},
-		{SettingMaxFrameSize, maxFrame},
-		{SettingInitialWindowSize, defaultInitialWindowSize},
-	}))
+	err := sc.writeSettings(
+		Setting{SettingMaxConcurrentStreams, maxConcurrentStreams},
+		Setting{SettingMaxFrameSize, maxFrame},
+		Setting{SettingInitialWindowSize, defaultInitialWindowSize},
+	)
 	if err != nil {
 		return fmt.Errorf("h2: writing settings: %w", err)
 	}
@@ -132,7 +149,7 @@ func (s *Server) ServeConn(conn net.Conn) error {
 			if errors.As(err, &goaway) && goaway.Code == ErrCodeNo {
 				return nil // clean client GOAWAY
 			}
-			sc.fr.WriteFrame(FrameGoAway, 0, 0, make([]byte, 8))
+			sc.goAway(err)
 			return err
 		}
 	}
@@ -148,72 +165,31 @@ func (sc *serverConn) lookup(id uint32) *serverStream {
 	return sc.streams[id]
 }
 
-func (sc *serverConn) handleFrame(fr Frame) error {
-	if sc.inContinue && fr.Type != FrameContinuation {
-		return ConnError{ErrCodeProtocol, "expected CONTINUATION"}
-	}
-	switch fr.Type {
-	case FrameSettings:
-		return sc.handleSettings(fr)
-	case FramePing:
-		if fr.Flags&FlagAck == 0 {
-			payload := append([]byte(nil), fr.Payload...)
-			return sc.fr.WriteFrame(FramePing, FlagAck, 0, payload)
-		}
-	case FrameWindowUpdate:
-		if st := sc.lookup(fr.StreamID); st != nil {
-			return sc.handleWindowUpdate(fr, &st.stream)
-		}
-		return sc.handleWindowUpdate(fr, nil)
-	case FrameHeaders:
-		if fr.StreamID == 0 || fr.StreamID%2 == 0 {
-			return ConnError{ErrCodeProtocol, "bad stream id for HEADERS"}
-		}
-		block, err := stripPadding(fr)
-		if err != nil {
-			return err
-		}
-		sc.contStream = fr.StreamID
-		sc.contEnd = fr.Flags&FlagEndStream != 0
-		sc.contBuf = append(sc.contBuf[:0], block...)
-		if fr.Flags&FlagEndHeaders != 0 {
-			return sc.finishHeaders()
-		}
-		sc.inContinue = true
-	case FrameContinuation:
-		if !sc.inContinue || fr.StreamID != sc.contStream {
-			return ConnError{ErrCodeProtocol, "unexpected CONTINUATION"}
-		}
-		sc.contBuf = append(sc.contBuf, fr.Payload...)
-		if fr.Flags&FlagEndHeaders != 0 {
-			sc.inContinue = false
-			return sc.finishHeaders()
-		}
-	case FrameData:
-		return sc.handleData(fr)
-	case FrameRSTStream:
-		if st := sc.lookup(fr.StreamID); st != nil {
-			sc.peerReset(&st.stream, fr)
-			sc.closeStream(st)
-		}
-	case FrameGoAway:
-		return ConnError{ErrCodeNo, "client GOAWAY"}
-	case FramePriority, FramePushPromise:
-		// PRIORITY is advisory; clients cannot push.
+// sendStream implements endpoint.
+func (sc *serverConn) sendStream(id uint32) *stream {
+	if st := sc.lookup(id); st != nil {
+		return &st.stream
 	}
 	return nil
 }
 
-func (sc *serverConn) finishHeaders() error {
-	fields, err := sc.hdec.Decode(sc.contBuf)
-	if err != nil {
-		return ConnError{ErrCodeCompression, err.Error()}
+// handleReset implements endpoint.
+func (sc *serverConn) handleReset(fr Frame) {
+	if st := sc.lookup(fr.StreamID); st != nil {
+		sc.peerReset(&st.stream, fr)
+		sc.closeStream(st)
 	}
-	id := sc.contStream
+}
+
+// handleHeaders implements endpoint: a request's header block, or trailers.
+func (sc *serverConn) handleHeaders(id uint32, fields []hpack.HeaderField, endStream bool) error {
+	if id%2 == 0 {
+		return ConnError{ErrCodeProtocol, "bad stream id for HEADERS"}
+	}
 	if st := sc.lookup(id); st != nil {
 		// A second header block is trailers, which may only end an open
 		// request; half-closed (remote) takes no more frames.
-		if st.gotEnd || !sc.contEnd {
+		if st.gotEnd || !endStream {
 			return sc.resetStream(st, ErrCodeStreamClosed)
 		}
 		return sc.endStream(st)
@@ -222,7 +198,17 @@ func (sc *serverConn) finishHeaders() error {
 		return ConnError{ErrCodeProtocol, "HEADERS on a closed stream"}
 	}
 	sc.lastStream = id
-	st := &serverStream{stream: stream{id: id}}
+	sc.mu.Lock()
+	var st *serverStream
+	if n := len(sc.free); n > 0 {
+		st, sc.free = sc.free[n-1], sc.free[:n-1]
+		st.stream, st.gotEnd, st.held = stream{}, false, false
+	} else {
+		st = new(serverStream)
+	}
+	st.id = id
+	sc.streams[id] = st
+	sc.mu.Unlock()
 	for _, f := range fields {
 		switch f.Name {
 		case ":method":
@@ -240,10 +226,7 @@ func (sc *serverConn) finishHeaders() error {
 	if st.req.Method == "" || st.req.Path == "" {
 		return sc.resetStream(st, ErrCodeProtocol)
 	}
-	sc.mu.Lock()
-	sc.streams[id] = st
-	sc.mu.Unlock()
-	if sc.contEnd {
+	if endStream {
 		return sc.endStream(st)
 	}
 	return nil
@@ -258,7 +241,7 @@ func (sc *serverConn) handleData(fr Frame) error {
 	switch {
 	case st == nil: // stale DATA for a stream already gone
 		return sc.credit(0, n)
-	case st.gotEnd, len(st.req.Body)+len(data) > maxRequestBody:
+	case st.gotEnd, len(st.req.Body)+len(data) > maxRequestBody: // in this order: past gotEnd, req is its goroutine's
 		code := ErrCodeEnhanceYourCalm
 		if st.gotEnd {
 			code = ErrCodeStreamClosed // half-closed (remote) takes no more frames
@@ -292,6 +275,9 @@ func (sc *serverConn) endStream(st *serverStream) error {
 			if sent, err := sc.writeResponse(st, resp, true); sent || err != nil {
 				return err
 			}
+			// The write waits for window on the stream's goroutine, while
+			// the handler fills resp again for the next request.
+			resp = &Response{Status: resp.Status, Header: slices.Clone(resp.Header), Body: bytes.Clone(resp.Body)}
 			next = func() *Response { return resp }
 		}
 	}
@@ -304,6 +290,7 @@ func (sc *serverConn) endStream(st *serverStream) error {
 	if full {
 		return sc.resetStream(st, ErrCodeRefusedStream)
 	}
+	st.held = true
 	sc.wg.Add(1)
 	go func() {
 		var resp *Response
@@ -316,20 +303,22 @@ func (sc *serverConn) endStream(st *serverStream) error {
 			resp = &Response{Status: 500}
 		}
 		_, err := sc.writeResponse(st, resp, false)
-		sc.release(err)
+		sc.release(st, err)
 	}()
 	return nil
 }
 
-// release ends a stream's goroutine: its slot is free, and a write error
+// release ends a stream's goroutine: its slot is free, the stream — closed
+// by now, by its response or by a reset — is recycled, and a write error
 // other than the peer's reset of that stream means the connection is
 // broken. It and setFields are leaves of their own so that the frames the
 // response path nests under — the goroutine's, writeResponse's — stay
 // small: HPACK's table lookup is deep, and past a new goroutine's 2 KB
 // stack every response of a cheap handler would pay a stack copy.
-func (sc *serverConn) release(err error) {
+func (sc *serverConn) release(st *serverStream, err error) {
 	sc.mu.Lock()
 	sc.active--
+	sc.recycleLocked(st)
 	sc.mu.Unlock()
 	var reset StreamError
 	if err != nil && !errors.As(err, &reset) {
@@ -354,17 +343,59 @@ func (sc *serverConn) writeResponse(st *serverStream, resp *Response, inline boo
 }
 
 func (sc *serverConn) setFields(resp *Response) {
-	sc.fields = append(sc.fields[:0], hpack.HeaderField{Name: ":status", Value: strconv.Itoa(resp.Status)})
+	sc.fields = append(sc.fields[:0], hpack.HeaderField{Name: ":status", Value: statusValue(resp.Status)})
 	sc.fields = append(sc.fields, resp.Header...)
 }
 
+// statusValues is :status for the codes this repository's handlers answer
+// with, so that rendering one allocates nothing.
+var statusValues = [...]struct {
+	status int
+	value  string
+}{{200, "200"}, {400, "400"}, {404, "404"}, {405, "405"}, {415, "415"}, {500, "500"}}
+
+func statusValue(status int) string {
+	for _, s := range statusValues {
+		if s.status == status {
+			return s.value
+		}
+	}
+	return strconv.Itoa(status)
+}
+
+// closeStream takes st out of the open streams, from the read loop or from
+// st's goroutine. A stream that never got a goroutine ends here.
 func (sc *serverConn) closeStream(st *serverStream) {
 	sc.mu.Lock()
 	delete(sc.streams, st.id) // ids are never reopened, so the entry is st or absent
+	if !st.held {
+		sc.recycleLocked(st)
+	}
 	sc.mu.Unlock()
 }
 
+// recycleLocked returns st, closed and its request over, to the free list
+// with what request capacity is worth keeping. The caller holds mu. Only
+// req is touched: the read loop may be looking at the rest of a stream it
+// found open a moment ago — gotEnd and held set, so it leaves req alone —
+// and that is cleared when the stream is next taken.
+func (sc *serverConn) recycleLocked(st *serverStream) {
+	if len(sc.free) == maxFreeStreams {
+		return
+	}
+	hdr, body := st.req.Header, st.req.Body
+	clear(hdr)
+	if cap(hdr) > maxKeptFields {
+		hdr = nil
+	}
+	if cap(body) > maxKeptBody {
+		body = nil
+	}
+	st.req = Request{Header: hdr[:0], Body: body[:0]}
+	sc.free = append(sc.free, st)
+}
+
 func (sc *serverConn) resetStream(st *serverStream, code ErrCode) error {
-	sc.closeStream(st)
+	sc.closeStream(st) // st may now be on the free list, its id still this one
 	return sc.fr.WriteFrame(FrameRSTStream, 0, st.id, binary.BigEndian.AppendUint32(nil, uint32(code)))
 }

@@ -147,9 +147,17 @@ func NewDecoder() *Decoder {
 // table to (from our SETTINGS).
 func (d *Decoder) SetMaxAllowedTableSize(n int) { d.maxAllowedTableSize = n }
 
-// Decode parses one complete header block.
+// Decode parses one complete header block into a slice of its own.
 func (d *Decoder) Decode(data []byte) ([]HeaderField, error) {
-	var fields []HeaderField
+	return d.DecodeAppend(nil, data)
+}
+
+// DecodeAppend parses one complete header block, appending its fields to dst
+// — a connection's scratch, typically. An indexed field shares the table's
+// strings, so on a warm connection, where every field is indexed, decoding
+// allocates nothing. On error the fields are nil, and the table may hold
+// part of the block: the connection it belongs to is over.
+func (d *Decoder) DecodeAppend(dst []HeaderField, data []byte) ([]HeaderField, error) {
 	for len(data) > 0 {
 		b := data[0]
 		switch {
@@ -163,7 +171,7 @@ func (d *Decoder) Decode(data []byte) ([]HeaderField, error) {
 			if !ok {
 				return nil, fmt.Errorf("%w: %d", ErrInvalidIndex, idx)
 			}
-			fields = append(fields, f)
+			dst = append(dst, f)
 		case b&0xC0 == 0x40: // literal with incremental indexing
 			f, rest, err := d.readLiteral(data, 6)
 			if err != nil {
@@ -171,13 +179,13 @@ func (d *Decoder) Decode(data []byte) ([]HeaderField, error) {
 			}
 			data = rest
 			d.table.add(f)
-			fields = append(fields, f)
+			dst = append(dst, f)
 		case b&0xE0 == 0x20: // dynamic table size update
 			size, rest, err := readInteger(data, 5)
 			if err != nil {
 				return nil, err
 			}
-			if int(size) > d.maxAllowedTableSize {
+			if size > uint64(d.maxAllowedTableSize) {
 				return nil, ErrTableSizeBound
 			}
 			d.table.setMaxSize(int(size))
@@ -189,17 +197,17 @@ func (d *Decoder) Decode(data []byte) ([]HeaderField, error) {
 			}
 			f.Sensitive = true
 			data = rest
-			fields = append(fields, f)
+			dst = append(dst, f)
 		default: // 0000: literal without indexing
 			f, rest, err := d.readLiteral(data, 4)
 			if err != nil {
 				return nil, err
 			}
 			data = rest
-			fields = append(fields, f)
+			dst = append(dst, f)
 		}
 	}
-	return fields, nil
+	return dst, nil
 }
 
 func (d *Decoder) readLiteral(data []byte, prefixBits uint) (HeaderField, []byte, error) {
