@@ -833,7 +833,7 @@ func BenchmarkCacheHitWirePath(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if g.CheckUDP(key, queryWire) != guard.ActionAllow {
+			if a, _ := g.CheckUDP(key, queryWire); a != guard.ActionAllow {
 				b.Fatal("allow path denied")
 			}
 			q, ok := dnswire.ParseQuery(queryWire)
@@ -1169,7 +1169,7 @@ func BenchmarkGuardAllowPath(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if g.CheckUDP(key, queryWire) != guard.ActionAllow {
+			if a, _ := g.CheckUDP(key, queryWire); a != guard.ActionAllow {
 				b.Fatal("allow path denied")
 			}
 		}
@@ -1186,7 +1186,7 @@ func BenchmarkGuardAllowPath(b *testing.B) {
 				Port: 53000,
 			})
 			for pb.Next() {
-				if g.CheckUDP(key, queryWire) != guard.ActionAllow {
+				if a, _ := g.CheckUDP(key, queryWire); a != guard.ActionAllow {
 					b.Fatal("allow path denied")
 				}
 			}

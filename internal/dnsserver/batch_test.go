@@ -186,7 +186,7 @@ func TestSpillBounded(t *testing.T) {
 	})
 	tel := telemetry.New()
 	pc := listenLoopback(t)
-	srv := &UDPServer{Handler: handler, Workers: workers, MaxSpill: maxSpill, Telemetry: tel}
+	srv := &UDPServer{Handler: handler, workers: workers, maxSpill: maxSpill, Telemetry: tel}
 	go srv.Serve(pc)
 
 	c, err := net.Dial("udp", pc.LocalAddr().String())

@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"context"
 	"crypto/tls"
+	"errors"
 	"net"
 	"net/netip"
 	"slices"
@@ -29,7 +30,15 @@ import (
 // (≈700 bytes packed, past the 512-byte default) for names containing
 // "big" — and offers a wire fast path that packs that same answer, for
 // every name not starting with "slow" and every answer within the limit.
+// Names starting with "dead" it fails to resolve, on whichever slow path.
 type refStub struct{ fast, msg atomic.Int64 }
+
+var errDead = errors.New("refStub: upstream is dead")
+
+// slowName reports a name the stubs' fast path declines.
+func slowName(n dnswire.Name) bool {
+	return strings.HasPrefix(string(n), "slow") || strings.HasPrefix(string(n), "dead")
+}
 
 func refAnswer(q *dnswire.Message) *dnswire.Message {
 	r := q.Reply()
@@ -49,12 +58,15 @@ func refAnswer(q *dnswire.Message) *dnswire.Message {
 
 func (s *refStub) ServeDNS(ctx context.Context, q *dnswire.Message) (*dnswire.Message, error) {
 	s.msg.Add(1)
+	if strings.HasPrefix(string(q.Question1().Name), "dead") {
+		return nil, errDead
+	}
 	return refAnswer(q), nil
 }
 
 func (s *refStub) ServeDNSWire(tx *telemetry.Transaction, q *dnswire.Query, dst []byte, limit int) ([]byte, bool) {
 	var m dnswire.Message
-	if err := m.Unpack(q.Raw); err != nil || strings.HasPrefix(string(m.Question1().Name), "slow") {
+	if err := m.Unpack(q.Raw); err != nil || slowName(m.Question1().Name) {
 		return nil, false
 	}
 	wire, err := refAnswer(&m).Pack()
@@ -78,6 +90,9 @@ func (s *missStub) ServeDNSWireMiss(ctx context.Context, q *dnswire.Query) ([]by
 	var m dnswire.Message
 	if err := m.Unpack(q.Raw); err != nil {
 		return nil, err
+	}
+	if strings.HasPrefix(string(m.Question1().Name), "dead") {
+		return nil, errDead
 	}
 	return refAnswer(&m).Pack()
 }
@@ -110,7 +125,8 @@ var dohPOSTHeader = []hpack.HeaderField{{Name: "content-type", Value: ContentTyp
 // TestTransportEquivalence is the contract that makes the transport the
 // only variable: for a query set mixing fast hits, names the wire path
 // declines, EDNS and no EDNS, a client cookie, and an answer past the
-// 512-byte default, the DNS payload returned over UDP (portable fallback
+// 512-byte default, and a name the handler fails to resolve, the DNS
+// payload returned over UDP (portable fallback
 // conn, vector 1), UDP (kernel socket, vector 16), TCP, DoT and DoH POST
 // equals Respond(ctx, handler, q).Pack() computed with no serve loop
 // involved — whether what the fast path declines takes the Message step
@@ -153,6 +169,8 @@ func testTransportEquivalence(t *testing.T, stub Handler) {
 		{name: "big.example.", edns: 4096}, // a hit everywhere
 		{name: "slow-big.example."},
 		{name: "slow-cookie.example.", edns: 1232, cookie: true},
+		{name: "dead.example."}, // the slow step fails: the same SERVFAIL everywhere
+		{name: "dead.example.", edns: 1232},
 	} {
 		id := uint16(0x4000 + i)
 		q := dnswire.NewQuery(id, c.name, dnswire.TypeA)
@@ -203,7 +221,7 @@ func testTransportEquivalence(t *testing.T, stub Handler) {
 		ServeConn(tls.Server(dotS, chain.ServerConfig(0, 0)))
 	got["dot"] = streamExchange(t, tls.Client(dotC, chain.ClientConfig("dns.test")), queries)
 
-	doh := &DoH{Handler: stub, Guard: g}
+	doh, _ := (&DoH{Handler: stub, Guard: g}).Bind(context.Background())
 	got["doh"] = make(map[uint16][]byte)
 	for id, q := range queries {
 		resp := doh.ServeH2(&h2.Request{Method: "POST", Path: "/dns-query", Header: dohPOSTHeader, Body: q})
@@ -254,6 +272,72 @@ func testTransportEquivalence(t *testing.T, stub Handler) {
 				t.Errorf("%s ID %#x: payload differs from Respond().Pack():\n got  %x\n want %x", transport, id, raw, wantRaw)
 			}
 		}
+	}
+}
+
+// TestStreamClosesOnBadQuery pins the fate of a framed query that does not
+// unpack: the stream closes — when the slow step runs inline, and when an
+// out-of-order connection runs it on a goroutine that has to end the read
+// loop from outside — and queries answered before it still got their
+// replies.
+func TestStreamClosesOnBadQuery(t *testing.T) {
+	good, err := dnswire.NewQuery(9, "slow.example.", dnswire.TypeA).Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ooo := range []bool{false, true} {
+		c, s := net.Pipe()
+		done := make(chan error, 1)
+		go func() { done <- (&StreamServer{Handler: &refStub{}, OutOfOrder: ooo}).ServeConn(s) }()
+		if err := WriteStreamMessage(c, good); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadStreamMessage(c); err != nil {
+			t.Fatalf("out-of-order=%v: no reply to the good query: %v", ooo, err)
+		}
+		if err := WriteStreamMessage(c, []byte("not a DNS message")); err != nil {
+			t.Fatal(err)
+		}
+		if resp, err := ReadStreamMessage(c); err == nil {
+			t.Errorf("out-of-order=%v: a query that does not unpack was answered: %x", ooo, resp)
+		}
+		<-done // ServeConn returned: the connection is closed and its goroutines are gone
+		c.Close()
+	}
+}
+
+// deadStub fails every wire miss without looking at it.
+type deadStub struct{ refStub }
+
+func (*deadStub) ServeDNSWireMiss(context.Context, *dnswire.Query) ([]byte, error) {
+	return nil, errDead
+}
+
+// TestFailedWireMissAllocs pins what a failed miss costs the slow step: the
+// SERVFAIL is the query's own bytes echoed — no Unpack, no Pack — so it
+// adds one slice to the context every wire miss is handed.
+func TestFailedWireMissAllocs(t *testing.T) {
+	wire, err := dnswire.NewQuery(7, "dead.example.", dnswire.TypeA).Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, ok := dnswire.ParseQuery(wire)
+	if !ok {
+		t.Fatal("ParseQuery declined the query")
+	}
+	tel := telemetry.New()
+	c := newCore(&deadStub{}, tel, telemetry.ProtoUDP)
+	var reply []byte
+	got := testing.AllocsPerRun(200, func() {
+		var tx *telemetry.Transaction
+		reply, tx, err = c.answer(context.Background(), tel.Begin(telemetry.ProtoUDP), &q, wire)
+		tx.Finish()
+	})
+	if err != nil || len(reply) != len(wire) || reply[3]&0xF != byte(dnswire.RCodeServerFailure) {
+		t.Fatalf("failed miss: %x, err %v", reply, err)
+	}
+	if got > 2 {
+		t.Errorf("a failed wire miss allocates %.1f times, budget 2", got)
 	}
 }
 

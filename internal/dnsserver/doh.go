@@ -36,8 +36,8 @@ type Endpoint struct {
 // DefaultEndpoints is the RFC-style single wireformat endpoint.
 var DefaultEndpoints = []Endpoint{{Path: "/dns-query", Wire: true}}
 
-// DoH adapts a DNS Handler to HTTP, implementing both this repository's
-// HTTP/1.1 and HTTP/2 server handler interfaces.
+// DoH adapts a DNS Handler to HTTP: Bind derives the handlers this
+// repository's HTTP/1.1 and HTTP/2 servers take, one pair per connection.
 type DoH struct {
 	Handler   Handler
 	Endpoints []Endpoint
@@ -54,30 +54,13 @@ type DoH struct {
 	// Guard, when non-nil, rate-limits queries per client, keyed by the
 	// identity the accept loop installed in the bound context (Bind);
 	// over-limit queries get a DNS-level REFUSED in an HTTP 200, the way
-	// RFC 8484 surfaces resolution errors. Unbound handlers (no identity
-	// in context) are not limited.
+	// RFC 8484 surfaces resolution errors. A context with no identity in
+	// it is not limited.
 	Guard *guard.Guard
 	// Telemetry, when non-nil, receives one Transaction per decoded DNS
 	// query (HTTP-level rejections — bad paths, bad encodings — are not
 	// DNS transactions and are not counted).
 	Telemetry *telemetry.Metrics
-}
-
-var (
-	_ h2.Handler = (*DoH)(nil)
-	_ h1.Handler = (*DoH)(nil)
-)
-
-// ServeH2 implements h2.Handler with a background context; servers that
-// track connection lifetime use Bind instead.
-func (d *DoH) ServeH2(req *h2.Request) *h2.Response {
-	return d.serveH2(context.Background(), req)
-}
-
-// ServeH1 implements h1.Handler with a background context; servers that
-// track connection lifetime use Bind instead.
-func (d *DoH) ServeH1(req *h1.Request) *h1.Response {
-	return d.serveH1(context.Background(), req)
 }
 
 // Bind derives per-connection HTTP handlers whose DNS queries inherit ctx.
@@ -110,7 +93,7 @@ func (b *boundDoH) ServeH2(req *h2.Request) *h2.Response { return b.d.serveH2(b.
 // DoT has: a plain POST to a wire endpoint gets its guard verdict and the
 // hit step on the read loop, which never block; a hit the wire path
 // declines carries its transaction and the view the step parsed on to the
-// miss steps as next, so telemetry, trace and guard see one query.
+// slow step as next, so telemetry, trace and guard see one query.
 // Anything else — GET, JSON, a path needing decoding, Processing to sleep
 // through — is ServeH2's.
 func (b *boundDoH) ServeH2Inline(req *h2.Request) (*h2.Response, func() *h2.Response) {
@@ -130,7 +113,7 @@ func (b *boundDoH) ServeH2Inline(req *h2.Request) (*h2.Response, func() *h2.Resp
 		return &b.hit, nil
 	}
 	q := b.q // the read loop reuses b.q; the view borrows req.Body, which is next's
-	return nil, func() *h2.Response { return d.h2Response(d.miss(b.ctx, &b.c, tx, &q, req.Body)) }
+	return nil, func() *h2.Response { return d.h2Response(d.answer(b.ctx, &b.c, tx, &q, req.Body)) }
 }
 
 func h2ContentType(req *h2.Request) (ct string) {
@@ -295,10 +278,10 @@ func (d *DoH) serve(ctx context.Context, method, rawPath, contentType string, bo
 		if handled {
 			return 200, ContentTypeWire, out
 		}
-		return d.miss(ctx, &c, tx, &fq, rawQ)
+		return d.answer(ctx, &c, tx, &fq, rawQ)
 	}
 	// Neither step's parse ran for a JSON query, so the adapter that
-	// decoded it begins its transaction.
+	// decoded it begins its transaction and runs the Message handler.
 	tx := d.Telemetry.Begin(telemetry.ProtoDoH)
 	defer tx.Finish()
 	out, err := dnsjson.Encode(c.respond(ctx, tx, q))
@@ -316,7 +299,7 @@ func (d *DoH) serve(ctx context.Context, method, rawPath, contentType string, bo
 // slice of their own, when the body escapes into a response the caller
 // hands on, or the caller's scratch, which a longer answer outgrows into a
 // new one. handled=false leaves tx and q (nil and zero if the fast parse
-// declined) for miss to carry on with.
+// declined) for answer to carry on with.
 func (c *core) hit(q *dnswire.Query, rawQ, dst []byte, tGuard time.Time) (out []byte, tx *telemetry.Transaction, handled bool) {
 	tx, ok := c.parse(q, rawQ, tGuard)
 	if ok {
@@ -327,37 +310,16 @@ func (c *core) hit(q *dnswire.Query, rawQ, dst []byte, tGuard time.Time) (out []
 	return out, tx, handled
 }
 
-// miss carries on with a wireformat query the hit step declined: the wire
-// miss step when that step parsed it, the reply becoming the response body
-// as it came back, and the Message step otherwise.
-func (d *DoH) miss(ctx context.Context, c *core, tx *telemetry.Transaction, q *dnswire.Query, rawQ []byte) (status int, respCT string, respBody []byte) {
-	out, ok := c.miss(ctx, tx, q)
-	if !ok {
-		return d.message(ctx, c, tx, rawQ)
-	}
-	tx.Finish()
-	if out == nil {
-		return 500, "", nil
-	}
-	return 200, ContentTypeWire, out
-}
-
-// message is the Message step for a wireformat query, under the transaction
-// the hit step began, if it began one. Handler failures surface as
-// DNS-level SERVFAIL in an HTTP 200, the way RFC 8484 servers report
-// resolution (not transport) errors.
-func (d *DoH) message(ctx context.Context, c *core, tx *telemetry.Transaction, rawQ []byte) (status int, respCT string, respBody []byte) {
-	q := new(dnswire.Message)
-	tx, err := c.unpack(tx, rawQ, q)
+// answer carries on with a wireformat query the hit step declined: the slow
+// step's reply becomes the response body as it came back. Handler failures
+// surface as DNS-level SERVFAIL in an HTTP 200, the way RFC 8484 servers
+// report resolution (not transport) errors.
+func (d *DoH) answer(ctx context.Context, c *core, tx *telemetry.Transaction, q *dnswire.Query, rawQ []byte) (status int, respCT string, respBody []byte) {
+	out, tx, err := c.answer(ctx, tx, q, rawQ)
 	if err != nil {
 		return 400, "", nil
 	}
-	defer tx.Finish()
-	out, err := c.respond(ctx, tx, q).Pack()
-	if err != nil {
-		tx.SetVerdict(telemetry.VerdictServFail)
-		return 500, "", nil
-	}
+	tx.Finish()
 	return 200, ContentTypeWire, out
 }
 

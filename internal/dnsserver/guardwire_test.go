@@ -123,6 +123,55 @@ func TestUDPGuardSlipAndCookieBypass(t *testing.T) {
 	}
 }
 
+// TestUDPHotCacheEchoesCookie pins GUARD.md's cookie promise against a hot
+// cache: a client cookie that arrives without a valid server cookie is owed
+// one even when the wire fast path could have answered the query inline —
+// the reply takes the slow step, where the echo lives — so a client never
+// has to be slipped first to graduate. Cookie-less and cookie-validated
+// queries stay on the inline hit step.
+func TestUDPHotCacheEchoesCookie(t *testing.T) {
+	stub := newWireStub(t, "hot.example.")
+	g := guard.New(guard.Config{CookieSecret: 0xc0ffee}, nil)
+	pc := listenLoopback(t)
+	srv := &UDPServer{Handler: stub, Guard: g}
+	go srv.Serve(pc)
+	c, err := net.Dial("udp", pc.LocalAddr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	cc := []byte{1, 2, 3, 4, 5, 6, 7, 8}
+	r1 := sendRecv(t, c, cookieQuery(t, 1, "hot.example.", cc))
+	full := respCookie(r1)
+	if len(r1.Answers) != 1 || len(full) != 24 {
+		t.Fatalf("client cookie against a hot cache: answers=%d cookie=%d bytes issued=%d, want 1 answer with a 24-byte server cookie",
+			len(r1.Answers), len(full), g.Report().CookiesIssued)
+	}
+	if fast := stub.fastServed.Load(); fast != 0 {
+		t.Fatalf("the cookie-owed query was answered inline (%d fast hits): nothing echoes a cookie there", fast)
+	}
+	// The issued cookie validates, and a validated query is a plain hit again.
+	r2 := sendRecv(t, c, cookieQuery(t, 2, "hot.example.", full))
+	wire, err := dnswire.NewQuery(3, "hot.example.", dnswire.TypeA).Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r3 := sendRecv(t, c, wire)
+	if len(r2.Answers) != 1 || len(r3.Answers) != 1 {
+		t.Fatalf("validated / cookie-less hits: answers=%d/%d", len(r2.Answers), len(r3.Answers))
+	}
+	if fast := stub.fastServed.Load(); fast != 2 {
+		t.Fatalf("fast hits = %d, want 2: cookie-validated and cookie-less queries stay inline", fast)
+	}
+	if rep := g.Report(); rep.CookiesIssued != 1 || rep.CookiesValidated != 1 {
+		t.Fatalf("guard report %+v: want one cookie issued and one validated", rep)
+	}
+	if st := srv.ShardStats(); st[0].FastHits != 2 || st[0].SlowPath != 1 {
+		t.Fatalf("shard ledger %+v: want 2 fast hits and 1 slow-path reply", st[0])
+	}
+}
+
 // TestBatchGuardDroppedAccounting pins the ServeBatch fix: datagrams the
 // guard consumes (drops and slips) land in their own shard counter and the
 // batch ledger stays exact — Datagrams == FastHits + SlowPath +

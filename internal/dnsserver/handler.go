@@ -58,21 +58,21 @@ func Respond(ctx context.Context, h Handler, q *dnswire.Message) *dnswire.Messag
 	resp, err := h.ServeDNS(ctx, q)
 	tx := telemetry.FromContext(ctx)
 	if err != nil || resp == nil {
-		return failure(ctx, tx, q)
+		failed(ctx, tx)
+		return ServFail(q)
 	}
 	tx.SetVerdict(telemetry.VerdictOK)
 	return resp
 }
 
-// failure is the fate of a query its handler could not answer: the verdict
-// says whether the client gave up first, the reply is SERVFAIL either way.
-func failure(ctx context.Context, tx *telemetry.Transaction, q *dnswire.Message) *dnswire.Message {
+// failed records the fate of a query its handler could not answer: the
+// reply is SERVFAIL, the verdict says whether the client gave up first.
+func failed(ctx context.Context, tx *telemetry.Transaction) {
 	if ctx.Err() != nil {
 		tx.SetVerdict(telemetry.VerdictCanceled)
 	} else {
 		tx.SetVerdict(telemetry.VerdictServFail)
 	}
-	return ServFail(q)
 }
 
 // sleepCtx pauses for d unless the context ends first, in which case it

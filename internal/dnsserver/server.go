@@ -33,7 +33,7 @@ import (
 //
 // tx is the query's telemetry transaction, already begun by the server,
 // which also finishes it; implementations annotate it (cache outcome) but
-// must not call Finish. handled=false sends the server to the Message path
+// must not call Finish. handled=false sends the server to the slow step
 // with the same transaction — a miss, an uncacheable shape, or a response
 // that needs Message-level surgery (truncation over limit). dst may be
 // sliced from a pooled buffer: the returned slice must be its extension
@@ -78,9 +78,8 @@ func putBuf(b *[]byte) { bufPool.Put(b) }
 // single net.PacketConn): a reader per socket pulls a vector of datagrams,
 // answers every wire fast-path hit (WireResponder) inline into a write
 // vector flushed once per batch, and hands everything else to a bounded
-// pool of Workers goroutines running the wire miss step (WireMissResponder)
-// or, for what wire cannot answer, the Unpack → Respond → AppendPack
-// Message step. The cache-hit fast path allocates nothing per query.
+// pool of worker goroutines running the slow step. The cache-hit fast path
+// allocates nothing per query.
 type UDPServer struct {
 	Handler Handler
 	// Guard, when non-nil, is consulted per datagram before any parse or
@@ -88,10 +87,6 @@ type UDPServer struct {
 	// minimal TC=1 slip, and the client's identity rides the query context
 	// so the cache-miss breaker downstream can attribute upstream work.
 	Guard *guard.Guard
-	// BaseContext, when non-nil, parents every query's context; the default
-	// is context.Background. UDP is connectionless, so per-query contexts
-	// end with the server itself rather than with any one client.
-	BaseContext context.Context
 	// MaxUDPSize, when non-zero, caps response datagrams below the client's
 	// advertised EDNS buffer — the max-udp-size knob production resolvers
 	// use on small-MTU paths, where an honest TC=1 (and the RFC 7766 TCP
@@ -101,22 +96,14 @@ type UDPServer struct {
 	// up would re-blackhole exactly the responses it exists to save, and
 	// the TC=1 referral itself (header + question) stays tiny.
 	MaxUDPSize int
-	// Workers sizes the resident worker pool; 0 means 4×GOMAXPROCS. The
-	// pool absorbs the steady state of slow-path queries with zero
-	// goroutine churn. When every worker is busy and the queue is full (a
-	// burst of slow queries blocking on upstream or emulated delays), the
-	// reader spills the packet to a transient goroutine rather than
-	// stalling the socket: slow queries cost a goroutine each while the
-	// hot path never does.
-	Workers int
-	// MaxSpill bounds the transient spill goroutines alive at once; 0
-	// means 8×Workers. With the budget exhausted the reader blocks on the
-	// work queue instead — socket backpressure beats unbounded goroutine
-	// growth when an attack or upstream brownout makes every query slow.
-	// Spills are counted in telemetry (dohcost_udp_spills_total).
-	MaxSpill int
 	// Telemetry, when non-nil, receives one Transaction per parsed query.
 	Telemetry *telemetry.Metrics
+
+	// workers and maxSpill size the slow step's worker pool (see workPool
+	// and dispatch): the resident workers, 0 meaning 4×GOMAXPROCS, and the
+	// transient spill goroutines alive at once, 0 meaning 8×workers. Only
+	// tests set them.
+	workers, maxSpill int
 
 	// shardStats is installed by ServeBatch: one counter block per shard
 	// socket, read by ShardStats while serving runs.
@@ -150,11 +137,11 @@ type workPool struct {
 
 // startWorkers spins up the resident workers and sizes the spill budget.
 func (s *UDPServer) startWorkers(ctx context.Context, c *core) *workPool {
-	workers := s.Workers
+	workers := s.workers
 	if workers <= 0 {
 		workers = 4 * runtime.GOMAXPROCS(0)
 	}
-	maxSpill := s.MaxSpill
+	maxSpill := s.maxSpill
 	if maxSpill <= 0 {
 		maxSpill = 8 * workers
 	}
@@ -169,8 +156,8 @@ func (s *UDPServer) startWorkers(ctx context.Context, c *core) *workPool {
 		p.wg.Add(1)
 		go func() {
 			defer p.wg.Done()
-			// One packet per worker, not per query: the wire miss step
-			// takes the address of its view.
+			// One packet per worker, not per query: the slow step takes
+			// the address of its view.
 			var pkt packet
 			for pkt = range p.work {
 				p.s.serveSlow(p.ctx, p.c, &pkt)
@@ -243,12 +230,9 @@ func (s *UDPServer) udpLimit(hasEDNS bool, udpSize uint16) int {
 	return limit
 }
 
-// serveSlow answers one datagram the batch reader handed off, finishes its
-// transaction and reclaims its buffer. A query the hit step parsed takes
-// the wire miss step, and its reply leaves as the bytes that came back —
-// unless UDP demands Message-level surgery on it: a client cookie to echo,
-// or a reply over the size limit to truncate. Everything else takes the
-// Message step.
+// serveSlow answers one datagram the batch reader handed off: the slow
+// step, UDP's fit, the write. It finishes the transaction and reclaims the
+// packet's buffer.
 func (s *UDPServer) serveSlow(ctx context.Context, c *core, pkt *packet) {
 	defer putBuf(pkt.buf)
 	wire := (*pkt.buf)[:pkt.n]
@@ -258,87 +242,56 @@ func (s *UDPServer) serveSlow(ctx context.Context, c *core, pkt *packet) {
 		gkey = guard.ClientKey(pkt.from)
 		ctx = guard.NewContext(ctx, gkey)
 	}
-	tx := pkt.tx
-	wired, ok := c.miss(ctx, tx, &pkt.q)
-	hasEDNS, udpSize := pkt.q.HasEDNS, pkt.q.UDPSize
-	var resp *dnswire.Message
-	if !ok {
-		var q dnswire.Message
-		var err error
-		if tx, err = c.unpack(tx, wire, &q); err != nil {
-			return // drop unparseable datagrams, like real servers
-		}
-		resp = c.respond(ctx, tx, &q)
-		if hasEDNS = q.EDNS != nil; hasEDNS {
-			udpSize = q.EDNS.UDPSize
-		}
+	reply, tx, err := c.answer(ctx, pkt.tx, &pkt.q, wire)
+	if err != nil {
+		return // drop unparseable datagrams, like real servers
 	}
 	defer tx.Finish()
-	limit := s.udpLimit(hasEDNS, udpSize)
-	// Echo a DNS cookie so the client can earn the rate-limit bypass.
-	cookie, echo := s.Guard.ServerCookie(nil, wire, gkey)
-	if ok {
-		if wired == nil {
-			return // no reply could be built; the verdict says so
-		}
-		if !echo && len(wired) <= limit {
-			s.writeReply(tx, pkt, wired)
-			return
-		}
-		resp = new(dnswire.Message)
-		if err := resp.Unpack(wired); err != nil {
-			tx.SetVerdict(telemetry.VerdictServFail)
-			return
-		}
-	}
-	if echo {
-		// Cached entries share their EDNS between clones, so attach to a
-		// fresh one instead of mutating in place.
-		e := &dnswire.EDNS{UDPSize: 1232}
-		if resp.EDNS != nil {
-			cp := *resp.EDNS
-			cp.Options = append([]dnswire.EDNS0Option(nil), resp.EDNS.Options...)
-			e = &cp
-		}
-		e.Options = append(e.Options, dnswire.EDNS0Option{Code: guard.EDNS0CookieCode, Data: cookie})
-		resp.EDNS = e
-	}
-	out := getBuf()
-	defer putBuf(out)
-	reply, err := resp.AppendPack((*out)[:0])
-	if err != nil {
-		// The client receives nothing; don't let Respond's ok verdict
+	if reply, err = s.fit(reply, wire, s.udpLimit(pkt.q.HasEDNS, pkt.q.UDPSize), gkey); err != nil {
+		// The client receives nothing; don't let the slow step's ok verdict
 		// stand for a reply that never left.
 		tx.SetVerdict(telemetry.VerdictServFail)
 		return
 	}
-	if len(reply) > limit {
-		trunc := *resp
-		trunc.Truncated = true
-		trunc.Answers, trunc.Authorities, trunc.Additionals = nil, nil, nil
-		if reply, err = trunc.AppendPack((*out)[:0]); err != nil {
-			tx.SetVerdict(telemetry.VerdictServFail)
-			return
-		}
-		if len(reply) > limit && trunc.EDNS != nil {
-			// On aggressive MaxUDPSize caps a long QNAME can push even the
-			// referral over the limit; the OPT record is the only thing
-			// left to shed (header + question cannot shrink further).
-			trunc.EDNS = nil
-			if reply, err = trunc.AppendPack((*out)[:0]); err != nil {
-				tx.SetVerdict(telemetry.VerdictServFail)
-				return
-			}
-		}
-	}
-	s.writeReply(tx, pkt, reply)
-}
-
-// writeReply sends one worker-built reply, recorded as tx's write span.
-func (s *UDPServer) writeReply(tx *telemetry.Transaction, pkt *packet, reply []byte) {
 	tw := tx.TraceStart()
 	pkt.w.WriteTo(reply, pkt.from)
 	tx.TraceSpan(qtrace.PhaseWrite, tw)
+}
+
+// fit makes a slow-step reply fit UDP, and is the one place a packed reply
+// is unpacked again: a client cookie in the query is owed a server cookie
+// (so the client can earn the rate-limit bypass), and a reply over limit —
+// udpLimit of the query's EDNS, as answer left it in the view — is
+// truncated. Any other reply passes through as the bytes it is.
+func (s *UDPServer) fit(reply, query []byte, limit int, gkey uint64) ([]byte, error) {
+	cookie, echo := s.Guard.ServerCookie(nil, query, gkey)
+	if !echo && len(reply) <= limit {
+		return reply, nil
+	}
+	var resp dnswire.Message
+	if err := resp.Unpack(reply); err != nil {
+		return nil, err
+	}
+	if echo {
+		if resp.EDNS == nil {
+			resp.EDNS = &dnswire.EDNS{UDPSize: 1232}
+		}
+		resp.EDNS.Options = append(resp.EDNS.Options, dnswire.EDNS0Option{Code: guard.EDNS0CookieCode, Data: cookie})
+	}
+	reply, err := resp.Pack()
+	if err == nil && len(reply) > limit {
+		resp.Truncated = true
+		resp.Answers, resp.Authorities, resp.Additionals = nil, nil, nil
+		reply, err = resp.Pack()
+		if err == nil && len(reply) > limit && resp.EDNS != nil {
+			// On aggressive MaxUDPSize caps a long QNAME can push even the
+			// referral over the limit; the OPT record is the only thing
+			// left to shed (header + question cannot shrink further).
+			resp.EDNS = nil
+			reply, err = resp.Pack()
+		}
+	}
+	return reply, err
 }
 
 // StreamServer serves DNS with two-octet length framing (RFC 1035 §4.2.2)
@@ -390,18 +343,17 @@ func (s *StreamServer) ServeConn(conn net.Conn) error {
 	defer conn.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	sc := streamConn{Conn: conn}
-	var wg sync.WaitGroup
-	defer wg.Wait()
-	rbuf := getBuf()
-	defer putBuf(rbuf)
-	c := newCore(s.Handler, s.Telemetry, s.Proto)
-	var q dnswire.Query // per connection: &q escapes into the WireResponder call
 	var gkey uint64
 	if s.Guard != nil {
 		gkey = guard.ClientKey(conn.RemoteAddr())
 		ctx = guard.NewContext(ctx, gkey)
 	}
+	sc := streamConn{Conn: conn, ctx: ctx, c: newCore(s.Handler, s.Telemetry, s.Proto)}
+	defer sc.wg.Wait()
+	rbuf := getBuf()
+	defer putBuf(rbuf)
+	c := &sc.c
+	var q dnswire.Query // per connection: &q escapes into the WireResponder call
 	for {
 		wire, err := readStreamMessageInto(conn, (*rbuf)[:dnswire.MaxMessageLen])
 		if err != nil {
@@ -437,52 +389,26 @@ func (s *StreamServer) ServeConn(conn net.Conn) error {
 			}
 			putBuf(out)
 		}
-		// Wire miss step, on what the hit step parsed and declined. The
-		// next read reuses rbuf, so an out-of-order query takes a copy of
-		// the bytes its view borrows.
-		if ok && c.wireMiss != nil {
-			if !s.OutOfOrder {
-				if err := sc.answerWire(ctx, &c, tx, &q); err != nil {
-					return err
-				}
-				continue
-			}
-			mq := q
-			mq.Raw = append([]byte(nil), wire...)
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				sc.answerWire(ctx, &c, tx, &mq)
-			}()
-			continue
-		}
-		// Message step. Unpack runs here because the next read reuses rbuf;
-		// m and mtx are never reassigned, so the goroutine captures values.
-		m := new(dnswire.Message)
-		mtx, err := c.unpack(tx, wire, m)
-		if err != nil {
-			return fmt.Errorf("dnsserver: bad query on stream: %w", err)
-		}
+		// Slow step: inline, or on a goroutine of its own when replies may
+		// leave out of order.
 		if s.OutOfOrder {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				sc.answer(ctx, &c, mtx, m)
-			}()
-			continue
-		}
-		if err := sc.answer(ctx, &c, mtx, m); err != nil {
+			sc.answerAside(tx, &q, wire)
+		} else if err := sc.answer(tx, &q, wire); err != nil {
 			return err
 		}
 	}
 }
 
-// streamConn is one served connection's write side: the inline hit step
-// and the goroutines out-of-order Message steps run on share it, so whole
-// frames go out under a mutex.
+// streamConn is one served connection: what its read loop, running the hit
+// step inline, shares with the goroutines out-of-order slow steps run on —
+// the serving core, the context the connection's queries end with, and the
+// write side, where whole frames go out under a mutex.
 type streamConn struct {
 	net.Conn
 	writeMu sync.Mutex
+	ctx     context.Context
+	c       core
+	wg      sync.WaitGroup // out-of-order slow steps in flight
 }
 
 // writeFrame sends the n-octet message packed at out[2:] behind its
@@ -513,35 +439,61 @@ func (s *StreamServer) writeRefusal(sc *streamConn, wire []byte, gkey uint64) er
 	return sc.writeFrame(nil, *out, len(resp))
 }
 
-// answerWire runs the wire miss step for one query and writes the reply
-// that came back behind a length prefix.
-func (sc *streamConn) answerWire(ctx context.Context, c *core, tx *telemetry.Transaction, q *dnswire.Query) error {
-	defer tx.Finish()
-	resp, _ := c.miss(ctx, tx, q)
-	if resp == nil {
-		return errors.New("dnsserver: no reply could be built")
+// answer runs the slow step for one query and writes the reply behind its
+// length prefix, in a buffer pooled only once the reply is there.
+func (sc *streamConn) answer(tx *telemetry.Transaction, q *dnswire.Query, wire []byte) error {
+	reply, tx, err := sc.c.answer(sc.ctx, tx, q, wire)
+	if err != nil {
+		return fmt.Errorf("dnsserver: bad query on stream: %w", err)
 	}
+	defer tx.Finish()
 	out := getBuf()
 	defer putBuf(out)
-	return sc.writeFrame(tx, *out, copy((*out)[2:], resp))
+	return sc.writeFrame(tx, *out, copy((*out)[2:], reply))
 }
 
-// answer closes the Message step for one query and writes the reply.
-func (sc *streamConn) answer(ctx context.Context, c *core, tx *telemetry.Transaction, q *dnswire.Message) error {
-	defer tx.Finish()
-	resp := c.respond(ctx, tx, q)
-	out := getBuf()
-	defer putBuf(out)
-	// Pack directly behind the length prefix (AppendPack keeps compression
-	// pointers message-relative) so the reply leaves in one pooled write.
-	buf, err := resp.AppendPack((*out)[:2])
-	if err != nil {
-		// The connection is being torn down without this reply; the
-		// verdict must not read ok.
-		tx.SetVerdict(telemetry.VerdictServFail)
-		return err
+// asideQuery is one query answered aside of its connection's read loop,
+// which reuses the buffer the query was read into and the view parsed from
+// it: it carries its own copy of both. Recycled — with the copy's storage
+// and the func value its goroutine starts on — so that leaving the read
+// loop allocates nothing.
+type asideQuery struct {
+	sc   *streamConn
+	tx   *telemetry.Transaction
+	q    dnswire.Query
+	wire []byte
+	run  func() // the method value, made once
+}
+
+var asidePool sync.Pool // of *asideQuery
+
+// answerAside runs answer for one query on a goroutine of its own. An
+// error ends the connection the way it ends the read loop in order: closed.
+func (sc *streamConn) answerAside(tx *telemetry.Transaction, q *dnswire.Query, wire []byte) {
+	a, _ := asidePool.Get().(*asideQuery)
+	if a == nil {
+		a = new(asideQuery)
+		a.run = a.answer
 	}
-	return sc.writeFrame(tx, buf, len(buf)-2)
+	a.sc, a.tx, a.q, a.wire = sc, tx, *q, append(a.wire[:0], wire...)
+	if a.q.Raw != nil {
+		a.q.Raw = a.wire
+	}
+	sc.wg.Add(1)
+	go a.run()
+}
+
+func (a *asideQuery) answer() {
+	sc := a.sc
+	defer sc.wg.Done()
+	if sc.answer(a.tx, &a.q, a.wire) != nil {
+		sc.Close()
+	}
+	if cap(a.wire) > 1024 {
+		a.wire = nil // an unusually long query does not stay resident
+	}
+	a.sc, a.tx, a.q = nil, nil, dnswire.Query{}
+	asidePool.Put(a)
 }
 
 // ReadStreamMessage reads one length-prefixed DNS message into a slice of

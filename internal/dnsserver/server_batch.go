@@ -51,13 +51,13 @@ type UDPShardStats struct {
 	Reads     uint64 `json:"reads"`
 	Datagrams uint64 `json:"datagrams"`
 	// FastHits were answered inline from the batch loop; SlowPath were
-	// handed to the worker pool (cache miss, unparseable, or a shape the
-	// wire path declines); GuardDropped were consumed by the abuse guard
-	// before reaching either (silently dropped or answered with a minimal
-	// TC=1 slip). Every read datagram lands in exactly one of the three,
-	// so Datagrams == FastHits + SlowPath + GuardDropped — guard-limited
-	// datagrams still count in the batch-size histogram, which samples at
-	// read time.
+	// handed to the worker pool (cache miss, unparseable, a shape the wire
+	// path declines, or a reply owing its client a server cookie);
+	// GuardDropped were consumed by the abuse guard before reaching either
+	// (silently dropped or answered with a minimal TC=1 slip). Every read
+	// datagram lands in exactly one of the three, so Datagrams == FastHits
+	// + SlowPath + GuardDropped — guard-limited datagrams still count in
+	// the batch-size histogram, which samples at read time.
 	FastHits     uint64 `json:"fast_hits"`
 	SlowPath     uint64 `json:"slow_path"`
 	GuardDropped uint64 `json:"guard_dropped"`
@@ -110,11 +110,7 @@ func (s *UDPServer) ServeBatch(conns []udpio.BatchConn, batch int) error {
 	if batch > udpio.MaxBatch {
 		batch = udpio.MaxBatch
 	}
-	base := s.BaseContext
-	if base == nil {
-		base = context.Background()
-	}
-	ctx, cancel := context.WithCancel(base)
+	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
 	c := newCore(s.Handler, s.Telemetry, telemetry.ProtoUDP)
@@ -231,12 +227,15 @@ func (s *UDPServer) serveShard(conn udpio.BatchConn, batch int, pool *workPool, 
 			pkt := v.ms[i].Buf[:v.ms[i].N]
 			dst := (*v.obufs[len(v.txs)])[:0] // the write vector's next free slot
 			var tGuard time.Time
+			var cookieOwed bool
 			if s.Guard != nil {
 				if tracing {
 					tGuard = time.Now()
 				}
 				gkey := guard.ClientKey(v.ms[i].Addr)
-				switch s.Guard.CheckUDP(gkey, pkt) {
+				var a guard.Action
+				a, cookieOwed = s.Guard.CheckUDP(gkey, pkt)
+				switch a {
 				case guard.ActionDrop:
 					sc.guardDropped.Add(1)
 					continue
@@ -251,8 +250,10 @@ func (s *UDPServer) serveShard(conn udpio.BatchConn, batch int, pool *workPool, 
 					continue
 				}
 			}
+			// A reply that owes its client a server cookie is the slow step's
+			// to build, hit or not: the echo lives in UDP's fit.
 			tx, ok := c.parse(&q, pkt, tGuard)
-			if ok {
+			if ok && !cookieOwed {
 				if resp, handled := c.serveWire(tx, &q, dst, s.udpLimit(q.HasEDNS, q.UDPSize)); handled {
 					v.queue(len(resp), v.ms[i].Addr, tx)
 					sc.fastHits.Add(1)

@@ -171,6 +171,54 @@ func (q *Query) AppendCanonicalName(dst []byte) []byte {
 	return dst
 }
 
+// AppendEcho appends to dst the reply that only echoes a query and says
+// rcode: query[:qend] — the header and the question — with QR and RA set,
+// opcode and RD kept, every other flag cleared but TC when tc is set, the
+// record counts zeroed and the question name lower-cased, as Pack writes
+// every name. The caller vouches that qend is just past a well-formed first
+// question. It is the one builder of every such reply: the guard's TC=1
+// slip and REFUSED, and through Query.Reply the serving core's
+// SERVFAIL and the proxy's breaker REFUSED.
+func AppendEcho(dst, query []byte, qend int, rcode RCode, tc bool) []byte {
+	base := len(dst)
+	dst = append(dst, query[:qend]...)
+	flags := binary.BigEndian.Uint16(dst[base+2:])&(0xF<<11|1<<8) | 1<<15 | 1<<7 | uint16(rcode&0xF)
+	if tc {
+		flags |= 1 << 9
+	}
+	binary.BigEndian.PutUint16(dst[base+2:], flags)
+	copy(dst[base+6:base+headerLen], "\x00\x00\x00\x00\x00\x00") // ANCOUNT, NSCOUNT, ARCOUNT
+	// Labels run to the root octet or, in a query only the guard's lenient
+	// scan accepted, a compression pointer.
+	for off := base + headerLen; dst[off] != 0 && dst[off]&0xC0 == 0; {
+		end := off + 1 + int(dst[off])
+		for off++; off < end; off++ {
+			if c := dst[off]; 'A' <= c && c <= 'Z' {
+				dst[off] = c + ('a' - 'A')
+			}
+		}
+	}
+	return dst
+}
+
+// Reply returns, in a slice of its own, the bytes Unpack → Reply → RCode =
+// rcode → Pack would produce for the query (FuzzEchoEquivalence holds it to
+// that): its echo, plus Message.Reply's OPT — the classic payload size, DO
+// mirrored — when the query carried EDNS.
+func (q *Query) Reply(rcode RCode) []byte {
+	qend := q.nameEnd + 1 + 4
+	if !q.HasEDNS {
+		return AppendEcho(make([]byte, 0, qend), q.Raw, qend, rcode, false)
+	}
+	r := AppendEcho(make([]byte, 0, qend+11), q.Raw, qend, rcode, false)
+	r[11] = 1 // ARCOUNT
+	// Root name, TYPE, CLASS = payload size, TTL = ext-rcode, version and
+	// flags (of the query's OPT only DO, the top bit of its third octet, is
+	// mirrored), RDLEN 0.
+	return append(r, 0, 0, byte(TypeOPT), maxUDPPayload>>8, maxUDPPayload&0xFF,
+		0, 0, q.Raw[qend+7]&0x80, 0, 0, 0)
+}
+
 // PatchID overwrites the transaction ID of a packed message in place — the
 // wire-path equivalent of unpacking, restamping Message.ID and repacking.
 func PatchID(wire []byte, id uint16) {

@@ -136,3 +136,60 @@ func FuzzParseQueryConsistency(f *testing.F) {
 		}
 	})
 }
+
+// FuzzEchoEquivalence holds the wire-built echo replies to the Message path,
+// which stays here as the oracle: for every input ParseQuery accepts,
+// Query.Reply's SERVFAIL and REFUSED are the bytes of Unpack → Reply → set
+// RCode → Pack, and AppendEcho's TC=1 slip is the same reply truncated and
+// stripped of its OPT (the guard attaches its own). Neither panics on the
+// rest.
+func FuzzEchoEquivalence(f *testing.F) {
+	fuzzSeeds(f)
+	for _, m := range []*Message{
+		NewQuery(2, "MiXeD.Case.Example.", TypeAAAA),
+		{ID: 3, RecursionDesired: true, AuthenticData: true, CheckingDisabled: true,
+			Questions: []Question{{Name: "do.example.", Type: TypeA, Class: ClassINET}},
+			EDNS: &EDNS{UDPSize: 1232, DO: true,
+				Options: []EDNS0Option{{Code: 10, Data: []byte{1, 2, 3, 4, 5, 6, 7, 8}}}}},
+		{ID: 4, Questions: []Question{{Name: ".", Type: TypeNS, Class: ClassINET}}, EDNS: &EDNS{UDPSize: 512}},
+	} {
+		wire, err := m.Pack()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(wire, uint16(0), uint32(0))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, _ uint16, _ uint32) {
+		q, ok := ParseQuery(data)
+		if !ok {
+			t.Skip()
+		}
+		var m Message
+		if err := m.Unpack(data); err != nil {
+			t.Fatalf("ParseQuery accepted what Unpack rejects: %v", err)
+		}
+		qend := q.nameEnd + 1 + 4
+		oracle := func(edit func(r *Message)) []byte {
+			r := m.Reply()
+			edit(r)
+			want, err := r.Pack()
+			if err != nil || !bytes.EqualFold(want[headerLen:qend], data[headerLen:qend]) {
+				// A name the Message form cannot carry (a label holding a
+				// dot): it cannot say what the echo should be.
+				t.Skip()
+			}
+			return want
+		}
+		for _, rcode := range []RCode{RCodeServerFailure, RCodeRefused} {
+			want := oracle(func(r *Message) { r.RCode = rcode })
+			if got := q.Reply(rcode); !bytes.Equal(got, want) {
+				t.Errorf("Query.Reply(%v) diverges from Unpack→Reply→Pack:\n got  %x\n want %x", rcode, got, want)
+			}
+		}
+		prefix := []byte{0xAA, 0xBB} // a stream's length prefix must survive
+		want := oracle(func(r *Message) { r.Truncated, r.EDNS = true, nil })
+		if got := AppendEcho(prefix[:2:2], data, qend, RCodeSuccess, true); !bytes.Equal(got[:2], prefix) || !bytes.Equal(got[2:], want) {
+			t.Errorf("AppendEcho(TC=1) diverges from the truncated Reply:\n got  %x\n want %x", got[2:], want)
+		}
+	})
+}

@@ -71,9 +71,10 @@ func FuzzGuardDecision(f *testing.F) {
 		g1, g2 := mk(), mk()
 		for i := 0; i < 8; i++ {
 			key := uint64(i % 3)
-			a1, a2 := g1.CheckUDP(key, wire), g2.CheckUDP(key, wire)
-			if a1 != a2 {
-				t.Fatalf("step %d: %v vs %v for identical inputs", i, a1, a2)
+			a1, owed1 := g1.CheckUDP(key, wire)
+			a2, owed2 := g2.CheckUDP(key, wire)
+			if a1 != a2 || owed1 != owed2 {
+				t.Fatalf("step %d: %v/%v vs %v/%v for identical inputs", i, a1, owed1, a2, owed2)
 			}
 			if s1, s2 := g1.CheckStream(key), g2.CheckStream(key); s1 != s2 {
 				t.Fatalf("step %d stream: %v vs %v", i, s1, s2)

@@ -38,6 +38,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dohcost/internal/dnswire"
 	"dohcost/internal/telemetry"
 )
 
@@ -280,34 +281,39 @@ func keyString(s string) uint64 {
 
 // CheckUDP admits, drops, slips or (never, on UDP) refuses one datagram
 // from the client identified by key. wire is the raw packet: a valid
-// server cookie inside bypasses the rate limit entirely. The allow path
-// allocates nothing.
-func (g *Guard) CheckUDP(key uint64, wire []byte) Action {
+// server cookie inside bypasses the rate limit entirely. cookieOwed reports
+// an admitted datagram whose client cookie arrived without one — the reply
+// owes it a server cookie (ServerCookie), which only the server's slow step
+// attaches. The allow path allocates nothing.
+func (g *Guard) CheckUDP(key uint64, wire []byte) (a Action, cookieOwed bool) {
 	if g == nil {
-		return ActionAllow
+		return ActionAllow, false
 	}
 	now := g.cfg.Now()
 	if !g.cfg.DisableCookies {
-		if cc, sc, ok := cookieOption(wire); ok && g.validCookie(cc, sc, key, now) {
-			g.cookiesValidated.Add(1)
-			g.tel.GuardCookieValid()
-			g.allowed.Add(1)
-			return ActionAllow
+		if cc, sc, ok := cookieOption(wire); ok {
+			if g.validCookie(cc, sc, key, now) {
+				g.cookiesValidated.Add(1)
+				g.tel.GuardCookieValid()
+				g.allowed.Add(1)
+				return ActionAllow, false
+			}
+			cookieOwed = true
 		}
 	}
 	allowed, slip := g.allowQuery(key, now.UnixNano())
 	switch {
 	case allowed:
 		g.allowed.Add(1)
-		return ActionAllow
+		return ActionAllow, cookieOwed
 	case slip:
 		g.slips.Add(1)
 		g.tel.GuardSlip()
-		return ActionSlip
+		return ActionSlip, false
 	default:
 		g.drops.Add(1)
 		g.tel.GuardDrop()
-		return ActionDrop
+		return ActionDrop, false
 	}
 }
 
@@ -366,11 +372,11 @@ func (g *Guard) MissDone() {
 }
 
 // AppendLimited synthesizes the minimal response a Slip or Refuse decision
-// sends — the query's header and question echoed back with QR set, record
-// sections emptied, and either TC=1 (slip) or RCode REFUSED — appended to
-// dst. When the query carried a client cookie (and cookies are enabled),
-// an OPT record with a fresh server cookie rides along, so even a
-// rate-limited client can graduate to the cookie bypass on its next try.
+// sends — the query's header and question echoed back (dnswire.AppendEcho)
+// with either TC=1 (slip) or RCode REFUSED — appended to dst. When the
+// query carried a client cookie (and cookies are enabled), an OPT record
+// with a fresh server cookie rides along, so even a rate-limited client can
+// graduate to the cookie bypass on its next try.
 // ok=false means the query was too malformed to echo; drop instead.
 func (g *Guard) AppendLimited(dst, query []byte, key uint64, a Action) ([]byte, bool) {
 	qend, ok := questionEnd(query)
@@ -378,21 +384,11 @@ func (g *Guard) AppendLimited(dst, query []byte, key uint64, a Action) ([]byte, 
 		return dst, false
 	}
 	base := len(dst)
-	dst = append(dst, query[:qend]...)
-	hdr := dst[base:]
-	// QR=1, opcode and RD preserved, AA/TC cleared, RA=1.
-	flags := binary.BigEndian.Uint16(hdr[2:])
-	flags = flags&(0xF<<11|1<<8) | 1<<15 | 1<<7
-	if a == ActionSlip {
-		flags |= 1 << 9 // TC
-	}
+	rcode := dnswire.RCodeSuccess
 	if a == ActionRefuse {
-		flags |= 5 // REFUSED
+		rcode = dnswire.RCodeRefused
 	}
-	binary.BigEndian.PutUint16(hdr[2:], flags)
-	binary.BigEndian.PutUint16(hdr[6:], 0)  // ANCOUNT
-	binary.BigEndian.PutUint16(hdr[8:], 0)  // NSCOUNT
-	binary.BigEndian.PutUint16(hdr[10:], 0) // ARCOUNT
+	dst = dnswire.AppendEcho(dst, query, qend, rcode, a == ActionSlip)
 	if g.cfg.DisableCookies {
 		return dst, true
 	}

@@ -82,14 +82,14 @@ func TestBucketAllowsBurstThenSlips(t *testing.T) {
 	q := packQuery(t, "example.com", nil)
 	key := uint64(42)
 	for i := 0; i < 5; i++ {
-		if a := g.CheckUDP(key, q); a != ActionAllow {
+		if a, _ := g.CheckUDP(key, q); a != ActionAllow {
 			t.Fatalf("query %d: got %v, want allow", i, a)
 		}
 	}
 	// Limited responses alternate drop, slip, drop, slip (SlipEvery=2).
 	want := []Action{ActionDrop, ActionSlip, ActionDrop, ActionSlip}
 	for i, w := range want {
-		if a := g.CheckUDP(key, q); a != w {
+		if a, _ := g.CheckUDP(key, q); a != w {
 			t.Fatalf("limited query %d: got %v, want %v", i, a, w)
 		}
 	}
@@ -107,13 +107,13 @@ func TestBucketRefills(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		g.CheckUDP(key, q)
 	}
-	if a := g.CheckUDP(key, q); a == ActionAllow {
+	if a, _ := g.CheckUDP(key, q); a == ActionAllow {
 		t.Fatal("bucket should be empty")
 	}
 	clk.Advance(500 * time.Millisecond) // 10 QPS × 0.5 s = 5 tokens
 	allowed := 0
 	for i := 0; i < 10; i++ {
-		if g.CheckUDP(key, q) == ActionAllow {
+		if a, _ := g.CheckUDP(key, q); a == ActionAllow {
 			allowed++
 		}
 	}
@@ -143,11 +143,11 @@ func TestCookieHandshakeBypassesRateLimit(t *testing.T) {
 
 	cc := []byte{1, 2, 3, 4, 5, 6, 7, 8}
 	q := packQuery(t, "example.com", cc) // client cookie only
-	if a := g.CheckUDP(key, q); a != ActionAllow {
-		t.Fatalf("first query: %v", a)
+	if a, owed := g.CheckUDP(key, q); a != ActionAllow || !owed {
+		t.Fatalf("first query: %v, cookie owed %v: want allow with a server cookie owed", a, owed)
 	}
 	// Bucket now empty; the slip response teaches the client its cookie.
-	if a := g.CheckUDP(key, q); a != ActionSlip {
+	if a, _ := g.CheckUDP(key, q); a != ActionSlip {
 		t.Fatal("expected slip")
 	}
 	resp, ok := g.AppendLimited(nil, q, key, ActionSlip)
@@ -162,8 +162,8 @@ func TestCookieHandshakeBypassesRateLimit(t *testing.T) {
 	full := append(append([]byte{}, cc...), rsc...)
 	q2 := packQuery(t, "example.com", full)
 	for i := 0; i < 10; i++ {
-		if a := g.CheckUDP(key, q2); a != ActionAllow {
-			t.Fatalf("cookie-validated query %d: got %v", i, a)
+		if a, owed := g.CheckUDP(key, q2); a != ActionAllow || owed {
+			t.Fatalf("cookie-validated query %d: got %v, cookie owed %v", i, a, owed)
 		}
 	}
 	if r := g.Report(); r.CookiesValidated != 10 || r.CookiesIssued != 1 {
@@ -401,7 +401,7 @@ func TestTokensConservation(t *testing.T) {
 func TestNilGuardAllowsEverything(t *testing.T) {
 	var g *Guard
 	q := packQuery(t, "example.com", nil)
-	if a := g.CheckUDP(1, q); a != ActionAllow {
+	if a, _ := g.CheckUDP(1, q); a != ActionAllow {
 		t.Fatal("nil guard dropped")
 	}
 	if a := g.CheckStream(1); a != ActionAllow {

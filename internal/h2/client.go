@@ -276,8 +276,11 @@ func (cc *ClientConn) handleData(fr Frame) error {
 	}
 	cs.resp.Body = append(cs.resp.Body, data...)
 	if fr.Flags&FlagEndStream != 0 {
+		// Credit first: once its RoundTrip wakes, the caller may read the
+		// connection's byte counts, and this exchange's credit is part of them.
+		err := cc.credit(0, len(fr.Payload))
 		cc.completeStream(cs)
-		return cc.credit(0, len(fr.Payload))
+		return err
 	}
 	return cc.credit(cs.id, len(fr.Payload))
 }

@@ -209,9 +209,8 @@ type Framer struct {
 	r io.Reader
 	w io.Writer
 
-	maxReadFrameSize uint32
-	readBuf          []byte
-	readHeader       [frameHeaderLen]byte
+	readBuf    []byte // defaultMaxFrameSize: the largest frame accepted
+	readHeader [frameHeaderLen]byte
 
 	wmu      sync.Mutex // held from Begin to End
 	writeBuf []byte
@@ -223,24 +222,7 @@ type Framer struct {
 
 // NewFramer wraps a connection.
 func NewFramer(rw io.ReadWriter) *Framer {
-	return &Framer{
-		r:                rw,
-		w:                rw,
-		maxReadFrameSize: defaultMaxFrameSize,
-		readBuf:          make([]byte, defaultMaxFrameSize),
-	}
-}
-
-// SetMaxReadFrameSize raises the acceptable inbound frame size (after
-// SETTINGS negotiation).
-func (f *Framer) SetMaxReadFrameSize(n uint32) {
-	if n < defaultMaxFrameSize {
-		n = defaultMaxFrameSize
-	}
-	f.maxReadFrameSize = n
-	if int(n) > len(f.readBuf) {
-		f.readBuf = make([]byte, n)
-	}
+	return &Framer{r: rw, w: rw, readBuf: make([]byte, defaultMaxFrameSize)}
 }
 
 // ReadFrame reads and accounts one frame. The returned payload aliases the
@@ -250,8 +232,8 @@ func (f *Framer) ReadFrame() (Frame, error) {
 		return Frame{}, err
 	}
 	length := uint32(f.readHeader[0])<<16 | uint32(f.readHeader[1])<<8 | uint32(f.readHeader[2])
-	if length > f.maxReadFrameSize {
-		return Frame{}, ConnError{ErrCodeFrameSize, fmt.Sprintf("frame of %d bytes exceeds max %d", length, f.maxReadFrameSize)}
+	if length > defaultMaxFrameSize {
+		return Frame{}, ConnError{ErrCodeFrameSize, fmt.Sprintf("frame of %d bytes exceeds max %d", length, defaultMaxFrameSize)}
 	}
 	fr := Frame{
 		Type:     FrameType(f.readHeader[3]),

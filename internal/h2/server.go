@@ -54,8 +54,6 @@ type InlineHandler interface {
 // Server serves HTTP/2 connections.
 type Server struct {
 	Handler Handler
-	// MaxFrameSize advertised to peers; zero means the 16 KB default.
-	MaxFrameSize uint32
 	// Emission is the study's model parameter (see the package comment);
 	// the zero value is MessagePerFlight.
 	Emission Emission
@@ -123,13 +121,9 @@ func (s *Server) ServeConn(conn net.Conn) error {
 	if err := sc.fr.ReadPreface(); err != nil {
 		return fmt.Errorf("h2: reading preface: %w", err)
 	}
-	maxFrame := s.MaxFrameSize
-	if maxFrame == 0 {
-		maxFrame = defaultMaxFrameSize
-	}
 	err := sc.writeSettings(
 		Setting{SettingMaxConcurrentStreams, maxConcurrentStreams},
-		Setting{SettingMaxFrameSize, maxFrame},
+		Setting{SettingMaxFrameSize, defaultMaxFrameSize}, // all the Framer reads
 		Setting{SettingInitialWindowSize, defaultInitialWindowSize},
 	)
 	if err != nil {

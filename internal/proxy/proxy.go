@@ -75,10 +75,6 @@ type Config struct {
 	Chain *tlsx.Chain `json:"-"`
 	// Endpoints configures DoH paths; nil serves the RFC default.
 	Endpoints []dnsserver.Endpoint
-	// InOrderDoT disables the out-of-order DoT reply scheduling that is
-	// otherwise the production default (the paper found only Cloudflare
-	// did this, and credits it for DoT's best-case behaviour).
-	InOrderDoT bool
 	// MaxUDPSize caps UDP response datagrams below the client's EDNS
 	// buffer (resolver max-udp-size policy); responses over the cap are
 	// truncated so clients retry over TCP instead of losing oversized
@@ -367,10 +363,12 @@ func New(cfg Config) (*Proxy, error) {
 		tracer: tracer,
 	}
 	p.server = &dnsserver.Server{
-		Handler:       p.Handler(),
-		Chain:         cfg.Chain,
-		Endpoints:     cfg.Endpoints,
-		DoTOutOfOrder: !cfg.InOrderDoT,
+		Handler:   p.Handler(),
+		Chain:     cfg.Chain,
+		Endpoints: cfg.Endpoints,
+		// Out-of-order replies on TCP and DoT: the paper found only
+		// Cloudflare did this, and credits it for DoT's best-case behaviour.
+		DoTOutOfOrder: true,
 		MaxUDPSize:    cfg.MaxUDPSize,
 		Guard:         g,
 		Telemetry:     tel,
@@ -489,16 +487,12 @@ func (h fastHandler) ServeDNSWire(tx *telemetry.Transaction, q *dnswire.Query, d
 	return resp, true
 }
 
-// ServeDNSWireMiss implements dnsserver.WireMissResponder. The refusal is
-// built at Message level, from the unpacked query: that path may allocate.
+// ServeDNSWireMiss implements dnsserver.WireMissResponder. A breaker-refused
+// miss is answered REFUSED here, from the query's own bytes.
 func (h fastHandler) ServeDNSWireMiss(ctx context.Context, q *dnswire.Query) ([]byte, error) {
 	resp, err := h.p.cache.ExchangeQuery(ctx, q)
 	if err != nil && errors.Is(err, guard.ErrMissBudget) {
-		var m dnswire.Message
-		if err := m.Unpack(q.Raw); err != nil {
-			return nil, err
-		}
-		return refused(&m).Pack()
+		return q.Reply(dnswire.RCodeRefused), nil
 	}
 	return resp, err
 }

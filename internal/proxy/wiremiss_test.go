@@ -5,6 +5,7 @@ import (
 	"context"
 	"crypto/tls"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"net"
 	"net/netip"
@@ -123,6 +124,44 @@ func TestWireMissAllocs(t *testing.T) {
 	}
 }
 
+// TestRefusedWireMissAllocs pins what saying no costs: a miss the breaker
+// refuses is answered REFUSED from the query's own bytes — one slice, no
+// Unpack of the query and no Pack of a Message — on top of what the cache
+// spent finding out (the same call into the cache, its error returned).
+func TestRefusedWireMissAllocs(t *testing.T) {
+	g := guard.Config{ClientQPS: 1e9, Burst: 1 << 30, MissRate: 1e-9}
+	p, err := New(Config{
+		Upstreams: []dnstransport.PoolUpstream{{Name: "mem", Dial: func(context.Context) (dnstransport.Resolver, error) { return &wireUpstream{}, nil }}},
+		Guard:     &g,
+		Tracing:   &qtrace.Config{},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { p.Close() })
+	wire, err := dnswire.NewQuery(7, "refused.miss.example.", dnswire.TypeA).Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, ok := dnswire.ParseQuery(wire)
+	if !ok {
+		t.Fatal("ParseQuery declined the query")
+	}
+	ctx := telemetry.NewContext(guard.NewContext(context.Background(), 0xfeedface), p.Telemetry().Begin(telemetry.ProtoUDP))
+	var resp []byte
+	refused := testing.AllocsPerRun(200, func() { resp, err = fastHandler{p}.ServeDNSWireMiss(ctx, &q) })
+	if err != nil || len(resp) != len(wire) || resp[3]&0xF != byte(dnswire.RCodeRefused) {
+		t.Fatalf("refused miss: %x, err %v", resp, err)
+	}
+	finding := testing.AllocsPerRun(200, func() { _, err = p.cache.ExchangeQuery(ctx, &q) })
+	if !errors.Is(err, guard.ErrMissBudget) {
+		t.Fatalf("the breaker did not refuse: %v", err)
+	}
+	if refused-finding > 2 {
+		t.Errorf("a refused miss allocates %.1f times, %.1f of them in the cache: the refusal itself has a budget of 2", refused, finding)
+	}
+}
+
 // TestRejectedMissBuildsNoEntry: admission is decided before anything is
 // built, so a miss TinyLFU refuses costs less than one it admits — by the
 // entry and the LRU element at least.
@@ -162,40 +201,32 @@ func TestRejectedMissBuildsNoEntry(t *testing.T) {
 // packed reply, untouched.
 type rawClient func(t *testing.T, query []byte) []byte
 
-// TestMissAcrossTransports is the miss-path half of the transport
-// equivalence contract, against the real proxy: over UDP on the simulated
-// network (portable fallback socket, vector 1), UDP on a kernel socket
-// (batched loop), TCP, out-of-order DoT and DoH POST, a miss and a
-// coalesced miss return exactly the bytes the upstream's own packer
-// produced for the name, under the asking client's ID, and leave the same
-// trace: miss = guard, parse, cache, guard (the breaker), upstream, admit,
-// write; coalesced = guard, parse, cache, write. DoH records no write span.
-func TestMissAcrossTransports(t *testing.T) {
-	n := netsim.New(16)
-	static := dnsserver.Static(netip.MustParseAddr("192.0.2.77"), 300)
-	var upstreamQueries atomic.Int64
-	run, err := (&dnsserver.Server{Handler: dnsserver.HandlerFunc(func(ctx context.Context, q *dnswire.Message) (*dnswire.Message, error) {
-		upstreamQueries.Add(1)
-		// Slow enough that two queries sent back to back share one flight.
-		return dnsserver.Delay(60*time.Millisecond, static).ServeDNS(ctx, q)
-	})}).Start(n, "recursive.upstream")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(run.Close)
+// missTransport is one way into a missBed's proxy.
+type missTransport struct {
+	name  string
+	write bool // the adapter owns the socket write
+	send  rawClient
+}
 
+// missBed starts a proxy at proxy.dns forwarding to up, on every transport
+// — UDP on the simulated network (portable fallback socket, vector 1) and
+// on a kernel socket (batched loop), TCP, out-of-order DoT, DoH POST — with
+// guard g armed and every trace kept, and returns a raw client per
+// transport.
+func missBed(t *testing.T, n *netsim.Network, up dnstransport.PoolUpstream, pool dnstransport.PoolConfig, g guard.Config) (*Proxy, []missTransport) {
+	t.Helper()
 	chain, err := tlsx.GenerateChain(tlsx.CloudflareLike("proxy.dns"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	p, err := New(Config{
-		Upstreams:       []dnstransport.PoolUpstream{tcpUpstream(n, "proxy.dns", "recursive.upstream")},
-		Pool:            dnstransport.PoolConfig{ConnsPerUpstream: 1},
+		Upstreams:       []dnstransport.PoolUpstream{up},
+		Pool:            pool,
 		Chain:           chain,
 		UDPListen:       "127.0.0.1:0",
 		UDPShards:       1,
 		UpstreamTimeout: 2 * time.Second,
-		Guard:           &guard.Config{ClientQPS: 1e9, Burst: 1 << 30, MissRate: 1e9, MaxInflightMiss: 1 << 20},
+		Guard:           &g,
 		Tracing:         &qtrace.Config{SampleEvery: 1},
 	})
 	if err != nil {
@@ -205,10 +236,6 @@ func TestMissAcrossTransports(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { p.Close() })
-	// Dial the pool's one slot now, so no measured trace carries a dial span.
-	if _, err := p.Handler().ServeDNS(context.Background(), dnswire.NewQuery(1, "warm.example.", dnswire.TypeA)); err != nil {
-		t.Fatal(err)
-	}
 
 	datagram := func(dial func() (net.Conn, error)) rawClient {
 		return func(t *testing.T, query []byte) []byte {
@@ -248,11 +275,7 @@ func TestMissAcrossTransports(t *testing.T) {
 			return nil
 		}
 	}
-	transports := []struct {
-		name  string
-		write bool // the adapter owns the socket write
-		send  rawClient
-	}{
+	return p, []missTransport{
 		{"udp-netsim", true, datagram(func() (net.Conn, error) {
 			pc, err := n.ListenPacket("")
 			if err != nil {
@@ -290,6 +313,36 @@ func TestMissAcrossTransports(t *testing.T) {
 			return resp.Body
 		}},
 	}
+}
+
+// TestMissAcrossTransports is the miss-path half of the transport
+// equivalence contract, against the real proxy: over UDP on the simulated
+// network (portable fallback socket, vector 1), UDP on a kernel socket
+// (batched loop), TCP, out-of-order DoT and DoH POST, a miss and a
+// coalesced miss return exactly the bytes the upstream's own packer
+// produced for the name, under the asking client's ID, and leave the same
+// trace: miss = guard, parse, cache, guard (the breaker), upstream, admit,
+// write; coalesced = guard, parse, cache, write. DoH records no write span.
+func TestMissAcrossTransports(t *testing.T) {
+	n := netsim.New(16)
+	static := dnsserver.Static(netip.MustParseAddr("192.0.2.77"), 300)
+	var upstreamQueries atomic.Int64
+	run, err := (&dnsserver.Server{Handler: dnsserver.HandlerFunc(func(ctx context.Context, q *dnswire.Message) (*dnswire.Message, error) {
+		upstreamQueries.Add(1)
+		// Slow enough that two queries sent back to back share one flight.
+		return dnsserver.Delay(60*time.Millisecond, static).ServeDNS(ctx, q)
+	})}).Start(n, "recursive.upstream")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(run.Close)
+
+	p, transports := missBed(t, n, tcpUpstream(n, "proxy.dns", "recursive.upstream"), dnstransport.PoolConfig{ConnsPerUpstream: 1},
+		guard.Config{ClientQPS: 1e9, Burst: 1 << 30, MissRate: 1e9, MaxInflightMiss: 1 << 20})
+	// Dial the pool's one slot now, so no measured trace carries a dial span.
+	if _, err := p.Handler().ServeDNS(context.Background(), dnswire.NewQuery(1, "warm.example.", dnswire.TypeA)); err != nil {
+		t.Fatal(err)
+	}
 
 	// expect packs what the upstream answers q with — the proxy must hand
 	// back exactly these bytes.
@@ -306,15 +359,8 @@ func TestMissAcrossTransports(t *testing.T) {
 	}
 	phasesOf := func(qname string) (cache map[string][]string) {
 		cache = make(map[string][]string)
-		for _, v := range p.Tracer().Traces(qtrace.Filter{Limit: 1000}) {
-			if v.QName != qname {
-				continue
-			}
-			var phases []string
-			for _, sp := range v.Spans {
-				phases = append(phases, sp.Phase)
-			}
-			cache[v.Cache] = phases
+		for _, v := range tracesOf(p, qname) {
+			cache[v.Cache] = phasesIn(v)
 		}
 		return cache
 	}
@@ -377,6 +423,92 @@ func TestMissAcrossTransports(t *testing.T) {
 			}
 		})
 	}
+
+	// The rows no upstream answers: a miss whose every exchange fails is
+	// told SERVFAIL, one the breaker refuses REFUSED.
+	t.Run("dead-upstream", func(t *testing.T) {
+		testUnansweredMiss(t, guard.Config{ClientQPS: 1e9, Burst: 1 << 30, MissRate: 1e9, MaxInflightMiss: 1 << 20},
+			dnswire.RCodeServerFailure, "servfail", []string{"guard", "parse", "cache", "guard", "admit", "write"})
+	})
+	t.Run("breaker-refused", func(t *testing.T) {
+		testUnansweredMiss(t, guard.Config{ClientQPS: 1e9, Burst: 1 << 30, MissRate: 1e-9},
+			dnswire.RCodeRefused, "ok", []string{"guard", "parse", "cache", "guard", "admit", "write"})
+	})
+}
+
+// deadUpstream dials and then fails every exchange.
+type deadUpstream struct{}
+
+func (deadUpstream) ExchangeWire(context.Context, []byte) ([]byte, error) {
+	return nil, errors.New("upstream is dead")
+}
+func (d deadUpstream) Exchange(ctx context.Context, q *dnswire.Message) (*dnswire.Message, error) {
+	return dnstransport.ExchangeMessage(ctx, d, q)
+}
+func (deadUpstream) Close() error { return nil }
+
+// testUnansweredMiss is TestMissAcrossTransports for a miss the proxy must
+// answer itself, behind a dead upstream and guard g: over every transport
+// the reply is, byte for byte, the one the Message path builds — Unpack →
+// Reply → RCode → Pack, the oracle here and what every transport sent
+// before these replies were built on the wire — for a plain query and for
+// one with EDNS, DO and an option, and the trace carries the same verdict
+// and the same phases (DoH records no write span).
+func testUnansweredMiss(t *testing.T, g guard.Config, rcode dnswire.RCode, verdict string, phases []string) {
+	n := netsim.New(16)
+	up := dnstransport.PoolUpstream{Name: "dead", Dial: func(context.Context) (dnstransport.Resolver, error) { return deadUpstream{}, nil }}
+	p, transports := missBed(t, n, up, dnstransport.PoolConfig{ConnsPerUpstream: 1, BackoffBase: time.Hour, BackoffMax: time.Hour}, g)
+	// Dial the pool's one slot and fail on it now: its redial backoff
+	// outlasts the test, so no measured trace carries a dial span.
+	p.Handler().ServeDNS(context.Background(), dnswire.NewQuery(1, "warm.example.", dnswire.TypeA))
+	for _, tr := range transports {
+		for i, edns := range []*dnswire.EDNS{nil, {UDPSize: 1232, DO: true, Options: []dnswire.EDNS0Option{{Code: dnsserver.EDNS0PaddingCode, Data: make([]byte, 5)}}}} {
+			name := dnswire.Name(fmt.Sprintf("unanswered%d-%s.example.", i, tr.name))
+			q := dnswire.NewQuery(uint16(0x3000+i), name, dnswire.TypeA)
+			q.EDNS, q.CheckingDisabled = edns, true
+			wire, err := q.Pack()
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := q.Reply()
+			r.RCode = rcode
+			want, err := r.Pack()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := tr.send(t, wire); !bytes.Equal(got, want) {
+				t.Errorf("%s, query %d: reply differs from the Message-built %v:\n got  %x\n want %x", tr.name, i, rcode, got, want)
+			}
+			var kept []qtrace.View
+			deadline := time.Now().Add(2 * time.Second)
+			for kept = tracesOf(p, string(name)); len(kept) == 0 && time.Now().Before(deadline); kept = tracesOf(p, string(name)) {
+				time.Sleep(2 * time.Millisecond) // UDP finishes the transaction just after the reply leaves
+			}
+			if len(kept) != 1 {
+				t.Fatalf("%s, query %d: %d traces kept, want 1", tr.name, i, len(kept))
+			}
+			wantPhases := phases
+			if !tr.write {
+				wantPhases = phases[:len(phases)-1]
+			}
+			if got := phasesIn(kept[0]); kept[0].Verdict != verdict || !slices.Equal(got, wantPhases) {
+				t.Errorf("%s, query %d: verdict %q phases %v, want %q %v", tr.name, i, kept[0].Verdict, got, verdict, wantPhases)
+			}
+		}
+	}
+}
+
+// tracesOf returns the kept traces of the queries for qname.
+func tracesOf(p *Proxy, qname string) []qtrace.View {
+	return slices.DeleteFunc(p.Tracer().Traces(qtrace.Filter{Limit: 1000}), func(v qtrace.View) bool { return v.QName != qname })
+}
+
+// phasesIn lists a trace's phases in recording order.
+func phasesIn(v qtrace.View) (phases []string) {
+	for _, sp := range v.Spans {
+		phases = append(phases, sp.Phase)
+	}
+	return phases
 }
 
 // connectedPacketConn gives a simulated datagram socket the Read/Write
