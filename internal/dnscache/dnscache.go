@@ -50,7 +50,6 @@
 package dnscache
 
 import (
-	"container/list"
 	"context"
 	"fmt"
 	"hash/maphash"
@@ -110,15 +109,16 @@ type entry struct {
 	expires  time.Time
 	// ttl is the clamped lifetime the entry was inserted with; the
 	// prefetch gate compares it against the prefetch window.
-	ttl  time.Duration
-	elem *list.Element
+	ttl time.Duration
+	// prev and next link the shard's LRU ring (see shard.lru).
+	prev, next *entry
 	// hits counts fresh hits since insertion — the hotness signal the
 	// near-expiry prefetch gates on. Guarded by the shard lock.
 	hits int
 }
 
 // entryOverhead approximates one entry's index cost outside its arena
-// block — the entry struct, its list.Element, its share of the shard map's
+// block — the entry struct with its LRU links, its share of the shard map's
 // buckets and the key's string header — charged against the memory budget
 // so the budget tracks resident footprint, not just payload bytes.
 const entryOverhead = 192
@@ -169,25 +169,74 @@ func (s *Stats) add(o Stats) {
 	s.SketchResets += o.SketchResets
 }
 
-// flight is one in-progress upstream exchange shared by coalesced callers.
-// resp and err are written once, before done closes, and only read after:
-// every caller takes its own copy of resp and patches its own ID into that.
+// flight is one in-progress upstream exchange shared by coalesced callers,
+// and the context that exchange runs under (docs/CACHE.md). To followers it
+// is a result: done is made by the first of them, under the shard lock, and
+// closed by land once resp and err are written; each takes its own copy of
+// resp and patches its own ID in. To the upstream it is a context.Context
+// (see arm): bounded by the earlier of the exchange timeout and the
+// leader's deadline, carrying the leader's values, deaf to the leader's
+// cancellation — a flight must not die with one caller's client — its Done
+// closed by its own timer, only when the deadline really passes. One that
+// lands with no follower and its timer stopped in time nobody can still
+// hold (an upstream must not use ctx after ExchangeWire returns): it goes
+// back on its shard's free list, timer and channel too.
 type flight struct {
 	done chan struct{}
 	resp []byte
 	err  error
 	// waiters counts the coalesced callers that will copy resp, under the
 	// shard lock; with none, the leader keeps resp for itself.
-	waiters int
+	waiters  int
+	leader   context.Context // the leader's context: values only
+	deadline time.Time
+	expired  chan struct{} // Done: closed by timer at the deadline
+	timer    *time.Timer   // nil on a background refresh's flight, which is no context
 }
+
+// arm makes f the context of a foreground miss led by a caller under ctx.
+func (f *flight) arm(ctx context.Context, timeout time.Duration) {
+	f.leader = ctx
+	f.deadline = time.Now().Add(timeout)
+	if d, ok := ctx.Deadline(); ok && d.Before(f.deadline) {
+		f.deadline = d
+	}
+	switch d := time.Until(f.deadline); {
+	case d <= 0:
+		close(f.expired) // and never recycled: Stop reports no pending timer
+	case f.timer == nil:
+		f.timer = time.AfterFunc(d, func() { close(f.expired) })
+	default:
+		f.timer.Reset(d)
+	}
+}
+
+// Deadline, Done, Err and Value implement context.Context.
+func (f *flight) Deadline() (time.Time, bool) { return f.deadline, true }
+func (f *flight) Done() <-chan struct{}       { return f.expired }
+func (f *flight) Value(key any) any           { return f.leader.Value(key) }
+func (f *flight) Err() error {
+	select {
+	case <-f.expired:
+		return context.DeadlineExceeded
+	default:
+		return nil
+	}
+}
+
+// maxFreeFlights bounds a shard's free list: a burst of concurrent misses.
+const maxFreeFlights = 16
 
 // shard is one lock domain: a partition of the key space with its own LRU
 // and singleflight table.
 type shard struct {
-	mu         sync.Mutex
-	entries    map[string]*entry
-	lru        *list.List // front = most recent
-	flights    map[string]*flight
+	mu      sync.Mutex
+	entries map[string]*entry
+	// lru is the LRU ring's sentinel: next the most recent entry, prev the oldest.
+	lru     entry
+	flights map[string]*flight
+	// free holds landed flights ready for the next miss (see flight).
+	free       []*flight
 	stats      Stats
 	maxEntries int
 	// budget bounds the accounted bytes of live entries (0 = no byte
@@ -427,12 +476,12 @@ func New(upstream dnstransport.Resolver, opts ...Option) *Cache {
 		}
 		sh := &shard{
 			entries:    make(map[string]*entry),
-			lru:        list.New(),
 			flights:    make(map[string]*flight),
 			maxEntries: max,
 			budget:     budget,
 			arena:      newArena(slab),
 		}
+		sh.lru.prev, sh.lru.next = &sh.lru, &sh.lru
 		if c.admission {
 			sh.sk = newSketch(c.expectedPerShard(budget, max))
 		}
@@ -531,7 +580,7 @@ func (c *Cache) Flush() {
 	for _, sh := range c.shards {
 		sh.mu.Lock()
 		sh.entries = make(map[string]*entry)
-		sh.lru.Init()
+		sh.lru.prev, sh.lru.next = &sh.lru, &sh.lru
 		sh.bytes, sh.wireBytes = 0, 0
 		if sh.arena != nil {
 			sh.arena.recycle(sh.arena.beginEpoch())
@@ -608,7 +657,8 @@ func (c *Cache) serveLocked(sh *shard, e *entry, kb []byte, id uint16, dst []byt
 	if stale && (c.staleWindow <= 0 || !now.Before(e.expires.Add(c.staleWindow))) {
 		return h, false
 	}
-	sh.lru.MoveToFront(e.elem)
+	e.unlink()
+	sh.pushFront(e)
 	remaining := StaleTTL
 	if stale {
 		// RFC 8767 serve-stale: answer immediately from the expired entry
@@ -685,7 +735,7 @@ func (c *Cache) ExchangeWire(ctx context.Context, query []byte) ([]byte, error) 
 // like any other: nothing an upstream sends reaches a client unread.
 func (c *Cache) bypass(ctx context.Context, query []byte, q *dnswire.Query) ([]byte, error) {
 	telemetry.FromContext(ctx).SetCache(telemetry.CacheBypass)
-	ctx, cancel := c.exchangeContext(ctx, false)
+	ctx, cancel := context.WithTimeout(ctx, c.exchangeTimeout)
 	defer cancel()
 	resp, err := c.wire.ExchangeWire(ctx, query)
 	if err != nil {
@@ -720,20 +770,6 @@ func vet(resp []byte, q *dnswire.Query, toffs []byte) (_ []byte, scan dnswire.Re
 		scan, toffs, err = dnswire.ScanResponse(resp, q, toffs[:0])
 	}
 	return resp, scan, toffs, q != nil && err == nil, nil
-}
-
-// exchangeContext derives the context one upstream exchange runs under:
-// bounded by the earlier of ctx's own deadline and the exchange timeout,
-// and with detach, deaf to ctx's cancellation.
-func (c *Cache) exchangeContext(ctx context.Context, detach bool) (context.Context, context.CancelFunc) {
-	deadline := time.Now().Add(c.exchangeTimeout)
-	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
-		deadline = d
-	}
-	if detach {
-		ctx = context.WithoutCancel(ctx)
-	}
-	return context.WithDeadline(ctx, deadline)
 }
 
 // ExchangeQuery answers the query q views, in packed form end to end: a
@@ -778,14 +814,17 @@ func (c *Cache) ExchangeQuery(ctx context.Context, q *dnswire.Query) ([]byte, er
 	// Miss: join or start a flight.
 	if f, ok := sh.flights[string(kb)]; ok {
 		sh.stats.Coalesced++
-		f.waiters++
+		if f.waiters++; f.done == nil {
+			f.done = make(chan struct{}) // coalescing is rare: the first follower pays
+		}
+		done := f.done
 		sh.mu.Unlock()
 		tx.TraceSpan(qtrace.PhaseCache, tl)
 		tx.SetCache(telemetry.CacheCoalesced)
 		// The flight is bounded by its own deadline, so a follower needs
 		// no timer: it leaves when the flight lands or its client does.
 		select {
-		case <-f.done:
+		case <-done:
 			if f.err != nil {
 				return nil, f.err
 			}
@@ -797,21 +836,22 @@ func (c *Cache) ExchangeQuery(ctx context.Context, q *dnswire.Query) ([]byte, er
 		}
 	}
 	k := string(kb)
-	f := &flight{done: make(chan struct{})}
+	var f *flight
+	if n := len(sh.free); n > 0 {
+		f, sh.free = sh.free[n-1], sh.free[:n-1]
+	} else {
+		f = &flight{expired: make(chan struct{})}
+	}
 	sh.flights[k] = f
 	sh.stats.Misses++
 	sh.mu.Unlock()
 	tx.TraceSpan(qtrace.PhaseCache, tl)
 	tx.SetCache(telemetry.CacheMiss)
 
-	// The flight is shared by every coalesced caller, so it must not die
-	// with the leader's client: its one context is detached from the
-	// leader's cancellation and bounded by the exchange timeout, so a
-	// black-holing upstream still ends the flight while a mid-flight
-	// disconnect no longer poisons the other waiters with SERVFAIL.
-	fctx, cancel := c.exchangeContext(ctx, true)
-	resp, err := c.wire.ExchangeWire(fctx, q.Raw)
-	cancel()
+	// The flight is the exchange's context: a black-holing upstream still
+	// ends it, the leader's client disconnecting mid-flight does not.
+	f.arm(ctx, c.exchangeTimeout)
+	resp, err := c.wire.ExchangeWire(f, q.Raw)
 
 	// The admission span covers the scan, the admission filter and the
 	// insert (evictions included) — the post-upstream cost of a miss.
@@ -839,7 +879,7 @@ func (c *Cache) ExchangeQuery(ctx context.Context, q *dnswire.Query) ([]byte, er
 // cacheable goes into the arena — admission is decided before anything is
 // built, and admitted bytes are copied straight in. The returned reply is
 // the flight's: with shared set coalesced callers are reading it, and it
-// must not be written.
+// must not be written; without, f may already be another miss's.
 func (c *Cache) land(sh *shard, k string, h uint64, f *flight, q *dnswire.Query, resp []byte, err error) (_ []byte, shared bool, evicted int, rejected bool, _ error) {
 	var tbuf [64]byte // 32 records' TTL offsets before the scan allocates
 	toffs := tbuf[:0]
@@ -848,16 +888,37 @@ func (c *Cache) land(sh *shard, k string, h uint64, f *flight, q *dnswire.Query,
 	if err == nil {
 		resp, scan, toffs, storable, err = vet(resp, q, toffs)
 	}
+	// A timer stopped while still pending never closes expired: with no
+	// follower either, nobody else holds f any more.
+	idle := f.timer != nil && f.timer.Stop()
 	sh.mu.Lock()
 	delete(sh.flights, k)
 	shared = f.waiters > 0
 	if storable && cacheable(&scan) {
 		evicted, rejected = c.insertLocked(sh, k, h, resp, toffs, &scan)
 	}
+	if idle && !shared && len(sh.free) < maxFreeFlights {
+		f.leader = nil
+		sh.free = append(sh.free, f)
+	}
 	sh.mu.Unlock()
-	f.resp, f.err = resp, err
-	close(f.done)
+	if shared {
+		f.resp, f.err = resp, err
+		close(f.done)
+	}
 	return resp, shared, evicted, rejected, err
+}
+
+// pushFront links e into the LRU ring as the most recent entry.
+func (sh *shard) pushFront(e *entry) {
+	e.prev, e.next = &sh.lru, sh.lru.next
+	e.prev.next, e.next.prev = e, e
+}
+
+// unlink takes e out of its shard's LRU ring.
+func (e *entry) unlink() {
+	e.prev.next, e.next.prev = e.next, e.prev
+	e.prev, e.next = nil, nil
 }
 
 // removeLocked unlinks an entry and releases its byte accounting (its arena
@@ -865,7 +926,7 @@ func (c *Cache) land(sh *shard, k string, h uint64, f *flight, q *dnswire.Query,
 // holds sh.mu.
 func (sh *shard) removeLocked(e *entry) {
 	delete(sh.entries, e.key)
-	sh.lru.Remove(e.elem)
+	e.unlink()
 	sh.bytes -= int64(e.cost)
 	sh.wireBytes -= len(e.wire) + len(e.toffs)
 }
@@ -888,12 +949,11 @@ func (c *Cache) admitLocked(sh *shard, h uint64, cost int) bool {
 	cf := sh.sk.estimate(h)
 	now := c.now()
 	freedBytes, freed := int64(0), 0
-	for el := sh.lru.Back(); el != nil; el = el.Prev() {
+	for v := sh.lru.prev; v != &sh.lru; v = v.prev {
 		if len(sh.entries)-freed+1 <= sh.maxEntries &&
 			(sh.budget <= 0 || sh.bytes-freedBytes+int64(cost) <= sh.budget) {
 			break
 		}
-		v := el.Value.(*entry)
 		if now.Before(v.expires.Add(c.staleWindow)) && sh.sk.estimate(v.hash) >= cf {
 			return false
 		}
@@ -930,9 +990,8 @@ func (c *Cache) placeLocked(sh *shard, e *entry, wire, toffs []byte) {
 func (c *Cache) rotateLocked(sh *shard) {
 	retired := sh.arena.beginEpoch()
 	now := c.now()
-	for el := sh.lru.Front(); el != nil; {
-		next := el.Next()
-		e := el.Value.(*entry)
+	for e := sh.lru.next; e != &sh.lru; {
+		next := e.next
 		if !now.Before(e.expires.Add(c.staleWindow)) {
 			sh.removeLocked(e)
 			sh.stats.Evictions++
@@ -944,7 +1003,7 @@ func (c *Cache) rotateLocked(sh *shard) {
 			e.wire = block[:w:w]
 			e.toffs = block[w:]
 		}
-		el = next
+		e = next
 	}
 	sh.arena.recycle(retired)
 	sh.stats.ArenaEpochs++
@@ -973,16 +1032,15 @@ func (c *Cache) insertLocked(sh *shard, k string, h uint64, wire, toffs []byte, 
 	ttl := c.clampTTL(c.ttlOf(scan))
 	e := &entry{key: k, hash: h, cost: cost, negative: scan.Negative(), ttl: ttl, expires: c.now().Add(ttl)}
 	c.placeLocked(sh, e, wire, toffs)
-	e.elem = sh.lru.PushFront(e)
+	sh.pushFront(e)
 	sh.entries[k] = e
 	sh.bytes += int64(cost)
 	sh.wireBytes += block
 	for len(sh.entries) > sh.maxEntries || (sh.budget > 0 && sh.bytes > sh.budget) {
-		oldest := sh.lru.Back()
-		if oldest == nil {
+		if sh.lru.prev == &sh.lru {
 			break
 		}
-		sh.removeLocked(oldest.Value.(*entry))
+		sh.removeLocked(sh.lru.prev)
 		sh.stats.Evictions++
 		evicted++
 	}
@@ -999,7 +1057,7 @@ func (c *Cache) maybeRefresh(sh *shard, k string, prefetch bool) bool {
 		sh.mu.Unlock()
 		return false
 	}
-	f := &flight{done: make(chan struct{})}
+	f := &flight{}
 	sh.flights[k] = f
 	sh.stats.Refreshes++
 	if prefetch {
@@ -1019,7 +1077,7 @@ func (c *Cache) maybeRefresh(sh *shard, k string, prefetch bool) bool {
 func (c *Cache) refresh(sh *shard, k string, f *flight) {
 	tx := c.tel.BeginBackground()
 	defer tx.Finish()
-	ctx, cancel := c.exchangeContext(telemetry.NewContext(context.Background(), tx), false)
+	ctx, cancel := context.WithTimeout(telemetry.NewContext(context.Background(), tx), c.exchangeTimeout)
 	defer cancel()
 	q, err := refreshQuery(k)
 	var resp []byte

@@ -9,6 +9,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"net"
 	"net/netip"
 	"sync"
@@ -105,6 +106,110 @@ func TestFlightBoundedByExchangeTimeout(t *testing.T) {
 	}
 	if got := up.calls.Load(); got != 1 {
 		t.Errorf("upstream exchanges = %d, want 1", got)
+	}
+}
+
+// TestTimedOutFlightIsNotRecycled: a flight whose deadline passed has a
+// closed Done channel, and whoever it woke may still hold it: it is dropped,
+// not put back on the free list — the shard's next miss must not start life
+// expired — while one that landed in time is recycled.
+func TestTimedOutFlightIsNotRecycled(t *testing.T) {
+	up := &wireUpstream{reply: func(ctx context.Context, query []byte) ([]byte, error) {
+		if q, _ := dnswire.ParseQuery(query); bytes.HasPrefix(q.AppendCanonicalName(nil), []byte("hole")) {
+			<-ctx.Done()
+			return nil, ctx.Err()
+		}
+		return answerTo(t, query, nil), nil
+	}}
+	c := New(up, WithShards(1), WithExchangeTimeout(30*time.Millisecond))
+	defer c.Close()
+	sh := c.shards[0]
+	free := func() int { sh.mu.Lock(); defer sh.mu.Unlock(); return len(sh.free) }
+
+	if _, err := c.Exchange(context.Background(), dnswire.NewQuery(1, "hole.example.", dnswire.TypeA)); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("black-holed miss: err = %v, want the flight's deadline", err)
+	}
+	if n := free(); n != 0 {
+		t.Fatalf("%d flights on the free list after one timed out, want none", n)
+	}
+	for i, name := range []dnswire.Name{"first.example.", "second.example."} {
+		if _, err := c.Exchange(context.Background(), dnswire.NewQuery(2, name, dnswire.TypeA)); err != nil {
+			t.Fatalf("miss %d after a timed-out flight: %v", i, err)
+		}
+		if n := free(); n != 1 {
+			t.Fatalf("%d flights on the free list after %d landed in time one after the other, want the one, recycled", n, i+1)
+		}
+	}
+}
+
+// TestRecycledFlightsKeepToTheirKeys: flights are recycled the moment they
+// land, on one shard here so every miss takes a used one, and a recycled
+// flight must carry nothing over — no bytes, no error, no follower channel,
+// no waiter count. Rounds of 64 keys at once, half asked once (their
+// flights are recycled) and half by a leader and two followers under IDs of
+// their own (theirs are not), half of each failing upstream: every caller
+// gets the reply to its own question under its own ID, or its own key's
+// error.
+func TestRecycledFlightsKeepToTheirKeys(t *testing.T) {
+	errBad := errors.New("upstream refuses this name")
+	up := &wireUpstream{reply: func(_ context.Context, query []byte) ([]byte, error) {
+		time.Sleep(time.Duration(query[1]%4) * time.Millisecond) // followers get their chance to join
+		if q, _ := dnswire.ParseQuery(query); bytes.HasPrefix(q.AppendCanonicalName(nil), []byte("bad")) {
+			return nil, errBad
+		}
+		return answerTo(t, query, nil), nil
+	}}
+	now := time.Now()
+	c := New(up, WithShards(1), withClock(func() time.Time { return now })) // a straggler's hit decays nothing
+	defer c.Close()
+
+	const rounds, keys = 6, 64
+	lookups := 0
+	for r := 0; r < rounds; r++ {
+		var wg sync.WaitGroup
+		for k := 0; k < keys; k++ {
+			label, callers := "good", 1+2*(k%2)
+			if k%4 < 2 {
+				label = "bad"
+			}
+			lookups += callers
+			name := dnswire.Name(fmt.Sprintf("%s-k%d-r%d.example.", label, k, r))
+			for i := 0; i < callers; i++ {
+				wg.Add(1)
+				go func(id uint16) {
+					defer wg.Done()
+					fq, wire := fastParse(t, dnswire.NewQuery(id, name, dnswire.TypeA))
+					resp, err := c.ExchangeQuery(context.Background(), &fq)
+					if label == "bad" {
+						if !errors.Is(err, errBad) {
+							t.Errorf("%s: err = %v (%d reply bytes), want its own key's failure", name, err, len(resp))
+						}
+					} else if want := answerTo(t, wire, nil); err != nil || !bytes.Equal(resp, want) {
+						t.Errorf("%s id %#x: err %v, reply\n %x\nwant\n %x", name, id, err, resp, want)
+					}
+				}(uint16(r<<12 | k<<2 | i))
+			}
+		}
+		wg.Wait()
+	}
+	s := c.Stats()
+	if int(s.Hits+s.Misses+s.Coalesced) != lookups || s.Misses < rounds*keys || s.Coalesced == 0 {
+		t.Errorf("stats %+v: want %d lookups, a miss per key at least, some coalesced", s, lookups)
+	}
+	// One more miss alone: whatever the rounds left on the free list, its
+	// flight is there now.
+	fq, _ := fastParse(t, dnswire.NewQuery(1, "good-last.example.", dnswire.TypeA))
+	if _, err := c.ExchangeQuery(context.Background(), &fq); err != nil {
+		t.Fatal(err)
+	}
+	sh := c.shards[0]
+	if len(sh.free) == 0 || len(sh.flights) != 0 {
+		t.Errorf("%d flights free, %d still registered: want some recycled, none left", len(sh.free), len(sh.flights))
+	}
+	for _, f := range sh.free {
+		if f.waiters != 0 || f.done != nil || f.resp != nil || f.err != nil || f.leader != nil || f.Err() != nil {
+			t.Errorf("a flight on the free list still carries its last miss: %+v", f)
+		}
 	}
 }
 

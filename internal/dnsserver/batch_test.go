@@ -156,12 +156,14 @@ func TestBatchShardedHotName(t *testing.T) {
 	}
 }
 
-// TestSpillBounded pins the satellite contract on the shared worker
-// pool: when every worker and the queue are saturated, overflow goes to
-// at most MaxSpill transient goroutines (counted in telemetry) and the
-// reader then blocks — concurrency never exceeds Workers+MaxSpill.
+// TestSpillBounded pins the bound on UDP's slow steps: with maxSlowSteps of
+// them blocked in the handler the reader blocks too — concurrency never
+// exceeds the bound, every goroutine started is counted as a spill, none
+// beyond the bound ever starts — and nothing read or left in the socket is
+// lost: every datagram is answered once the handlers unblock, by the slots
+// the first ones made.
 func TestSpillBounded(t *testing.T) {
-	const workers, maxSpill = 2, 2
+	const bound = 4
 	var inflight, peak atomic.Int64
 	release := make(chan struct{})
 	handler := HandlerFunc(func(ctx context.Context, q *dnswire.Message) (*dnswire.Message, error) {
@@ -186,7 +188,7 @@ func TestSpillBounded(t *testing.T) {
 	})
 	tel := telemetry.New()
 	pc := listenLoopback(t)
-	srv := &UDPServer{Handler: handler, workers: workers, maxSpill: maxSpill, Telemetry: tel}
+	srv := &UDPServer{Handler: handler, maxSlowSteps: bound, Telemetry: tel}
 	go srv.Serve(pc)
 
 	c, err := net.Dial("udp", pc.LocalAddr().String())
@@ -205,18 +207,31 @@ func TestSpillBounded(t *testing.T) {
 		}
 	}
 
-	// With 1 reader, 2 workers, queue cap 2 and spill budget 2, the pool
-	// must reach exactly maxSpill spills while saturated and then hold
-	// the reader (more spills may follow once handlers unblock and slots
-	// recycle — the budget bounds concurrency, not the lifetime count).
-	waitFor(t, func() bool { return tel.Snapshot().UDPSpills >= maxSpill })
-	if got := tel.Snapshot().UDPSpills; got != maxSpill {
-		t.Errorf("spills while saturated = %d, want exactly %d (budget exhausted, then backpressure)", got, maxSpill)
+	// The reader hands off until the bound is in flight, then blocks on the
+	// next datagram: the rest wait in the socket.
+	waitFor(t, func() bool { return inflight.Load() == bound })
+	time.Sleep(20 * time.Millisecond) // a slot over the bound would show up now
+	if got := inflight.Load(); got != bound {
+		t.Errorf("%d handlers in flight while saturated, want exactly %d (then backpressure)", got, bound)
+	}
+	if got := srv.ShardStats()[0].SlowPath; got != bound+1 {
+		t.Errorf("reader handed off %d datagrams while saturated, want %d in flight and one waiting for a slot", got, bound)
 	}
 	close(release)
 	waitFor(t, func() bool { return tel.Snapshot().Queries["udp"] == total })
 
-	if p := peak.Load(); p > workers+maxSpill {
-		t.Errorf("peak handler concurrency %d exceeds workers+maxSpill = %d", p, workers+maxSpill)
+	if p := peak.Load(); p > bound {
+		t.Errorf("peak handler concurrency %d exceeds the bound %d", p, bound)
+	}
+	if snap := tel.Snapshot(); snap.UDPSpills != bound || srv.ShardStats()[0].Spills != bound {
+		t.Errorf("%d goroutines started (shard counter %d) for %d datagrams, want %d: the slots the first burst made serve the rest",
+			snap.UDPSpills, srv.ShardStats()[0].Spills, total, bound)
+	}
+	replies := 0
+	c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	for buf := make([]byte, 512); replies < total; replies++ {
+		if _, err := c.Read(buf); err != nil {
+			t.Fatalf("%d of %d datagrams answered: %v", replies, total, err)
+		}
 	}
 }

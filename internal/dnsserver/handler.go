@@ -82,8 +82,15 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	if d <= 0 {
 		return ctx.Err()
 	}
-	t := time.NewTimer(d)
-	defer t.Stop()
+	t, _ := sleepTimers.Get().(*time.Timer)
+	if t == nil {
+		t = time.NewTimer(d)
+	} else {
+		t.Reset(d)
+	}
+	// Since go 1.23 a stopped or reset timer's channel holds no stale
+	// value, so a timer goes back to the pool without draining.
+	defer func() { t.Stop(); sleepTimers.Put(t) }()
 	select {
 	case <-t.C:
 		return nil
@@ -91,6 +98,9 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 		return ctx.Err()
 	}
 }
+
+// sleepTimers recycles sleepCtx's timers: three objects a wait otherwise.
+var sleepTimers sync.Pool // of *time.Timer
 
 // Static answers every A/AAAA query with the same address and TTL,
 // independent of the queried name — the paper's trick for isolating

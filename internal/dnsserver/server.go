@@ -1,6 +1,7 @@
 package dnsserver
 
 import (
+	"bufio"
 	"context"
 	"crypto/tls"
 	"encoding/binary"
@@ -8,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -53,7 +53,7 @@ type WireResponder interface {
 // as packed bytes in a slice the caller owns, its transaction ID already
 // q's. Unlike ServeDNSWire it may block on upstream work. An error is the
 // server's to fold into SERVFAIL, as with ServeDNS. Implementations must
-// not retain q past the call: serve loops recycle the packet it borrows.
+// not retain q past the call: serve loops recycle the slot it lives in.
 type WireMissResponder interface {
 	ServeDNSWireMiss(ctx context.Context, q *dnswire.Query) ([]byte, error)
 }
@@ -77,9 +77,9 @@ func putBuf(b *[]byte) { bufPool.Put(b) }
 // One loop serves every socket (ServeBatch; Serve is the same loop over a
 // single net.PacketConn): a reader per socket pulls a vector of datagrams,
 // answers every wire fast-path hit (WireResponder) inline into a write
-// vector flushed once per batch, and hands everything else to a bounded
-// pool of worker goroutines running the slow step. The cache-hit fast path
-// allocates nothing per query.
+// vector flushed once per batch, and hands everything else to a bounded set
+// of recycled slow steps (slowSteps). Neither the cache-hit fast path nor
+// the hand-off allocates per query.
 type UDPServer struct {
 	Handler Handler
 	// Guard, when non-nil, is consulted per datagram before any parse or
@@ -99,106 +99,14 @@ type UDPServer struct {
 	// Telemetry, when non-nil, receives one Transaction per parsed query.
 	Telemetry *telemetry.Metrics
 
-	// workers and maxSpill size the slow step's worker pool (see workPool
-	// and dispatch): the resident workers, 0 meaning 4×GOMAXPROCS, and the
-	// transient spill goroutines alive at once, 0 meaning 8×workers. Only
-	// tests set them.
-	workers, maxSpill int
+	// maxSlowSteps bounds the slow steps in flight (see slowSteps); 0 means
+	// 36×GOMAXPROCS, what the worker pool and its spill budget before it let
+	// run at once. Only tests set it.
+	maxSlowSteps int
 
 	// shardStats is installed by ServeBatch: one counter block per shard
 	// socket, read by ShardStats while serving runs.
 	shardStats atomic.Pointer[[]shardCounters]
-}
-
-// packet is one received datagram the batch reader could not answer
-// inline, travelling to a worker with its pooled buffer and the conn to
-// answer on. tx, when non-nil, is the transaction the declined hit step
-// already began, and q the view it parsed (borrowing buf).
-type packet struct {
-	buf  *[]byte
-	n    int
-	from net.Addr
-	w    udpio.BatchConn
-	tx   *telemetry.Transaction
-	q    dnswire.Query
-}
-
-// workPool is the bounded worker pool the shard readers dispatch into:
-// resident workers for the steady state, a spill budget of transient
-// goroutines for slow-query bursts, blocking backpressure beyond that.
-type workPool struct {
-	s        *UDPServer
-	c        *core
-	ctx      context.Context
-	work     chan packet
-	spillSem chan struct{}
-	wg       sync.WaitGroup
-}
-
-// startWorkers spins up the resident workers and sizes the spill budget.
-func (s *UDPServer) startWorkers(ctx context.Context, c *core) *workPool {
-	workers := s.workers
-	if workers <= 0 {
-		workers = 4 * runtime.GOMAXPROCS(0)
-	}
-	maxSpill := s.maxSpill
-	if maxSpill <= 0 {
-		maxSpill = 8 * workers
-	}
-	p := &workPool{
-		s:        s,
-		c:        c,
-		ctx:      ctx,
-		work:     make(chan packet, workers),
-		spillSem: make(chan struct{}, maxSpill),
-	}
-	for i := 0; i < workers; i++ {
-		p.wg.Add(1)
-		go func() {
-			defer p.wg.Done()
-			// One packet per worker, not per query: the slow step takes
-			// the address of its view.
-			var pkt packet
-			for pkt = range p.work {
-				p.s.serveSlow(p.ctx, p.c, &pkt)
-			}
-		}()
-	}
-	return p
-}
-
-// dispatch hands pkt to a resident worker; when the pool and queue are
-// saturated (a burst of slow queries blocking on upstream or emulated
-// delays) it spills to a transient goroutine within the spill budget, so
-// the socket never head-of-line blocks (UDP's Figure 2 immunity depends
-// on it) while goroutine growth stays bounded. Returns whether it
-// spilled.
-func (p *workPool) dispatch(pkt packet) bool {
-	select {
-	case p.work <- pkt:
-		return false
-	default:
-	}
-	select {
-	case p.work <- pkt:
-		return false
-	case p.spillSem <- struct{}{}:
-		p.s.Telemetry.UDPSpill()
-		p.wg.Add(1)
-		spilled := pkt // only a spill pays for a packet on the heap
-		go func() {
-			defer p.wg.Done()
-			defer func() { <-p.spillSem }()
-			p.s.serveSlow(p.ctx, p.c, &spilled)
-		}()
-		return true
-	}
-}
-
-// stop drains the queue and waits for every worker and spill goroutine.
-func (p *workPool) stop() {
-	close(p.work)
-	p.wg.Wait()
 }
 
 // Serve reads queries from pc until it closes: ServeBatch over the one
@@ -231,30 +139,30 @@ func (s *UDPServer) udpLimit(hasEDNS bool, udpSize uint16) int {
 }
 
 // serveSlow answers one datagram the batch reader handed off: the slow
-// step, UDP's fit, the write. It finishes the transaction and reclaims the
-// packet's buffer.
-func (s *UDPServer) serveSlow(ctx context.Context, c *core, pkt *packet) {
-	defer putBuf(pkt.buf)
-	wire := (*pkt.buf)[:pkt.n]
-	var gkey uint64
+// step, UDP's fit, the write. It finishes the transaction.
+func (s *UDPServer) serveSlow(ctx context.Context, c *core, st *slowStep) {
 	if s.Guard != nil {
-		// Attribute downstream work (the cache-miss breaker) to the client.
-		gkey = guard.ClientKey(pkt.from)
-		ctx = guard.NewContext(ctx, gkey)
+		// Attribute downstream work (the cache-miss breaker) to the client:
+		// on the transaction the query already carries, when it has one.
+		if st.tx != nil {
+			st.tx.SetClient(st.gkey)
+		} else {
+			ctx = guard.NewContext(ctx, st.gkey)
+		}
 	}
-	reply, tx, err := c.answer(ctx, pkt.tx, &pkt.q, wire)
+	reply, tx, err := c.answer(ctx, st.tx, &st.q, st.wire)
 	if err != nil {
 		return // drop unparseable datagrams, like real servers
 	}
 	defer tx.Finish()
-	if reply, err = s.fit(reply, wire, s.udpLimit(pkt.q.HasEDNS, pkt.q.UDPSize), gkey); err != nil {
+	if reply, err = s.fit(reply, st.wire, s.udpLimit(st.q.HasEDNS, st.q.UDPSize), st.gkey); err != nil {
 		// The client receives nothing; don't let the slow step's ok verdict
 		// stand for a reply that never left.
 		tx.SetVerdict(telemetry.VerdictServFail)
 		return
 	}
 	tw := tx.TraceStart()
-	pkt.w.WriteTo(reply, pkt.from)
+	st.w.WriteTo(reply, st.from)
 	tx.TraceSpan(qtrace.PhaseWrite, tw)
 }
 
@@ -306,7 +214,8 @@ func (s *UDPServer) fit(reply, query []byte, limit int, gkey uint64) ([]byte, er
 // Like the UDP server, a Handler that implements WireResponder gets the
 // wire fast path: cache hits are answered inline from the read loop —
 // packed bytes behind a length prefix in one pooled write — before slower
-// queries are (with OutOfOrder) dispatched to their own goroutines.
+// queries are (with OutOfOrder) dispatched aside, at most
+// maxStreamSlowSteps of one connection's at a time.
 type StreamServer struct {
 	Handler    Handler
 	OutOfOrder bool
@@ -349,13 +258,19 @@ func (s *StreamServer) ServeConn(conn net.Conn) error {
 		ctx = guard.NewContext(ctx, gkey)
 	}
 	sc := streamConn{Conn: conn, ctx: ctx, c: newCore(s.Handler, s.Telemetry, s.Proto)}
-	defer sc.wg.Wait()
+	var aside *slowSteps
+	if s.OutOfOrder {
+		aside = newSlowSteps(maxStreamSlowSteps, sc.answerAside)
+		// Leaving: cancel the slow steps, fail their writes, wait for them.
+		defer func() { cancel(); conn.Close(); aside.stop() }()
+	}
+	r := StreamReader(conn)
 	rbuf := getBuf()
 	defer putBuf(rbuf)
 	c := &sc.c
 	var q dnswire.Query // per connection: &q escapes into the WireResponder call
 	for {
-		wire, err := readStreamMessageInto(conn, (*rbuf)[:dnswire.MaxMessageLen])
+		wire, err := readStreamMessageInto(r, (*rbuf)[:dnswire.MaxMessageLen])
 		if err != nil {
 			if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) || errors.Is(err, io.ErrUnexpectedEOF) {
 				return nil
@@ -389,15 +304,19 @@ func (s *StreamServer) ServeConn(conn net.Conn) error {
 			}
 			putBuf(out)
 		}
-		// Slow step: inline, or on a goroutine of its own when replies may
-		// leave out of order.
-		if s.OutOfOrder {
-			sc.answerAside(tx, &q, wire)
+		// Slow step: inline, or aside when replies may leave out of order;
+		// the read loop waits here while its bound's worth are in flight.
+		if aside != nil {
+			aside.dispatch(tx, &q, wire, nil, nil, 0)
 		} else if err := sc.answer(tx, &q, wire); err != nil {
 			return err
 		}
 	}
 }
+
+// maxStreamSlowSteps bounds one out-of-order connection's slow steps in
+// flight: beyond it the connection's read loop waits (see slowSteps).
+const maxStreamSlowSteps = 128
 
 // streamConn is one served connection: what its read loop, running the hit
 // step inline, shares with the goroutines out-of-order slow steps run on —
@@ -408,7 +327,6 @@ type streamConn struct {
 	writeMu sync.Mutex
 	ctx     context.Context
 	c       core
-	wg      sync.WaitGroup // out-of-order slow steps in flight
 }
 
 // writeFrame sends the n-octet message packed at out[2:] behind its
@@ -452,48 +370,25 @@ func (sc *streamConn) answer(tx *telemetry.Transaction, q *dnswire.Query, wire [
 	return sc.writeFrame(tx, *out, copy((*out)[2:], reply))
 }
 
-// asideQuery is one query answered aside of its connection's read loop,
-// which reuses the buffer the query was read into and the view parsed from
-// it: it carries its own copy of both. Recycled — with the copy's storage
-// and the func value its goroutine starts on — so that leaving the read
-// loop allocates nothing.
-type asideQuery struct {
-	sc   *streamConn
-	tx   *telemetry.Transaction
-	q    dnswire.Query
-	wire []byte
-	run  func() // the method value, made once
-}
-
-var asidePool sync.Pool // of *asideQuery
-
-// answerAside runs answer for one query on a goroutine of its own. An
-// error ends the connection the way it ends the read loop in order: closed.
-func (sc *streamConn) answerAside(tx *telemetry.Transaction, q *dnswire.Query, wire []byte) {
-	a, _ := asidePool.Get().(*asideQuery)
-	if a == nil {
-		a = new(asideQuery)
-		a.run = a.answer
-	}
-	a.sc, a.tx, a.q, a.wire = sc, tx, *q, append(a.wire[:0], wire...)
-	if a.q.Raw != nil {
-		a.q.Raw = a.wire
-	}
-	sc.wg.Add(1)
-	go a.run()
-}
-
-func (a *asideQuery) answer() {
-	sc := a.sc
-	defer sc.wg.Done()
-	if sc.answer(a.tx, &a.q, a.wire) != nil {
+// answerAside is answer as an out-of-order slow step. An error ends the
+// connection the way it ends the read loop in order: closed.
+func (sc *streamConn) answerAside(st *slowStep) {
+	if sc.answer(st.tx, &st.q, st.wire) != nil {
 		sc.Close()
 	}
-	if cap(a.wire) > 1024 {
-		a.wire = nil // an unusually long query does not stay resident
+}
+
+// streamReadBuf holds a burst of pipelined queries, or upstream replies.
+const streamReadBuf = 4096
+
+// StreamReader returns what to read conn's length-prefixed messages from: a
+// buffered reader, so a message — or a pipelined burst — costs one read, not
+// a prefix's and a body's; conn itself when it is a *tls.Conn, which buffers.
+func StreamReader(conn net.Conn) io.Reader {
+	if _, ok := conn.(*tls.Conn); ok {
+		return conn
 	}
-	a.sc, a.tx, a.q = nil, nil, dnswire.Query{}
-	asidePool.Put(a)
+	return bufio.NewReaderSize(conn, streamReadBuf)
 }
 
 // ReadStreamMessage reads one length-prefixed DNS message into a slice of

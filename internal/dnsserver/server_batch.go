@@ -6,12 +6,13 @@ package dnsserver
 // fallback), answers every cache hit into a per-shard response vector, and
 // flushes the vector in a single write — so under load the syscall cost of
 // the fast path is amortized over tens of datagrams. Misses and
-// unparseable packets peel off to a bounded worker pool.
+// unparseable packets peel off to the server's bounded slow steps.
 
 import (
 	"context"
 	"errors"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -51,7 +52,7 @@ type UDPShardStats struct {
 	Reads     uint64 `json:"reads"`
 	Datagrams uint64 `json:"datagrams"`
 	// FastHits were answered inline from the batch loop; SlowPath were
-	// handed to the worker pool (cache miss, unparseable, a shape the wire
+	// handed to a slow step (cache miss, unparseable, a shape the wire
 	// path declines, or a reply owing its client a server cookie);
 	// GuardDropped were consumed by the abuse guard before reaching either
 	// (silently dropped or answered with a minimal TC=1 slip). Every read
@@ -61,8 +62,8 @@ type UDPShardStats struct {
 	FastHits     uint64 `json:"fast_hits"`
 	SlowPath     uint64 `json:"slow_path"`
 	GuardDropped uint64 `json:"guard_dropped"`
-	// Spills counts slow-path packets that overflowed the worker queue
-	// into bounded transient goroutines.
+	// Spills counts slow-path hand-offs that had to start a goroutine: each
+	// a new high-water mark of slow steps in flight, at most their bound.
 	Spills uint64 `json:"spills"`
 	// Flushes counts batched write syscalls; FlushedDatagrams the
 	// responses they carried.
@@ -96,7 +97,7 @@ func (s *UDPServer) ShardStats() []UDPShardStats {
 }
 
 // ServeBatch serves conns until they close, one batch loop per shard
-// socket, sharing a single worker pool for the slow path. batch<=0 means
+// socket, sharing one bounded set of slow steps. batch<=0 means
 // DefaultBatch; values above udpio.MaxBatch are clamped. Every in-flight
 // handler's context is cancelled when the loop exits. The first persistent
 // socket error shuts every shard down and is returned.
@@ -114,7 +115,11 @@ func (s *UDPServer) ServeBatch(conns []udpio.BatchConn, batch int) error {
 	defer cancel()
 
 	c := newCore(s.Handler, s.Telemetry, telemetry.ProtoUDP)
-	pool := s.startWorkers(ctx, &c)
+	limit := s.maxSlowSteps
+	if limit <= 0 {
+		limit = 36 * runtime.GOMAXPROCS(0)
+	}
+	steps := newSlowSteps(limit, func(st *slowStep) { s.serveSlow(ctx, &c, st) })
 
 	scs := make([]shardCounters, len(conns))
 	s.shardStats.Store(&scs)
@@ -128,7 +133,7 @@ func (s *UDPServer) ServeBatch(conns []udpio.BatchConn, batch int) error {
 		wg.Add(1)
 		go func(conn udpio.BatchConn, sc *shardCounters) {
 			defer wg.Done()
-			if err := s.serveShard(conn, batch, pool, sc); err != nil {
+			if err := s.serveShard(conn, batch, &c, steps, sc); err != nil {
 				// The socket is persistently broken: closing every shard
 				// unblocks its peers, so the loop fails fast with the first
 				// error instead of limping at reduced capacity.
@@ -142,17 +147,17 @@ func (s *UDPServer) ServeBatch(conns []udpio.BatchConn, batch int) error {
 		}(conn, &scs[i])
 	}
 	wg.Wait()
-	// Shards are done: cancel in-flight handler contexts before draining
-	// the workers so shutdown is never held hostage by a slow upstream.
+	// Shards are done: cancel in-flight handler contexts before waiting for
+	// the slow steps so shutdown is never held hostage by a slow upstream.
 	cancel()
-	pool.stop()
+	steps.stop()
 	return firstErr
 }
 
 // batchVec is one shard's reusable read and write state: every slot of
-// the read vector owns a pooled buffer (swapped out, never copied, when a
-// packet is handed to the worker pool), and every slot of the write
-// vector owns a pooled buffer responses are packed into.
+// the read vector owns a pooled buffer datagrams are read into (a slow step
+// takes its own copy of the query), and every slot of the write vector owns
+// a pooled buffer responses are packed into.
 type batchVec struct {
 	ms    []udpio.Message
 	bufs  []*[]byte
@@ -187,13 +192,12 @@ func (v *batchVec) release() {
 
 // serveShard runs one socket's read→answer→flush loop until the conn
 // closes or persistently errors.
-func (s *UDPServer) serveShard(conn udpio.BatchConn, batch int, pool *workPool, sc *shardCounters) error {
+func (s *UDPServer) serveShard(conn udpio.BatchConn, batch int, c *core, steps *slowSteps, sc *shardCounters) error {
 	if !conn.Batched() {
 		// The portable fallback returns one datagram per read; a longer
 		// vector would only pin pooled buffers it can never fill.
 		batch = 1
 	}
-	c := pool.c
 	v := newBatchVec(batch)
 	defer v.release()
 	var q dnswire.Query // per shard: &q escapes into the WireResponder call
@@ -221,18 +225,19 @@ func (s *UDPServer) serveShard(conn udpio.BatchConn, batch int, pool *workPool, 
 		tracing := s.Telemetry.Tracing()
 
 		// Answer the batch: fast-path hits pack into the write vector,
-		// everything else peels off to the worker pool.
+		// everything else peels off to a slow step.
 		v.txs = v.txs[:0]
 		for i := 0; i < n; i++ {
 			pkt := v.ms[i].Buf[:v.ms[i].N]
 			dst := (*v.obufs[len(v.txs)])[:0] // the write vector's next free slot
 			var tGuard time.Time
 			var cookieOwed bool
+			var gkey uint64
 			if s.Guard != nil {
 				if tracing {
 					tGuard = time.Now()
 				}
-				gkey := guard.ClientKey(v.ms[i].Addr)
+				gkey = guard.ClientKey(v.ms[i].Addr)
 				var a guard.Action
 				a, cookieOwed = s.Guard.CheckUDP(gkey, pkt)
 				switch a {
@@ -260,7 +265,7 @@ func (s *UDPServer) serveShard(conn udpio.BatchConn, batch int, pool *workPool, 
 					continue
 				}
 			}
-			s.batchHandoff(conn, v, i, tx, q, pool, sc)
+			s.batchHandoff(conn, &v.ms[i], tx, &q, gkey, steps, sc)
 		}
 
 		// One sendmmsg for the whole batch of hits. A write error is not
@@ -299,17 +304,14 @@ func (v *batchVec) queue(n int, addr net.Addr, tx *telemetry.Transaction) {
 	v.txs = append(v.txs, tx)
 }
 
-// batchHandoff hands read-vector slot i to the worker pool: the slot's
-// pooled buffer travels with the packet and a fresh one takes its place,
-// and the source address is cloned out of the reusable vector. tx is the
-// transaction a declined hit step already began, or nil, and q the view it
-// parsed — it borrows the buffer that travels — or the zero Query.
-func (s *UDPServer) batchHandoff(conn udpio.BatchConn, v *batchVec, i int, tx *telemetry.Transaction, q dnswire.Query, pool *workPool, sc *shardCounters) {
+// batchHandoff hands one datagram of the read vector to a slow step, which
+// copies the query's bytes and the source address out of the vector. tx is
+// the transaction a declined hit step already began, or nil, q the view it
+// parsed, or the zero Query, and gkey the client's guard key, if guarded.
+func (s *UDPServer) batchHandoff(conn udpio.BatchConn, m *udpio.Message, tx *telemetry.Transaction, q *dnswire.Query, gkey uint64, steps *slowSteps, sc *shardCounters) {
 	sc.slowPath.Add(1)
-	pkt := packet{buf: v.bufs[i], n: v.ms[i].N, from: udpio.CloneAddr(v.ms[i].Addr), w: conn, tx: tx, q: q}
-	v.bufs[i] = getBuf()
-	v.ms[i].Buf = *v.bufs[i]
-	if pool.dispatch(pkt) {
+	if steps.dispatch(tx, q, m.Buf[:m.N], conn, m.Addr, gkey) {
+		s.Telemetry.UDPSpill()
 		sc.spills.Add(1)
 	}
 }

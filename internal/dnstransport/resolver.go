@@ -49,6 +49,9 @@ type WireResolver interface {
 	// query's own ID. A transport client vouches for the ID echo, the QR
 	// bit and the echoed question (dnswire.ValidateResponseWire); anything
 	// past the question is as the upstream sent it, hostile until scanned.
+	// Like query, ctx is the caller's to recycle once the call returns (the
+	// cache's is a pooled flight): work that outlives the call — a hedged
+	// exchange's losing leg — must run under a context of its own.
 	ExchangeWire(ctx context.Context, query []byte) ([]byte, error)
 }
 

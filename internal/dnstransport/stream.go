@@ -143,14 +143,15 @@ func unwrapRaw(conn net.Conn) net.Conn {
 // vouches for nothing but the framing: the waiter validates what it is
 // handed.
 func (c *StreamClient) readLoop(conn net.Conn) {
+	r := dnsserver.StreamReader(conn)
 	var prefix [2]byte // one per connection: it escapes through the Reader
 	for {
-		if _, err := io.ReadFull(conn, prefix[:]); err != nil {
+		if _, err := io.ReadFull(r, prefix[:]); err != nil {
 			c.dropConn(conn)
 			return
 		}
 		wire := make([]byte, binary.BigEndian.Uint16(prefix[:]))
-		if _, err := io.ReadFull(conn, wire); err != nil {
+		if _, err := io.ReadFull(r, wire); err != nil {
 			c.dropConn(conn)
 			return
 		}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"strings"
+	"sync"
 )
 
 // Question is one entry of a message's question section.
@@ -153,9 +154,35 @@ func (m *Message) setFlags(f uint16) {
 	m.RCode = RCode(f & 0xF)
 }
 
-// Pack serializes the message with name compression.
+// packScratch is what packing a message needs and no caller keeps: the
+// compression map, and for Pack the buffer the message is assembled in.
+type packScratch struct {
+	buf     []byte
+	offsets map[string]int
+}
+
+var packScratches = sync.Pool{New: func() any {
+	return &packScratch{buf: make([]byte, 0, 512), offsets: make(map[string]int, 8)}
+}}
+
+// release empties the map — its keys are substrings of the message's names —
+// and returns p to the pool, without a buffer one large message grew.
+func (p *packScratch) release() {
+	clear(p.offsets)
+	if cap(p.buf) > 4096 {
+		p.buf = make([]byte, 0, 512)
+	}
+	packScratches.Put(p)
+}
+
+// Pack serializes the message with name compression, into a slice of
+// exactly its size: the one allocation of a warm Pack.
 func (m *Message) Pack() ([]byte, error) {
-	return m.AppendPack(make([]byte, 0, 512))
+	p := packScratches.Get().(*packScratch)
+	defer p.release()
+	buf, err := m.appendPack(p.buf[:0], p.offsets)
+	p.buf = buf[:0]
+	return append(make([]byte, 0, len(buf)), buf...), err
 }
 
 // AppendPack serializes the message onto buf and returns the extended
@@ -164,6 +191,12 @@ func (m *Message) Pack() ([]byte, error) {
 // bytes — the stream servers pack directly behind their two-octet length
 // prefix — and the serving hot path packs into pooled buffers.
 func (m *Message) AppendPack(buf []byte) ([]byte, error) {
+	p := packScratches.Get().(*packScratch)
+	defer p.release()
+	return m.appendPack(buf, p.offsets)
+}
+
+func (m *Message) appendPack(buf []byte, offsets map[string]int) ([]byte, error) {
 	base := len(buf)
 	additionals := len(m.Additionals)
 	if m.EDNS != nil {
@@ -181,7 +214,7 @@ func (m *Message) AppendPack(buf []byte) ([]byte, error) {
 	buf = binary.BigEndian.AppendUint16(buf, uint16(len(m.Authorities)))
 	buf = binary.BigEndian.AppendUint16(buf, uint16(additionals))
 
-	cmap := compressionMap{offsets: make(map[string]int, 8), base: base}
+	cmap := compressionMap{offsets: offsets, base: base}
 	var err error
 	for _, q := range m.Questions {
 		if buf, err = appendName(buf, q.Name, cmap); err != nil {

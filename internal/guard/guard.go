@@ -425,19 +425,25 @@ func (g *Guard) ServerCookie(dst []byte, queryWire []byte, key uint64) ([]byte, 
 	return g.appendServerCookie(dst, cc, key, g.cfg.Now()), true
 }
 
-// ctxKey carries the client key through the Message serving path to the
-// miss breaker.
+// ctxKey carries the client key through the serving path to the miss
+// breaker.
 type ctxKey struct{}
 
-// NewContext returns ctx carrying the client key for AdmitMiss.
+// NewContext returns ctx carrying the client key for AdmitMiss. A server
+// whose query has a telemetry Transaction records the key on that instead
+// (Transaction.SetClient) and spares the query a context layer; this is for
+// callers with no transaction — a connection's context, a test.
 func NewContext(ctx context.Context, key uint64) context.Context {
 	return context.WithValue(ctx, ctxKey{}, key)
 }
 
-// KeyFromContext returns the client key installed by NewContext.
+// KeyFromContext returns the client key the serving layer attached to the
+// query: installed by NewContext, or on its transaction.
 func KeyFromContext(ctx context.Context) (uint64, bool) {
-	k, ok := ctx.Value(ctxKey{}).(uint64)
-	return k, ok
+	if k, ok := ctx.Value(ctxKey{}).(uint64); ok {
+		return k, true
+	}
+	return telemetry.FromContext(ctx).Client()
 }
 
 // Report is the guard section of /debug/cost: configuration echo plus live

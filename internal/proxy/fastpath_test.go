@@ -9,6 +9,7 @@ import (
 	"dohcost/internal/dnstransport"
 	"dohcost/internal/dnswire"
 	"dohcost/internal/netsim"
+	"dohcost/internal/telemetry"
 )
 
 // TestConcurrentHotNameAllTransports hammers one hot name from many
@@ -90,11 +91,14 @@ func TestConcurrentHotNameAllTransports(t *testing.T) {
 		t.Errorf("cache stats = %+v, want %d hits / 1 miss", s, want-1)
 	}
 	// Telemetry agrees: every transaction finished ok, none lost.
-	snap := p.Telemetry().Snapshot()
 	var total uint64
-	for _, v := range snap.Queries {
-		total += v
-	}
+	snap := settled(p, func(s *telemetry.Snapshot) bool {
+		total = 0
+		for _, v := range s.Queries {
+			total += v
+		}
+		return total >= uint64(want)
+	})
 	if total != uint64(want) {
 		t.Errorf("telemetry recorded %d transactions, want %d", total, want)
 	}
@@ -132,7 +136,7 @@ func TestFastPathServesWireHits(t *testing.T) {
 			t.Errorf("TTL %d not decayed within the original 300", resp.Answers[0].TTL)
 		}
 	}
-	snap := p.Telemetry().Snapshot()
+	snap := settled(p, func(s *telemetry.Snapshot) bool { return s.Queries["udp"] == 6 })
 	if snap.CacheEvents["hit"] != 5 {
 		t.Errorf("cache hits in telemetry = %d, want 5", snap.CacheEvents["hit"])
 	}

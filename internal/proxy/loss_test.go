@@ -82,7 +82,7 @@ func TestProxyUnderLossyWifi(t *testing.T) {
 		t.Errorf("%d/%d queries failed on lossy-wifi, want <= %d (retransmission must bound the failure rate)",
 			failures, total, total/10)
 	}
-	snap := p.Telemetry().Snapshot()
+	snap := settled(p, func(s *telemetry.Snapshot) bool { return s.Queries["udp"] >= uint64(total-failures) })
 	if snap.CacheEvents["hit"] == 0 {
 		t.Error("cache hit counter did not advance under loss")
 	}
@@ -198,7 +198,7 @@ func testTCFallbackSmallMTU(t *testing.T, answers int) {
 	if snap.TCFallbacks == 0 {
 		t.Error("client telemetry recorded no TC->TCP fallback")
 	}
-	server := p.Telemetry().Snapshot()
+	server := settled(p, func(s *telemetry.Snapshot) bool { return s.Queries["udp"] > 0 && s.Queries["tcp"] > 0 })
 	if server.Queries["udp"] == 0 || server.Queries["tcp"] == 0 {
 		t.Errorf("proxy should have served the query over udp then tcp, saw %v", server.Queries)
 	}

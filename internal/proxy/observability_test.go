@@ -82,6 +82,11 @@ func TestObservabilityTraceEndpoint(t *testing.T) {
 	srv := httptest.NewServer(p.Observability())
 	defer srv.Close()
 
+	// UDP finishes a slow step's transaction just after its reply leaves.
+	deadline := time.Now().Add(2 * time.Second)
+	for p.Tracer().Stats().Offered < 8 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
 	code, body := obsGet(t, srv, "/debug/trace")
 	if code != http.StatusOK {
 		t.Fatalf("/debug/trace = %d: %s", code, body)

@@ -20,6 +20,7 @@ import (
 	"dohcost/internal/dnswire"
 	"dohcost/internal/netsim"
 	"dohcost/internal/steer"
+	"dohcost/internal/telemetry"
 	"dohcost/internal/tlsx"
 )
 
@@ -329,7 +330,7 @@ func TestProxyHedgedPolicySteersAroundDegradedUpstream(t *testing.T) {
 	if fast.queries.Load() == 0 {
 		t.Error("clean upstream never answered: hedging did not steer")
 	}
-	snap := p.Telemetry().Snapshot()
+	snap := settled(p, func(s *telemetry.Snapshot) bool { return s.HedgesFired > 0 })
 	if snap.HedgesFired == 0 {
 		t.Errorf("hedges fired = 0 with a degraded primary; snapshot: %+v", snap)
 	}
@@ -467,7 +468,7 @@ func TestProxyServeStaleAnswersWithDeadUpstream(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 500*time.Millisecond {
 		t.Errorf("stale answer took %v, must not wait on the dead upstream", elapsed)
 	}
-	snap := p.Telemetry().Snapshot()
+	snap := settled(p, func(s *telemetry.Snapshot) bool { return s.Queries["udp"] == 2 })
 	if got := snap.CacheEvents["stale_hit"]; got == 0 {
 		t.Error("stale_hit never counted")
 	}

@@ -65,7 +65,7 @@ func TestProxyTelemetryEndToEnd(t *testing.T) {
 		}
 	}
 
-	snap := p.Telemetry().Snapshot()
+	snap := settled(p, func(s *telemetry.Snapshot) bool { return s.Queries["udp"] == 2 && s.Queries["doh"] == 1 })
 	for _, tt := range []struct {
 		name      string
 		got, want uint64
@@ -190,7 +190,7 @@ func TestProxyTelemetrySERVFAILVerdict(t *testing.T) {
 	if resp.RCode != dnswire.RCodeServerFailure {
 		t.Fatalf("rcode = %v, want SERVFAIL", resp.RCode)
 	}
-	snap := p.Telemetry().Snapshot()
+	snap := settled(p, func(s *telemetry.Snapshot) bool { return s.Verdicts["servfail"] == 1 })
 	if snap.Verdicts["servfail"] != 1 {
 		t.Errorf("servfail verdicts = %d, want 1", snap.Verdicts["servfail"])
 	}
@@ -215,4 +215,16 @@ func httpGet(t *testing.T, url string) string {
 		t.Fatal(err)
 	}
 	return string(body)
+}
+
+// settled snapshots the proxy's telemetry once done reports that the
+// counters a test is about to assert on have arrived, or two seconds have
+// passed: a server finishes a query's transaction just after its reply
+// leaves, so the client holding the reply can be a moment ahead of them.
+func settled(p *Proxy, done func(*telemetry.Snapshot) bool) *telemetry.Snapshot {
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+		if snap := p.Telemetry().Snapshot(); done(snap) || time.Now().After(deadline) {
+			return snap
+		}
+	}
 }

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"net"
 	"net/netip"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -107,15 +108,18 @@ func (d *missDriver) miss() {
 // TestWireMissAllocs pins what a miss costs the proxy: the whole path from
 // the handler's wire miss step to the in-memory upstream and back — cache
 // lookup, flight, breaker, steerer, pool, strict scan, admission, arena
-// insert — with guard and tracing armed. The budget is the allocations the
-// design cannot share between misses: the transaction's context, the key,
-// the flight and its channel, the flight's one deadline (context and
-// timer), the upstream's reply, the entry and its LRU element.
+// insert — with guard and tracing armed. What is left is what a miss hands
+// on or stores, five allocations: the one context layer that carries the
+// transaction (the driver's, as a server's slow step makes one), the key,
+// the upstream's reply, the entry, and the flight table's share of the
+// key's map slot. The flight itself — struct, deadline timer, Done channel —
+// is recycled; nothing is derived from the context per miss; the LRU links
+// live in the entry. The budget leaves one over for the map's growth.
 func TestWireMissAllocs(t *testing.T) {
 	p, up := missProxy(t, Config{})
 	d := newMissDriver(t, p)
 	d.miss() // settle pools, dial the pool slot
-	const budget = 16
+	const budget = 6 + raceSlack
 	if got := testing.AllocsPerRun(200, d.miss); got > budget {
 		t.Errorf("a UDP-shaped wire miss allocates %.1f times, budget %d", got, budget)
 	}
@@ -164,18 +168,24 @@ func TestRefusedWireMissAllocs(t *testing.T) {
 
 // TestRejectedMissBuildsNoEntry: admission is decided before anything is
 // built, so a miss TinyLFU refuses costs less than one it admits — by the
-// entry and the LRU element at least.
+// entry, which carries its own LRU links.
 func TestRejectedMissBuildsNoEntry(t *testing.T) {
 	admitting, _ := missProxy(t, Config{CacheShards: 1})
 	da := newMissDriver(t, admitting)
 	da.miss()
-	admitted := testing.AllocsPerRun(200, da.miss)
+	admitted := allocsPer(200, da.miss)
 
 	// One shard at the minimum budget, filled with names asked often enough
-	// that a once-asked newcomer never out-ranks its victims.
+	// that a once-asked newcomer never out-ranks its victims, whatever the
+	// process's hash seed makes collide: seventeen sightings saturate every
+	// counter a hot name touches (the doorkeeper takes the first, the 4-bit
+	// counters stop at fifteen), so a resident estimates at the ceiling, a
+	// newcomer at the ceiling at most, and ties keep the incumbent. The
+	// 1 290 lookups stay under the sketch's aging sample (2 048), so nothing
+	// is halved on the way.
 	full, _ := missProxy(t, Config{CacheShards: 1, CacheBudget: 4 << 10, CacheAdmission: dnscache.AdmissionTinyLFU})
 	h := full.Handler()
-	for round := 0; round < 4; round++ {
+	for round := 0; round < 17; round++ {
 		for i := 0; i < 64; i++ {
 			q := dnswire.NewQuery(1, dnswire.Name(fmt.Sprintf("hot%02d.example.", i)), dnswire.TypeA)
 			if _, err := h.ServeDNS(context.Background(), q); err != nil {
@@ -186,15 +196,32 @@ func TestRejectedMissBuildsNoEntry(t *testing.T) {
 	before := full.CacheStats()
 	df := newMissDriver(t, full)
 	df.miss()
-	rejected := testing.AllocsPerRun(200, df.miss)
-	// The sketch is seeded per process: a stray collision may let a
-	// newcomer or two in, which the per-run average absorbs.
-	if got := full.CacheStats().AdmissionRejects - before.AdmissionRejects; got < 190 {
-		t.Fatalf("%d of 202 newcomers rejected: the cache is not exercising admission", got)
+	rejected := allocsPer(200, df.miss)
+	after := full.CacheStats()
+	if got := after.AdmissionRejects - before.AdmissionRejects; got != 202 || after.SketchResets != 0 {
+		t.Fatalf("%d of 202 newcomers rejected, %d sketch resets: want every one and none", got, after.SketchResets)
 	}
-	if rejected > admitted-2 {
-		t.Errorf("a rejected miss allocates %.1f times, an admitted one %.1f: want the entry and its LRU element saved", rejected, admitted)
+	// Exactly one apart without the race detector, whose sync.Pool adds the
+	// same noise to both sides.
+	if rejected > admitted-0.5 {
+		t.Errorf("a rejected miss allocates %.2f times, an admitted one %.2f: want the entry saved", rejected, admitted)
 	}
+}
+
+// allocsPer is testing.AllocsPerRun — one warm-up call, then runs measured
+// on one P — without the rounding to a whole number, which hides a
+// difference of one between two averages.
+func allocsPer(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	before := m.Mallocs
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&m)
+	return float64(m.Mallocs-before) / float64(runs)
 }
 
 // rawClient sends one packed query over some transport and returns the

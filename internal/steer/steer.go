@@ -329,10 +329,17 @@ func (s *Steerer) exchangeHedged(ctx context.Context, query []byte) ([]byte, err
 	if len(order) == 1 {
 		return s.backend.ExchangeUpstreamWire(ctx, order[0], query)
 	}
-	hctx, cancel := context.WithCancel(telemetry.DetachContext(ctx))
+	// The caller may recycle ctx and query the moment this call returns, and
+	// the losing leg can still be using them then: the legs run under a
+	// context of their own — ctx's deadline, none of its values — and share
+	// a copy of the query.
+	hctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	// The caller may recycle query the moment this call returns, and the
-	// losing leg can still be reading it then: the legs share a copy.
+	if d, ok := ctx.Deadline(); ok {
+		var stop context.CancelFunc
+		hctx, stop = context.WithDeadline(hctx, d)
+		defer stop()
+	}
 	query = append([]byte(nil), query...)
 
 	type outcome struct {

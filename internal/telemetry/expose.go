@@ -149,7 +149,7 @@ func (s *Snapshot) WritePrometheus(w io.Writer) error {
 	t.counter("dohcost_udp_retransmits_total",
 		"UDP query attempts re-sent after per-attempt timeouts.", s.UDPRetransmits)
 	t.counter("dohcost_udp_spills_total",
-		"UDP packets shed from a saturated worker pool to bounded transient goroutines.", s.UDPSpills)
+		"UDP slow-path hand-offs that had to start a goroutine (no parked slow-step slot free).", s.UDPSpills)
 	t.counter("dohcost_udp_batch_reads_total",
 		"Batched UDP read syscalls (recvmmsg wakeups) on the serving path.", s.UDPBatchReads)
 	t.counter("dohcost_udp_batch_datagrams_total",

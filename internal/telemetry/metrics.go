@@ -34,9 +34,9 @@ type shard struct {
 	bytesSent        atomic.Uint64
 	bytesRecv        atomic.Uint64
 
-	// Batched-UDP serving: spills are packets a saturated worker pool
-	// shed to bounded transient goroutines; batch reads/datagrams and the
-	// size buckets together form the datagrams-per-syscall histogram.
+	// Batched-UDP serving: spills are slow-path hand-offs that had to start
+	// a goroutine; batch reads/datagrams and the size buckets together
+	// form the datagrams-per-syscall histogram.
 	udpSpills         atomic.Uint64
 	udpBatchReads     atomic.Uint64
 	udpBatchDatagrams atomic.Uint64
@@ -248,9 +248,9 @@ func (m *Metrics) ObserveUDPBatch(n int) {
 	sh.udpBatchSize[batchBucket(n)].Add(1)
 }
 
-// UDPSpill counts one packet shed from a saturated UDP worker pool to a
-// bounded transient goroutine (dohcost_udp_spills_total) — the signal that
-// slow-query load is exceeding the resident workers.
+// UDPSpill counts one UDP slow-path hand-off that had to start a goroutine
+// because no parked slow-step slot was free (dohcost_udp_spills_total): a
+// new high-water mark of slow queries in flight, bounded by their limit.
 func (m *Metrics) UDPSpill() {
 	if m == nil {
 		return
@@ -548,8 +548,8 @@ type Snapshot struct {
 	// UDPRetransmits counts UDP query attempts re-sent after a per-attempt
 	// timeout — the client-visible face of datagram loss on the path.
 	UDPRetransmits uint64 `json:"udp_retransmits_total"`
-	// UDPSpills counts packets shed from a saturated UDP worker pool to
-	// bounded transient goroutines (slow-query bursts outrunning workers).
+	// UDPSpills counts UDP slow-path hand-offs that had to start a
+	// goroutine: each a new high-water mark of slow queries in flight.
 	UDPSpills uint64 `json:"udp_spills_total"`
 	// UDPBatchReads / UDPBatchDatagrams count batched-read syscalls and
 	// the datagrams they returned; their ratio is the live mean

@@ -227,6 +227,11 @@ type Transaction struct {
 	udpRetries int
 	background bool
 	finished   bool
+	// client is the abuse guard's key for the query's client, when the
+	// server set one (SetClient): it rides the record the server already
+	// carries in the query's context instead of a context layer of its own.
+	client    uint64
+	hasClient bool
 
 	// trace is the query's lifecycle record, attached at Begin when a
 	// tracer is installed on the Metrics and offered to the tracer's
@@ -276,6 +281,22 @@ type ListenerFunc func(*Summary)
 
 // OnTransaction implements Listener.
 func (f ListenerFunc) OnTransaction(s *Summary) { f(s) }
+
+// SetClient records the abuse guard's key for the query's client, for the
+// stages behind the server that attribute work to it (guard.KeyFromContext).
+func (t *Transaction) SetClient(key uint64) {
+	if t != nil {
+		t.client, t.hasClient = key, true
+	}
+}
+
+// Client returns the key SetClient recorded, if any.
+func (t *Transaction) Client() (key uint64, ok bool) {
+	if t == nil {
+		return 0, false
+	}
+	return t.client, t.hasClient
+}
 
 // SetCache records the cache's treatment of the query.
 func (t *Transaction) SetCache(o CacheOutcome) {

@@ -74,11 +74,23 @@ type mmsgConn struct {
 	// mapped addresses, which ReadBatch surfaces as 16-byte IPs anyway).
 	v4 bool
 
-	rmu sync.Mutex
-	rv  mmsgVec
+	// Each direction's vectors, the func value handed to RawConn.Read or
+	// Write — built once: a literal per call would escape with all it
+	// captures — and what that func exchanges with its caller, under a mutex.
+	rmu   sync.Mutex
+	rv    mmsgVec
+	recv  func(fd uintptr) bool
+	rk    int // messages asked for
+	rn    int // messages received
+	rerrn syscall.Errno
 
-	wmu sync.Mutex
-	wv  mmsgVec
+	wmu   sync.Mutex
+	wv    mmsgVec
+	send  func(fd uintptr) bool
+	wk    int // messages to send; wv.hdrs[wsent:wk] are still to go
+	wsent int
+	wn    int // messages the last call sent
+	werrn syscall.Errno
 }
 
 // newMmsgConn wraps uc if its raw descriptor is reachable; ok=false sends
@@ -92,7 +104,32 @@ func newMmsgConn(uc *net.UDPConn) (BatchConn, bool) {
 	if la, ok := uc.LocalAddr().(*net.UDPAddr); ok && la.IP.To4() == nil {
 		v4 = false
 	}
-	return &mmsgConn{c: uc, rc: rc, v4: v4}, true
+	c := &mmsgConn{c: uc, rc: rc, v4: v4}
+	c.recv, c.send = c.recvmmsg, c.sendmmsg
+	return c, true
+}
+
+// recvmmsg is one attempt at the batch read ReadBatch set up; false parks
+// the reader on the poller until the socket is readable.
+func (c *mmsgConn) recvmmsg(fd uintptr) bool {
+	r1, _, errno := syscall.Syscall6(sysRecvmmsg, fd,
+		uintptr(unsafe.Pointer(&c.rv.hdrs[0])), uintptr(c.rk), 0, 0, 0)
+	if errno == syscall.EAGAIN {
+		return false
+	}
+	c.rn, c.rerrn = int(r1), errno
+	return true
+}
+
+// sendmmsg is one attempt at sending what is left of WriteBatch's vector.
+func (c *mmsgConn) sendmmsg(fd uintptr) bool {
+	r1, _, errno := syscall.Syscall6(sysSendmmsg, fd,
+		uintptr(unsafe.Pointer(&c.wv.hdrs[c.wsent])), uintptr(c.wk-c.wsent), 0, 0, 0)
+	if errno == syscall.EAGAIN {
+		return false
+	}
+	c.wn, c.werrn = int(r1), errno
+	return true
 }
 
 // ReadBatch implements BatchConn with one recvmmsg per wakeup: the call
@@ -118,27 +155,14 @@ func (c *mmsgConn) ReadBatch(ms []Message) (int, error) {
 			iovlen:  1,
 		}}
 	}
-	var n int
-	var rerr error
-	err := c.rc.Read(func(fd uintptr) bool {
-		r1, _, errno := syscall.Syscall6(sysRecvmmsg, fd,
-			uintptr(unsafe.Pointer(&c.rv.hdrs[0])), uintptr(k), 0, 0, 0)
-		if errno == syscall.EAGAIN {
-			return false // park on the poller until readable
-		}
-		if errno != 0 {
-			rerr = errno
-			return true
-		}
-		n = int(r1)
-		return true
-	})
-	if err != nil {
+	c.rk = k
+	if err := c.rc.Read(c.recv); err != nil {
 		return 0, err
 	}
-	if rerr != nil {
-		return 0, rerr
+	if c.rerrn != 0 {
+		return 0, c.rerrn
 	}
+	n := c.rn
 	for i := 0; i < n; i++ {
 		ms[i].N = int(c.rv.hdrs[i].len)
 		ms[i].Addr = reuseUDPAddr(&c.rv.sas[i], ms[i].Addr)
@@ -174,32 +198,15 @@ func (c *mmsgConn) WriteBatch(ms []Message) (int, error) {
 			iovlen:  1,
 		}}
 	}
-	sent := 0
-	for sent < k {
-		var n int
-		var serr error
-		err := c.rc.Write(func(fd uintptr) bool {
-			r1, _, errno := syscall.Syscall6(sysSendmmsg, fd,
-				uintptr(unsafe.Pointer(&c.wv.hdrs[sent])), uintptr(k-sent), 0, 0, 0)
-			if errno == syscall.EAGAIN {
-				return false
-			}
-			if errno != 0 {
-				serr = errno
-				return true
-			}
-			n = int(r1)
-			return true
-		})
-		if err != nil {
-			return sent, err
+	for c.wk, c.wsent = k, 0; c.wsent < k; c.wsent += c.wn {
+		if err := c.rc.Write(c.send); err != nil {
+			return c.wsent, err
 		}
-		if serr != nil {
-			return sent, serr
+		if c.werrn != 0 {
+			return c.wsent, c.werrn
 		}
-		sent += n
 	}
-	return sent, nil
+	return k, nil
 }
 
 // WriteTo implements BatchConn for single slow-path responses.

@@ -158,6 +158,61 @@ func TestReadBatchCollectsMultiple(t *testing.T) {
 	}
 }
 
+// TestBatchSyscallsAllocNothing pins the vector syscalls themselves: a warm
+// ReadBatch and WriteBatch — four datagrams in over loopback, the same four
+// echoed back — allocate nothing. The func values RawConn.Read and Write
+// are handed, and what they share with their callers, live in the conn.
+func TestBatchSyscallsAllocNothing(t *testing.T) {
+	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn := Wrap(pc)
+	defer conn.Close()
+	if !conn.Batched() {
+		t.Skip("no kernel batch support on this platform")
+	}
+	client, err := net.Dial("udp", conn.LocalAddr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	const k = 4
+	ms := make([]Message, k)
+	for i := range ms {
+		ms[i].Buf = make([]byte, 64)
+	}
+	payload, echo := []byte("ping"), make([]byte, 64)
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	client.SetReadDeadline(time.Now().Add(10 * time.Second))
+	round := func() {
+		for i := 0; i < k; i++ {
+			if _, err := client.Write(payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for got := 0; got < k; {
+			n, err := conn.ReadBatch(ms)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sent, err := conn.WriteBatch(ms[:n]); err != nil || sent != n {
+				t.Fatalf("WriteBatch sent %d of %d: %v", sent, n, err)
+			}
+			got += n
+		}
+		for i := 0; i < k; i++ {
+			if n, err := client.Read(echo); err != nil || string(echo[:n]) != "ping" {
+				t.Fatalf("echo %d: %q, %v", i, echo[:n], err)
+			}
+		}
+	}
+	round() // sizes the vectors, makes the read vector's addresses
+	if got := testing.AllocsPerRun(100, round); got != 0 {
+		t.Errorf("a warm ReadBatch + WriteBatch round allocates %.1f times, want 0", got)
+	}
+}
+
 func TestCloneAddrDetachesFromReadVector(t *testing.T) {
 	orig := &net.UDPAddr{IP: net.IPv4(192, 0, 2, 1).To4(), Port: 1234}
 	clone := CloneAddr(orig).(*net.UDPAddr)
