@@ -1,16 +1,18 @@
 package dnscache
 
-// This file is the storage half of the cache rebuild: each shard packs its
-// entries' payload bytes (packed wire response + packed TTL offsets) into
-// append-only slabs instead of one heap allocation per entry, so at
-// production scale the garbage collector scans a handful of large []byte
-// objects rather than millions of small ones. Freed entries leave dead
-// bytes behind in their slab; when an epoch's dead bytes outweigh its live
-// ones, the shard rotates the epoch — live entries are copied into fresh
-// slabs, expired ones are dropped, and the retired slabs are recycled onto
-// a bounded free list. Rotation runs under the shard lock, the same lock
-// every reader copies entry bytes out under, so no response can alias a
-// slab that has been recycled.
+// This file is the storage half of the cache: each shard packs its entries'
+// bytes (key, packed wire response, packed TTL offsets — one block) into
+// append-only slabs instead of heap allocations per entry, so at production
+// scale the garbage collector scans a handful of large []byte objects
+// rather than millions of small ones. A block is addressed by slab number
+// and offset, not by pointer, so the records that own blocks (index.go)
+// hold no pointer either. Freed entries leave dead bytes behind in their
+// slab; when an epoch's dead bytes outweigh its live ones, the shard
+// rotates the epoch — live blocks are copied into fresh slabs, expired ones
+// are dropped, and the retired slabs are recycled onto a bounded free list.
+// Rotation runs under the shard lock, the same lock every reader copies
+// entry bytes out under, so no response can alias a slab that has been
+// recycled.
 
 const (
 	// defaultSlabSize is the arena's standard slab; budgeted shards scale
@@ -27,11 +29,12 @@ const (
 // concurrent use; callers hold the shard lock.
 type arena struct {
 	slabSize int
-	// cur is the active slab, written at off; done holds this epoch's
-	// filled slabs (and oversize dedicated slabs).
-	cur  []byte
-	off  int
-	done [][]byte
+	// slabs holds this epoch's slabs, standard and oversize dedicated ones
+	// alike, under the numbers blocks are addressed by; cur is the number
+	// of the active standard slab, written at off (-1 before the first).
+	slabs [][]byte
+	cur   int
+	off   int
 	// used is the total bytes handed out this epoch, live and dead alike;
 	// the rotation heuristic compares it with the shard's live payload.
 	used int
@@ -45,30 +48,32 @@ func newArena(slabSize int) *arena {
 	if slabSize < minSlabSize {
 		slabSize = minSlabSize
 	}
-	return &arena{slabSize: slabSize}
+	return &arena{slabSize: slabSize, cur: -1}
 }
 
-// alloc returns an n-byte block inside the current epoch. Blocks larger
-// than a slab get a dedicated slab (retired with the epoch like any
-// other). The block is capacity-clamped so an append by the caller cannot
-// cross into a neighbouring entry's bytes.
-func (a *arena) alloc(n int) []byte {
+// alloc reserves an n-byte block inside the current epoch and returns its
+// address. Blocks larger than a slab get a dedicated slab (retired with the
+// epoch like any other).
+func (a *arena) alloc(n int) (slab, off uint32) {
 	a.used += n
 	if n > a.slabSize {
-		b := make([]byte, n)
-		a.done = append(a.done, b)
-		return b
+		a.slabs = append(a.slabs, make([]byte, n))
+		return uint32(len(a.slabs) - 1), 0
 	}
-	if len(a.cur)-a.off < n {
-		if a.cur != nil {
-			a.done = append(a.done, a.cur)
-		}
-		a.cur = a.newSlab()
-		a.off = 0
+	if a.cur < 0 || len(a.slabs[a.cur])-a.off < n {
+		a.slabs = append(a.slabs, a.newSlab())
+		a.cur, a.off = len(a.slabs)-1, 0
 	}
-	b := a.cur[a.off : a.off+n : a.off+n]
+	off = uint32(a.off)
 	a.off += n
-	return b
+	return uint32(a.cur), off
+}
+
+// block returns the n bytes at an address alloc handed out this epoch,
+// capacity-clamped so an append by the caller cannot cross into a
+// neighbouring entry's bytes.
+func (a *arena) block(slab, off uint32, n int) []byte {
+	return a.slabs[slab][off : int(off)+n : int(off)+n]
 }
 
 // newSlab takes a recycled slab if one is free, else cuts a fresh one.
@@ -81,16 +86,14 @@ func (a *arena) newSlab() []byte {
 	return make([]byte, a.slabSize)
 }
 
-// beginEpoch starts a fresh epoch and returns the retired slabs. The
-// retired slabs still hold the previous epoch's bytes: the caller migrates
-// live entries (alloc draws only from the free list and fresh memory,
-// never from the return value) and then hands the retirees to recycle.
+// beginEpoch starts a fresh epoch and returns the retired slabs, still
+// under their old numbers and still holding the previous epoch's bytes:
+// the caller migrates live blocks (alloc draws only from the free list and
+// fresh memory, never from the return value) and then hands the retirees
+// to recycle.
 func (a *arena) beginEpoch() [][]byte {
-	retired := a.done
-	if a.cur != nil {
-		retired = append(retired, a.cur)
-	}
-	a.cur, a.off, a.done, a.used = nil, 0, nil, 0
+	retired := a.slabs
+	a.slabs, a.cur, a.off, a.used = nil, -1, 0, 0
 	return retired
 }
 

@@ -14,34 +14,39 @@ import (
 
 func TestArenaAlloc(t *testing.T) {
 	a := newArena(minSlabSize)
-	b1 := a.alloc(100)
+	s1, o1 := a.alloc(100)
+	b1 := a.block(s1, o1, 100)
 	if len(b1) != 100 || cap(b1) != 100 {
 		t.Errorf("block len/cap = %d/%d, want 100/100 (capacity clamp)", len(b1), cap(b1))
 	}
-	b2 := a.alloc(50)
+	s2, o2 := a.alloc(50)
+	if s2 != s1 || o2 != o1+100 {
+		t.Errorf("second block at slab %d offset %d, want packed behind the first (%d, %d)", s2, o2, s1, o1+100)
+	}
 	// The clamp means an append to b1 cannot run into b2's bytes.
 	b1 = append(b1, 0xFF)
-	if b2[0] == 0xFF {
+	if a.block(s2, o2, 50)[0] == 0xFF {
 		t.Error("append to one block scribbled on its neighbour")
 	}
 	if a.used != 150 {
 		t.Errorf("used = %d, want 150", a.used)
 	}
 
-	// Oversize blocks get a dedicated slab, retired with the epoch.
-	big := a.alloc(minSlabSize + 1)
-	if len(big) != minSlabSize+1 {
-		t.Fatalf("oversize block len = %d", len(big))
+	// Oversize blocks get a dedicated slab, retired with the epoch, and
+	// leave the active slab active.
+	sb, ob := a.alloc(minSlabSize + 1)
+	if sb == s1 || ob != 0 || len(a.block(sb, ob, minSlabSize+1)) != minSlabSize+1 {
+		t.Fatalf("oversize block at slab %d offset %d", sb, ob)
 	}
-	if len(a.done) != 1 {
-		t.Errorf("dedicated slab not parked in done: %d", len(a.done))
+	if s3, o3 := a.alloc(10); s3 != s1 || o3 != 150 {
+		t.Errorf("block after an oversize one at (%d, %d), want the active slab (%d, 150)", s3, o3, s1)
 	}
 
 	retired := a.beginEpoch()
-	if len(retired) != 2 { // dedicated slab + active slab
+	if len(retired) != 2 { // active slab + dedicated slab
 		t.Errorf("retired %d slabs, want 2", len(retired))
 	}
-	if a.used != 0 || a.off != 0 || a.cur != nil || a.done != nil {
+	if a.used != 0 || a.off != 0 || a.cur != -1 || a.slabs != nil {
 		t.Error("beginEpoch did not reset the arena")
 	}
 	a.recycle(retired)
@@ -51,8 +56,7 @@ func TestArenaAlloc(t *testing.T) {
 
 	// The next slab must come from the free list, not a fresh allocation.
 	reused := a.free[0]
-	blk := a.alloc(10)
-	if &blk[0] != &reused[0] {
+	if s, o := a.alloc(10); &a.block(s, o, 10)[0] != &reused[0] {
 		t.Error("recycled slab not reused")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -37,33 +38,34 @@ func (u *sizedUpstream) Exchange(ctx context.Context, q *dnswire.Message) (*dnsw
 func (u *sizedUpstream) Close() error { return nil }
 
 // checkBudgetInvariants locks every shard and compares the incremental
-// byte accounting against a shadow recount of the live entries: per-entry
-// cost formula, shard totals, wire-byte totals and the budget ceiling.
-// This is the property that catches leak-on-replace and stale-refresh
-// double-count bugs.
-func checkBudgetInvariants(t *testing.T, c *Cache) {
+// accounting against a shadow recount of the live records: shard byte
+// totals, arena-block totals, the entry count and the budget ceiling, and —
+// checkTables — that the index, the LRU ring and the free list agree on
+// which records are live. This is the property that catches leak-on-replace
+// and stale-refresh double-count bugs.
+func checkBudgetInvariants(t testing.TB, c *Cache) {
 	t.Helper()
 	for i, sh := range c.shards {
 		sh.mu.Lock()
 		var bytes int64
 		wireBytes := 0
-		for k, e := range sh.entries {
-			want := entryOverhead + len(k) + len(e.wire) + len(e.toffs)
-			if e.cost != want {
-				t.Errorf("shard %d entry %q: cost %d, want %d", i, k, e.cost, want)
-			}
-			bytes += int64(e.cost)
-			wireBytes += len(e.wire) + len(e.toffs)
+		for _, ri := range checkTables(t, sh) {
+			r := &sh.recs[ri]
+			bytes += int64(entryOverhead + r.size())
+			wireBytes += r.size()
 		}
 		if sh.bytes != bytes {
 			t.Errorf("shard %d: accounted %d B, shadow recount %d B (%d entries)",
-				i, sh.bytes, bytes, len(sh.entries))
+				i, sh.bytes, bytes, sh.n)
 		}
 		if sh.wireBytes != wireBytes {
 			t.Errorf("shard %d: wireBytes %d, shadow recount %d", i, sh.wireBytes, wireBytes)
 		}
 		if sh.budget > 0 && sh.bytes > sh.budget {
 			t.Errorf("shard %d: %d B live exceeds budget %d B", i, sh.bytes, sh.budget)
+		}
+		if sh.n > sh.maxEntries {
+			t.Errorf("shard %d: %d entries exceed the bound %d", i, sh.n, sh.maxEntries)
 		}
 		sh.mu.Unlock()
 	}
@@ -186,7 +188,7 @@ func TestOversizedEntryNotCached(t *testing.T) {
 	// can configure budgets smaller than a worst-case DNSSEC answer.
 	sh := small.shards[0]
 	sh.mu.Lock()
-	_, rejected := small.insertLocked(sh, "giant.example.", 1, make([]byte, int(sh.budget)+1), nil, &dnswire.ResponseScan{})
+	_, rejected := small.insertLocked(sh, []byte("giant.example."), 1, make([]byte, int(sh.budget)+1), nil, &dnswire.ResponseScan{})
 	sh.mu.Unlock()
 	if !rejected {
 		t.Fatal("entry larger than the shard budget was admitted")
@@ -283,6 +285,61 @@ func TestRefreshReplaceKeepsAccounting(t *testing.T) {
 		t.Errorf("entries = %d, want 1 (refresh replaces in place)", c.Len())
 	}
 	checkBudgetInvariants(t, c)
+}
+
+// TestFootprintMatchesBudget proves the budget's density in resident bytes,
+// not accounted ones: a budgeted TinyLFU cache is filled past capacity with
+// distinct names of the benchmark's Zipf shape and one-address answers, and
+// after a forced collection the heap may have grown by no more than the
+// pointer-and-map layout's own ratio to the budget (it grew 5.07 MB under a
+// 4 MiB budget, 71.6 MB under 64 MiB) while holding at least twice the
+// entries that layout held (14 560 and 233 008). Lowering entryOverhead
+// without shrinking what an entry really occupies admits more entries than
+// the bytes allow, and fails the first bound.
+func TestFootprintMatchesBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow memory is not the cache's footprint")
+	}
+	for _, tt := range []struct {
+		budget     int64
+		growth     float64
+		minEntries int
+	}{
+		{4 << 20, 1.21, 2 * 14560},
+		{64 << 20, 1.07, 2 * 233008},
+	} {
+		t.Run(fmt.Sprintf("%dMiB", tt.budget>>20), func(t *testing.T) {
+			if testing.Short() && tt.budget > 4<<20 {
+				t.Skip("fills 64 MiB")
+			}
+			c := New(replyUpstream{}, WithMemoryBudget(tt.budget), WithTinyLFU())
+			defer c.Close()
+			// From here on the heap grows by what entries occupy; the admission
+			// sketch, sized once in New, is outside the budget (docs/CACHE.md).
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			ctx := context.Background()
+			for i := 0; i < int(tt.budget/100); i++ { // a third more names than fit
+				name := dnswire.Name(fmt.Sprintf("z%08d.zipf.example.", i))
+				if _, err := c.Exchange(ctx, dnswire.NewQuery(1, name, dnswire.TypeA)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			grown := float64(after.HeapAlloc) - float64(before.HeapAlloc)
+			t.Logf("%d entries, %d B accounted, heap grew %.0f B: %.3f of the budget, %.1f B an entry",
+				c.Len(), c.BytesLive(), grown, grown/float64(tt.budget), grown/float64(c.Len()))
+			if grown > tt.growth*float64(tt.budget) {
+				t.Errorf("heap grew %.0f B filling a %d B budget, want at most %.2f of it", grown, tt.budget, tt.growth)
+			}
+			if c.Len() < tt.minEntries {
+				t.Errorf("%d entries in %d B, want at least %d", c.Len(), tt.budget, tt.minEntries)
+			}
+			runtime.KeepAlive(c)
+		})
+	}
 }
 
 func TestParseByteSize(t *testing.T) {

@@ -13,9 +13,10 @@
 // own bytes and gets the upstream's bytes back; one strict scan
 // (dnswire.ScanResponse) decides whether they may be served and stored
 // verbatim and finds every TTL field on the way, so an entry holds
-// validated upstream bytes with their TTL offsets, packed into per-shard
-// append-only arenas so the GC sees a handful of large slabs instead of
-// one small allocation per entry; when a shard's arena accumulates more
+// validated upstream bytes with their key and TTL offsets, packed into
+// per-shard append-only arenas and found through a pointer-free index
+// (index.go), so the GC sees a handful of large slabs and tables instead
+// of objects per entry; when a shard's arena accumulates more
 // dead bytes than live ones, it rotates the epoch — live entries are
 // compacted into fresh slabs and the retired slabs recycled. A hit is
 // served by copying the stored bytes, restamping the transaction ID and
@@ -25,8 +26,8 @@
 // with the stored entry.
 //
 // Capacity can be bounded two ways: WithMaxEntries counts entries, while
-// WithMemoryBudget accounts bytes — each entry charged its arena block,
-// its key and a fixed index overhead — which is the bound that stays
+// WithMemoryBudget accounts bytes — each entry charged its arena block
+// and the size of its index record and slot — which is the bound that stays
 // honest when answer sizes vary. WithTinyLFU adds frequency-gated
 // admission on top of either bound: a per-shard count-min sketch (4-bit
 // counters, periodic halving, doorkeeper bloom for one-hit wonders)
@@ -69,8 +70,7 @@ import (
 const keyBufLen = 260
 
 // appendKey renders the cache key for (name, qtype, class): the canonical
-// name followed by the big-endian type and class. Keys are plain strings so
-// the hit path can look them up with a zero-copy []byte→string conversion.
+// name followed by the big-endian type and class.
 func appendKey(dst []byte, name dnswire.Name, qtype dnswire.Type, class dnswire.Class) []byte {
 	return appendKeyTail(append(dst, string(name)...), qtype, class)
 }
@@ -81,47 +81,6 @@ func appendKey(dst []byte, name dnswire.Name, qtype dnswire.Type, class dnswire.
 func appendKeyTail(dst []byte, qtype dnswire.Type, class dnswire.Class) []byte {
 	return append(dst, byte(qtype>>8), byte(qtype), byte(class>>8), byte(class))
 }
-
-// entry is one cached response. Its payload bytes live in the shard's
-// arena and are never rewritten in place, but epoch rotation may relocate
-// them (wire and toffs are re-pointed at a fresh slab under the shard
-// lock), so readers copy the payload out while holding the lock — the copy
-// is a few hundred bytes, far cheaper than a second lock round trip. The
-// hits counter is likewise guarded by the shard lock.
-type entry struct {
-	key string
-	// hash is the key's maphash, retained so the admission filter can
-	// estimate an eviction victim's frequency without rehashing.
-	hash uint64
-	// wire is the packed response as the upstream sent it, still carrying
-	// the flight leader's transaction ID (hits restamp their own copy);
-	// toffs is the packed big-endian uint16 list of its TTL offsets
-	// (dnswire.PackTTLOffsets form) for in-place decay. Both alias one
-	// arena block.
-	wire  []byte
-	toffs []byte
-	// cost is the entry's accounted footprint against the memory budget:
-	// arena block + key + entryOverhead.
-	cost int
-	// negative records the RFC 2308 NXDOMAIN/NODATA classification, so the
-	// wire hit path can label telemetry without parsing.
-	negative bool
-	expires  time.Time
-	// ttl is the clamped lifetime the entry was inserted with; the
-	// prefetch gate compares it against the prefetch window.
-	ttl time.Duration
-	// prev and next link the shard's LRU ring (see shard.lru).
-	prev, next *entry
-	// hits counts fresh hits since insertion — the hotness signal the
-	// near-expiry prefetch gates on. Guarded by the shard lock.
-	hits int
-}
-
-// entryOverhead approximates one entry's index cost outside its arena
-// block — the entry struct with its LRU links, its share of the shard map's
-// buckets and the key's string header — charged against the memory budget
-// so the budget tracks resident footprint, not just payload bytes.
-const entryOverhead = 192
 
 // Stats counts cache effectiveness, aggregated across shards. The JSON
 // tags match the snake_case style of the telemetry snapshot, which
@@ -143,8 +102,9 @@ type Stats struct {
 	// because an eviction victim out-ranked them on estimated frequency
 	// (includes entries too large for a whole shard's budget).
 	AdmissionRejects int64 `json:"admission_rejects"`
-	// BytesLive is the accounted footprint of live entries (arena payload
-	// + keys + index overhead) at snapshot time — a gauge, not a counter.
+	// BytesLive is the accounted footprint of live entries (arena block:
+	// key, reply, TTL offsets; plus entryOverhead of index each) at snapshot
+	// time — a gauge, not a counter.
 	BytesLive int64 `json:"bytes_live"`
 	// ArenaEpochs counts arena epoch rotations: live entries compacted
 	// into fresh slabs, retired slabs recycled.
@@ -230,18 +190,22 @@ const maxFreeFlights = 16
 // shard is one lock domain: a partition of the key space with its own LRU
 // and singleflight table.
 type shard struct {
-	mu      sync.Mutex
-	entries map[string]*entry
-	// lru is the LRU ring's sentinel: next the most recent entry, prev the oldest.
-	lru     entry
+	mu sync.Mutex
+	// recs, index, freeRec and n are the entry tables (index.go): recs[0]
+	// is the LRU ring's sentinel, next the most recent entry, prev the
+	// oldest; n counts live entries.
+	recs    []record
+	index   []uint32
+	freeRec uint32
+	n       int
 	flights map[string]*flight
 	// free holds landed flights ready for the next miss (see flight).
 	free       []*flight
 	stats      Stats
 	maxEntries int
 	// budget bounds the accounted bytes of live entries (0 = no byte
-	// bound); bytes is the current accounted total (sum of entry.cost) and
-	// wireBytes the live arena payload alone — the rotation heuristic's
+	// bound); bytes is the current accounted total (sum of record.cost) and
+	// wireBytes the live arena blocks alone — the rotation heuristic's
 	// live measure.
 	budget    int64
 	bytes     int64
@@ -302,8 +266,8 @@ type Option func(*Cache)
 func WithMaxEntries(n int) Option { return func(c *Cache) { c.maxEntries = n } }
 
 // WithMemoryBudget bounds the cache by accounted bytes instead of entry
-// count: every entry is charged its arena block (packed response + TTL
-// offsets), its key and entryOverhead of index cost, and the budget is
+// count: every entry is charged its arena block (key + packed response +
+// TTL offsets) and entryOverhead of index cost, and the budget is
 // split across shards the way WithMaxEntries is. Setting a budget lifts
 // the default 4096-entry count bound (an explicit WithMaxEntries still
 // applies on top); an entry larger than a whole shard's budget is not
@@ -475,13 +439,12 @@ func New(upstream dnstransport.Resolver, opts ...Option) *Cache {
 			budget++
 		}
 		sh := &shard{
-			entries:    make(map[string]*entry),
 			flights:    make(map[string]*flight),
 			maxEntries: max,
 			budget:     budget,
 			arena:      newArena(slab),
 		}
-		sh.lru.prev, sh.lru.next = &sh.lru, &sh.lru
+		sh.resetIndex()
 		if c.admission {
 			sh.sk = newSketch(c.expectedPerShard(budget, max))
 		}
@@ -491,12 +454,13 @@ func New(upstream dnstransport.Resolver, opts ...Option) *Cache {
 }
 
 // expectedPerShard estimates how many entries one shard will hold — the
-// admission sketch's sizing input. Budget-bound shards assume a ~384-byte
-// average accounted entry; count-bound shards use the bound itself, capped
-// so an unbounded cache does not size an unbounded sketch.
+// admission sketch's sizing input. Budget-bound shards assume a typical
+// one-address answer's block (key, reply and TTL offsets: some 96 bytes) on
+// top of the real index cost; count-bound shards use the bound itself,
+// capped so an unbounded cache does not size an unbounded sketch.
 func (c *Cache) expectedPerShard(budget int64, max int) int {
 	if budget > 0 {
-		return int(budget / 384)
+		return int(budget / int64(entryOverhead+96))
 	}
 	if max > 1<<15 {
 		return 1 << 15
@@ -544,7 +508,7 @@ func (c *Cache) Stats() Stats {
 }
 
 // BytesLive reports the accounted footprint of live entries across shards
-// (arena payload + keys + index overhead).
+// (arena blocks + entryOverhead of index each).
 func (c *Cache) BytesLive() int64 {
 	var n int64
 	for _, sh := range c.shards {
@@ -565,7 +529,7 @@ func (c *Cache) Len() int {
 	n := 0
 	for _, sh := range c.shards {
 		sh.mu.Lock()
-		n += len(sh.entries)
+		n += sh.n
 		sh.mu.Unlock()
 	}
 	return n
@@ -579,12 +543,9 @@ func (c *Cache) Shards() int { return len(c.shards) }
 func (c *Cache) Flush() {
 	for _, sh := range c.shards {
 		sh.mu.Lock()
-		sh.entries = make(map[string]*entry)
-		sh.lru.prev, sh.lru.next = &sh.lru, &sh.lru
+		sh.resetIndex()
 		sh.bytes, sh.wireBytes = 0, 0
-		if sh.arena != nil {
-			sh.arena.recycle(sh.arena.beginEpoch())
-		}
+		sh.arena.recycle(sh.arena.beginEpoch())
 		sh.mu.Unlock()
 	}
 }
@@ -611,12 +572,12 @@ func (c *Cache) ServeWire(tx *telemetry.Transaction, q *dnswire.Query, dst []byt
 	sh, h := c.shardFor(kb)
 
 	sh.mu.Lock()
-	e, ok := sh.entries[string(kb)]
-	if !ok || (limit > 0 && len(e.wire) > limit) {
+	ri := sh.find(h, kb)
+	if ri == 0 || (limit > 0 && int(sh.recs[ri].wlen) > limit) {
 		sh.mu.Unlock()
 		return nil, telemetry.CacheNone, false
 	}
-	hit, ok := c.serveLocked(sh, e, kb, q.ID, dst[:0])
+	hit, ok := c.serveLocked(sh, ri, kb, q.ID, dst[:0])
 	if !ok {
 		sh.mu.Unlock()
 		return nil, telemetry.CacheNone, false
@@ -642,23 +603,23 @@ type served struct {
 	refresh, prefetch bool
 }
 
-// serveLocked answers from e — fresh, or expired within the stale window —
-// by appending the stored bytes to dst with id and decayed TTLs patched in;
-// ok=false means e is expired past any stale window and nothing was
-// counted. It counts the hit, promotes the entry and decides whether a
+// serveLocked answers from record ri — fresh, or expired within the stale
+// window — by appending the stored bytes to dst with id and decayed TTLs
+// patched in; ok=false means it is expired past any stale window and nothing
+// was counted. It counts the hit, promotes the entry and decides whether a
 // refresh is due. Caller holds sh.mu: an epoch rotation relocates entry
-// payloads and recycles their old slabs, so e.wire and e.toffs are only
-// safe to read while the lock pins the arena, and the copy — a few hundred
-// bytes, far cheaper than a second lock round trip — means a response never
-// aliases a slab.
-func (c *Cache) serveLocked(sh *shard, e *entry, kb []byte, id uint16, dst []byte) (h served, ok bool) {
-	now := c.now()
-	stale := !now.Before(e.expires)
-	if stale && (c.staleWindow <= 0 || !now.Before(e.expires.Add(c.staleWindow))) {
+// blocks and recycles their old slabs, so they are only safe to read while
+// the lock pins the arena, and the copy — a few hundred bytes, far cheaper
+// than a second lock round trip — means a response never aliases a slab.
+func (c *Cache) serveLocked(sh *shard, ri uint32, kb []byte, id uint16, dst []byte) (h served, ok bool) {
+	now := c.now().UnixNano()
+	r := &sh.recs[ri]
+	stale := now >= r.expires
+	if stale && now >= r.expires+int64(c.staleWindow) {
 		return h, false
 	}
-	e.unlink()
-	sh.pushFront(e)
+	sh.unlink(ri)
+	sh.pushFront(ri)
 	remaining := StaleTTL
 	if stale {
 		// RFC 8767 serve-stale: answer immediately from the expired entry
@@ -668,13 +629,15 @@ func (c *Cache) serveLocked(sh *shard, e *entry, kb []byte, id uint16, dst []byt
 		h.outcome = telemetry.CacheStaleHit
 	} else {
 		sh.stats.Hits++
-		e.hits++
-		remaining = e.expires.Sub(now)
+		if r.hits < math.MaxUint8 {
+			r.hits++
+		}
+		remaining = time.Duration(r.expires - now)
 		h.outcome = telemetry.CacheHit
-		if e.negative {
+		if r.flags&flagNegative != 0 {
 			h.outcome = telemetry.CacheNegativeHit
 		}
-		h.prefetch = c.wantsPrefetch(e, remaining)
+		h.prefetch = r.flags&flagPrefetchable != 0 && r.hits >= prefetchMinHits && remaining <= c.prefetchWindow
 	}
 	if stale || h.prefetch {
 		// Checked here, under the lock already held, so the steady state
@@ -685,9 +648,10 @@ func (c *Cache) serveLocked(sh *shard, e *entry, kb []byte, id uint16, dst []byt
 		_, inflight := sh.flights[string(kb)]
 		h.refresh, h.prefetch = !inflight, h.prefetch && !inflight
 	}
-	h.resp = append(dst, e.wire...)
+	_, wire, toffs := sh.blockOf(r)
+	h.resp = append(dst, wire...)
 	dnswire.PatchID(h.resp, id)
-	dnswire.DecayTTLsPacked(h.resp, e.toffs, uint32(remaining/time.Second))
+	dnswire.DecayTTLsPacked(h.resp, toffs, uint32(remaining/time.Second))
 	return h, true
 }
 
@@ -698,17 +662,6 @@ func (c *Cache) afterHit(tx *telemetry.Transaction, sh *shard, kb []byte, h serv
 	if h.refresh && c.maybeRefresh(sh, string(kb), h.prefetch) && h.prefetch {
 		tx.Prefetch()
 	}
-}
-
-// wantsPrefetch decides whether a fresh hit should trigger the near-expiry
-// refresh. Entries whose whole lifetime fits inside the prefetch window
-// never qualify: for them "near expiry" is always true, and prefetching
-// would turn every couple of hits into upstream traffic — amplification,
-// where the feature exists to save misses on names that live longer than
-// the window. Caller holds sh.mu (it reads the entry's hit counter).
-func (c *Cache) wantsPrefetch(e *entry, remaining time.Duration) bool {
-	return c.prefetchWindow > 0 && !e.negative && e.ttl > c.prefetchWindow &&
-		e.hits >= prefetchMinHits && remaining <= c.prefetchWindow
 }
 
 // Exchange implements Resolver over ExchangeWire: the Message face of the
@@ -801,15 +754,15 @@ func (c *Cache) ExchangeQuery(ctx context.Context, q *dnswire.Query) ([]byte, er
 	if sh.sk != nil && sh.sk.add(h) {
 		sh.stats.SketchResets++
 	}
-	if e, ok := sh.entries[string(kb)]; ok {
-		if hit, ok := c.serveLocked(sh, e, kb, q.ID, nil); ok {
+	if ri := sh.find(h, kb); ri != 0 {
+		if hit, ok := c.serveLocked(sh, ri, kb, q.ID, nil); ok {
 			sh.mu.Unlock()
 			tx.TraceSpan(qtrace.PhaseCache, tl)
 			tx.SetCache(hit.outcome)
 			c.afterHit(tx, sh, kb, hit)
 			return hit.resp, nil
 		}
-		sh.removeLocked(e)
+		sh.removeLocked(ri)
 	}
 	// Miss: join or start a flight.
 	if f, ok := sh.flights[string(kb)]; ok {
@@ -856,7 +809,7 @@ func (c *Cache) ExchangeQuery(ctx context.Context, q *dnswire.Query) ([]byte, er
 	// The admission span covers the scan, the admission filter and the
 	// insert (evictions included) — the post-upstream cost of a miss.
 	ta := tx.TraceStart()
-	resp, shared, evicted, rejected, err := c.land(sh, k, h, f, q, resp, err)
+	resp, shared, evicted, rejected, err := c.land(sh, k, kb, h, f, q, resp, err)
 	tx.TraceSpan(qtrace.PhaseAdmit, ta)
 	tx.CacheEvicted(evicted)
 	if rejected {
@@ -874,13 +827,13 @@ func (c *Cache) ExchangeQuery(ctx context.Context, q *dnswire.Query) ([]byte, er
 	return resp, nil
 }
 
-// land closes flight f of key k with the outcome of its upstream exchange
-// for q: the reply is vetted, and one that may be stored verbatim and is
-// cacheable goes into the arena — admission is decided before anything is
+// land closes flight f of key k (kb, the same bytes) with the outcome of its
+// upstream exchange for q: the reply is vetted, and one that may be stored
+// verbatim and is cacheable goes into the arena — admission is decided before anything is
 // built, and admitted bytes are copied straight in. The returned reply is
 // the flight's: with shared set coalesced callers are reading it, and it
 // must not be written; without, f may already be another miss's.
-func (c *Cache) land(sh *shard, k string, h uint64, f *flight, q *dnswire.Query, resp []byte, err error) (_ []byte, shared bool, evicted int, rejected bool, _ error) {
+func (c *Cache) land(sh *shard, k string, kb []byte, h uint64, f *flight, q *dnswire.Query, resp []byte, err error) (_ []byte, shared bool, evicted int, rejected bool, _ error) {
 	var tbuf [64]byte // 32 records' TTL offsets before the scan allocates
 	toffs := tbuf[:0]
 	var scan dnswire.ResponseScan
@@ -895,7 +848,7 @@ func (c *Cache) land(sh *shard, k string, h uint64, f *flight, q *dnswire.Query,
 	delete(sh.flights, k)
 	shared = f.waiters > 0
 	if storable && cacheable(&scan) {
-		evicted, rejected = c.insertLocked(sh, k, h, resp, toffs, &scan)
+		evicted, rejected = c.insertLocked(sh, kb, h, resp, toffs, &scan)
 	}
 	if idle && !shared && len(sh.free) < maxFreeFlights {
 		f.leader = nil
@@ -909,32 +862,23 @@ func (c *Cache) land(sh *shard, k string, h uint64, f *flight, q *dnswire.Query,
 	return resp, shared, evicted, rejected, err
 }
 
-// pushFront links e into the LRU ring as the most recent entry.
-func (sh *shard) pushFront(e *entry) {
-	e.prev, e.next = &sh.lru, sh.lru.next
-	e.prev.next, e.next.prev = e, e
-}
-
-// unlink takes e out of its shard's LRU ring.
-func (e *entry) unlink() {
-	e.prev.next, e.next.prev = e.next, e.prev
-	e.prev, e.next = nil, nil
-}
-
-// removeLocked unlinks an entry and releases its byte accounting (its arena
-// bytes stay dead in their slab until the next epoch rotation). Caller
-// holds sh.mu.
-func (sh *shard) removeLocked(e *entry) {
-	delete(sh.entries, e.key)
-	e.unlink()
-	sh.bytes -= int64(e.cost)
-	sh.wireBytes -= len(e.wire) + len(e.toffs)
+// removeLocked drops record ri from the index and the LRU ring, releases its
+// byte accounting and puts it on the free list (its arena bytes stay dead in
+// their slab until the next epoch rotation). Caller holds sh.mu.
+func (sh *shard) removeLocked(ri uint32) {
+	r := &sh.recs[ri]
+	sh.unindex(ri)
+	sh.unlink(ri)
+	sh.bytes -= int64(r.cost())
+	sh.wireBytes -= r.size()
+	*r = record{next: sh.freeRec}
+	sh.freeRec = ri
 }
 
 // needsEvict reports whether installing one more entry of the given cost
 // would push the shard past either bound. Caller holds sh.mu.
 func (sh *shard) needsEvict(cost int) bool {
-	return len(sh.entries)+1 > sh.maxEntries ||
+	return sh.n+1 > sh.maxEntries ||
 		(sh.budget > 0 && sh.bytes+int64(cost) > sh.budget)
 }
 
@@ -947,100 +891,104 @@ func (sh *shard) needsEvict(cost int) bool {
 // churning an established working set. Caller holds sh.mu.
 func (c *Cache) admitLocked(sh *shard, h uint64, cost int) bool {
 	cf := sh.sk.estimate(h)
-	now := c.now()
+	now := c.now().UnixNano()
 	freedBytes, freed := int64(0), 0
-	for v := sh.lru.prev; v != &sh.lru; v = v.prev {
-		if len(sh.entries)-freed+1 <= sh.maxEntries &&
+	for vi := sh.recs[0].prev; vi != 0; vi = sh.recs[vi].prev {
+		if sh.n-freed+1 <= sh.maxEntries &&
 			(sh.budget <= 0 || sh.bytes-freedBytes+int64(cost) <= sh.budget) {
 			break
 		}
-		if now.Before(v.expires.Add(c.staleWindow)) && sh.sk.estimate(v.hash) >= cf {
+		v := &sh.recs[vi]
+		if now < v.expires+int64(c.staleWindow) && sh.sk.estimate(v.hash) >= cf {
 			return false
 		}
-		freedBytes += int64(v.cost)
+		freedBytes += int64(v.cost())
 		freed++
 	}
 	return true
 }
 
-// placeLocked copies an entry's payload into the shard's arena — one block
-// holding the packed response followed by its packed TTL offsets — and
-// points e.wire and e.toffs into it. When the epoch's handed-out bytes
-// outweigh the live payload by more than a slab of slack, the shard
-// rotates first: compaction then reclaims more than it copies. Caller
-// holds sh.mu.
-func (c *Cache) placeLocked(sh *shard, e *entry, wire, toffs []byte) {
-	need := len(wire) + len(toffs)
-	if sh.arena.used+need > 2*(sh.wireBytes+need)+sh.arena.slabSize {
-		c.rotateLocked(sh)
-	}
-	w := len(wire)
-	block := sh.arena.alloc(need)
-	copy(block, wire)
-	copy(block[w:], toffs)
-	e.wire = block[:w:w]
-	e.toffs = block[w:]
-}
-
-// rotateLocked starts a fresh arena epoch: live entries are compacted into
-// new slabs, entries expired past any stale window are dropped on the way
-// (rotation doubles as the expiry sweep, and the drops count as
-// evictions), and the retired slabs are recycled onto the free list.
-// Caller holds sh.mu.
+// rotateLocked starts a fresh arena epoch: live entries' blocks are
+// compacted into new slabs — only the records' addresses change — entries
+// expired past any stale window are dropped on the way (rotation doubles as
+// the expiry sweep, and the drops count as evictions), and the retired
+// slabs are recycled onto the free list. Caller holds sh.mu.
 func (c *Cache) rotateLocked(sh *shard) {
 	retired := sh.arena.beginEpoch()
-	now := c.now()
-	for e := sh.lru.next; e != &sh.lru; {
-		next := e.next
-		if !now.Before(e.expires.Add(c.staleWindow)) {
-			sh.removeLocked(e)
+	now := c.now().UnixNano()
+	for ri := sh.recs[0].next; ri != 0; {
+		r := &sh.recs[ri]
+		next := r.next
+		if now >= r.expires+int64(c.staleWindow) {
+			sh.removeLocked(ri)
 			sh.stats.Evictions++
 		} else {
-			w := len(e.wire)
-			block := sh.arena.alloc(w + len(e.toffs))
-			copy(block, e.wire)
-			copy(block[w:], e.toffs)
-			e.wire = block[:w:w]
-			e.toffs = block[w:]
+			old := retired[r.slab][r.off:]
+			r.slab, r.off = sh.arena.alloc(r.size())
+			copy(sh.arena.block(r.slab, r.off, r.size()), old)
 		}
-		e = next
+		ri = next
 	}
 	sh.arena.recycle(retired)
 	sh.stats.ArenaEpochs++
 }
 
 // insertLocked stores the scanned response wire (TTL offsets toffs) under
-// key k — replacing any existing entry for it, as a background refresh of
+// key kb — replacing any existing entry for it, as a background refresh of
 // a still-present stale entry does; replacement bypasses the admission
 // filter, because a refresh that first dropped the old entry and then lost
 // the duel would lose the name entirely — and evicts past the shard
 // bounds. Admission is decided from the sizes alone: a refused candidate
-// costs no entry and no copy. It reports the eviction count and whether
-// admission refused the insert. Caller holds sh.mu.
-func (c *Cache) insertLocked(sh *shard, k string, h uint64, wire, toffs []byte, scan *dnswire.ResponseScan) (evicted int, rejected bool) {
-	block := len(wire) + len(toffs)
-	cost := entryOverhead + len(k) + block
-	old, replacing := sh.entries[k]
-	if (sh.budget > 0 && int64(cost) > sh.budget) || // larger than the whole shard's budget
-		(!replacing && sh.sk != nil && sh.needsEvict(cost) && !c.admitLocked(sh, h, cost)) {
+// costs no record and no copy; an admitted one is one block in the arena
+// (key | wire | toffs) and one record, no heap object. It reports the
+// eviction count and whether admission refused the insert. Caller holds
+// sh.mu.
+func (c *Cache) insertLocked(sh *shard, kb []byte, h uint64, wire, toffs []byte, scan *dnswire.ResponseScan) (evicted int, rejected bool) {
+	block := len(kb) + len(wire) + len(toffs)
+	cost := entryOverhead + block
+	old := sh.find(h, kb)
+	// A key (keyBufLen) and the TTL offsets of a reply that fits (two
+	// octets a record) always fit a record's length fields.
+	if len(wire) > math.MaxUint16 ||
+		(sh.budget > 0 && int64(cost) > sh.budget) || // larger than the whole shard's budget
+		(old == 0 && sh.sk != nil && sh.needsEvict(cost) && !c.admitLocked(sh, h, cost)) {
 		sh.stats.AdmissionRejects++
 		return 0, true
 	}
-	if replacing {
+	if old != 0 {
 		sh.removeLocked(old)
 	}
+	// When the epoch's handed-out bytes outweigh the live blocks by more
+	// than a slab of slack, rotate first: compaction then reclaims more
+	// than it copies.
+	if sh.arena.used+block > 2*(sh.wireBytes+block)+sh.arena.slabSize {
+		c.rotateLocked(sh)
+	}
 	ttl := c.clampTTL(c.ttlOf(scan))
-	e := &entry{key: k, hash: h, cost: cost, negative: scan.Negative(), ttl: ttl, expires: c.now().Add(ttl)}
-	c.placeLocked(sh, e, wire, toffs)
-	sh.pushFront(e)
-	sh.entries[k] = e
+	ri := sh.newRecord()
+	r := &sh.recs[ri]
+	r.hash, r.expires = h, c.now().Add(ttl).UnixNano()
+	r.klen, r.wlen, r.tlen = uint16(len(kb)), uint16(len(wire)), uint16(len(toffs))
+	if scan.Negative() {
+		r.flags = flagNegative
+	} else if c.prefetchWindow > 0 && ttl > c.prefetchWindow {
+		r.flags = flagPrefetchable
+	}
+	r.slab, r.off = sh.arena.alloc(block)
+	key, w, t := sh.blockOf(r)
+	copy(key, kb)
+	copy(w, wire)
+	copy(t, toffs)
+	sh.pushFront(ri)
+	sh.link(ri)
 	sh.bytes += int64(cost)
 	sh.wireBytes += block
-	for len(sh.entries) > sh.maxEntries || (sh.budget > 0 && sh.bytes > sh.budget) {
-		if sh.lru.prev == &sh.lru {
+	for sh.n > sh.maxEntries || (sh.budget > 0 && sh.bytes > sh.budget) {
+		oldest := sh.recs[0].prev
+		if oldest == 0 {
 			break
 		}
-		sh.removeLocked(sh.lru.prev)
+		sh.removeLocked(oldest)
 		sh.stats.Evictions++
 		evicted++
 	}
@@ -1084,7 +1032,8 @@ func (c *Cache) refresh(sh *shard, k string, f *flight) {
 	if err == nil {
 		resp, err = c.wire.ExchangeWire(ctx, q.Raw)
 	}
-	if _, _, _, rejected, _ := c.land(sh, k, maphash.Bytes(c.seed, []byte(k)), f, &q, resp, err); rejected {
+	kb := []byte(k)
+	if _, _, _, rejected, _ := c.land(sh, k, kb, maphash.Bytes(c.seed, kb), f, &q, resp, err); rejected {
 		tx.CacheAdmissionRejected()
 	}
 }

@@ -109,17 +109,18 @@ func (d *missDriver) miss() {
 // the handler's wire miss step to the in-memory upstream and back — cache
 // lookup, flight, breaker, steerer, pool, strict scan, admission, arena
 // insert — with guard and tracing armed. What is left is what a miss hands
-// on or stores, five allocations: the one context layer that carries the
+// on or stores, four allocations: the one context layer that carries the
 // transaction (the driver's, as a server's slow step makes one), the key,
-// the upstream's reply, the entry, and the flight table's share of the
-// key's map slot. The flight itself — struct, deadline timer, Done channel —
-// is recycled; nothing is derived from the context per miss; the LRU links
-// live in the entry. The budget leaves one over for the map's growth.
+// the upstream's reply, and the flight table's share of the key's map slot.
+// The flight itself — struct, deadline timer, Done channel — is recycled;
+// nothing is derived from the context per miss; the entry is bytes in the
+// cache's arena and a record in its table, not an object. The budget leaves
+// one over for the growth of the map and the tables.
 func TestWireMissAllocs(t *testing.T) {
 	p, up := missProxy(t, Config{})
 	d := newMissDriver(t, p)
 	d.miss() // settle pools, dial the pool slot
-	const budget = 6 + raceSlack
+	const budget = 5 + raceSlack
 	if got := testing.AllocsPerRun(200, d.miss); got > budget {
 		t.Errorf("a UDP-shaped wire miss allocates %.1f times, budget %d", got, budget)
 	}
@@ -167,8 +168,9 @@ func TestRefusedWireMissAllocs(t *testing.T) {
 }
 
 // TestRejectedMissBuildsNoEntry: admission is decided before anything is
-// built, so a miss TinyLFU refuses costs less than one it admits — by the
-// entry, which carries its own LRU links.
+// built, and an admitted entry is a block in the arena and a record in a
+// table, no object — so a miss TinyLFU refuses and one it admits allocate
+// the same, but for the tables' amortised growth.
 func TestRejectedMissBuildsNoEntry(t *testing.T) {
 	admitting, _ := missProxy(t, Config{CacheShards: 1})
 	da := newMissDriver(t, admitting)
@@ -201,10 +203,9 @@ func TestRejectedMissBuildsNoEntry(t *testing.T) {
 	if got := after.AdmissionRejects - before.AdmissionRejects; got != 202 || after.SketchResets != 0 {
 		t.Fatalf("%d of 202 newcomers rejected, %d sketch resets: want every one and none", got, after.SketchResets)
 	}
-	// Exactly one apart without the race detector, whose sync.Pool adds the
-	// same noise to both sides.
-	if rejected > admitted-0.5 {
-		t.Errorf("a rejected miss allocates %.2f times, an admitted one %.2f: want the entry saved", rejected, admitted)
+	// The race detector's sync.Pool adds the same noise to both sides.
+	if rejected > admitted+0.5 || admitted > rejected+0.5 {
+		t.Errorf("a rejected miss allocates %.2f times, an admitted one %.2f: want neither to build an entry", rejected, admitted)
 	}
 }
 
