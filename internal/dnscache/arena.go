@@ -15,8 +15,9 @@ package dnscache
 // recycled.
 
 const (
-	// defaultSlabSize is the arena's standard slab; budgeted shards scale
-	// it down (see New) so tiny caches do not round up to 256 KiB.
+	// defaultSlabSize is the arena's largest standard slab; shards scale
+	// it down to their bound (see Cache.shardSlab) so small caches do not
+	// round up to 256 KiB.
 	defaultSlabSize = 256 << 10
 	// minSlabSize floors the scaled-down slab.
 	minSlabSize = 4 << 10

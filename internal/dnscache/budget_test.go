@@ -363,3 +363,37 @@ func TestParseByteSize(t *testing.T) {
 		}
 	}
 }
+
+// TestCountBoundSlabFootprint pins what a default count-bound cache — 4 096
+// entries over 16 shards, no byte budget — holds for a handful of answers:
+// every shard's arena slab is sized from its share of the bound, so 64
+// names pin at most 512 KiB in all. A fixed 256 KiB slab per shard pinned
+// about 4 MB.
+func TestCountBoundSlabFootprint(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow memory is not the cache's footprint")
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	c := New(replyUpstream{})
+	defer c.Close()
+	ctx := context.Background()
+	for i := 0; i < 64; i++ {
+		name := dnswire.Name(fmt.Sprintf("hot%02d.bench.example.", i))
+		if _, err := c.Exchange(ctx, dnswire.NewQuery(1, name, dnswire.TypeA)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	grown := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	t.Logf("%d entries in %d shards, heap grew %d B", c.Len(), len(c.shards), grown)
+	if c.Len() != 64 || len(c.shards) != 16 {
+		t.Fatalf("%d entries in %d shards, want 64 in 16", c.Len(), len(c.shards))
+	}
+	if grown > 512<<10 {
+		t.Errorf("a count-bound cache holding 64 names grew the heap by %d B, want at most 512 KiB", grown)
+	}
+	runtime.KeepAlive(c)
+}

@@ -418,14 +418,7 @@ func New(upstream dnstransport.Resolver, opts ...Option) *Cache {
 	c.nshards = n
 	slab := c.slabSize
 	if slab <= 0 {
-		slab = defaultSlabSize
-		if c.budget > 0 {
-			// Scale slabs to the shard budget so a small cache's resident
-			// footprint is not rounded up to whole 256 KiB slabs.
-			if s := int(c.budget / int64(n) / 4); s < slab {
-				slab = s
-			}
-		}
+		slab = c.shardSlab(n)
 	}
 	perShard, extra := c.maxEntries/n, c.maxEntries%n
 	perB, extraB := c.budget/int64(n), c.budget%int64(n)
@@ -451,6 +444,20 @@ func New(upstream dnstransport.Resolver, opts ...Option) *Cache {
 		c.shards = append(c.shards, sh)
 	}
 	return c
+}
+
+// shardSlab sizes the arena slab of each of n shards from the cache's bound,
+// so a small cache's resident footprint is not rounded up to whole
+// defaultSlabSize slabs: a quarter of the shard's share — of the byte
+// budget, or of the entry bound at a typical one-address answer's block
+// (some 96 bytes) plus the index cost each — within [minSlabSize,
+// defaultSlabSize]. newArena applies the floor.
+func (c *Cache) shardSlab(n int) int {
+	share := c.budget / int64(n)
+	if c.budget <= 0 {
+		share = int64(min(c.maxEntries/n, defaultSlabSize) * (entryOverhead + 96))
+	}
+	return int(min(share/4, defaultSlabSize))
 }
 
 // expectedPerShard estimates how many entries one shard will hold — the

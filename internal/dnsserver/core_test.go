@@ -26,9 +26,10 @@ import (
 	"dohcost/internal/udpio"
 )
 
-// refStub answers every A query from a fixed rule — one record, or forty
+// refStub answers every A query from a fixed rule — one record, forty
 // (≈700 bytes packed, past the 512-byte default) for names containing
-// "big" — and offers a wire fast path that packs that same answer, for
+// "big", or three hundred (≈4.8 KB, past a pooled stream buffer and a UDP
+// read window) for names containing "huge" — and offers a wire fast path that packs that same answer, for
 // every name not starting with "slow" and every answer within the limit.
 // Names starting with "dead" it fails to resolve, on whichever slow path.
 type refStub struct{ fast, msg atomic.Int64 }
@@ -44,13 +45,16 @@ func refAnswer(q *dnswire.Message) *dnswire.Message {
 	r := q.Reply()
 	name := q.Question1().Name
 	n := 1
-	if strings.Contains(string(name), "big") {
+	switch {
+	case strings.Contains(string(name), "big"):
 		n = 40
+	case strings.Contains(string(name), "huge"):
+		n = 300
 	}
 	for i := 0; i < n; i++ {
 		r.Answers = append(r.Answers, dnswire.ResourceRecord{
 			Name: name, Class: dnswire.ClassINET, TTL: 60,
-			Data: &dnswire.A{Addr: netip.AddrFrom4([4]byte{192, 0, 2, byte(i + 1)})},
+			Data: &dnswire.A{Addr: netip.AddrFrom4([4]byte{192, 0, byte(2 + i>>8), byte(i + 1)})},
 		})
 	}
 	return r
@@ -124,8 +128,9 @@ var dohPOSTHeader = []hpack.HeaderField{{Name: "content-type", Value: ContentTyp
 
 // TestTransportEquivalence is the contract that makes the transport the
 // only variable: for a query set mixing fast hits, names the wire path
-// declines, EDNS and no EDNS, a client cookie, and an answer past the
-// 512-byte default, and a name the handler fails to resolve, the DNS
+// declines, EDNS and no EDNS, a client cookie, an answer past the 512-byte
+// default, one past every pooled buffer (hit and miss, asked with a
+// 65 535-octet EDNS buffer), and a name the handler fails to resolve, the DNS
 // payload returned over UDP (portable fallback
 // conn, vector 1), UDP (kernel socket, vector 16), TCP, DoT and DoH POST
 // equals Respond(ctx, handler, q).Pack() computed with no serve loop
@@ -169,7 +174,9 @@ func testTransportEquivalence(t *testing.T, stub Handler) {
 		{name: "big.example.", edns: 4096}, // a hit everywhere
 		{name: "slow-big.example."},
 		{name: "slow-cookie.example.", edns: 1232, cookie: true},
-		{name: "dead.example."}, // the slow step fails: the same SERVFAIL everywhere
+		{name: "huge.example.", edns: 65535},      // a hit longer than any pooled buffer
+		{name: "slow-huge.example.", edns: 65535}, // and a miss
+		{name: "dead.example."},                   // the slow step fails: the same SERVFAIL everywhere
 		{name: "dead.example.", edns: 1232},
 	} {
 		id := uint16(0x4000 + i)

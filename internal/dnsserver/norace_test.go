@@ -2,4 +2,4 @@
 
 package dnsserver
 
-const raceSlack = 0
+const raceEnabled = false

@@ -58,10 +58,16 @@ type WireMissResponder interface {
 	ServeDNSWireMiss(ctx context.Context, q *dnswire.Query) ([]byte, error)
 }
 
-// bufLen is the pooled scratch size: a maximum DNS message plus the
-// two-octet stream length prefix, so one pool serves packet reads,
-// response packing and stream frames without reallocation.
-const bufLen = 2 + dnswire.MaxMessageLen
+// pooledMsgLen is the message room of a pooled buffer. DNS messages are a
+// few hundred octets, so 4 KiB holds any ordinary query or reply; a longer
+// one is framed in a one-off buffer of its own, never returned to the pool
+// (see frameIn), so the pool holds only buffers this size.
+const pooledMsgLen = 4096
+
+// bufLen is the pooled scratch size: a pooledMsgLen message behind the
+// two-octet stream length prefix, so stream reads, hit replies and frames
+// are packed in place.
+const bufLen = 2 + pooledMsgLen
 
 // bufPool recycles serving-path scratch buffers. Pointers-to-slices keep
 // the pool allocation-free (a bare []byte would be boxed on every Put).
@@ -270,7 +276,7 @@ func (s *StreamServer) ServeConn(conn net.Conn) error {
 	c := &sc.c
 	var q dnswire.Query // per connection: &q escapes into the WireResponder call
 	for {
-		wire, err := readStreamMessageInto(r, (*rbuf)[:dnswire.MaxMessageLen])
+		wire, err := readStreamMessageInto(r, *rbuf)
 		if err != nil {
 			if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) || errors.Is(err, io.ErrUnexpectedEOF) {
 				return nil
@@ -294,7 +300,7 @@ func (s *StreamServer) ServeConn(conn net.Conn) error {
 		if ok {
 			out := getBuf()
 			if resp, handled := c.serveWire(tx, &q, (*out)[2:2], dnswire.MaxMessageLen); handled {
-				err = sc.writeFrame(tx, *out, len(resp))
+				err = sc.writeFrame(tx, frameIn(*out, resp))
 				tx.Finish()
 				putBuf(out)
 				if err != nil {
@@ -329,14 +335,12 @@ type streamConn struct {
 	c       core
 }
 
-// writeFrame sends the n-octet message packed at out[2:] behind its
-// two-octet length prefix (RFC 1035 §4.2.2) as one write, recorded as tx's
+// writeFrame sends a frame built by frameIn as one write, recorded as tx's
 // write span.
-func (sc *streamConn) writeFrame(tx *telemetry.Transaction, out []byte, n int) error {
-	binary.BigEndian.PutUint16(out, uint16(n))
+func (sc *streamConn) writeFrame(tx *telemetry.Transaction, frame []byte) error {
 	tw := tx.TraceStart()
 	sc.writeMu.Lock()
-	_, err := sc.Write(out[:2+n])
+	_, err := sc.Write(frame)
 	sc.writeMu.Unlock()
 	tx.TraceSpan(qtrace.PhaseWrite, tw)
 	return err
@@ -354,11 +358,11 @@ func (s *StreamServer) writeRefusal(sc *streamConn, wire []byte, gkey uint64) er
 		return nil
 	}
 	// Guard decisions are counted in guard metrics, not as served queries.
-	return sc.writeFrame(nil, *out, len(resp))
+	return sc.writeFrame(nil, frameIn(*out, resp))
 }
 
 // answer runs the slow step for one query and writes the reply behind its
-// length prefix, in a buffer pooled only once the reply is there.
+// length prefix, framed in a buffer pooled only once the reply is there.
 func (sc *streamConn) answer(tx *telemetry.Transaction, q *dnswire.Query, wire []byte) error {
 	reply, tx, err := sc.c.answer(sc.ctx, tx, q, wire)
 	if err != nil {
@@ -367,7 +371,24 @@ func (sc *streamConn) answer(tx *telemetry.Transaction, q *dnswire.Query, wire [
 	defer tx.Finish()
 	out := getBuf()
 	defer putBuf(out)
-	return sc.writeFrame(tx, *out, copy((*out)[2:], reply))
+	return sc.writeFrame(tx, frameIn(*out, reply))
+}
+
+// frameIn returns msg behind its two-octet length prefix (RFC 1035 §4.2.2):
+// in buf, a pooled buffer, where msg already lies packed at buf[2:] or is
+// copied to, or in a one-off buffer of its own when it is longer than buf
+// holds — so a long reply is never written from a buffer that does not
+// carry it, and the pool never takes in a buffer of its size. The caller
+// vouches that msg fits the prefix (dnswire.MaxMessageLen).
+func frameIn(buf, msg []byte) []byte {
+	if len(msg) == 0 || &msg[0] != &buf[2] {
+		if 2+len(msg) > len(buf) {
+			buf = make([]byte, 2+len(msg))
+		}
+		copy(buf[2:], msg)
+	}
+	binary.BigEndian.PutUint16(buf, uint16(len(msg)))
+	return buf[:2+len(msg)]
 }
 
 // answerAside is answer as an out-of-order slow step. An error ends the
@@ -399,8 +420,8 @@ func ReadStreamMessage(r io.Reader) ([]byte, error) {
 }
 
 // readStreamMessageInto reads one length-prefixed DNS message into buf —
-// the serving loop's pooled dnswire.MaxMessageLen buffer, whose head also
-// takes the length prefix, so it allocates nothing — or into a fresh slice
+// the serving loop's pooled buffer, whose head also takes the length
+// prefix, so an ordinary query allocates nothing — or into a fresh slice
 // when buf, at least two octets, is too short to hold it.
 func readStreamMessageInto(r io.Reader, buf []byte) ([]byte, error) {
 	if _, err := io.ReadFull(r, buf[:2]); err != nil {
@@ -418,7 +439,7 @@ func readStreamMessageInto(r io.Reader, buf []byte) ([]byte, error) {
 
 // WriteStreamMessage writes one length-prefixed DNS message as a single
 // flight. The frame is assembled in a pooled buffer, not allocated per
-// write.
+// write, unless msg is longer than a pooled buffer holds.
 func WriteStreamMessage(w io.Writer, msg []byte) error {
 	return writeStreamMessage(w, msg, false, 0)
 }
@@ -436,9 +457,7 @@ func writeStreamMessage(w io.Writer, msg []byte, patch bool, id uint16) error {
 	}
 	out := getBuf()
 	defer putBuf(out)
-	buf := (*out)[:2+len(msg)]
-	binary.BigEndian.PutUint16(buf, uint16(len(msg)))
-	copy(buf[2:], msg)
+	buf := frameIn(*out, msg)
 	if patch {
 		dnswire.PatchID(buf[2:], id)
 	}

@@ -3,8 +3,8 @@ package dnsserver
 // The UDP serve loop, the batch adapter over the serving core. One
 // goroutine per shard socket pulls up to a batch of datagrams in a single
 // read (recvmmsg on a kernel-batched conn, one datagram on the portable
-// fallback), answers every cache hit into a per-shard response vector, and
-// flushes the vector in a single write — so under load the syscall cost of
+// fallback), answers every cache hit into a per-shard flush buffer, and
+// flushes the replies in a single write — so under load the syscall cost of
 // the fast path is amortized over tens of datagrams. Misses and
 // unparseable packets peel off to the server's bounded slow steps.
 
@@ -26,7 +26,7 @@ import (
 
 // DefaultBatch is the read/write vector size ServeBatch uses when the
 // caller passes batch<=0 — large enough to amortize syscalls under load,
-// small enough that a batch of maximum-size messages stays cache-warm.
+// small enough that a batch of full read windows stays cache-warm.
 const DefaultBatch = 32
 
 // shardCounters is one shard socket's serving counters, written by its
@@ -37,6 +37,7 @@ type shardCounters struct {
 	fastHits     atomic.Uint64
 	slowPath     atomic.Uint64
 	guardDropped atomic.Uint64
+	oversize     atomic.Uint64
 	spills       atomic.Uint64
 	flushes      atomic.Uint64
 	flushed      atomic.Uint64
@@ -55,13 +56,17 @@ type UDPShardStats struct {
 	// handed to a slow step (cache miss, unparseable, a shape the wire
 	// path declines, or a reply owing its client a server cookie);
 	// GuardDropped were consumed by the abuse guard before reaching either
-	// (silently dropped or answered with a minimal TC=1 slip). Every read
-	// datagram lands in exactly one of the three, so Datagrams == FastHits
-	// + SlowPath + GuardDropped — guard-limited datagrams still count in
-	// the batch-size histogram, which samples at read time.
+	// (silently dropped or answered with a minimal TC=1 slip); Oversize
+	// were longer than the read window (maxUDPQuery octets) and answered
+	// with a TC=1 echo of their header and question, sending the client to
+	// TCP. Every read datagram lands in exactly one of the four, so
+	// Datagrams == FastHits + SlowPath + GuardDropped + Oversize — guard-
+	// limited datagrams still count in the batch-size histogram, which
+	// samples at read time.
 	FastHits     uint64 `json:"fast_hits"`
 	SlowPath     uint64 `json:"slow_path"`
 	GuardDropped uint64 `json:"guard_dropped"`
+	Oversize     uint64 `json:"oversize"`
 	// Spills counts slow-path hand-offs that had to start a goroutine: each
 	// a new high-water mark of slow steps in flight, at most their bound.
 	Spills uint64 `json:"spills"`
@@ -88,6 +93,7 @@ func (s *UDPServer) ShardStats() []UDPShardStats {
 			FastHits:         sc.fastHits.Load(),
 			SlowPath:         sc.slowPath.Load(),
 			GuardDropped:     sc.guardDropped.Load(),
+			Oversize:         sc.oversize.Load(),
 			Spills:           sc.spills.Load(),
 			Flushes:          sc.flushes.Load(),
 			FlushedDatagrams: sc.flushed.Load(),
@@ -154,40 +160,54 @@ func (s *UDPServer) ServeBatch(conns []udpio.BatchConn, batch int) error {
 	return firstErr
 }
 
-// batchVec is one shard's reusable read and write state: every slot of
-// the read vector owns a pooled buffer datagrams are read into (a slow step
-// takes its own copy of the query), and every slot of the write vector owns
-// a pooled buffer responses are packed into.
+// maxUDPQuery is the longest datagram the batch loop reads whole. DNS
+// queries are a few hundred octets; a longer datagram is answered with a
+// TC=1 echo, which sends its client to TCP, where any size is served.
+const maxUDPQuery = 4096
+
+// flushBufLen is the write side's flush buffer: a 65 535-octet EDNS reply
+// still fits in it alone, and ordinary replies pack hundreds to a flush.
+const flushBufLen = 64 << 10
+
+// echoRoom bounds a header-and-question echo of query — a guard slip, an
+// oversize datagram's TC=1: the echo never outgrows the query but by the
+// guard's cookie OPT (root name, type, class, TTL, RDLEN: 11 octets; option
+// header: 4; client and server cookie: 24).
+func echoRoom(query []byte) int { return len(query) + 11 + 4 + 24 }
+
+// batchVec is one shard's reusable read and write state. The read vector's
+// slots are windows of one allocation, maxUDPQuery+1 octets each: a
+// datagram that fills its window is longer than maxUDPQuery, whether the
+// kernel (recvmmsg) or the per-packet fallback cut it. Replies are appended
+// one after another into one flush buffer, every slot of the write vector
+// a subslice of it, and flushed early when the room left could not hold the
+// next one.
 type batchVec struct {
+	conn    udpio.BatchConn
+	sc      *shardCounters
+	tracing bool // this batch's: spans for the flush
+
 	ms    []udpio.Message
-	bufs  []*[]byte
 	out   []udpio.Message
-	obufs []*[]byte
+	flush []byte // the flush buffer; flush[:used] holds the queued replies
+	used  int
 	txs   []*telemetry.Transaction
 }
 
-func newBatchVec(batch int) *batchVec {
+func newBatchVec(conn udpio.BatchConn, sc *shardCounters, batch int) *batchVec {
 	v := &batchVec{
+		conn:  conn,
+		sc:    sc,
 		ms:    make([]udpio.Message, batch),
-		bufs:  make([]*[]byte, batch),
 		out:   make([]udpio.Message, batch),
-		obufs: make([]*[]byte, batch),
+		flush: make([]byte, flushBufLen),
 		txs:   make([]*telemetry.Transaction, 0, batch),
 	}
-	for i := 0; i < batch; i++ {
-		v.bufs[i] = getBuf()
-		v.ms[i].Buf = *v.bufs[i]
-		v.obufs[i] = getBuf()
+	rbuf := make([]byte, batch*(maxUDPQuery+1))
+	for i := range v.ms {
+		v.ms[i].Buf = rbuf[i*(maxUDPQuery+1) : (i+1)*(maxUDPQuery+1) : (i+1)*(maxUDPQuery+1)]
 	}
 	return v
-}
-
-// release returns every pooled buffer.
-func (v *batchVec) release() {
-	for i := range v.bufs {
-		putBuf(v.bufs[i])
-		putBuf(v.obufs[i])
-	}
 }
 
 // serveShard runs one socket's read→answer→flush loop until the conn
@@ -195,11 +215,10 @@ func (v *batchVec) release() {
 func (s *UDPServer) serveShard(conn udpio.BatchConn, batch int, c *core, steps *slowSteps, sc *shardCounters) error {
 	if !conn.Batched() {
 		// The portable fallback returns one datagram per read; a longer
-		// vector would only pin pooled buffers it can never fill.
+		// vector would only pin read windows it can never fill.
 		batch = 1
 	}
-	v := newBatchVec(batch)
-	defer v.release()
+	v := newBatchVec(conn, sc, batch)
 	var q dnswire.Query // per shard: &q escapes into the WireResponder call
 	consecutive := 0
 	for {
@@ -223,13 +242,12 @@ func (s *UDPServer) serveShard(conn udpio.BatchConn, batch int, c *core, steps *
 		sc.reads.Add(1)
 		sc.datagrams.Add(uint64(n))
 		tracing := s.Telemetry.Tracing()
+		v.tracing = tracing
 
-		// Answer the batch: fast-path hits pack into the write vector,
+		// Answer the batch: fast-path hits pack into the flush buffer,
 		// everything else peels off to a slow step.
-		v.txs = v.txs[:0]
 		for i := 0; i < n; i++ {
 			pkt := v.ms[i].Buf[:v.ms[i].N]
-			dst := (*v.obufs[len(v.txs)])[:0] // the write vector's next free slot
 			var tGuard time.Time
 			var cookieOwed bool
 			var gkey uint64
@@ -245,63 +263,93 @@ func (s *UDPServer) serveShard(conn udpio.BatchConn, batch int, c *core, steps *
 					sc.guardDropped.Add(1)
 					continue
 				case guard.ActionSlip:
-					// The slip rides the batch's write vector like a fast
-					// hit, with a nil transaction slot (guard decisions are
-					// counted in guard metrics, not as served queries).
-					if resp, ok := s.Guard.AppendLimited(dst, pkt, gkey, guard.ActionSlip); ok {
-						v.queue(len(resp), v.ms[i].Addr, nil)
+					// The slip rides the flush buffer like a fast hit, with a
+					// nil transaction slot (guard decisions are counted in
+					// guard metrics, not as served queries).
+					if resp, ok := s.Guard.AppendLimited(v.room(echoRoom(pkt)), pkt, gkey, guard.ActionSlip); ok {
+						v.queue(resp, v.ms[i].Addr, nil)
 					}
 					sc.guardDropped.Add(1)
 					continue
 				}
 			}
+			if len(pkt) > maxUDPQuery {
+				// Cut off: what is left is the header and, in any real query,
+				// the question. Echo them with TC=1 and no OPT — the
+				// additional section is gone — so the client asks over TCP.
+				sc.oversize.Add(1)
+				if qend, ok := dnswire.QuestionEnd(pkt); ok {
+					v.queue(dnswire.AppendEcho(v.room(echoRoom(pkt)), pkt, qend, dnswire.RCodeSuccess, true), v.ms[i].Addr, nil)
+				}
+				continue
+			}
 			// A reply that owes its client a server cookie is the slow step's
 			// to build, hit or not: the echo lives in UDP's fit.
 			tx, ok := c.parse(&q, pkt, tGuard)
 			if ok && !cookieOwed {
-				if resp, handled := c.serveWire(tx, &q, dst, s.udpLimit(q.HasEDNS, q.UDPSize)); handled {
-					v.queue(len(resp), v.ms[i].Addr, tx)
+				limit := s.udpLimit(q.HasEDNS, q.UDPSize)
+				if resp, handled := c.serveWire(tx, &q, v.room(limit), limit); handled {
+					v.queue(resp, v.ms[i].Addr, tx)
 					sc.fastHits.Add(1)
 					continue
 				}
 			}
 			s.batchHandoff(conn, &v.ms[i], tx, &q, gkey, steps, sc)
 		}
-
-		// One sendmmsg for the whole batch of hits. A write error is not
-		// fatal to the shard (the kernel can refuse one destination);
-		// the affected clients retry, like any dropped datagram.
-		if nw := len(v.txs); nw > 0 {
-			// Traced hits share the flush interval: every response in the
-			// vector left in the same sendmmsg, so each transaction's write
-			// span is the batched syscall itself.
-			var tFlush time.Time
-			if tracing {
-				tFlush = time.Now()
-			}
-			conn.WriteBatch(v.out[:nw])
-			sc.flushes.Add(1)
-			sc.flushed.Add(uint64(nw))
-			var flushEnd time.Time
-			if tracing {
-				flushEnd = time.Now()
-			}
-			for _, tx := range v.txs {
-				tx.TraceSpanBetween(qtrace.PhaseWrite, tFlush, flushEnd)
-				tx.Finish()
-			}
-		}
+		v.flushOut()
 	}
 }
 
-// queue claims the write vector's next free slot — one per entry of txs —
-// for the n-octet response packed in that slot's own buffer. Responses
+// room returns the flush buffer's free tail, empty with at least need octets
+// of capacity: when less is left, the replies queued so far are flushed
+// first. Every reply fits the room it was packed in, so none reallocates.
+func (v *batchVec) room(need int) []byte {
+	if len(v.flush)-v.used < need {
+		v.flushOut()
+	}
+	return v.flush[v.used:v.used]
+}
+
+// queue claims the write vector's next slot for resp, packed at the flush
+// buffer's free tail — or, were it ever longer than the room it was given,
+// in storage of its own, which the slot then points at instead. Replies
 // flush before the next ReadBatch, so sharing the read vector's addr is
 // safe.
-func (v *batchVec) queue(n int, addr net.Addr, tx *telemetry.Transaction) {
-	nw := len(v.txs)
-	v.out[nw] = udpio.Message{Buf: *v.obufs[nw], N: n, Addr: addr}
+func (v *batchVec) queue(resp []byte, addr net.Addr, tx *telemetry.Transaction) {
+	if len(resp) > 0 && v.used < len(v.flush) && &resp[0] == &v.flush[v.used] {
+		v.used += len(resp)
+	}
+	v.out[len(v.txs)] = udpio.Message{Buf: resp, N: len(resp), Addr: addr}
 	v.txs = append(v.txs, tx)
+}
+
+// flushOut sends the queued replies in one sendmmsg and empties the flush
+// buffer. A write error is not fatal to the shard (the kernel can refuse
+// one destination); the affected clients retry, like any dropped datagram.
+func (v *batchVec) flushOut() {
+	nw := len(v.txs)
+	if nw == 0 {
+		return
+	}
+	// Traced hits share the flush interval: every reply in the vector left
+	// in the same sendmmsg, so each transaction's write span is the batched
+	// syscall itself.
+	var tFlush time.Time
+	if v.tracing {
+		tFlush = time.Now()
+	}
+	v.conn.WriteBatch(v.out[:nw])
+	v.sc.flushes.Add(1)
+	v.sc.flushed.Add(uint64(nw))
+	var flushEnd time.Time
+	if v.tracing {
+		flushEnd = time.Now()
+	}
+	for _, tx := range v.txs {
+		tx.TraceSpanBetween(qtrace.PhaseWrite, tFlush, flushEnd)
+		tx.Finish()
+	}
+	v.txs, v.used = v.txs[:0], 0
 }
 
 // batchHandoff hands one datagram of the read vector to a slow step, which

@@ -171,6 +171,38 @@ func (q *Query) AppendCanonicalName(dst []byte) []byte {
 	return dst
 }
 
+// QuestionEnd returns the offset just past the first question of a packed
+// message — the prefix AppendEcho repeats — scanning leniently: the name may
+// end in a compression pointer, which is not followed. ok=false when the
+// message is too short, has no question, or the question runs past its end.
+func QuestionEnd(wire []byte) (int, bool) {
+	if len(wire) < headerLen || binary.BigEndian.Uint16(wire[4:]) == 0 {
+		return 0, false
+	}
+	off := headerLen
+	for {
+		if off >= len(wire) {
+			return 0, false
+		}
+		b := wire[off]
+		switch {
+		case b == 0:
+			off++
+		case b&0xC0 == 0xC0:
+			off += 2
+		case b&0xC0 != 0:
+			return 0, false
+		default:
+			off += 1 + int(b)
+			continue
+		}
+		if off+4 > len(wire) {
+			return 0, false
+		}
+		return off + 4, true
+	}
+}
+
 // AppendEcho appends to dst the reply that only echoes a query and says
 // rcode: query[:qend] — the header and the question — with QR and RA set,
 // opcode and RD kept, every other flag cleared but TC when tc is set, the
@@ -188,7 +220,7 @@ func AppendEcho(dst, query []byte, qend int, rcode RCode, tc bool) []byte {
 	}
 	binary.BigEndian.PutUint16(dst[base+2:], flags)
 	copy(dst[base+6:base+headerLen], "\x00\x00\x00\x00\x00\x00") // ANCOUNT, NSCOUNT, ARCOUNT
-	// Labels run to the root octet or, in a query only the guard's lenient
+	// Labels run to the root octet or, in a query only QuestionEnd's lenient
 	// scan accepted, a compression pointer.
 	for off := base + headerLen; dst[off] != 0 && dst[off]&0xC0 == 0; {
 		end := off + 1 + int(dst[off])

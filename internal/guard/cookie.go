@@ -65,20 +65,6 @@ func skipName(wire []byte, off int) (int, bool) {
 	}
 }
 
-// questionEnd returns the offset just past the first question of a packed
-// query — the prefix a slip/refuse response echoes back. ok=false when the
-// message is too short, has no question, or the question is malformed.
-func questionEnd(wire []byte) (int, bool) {
-	if len(wire) < dnsHeaderLen || binary.BigEndian.Uint16(wire[4:]) == 0 {
-		return 0, false
-	}
-	off, ok := skipName(wire, dnsHeaderLen)
-	if !ok || off+4 > len(wire) {
-		return 0, false
-	}
-	return off + 4, true
-}
-
 // cookieOption scans a packed DNS message for an EDNS COOKIE option and
 // returns its client part (exactly 8 bytes) and server part (possibly
 // empty, at most 32 bytes), both borrowed from wire. It tolerates any

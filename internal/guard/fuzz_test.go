@@ -1,6 +1,10 @@
 package guard
 
-import "testing"
+import (
+	"testing"
+
+	"dohcost/internal/dnswire"
+)
 
 // fuzzSeeds are the corpus anchors: well-formed queries with and without
 // cookies, plus the malformed shapes the scanner must survive — truncated
@@ -41,8 +45,8 @@ func FuzzCookieParse(f *testing.F) {
 			}
 			g.validCookie(cc, sc, 1, clk.Now())
 		}
-		if end, ok := questionEnd(wire); ok && (end < dnsHeaderLen || end > len(wire)) {
-			t.Fatalf("questionEnd %d outside [%d,%d]", end, dnsHeaderLen, len(wire))
+		if end, ok := dnswire.QuestionEnd(wire); ok && (end < dnsHeaderLen || end > len(wire)) {
+			t.Fatalf("QuestionEnd %d outside [%d,%d]", end, dnsHeaderLen, len(wire))
 		}
 		if resp, ok := g.AppendLimited(nil, wire, 1, ActionSlip); ok {
 			if len(resp) < dnsHeaderLen {

@@ -379,7 +379,7 @@ func (g *Guard) MissDone() {
 // graduate to the cookie bypass on its next try.
 // ok=false means the query was too malformed to echo; drop instead.
 func (g *Guard) AppendLimited(dst, query []byte, key uint64, a Action) ([]byte, bool) {
-	qend, ok := questionEnd(query)
+	qend, ok := dnswire.QuestionEnd(query)
 	if !ok || g == nil {
 		return dst, false
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"dohcost/internal/dnswire"
 	"dohcost/internal/telemetry"
 )
 
@@ -287,7 +288,7 @@ func TestAppendLimitedShapes(t *testing.T) {
 		binary.BigEndian.Uint16(slip[8:]), binary.BigEndian.Uint16(slip[10:]); qd != 1 || an != 0 || ns != 0 || ar != 0 {
 		t.Fatalf("slip counts %d/%d/%d/%d", qd, an, ns, ar)
 	}
-	qend, _ := questionEnd(q)
+	qend, _ := dnswire.QuestionEnd(q)
 	if len(slip) != qend {
 		t.Fatalf("slip length %d, want question echo %d", len(slip), qend)
 	}

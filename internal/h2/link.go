@@ -44,6 +44,11 @@ const (
 	// maxKeptFields is the decoded-fields scratch, and a recycled request's
 	// header capacity, worth keeping between messages.
 	maxKeptFields = 32
+	// maxKeptBlock is the header-block assembly capacity worth keeping
+	// between messages: a DoH header block is a few dozen octets, so one
+	// large block does not pin up to maxHeaderBlock for the connection's
+	// life.
+	maxKeptBlock = 4 << 10
 )
 
 // link is what ClientConn and serverConn share: the framer, both HPACK
@@ -168,6 +173,9 @@ func (l *link) headerFragment(fr Frame, block []byte) error {
 	clear(fields)
 	if l.decoded = fields; cap(fields) > maxKeptFields {
 		l.decoded = nil
+	}
+	if cap(l.contBuf) > maxKeptBlock {
+		l.contBuf = nil
 	}
 	return err
 }

@@ -354,3 +354,48 @@ func TestInlineRoundTripAllocs(t *testing.T) {
 		}
 	})
 }
+
+// headersSink is an endpoint that takes decoded header blocks and nothing
+// else: enough of one for link's header-block assembly.
+type headersSink struct{ blocks int }
+
+func (*headersSink) sendStream(uint32) *stream { return nil }
+func (h *headersSink) handleHeaders(uint32, []hpack.HeaderField, bool) error {
+	h.blocks++
+	return nil
+}
+func (*headersSink) handleData(Frame) error { return nil }
+func (*headersSink) handleReset(Frame)      {}
+
+// TestLargeHeaderBlockIsReleased: a header block past maxKeptBlock, split
+// over HEADERS and CONTINUATION, is decoded and then let go — the assembly
+// buffer does not pin it for the rest of the connection — while an ordinary
+// block's buffer is kept for the next one.
+func TestLargeHeaderBlockIsReleased(t *testing.T) {
+	end := &headersSink{}
+	l := &link{end: end, hdec: hpack.NewDecoder()}
+	enc := hpack.NewEncoder()
+
+	small := enc.AppendEncode(nil, []hpack.HeaderField{{Name: ":method", Value: "POST"}, {Name: ":path", Value: "/dns-query"}})
+	if err := l.handleFrame(Frame{Type: FrameHeaders, Flags: FlagEndHeaders, StreamID: 1, Payload: small}); err != nil {
+		t.Fatal(err)
+	}
+	if c := cap(l.contBuf); c == 0 || c > maxKeptBlock {
+		t.Fatalf("after a %d-octet block the assembly buffer has capacity %d, want it kept", len(small), c)
+	}
+
+	large := enc.AppendEncode(nil, []hpack.HeaderField{{Name: "x-large", Value: strings.Repeat("v", 4*maxKeptBlock)}})
+	half := len(large) / 2
+	if err := l.handleFrame(Frame{Type: FrameHeaders, StreamID: 3, Payload: large[:half]}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.handleFrame(Frame{Type: FrameContinuation, Flags: FlagEndHeaders, StreamID: 3, Payload: large[half:]}); err != nil {
+		t.Fatal(err)
+	}
+	if end.blocks != 2 {
+		t.Fatalf("%d header blocks decoded, want 2", end.blocks)
+	}
+	if c := cap(l.contBuf); c != 0 {
+		t.Errorf("after a %d-octet block the assembly buffer still has capacity %d, want it released", len(large), c)
+	}
+}

@@ -93,11 +93,12 @@ func TestZipfTinyLFUBeatsLRU(t *testing.T) {
 	lru := run()
 	tlfu := run(dnscache.WithTinyLFU())
 	t.Logf("hit rate over %d Zipf queries at %d B: lru %.4f, tinylfu %.4f", queries, budget, lru, tlfu)
-	// Measured on this workload across sketch seeds: LRU 0.528, TinyLFU
-	// 0.569–0.573 — a stable gap of +0.041 to +0.045. Assert well under
-	// the observed minimum so the regression fails only on real policy
-	// breakage, not run-to-run hash-seed noise.
-	const margin = 0.03
+	// Measured on this workload across hash and sketch seeds, with the
+	// pointer-free index's entry cost: LRU 0.582, TinyLFU 0.612–0.616 — a
+	// gap of +0.029 to +0.034. Assert well under the observed minimum so
+	// the regression fails only on real policy breakage, not run-to-run
+	// hash-seed noise.
+	const margin = 0.02
 	if tlfu < lru+margin {
 		t.Errorf("TinyLFU hit rate %.4f does not beat LRU %.4f by %.2f", tlfu, lru, margin)
 	}

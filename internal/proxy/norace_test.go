@@ -2,4 +2,4 @@
 
 package proxy
 
-const raceSlack = 0
+const raceEnabled = false

@@ -2,6 +2,7 @@
 
 package proxy
 
-// raceSlack is what an allocation budget gives way by under the race
-// detector, whose sync.Pool drops a quarter of what is put back.
-const raceSlack = 2
+// raceEnabled makes allocation and footprint pins skip: the detector
+// allocates on its own, and its sync.Pool drops a quarter of what is put
+// back.
+const raceEnabled = true
