@@ -174,19 +174,17 @@ func (c *scriptedConn) SetReadDeadline(time.Time) error { return nil }
 func (c *scriptedConn) Close() error                    { c.once.Do(func() { close(c.closed) }); return nil }
 func (c *scriptedConn) Batched() bool                   { return true }
 
-// TestEarlyFlushKeepsReadOrder: a batch of hits whose replies outgrow the
-// flush buffer is flushed early, mid-batch, whenever the room left is less
-// than the next query's size limit — and still every reply leaves exactly
-// once, in the order the queries were read, byte for byte what the handler
-// packed, and every transaction is finished once.
-func TestEarlyFlushKeepsReadOrder(t *testing.T) {
-	const batch = 32
+// serveScripted serves one batch of queries, each asking for name with EDNS
+// size edns, over a scriptedConn with the server's default size limits, and
+// returns the conn once every reply has left, with the replies the handler
+// packed for them and the count of finished transactions.
+func serveScripted(t *testing.T, name dnswire.Name, edns uint16, batch int) (conn *scriptedConn, want [][]byte, srv *UDPServer, stub *refStub, finished int64) {
+	t.Helper()
 	ref := &refStub{}
-	var want [][]byte
-	conn := &scriptedConn{from: &net.UDPAddr{IP: net.IPv4(192, 0, 2, 7), Port: 5353}, closed: make(chan struct{})}
+	conn = &scriptedConn{from: &net.UDPAddr{IP: net.IPv4(192, 0, 2, 7), Port: 5353}, closed: make(chan struct{})}
 	for i := 0; i < batch; i++ {
-		q := dnswire.NewQuery(uint16(0x6000+i), "huge.example.", dnswire.TypeA)
-		q.EDNS = &dnswire.EDNS{UDPSize: 16384}
+		q := dnswire.NewQuery(uint16(0x6000+i), name, dnswire.TypeA)
+		q.EDNS = &dnswire.EDNS{UDPSize: edns}
 		wire, err := q.Pack()
 		if err != nil {
 			t.Fatal(err)
@@ -198,17 +196,28 @@ func TestEarlyFlushKeepsReadOrder(t *testing.T) {
 		}
 		want = append(want, resp)
 	}
-	var finished atomic.Int64
-	tel := telemetry.New(telemetry.WithListener(telemetry.ListenerFunc(func(*telemetry.Summary) { finished.Add(1) })))
-	stub := &refStub{}
-	srv := &UDPServer{Handler: stub, Telemetry: tel}
+	var fin atomic.Int64
+	tel := telemetry.New(telemetry.WithListener(telemetry.ListenerFunc(func(*telemetry.Summary) { fin.Add(1) })))
+	stub = &refStub{}
+	srv = &UDPServer{Handler: stub, Telemetry: tel}
 	done := make(chan error)
 	go func() { done <- srv.ServeBatch([]udpio.BatchConn{conn}, batch) }()
-	waitFor(t, func() bool { return srv.ShardStats() != nil && srv.ShardStats()[0].FlushedDatagrams == batch })
+	waitFor(t, func() bool { return srv.ShardStats() != nil && srv.ShardStats()[0].FlushedDatagrams == uint64(batch) })
 	conn.Close()
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
+	return conn, want, srv, stub, fin.Load()
+}
+
+// TestEarlyFlushKeepsReadOrder: a batch of hits whose replies outgrow the
+// flush buffer is flushed early, mid-batch, whenever a reply no longer fits
+// the room left — and still every reply leaves exactly once, in the order
+// the queries were read, byte for byte what the handler packed, and every
+// transaction is finished once.
+func TestEarlyFlushKeepsReadOrder(t *testing.T) {
+	const batch = 32
+	conn, want, srv, stub, finished := serveScripted(t, "huge.example.", 16384, batch)
 
 	var got [][]byte
 	for _, f := range conn.flushes {
@@ -231,10 +240,28 @@ func TestEarlyFlushKeepsReadOrder(t *testing.T) {
 	if st.FastHits != batch || st.Flushes != uint64(len(conn.flushes)) || stub.fast.Load() != batch {
 		t.Errorf("shard counters %+v, %d fast answers: want %d hits in %d flushes", st, stub.fast.Load(), batch, len(conn.flushes))
 	}
-	if n := finished.Load(); n != batch {
-		t.Errorf("%d transactions finished for %d replies", n, batch)
+	if finished != batch {
+		t.Errorf("%d transactions finished for %d replies", finished, batch)
 	}
 	t.Logf("%d replies of %d octets in %d flushes", batch, len(want[0]), len(conn.flushes))
+}
+
+// TestOrdinaryRepliesFlushOnce: the flush buffer is not reserved by the
+// size a client advertises. A batch of ordinary hits for clients that
+// advertise 1232, 4096 or 65 535 octets of EDNS, with the server's default
+// size limits, leaves in a single write.
+func TestOrdinaryRepliesFlushOnce(t *testing.T) {
+	const batch = DefaultBatch
+	for _, edns := range []uint16{1232, 4096, 65535} {
+		for _, name := range []dnswire.Name{"fast.example.", "big.example."} {
+			conn, want, srv, _, _ := serveScripted(t, name, edns, batch)
+			st := srv.ShardStats()[0]
+			if len(conn.flushes) != 1 || st.Flushes != 1 || st.FastHits != batch {
+				t.Errorf("EDNS %d, %d replies of %d octets: %d flushes, counters %+v; want every hit in one flush",
+					edns, batch, len(want[0]), len(conn.flushes), st)
+			}
+		}
+	}
 }
 
 // heapGrowth reports how much live heap serving holds: HeapAlloc after a

@@ -169,6 +169,11 @@ const maxUDPQuery = 4096
 // still fits in it alone, and ordinary replies pack hundreds to a flush.
 const flushBufLen = 64 << 10
 
+// minReplyRoom is the least free tail a hit is packed into: the classic
+// 512-octet UDP message. With less left, the replies queued so far are
+// flushed first; a hit longer than the tail it was given is flushed at once.
+const minReplyRoom = 512
+
 // echoRoom bounds a header-and-question echo of query — a guard slip, an
 // oversize datagram's TC=1: the echo never outgrows the query but by the
 // guard's cookie OPT (root name, type, class, TTL, RDLEN: 11 octets; option
@@ -180,8 +185,7 @@ func echoRoom(query []byte) int { return len(query) + 11 + 4 + 24 }
 // datagram that fills its window is longer than maxUDPQuery, whether the
 // kernel (recvmmsg) or the per-packet fallback cut it. Replies are appended
 // one after another into one flush buffer, every slot of the write vector
-// a subslice of it, and flushed early when the room left could not hold the
-// next one.
+// a subslice of it, and flushed early when the buffer runs short.
 type batchVec struct {
 	conn    udpio.BatchConn
 	sc      *shardCounters
@@ -288,7 +292,7 @@ func (s *UDPServer) serveShard(conn udpio.BatchConn, batch int, c *core, steps *
 			tx, ok := c.parse(&q, pkt, tGuard)
 			if ok && !cookieOwed {
 				limit := s.udpLimit(q.HasEDNS, q.UDPSize)
-				if resp, handled := c.serveWire(tx, &q, v.room(limit), limit); handled {
+				if resp, handled := c.serveWire(tx, &q, v.room(minReplyRoom), limit); handled {
 					v.queue(resp, v.ms[i].Addr, tx)
 					sc.fastHits.Add(1)
 					continue
@@ -300,9 +304,9 @@ func (s *UDPServer) serveShard(conn udpio.BatchConn, batch int, c *core, steps *
 	}
 }
 
-// room returns the flush buffer's free tail, empty with at least need octets
-// of capacity: when less is left, the replies queued so far are flushed
-// first. Every reply fits the room it was packed in, so none reallocates.
+// room returns the flush buffer's whole free tail, empty with at least need
+// octets of capacity: when less is left, the replies queued so far are
+// flushed first.
 func (v *batchVec) room(need int) []byte {
 	if len(v.flush)-v.used < need {
 		v.flushOut()
@@ -311,16 +315,23 @@ func (v *batchVec) room(need int) []byte {
 }
 
 // queue claims the write vector's next slot for resp, packed at the flush
-// buffer's free tail — or, were it ever longer than the room it was given,
-// in storage of its own, which the slot then points at instead. Replies
+// buffer's free tail — or, when it was longer than the tail it was given, in
+// storage of its own, which the slot then points at instead. That storage
+// is only good until the next query is answered, and a tail too short for
+// this reply is likely short for the next, so the batch so far is flushed
+// at once. Replies
 // flush before the next ReadBatch, so sharing the read vector's addr is
 // safe.
 func (v *batchVec) queue(resp []byte, addr net.Addr, tx *telemetry.Transaction) {
-	if len(resp) > 0 && v.used < len(v.flush) && &resp[0] == &v.flush[v.used] {
+	inBuf := len(resp) > 0 && v.used < len(v.flush) && &resp[0] == &v.flush[v.used]
+	if inBuf {
 		v.used += len(resp)
 	}
 	v.out[len(v.txs)] = udpio.Message{Buf: resp, N: len(resp), Addr: addr}
 	v.txs = append(v.txs, tx)
+	if !inBuf {
+		v.flushOut()
+	}
 }
 
 // flushOut sends the queued replies in one sendmmsg and empties the flush

@@ -171,6 +171,32 @@ func (q *Query) AppendCanonicalName(dst []byte) []byte {
 	return dst
 }
 
+// SkipName returns the offset just past the (possibly compressed) name at
+// off in a packed message, or ok=false when the bytes run out or a label
+// length is malformed. It never follows pointers — for skipping, a pointer
+// ends the name.
+func SkipName(wire []byte, off int) (int, bool) {
+	for {
+		if off >= len(wire) {
+			return 0, false
+		}
+		b := wire[off]
+		switch {
+		case b == 0:
+			return off + 1, true
+		case b&0xC0 == 0xC0:
+			if off+2 > len(wire) {
+				return 0, false
+			}
+			return off + 2, true
+		case b&0xC0 != 0:
+			return 0, false
+		default:
+			off += 1 + int(b)
+		}
+	}
+}
+
 // QuestionEnd returns the offset just past the first question of a packed
 // message — the prefix AppendEcho repeats — scanning leniently: the name may
 // end in a compression pointer, which is not followed. ok=false when the
@@ -179,28 +205,11 @@ func QuestionEnd(wire []byte) (int, bool) {
 	if len(wire) < headerLen || binary.BigEndian.Uint16(wire[4:]) == 0 {
 		return 0, false
 	}
-	off := headerLen
-	for {
-		if off >= len(wire) {
-			return 0, false
-		}
-		b := wire[off]
-		switch {
-		case b == 0:
-			off++
-		case b&0xC0 == 0xC0:
-			off += 2
-		case b&0xC0 != 0:
-			return 0, false
-		default:
-			off += 1 + int(b)
-			continue
-		}
-		if off+4 > len(wire) {
-			return 0, false
-		}
-		return off + 4, true
+	off, ok := SkipName(wire, headerLen)
+	if !ok || off+4 > len(wire) {
+		return 0, false
 	}
+	return off + 4, true
 }
 
 // AppendEcho appends to dst the reply that only echoes a query and says

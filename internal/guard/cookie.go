@@ -3,6 +3,8 @@ package guard
 import (
 	"encoding/binary"
 	"time"
+
+	"dohcost/internal/dnswire"
 )
 
 // DNS cookies (RFC 7873) separate clients that can receive our responses
@@ -40,31 +42,6 @@ const cookieClockSkew = 5 * time.Minute
 // dnsHeaderLen is the fixed DNS message header size.
 const dnsHeaderLen = 12
 
-// skipName advances past the (possibly compressed) name at off, returning
-// the offset just after it, or ok=false when the bytes run out. It never
-// follows pointers — for skipping, a pointer ends the name.
-func skipName(wire []byte, off int) (int, bool) {
-	for {
-		if off >= len(wire) {
-			return 0, false
-		}
-		b := wire[off]
-		switch {
-		case b == 0:
-			return off + 1, true
-		case b&0xC0 == 0xC0:
-			if off+2 > len(wire) {
-				return 0, false
-			}
-			return off + 2, true
-		case b&0xC0 != 0:
-			return 0, false
-		default:
-			off += 1 + int(b)
-		}
-	}
-}
-
 // cookieOption scans a packed DNS message for an EDNS COOKIE option and
 // returns its client part (exactly 8 bytes) and server part (possibly
 // empty, at most 32 bytes), both borrowed from wire. It tolerates any
@@ -85,14 +62,14 @@ func cookieOption(wire []byte) (cc, sc []byte, ok bool) {
 	off := dnsHeaderLen
 	for i := 0; i < qd; i++ {
 		var k bool
-		if off, k = skipName(wire, off); !k || off+4 > len(wire) {
+		if off, k = dnswire.SkipName(wire, off); !k || off+4 > len(wire) {
 			return nil, nil, false
 		}
 		off += 4
 	}
 	for i := 0; i < rrs; i++ {
 		var k bool
-		if off, k = skipName(wire, off); !k || off+10 > len(wire) {
+		if off, k = dnswire.SkipName(wire, off); !k || off+10 > len(wire) {
 			return nil, nil, false
 		}
 		typ := binary.BigEndian.Uint16(wire[off:])

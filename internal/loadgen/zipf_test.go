@@ -91,14 +91,22 @@ func TestZipfTinyLFUBeatsLRU(t *testing.T) {
 		return float64(s.Hits) / float64(s.Hits+s.Misses)
 	}
 	lru := run()
-	tlfu := run(dnscache.WithTinyLFU())
-	t.Logf("hit rate over %d Zipf queries at %d B: lru %.4f, tinylfu %.4f", queries, budget, lru, tlfu)
-	// Measured on this workload across hash and sketch seeds, with the
-	// pointer-free index's entry cost: LRU 0.582, TinyLFU 0.612–0.616 — a
-	// gap of +0.029 to +0.034. Assert well under the observed minimum so
-	// the regression fails only on real policy breakage, not run-to-run
-	// hash-seed noise.
-	const margin = 0.02
+	// TinyLFU's hit rate moves with the hash seed each cache draws (it
+	// decides which names share sketch counters), LRU's hardly at all: one
+	// TinyLFU run lands anywhere in a spread of ±0.003, so the policy is
+	// judged by its mean over several caches, each with a seed of its own.
+	const seeds = 8
+	var tlfu float64
+	for i := 0; i < seeds; i++ {
+		tlfu += run(dnscache.WithTinyLFU()) / seeds
+	}
+	t.Logf("hit rate over %d Zipf queries at %d B: lru %.4f, tinylfu %.4f (mean of %d seeds)", queries, budget, lru, tlfu, seeds)
+	// Measured on this workload with the pointer-free index's entry cost,
+	// over 42 single seeds: LRU 0.582, TinyLFU 0.610–0.617 — a gap of
+	// +0.028 to +0.034, +0.032 on average. The mean of eight seeds landed
+	// at +0.031 to +0.033 over ten runs (standard deviation 0.0006), so
+	// the margin fails on real policy breakage, not on hash-seed noise.
+	const margin = 0.03
 	if tlfu < lru+margin {
 		t.Errorf("TinyLFU hit rate %.4f does not beat LRU %.4f by %.2f", tlfu, lru, margin)
 	}
