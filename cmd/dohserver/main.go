@@ -10,8 +10,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/netip"
 	"os"
@@ -25,40 +27,50 @@ import (
 )
 
 func main() {
-	host := flag.String("host", "resolver.example", "simulated server host name")
-	addr := flag.String("addr", "192.0.2.1", "address every A query resolves to")
-	queries := flag.Int("queries", 5, "smoke queries per transport")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "dohserver:", err)
+		os.Exit(1)
+	}
+}
 
+// run deploys the resolver, smoke-queries every transport and reports each
+// on stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("dohserver", flag.ContinueOnError)
+	host := fs.String("host", "resolver.example", "simulated server host name")
+	addr := fs.String("addr", "192.0.2.1", "address every A query resolves to")
+	queries := fs.Int("queries", 5, "smoke queries per transport")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	ip, err := netip.ParseAddr(*addr)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "dohserver: bad -addr:", err)
-		os.Exit(1)
+		return fmt.Errorf("bad -addr: %w", err)
+	}
+	if *queries <= 0 {
+		return errors.New("-queries must be positive")
 	}
 
 	n := netsim.New(time.Now().UnixNano())
 	chain, err := tlsx.GenerateChain(tlsx.CloudflareLike(*host))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "dohserver:", err)
-		os.Exit(1)
+		return err
 	}
 	srv := &dnsserver.Server{
 		Handler:   dnsserver.Static(ip, 300),
 		Chain:     chain,
 		Endpoints: []dnsserver.Endpoint{{Path: "/dns-query", Wire: true, JSON: true}},
 	}
-	run, err := srv.Start(n, *host)
+	running, err := srv.Start(n, *host)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "dohserver:", err)
-		os.Exit(1)
+		return err
 	}
-	defer run.Close()
-	fmt.Printf("deployment up at %s: udp/tcp :53, dot :853, doh :443 (/dns-query, wire+json)\n\n", *host)
+	defer running.Close()
+	fmt.Fprintf(stdout, "deployment up at %s: udp/tcp :53, dot :853, doh :443 (/dns-query, wire+json)\n\n", *host)
 
 	pc, err := n.ListenPacket("")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "dohserver:", err)
-		os.Exit(1)
+		return err
 	}
 	clients := []struct {
 		name string
@@ -86,15 +98,14 @@ func main() {
 			resp, err := c.r.Exchange(ctx, q)
 			cancel()
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "dohserver: %s query %d: %v\n", c.name, i, err)
-				os.Exit(1)
+				return fmt.Errorf("%s query %d: %w", c.name, i, err)
 			}
 			if len(resp.Answers) != 1 {
-				fmt.Fprintf(os.Stderr, "dohserver: %s query %d: unexpected answers %v\n", c.name, i, resp.Answers)
-				os.Exit(1)
+				return fmt.Errorf("%s query %d: unexpected answers %v", c.name, i, resp.Answers)
 			}
 			total += time.Since(start)
 		}
-		fmt.Printf("%-7s %d/%d ok, avg %v\n", c.name, *queries, *queries, (total / time.Duration(*queries)).Round(time.Microsecond))
+		fmt.Fprintf(stdout, "%-7s %d/%d ok, avg %v\n", c.name, *queries, *queries, (total / time.Duration(*queries)).Round(time.Microsecond))
 	}
+	return nil
 }

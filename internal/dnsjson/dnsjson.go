@@ -6,6 +6,7 @@
 package dnsjson
 
 import (
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"net/netip"
@@ -168,11 +169,19 @@ func parseRData(t dnswire.Type, s string) (dnswire.RData, error) {
 		}
 		return &dnswire.MX{Preference: pref, Host: dnswire.Name(host).Canonical()}, nil
 	case dnswire.TypeTXT:
-		var parts []string
-		for _, p := range strings.Split(s, `" "`) {
-			parts = append(parts, strings.Trim(p, `"`))
+		// TXT.String's form: quoted strings, Go escapes, one space apart.
+		// Data in any other form is one string.
+		txt := &dnswire.TXT{}
+		for rest := s; ; rest = strings.TrimPrefix(rest, " ") {
+			q, err := strconv.QuotedPrefix(rest)
+			if err != nil {
+				return &dnswire.TXT{Strings: []string{s}}, nil
+			}
+			p, _ := strconv.Unquote(q)
+			if txt.Strings, rest = append(txt.Strings, p), rest[len(q):]; rest == "" {
+				return txt, nil
+			}
 		}
-		return &dnswire.TXT{Strings: parts}, nil
 	case dnswire.TypeCAA:
 		var flags uint8
 		rest := s
@@ -183,7 +192,17 @@ func parseRData(t dnswire.Type, s string) (dnswire.RData, error) {
 			rest = s[i+1:]
 		}
 		tag, value, _ := strings.Cut(rest, " ")
-		return &dnswire.CAA{Flags: flags, Tag: tag, Value: strings.Trim(value, `"`)}, nil
+		if v, err := strconv.Unquote(value); err == nil {
+			value = v
+		}
+		return &dnswire.CAA{Flags: flags, Tag: tag, Value: value}, nil
+	}
+	// RFC 3597's generic form, as Unknown.String renders it: \# length hex.
+	if f := strings.Fields(s); len(f) >= 2 && f[0] == `\#` {
+		raw, err := hex.DecodeString(strings.Join(f[2:], ""))
+		if n, nerr := strconv.Atoi(f[1]); err == nil && nerr == nil && n == len(raw) {
+			return &dnswire.Unknown{RRType: t, Raw: raw}, nil
+		}
 	}
 	return &dnswire.Unknown{RRType: t, Raw: []byte(s)}, nil
 }

@@ -1,7 +1,9 @@
 package dnsserver
 
 import (
+	"cmp"
 	"context"
+	"errors"
 	"time"
 
 	"dohcost/internal/dnswire"
@@ -20,29 +22,30 @@ import (
 //     allocates, so read loops run it inline — the h2 read loop too, for
 //     DoH (boundDoH.ServeH2Inline).
 //   - the slow step (answer) resolves everything else and returns the reply
-//     as packed bytes, whichever way it was made: by the handler's
-//     WireMissResponder on the query the hit step parsed — no Message is
-//     built for the query or for the answer — or by Unpack → Respond →
-//     AppendPack for what wire cannot answer: a shape ParseQuery declines,
-//     a handler with no wire steps.
+//     as packed bytes: the handler's wire miss step on the view the hit
+//     step left — no Message is built for the query or for the answer — or,
+//     for a handler with no wire steps of its own, MessageAdapter's Unpack →
+//     Respond → Pack, wrapped around it once by newCore.
 //
 // The slow step may block on upstream work, so batched UDP, out-of-order
 // streams and DoH over h2 run it on another goroutine. Adapters keep what
 // is genuinely per-transport: the guard's verdict form, the size limit,
-// UDP's truncation and cookie echo, framing, the write and its trace span,
-// Finish, and the fate of a query that does not unpack.
+// UDP's truncation and cookie echo (fit), framing, the write and its trace
+// span, Finish, and the fate of a query that does not unpack.
 type core struct {
-	handler  Handler
-	wire     WireResponder     // the handler's fast path; nil when it has none
-	wireMiss WireMissResponder // and its wire miss step, likewise
-	tel      *telemetry.Metrics
-	proto    telemetry.Proto
+	wire  WireResponder     // the handler's fast path; nil when it has none
+	miss  WireMissResponder // its wire miss step, or MessageAdapter around it
+	tel   *telemetry.Metrics
+	proto telemetry.Proto
 }
 
 func newCore(h Handler, tel *telemetry.Metrics, proto telemetry.Proto) core {
 	wr, _ := h.(WireResponder)
-	wm, _ := h.(WireMissResponder)
-	return core{handler: h, wire: wr, wireMiss: wm, tel: tel, proto: proto}
+	wm, ok := h.(WireMissResponder)
+	if !ok {
+		wm = MessageAdapter{Handler: h}
+	}
+	return core{wire: wr, miss: wm, tel: tel, proto: proto}
 }
 
 // parse opens the hit step: the fast parse of wire into the caller's q
@@ -50,11 +53,11 @@ func newCore(h Handler, tel *telemetry.Metrics, proto telemetry.Proto) core {
 // adapter's guard check began (zero without a guard or a tracer); the
 // guard ran, and the parse runs, before the transaction's clock starts, so
 // on every transport both spans carry slightly negative start offsets.
-// ok=false — no fast path, or a shape ParseQuery declines — leaves q the
-// zero view and tx nil for the slow step to begin.
+// ok=false — no fast path, or a shape ParseQuery declines — leaves q a view
+// that carries only wire, and tx nil, for the slow step to begin.
 func (c *core) parse(q *dnswire.Query, wire []byte, tGuard time.Time) (tx *telemetry.Transaction, ok bool) {
 	if c.wire == nil {
-		*q = dnswire.Query{}
+		*q = dnswire.Query{Raw: wire}
 		return nil, false
 	}
 	var tParse time.Time
@@ -62,7 +65,7 @@ func (c *core) parse(q *dnswire.Query, wire []byte, tGuard time.Time) (tx *telem
 		tParse = time.Now()
 	}
 	if *q, ok = dnswire.ParseQuery(wire); !ok {
-		*q = dnswire.Query{}
+		*q = dnswire.Query{Raw: wire}
 		return nil, false
 	}
 	tx = c.tel.Begin(c.proto)
@@ -96,72 +99,79 @@ func (c *core) serveWire(tx *telemetry.Transaction, q *dnswire.Query, dst []byte
 	return resp, true
 }
 
-// answer is the slow step: it resolves the query the hit step declined, or
-// never saw, and returns the reply as packed bytes in a slice the adapter
-// owns. wire is the query; q is the view the hit step parsed from it, or
-// the zero view. A query with a view goes to the handler's wire miss step,
-// when it has one, as that view, and the reply is the handler's slice, not
-// a copy; any other is unpacked for the Message handler and its answer
-// packed. Either way q.HasEDNS and q.UDPSize describe the query afterwards,
-// for UDP's size limit. Nothing pooled is held while the handler blocks.
-// Handler failures fold into SERVFAIL, so the only error is a query the
-// Message codec cannot carry — it does not unpack, or not even its SERVFAIL
-// packs: UDP drops it, a stream closes, DoH answers 400, and any
-// transaction is already closed. Otherwise the transaction returned — tx,
-// or the one begun here when the hit step began none — is the adapter's to
-// Finish once the reply has left.
-func (c *core) answer(ctx context.Context, tx *telemetry.Transaction, q *dnswire.Query, wire []byte) ([]byte, *telemetry.Transaction, error) {
-	if c.wireMiss != nil && q.Raw != nil {
-		ctx = telemetry.NewContext(ctx, tx)
-		resp, err := c.wireMiss.ServeDNSWireMiss(ctx, q)
-		if err != nil || len(resp) < 12 /* DNS header */ || len(resp) > dnswire.MaxMessageLen {
-			failed(ctx, tx)
-			return q.Reply(dnswire.RCodeServerFailure), tx, nil
-		}
-		tx.SetVerdict(telemetry.VerdictOK)
-		return resp, tx, nil
-	}
-	var tParse time.Time
-	if tx == nil && c.tel.Tracing() {
-		tParse = time.Now()
-	}
-	var m dnswire.Message
-	if err := m.Unpack(wire); err != nil {
-		// ParseQuery is strictly narrower than Unpack, so a fast-parse
-		// success cannot leave an open transaction here — but close one
-		// defensively.
-		tx.SetVerdict(telemetry.VerdictServFail)
-		tx.Finish()
-		return nil, nil, err
-	}
+// errUnreadable is the slow step's error for a query the fast parse
+// declined whose miss step failed without saying why.
+var errUnreadable = errors.New("dnsserver: query the codec cannot read")
+
+// answer is the slow step: the handler's miss step — its own, or
+// MessageAdapter — resolves what the hit step declined or never saw, on the
+// view it left (parsed, or carrying only the query's bytes), whose HasEDNS
+// and UDPSize then describe the query for UDP's size limit. The reply is
+// packed bytes in a slice the adapter owns; nothing pooled is held while
+// the handler blocks. A failed step folds into a SERVFAIL echoed from a
+// parsed view. An unparsed view has nothing to echo from: its failure (a
+// query the codec cannot read) is the error, and the transaction is closed
+// as a servfail. Otherwise the returned transaction — tx, or the one begun
+// here — is the adapter's to Finish once the reply has left.
+func (c *core) answer(ctx context.Context, tx *telemetry.Transaction, q *dnswire.Query) ([]byte, *telemetry.Transaction, error) {
 	if tx == nil {
 		tx = c.tel.Begin(c.proto)
-		if tx.Traced() {
-			tx.TraceSpanBetween(qtrace.PhaseParse, tParse, time.Now())
-		}
+	}
+	tx.SetVerdict(telemetry.VerdictOK) // a step that fails its query says so
+	ctx = telemetry.NewContext(ctx, tx)
+	resp, err := c.miss.ServeDNSWireMiss(ctx, q)
+	if err == nil && len(resp) >= 12 /* DNS header */ && len(resp) <= dnswire.MaxMessageLen {
+		return resp, tx, nil
+	}
+	if !q.Parsed() {
+		tx.SetVerdict(telemetry.VerdictServFail)
+		tx.Finish()
+		return nil, nil, cmp.Or(err, errUnreadable)
+	}
+	failed(ctx, tx)
+	return q.Reply(dnswire.RCodeServerFailure), tx, nil
+}
+
+// MessageAdapter is the wire miss step of a Message Handler: Unpack →
+// Respond → Pack. newCore wraps a handler that has no wire miss step of its
+// own in it, once, and a WireMissResponder hands it the views ParseQuery
+// declined. It writes the query's HasEDNS and UDPSize into the view, for
+// UDP's size limit. Handler failures fold into SERVFAIL; its error is a
+// query the codec cannot read, or whose SERVFAIL does not even pack.
+type MessageAdapter struct{ Handler Handler }
+
+// ServeDNSWireMiss implements WireMissResponder.
+func (a MessageAdapter) ServeDNSWireMiss(ctx context.Context, q *dnswire.Query) ([]byte, error) {
+	tx := telemetry.FromContext(ctx)
+	var tParse time.Time
+	if !q.Parsed() {
+		tParse = tx.TraceStart()
+	}
+	var m dnswire.Message
+	if err := m.Unpack(q.Raw); err != nil {
+		return nil, err
+	}
+	if !q.Parsed() {
+		// The hit step's parse never ran: this is the query's parse.
+		tx.TraceSpan(qtrace.PhaseParse, tParse)
+		traceQuestion(tx, &m)
 	}
 	if q.HasEDNS = m.EDNS != nil; q.HasEDNS {
 		q.UDPSize = m.EDNS.UDPSize
 	}
-	reply, err := c.respond(ctx, tx, &m).Pack()
+	reply, err := Respond(ctx, a.Handler, &m).Pack()
 	if err != nil {
 		// The handler's answer does not pack; say so, if the codec can.
 		tx.SetVerdict(telemetry.VerdictServFail)
-		if reply, err = ServFail(&m).Pack(); err != nil {
-			tx.Finish()
-			return nil, nil, err
-		}
+		reply, err = ServFail(&m).Pack()
 	}
-	return reply, tx, nil
+	return reply, err
 }
 
-// respond runs the Message handler on q under a context carrying the
-// transaction, its failures folded into SERVFAIL: the slow step's way for
-// what wire cannot answer, and DoH's for a JSON query, which never was in
-// wire form.
-func (c *core) respond(ctx context.Context, tx *telemetry.Transaction, q *dnswire.Message) *dnswire.Message {
-	if tx.Traced() && len(q.Questions) > 0 {
-		tx.TraceQueryName(string(q.Questions[0].Name.Canonical()), uint16(q.Questions[0].Type))
+// traceQuestion stamps tx's trace with m's first question: the query's
+// identity where no Query view carried it.
+func traceQuestion(tx *telemetry.Transaction, m *dnswire.Message) {
+	if tx.Traced() && len(m.Questions) > 0 {
+		tx.TraceQueryName(string(m.Questions[0].Name.Canonical()), uint16(m.Questions[0].Type))
 	}
-	return Respond(telemetry.NewContext(ctx, tx), c.handler, q)
 }

@@ -83,13 +83,17 @@ func (s *refStub) ServeDNSWire(tx *telemetry.Transaction, q *dnswire.Query, dst 
 }
 
 // missStub is refStub with the wire miss step: what its fast path declines
-// it resolves in packed form, so no parsed query reaches ServeDNS.
+// it resolves in packed form, so no parsed query reaches ServeDNS; a shape
+// ParseQuery declined goes to MessageAdapter, as the proxy's does.
 type missStub struct {
 	refStub
 	miss atomic.Int64
 }
 
 func (s *missStub) ServeDNSWireMiss(ctx context.Context, q *dnswire.Query) ([]byte, error) {
+	if !q.Parsed() {
+		return MessageAdapter{Handler: &s.refStub}.ServeDNSWireMiss(ctx, q)
+	}
 	s.miss.Add(1)
 	var m dnswire.Message
 	if err := m.Unpack(q.Raw); err != nil {
@@ -313,6 +317,66 @@ func TestStreamClosesOnBadQuery(t *testing.T) {
 	}
 }
 
+// TestUnreadableQueryIsAServfail pins what a query the codec cannot read
+// leaves behind on each transport: it is dropped on UDP, closes a stream and
+// gets HTTP 400 on DoH — and, because the slow step begins its transaction
+// before MessageAdapter reads the query, it is counted as one transaction
+// with the servfail verdict.
+func TestUnreadableQueryIsAServfail(t *testing.T) {
+	bad := []byte("not a DNS message")
+	good, err := dnswire.NewQuery(9, "fast.example.", dnswire.TypeA).Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tr := range []struct {
+		name  string
+		drive func(t *testing.T, tel *telemetry.Metrics)
+	}{
+		{"udp", func(t *testing.T, tel *telemetry.Metrics) {
+			pc := listenLoopback(t)
+			go (&UDPServer{Handler: Static(netip.MustParseAddr("192.0.2.1"), 60), Telemetry: tel}).Serve(pc)
+			c, err := net.Dial("udp", pc.LocalAddr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			if _, err := c.Write(bad); err != nil {
+				t.Fatal(err)
+			}
+			// The one reply is the good query's: the bad one was dropped.
+			if r := sendRecv(t, c, good); r.ID != 9 {
+				t.Fatalf("first reply has ID %d, want the good query's", r.ID)
+			}
+		}},
+		{"tcp", func(t *testing.T, tel *telemetry.Metrics) {
+			c, s := net.Pipe()
+			defer c.Close()
+			done := make(chan error, 1)
+			go func() {
+				done <- (&StreamServer{Handler: Static(netip.MustParseAddr("192.0.2.1"), 60), Telemetry: tel}).ServeConn(s)
+			}()
+			if err := WriteStreamMessage(c, bad); err != nil {
+				t.Fatal(err)
+			}
+			if err := <-done; err == nil {
+				t.Fatal("the stream did not end on an unreadable query")
+			}
+		}},
+		{"doh", func(t *testing.T, tel *telemetry.Metrics) {
+			d := &DoH{Handler: Static(netip.MustParseAddr("192.0.2.1"), 60), Telemetry: tel}
+			if status, _, _ := bindDoH(d, t.Context()).serve("POST", "/dns-query", ContentTypeWire, bad); status != 400 {
+				t.Fatalf("status %d, want 400", status)
+			}
+		}},
+	} {
+		t.Run(tr.name, func(t *testing.T) {
+			tel := telemetry.New()
+			tr.drive(t, tel)
+			waitFor(t, func() bool { return tel.Snapshot().Verdicts["servfail"] == 1 })
+		})
+	}
+}
+
 // deadStub fails every wire miss without looking at it.
 type deadStub struct{ refStub }
 
@@ -337,7 +401,7 @@ func TestFailedWireMissAllocs(t *testing.T) {
 	var reply []byte
 	got := testing.AllocsPerRun(200, func() {
 		var tx *telemetry.Transaction
-		reply, tx, err = c.answer(context.Background(), tel.Begin(telemetry.ProtoUDP), &q, wire)
+		reply, tx, err = c.answer(context.Background(), tel.Begin(telemetry.ProtoUDP), &q)
 		tx.Finish()
 	})
 	if err != nil || len(reply) != len(wire) || reply[3]&0xF != byte(dnswire.RCodeServerFailure) {

@@ -130,7 +130,13 @@ func TestZoneDirectCNAMEQuery(t *testing.T) {
 
 // dohServe is a test shim over the unexported core.
 func dohServe(d *DoH, method, path, ct string, body []byte) (int, string, []byte) {
-	return d.serve(context.Background(), method, path, ct, body)
+	return bindDoH(d, context.Background()).serve(method, path, ct, body)
+}
+
+// bindDoH is d bound to ctx, as one connection's handlers see it.
+func bindDoH(d *DoH, ctx context.Context) *boundDoH {
+	h2h, _ := d.Bind(ctx)
+	return h2h.(*boundDoH)
 }
 
 func TestDoHServeRouting(t *testing.T) {

@@ -71,10 +71,11 @@ type DoH struct {
 func (d *DoH) Bind(ctx context.Context) (h2.Handler, h1.Handler) {
 	b := &boundDoH{d: d, ctx: ctx, c: newCore(d.Handler, d.Telemetry, telemetry.ProtoDoH)}
 	b.hit = h2.Response{Status: 200, Header: d.h2Header(200, ContentTypeWire)}
-	return b, h1.HandlerFunc(func(req *h1.Request) *h1.Response { return d.serveH1(ctx, req) })
+	return b, h1.HandlerFunc(b.serveH1)
 }
 
-// boundDoH is the HTTP/2 handler of one connection.
+// boundDoH is one connection's DoH: its HTTP/2 handler, and the core its
+// HTTP/1.1 handler shares.
 type boundDoH struct {
 	d   *DoH
 	ctx context.Context
@@ -87,7 +88,9 @@ type boundDoH struct {
 }
 
 // ServeH2 implements h2.Handler.
-func (b *boundDoH) ServeH2(req *h2.Request) *h2.Response { return b.d.serveH2(b.ctx, req) }
+func (b *boundDoH) ServeH2(req *h2.Request) *h2.Response {
+	return b.d.h2Response(b.serve(req.Method, req.Path, h2ContentType(req), req.Body))
+}
 
 // ServeH2Inline implements h2.InlineHandler with the split out-of-order
 // DoT has: a plain POST to a wire endpoint gets its guard verdict and the
@@ -113,7 +116,7 @@ func (b *boundDoH) ServeH2Inline(req *h2.Request) (*h2.Response, func() *h2.Resp
 		return &b.hit, nil
 	}
 	q := b.q // the read loop reuses b.q; the view borrows req.Body, which is next's
-	return nil, func() *h2.Response { return d.h2Response(d.answer(b.ctx, &b.c, tx, &q, req.Body)) }
+	return nil, func() *h2.Response { return d.h2Response(b.answer(tx, &q)) }
 }
 
 func h2ContentType(req *h2.Request) (ct string) {
@@ -123,10 +126,6 @@ func h2ContentType(req *h2.Request) (ct string) {
 		}
 	}
 	return ct
-}
-
-func (d *DoH) serveH2(ctx context.Context, req *h2.Request) *h2.Response {
-	return d.h2Response(d.serve(ctx, req.Method, req.Path, h2ContentType(req), req.Body))
 }
 
 func (d *DoH) h2Response(status int, respCT string, body []byte) *h2.Response {
@@ -152,8 +151,9 @@ func (d *DoH) h2Header(status int, respCT string) []hpack.HeaderField {
 	return hdr
 }
 
-func (d *DoH) serveH1(ctx context.Context, req *h1.Request) *h1.Response {
-	status, respCT, body := d.serve(ctx, req.Method, req.Path, req.Header.Get("Content-Type"), req.Body)
+func (b *boundDoH) serveH1(req *h1.Request) *h1.Response {
+	d := b.d
+	status, respCT, body := b.serve(req.Method, req.Path, req.Header.Get("Content-Type"), req.Body)
 	resp := &h1.Response{Status: status, Body: body}
 	if respCT != "" {
 		resp.Header.Set("Content-Type", respCT)
@@ -204,7 +204,8 @@ func (d *DoH) refuseWire(rawQ []byte, key uint64) (status int, respCT string, re
 // the query per RFC 8484 (POST body or GET ?dns= base64url) or the JSON
 // convention (GET ?name=&type=), runs the handler, and encodes the answer
 // in the same representation.
-func (d *DoH) serve(ctx context.Context, method, rawPath, contentType string, body []byte) (status int, respCT string, respBody []byte) {
+func (b *boundDoH) serve(method, rawPath, contentType string, body []byte) (status int, respCT string, respBody []byte) {
+	d, ctx := b.d, b.ctx
 	if d.Processing > 0 {
 		if err := sleepCtx(ctx, d.Processing); err != nil {
 			return 500, "", nil
@@ -271,20 +272,22 @@ func (d *DoH) serve(ctx context.Context, method, rawPath, contentType string, bo
 	// HTTP framing and socket write below this layer are not included, so
 	// DoH traces carry no write span (UDP and stream servers include their
 	// single write syscall, a few microseconds of skew at most).
-	c := newCore(d.Handler, d.Telemetry, telemetry.ProtoDoH)
 	if rawQ != nil {
 		var fq dnswire.Query
-		out, tx, handled := c.hit(&fq, rawQ, nil, tGuard)
+		out, tx, handled := b.c.hit(&fq, rawQ, nil, tGuard)
 		if handled {
 			return 200, ContentTypeWire, out
 		}
-		return d.answer(ctx, &c, tx, &fq, rawQ)
+		return b.answer(tx, &fq)
 	}
-	// Neither step's parse ran for a JSON query, so the adapter that
-	// decoded it begins its transaction and runs the Message handler.
+	// Neither step runs for a JSON query, which never was in wire form: the
+	// adapter that decoded it begins its transaction and runs the Message
+	// handler — the one place a reply Message is built outside
+	// MessageAdapter.
 	tx := d.Telemetry.Begin(telemetry.ProtoDoH)
 	defer tx.Finish()
-	out, err := dnsjson.Encode(c.respond(ctx, tx, q))
+	traceQuestion(tx, q)
+	out, err := dnsjson.Encode(Respond(telemetry.NewContext(ctx, tx), d.Handler, q))
 	if err != nil {
 		// The client sees HTTP 500, not the ok response Respond
 		// recorded — correct the verdict to match its fate.
@@ -298,8 +301,8 @@ func (d *DoH) serve(ctx context.Context, method, rawPath, contentType string, bo
 // the response body with no Message in between, appended to dst — nil for a
 // slice of their own, when the body escapes into a response the caller
 // hands on, or the caller's scratch, which a longer answer outgrows into a
-// new one. handled=false leaves tx and q (nil and zero if the fast parse
-// declined) for answer to carry on with.
+// new one. handled=false leaves tx (nil if the fast parse declined) and the
+// view for answer to carry on with.
 func (c *core) hit(q *dnswire.Query, rawQ, dst []byte, tGuard time.Time) (out []byte, tx *telemetry.Transaction, handled bool) {
 	tx, ok := c.parse(q, rawQ, tGuard)
 	if ok {
@@ -314,8 +317,8 @@ func (c *core) hit(q *dnswire.Query, rawQ, dst []byte, tGuard time.Time) (out []
 // step's reply becomes the response body as it came back. Handler failures
 // surface as DNS-level SERVFAIL in an HTTP 200, the way RFC 8484 servers
 // report resolution (not transport) errors.
-func (d *DoH) answer(ctx context.Context, c *core, tx *telemetry.Transaction, q *dnswire.Query, rawQ []byte) (status int, respCT string, respBody []byte) {
-	out, tx, err := c.answer(ctx, tx, q, rawQ)
+func (b *boundDoH) answer(tx *telemetry.Transaction, q *dnswire.Query) (status int, respCT string, respBody []byte) {
+	out, tx, err := b.c.answer(b.ctx, tx, q)
 	if err != nil {
 		return 400, "", nil
 	}

@@ -125,10 +125,10 @@ func TestUDPGuardSlipAndCookieBypass(t *testing.T) {
 
 // TestUDPHotCacheEchoesCookie pins GUARD.md's cookie promise against a hot
 // cache: a client cookie that arrives without a valid server cookie is owed
-// one even when the wire fast path could have answered the query inline —
-// the reply takes the slow step, where the echo lives — so a client never
-// has to be slipped first to graduate. Cookie-less and cookie-validated
-// queries stay on the inline hit step.
+// one, and gets it on the inline hit step — fit grows the reply where it
+// lies in the flush buffer — so a client never has to be slipped first to
+// graduate. Cookie-owed, cookie-validated and cookie-less queries are all
+// inline hits.
 func TestUDPHotCacheEchoesCookie(t *testing.T) {
 	stub := newWireStub(t, "hot.example.")
 	g := guard.New(guard.Config{CookieSecret: 0xc0ffee}, nil)
@@ -148,9 +148,6 @@ func TestUDPHotCacheEchoesCookie(t *testing.T) {
 		t.Fatalf("client cookie against a hot cache: answers=%d cookie=%d bytes issued=%d, want 1 answer with a 24-byte server cookie",
 			len(r1.Answers), len(full), g.Report().CookiesIssued)
 	}
-	if fast := stub.fastServed.Load(); fast != 0 {
-		t.Fatalf("the cookie-owed query was answered inline (%d fast hits): nothing echoes a cookie there", fast)
-	}
 	// The issued cookie validates, and a validated query is a plain hit again.
 	r2 := sendRecv(t, c, cookieQuery(t, 2, "hot.example.", full))
 	wire, err := dnswire.NewQuery(3, "hot.example.", dnswire.TypeA).Pack()
@@ -161,14 +158,14 @@ func TestUDPHotCacheEchoesCookie(t *testing.T) {
 	if len(r2.Answers) != 1 || len(r3.Answers) != 1 {
 		t.Fatalf("validated / cookie-less hits: answers=%d/%d", len(r2.Answers), len(r3.Answers))
 	}
-	if fast := stub.fastServed.Load(); fast != 2 {
-		t.Fatalf("fast hits = %d, want 2: cookie-validated and cookie-less queries stay inline", fast)
+	if fast := stub.fastServed.Load(); fast != 3 {
+		t.Fatalf("fast hits = %d, want 3: cookie-owed, cookie-validated and cookie-less queries are inline", fast)
 	}
 	if rep := g.Report(); rep.CookiesIssued != 1 || rep.CookiesValidated != 1 {
 		t.Fatalf("guard report %+v: want one cookie issued and one validated", rep)
 	}
-	if st := srv.ShardStats(); st[0].FastHits != 2 || st[0].SlowPath != 1 {
-		t.Fatalf("shard ledger %+v: want 2 fast hits and 1 slow-path reply", st[0])
+	if st := srv.ShardStats(); st[0].FastHits != 3 || st[0].SlowPath != 0 {
+		t.Fatalf("shard ledger %+v: want 3 fast hits and no slow path", st[0])
 	}
 }
 
@@ -350,11 +347,11 @@ func TestDoHGuardRefuses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	status, ct, body := d.serve(ctx, "POST", "/dns-query", ContentTypeWire, q)
+	status, ct, body := bindDoH(d, ctx).serve("POST", "/dns-query", ContentTypeWire, q)
 	if status != 200 || ct != ContentTypeWire {
 		t.Fatalf("first query: %d %q", status, ct)
 	}
-	status, ct, body = d.serve(ctx, "POST", "/dns-query", ContentTypeWire, q)
+	status, ct, body = bindDoH(d, ctx).serve("POST", "/dns-query", ContentTypeWire, q)
 	if status != 200 || ct != ContentTypeWire {
 		t.Fatalf("refused query: %d %q, want DNS-level refusal in HTTP 200", status, ct)
 	}
@@ -367,7 +364,7 @@ func TestDoHGuardRefuses(t *testing.T) {
 	}
 	// An unbound context (no client identity) is never limited.
 	for i := 0; i < 5; i++ {
-		status, _, _ = d.serve(t.Context(), "POST", "/dns-query", ContentTypeWire, q)
+		status, _, _ = bindDoH(d, t.Context()).serve("POST", "/dns-query", ContentTypeWire, q)
 		if status != 200 {
 			t.Fatalf("unbound query %d: %d", i, status)
 		}

@@ -46,14 +46,17 @@ type WireResponder interface {
 
 // WireMissResponder is implemented by handlers that can also resolve what
 // their wire fast path declined without leaving packed form — the wire
-// miss step. Servers consult it (when their Handler implements it) for a
-// query ParseQuery accepted and ServeDNSWire declined, before any Message
-// is built: q is the view the hit step parsed, ctx carries the query's
-// telemetry transaction the way ServeDNS's does, and the reply comes back
-// as packed bytes in a slice the caller owns, its transaction ID already
-// q's. Unlike ServeDNSWire it may block on upstream work. An error is the
-// server's to fold into SERVFAIL, as with ServeDNS. Implementations must
-// not retain q past the call: serve loops recycle the slot it lives in.
+// miss step. Servers consult it (when their Handler implements it; one
+// that does not is wrapped in MessageAdapter) for every query the hit step
+// did not answer, before any Message is built: q is the view the hit step
+// parsed, ctx carries the query's telemetry transaction the way
+// ServeDNS's does, and the reply comes back as packed bytes in a slice the
+// caller owns, its transaction ID already q's. Unlike ServeDNSWire it may
+// block on upstream work. An error is the server's to fold into SERVFAIL,
+// as with ServeDNS. A view ParseQuery declined (q.Parsed() is false)
+// carries only the query's bytes in q.Raw: pass it to MessageAdapter,
+// which reads it with the Message codec. Implementations must not retain q
+// past the call: serve loops recycle the slot it lives in.
 type WireMissResponder interface {
 	ServeDNSWireMiss(ctx context.Context, q *dnswire.Query) ([]byte, error)
 }
@@ -156,12 +159,14 @@ func (s *UDPServer) serveSlow(ctx context.Context, c *core, st *slowStep) {
 			ctx = guard.NewContext(ctx, st.gkey)
 		}
 	}
-	reply, tx, err := c.answer(ctx, st.tx, &st.q, st.wire)
+	reply, tx, err := c.answer(ctx, st.tx, &st.q)
 	if err != nil {
 		return // drop unparseable datagrams, like real servers
 	}
 	defer tx.Finish()
-	if reply, err = s.fit(reply, st.wire, s.udpLimit(st.q.HasEDNS, st.q.UDPSize), st.gkey); err != nil {
+	out := getBuf()
+	defer putBuf(out)
+	if reply, err = s.fit((*out)[:0], reply, st.wire, s.udpLimit(st.q.HasEDNS, st.q.UDPSize), st.gkey); err != nil {
 		// The client receives nothing; don't let the slow step's ok verdict
 		// stand for a reply that never left.
 		tx.SetVerdict(telemetry.VerdictServFail)
@@ -172,40 +177,54 @@ func (s *UDPServer) serveSlow(ctx context.Context, c *core, st *slowStep) {
 	tx.TraceSpan(qtrace.PhaseWrite, tw)
 }
 
-// fit makes a slow-step reply fit UDP, and is the one place a packed reply
-// is unpacked again: a client cookie in the query is owed a server cookie
-// (so the client can earn the rate-limit bypass), and a reply over limit —
-// udpLimit of the query's EDNS, as answer left it in the view — is
-// truncated. Any other reply passes through as the bytes it is.
-func (s *UDPServer) fit(reply, query []byte, limit int, gkey uint64) ([]byte, error) {
-	cookie, echo := s.Guard.ServerCookie(nil, query, gkey)
+// errUnfit is fit's error for a reply it cannot walk to its OPT record.
+var errUnfit = errors.New("dnsserver: reply cannot be fitted to UDP")
+
+// fit makes a reply fit UDP by wire surgery, as Unpack, an edit and Pack
+// would (FuzzFitEquivalence): a client cookie in the query is owed a server
+// cookie, an option grown into the reply's OPT record or into an OPT of its
+// own; a reply over limit is cut to TC=1 — header, question section and OPT
+// record, the OPT going too when even that is over limit. Any other reply
+// passes through as it is. A reply fit changes is rebuilt at dst, which may
+// be reply[:0] itself. An OPT that is not the last record, which no reply
+// Pack writes has, gets no cookie: the records behind it stay where their
+// compression pointers expect them.
+func (s *UDPServer) fit(dst, reply, query []byte, limit int, gkey uint64) ([]byte, error) {
+	var room [24]byte // client and server cookie
+	cookie, echo := s.Guard.ServerCookie(room[:0], query, gkey)
 	if !echo && len(reply) <= limit {
 		return reply, nil
 	}
-	var resp dnswire.Message
-	if err := resp.Unpack(reply); err != nil {
-		return nil, err
+	qend, opt, end, ok := dnswire.FindOPT(reply)
+	if !ok {
+		return nil, errUnfit
 	}
-	if echo {
-		if resp.EDNS == nil {
-			resp.EDNS = &dnswire.EDNS{UDPSize: 1232}
-		}
-		resp.EDNS.Options = append(resp.EDNS.Options, dnswire.EDNS0Option{Code: guard.EDNS0CookieCode, Data: cookie})
+	base := len(dst)
+	out := append(dst, reply...)
+	if echo && opt == 0 {
+		// Root name, TYPE, CLASS = payload size, TTL, RDLENGTH 0.
+		out = append(out, 0, 0, byte(dnswire.TypeOPT), 1232>>8, 1232&0xFF, 0, 0, 0, 0, 0, 0)
+		binary.BigEndian.PutUint16(out[base+10:], binary.BigEndian.Uint16(out[base+10:])+1)
+		opt, end = len(reply)+1, len(reply)+11
 	}
-	reply, err := resp.Pack()
-	if err == nil && len(reply) > limit {
-		resp.Truncated = true
-		resp.Answers, resp.Authorities, resp.Additionals = nil, nil, nil
-		reply, err = resp.Pack()
-		if err == nil && len(reply) > limit && resp.EDNS != nil {
-			// On aggressive MaxUDPSize caps a long QNAME can push even the
-			// referral over the limit; the OPT record is the only thing
-			// left to shed (header + question cannot shrink further).
-			resp.EDNS = nil
-			reply, err = resp.Pack()
-		}
+	if rdlen := end - opt - 10 + 4 + len(cookie); echo && end == len(out)-base && rdlen <= 0xFFFF {
+		binary.BigEndian.PutUint16(out[base+opt+8:], uint16(rdlen))
+		out = append(append(out, 0, guard.EDNS0CookieCode, 0, byte(len(cookie))), cookie...)
+		end = len(out) - base
 	}
-	return reply, err
+	msg := out[base:]
+	if len(msg) <= limit {
+		return out, nil
+	}
+	// TC=1, and no records counted: ANCOUNT, NSCOUNT, ARCOUNT.
+	binary.BigEndian.PutUint16(msg[2:], binary.BigEndian.Uint16(msg[2:])|1<<9)
+	copy(msg[6:12], "\x00\x00\x00\x00\x00\x00")
+	if opt == 0 || qend+1+end-opt > limit {
+		return out[:base+qend], nil
+	}
+	// The OPT record, behind a root owner name, is all that stays.
+	msg[11], msg[qend] = 1, 0
+	return out[:base+qend+1+copy(msg[qend+1:], msg[opt:end])], nil
 }
 
 // StreamServer serves DNS with two-octet length framing (RFC 1035 §4.2.2)
@@ -313,8 +332,8 @@ func (s *StreamServer) ServeConn(conn net.Conn) error {
 		// Slow step: inline, or aside when replies may leave out of order;
 		// the read loop waits here while its bound's worth are in flight.
 		if aside != nil {
-			aside.dispatch(tx, &q, wire, nil, nil, 0)
-		} else if err := sc.answer(tx, &q, wire); err != nil {
+			aside.dispatch(tx, &q, nil, nil, 0)
+		} else if err := sc.answer(tx, &q); err != nil {
 			return err
 		}
 	}
@@ -363,8 +382,8 @@ func (s *StreamServer) writeRefusal(sc *streamConn, wire []byte, gkey uint64) er
 
 // answer runs the slow step for one query and writes the reply behind its
 // length prefix, framed in a buffer pooled only once the reply is there.
-func (sc *streamConn) answer(tx *telemetry.Transaction, q *dnswire.Query, wire []byte) error {
-	reply, tx, err := sc.c.answer(sc.ctx, tx, q, wire)
+func (sc *streamConn) answer(tx *telemetry.Transaction, q *dnswire.Query) error {
+	reply, tx, err := sc.c.answer(sc.ctx, tx, q)
 	if err != nil {
 		return fmt.Errorf("dnsserver: bad query on stream: %w", err)
 	}
@@ -394,7 +413,7 @@ func frameIn(buf, msg []byte) []byte {
 // answerAside is answer as an out-of-order slow step. An error ends the
 // connection the way it ends the read loop in order: closed.
 func (sc *streamConn) answerAside(st *slowStep) {
-	if sc.answer(st.tx, &st.q, st.wire) != nil {
+	if sc.answer(st.tx, &st.q) != nil {
 		sc.Close()
 	}
 }

@@ -53,8 +53,8 @@ type UDPShardStats struct {
 	Reads     uint64 `json:"reads"`
 	Datagrams uint64 `json:"datagrams"`
 	// FastHits were answered inline from the batch loop; SlowPath were
-	// handed to a slow step (cache miss, unparseable, a shape the wire
-	// path declines, or a reply owing its client a server cookie);
+	// handed to a slow step (cache miss, unparseable, or a shape the wire
+	// path declines);
 	// GuardDropped were consumed by the abuse guard before reaching either
 	// (silently dropped or answered with a minimal TC=1 slip); Oversize
 	// were longer than the read window (maxUDPQuery octets) and answered
@@ -287,14 +287,21 @@ func (s *UDPServer) serveShard(conn udpio.BatchConn, batch int, c *core, steps *
 				}
 				continue
 			}
-			// A reply that owes its client a server cookie is the slow step's
-			// to build, hit or not: the echo lives in UDP's fit.
 			tx, ok := c.parse(&q, pkt, tGuard)
-			if ok && !cookieOwed {
+			if ok {
 				limit := s.udpLimit(q.HasEDNS, q.UDPSize)
 				if resp, handled := c.serveWire(tx, &q, v.room(minReplyRoom), limit); handled {
-					v.queue(resp, v.ms[i].Addr, tx)
 					sc.fastHits.Add(1)
+					if cookieOwed {
+						// The server cookie grows the reply where it lies.
+						var err error
+						if resp, err = s.fit(resp[:0], resp, pkt, limit, gkey); err != nil {
+							tx.SetVerdict(telemetry.VerdictServFail)
+							tx.Finish()
+							continue
+						}
+					}
+					v.queue(resp, v.ms[i].Addr, tx)
 					continue
 				}
 			}
@@ -366,10 +373,10 @@ func (v *batchVec) flushOut() {
 // batchHandoff hands one datagram of the read vector to a slow step, which
 // copies the query's bytes and the source address out of the vector. tx is
 // the transaction a declined hit step already began, or nil, q the view it
-// parsed, or the zero Query, and gkey the client's guard key, if guarded.
+// left over the datagram, and gkey the client's guard key, if guarded.
 func (s *UDPServer) batchHandoff(conn udpio.BatchConn, m *udpio.Message, tx *telemetry.Transaction, q *dnswire.Query, gkey uint64, steps *slowSteps, sc *shardCounters) {
 	sc.slowPath.Add(1)
-	if steps.dispatch(tx, q, m.Buf[:m.N], conn, m.Addr, gkey) {
+	if steps.dispatch(tx, q, conn, m.Addr, gkey) {
 		s.Telemetry.UDPSpill()
 		sc.spills.Add(1)
 	}

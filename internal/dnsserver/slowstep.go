@@ -21,7 +21,7 @@ type slowStep struct {
 	wake chan struct{} // the slot's goroutine parks here between queries
 
 	tx   *telemetry.Transaction // begun by the hit step, or nil
-	q    dnswire.Query          // the view it parsed, over wire; or the zero view
+	q    dnswire.Query          // the view it left, over wire
 	wire []byte                 // the query
 
 	// UDP only: the socket, the source — a value of the slot's own when a
@@ -49,11 +49,11 @@ func newSlowSteps(limit int, serve func(*slowStep)) *slowSteps {
 	return &slowSteps{serve: serve, live: make(chan struct{}, limit), parked: make(chan *slowStep, limit)}
 }
 
-// dispatch runs the slow step for the query in wire, with the transaction
+// dispatch runs the slow step for the query in q.Raw, with the transaction
 // and view the hit step left, aside of the calling read loop, waiting while
 // the bound's worth are in flight; w, from and gkey are UDP's. It reports
 // whether it had to start a goroutine: no parked slot was free.
-func (p *slowSteps) dispatch(tx *telemetry.Transaction, q *dnswire.Query, wire []byte, w udpio.BatchConn, from net.Addr, gkey uint64) (started bool) {
+func (p *slowSteps) dispatch(tx *telemetry.Transaction, q *dnswire.Query, w udpio.BatchConn, from net.Addr, gkey uint64) (started bool) {
 	p.live <- struct{}{}
 	var st *slowStep
 	select {
@@ -64,10 +64,8 @@ func (p *slowSteps) dispatch(tx *telemetry.Transaction, q *dnswire.Query, wire [
 		go st.run()
 		started = true
 	}
-	st.tx, st.q, st.wire = tx, *q, append(st.wire[:0], wire...)
-	if st.q.Raw != nil {
-		st.q.Raw = st.wire
-	}
+	st.tx, st.q, st.wire = tx, *q, append(st.wire[:0], q.Raw...)
+	st.q.Raw = st.wire
 	st.w, st.from, st.gkey = w, from, gkey
 	if ua, ok := from.(*net.UDPAddr); ok {
 		st.ua = net.UDPAddr{IP: append(st.ip[:0], ua.IP...), Port: ua.Port, Zone: ua.Zone}

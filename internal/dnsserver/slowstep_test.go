@@ -70,7 +70,9 @@ func tcpPair(t *testing.T) (client, server net.Conn) {
 // socket to socket on the batched loop with guard and telemetry armed: the
 // hand-off to a parked slot, the slot's copy of the query and its source,
 // the client key on the transaction, fit, the write — and one allocation,
-// the context layer that carries the transaction to the handler.
+// the context layer that carries the transaction to the handler. A query
+// owed a server cookie costs the same: fit grows the reply's copy in a
+// pooled buffer.
 func TestUDPSlowStepAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool and instrumentation allocate")
@@ -83,20 +85,30 @@ func TestUDPSlowStepAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	_, wire := packQuery(t, 0x4242, "miss.example.")
-	buf := make([]byte, 512)
-	exchange := func() {
-		c.SetReadDeadline(time.Now().Add(5 * time.Second))
-		if _, err := c.Write(wire); err != nil {
-			t.Fatal(err)
+	_, plain := packQuery(t, 0x4242, "miss.example.")
+	for _, tc := range []struct {
+		name  string
+		wire  []byte
+		extra int // octets fit adds to the handler's reply
+	}{
+		{"cookie-less", plain, 0},
+		// An OPT record of its own (11 octets) with the cookie option (4 + 24).
+		{"cookie-owed", cookieQuery(t, 0x4242, "miss.example.", []byte{1, 2, 3, 4, 5, 6, 7, 8}), 11 + 4 + 24},
+	} {
+		buf := make([]byte, 512)
+		exchange := func() {
+			c.SetReadDeadline(time.Now().Add(5 * time.Second))
+			if _, err := c.Write(tc.wire); err != nil {
+				t.Fatal(err)
+			}
+			if n, err := c.Read(buf); err != nil || n != len(stub.resp)+tc.extra || binary.BigEndian.Uint16(buf) != 0x4242 {
+				t.Fatalf("%s UDP miss: %d bytes, %v", tc.name, n, err)
+			}
 		}
-		if n, err := c.Read(buf); err != nil || n != len(stub.resp) || binary.BigEndian.Uint16(buf) != 0x4242 {
-			t.Fatalf("UDP miss: %d bytes, %v", n, err)
+		exchange() // the first hand-off makes the slot
+		if got := testing.AllocsPerRun(200, exchange); got > 1 {
+			t.Errorf("a %s UDP slow step allocates %.1f times around a handler that allocates nothing, want the one context", tc.name, got)
 		}
-	}
-	exchange() // the first hand-off makes the slot
-	if got := testing.AllocsPerRun(200, exchange); got > 1 {
-		t.Errorf("a UDP slow step allocates %.1f times around a handler that allocates nothing, want the one context", got)
 	}
 	if stub.fastServed.Load() != 0 {
 		t.Error("the driver's query was a fast-path hit")

@@ -144,6 +144,10 @@ func ParseQuery(data []byte) (Query, bool) {
 	return q, true
 }
 
+// Parsed reports whether ParseQuery produced the view. A view of a query it
+// declined carries only Raw, for the Message codec to read.
+func (q *Query) Parsed() bool { return q.nameEnd != 0 }
+
 // AppendCanonicalName appends the canonical presentation form of the
 // question name — lower-cased labels joined and terminated by dots, "." for
 // the root — to dst and returns the extended slice. It renders exactly what
@@ -210,6 +214,43 @@ func QuestionEnd(wire []byte) (int, bool) {
 		return 0, false
 	}
 	return off + 4, true
+}
+
+// FindOPT walks a packed message to its first OPT record, as leniently as
+// SkipName walks names: qend is the end of the question section, and the
+// record's TYPE field starts at opt (0 when there is none) and its RDATA
+// ends at end. A message with no records past its questions is not walked:
+// qend is its length. ok=false when the walk runs past the end.
+func FindOPT(wire []byte) (qend, opt, end int, ok bool) {
+	if len(wire) < headerLen {
+		return 0, 0, 0, false
+	}
+	qd := int(binary.BigEndian.Uint16(wire[4:]))
+	rrs := int(binary.BigEndian.Uint16(wire[6:])) + int(binary.BigEndian.Uint16(wire[8:])) + int(binary.BigEndian.Uint16(wire[10:]))
+	if rrs == 0 {
+		return len(wire), 0, 0, true // the common EDNS-less query: no name walk
+	}
+	off := headerLen
+	for i := 0; i < qd; i++ {
+		if off, ok = SkipName(wire, off); !ok || off+4 > len(wire) {
+			return 0, 0, 0, false
+		}
+		off += 4
+	}
+	qend = off
+	for i := 0; i < rrs; i++ {
+		if off, ok = SkipName(wire, off); !ok || off+10 > len(wire) {
+			return 0, 0, 0, false
+		}
+		if end = off + 10 + int(binary.BigEndian.Uint16(wire[off+8:])); end > len(wire) {
+			return 0, 0, 0, false
+		}
+		if Type(binary.BigEndian.Uint16(wire[off:])) == TypeOPT {
+			return qend, off, end, true
+		}
+		off = end
+	}
+	return qend, 0, 0, true
 }
 
 // AppendEcho appends to dst the reply that only echoes a query and says

@@ -39,63 +39,30 @@ const (
 // before validation rejects it (client/server clock disagreement bound).
 const cookieClockSkew = 5 * time.Minute
 
-// dnsHeaderLen is the fixed DNS message header size.
-const dnsHeaderLen = 12
-
-// cookieOption scans a packed DNS message for an EDNS COOKIE option and
-// returns its client part (exactly 8 bytes) and server part (possibly
-// empty, at most 32 bytes), both borrowed from wire. It tolerates any
-// malformed input by reporting ok=false; it allocates nothing.
+// cookieOption scans a packed DNS message's OPT record (dnswire.FindOPT)
+// for an EDNS COOKIE option and returns its client part (exactly 8 bytes)
+// and server part (possibly empty, at most 32 bytes), both borrowed from
+// wire. It tolerates any malformed input by reporting ok=false; it
+// allocates nothing.
 func cookieOption(wire []byte) (cc, sc []byte, ok bool) {
-	if len(wire) < dnsHeaderLen {
+	_, opt, end, ok := dnswire.FindOPT(wire)
+	if !ok || opt == 0 {
 		return nil, nil, false
 	}
-	qd := int(binary.BigEndian.Uint16(wire[4:]))
-	rrs := int(binary.BigEndian.Uint16(wire[6:])) +
-		int(binary.BigEndian.Uint16(wire[8:])) +
-		int(binary.BigEndian.Uint16(wire[10:]))
-	if rrs == 0 {
-		// No records beyond the question, so no OPT and no cookie: the
-		// common cookie-less query skips the name walk entirely.
-		return nil, nil, false
-	}
-	off := dnsHeaderLen
-	for i := 0; i < qd; i++ {
-		var k bool
-		if off, k = dnswire.SkipName(wire, off); !k || off+4 > len(wire) {
-			return nil, nil, false
+	for o := wire[opt+10 : end]; len(o) >= 4; {
+		code := binary.BigEndian.Uint16(o)
+		n := int(binary.BigEndian.Uint16(o[2:]))
+		if 4+n > len(o) {
+			break
 		}
-		off += 4
-	}
-	for i := 0; i < rrs; i++ {
-		var k bool
-		if off, k = dnswire.SkipName(wire, off); !k || off+10 > len(wire) {
-			return nil, nil, false
-		}
-		typ := binary.BigEndian.Uint16(wire[off:])
-		rdlen := int(binary.BigEndian.Uint16(wire[off+8:]))
-		off += 10
-		if off+rdlen > len(wire) {
-			return nil, nil, false
-		}
-		if typ == 41 { // OPT
-			for opt := wire[off : off+rdlen]; len(opt) >= 4; {
-				code := binary.BigEndian.Uint16(opt)
-				n := int(binary.BigEndian.Uint16(opt[2:]))
-				if 4+n > len(opt) {
-					break
-				}
-				if code == EDNS0CookieCode {
-					data := opt[4 : 4+n]
-					if len(data) < clientCookieLen || len(data) > clientCookieLen+32 {
-						return nil, nil, false
-					}
-					return data[:clientCookieLen], data[clientCookieLen:], true
-				}
-				opt = opt[4+n:]
+		if code == EDNS0CookieCode {
+			data := o[4 : 4+n]
+			if len(data) < clientCookieLen || len(data) > clientCookieLen+32 {
+				return nil, nil, false
 			}
+			return data[:clientCookieLen], data[clientCookieLen:], true
 		}
-		off += rdlen
+		o = o[4+n:]
 	}
 	return nil, nil, false
 }

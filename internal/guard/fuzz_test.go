@@ -6,6 +6,9 @@ import (
 	"dohcost/internal/dnswire"
 )
 
+// dnsHeaderLen is the fixed DNS message header size.
+const dnsHeaderLen = 12
+
 // fuzzSeeds are the corpus anchors: well-formed queries with and without
 // cookies, plus the malformed shapes the scanner must survive — truncated
 // headers, lying counts, compression pointers, and options whose lengths

@@ -283,8 +283,8 @@ func keyString(s string) uint64 {
 // from the client identified by key. wire is the raw packet: a valid
 // server cookie inside bypasses the rate limit entirely. cookieOwed reports
 // an admitted datagram whose client cookie arrived without one — the reply
-// owes it a server cookie (ServerCookie), which only the server's slow step
-// attaches. The allow path allocates nothing.
+// owes it a server cookie (ServerCookie), which the UDP server's fit
+// attaches wherever the reply is made. The allow path allocates nothing.
 func (g *Guard) CheckUDP(key uint64, wire []byte) (a Action, cookieOwed bool) {
 	if g == nil {
 		return ActionAllow, false
@@ -410,8 +410,8 @@ func (g *Guard) AppendLimited(dst, query []byte, key uint64, a Action) ([]byte, 
 // ServerCookie computes the full 24-byte COOKIE option payload (client
 // cookie echoed + fresh server cookie) for a query whose raw bytes carried
 // a client cookie; ok=false when the query has no well-formed cookie
-// option or cookies are disabled. The Message serving path uses it to
-// attach cookies to ordinary responses.
+// option or cookies are disabled. The UDP server's fit uses it to attach
+// cookies to ordinary responses.
 func (g *Guard) ServerCookie(dst []byte, queryWire []byte, key uint64) ([]byte, bool) {
 	if g == nil || g.cfg.DisableCookies {
 		return dst, false

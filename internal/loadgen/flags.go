@@ -27,7 +27,7 @@ func BindFlags(fs *flag.FlagSet, s *Scenario) (finish func() error) {
 		return nil
 	})
 	fs.IntVar(&s.Clients, "clients", s.Clients, "concurrent clients per transport")
-	fs.IntVar(&s.Queries, "queries", s.Queries, "total queries per transport")
+	fs.IntVar(&s.Queries, "queries", s.Queries, "total queries per transport (0 = Scenario default 1000)")
 	fs.Int64Var(&s.Seed, "seed", s.Seed, "seed for workload, arrivals and link impairment schedules")
 	fs.StringVar(&s.Arrival, "arrival", s.Arrival, "arrival model: closed (wait for response; the default) or open (Poisson)")
 	fs.Float64Var(&s.Rate, "rate", s.Rate, "open-loop per-client arrival rate in queries/second")

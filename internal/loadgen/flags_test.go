@@ -99,6 +99,44 @@ func TestBindFlags(t *testing.T) {
 	}
 }
 
+// TestDeployRejectsInertScenarioKnobs: a knob that only tunes another,
+// given without it, fails Deploy with an error naming both flags rather
+// than doing nothing.
+func TestDeployRejectsInertScenarioKnobs(t *testing.T) {
+	for _, tc := range []struct {
+		argv []string
+		want []string // nil = accepted
+	}{
+		{[]string{"-he-stagger", "40ms"}, []string{"(-he-stagger)", "(-he)"}},
+		{[]string{"-flap-for", "50ms"}, []string{"(-flap-for)", "(-flap-after)"}},
+		{[]string{"-he", "-he-stagger", "40ms", "-flap-after", "1h", "-flap-for", "50ms"}, nil},
+	} {
+		s, err := parseFlags(Scenario{Transports: []string{"udp"}, Clients: 1, Queries: 1, Names: 1}, tc.argv...)
+		if err != nil {
+			t.Fatalf("argv %v: %v", tc.argv, err)
+		}
+		d, err := Deploy(s)
+		if tc.want == nil {
+			if err != nil {
+				t.Errorf("argv %v: Deploy failed: %v", tc.argv, err)
+			} else {
+				d.Close()
+			}
+			continue
+		}
+		if err == nil {
+			d.Close()
+			t.Errorf("argv %v: Deploy accepted an inert knob", tc.argv)
+			continue
+		}
+		for _, w := range tc.want {
+			if !strings.Contains(err.Error(), w) {
+				t.Errorf("argv %v: err %q does not name %s", tc.argv, err, w)
+			}
+		}
+	}
+}
+
 // TestBindFlagsSharesTheProxyTable is the one-declaration contract: every
 // flag proxy.BindFlags declares is in the scenario flag set — the set both
 // CLIs bind — under the same name with the same help string.

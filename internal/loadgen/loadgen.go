@@ -255,6 +255,12 @@ func (s Scenario) withDefaults() (Scenario, netsim.Profile, error) {
 			return s, prof, fmt.Errorf("loadgen: unknown dial fault profile %q (have %v)", s.DialFault, netsim.DialProfileNames())
 		}
 	}
+	if s.HEStagger != 0 && !s.HappyEyeballs {
+		return s, prof, errors.New("loadgen: HEStagger (-he-stagger) tunes the HappyEyeballs (-he) racing dialer and does nothing without it")
+	}
+	if s.FlapFor != 0 && s.FlapAfter <= 0 {
+		return s, prof, errors.New("loadgen: FlapFor (-flap-for) is the length of the FlapAfter (-flap-after) outage and does nothing without it")
+	}
 	if s.FlapAfter > 0 && s.FlapFor <= 0 {
 		s.FlapFor = 100 * time.Millisecond
 	}

@@ -451,8 +451,9 @@ func stormStage(storm *dialer.Storm) stage {
 // server's pooled buffer — no Unpack, no clone, no Pack), the wire miss
 // (ServeDNSWireMiss: the query's own bytes through cache → singleflight →
 // forwarding chain and the upstream's bytes back, bounded by the upstream
-// timeout) and, for what wire cannot answer, the Message step (ServeDNS,
-// one adapter over the same miss).
+// timeout) and, for a shape ParseQuery declines, the Message step
+// (ServeDNS, one adapter over the same miss, behind
+// dnsserver.MessageAdapter).
 type fastHandler struct{ p *Proxy }
 
 // ServeDNS implements dnsserver.Handler. Errors propagate to the server
@@ -490,6 +491,9 @@ func (h fastHandler) ServeDNSWire(tx *telemetry.Transaction, q *dnswire.Query, d
 // ServeDNSWireMiss implements dnsserver.WireMissResponder. A breaker-refused
 // miss is answered REFUSED here, from the query's own bytes.
 func (h fastHandler) ServeDNSWireMiss(ctx context.Context, q *dnswire.Query) ([]byte, error) {
+	if !q.Parsed() {
+		return dnsserver.MessageAdapter{Handler: h}.ServeDNSWireMiss(ctx, q)
+	}
 	resp, err := h.p.cache.ExchangeQuery(ctx, q)
 	if err != nil && errors.Is(err, guard.ErrMissBudget) {
 		return q.Reply(dnswire.RCodeRefused), nil
