@@ -8,19 +8,21 @@ import (
 )
 
 // replyUpstream answers every query with one A record — between the
-// question and whatever the query carries behind it (its OPT record) — in
-// one fresh slice: the single allocation a real upstream's reply is.
+// question and whatever the query carries behind it (its OPT record) —
+// appended to the caller's buffer, as a transport client copies a reply out
+// of its read buffer.
 type replyUpstream struct{}
 
-func (replyUpstream) ExchangeWire(_ context.Context, query []byte) ([]byte, error) {
+func (replyUpstream) ExchangeWire(_ context.Context, query, dst []byte) ([]byte, error) {
 	end := 12
 	for query[end] != 0 {
 		end += 1 + int(query[end])
 	}
 	end += 5 // root label, type, class
-	resp := append(make([]byte, 0, len(query)+16), query[:end]...)
-	resp[2] |= 0x80 // QR
-	resp[7] = 1     // ANCOUNT
+	base := len(dst)
+	resp := append(dst, query[:end]...)
+	resp[base+2] |= 0x80 // QR
+	resp[base+7] = 1     // ANCOUNT
 	resp = append(resp, 0xC0, 12, 0, 1, 0, 1, 0, 0, 1, 44, 0, 4, 192, 0, 2, 1)
 	return append(resp, query[end:]...), nil
 }
@@ -32,11 +34,12 @@ func (u replyUpstream) Exchange(ctx context.Context, q *dnswire.Message) (*dnswi
 func (replyUpstream) Close() error { return nil }
 
 // TestAdmittedMissAllocs pins what a miss that is admitted and inserted
-// costs the cache itself: the key string its flight is filed under and the
-// upstream's reply, which the caller gets. The entry is a block in the
-// arena and a record in a table, no object of its own (it was the third
-// allocation); the tables' growth is amortised to a fraction AllocsPerRun
-// rounds away.
+// costs the cache itself: nothing but the tables' growth, amortised to a
+// fraction AllocsPerRun rounds away. The flight is recycled and filed under
+// the key's hash, its key bytes kept in it (a key string was one
+// allocation); the upstream appends the reply to the caller's buffer (a
+// reply of its own was another); the entry is a block in the arena and a
+// record in a table, no object of its own (it was a third).
 func TestAdmittedMissAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool and instrumentation allocate")
@@ -48,6 +51,7 @@ func TestAdmittedMissAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx, seq := context.Background(), 0
+	buf := make([]byte, 0, 512)
 	miss := func() {
 		seq++
 		for i, n := 20, seq; i > 13; i, n = i-1, n/10 {
@@ -57,7 +61,7 @@ func TestAdmittedMissAllocs(t *testing.T) {
 		if !ok {
 			t.Fatal("ParseQuery declined the query")
 		}
-		if resp, err := c.ExchangeQuery(ctx, &q); err != nil || len(resp) != len(wire)+16 {
+		if resp, err := c.ExchangeQuery(ctx, &q, buf); err != nil || len(resp) != len(wire)+16 || &resp[0] != &buf[:1][0] {
 			t.Fatalf("miss: %d bytes, err %v", len(resp), err)
 		}
 	}
@@ -66,8 +70,8 @@ func TestAdmittedMissAllocs(t *testing.T) {
 	if s := c.Stats(); s.Misses != runs+1 || c.Len() != runs+1 {
 		t.Fatalf("%d misses stored %d entries, want %d of each", s.Misses, c.Len(), runs+1)
 	}
-	if got > 2 {
-		t.Errorf("an admitted miss allocates %.0f times, want 2 (flight key, reply)", got)
+	if got > 0 {
+		t.Errorf("an admitted miss allocates %.0f times, want none but the tables' amortised growth", got)
 	}
 	t.Logf("allocs per admitted miss: %.0f", got)
 }

@@ -130,10 +130,13 @@ func (s *Stats) add(o Stats) {
 }
 
 // flight is one in-progress upstream exchange shared by coalesced callers,
-// and the context that exchange runs under (docs/CACHE.md). To followers it
-// is a result: done is made by the first of them, under the shard lock, and
-// closed by land once resp and err are written; each takes its own copy of
-// resp and patches its own ID in. To the upstream it is a context.Context
+// and the context that exchange runs under (docs/CACHE.md). The flight table
+// files it under its key's 64-bit hash, and key holds the key's bytes, which
+// a lookup compares. To followers it is a result: done is made by the first
+// of them, under the shard lock, and closed by land once resp and err are
+// written — resp a private copy of the reply, made for them, since the
+// leader's is in its caller's buffer — and each appends resp to its own
+// buffer and patches its own ID in. To the upstream it is a context.Context
 // (see arm): bounded by the earlier of the exchange timeout and the
 // leader's deadline, carrying the leader's values, deaf to the leader's
 // cancellation — a flight must not die with one caller's client — its Done
@@ -142,6 +145,7 @@ func (s *Stats) add(o Stats) {
 // hold (an upstream must not use ctx after ExchangeWire returns): it goes
 // back on its shard's free list, timer and channel too.
 type flight struct {
+	key  []byte // the key's bytes; storage kept across recycling
 	done chan struct{}
 	resp []byte
 	err  error
@@ -198,7 +202,9 @@ type shard struct {
 	index   []uint32
 	freeRec uint32
 	n       int
-	flights map[string]*flight
+	// flights is the singleflight table, keyed by the key's hash: a flight's
+	// key bytes tell colliding keys apart (see ExchangeQuery).
+	flights map[uint64]*flight
 	// free holds landed flights ready for the next miss (see flight).
 	free       []*flight
 	stats      Stats
@@ -222,6 +228,9 @@ type Cache struct {
 	wire     dnstransport.WireResolver // upstream's wire capability
 	shards   []*shard
 	seed     maphash.Seed
+	// rehash, when set, maps each key's maphash to the hash the cache uses:
+	// tests force keys to collide with it.
+	rehash func(h uint64) uint64
 
 	// maxEntries bounds the cache across all shards (LRU eviction per
 	// shard); unset means 4096, or unbounded when a memory budget rules
@@ -312,6 +321,10 @@ func ParseByteSize(s string) (int64, error) {
 // veto. The filter is what holds the hit rate up when a heavy-tailed name
 // stream (most names asked once) washes over a byte-budgeted cache.
 func WithTinyLFU() Option { return func(c *Cache) { c.admission = true } }
+
+// withRehash maps every key's hash through rehash (tests force collisions
+// with it).
+func withRehash(rehash func(h uint64) uint64) Option { return func(c *Cache) { c.rehash = rehash } }
 
 // withArenaSlab overrides the arena slab size — tests shrink it to force
 // frequent epoch rotations.
@@ -432,7 +445,7 @@ func New(upstream dnstransport.Resolver, opts ...Option) *Cache {
 			budget++
 		}
 		sh := &shard{
-			flights:    make(map[string]*flight),
+			flights:    make(map[uint64]*flight),
 			maxEntries: max,
 			budget:     budget,
 			arena:      newArena(slab),
@@ -495,6 +508,9 @@ const prefetchMinHits = 2
 // per-hit response copy.
 func (c *Cache) shardFor(kb []byte) (*shard, uint64) {
 	h := maphash.Bytes(c.seed, kb)
+	if c.rehash != nil {
+		h = c.rehash(h)
+	}
 	return c.shards[(h>>32)&uint64(len(c.shards)-1)], h
 }
 
@@ -596,7 +612,7 @@ func (c *Cache) ServeWire(tx *telemetry.Transaction, q *dnswire.Query, dst []byt
 		sh.stats.SketchResets++
 	}
 	sh.mu.Unlock()
-	c.afterHit(tx, sh, kb, hit)
+	c.afterHit(tx, sh, kb, h, hit)
 	return hit.resp, hit.outcome, true
 }
 
@@ -649,10 +665,10 @@ func (c *Cache) serveLocked(sh *shard, ri uint32, kb []byte, id uint16, dst []by
 	if stale || h.prefetch {
 		// Checked here, under the lock already held, so the steady state
 		// of an upstream outage — every hit stale, one refresh parked on
-		// the dead upstream — pays no extra lock round trip or key
-		// allocation per hit (the map index below does not materialize
-		// the string).
-		_, inflight := sh.flights[string(kb)]
+		// the dead upstream — pays no extra lock round trip per hit. A
+		// colliding key's flight holds the refresh off too: it is best
+		// effort.
+		_, inflight := sh.flights[r.hash]
 		h.refresh, h.prefetch = !inflight, h.prefetch && !inflight
 	}
 	_, wire, toffs := sh.blockOf(r)
@@ -665,8 +681,8 @@ func (c *Cache) serveLocked(sh *shard, ri uint32, kb []byte, id uint16, dst []by
 // afterHit starts the refresh serveLocked asked for, outside the shard
 // lock. maybeRefresh re-checks the flight table under the lock, so the
 // benign race with a just-started flight resolves to a no-op.
-func (c *Cache) afterHit(tx *telemetry.Transaction, sh *shard, kb []byte, h served) {
-	if h.refresh && c.maybeRefresh(sh, string(kb), h.prefetch) && h.prefetch {
+func (c *Cache) afterHit(tx *telemetry.Transaction, sh *shard, kb []byte, h uint64, hit served) {
+	if hit.refresh && c.maybeRefresh(sh, kb, h, hit.prefetch) && hit.prefetch {
 		tx.Prefetch()
 	}
 }
@@ -683,67 +699,71 @@ func (c *Cache) Exchange(ctx context.Context, q *dnswire.Message) (*dnswire.Mess
 // common stub shape dnswire.ParseQuery accepts. Any other query — several
 // questions, a non-ASCII name, an unknown EDNS version — is uncacheable
 // and passes straight through to the upstream.
-func (c *Cache) ExchangeWire(ctx context.Context, query []byte) ([]byte, error) {
+func (c *Cache) ExchangeWire(ctx context.Context, query, dst []byte) ([]byte, error) {
 	if q, ok := dnswire.ParseQuery(query); ok {
-		return c.ExchangeQuery(ctx, &q)
+		return c.ExchangeQuery(ctx, &q, dst)
 	}
-	return c.bypass(ctx, query, nil)
+	return c.bypass(ctx, query, nil, dst)
 }
 
 // bypass forwards an uncacheable query, bounded like any exchange the
 // cache starts; q is its parsed view, when it has one. The reply is vetted
 // like any other: nothing an upstream sends reaches a client unread.
-func (c *Cache) bypass(ctx context.Context, query []byte, q *dnswire.Query) ([]byte, error) {
+func (c *Cache) bypass(ctx context.Context, query []byte, q *dnswire.Query, dst []byte) ([]byte, error) {
 	telemetry.FromContext(ctx).SetCache(telemetry.CacheBypass)
 	ctx, cancel := context.WithTimeout(ctx, c.exchangeTimeout)
 	defer cancel()
-	resp, err := c.wire.ExchangeWire(ctx, query)
+	resp, err := c.wire.ExchangeWire(ctx, query, dst)
 	if err != nil {
 		return nil, err
 	}
-	resp, _, _, _, err = vet(resp, q, nil)
+	resp, _, _, _, err = vet(dst, resp, q, nil)
 	return resp, err
 }
 
 // vet decides what becomes of an upstream's reply to q, hostile until
-// read. One the strict scan passes is forwarded as it came, and may be
-// stored as it came when storable is set. Anything else — and every reply
-// to a query with no parsed view (q nil) — takes the Message fallback: if
-// the codec can read it at all, its canonical re-pack is what is forwarded,
+// read: resp[len(dst):], appended to dst. One the strict scan passes is
+// forwarded as it came, and may be stored as it came when storable is set.
+// Anything else — and every reply to a query with no parsed view (q nil) —
+// takes the Message fallback: if the codec can read it at all, its
+// canonical re-pack, appended to dst in its place, is what is forwarded,
 // scanned in turn; refused again (a reply that echoes no question, say) it
 // still is forwarded, but never stored. What the codec cannot read fails
 // the exchange. The scan's TTL offsets are appended to toffs.
-func vet(resp []byte, q *dnswire.Query, toffs []byte) (_ []byte, scan dnswire.ResponseScan, _ []byte, storable bool, err error) {
+func vet(dst, resp []byte, q *dnswire.Query, toffs []byte) (_ []byte, scan dnswire.ResponseScan, _ []byte, storable bool, err error) {
 	if q != nil {
-		if scan, toffs, err = dnswire.ScanResponse(resp, q, toffs); err == nil {
+		if scan, toffs, err = dnswire.ScanResponse(resp[len(dst):], q, toffs); err == nil {
 			return resp, scan, toffs, true, nil
 		}
 	}
 	var m dnswire.Message
-	if err = m.Unpack(resp); err != nil {
+	if err = m.Unpack(resp[len(dst):]); err != nil {
 		return nil, scan, toffs, false, err
 	}
-	if resp, err = m.Pack(); err != nil {
+	// m holds copies of what it read, so it packs over the bytes it came from.
+	if resp, err = m.AppendPack(dst); err != nil {
 		return nil, scan, toffs, false, err
 	}
 	if q != nil {
-		scan, toffs, err = dnswire.ScanResponse(resp, q, toffs[:0])
+		scan, toffs, err = dnswire.ScanResponse(resp[len(dst):], q, toffs[:0])
 	}
 	return resp, scan, toffs, q != nil && err == nil, nil
 }
 
-// ExchangeQuery answers the query q views, in packed form end to end: a
-// hit is the stored bytes re-stamped with q's ID and decayed TTLs; a miss
-// goes upstream as q.Raw, concurrent identical questions coalescing into
-// one exchange, and comes back as the upstream's own bytes once the strict
-// scan has passed them. The reply is a slice the caller owns. Only the
-// query's shard is locked, and never across the upstream call. The query's
-// telemetry Transaction (if its server began one) learns the outcome — hit,
-// negative hit, miss, coalesced or bypass — outside the shard lock.
-func (c *Cache) ExchangeQuery(ctx context.Context, q *dnswire.Query) ([]byte, error) {
+// ExchangeQuery answers the query q views, in packed form end to end, and
+// appends the reply to dst: a hit is the stored bytes re-stamped with q's ID
+// and decayed TTLs; a miss goes upstream as q.Raw, concurrent identical
+// questions coalescing into one exchange, and comes back as the upstream's
+// own bytes once the strict scan has passed them — the leader's written
+// into dst by the upstream itself, a follower's copied there from the
+// flight. Only the query's shard is locked, and never across the upstream
+// call. The query's telemetry Transaction (if its server began one) learns
+// the outcome — hit, negative hit, miss, coalesced or bypass — outside the
+// shard lock.
+func (c *Cache) ExchangeQuery(ctx context.Context, q *dnswire.Query, dst []byte) ([]byte, error) {
 	tx := telemetry.FromContext(ctx)
 	if q.Type == dnswire.TypeANY {
-		return c.bypass(ctx, q.Raw, q)
+		return c.bypass(ctx, q.Raw, q, dst)
 	}
 	// The cache-lookup span covers key build, shard lock and the in-memory
 	// decision; on a miss it ends when the flight is registered, so the
@@ -762,17 +782,22 @@ func (c *Cache) ExchangeQuery(ctx context.Context, q *dnswire.Query) ([]byte, er
 		sh.stats.SketchResets++
 	}
 	if ri := sh.find(h, kb); ri != 0 {
-		if hit, ok := c.serveLocked(sh, ri, kb, q.ID, nil); ok {
+		if hit, ok := c.serveLocked(sh, ri, kb, q.ID, dst); ok {
 			sh.mu.Unlock()
 			tx.TraceSpan(qtrace.PhaseCache, tl)
 			tx.SetCache(hit.outcome)
-			c.afterHit(tx, sh, kb, hit)
+			c.afterHit(tx, sh, kb, h, hit)
 			return hit.resp, nil
 		}
 		sh.removeLocked(ri)
 	}
-	// Miss: join or start a flight.
-	if f, ok := sh.flights[string(kb)]; ok {
+	// Miss: join or start a flight. A flight of another key that shares this
+	// one's hash is no company: the miss goes upstream on a flight of its
+	// own that the table does not file, so nobody can join it, and it lands
+	// without touching the other's entry.
+	other, filed := sh.flights[h]
+	if filed && string(other.key) == string(kb) {
+		f := other
 		sh.stats.Coalesced++
 		if f.waiters++; f.done == nil {
 			f.done = make(chan struct{}) // coalescing is rare: the first follower pays
@@ -788,21 +813,23 @@ func (c *Cache) ExchangeQuery(ctx context.Context, q *dnswire.Query) ([]byte, er
 			if f.err != nil {
 				return nil, f.err
 			}
-			resp := append([]byte(nil), f.resp...)
-			dnswire.PatchID(resp, q.ID)
+			resp := append(dst, f.resp...)
+			dnswire.PatchID(resp[len(dst):], q.ID)
 			return resp, nil
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
 	}
-	k := string(kb)
 	var f *flight
 	if n := len(sh.free); n > 0 {
 		f, sh.free = sh.free[n-1], sh.free[:n-1]
 	} else {
 		f = &flight{expired: make(chan struct{})}
 	}
-	sh.flights[k] = f
+	f.key = append(f.key[:0], kb...)
+	if !filed {
+		sh.flights[h] = f
+	}
 	sh.stats.Misses++
 	sh.mu.Unlock()
 	tx.TraceSpan(qtrace.PhaseCache, tl)
@@ -811,12 +838,12 @@ func (c *Cache) ExchangeQuery(ctx context.Context, q *dnswire.Query) ([]byte, er
 	// The flight is the exchange's context: a black-holing upstream still
 	// ends it, the leader's client disconnecting mid-flight does not.
 	f.arm(ctx, c.exchangeTimeout)
-	resp, err := c.wire.ExchangeWire(f, q.Raw)
+	resp, err := c.wire.ExchangeWire(f, q.Raw, dst)
 
 	// The admission span covers the scan, the admission filter and the
 	// insert (evictions included) — the post-upstream cost of a miss.
 	ta := tx.TraceStart()
-	resp, shared, evicted, rejected, err := c.land(sh, k, kb, h, f, q, resp, err)
+	resp, evicted, rejected, err := c.land(sh, kb, h, f, q, dst, resp, err)
 	tx.TraceSpan(qtrace.PhaseAdmit, ta)
 	tx.CacheEvicted(evicted)
 	if rejected {
@@ -825,37 +852,36 @@ func (c *Cache) ExchangeQuery(ctx context.Context, q *dnswire.Query) ([]byte, er
 	if err != nil {
 		return nil, err
 	}
-	if shared {
-		// Followers are copying the flight's bytes: the leader's reply
-		// must not alias them.
-		resp = append([]byte(nil), resp...)
-	}
-	dnswire.PatchID(resp, q.ID)
+	dnswire.PatchID(resp[len(dst):], q.ID)
 	return resp, nil
 }
 
-// land closes flight f of key k (kb, the same bytes) with the outcome of its
-// upstream exchange for q: the reply is vetted, and one that may be stored
-// verbatim and is cacheable goes into the arena — admission is decided before anything is
-// built, and admitted bytes are copied straight in. The returned reply is
-// the flight's: with shared set coalesced callers are reading it, and it
-// must not be written; without, f may already be another miss's.
-func (c *Cache) land(sh *shard, k string, kb []byte, h uint64, f *flight, q *dnswire.Query, resp []byte, err error) (_ []byte, shared bool, evicted int, rejected bool, _ error) {
+// land closes flight f of key kb (hash h) with the outcome of its upstream
+// exchange for q, the reply appended to dst in resp: the reply is vetted,
+// and one that may be stored verbatim and is cacheable goes into the arena
+// — admission is decided before anything is built, and admitted bytes are
+// copied straight in. f leaves the flight table if it is the one filed
+// under h. Coalesced callers get a private copy of the reply: resp is the
+// caller's, and free to be overwritten the moment ExchangeQuery returns.
+// Once land returns, f may already be another miss's.
+func (c *Cache) land(sh *shard, kb []byte, h uint64, f *flight, q *dnswire.Query, dst, resp []byte, err error) (_ []byte, evicted int, rejected bool, _ error) {
 	var tbuf [64]byte // 32 records' TTL offsets before the scan allocates
 	toffs := tbuf[:0]
 	var scan dnswire.ResponseScan
 	storable := false
 	if err == nil {
-		resp, scan, toffs, storable, err = vet(resp, q, toffs)
+		resp, scan, toffs, storable, err = vet(dst, resp, q, toffs)
 	}
 	// A timer stopped while still pending never closes expired: with no
 	// follower either, nobody else holds f any more.
 	idle := f.timer != nil && f.timer.Stop()
 	sh.mu.Lock()
-	delete(sh.flights, k)
-	shared = f.waiters > 0
+	if sh.flights[h] == f {
+		delete(sh.flights, h)
+	}
+	shared := f.waiters > 0
 	if storable && cacheable(&scan) {
-		evicted, rejected = c.insertLocked(sh, kb, h, resp, toffs, &scan)
+		evicted, rejected = c.insertLocked(sh, kb, h, resp[len(dst):], toffs, &scan)
 	}
 	if idle && !shared && len(sh.free) < maxFreeFlights {
 		f.leader = nil
@@ -863,10 +889,13 @@ func (c *Cache) land(sh *shard, k string, kb []byte, h uint64, f *flight, q *dns
 	}
 	sh.mu.Unlock()
 	if shared {
-		f.resp, f.err = resp, err
+		if err == nil {
+			f.resp = append([]byte(nil), resp[len(dst):]...)
+		}
+		f.err = err
 		close(f.done)
 	}
-	return resp, shared, evicted, rejected, err
+	return resp, evicted, rejected, err
 }
 
 // removeLocked drops record ri from the index and the LRU ring, releases its
@@ -1002,45 +1031,44 @@ func (c *Cache) insertLocked(sh *shard, kb []byte, h uint64, wire, toffs []byte,
 	return evicted, false
 }
 
-// maybeRefresh starts a background singleflight refresh of key k unless an
-// exchange for it is already in flight, reporting whether this call
-// started one. prefetch labels the trigger for stats. Caller must not hold
-// sh.mu.
-func (c *Cache) maybeRefresh(sh *shard, k string, prefetch bool) bool {
+// maybeRefresh starts a background singleflight refresh of key kb (hash h)
+// unless an exchange for it — or for a key sharing its hash — is already in
+// flight, reporting whether this call started one. prefetch labels the
+// trigger for stats. Caller must not hold sh.mu.
+func (c *Cache) maybeRefresh(sh *shard, kb []byte, h uint64, prefetch bool) bool {
 	sh.mu.Lock()
-	if _, inflight := sh.flights[k]; inflight {
+	if _, inflight := sh.flights[h]; inflight {
 		sh.mu.Unlock()
 		return false
 	}
-	f := &flight{}
-	sh.flights[k] = f
+	f := &flight{key: append([]byte(nil), kb...)}
+	sh.flights[h] = f
 	sh.stats.Refreshes++
 	if prefetch {
 		sh.stats.Prefetches++
 	}
 	sh.mu.Unlock()
-	go c.refresh(sh, k, f)
+	go c.refresh(sh, h, f)
 	return true
 }
 
 // refresh is the background half of serve-stale and prefetch: one upstream
-// exchange re-populating k while foreground queries keep answering from
-// the existing entry. It holds the key's singleflight slot, so concurrent
-// misses for the same name join it instead of going upstream themselves.
-// A failed refresh leaves the old entry in place — within a serve-stale
-// window that is exactly the availability RFC 8767 wants.
-func (c *Cache) refresh(sh *shard, k string, f *flight) {
+// exchange re-populating f's key while foreground queries keep answering
+// from the existing entry. It holds the key's singleflight slot, so
+// concurrent misses for the same name join it instead of going upstream
+// themselves. A failed refresh leaves the old entry in place — within a
+// serve-stale window that is exactly the availability RFC 8767 wants.
+func (c *Cache) refresh(sh *shard, h uint64, f *flight) {
 	tx := c.tel.BeginBackground()
 	defer tx.Finish()
 	ctx, cancel := context.WithTimeout(telemetry.NewContext(context.Background(), tx), c.exchangeTimeout)
 	defer cancel()
-	q, err := refreshQuery(k)
+	q, err := refreshQuery(f.key)
 	var resp []byte
 	if err == nil {
-		resp, err = c.wire.ExchangeWire(ctx, q.Raw)
+		resp, err = c.wire.ExchangeWire(ctx, q.Raw, nil)
 	}
-	kb := []byte(k)
-	if _, _, _, rejected, _ := c.land(sh, k, kb, maphash.Bytes(c.seed, kb), f, &q, resp, err); rejected {
+	if _, _, rejected, _ := c.land(sh, f.key, h, f, &q, nil, resp, err); rejected {
 		tx.CacheAdmissionRejected()
 	}
 }
@@ -1048,7 +1076,7 @@ func (c *Cache) refresh(sh *shard, k string, f *flight) {
 // refreshQuery rebuilds the question a cache key encodes — the canonical
 // name followed by four octets of type and class — into a fresh packed
 // query for the background refresh, viewed the way a client's is.
-func refreshQuery(k string) (dnswire.Query, error) {
+func refreshQuery(k []byte) (dnswire.Query, error) {
 	name := dnswire.Name(k[:len(k)-4])
 	qtype := dnswire.Type(uint16(k[len(k)-4])<<8 | uint16(k[len(k)-3]))
 	class := dnswire.Class(uint16(k[len(k)-2])<<8 | uint16(k[len(k)-1]))

@@ -23,23 +23,24 @@ import (
 )
 
 // wireUpstream is a wire-native upstream scripted by a function of the
-// query. Like a transport client it hands back a fresh slice carrying the
-// query's ID, and refuses what dnswire.ValidateResponseWire refuses.
+// query. Like a transport client it appends the reply to the caller's
+// buffer under the query's ID, and refuses what
+// dnswire.ValidateResponseWire refuses.
 type wireUpstream struct {
 	calls atomic.Int64
 	reply func(ctx context.Context, query []byte) ([]byte, error)
 }
 
-func (u *wireUpstream) ExchangeWire(ctx context.Context, query []byte) ([]byte, error) {
+func (u *wireUpstream) ExchangeWire(ctx context.Context, query, dst []byte) ([]byte, error) {
 	u.calls.Add(1)
-	resp, err := u.reply(ctx, query)
+	reply, err := u.reply(ctx, query)
 	if err != nil {
 		return nil, err
 	}
-	resp = append([]byte(nil), resp...)
+	resp := append(dst, reply...)
 	id := binary.BigEndian.Uint16(query)
-	dnswire.PatchID(resp, id)
-	if err := dnswire.ValidateResponseWire(query, id, resp); err != nil {
+	dnswire.PatchID(resp[len(dst):], id)
+	if err := dnswire.ValidateResponseWire(query, id, resp[len(dst):]); err != nil {
 		return nil, err
 	}
 	return resp, nil
@@ -179,7 +180,7 @@ func TestRecycledFlightsKeepToTheirKeys(t *testing.T) {
 				go func(id uint16) {
 					defer wg.Done()
 					fq, wire := fastParse(t, dnswire.NewQuery(id, name, dnswire.TypeA))
-					resp, err := c.ExchangeQuery(context.Background(), &fq)
+					resp, err := c.ExchangeQuery(context.Background(), &fq, nil)
 					if label == "bad" {
 						if !errors.Is(err, errBad) {
 							t.Errorf("%s: err = %v (%d reply bytes), want its own key's failure", name, err, len(resp))
@@ -199,7 +200,7 @@ func TestRecycledFlightsKeepToTheirKeys(t *testing.T) {
 	// One more miss alone: whatever the rounds left on the free list, its
 	// flight is there now.
 	fq, _ := fastParse(t, dnswire.NewQuery(1, "good-last.example.", dnswire.TypeA))
-	if _, err := c.ExchangeQuery(context.Background(), &fq); err != nil {
+	if _, err := c.ExchangeQuery(context.Background(), &fq, nil); err != nil {
 		t.Fatal(err)
 	}
 	sh := c.shards[0]
@@ -235,7 +236,7 @@ func TestFollowersGetTheirOwnBytes(t *testing.T) {
 		go func(id uint16) {
 			defer wg.Done()
 			fq, wire := fastParse(t, dnswire.NewQuery(id, "shared.example.", dnswire.TypeA))
-			resp, err := c.ExchangeQuery(context.Background(), &fq)
+			resp, err := c.ExchangeQuery(context.Background(), &fq, nil)
 			if err != nil {
 				t.Error(err)
 				return
@@ -258,6 +259,150 @@ func TestFollowersGetTheirOwnBytes(t *testing.T) {
 	hit, _, ok := c.ServeWire(nil, &fq, nil, 0)
 	if !ok || !bytes.Equal(hit, answerTo(t, wire, nil)) {
 		t.Errorf("stored entry corrupted by its callers' writes: ok=%v %x", ok, hit)
+	}
+}
+
+// missResult is one concurrent caller's outcome.
+type missResult struct {
+	id   uint16
+	resp []byte
+	err  error
+}
+
+// askAsync runs ExchangeQuery for q on a goroutine of its own, into a
+// buffer of its own, and reports on results.
+func askAsync(c *Cache, q dnswire.Query, results chan<- missResult) {
+	go func() {
+		resp, err := c.ExchangeQuery(context.Background(), &q, make([]byte, 0, 512))
+		results <- missResult{q.ID, resp, err}
+	}()
+}
+
+// TestCollidingKeysFlyApart: the flight table is keyed by hash, so two keys
+// can meet in it. Forced onto one 64-bit hash, both go upstream and each
+// caller gets its own key's reply; the second miss's flight is not filed,
+// so its landing leaves the first's entry in place — a later caller with
+// the first key still coalesces — and once both have landed the table is
+// empty and both answers are stored.
+func TestCollidingKeysFlyApart(t *testing.T) {
+	names := []dnswire.Name{"a.example.", "b.example."}
+	release := map[string]chan struct{}{string(names[0]): make(chan struct{}), string(names[1]): make(chan struct{})}
+	entered := make(chan string, 4)
+	up := &wireUpstream{}
+	up.reply = func(_ context.Context, query []byte) ([]byte, error) {
+		q, _ := dnswire.ParseQuery(query)
+		name := string(q.AppendCanonicalName(nil))
+		entered <- name
+		<-release[name]
+		return answerTo(t, query, nil), nil
+	}
+	now := time.Now()
+	c := New(up, WithShards(1), withRehash(func(uint64) uint64 { return 42 }), withClock(func() time.Time { return now })) // a hit decays nothing
+	defer c.Close()
+	queries := make(map[uint16][]byte)
+	query := func(id uint16, name dnswire.Name) dnswire.Query {
+		fq, wire := fastParse(t, dnswire.NewQuery(id, name, dnswire.TypeA))
+		queries[id] = wire
+		return fq
+	}
+	a1, b2, a3, a4 := query(1, names[0]), query(2, names[1]), query(3, names[0]), query(4, names[0])
+	results := make(chan missResult, 4)
+	check := func(r missResult) {
+		t.Helper()
+		if want := answerTo(t, queries[r.id], nil); r.err != nil || !bytes.Equal(r.resp, want) {
+			t.Errorf("caller %d: err %v, reply\n %x\nwant\n %x", r.id, r.err, r.resp, want)
+		}
+	}
+
+	askAsync(c, a1, results)
+	if got := <-entered; got != string(names[0]) {
+		t.Fatalf("upstream asked for %s first, want %s", got, names[0])
+	}
+	askAsync(c, b2, results) // same hash, another key: upstream, not coalesced
+	if got := <-entered; got != string(names[1]) {
+		t.Fatalf("upstream asked for %s second, want %s", got, names[1])
+	}
+	askAsync(c, a3, results)
+	waitUntil(t, "the first key's second caller to coalesce", func() bool { return c.Stats().Coalesced == 1 })
+
+	close(release[string(names[1])])
+	r := <-results
+	if r.id != 2 {
+		t.Fatalf("caller %d returned before the colliding key's flight landed", r.id)
+	}
+	check(r)
+	askAsync(c, a4, results) // the first key's flight is still filed
+	waitUntil(t, "a later caller of the first key to coalesce", func() bool { return c.Stats().Coalesced == 2 })
+
+	close(release[string(names[0])])
+	for i := 0; i < 3; i++ {
+		check(<-results)
+	}
+	if s := c.Stats(); up.calls.Load() != 2 || s.Misses != 2 || s.Coalesced != 2 {
+		t.Errorf("%d upstream exchanges, stats %+v: want 2 misses and 2 coalesced", up.calls.Load(), s)
+	}
+	sh := c.shards[0]
+	sh.mu.Lock()
+	left := len(sh.flights)
+	sh.mu.Unlock()
+	if left != 0 {
+		t.Errorf("%d flights left filed once both landed", left)
+	}
+	for _, name := range names {
+		fq, wire := fastParse(t, dnswire.NewQuery(9, name, dnswire.TypeA))
+		if hit, _, ok := c.ServeWire(nil, &fq, nil, 0); !ok || !bytes.Equal(hit, answerTo(t, wire, nil)) {
+			t.Errorf("%s: stored entry %x (ok=%v), want its own answer", name, hit, ok)
+		}
+	}
+}
+
+// TestLeaderBufferIsTheLeaders: the leader's reply is written into its
+// caller's buffer, which is the caller's again the moment ExchangeQuery
+// returns. A leader that scribbles over all of it at once must not reach
+// the followers still copying the flight's reply: each gets the upstream's
+// bytes under its own ID. Under -race, followers reading the leader's
+// buffer are a report.
+func TestLeaderBufferIsTheLeaders(t *testing.T) {
+	release := make(chan struct{})
+	up := &wireUpstream{}
+	up.reply = func(_ context.Context, query []byte) ([]byte, error) {
+		<-release
+		return answerTo(t, query, nil), nil
+	}
+	c := New(up)
+	defer c.Close()
+	const followers = 8
+	lead, leadWire := fastParse(t, dnswire.NewQuery(0x100, "shared.example.", dnswire.TypeA))
+	led := make(chan missResult, 1)
+	go func() {
+		dst := make([]byte, 0, 512)
+		resp, err := c.ExchangeQuery(context.Background(), &lead, dst)
+		got := append([]byte(nil), resp...)
+		for i := range dst[:cap(dst)] {
+			dst[:cap(dst)][i] = 0xFF
+		}
+		led <- missResult{lead.ID, got, err}
+	}()
+	waitUntil(t, "the leader's exchange", func() bool { return up.calls.Load() == 1 })
+	queries := map[uint16][]byte{lead.ID: leadWire}
+	results := make(chan missResult, followers)
+	for i := 0; i < followers; i++ {
+		fq, wire := fastParse(t, dnswire.NewQuery(uint16(0x200+i), "shared.example.", dnswire.TypeA))
+		queries[fq.ID] = wire
+		askAsync(c, fq, results)
+	}
+	waitUntil(t, "every follower to coalesce", func() bool { return c.Stats().Coalesced == followers })
+	close(release)
+	for i := 0; i <= followers; i++ {
+		var r missResult
+		if i == 0 {
+			r = <-led
+		} else {
+			r = <-results
+		}
+		if want := answerTo(t, queries[r.id], nil); r.err != nil || !bytes.Equal(r.resp, want) {
+			t.Errorf("caller %#x: err %v, reply\n %x\nwant\n %x", r.id, r.err, r.resp, want)
+		}
 	}
 }
 
@@ -324,7 +469,7 @@ func TestHostileUpstream(t *testing.T) {
 
 			for i := uint16(1); i <= 2; i++ {
 				fq, _ := fastParse(t, dnswire.NewQuery(i, name, dnswire.TypeA))
-				resp, err := c.ExchangeQuery(context.Background(), &fq)
+				resp, err := c.ExchangeQuery(context.Background(), &fq, nil)
 				if !tc.forward {
 					if err == nil {
 						t.Fatalf("query %d: a forged reply was served: %x", i, resp)
@@ -572,7 +717,7 @@ func FuzzMissEquivalence(f *testing.F) {
 		wireCache := New(&wireUpstream{reply: func(context.Context, []byte) ([]byte, error) { return reply, nil }}, clock)
 		msgCache := New(messageUpstream{reply}, clock)
 
-		fast, errW := wireCache.ExchangeQuery(context.Background(), &q)
+		fast, errW := wireCache.ExchangeQuery(context.Background(), &q, nil)
 		msg, errM := msgCache.Exchange(context.Background(), &qm)
 		if (errW != nil) != (errM != nil) {
 			t.Fatalf("the paths disagree on failure: wire %v, message %v", errW, errM)

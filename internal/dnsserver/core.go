@@ -21,11 +21,13 @@ import (
 //     fast path into the caller's buffer. It never blocks and never
 //     allocates, so read loops run it inline — the h2 read loop too, for
 //     DoH (boundDoH.ServeH2Inline).
-//   - the slow step (answer) resolves everything else and returns the reply
-//     as packed bytes: the handler's wire miss step on the view the hit
-//     step left — no Message is built for the query or for the answer — or,
-//     for a handler with no wire steps of its own, MessageAdapter's Unpack →
-//     Respond → Pack, wrapped around it once by newCore.
+//   - the slow step (answer) resolves everything else and appends the reply,
+//     packed, to the caller's buffer, as the hit step does: the handler's
+//     wire miss step on the view the hit step left — no Message is built for
+//     the query or for the answer — or, for a handler with no wire steps of
+//     its own, MessageAdapter's Unpack → Respond → AppendPack, wrapped around
+//     it once by newCore. Its context is the query's: a slot's or a
+//     connection's QueryContext, set to the transaction for the step.
 //
 // The slow step may block on upstream work, so batched UDP, out-of-order
 // streams and DoH over h2 run it on another goroutine. Adapters keep what
@@ -103,45 +105,54 @@ func (c *core) serveWire(tx *telemetry.Transaction, q *dnswire.Query, dst []byte
 // declined whose miss step failed without saying why.
 var errUnreadable = errors.New("dnsserver: query the codec cannot read")
 
-// answer is the slow step: the handler's miss step — its own, or
-// MessageAdapter — resolves what the hit step declined or never saw, on the
-// view it left (parsed, or carrying only the query's bytes), whose HasEDNS
-// and UDPSize then describe the query for UDP's size limit. The reply is
-// packed bytes in a slice the adapter owns; nothing pooled is held while
-// the handler blocks. A failed step folds into a SERVFAIL echoed from a
-// parsed view. An unparsed view has nothing to echo from: its failure (a
-// query the codec cannot read) is the error, and the transaction is closed
-// as a servfail. Otherwise the returned transaction — tx, or the one begun
-// here — is the adapter's to Finish once the reply has left.
-func (c *core) answer(ctx context.Context, tx *telemetry.Transaction, q *dnswire.Query) ([]byte, *telemetry.Transaction, error) {
+// begin returns the query's transaction for the slow step: tx, begun by the
+// hit step, or — when the hit step began none — the slow step's own.
+func (c *core) begin(tx *telemetry.Transaction) *telemetry.Transaction {
 	if tx == nil {
 		tx = c.tel.Begin(c.proto)
 	}
+	return tx
+}
+
+// answer is the slow step: the handler's miss step — its own, or
+// MessageAdapter — resolves what the hit step declined or never saw, on the
+// view it left (parsed, or carrying only the query's bytes), whose HasEDNS
+// and UDPSize then describe the query for UDP's size limit. tx is the
+// query's transaction (begin's), and ctx carries it to the handler: the
+// adapter's QueryContext set to it — a slow-step slot's, or a stream
+// connection's — or, where the adapter has none, a layer of its own. The
+// reply is packed bytes appended to dst, an empty buffer the adapter frames
+// from: a reply that fits its capacity lies in its storage. Nothing pooled
+// that the handler could see is held while it blocks. A failed step folds
+// into a SERVFAIL echoed from a parsed view. An unparsed view has nothing
+// to echo from: its failure (a query the codec cannot read) is the error,
+// and the transaction is closed as a servfail. Otherwise tx is the
+// adapter's to Finish once the reply has left.
+func (c *core) answer(ctx context.Context, tx *telemetry.Transaction, q *dnswire.Query, dst []byte) ([]byte, error) {
 	tx.SetVerdict(telemetry.VerdictOK) // a step that fails its query says so
-	ctx = telemetry.NewContext(ctx, tx)
-	resp, err := c.miss.ServeDNSWireMiss(ctx, q)
+	resp, err := c.miss.ServeDNSWireMiss(ctx, q, dst)
 	if err == nil && len(resp) >= 12 /* DNS header */ && len(resp) <= dnswire.MaxMessageLen {
-		return resp, tx, nil
+		return resp, nil
 	}
 	if !q.Parsed() {
 		tx.SetVerdict(telemetry.VerdictServFail)
 		tx.Finish()
-		return nil, nil, cmp.Or(err, errUnreadable)
+		return nil, cmp.Or(err, errUnreadable)
 	}
 	failed(ctx, tx)
-	return q.Reply(dnswire.RCodeServerFailure), tx, nil
+	return q.AppendReply(dst, dnswire.RCodeServerFailure), nil
 }
 
 // MessageAdapter is the wire miss step of a Message Handler: Unpack →
-// Respond → Pack. newCore wraps a handler that has no wire miss step of its
-// own in it, once, and a WireMissResponder hands it the views ParseQuery
-// declined. It writes the query's HasEDNS and UDPSize into the view, for
-// UDP's size limit. Handler failures fold into SERVFAIL; its error is a
-// query the codec cannot read, or whose SERVFAIL does not even pack.
+// Respond → AppendPack. newCore wraps a handler that has no wire miss step
+// of its own in it, once, and a WireMissResponder hands it the views
+// ParseQuery declined. It writes the query's HasEDNS and UDPSize into the
+// view, for UDP's size limit. Handler failures fold into SERVFAIL; its error
+// is a query the codec cannot read, or whose SERVFAIL does not even pack.
 type MessageAdapter struct{ Handler Handler }
 
 // ServeDNSWireMiss implements WireMissResponder.
-func (a MessageAdapter) ServeDNSWireMiss(ctx context.Context, q *dnswire.Query) ([]byte, error) {
+func (a MessageAdapter) ServeDNSWireMiss(ctx context.Context, q *dnswire.Query, dst []byte) ([]byte, error) {
 	tx := telemetry.FromContext(ctx)
 	var tParse time.Time
 	if !q.Parsed() {
@@ -159,11 +170,11 @@ func (a MessageAdapter) ServeDNSWireMiss(ctx context.Context, q *dnswire.Query) 
 	if q.HasEDNS = m.EDNS != nil; q.HasEDNS {
 		q.UDPSize = m.EDNS.UDPSize
 	}
-	reply, err := Respond(ctx, a.Handler, &m).Pack()
+	reply, err := Respond(ctx, a.Handler, &m).AppendPack(dst)
 	if err != nil {
 		// The handler's answer does not pack; say so, if the codec can.
 		tx.SetVerdict(telemetry.VerdictServFail)
-		reply, err = ServFail(&m).Pack()
+		reply, err = ServFail(&m).AppendPack(dst)
 	}
 	return reply, err
 }

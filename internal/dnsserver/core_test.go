@@ -90,9 +90,9 @@ type missStub struct {
 	miss atomic.Int64
 }
 
-func (s *missStub) ServeDNSWireMiss(ctx context.Context, q *dnswire.Query) ([]byte, error) {
+func (s *missStub) ServeDNSWireMiss(ctx context.Context, q *dnswire.Query, dst []byte) ([]byte, error) {
 	if !q.Parsed() {
-		return MessageAdapter{Handler: &s.refStub}.ServeDNSWireMiss(ctx, q)
+		return MessageAdapter{Handler: &s.refStub}.ServeDNSWireMiss(ctx, q, dst)
 	}
 	s.miss.Add(1)
 	var m dnswire.Message
@@ -102,7 +102,7 @@ func (s *missStub) ServeDNSWireMiss(ctx context.Context, q *dnswire.Query) ([]by
 	if strings.HasPrefix(string(m.Question1().Name), "dead") {
 		return nil, errDead
 	}
-	return refAnswer(&m).Pack()
+	return refAnswer(&m).AppendPack(dst)
 }
 
 // openGuard is a guard no test client can exhaust: every check runs, none
@@ -380,13 +380,13 @@ func TestUnreadableQueryIsAServfail(t *testing.T) {
 // deadStub fails every wire miss without looking at it.
 type deadStub struct{ refStub }
 
-func (*deadStub) ServeDNSWireMiss(context.Context, *dnswire.Query) ([]byte, error) {
+func (*deadStub) ServeDNSWireMiss(context.Context, *dnswire.Query, []byte) ([]byte, error) {
 	return nil, errDead
 }
 
 // TestFailedWireMissAllocs pins what a failed miss costs the slow step: the
-// SERVFAIL is the query's own bytes echoed — no Unpack, no Pack — so it
-// adds one slice to the context every wire miss is handed.
+// SERVFAIL is the query's own bytes echoed into the adapter's buffer — no
+// Unpack, no Pack — under the slot's context, so it allocates nothing.
 func TestFailedWireMissAllocs(t *testing.T) {
 	wire, err := dnswire.NewQuery(7, "dead.example.", dnswire.TypeA).Pack()
 	if err != nil {
@@ -398,17 +398,60 @@ func TestFailedWireMissAllocs(t *testing.T) {
 	}
 	tel := telemetry.New()
 	c := newCore(&deadStub{}, tel, telemetry.ProtoUDP)
+	qc := &telemetry.QueryContext{Context: context.Background()}
+	buf := make([]byte, 0, 512)
 	var reply []byte
 	got := testing.AllocsPerRun(200, func() {
-		var tx *telemetry.Transaction
-		reply, tx, err = c.answer(context.Background(), tel.Begin(telemetry.ProtoUDP), &q)
+		tx := c.begin(nil)
+		qc.Set(tx)
+		reply, err = c.answer(qc, tx, &q, buf)
+		qc.Set(nil)
 		tx.Finish()
 	})
-	if err != nil || len(reply) != len(wire) || reply[3]&0xF != byte(dnswire.RCodeServerFailure) {
+	if err != nil || len(reply) != len(wire) || reply[3]&0xF != byte(dnswire.RCodeServerFailure) || &reply[0] != &buf[:1][0] {
 		t.Fatalf("failed miss: %x, err %v", reply, err)
 	}
-	if got > 2 {
-		t.Errorf("a failed wire miss allocates %.1f times, budget 2", got)
+	if got > 0 {
+		t.Errorf("a failed wire miss allocates %.1f times, want none", got)
+	}
+}
+
+// adapterSink keeps a Message on the heap, as handing it to a handler does.
+var adapterSink *dnswire.Message
+
+// TestMessageAdapterAllocs pins what MessageAdapter adds to a Message
+// handler: the query it unpacks and hands on, and nothing else — the reply
+// is packed straight into the adapter's buffer (an exact-size Pack was one
+// more allocation), behind a handler that answers with a reply it already
+// holds.
+func TestMessageAdapterAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool and instrumentation allocate")
+	}
+	query := dnswire.NewQuery(7, "adapter.example.", dnswire.TypeA)
+	wire, err := query.Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reply := refAnswer(query)
+	a := MessageAdapter{Handler: HandlerFunc(func(context.Context, *dnswire.Message) (*dnswire.Message, error) { return reply, nil })}
+	q := dnswire.Query{Raw: wire}
+	buf := make([]byte, 0, 512)
+	unpack := testing.AllocsPerRun(200, func() {
+		m := new(dnswire.Message)
+		if err := m.Unpack(wire); err != nil {
+			t.Fatal(err)
+		}
+		adapterSink = m
+	})
+	got := testing.AllocsPerRun(200, func() {
+		resp, err := a.ServeDNSWireMiss(context.Background(), &q, buf)
+		if err != nil || len(resp) < 12 || &resp[0] != &buf[:1][0] {
+			t.Fatalf("adapter: %x, %v", resp, err)
+		}
+	})
+	if got > unpack {
+		t.Errorf("MessageAdapter allocates %.0f times, the query it unpacks %.0f: want nothing on top", got, unpack)
 	}
 }
 

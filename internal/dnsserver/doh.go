@@ -314,11 +314,15 @@ func (c *core) hit(q *dnswire.Query, rawQ, dst []byte, tGuard time.Time) (out []
 }
 
 // answer carries on with a wireformat query the hit step declined: the slow
-// step's reply becomes the response body as it came back. Handler failures
-// surface as DNS-level SERVFAIL in an HTTP 200, the way RFC 8484 servers
-// report resolution (not transport) errors.
+// step's reply becomes the response body. The body escapes into a response
+// the HTTP server writes once this returns, so the step appends it to no
+// buffer of the adapter's, and it runs under a context layer of its own:
+// DoH's slow step has no slot to carry the query's. Handler failures surface
+// as DNS-level SERVFAIL in an HTTP 200, the way RFC 8484 servers report
+// resolution (not transport) errors.
 func (b *boundDoH) answer(tx *telemetry.Transaction, q *dnswire.Query) (status int, respCT string, respBody []byte) {
-	out, tx, err := b.c.answer(b.ctx, tx, q)
+	tx = b.c.begin(tx)
+	out, err := b.c.answer(telemetry.NewContext(b.ctx, tx), tx, q, nil)
 	if err != nil {
 		return 400, "", nil
 	}

@@ -31,7 +31,7 @@ func (c *burstConn) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// FuzzStreamReader feeds readStreamMessageInto, behind StreamReader,
+// FuzzStreamReader feeds ReadStreamMessageInto, behind StreamReader,
 // arbitrary stream bytes in arbitrary bursts through a read buffer of
 // arbitrary size: pipelined frames, truncated prefixes and frames longer
 // than the buffer. It never panics, every message it returns is exactly the
@@ -57,7 +57,7 @@ func FuzzStreamReader(f *testing.F) {
 		buf := make([]byte, 2+int(size)%(bufLen-1))
 		off := 0
 		for {
-			msg, err := readStreamMessageInto(r, buf)
+			msg, err := ReadStreamMessageInto(r, buf)
 			if err != nil {
 				if off+2 <= len(data) && off+2+int(binary.BigEndian.Uint16(data[off:])) <= len(data) {
 					t.Fatalf("stopped with a whole frame left at offset %d: %v", off, err)

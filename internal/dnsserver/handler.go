@@ -26,9 +26,12 @@ import (
 // The context is derived from the lifetime of whatever carried the query —
 // the stream connection, the HTTP request's connection, or the server
 // itself for UDP — so handlers doing real work (forwarding upstream,
-// recursing) can abandon queries whose client is gone. A handler returns
-// either a response or an error; servers synthesize SERVFAIL from errors,
-// so handlers never need to build failure responses themselves.
+// recursing) can abandon queries whose client is gone. It is valid until
+// ServeDNS returns: a server may hand the same context, carrying the next
+// query's transaction, to the next query, so work that outlives the call
+// runs under a context of its own. A handler returns either a response or
+// an error; servers synthesize SERVFAIL from errors, so handlers never need
+// to build failure responses themselves.
 type Handler interface {
 	ServeDNS(ctx context.Context, q *dnswire.Message) (*dnswire.Message, error)
 }

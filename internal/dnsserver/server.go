@@ -50,15 +50,17 @@ type WireResponder interface {
 // that does not is wrapped in MessageAdapter) for every query the hit step
 // did not answer, before any Message is built: q is the view the hit step
 // parsed, ctx carries the query's telemetry transaction the way
-// ServeDNS's does, and the reply comes back as packed bytes in a slice the
-// caller owns, its transaction ID already q's. Unlike ServeDNSWire it may
-// block on upstream work. An error is the server's to fold into SERVFAIL,
-// as with ServeDNS. A view ParseQuery declined (q.Parsed() is false)
-// carries only the query's bytes in q.Raw: pass it to MessageAdapter,
-// which reads it with the Message codec. Implementations must not retain q
-// past the call: serve loops recycle the slot it lives in.
+// ServeDNS's does, and the reply, its transaction ID already q's, is
+// appended to dst as ServeDNSWire appends a hit: dst is a buffer the server
+// frames from, and a reply longer than its capacity is a reallocation the
+// server uses once. Unlike ServeDNSWire it may block on upstream work. An
+// error is the server's to fold into SERVFAIL, as with ServeDNS. A view
+// ParseQuery declined (q.Parsed() is false) carries only the query's bytes
+// in q.Raw: pass it to MessageAdapter, which reads it with the Message
+// codec. ctx, q and dst are valid only until the call returns: serve loops
+// recycle the slot q and ctx live in, and the buffer behind dst.
 type WireMissResponder interface {
-	ServeDNSWireMiss(ctx context.Context, q *dnswire.Query) ([]byte, error)
+	ServeDNSWireMiss(ctx context.Context, q *dnswire.Query, dst []byte) ([]byte, error)
 }
 
 // pooledMsgLen is the message room of a pooled buffer. DNS messages are a
@@ -148,25 +150,30 @@ func (s *UDPServer) udpLimit(hasEDNS bool, udpSize uint16) int {
 }
 
 // serveSlow answers one datagram the batch reader handed off: the slow
-// step, UDP's fit, the write. It finishes the transaction.
-func (s *UDPServer) serveSlow(ctx context.Context, c *core, st *slowStep) {
+// step, run under the slot's context, into a pooled buffer that UDP's fit
+// then works on in place; the write. It finishes the transaction.
+func (s *UDPServer) serveSlow(c *core, st *slowStep) {
+	tx := c.begin(st.tx)
+	st.ctx.Set(tx)
+	defer st.ctx.Set(nil)
+	var ctx context.Context = &st.ctx
 	if s.Guard != nil {
 		// Attribute downstream work (the cache-miss breaker) to the client:
-		// on the transaction the query already carries, when it has one.
-		if st.tx != nil {
-			st.tx.SetClient(st.gkey)
+		// on the query's transaction, when telemetry gave it one.
+		if tx != nil {
+			tx.SetClient(st.gkey)
 		} else {
 			ctx = guard.NewContext(ctx, st.gkey)
 		}
 	}
-	reply, tx, err := c.answer(ctx, st.tx, &st.q)
+	out := getBuf()
+	defer putBuf(out)
+	reply, err := c.answer(ctx, tx, &st.q, (*out)[:0])
 	if err != nil {
 		return // drop unparseable datagrams, like real servers
 	}
 	defer tx.Finish()
-	out := getBuf()
-	defer putBuf(out)
-	if reply, err = s.fit((*out)[:0], reply, st.wire, s.udpLimit(st.q.HasEDNS, st.q.UDPSize), st.gkey); err != nil {
+	if reply, err = s.fit(reply[:0], reply, st.wire, s.udpLimit(st.q.HasEDNS, st.q.UDPSize), st.gkey); err != nil {
 		// The client receives nothing; don't let the slow step's ok verdict
 		// stand for a reply that never left.
 		tx.SetVerdict(telemetry.VerdictServFail)
@@ -282,10 +289,10 @@ func (s *StreamServer) ServeConn(conn net.Conn) error {
 		gkey = guard.ClientKey(conn.RemoteAddr())
 		ctx = guard.NewContext(ctx, gkey)
 	}
-	sc := streamConn{Conn: conn, ctx: ctx, c: newCore(s.Handler, s.Telemetry, s.Proto)}
+	sc := streamConn{Conn: conn, qc: telemetry.QueryContext{Context: ctx}, c: newCore(s.Handler, s.Telemetry, s.Proto)}
 	var aside *slowSteps
 	if s.OutOfOrder {
-		aside = newSlowSteps(maxStreamSlowSteps, sc.answerAside)
+		aside = newSlowSteps(maxStreamSlowSteps, ctx, sc.answerAside)
 		// Leaving: cancel the slow steps, fail their writes, wait for them.
 		defer func() { cancel(); conn.Close(); aside.stop() }()
 	}
@@ -295,7 +302,7 @@ func (s *StreamServer) ServeConn(conn net.Conn) error {
 	c := &sc.c
 	var q dnswire.Query // per connection: &q escapes into the WireResponder call
 	for {
-		wire, err := readStreamMessageInto(r, *rbuf)
+		wire, err := ReadStreamMessageInto(r, *rbuf)
 		if err != nil {
 			if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) || errors.Is(err, io.ErrUnexpectedEOF) {
 				return nil
@@ -333,7 +340,7 @@ func (s *StreamServer) ServeConn(conn net.Conn) error {
 		// the read loop waits here while its bound's worth are in flight.
 		if aside != nil {
 			aside.dispatch(tx, &q, nil, nil, 0)
-		} else if err := sc.answer(tx, &q); err != nil {
+		} else if err := sc.answer(&sc.qc, tx, &q); err != nil {
 			return err
 		}
 	}
@@ -345,12 +352,13 @@ const maxStreamSlowSteps = 128
 
 // streamConn is one served connection: what its read loop, running the hit
 // step inline, shares with the goroutines out-of-order slow steps run on —
-// the serving core, the context the connection's queries end with, and the
-// write side, where whole frames go out under a mutex.
+// the serving core and the write side, where whole frames go out under a
+// mutex — and the context an in-order slow step runs under, over the one the
+// connection's queries end with (an out-of-order step runs under its slot's).
 type streamConn struct {
 	net.Conn
 	writeMu sync.Mutex
-	ctx     context.Context
+	qc      telemetry.QueryContext
 	c       core
 }
 
@@ -380,16 +388,20 @@ func (s *StreamServer) writeRefusal(sc *streamConn, wire []byte, gkey uint64) er
 	return sc.writeFrame(nil, frameIn(*out, resp))
 }
 
-// answer runs the slow step for one query and writes the reply behind its
-// length prefix, framed in a buffer pooled only once the reply is there.
-func (sc *streamConn) answer(tx *telemetry.Transaction, q *dnswire.Query) error {
-	reply, tx, err := sc.c.answer(sc.ctx, tx, q)
+// answer runs the slow step for one query under qc, the step's context,
+// into a pooled buffer behind room for the length prefix, and writes the
+// framed reply.
+func (sc *streamConn) answer(qc *telemetry.QueryContext, tx *telemetry.Transaction, q *dnswire.Query) error {
+	tx = sc.c.begin(tx)
+	qc.Set(tx)
+	out := getBuf()
+	defer putBuf(out)
+	reply, err := sc.c.answer(qc, tx, q, (*out)[2:2])
+	qc.Set(nil)
 	if err != nil {
 		return fmt.Errorf("dnsserver: bad query on stream: %w", err)
 	}
 	defer tx.Finish()
-	out := getBuf()
-	defer putBuf(out)
 	return sc.writeFrame(tx, frameIn(*out, reply))
 }
 
@@ -413,7 +425,7 @@ func frameIn(buf, msg []byte) []byte {
 // answerAside is answer as an out-of-order slow step. An error ends the
 // connection the way it ends the read loop in order: closed.
 func (sc *streamConn) answerAside(st *slowStep) {
-	if sc.answer(st.tx, &st.q) != nil {
+	if sc.answer(&st.ctx, st.tx, &st.q) != nil {
 		sc.Close()
 	}
 }
@@ -435,14 +447,15 @@ func StreamReader(conn net.Conn) io.Reader {
 // its own.
 func ReadStreamMessage(r io.Reader) ([]byte, error) {
 	var lenBuf [2]byte
-	return readStreamMessageInto(r, lenBuf[:])
+	return ReadStreamMessageInto(r, lenBuf[:])
 }
 
-// readStreamMessageInto reads one length-prefixed DNS message into buf —
-// the serving loop's pooled buffer, whose head also takes the length
-// prefix, so an ordinary query allocates nothing — or into a fresh slice
-// when buf, at least two octets, is too short to hold it.
-func readStreamMessageInto(r io.Reader, buf []byte) ([]byte, error) {
+// ReadStreamMessageInto reads one length-prefixed DNS message into buf —
+// a serving loop's pooled buffer, or a client read loop's own, whose head
+// also takes the length prefix, so an ordinary message allocates nothing —
+// or into a fresh slice when buf, at least two octets, is too short to hold
+// it.
+func ReadStreamMessageInto(r io.Reader, buf []byte) ([]byte, error) {
 	if _, err := io.ReadFull(r, buf[:2]); err != nil {
 		return nil, err
 	}

@@ -125,7 +125,7 @@ func (s *UDPServer) ServeBatch(conns []udpio.BatchConn, batch int) error {
 	if limit <= 0 {
 		limit = 36 * runtime.GOMAXPROCS(0)
 	}
-	steps := newSlowSteps(limit, func(st *slowStep) { s.serveSlow(ctx, &c, st) })
+	steps := newSlowSteps(limit, ctx, func(st *slowStep) { s.serveSlow(&c, st) })
 
 	scs := make([]shardCounters, len(conns))
 	s.shardStats.Store(&scs)

@@ -1,6 +1,7 @@
 package dnsserver
 
 import (
+	"context"
 	"net"
 	"sync"
 
@@ -13,12 +14,15 @@ import (
 // received it — the one slot the UDP batch loop and out-of-order stream
 // connections both hand a query over in. The read loop reuses its buffer
 // and its view at once, so the slot carries its own copy of both. Slot,
-// copy storage and the goroutine that runs it are recycled together (see
-// slowSteps): a hand-off allocates nothing, nothing pooled waits out the
-// handler.
+// copy storage, the query's context and the goroutine that runs it are
+// recycled together (see slowSteps): a hand-off allocates nothing, nothing
+// pooled waits out the handler.
 type slowStep struct {
 	set  *slowSteps
 	wake chan struct{} // the slot's goroutine parks here between queries
+	// ctx is the query's context: the slow steps' parent — the server's, or
+	// the connection's — carrying the transaction while a step runs.
+	ctx telemetry.QueryContext
 
 	tx   *telemetry.Transaction // begun by the hit step, or nil
 	q    dnswire.Query          // the view it left, over wire
@@ -39,14 +43,15 @@ type slowStep struct {
 // and keeps finished slots parked, goroutine and all, for the next query:
 // made as concurrency first demands them, living until stop.
 type slowSteps struct {
+	ctx    context.Context // the parent of every slot's context
 	serve  func(*slowStep) // the adapter's slow step: answer, frame, write, Finish
 	live   chan struct{}   // a semaphore: one token per slow step in flight
 	parked chan *slowStep  // idle slots; room for the bound's worth, all there can be
 	wg     sync.WaitGroup  // the slots' goroutines
 }
 
-func newSlowSteps(limit int, serve func(*slowStep)) *slowSteps {
-	return &slowSteps{serve: serve, live: make(chan struct{}, limit), parked: make(chan *slowStep, limit)}
+func newSlowSteps(limit int, ctx context.Context, serve func(*slowStep)) *slowSteps {
+	return &slowSteps{ctx: ctx, serve: serve, live: make(chan struct{}, limit), parked: make(chan *slowStep, limit)}
 }
 
 // dispatch runs the slow step for the query in q.Raw, with the transaction
@@ -59,7 +64,7 @@ func (p *slowSteps) dispatch(tx *telemetry.Transaction, q *dnswire.Query, w udpi
 	select {
 	case st = <-p.parked:
 	default:
-		st = &slowStep{set: p, wake: make(chan struct{}, 1)}
+		st = &slowStep{set: p, wake: make(chan struct{}, 1), ctx: telemetry.QueryContext{Context: p.ctx}}
 		p.wg.Add(1)
 		go st.run()
 		started = true

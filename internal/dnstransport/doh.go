@@ -239,11 +239,11 @@ func (c *DoHClient) Exchange(ctx context.Context, q *dnswire.Message) (*dnswire.
 // ExchangeWire implements WireResolver for the wireformat encodings: query
 // travels as the POST body or the GET ?dns= parameter under transaction ID
 // 0 (RFC 8484 §4.1, so HTTP caches see identical bytes for identical
-// questions), and the response body comes back as it arrived. A JSON client
-// adapts through its Message exchange.
-func (c *DoHClient) ExchangeWire(ctx context.Context, query []byte) ([]byte, error) {
+// questions), and the response body is appended to dst as it arrived. A
+// JSON client adapts through its Message exchange.
+func (c *DoHClient) ExchangeWire(ctx context.Context, query, dst []byte) ([]byte, error) {
 	if c.Encoding == EncodingJSON {
-		return messageLeaf{c}.ExchangeWire(ctx, query)
+		return messageLeaf{c}.ExchangeWire(ctx, query, dst)
 	}
 	qid, err := queryID(query)
 	if err != nil {
@@ -262,14 +262,15 @@ func (c *DoHClient) ExchangeWire(ctx context.Context, query []byte) ([]byte, err
 	default:
 		return nil, fmt.Errorf("dnstransport: unknown encoding %d", c.Encoding)
 	}
-	resp, err := c.roundTrip(ctx, req)
+	body, err := c.roundTrip(ctx, req)
 	if err != nil {
 		return nil, err
 	}
-	if err := dnswire.ValidateResponseWire(query, 0, resp); err != nil {
+	if err := dnswire.ValidateResponseWire(query, 0, body); err != nil {
 		return nil, fmt.Errorf("dnstransport: bad doh body: %w", err)
 	}
-	dnswire.PatchID(resp, qid)
+	resp := append(dst, body...)
+	dnswire.PatchID(resp[len(dst):], qid)
 	return resp, nil
 }
 

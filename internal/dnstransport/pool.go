@@ -319,10 +319,11 @@ func (p *Pool) Exchange(ctx context.Context, q *dnswire.Message) (*dnswire.Messa
 // ExchangeWire implements WireResolver. The query goes to the first healthy
 // upstream's next pooled connection; on failure the connection is dropped
 // for redial, the upstream's health is charged, and the exchange fails over
-// to the next upstream. When every upstream is marked down the pool tries
-// them anyway — returning an error without asking the network would turn a
-// transient blip into an outage.
-func (p *Pool) ExchangeWire(ctx context.Context, query []byte) ([]byte, error) {
+// to the next upstream, appending to dst afresh: whatever a failed attempt
+// left in dst's spare capacity is overwritten. When every upstream is
+// marked down the pool tries them anyway — returning an error without
+// asking the network would turn a transient blip into an outage.
+func (p *Pool) ExchangeWire(ctx context.Context, query, dst []byte) ([]byte, error) {
 	if p.closed.Load() {
 		return nil, ErrClosed
 	}
@@ -339,7 +340,7 @@ func (p *Pool) ExchangeWire(ctx context.Context, query []byte) ([]byte, error) {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			resp, err := p.exchangeVia(ctx, u, query)
+			resp, err := p.exchangeVia(ctx, u, query, dst)
 			if err == nil {
 				return resp, nil
 			}
@@ -365,7 +366,7 @@ func (p *Pool) ExchangeWire(ctx context.Context, query []byte) ([]byte, error) {
 // upstream's health pays for a hedge loser's cancellation or a departed
 // client. A deadline expiring mid-exchange is an ordinary failure: a
 // black-holing upstream must still be marked down.
-func (p *Pool) exchangeVia(ctx context.Context, u *poolUpstream, query []byte) ([]byte, error) {
+func (p *Pool) exchangeVia(ctx context.Context, u *poolUpstream, query, dst []byte) ([]byte, error) {
 	tx := telemetry.FromContext(ctx)
 	start := time.Now()
 	slot := u.conns[u.next.Add(1)%uint64(len(u.conns))]
@@ -398,7 +399,7 @@ func (p *Pool) exchangeVia(ctx context.Context, u *poolUpstream, query []byte) (
 		return nil, err
 	}
 	t0 := time.Now()
-	resp, err := w.ExchangeWire(ctx, query)
+	resp, err := w.ExchangeWire(ctx, query, dst)
 	if tx.Traced() {
 		// Recorded for failures too: a trace of a SERVFAIL query should
 		// show where the time went before the attempt died.
@@ -436,14 +437,14 @@ func (p *Pool) UpstreamHealthy(i int) bool { return p.ups[i].healthy(p.cfg.now()
 // redial backoff work exactly as in ExchangeWire; the upstream is tried
 // even when marked down, because a directed probe is how a steering policy
 // discovers recovery.
-func (p *Pool) ExchangeUpstreamWire(ctx context.Context, i int, query []byte) ([]byte, error) {
+func (p *Pool) ExchangeUpstreamWire(ctx context.Context, i int, query, dst []byte) ([]byte, error) {
 	if p.closed.Load() {
 		return nil, ErrClosed
 	}
 	if i < 0 || i >= len(p.ups) {
 		return nil, fmt.Errorf("dnstransport: pool has no upstream %d", i)
 	}
-	return p.exchangeVia(ctx, p.ups[i], query)
+	return p.exchangeVia(ctx, p.ups[i], query, dst)
 }
 
 var (

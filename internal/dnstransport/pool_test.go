@@ -332,7 +332,7 @@ func TestExchangeUpstreamTargetsSpecific(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wire, err := p.ExchangeUpstreamWire(context.Background(), 1, aim)
+	wire, err := p.ExchangeUpstreamWire(context.Background(), 1, aim, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +346,7 @@ func TestExchangeUpstreamTargetsSpecific(t *testing.T) {
 	if prim.dialed() != 0 {
 		t.Error("primary dialed by a secondary-directed exchange")
 	}
-	if _, err := p.ExchangeUpstreamWire(context.Background(), 5, aim); err == nil {
+	if _, err := p.ExchangeUpstreamWire(context.Background(), 5, aim, nil); err == nil {
 		t.Error("out-of-range upstream index accepted")
 	}
 }

@@ -42,17 +42,20 @@ type Resolver interface {
 // it implements Exchange as ExchangeMessage over it, so each stage has one
 // exchange, not two.
 type WireResolver interface {
-	// ExchangeWire sends the packed query and returns the matching
-	// response as packed bytes in a slice the caller owns. The stage owns
+	// ExchangeWire sends the packed query and appends the matching
+	// response, packed, to dst, returning the extended slice — a
+	// reallocation when dst's capacity is short. The stage owns
 	// transaction-ID assignment on the way up — query is never written to,
 	// and may be reused once the call returns — and the response carries
 	// query's own ID. A transport client vouches for the ID echo, the QR
 	// bit and the echoed question (dnswire.ValidateResponseWire); anything
 	// past the question is as the upstream sent it, hostile until scanned.
-	// Like query, ctx is the caller's to recycle once the call returns (the
-	// cache's is a pooled flight): work that outlives the call — a hedged
-	// exchange's losing leg — must run under a context of its own.
-	ExchangeWire(ctx context.Context, query []byte) ([]byte, error)
+	// On an error, what lies in dst's spare capacity is undefined. Like
+	// query and dst, ctx is the caller's to recycle once the call returns
+	// (the cache's is a pooled flight, the server's a slot's): work that
+	// outlives the call — a hedged exchange's losing leg — must run under a
+	// context, and into a buffer, of its own.
+	ExchangeWire(ctx context.Context, query, dst []byte) ([]byte, error)
 }
 
 // AsWire returns r's own wire capability, or an adapter that unpacks the
@@ -68,7 +71,7 @@ func AsWire(r Resolver) WireResolver {
 
 type messageLeaf struct{ r Resolver }
 
-func (l messageLeaf) ExchangeWire(ctx context.Context, query []byte) ([]byte, error) {
+func (l messageLeaf) ExchangeWire(ctx context.Context, query, dst []byte) ([]byte, error) {
 	q := new(dnswire.Message)
 	if err := q.Unpack(query); err != nil {
 		return nil, fmt.Errorf("dnstransport: unpacking query: %w", err)
@@ -77,13 +80,13 @@ func (l messageLeaf) ExchangeWire(ctx context.Context, query []byte) ([]byte, er
 	if err != nil {
 		return nil, err
 	}
-	wire, err := resp.Pack()
+	wire, err := resp.AppendPack(dst)
 	if err != nil {
 		return nil, fmt.Errorf("dnstransport: packing response: %w", err)
 	}
 	// Message resolvers answer under an ID of their own choosing, and resp
 	// may be shared: restamp the bytes, not the Message.
-	dnswire.PatchID(wire, q.ID)
+	dnswire.PatchID(wire[len(dst):], q.ID)
 	return wire, nil
 }
 
@@ -98,7 +101,7 @@ func ExchangeMessage(ctx context.Context, w WireResolver, q *dnswire.Message) (*
 		return nil, fmt.Errorf("dnstransport: packing query: %w", err)
 	}
 	*bp = query[:0] // keep any growth for the next exchange
-	wire, err := w.ExchangeWire(ctx, query)
+	wire, err := w.ExchangeWire(ctx, query, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -210,31 +213,42 @@ func queryID(query []byte) (uint16, error) {
 // pool keeps whatever growth padding or long names forced.
 var packBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
 
-// pendingMap tracks in-flight queries by transaction ID; a waiter receives
-// the response's bytes, in a slice it then owns.
+// pendingMap tracks in-flight queries by transaction ID. Its owner's lock
+// guards it, and a read loop delivers under that lock: a waiter's response
+// is copied out of the read loop's buffer into the dst it registered, so
+// once drop has unregistered a waiter — under the same lock — nothing
+// writes to its dst again.
 type pendingMap struct {
-	ch map[uint16]chan []byte
+	w map[uint16]waiter
+}
+
+// waiter is one in-flight exchange: where its response goes, and how it
+// learns the response is there — the extended dst arrives on ch.
+type waiter struct {
+	ch  chan []byte
+	dst []byte
 }
 
 func newPendingMap() *pendingMap {
-	return &pendingMap{ch: make(map[uint16]chan []byte)}
+	return &pendingMap{w: make(map[uint16]waiter)}
 }
 
 // waiterPool recycles waiter channels. A channel goes back only from the
-// exchange that received its one response (releaseWaiter): by then take
+// exchange that received its one response (releaseWaiter): by then deliver
 // has unregistered it, so it is empty, open, and unreachable from any read
 // loop. Abandoned and failed waiters are left to the collector.
 var waiterPool = sync.Pool{New: func() any { return make(chan []byte, 1) }}
 
 func releaseWaiter(ch chan []byte) { waiterPool.Put(ch) }
 
-// reserve picks a free ID starting from a hint.
-func (p *pendingMap) reserve(hint uint16) (uint16, chan []byte, error) {
+// reserve registers a waiter appending its response to dst under a free ID,
+// starting from a hint.
+func (p *pendingMap) reserve(hint uint16, dst []byte) (uint16, chan []byte, error) {
 	id := hint
 	for i := 0; i < 65536; i++ {
-		if _, taken := p.ch[id]; !taken {
+		if _, taken := p.w[id]; !taken {
 			ch := waiterPool.Get().(chan []byte)
-			p.ch[id] = ch
+			p.w[id] = waiter{ch: ch, dst: dst}
 			return id, ch, nil
 		}
 		id++
@@ -242,25 +256,27 @@ func (p *pendingMap) reserve(hint uint16) (uint16, chan []byte, error) {
 	return 0, nil, fmt.Errorf("dnstransport: no free transaction IDs")
 }
 
-// take unregisters and returns the waiter for the transaction ID wire
-// carries, or nil for a response nobody waits for (too short to carry an
-// ID, late, unsolicited).
-func (p *pendingMap) take(wire []byte) chan []byte {
-	if len(wire) < 2 {
-		return nil
+// deliver hands msg, a response in the read loop's buffer, to the waiter for
+// the transaction ID it carries — unregistered, its dst extended by a copy
+// of msg — or drops it when nobody waits for it (too short to carry an ID,
+// late, unsolicited).
+func (p *pendingMap) deliver(msg []byte) {
+	if len(msg) < 2 {
+		return
 	}
-	id := binary.BigEndian.Uint16(wire)
-	ch := p.ch[id]
-	delete(p.ch, id)
-	return ch
+	id := binary.BigEndian.Uint16(msg)
+	if w, ok := p.w[id]; ok {
+		delete(p.w, id)
+		w.ch <- append(w.dst, msg...)
+	}
 }
 
-func (p *pendingMap) drop(id uint16) { delete(p.ch, id) }
+func (p *pendingMap) drop(id uint16) { delete(p.w, id) }
 
 // failAll closes every waiter's channel, signalling an error.
 func (p *pendingMap) failAll() {
-	for id, ch := range p.ch {
-		close(ch)
-		delete(p.ch, id)
+	for id, w := range p.w {
+		close(w.ch)
+		delete(p.w, id)
 	}
 }

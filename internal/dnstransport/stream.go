@@ -3,9 +3,7 @@ package dnstransport
 import (
 	"context"
 	"crypto/tls"
-	"encoding/binary"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"time"
@@ -138,27 +136,25 @@ func unwrapRaw(conn net.Conn) net.Conn {
 	return conn
 }
 
-// readLoop hands every framed response to the exchange waiting on its
-// transaction ID, in a slice sized from the frame's length prefix. It
-// vouches for nothing but the framing: the waiter validates what it is
-// handed.
+// replyBufLen is a stream connection's reply buffer: any ordinary DNS
+// reply. A longer one is read into a slice of its own.
+const replyBufLen = 4096
+
+// readLoop reads every framed response into the connection's reply buffer
+// and copies it, under the pending lock, into the buffer of the exchange
+// waiting on its transaction ID. It vouches for nothing but the framing:
+// the waiter validates what it is handed.
 func (c *StreamClient) readLoop(conn net.Conn) {
 	r := dnsserver.StreamReader(conn)
-	var prefix [2]byte // one per connection: it escapes through the Reader
+	buf := make([]byte, replyBufLen)
 	for {
-		if _, err := io.ReadFull(r, prefix[:]); err != nil {
-			c.dropConn(conn)
-			return
-		}
-		wire := make([]byte, binary.BigEndian.Uint16(prefix[:]))
-		if _, err := io.ReadFull(r, wire); err != nil {
+		wire, err := dnsserver.ReadStreamMessageInto(r, buf)
+		if err != nil {
 			c.dropConn(conn)
 			return
 		}
 		c.mu.Lock()
-		if ch := c.pending.take(wire); ch != nil {
-			ch <- wire
-		}
+		c.pending.deliver(wire)
 		c.mu.Unlock()
 	}
 }
@@ -182,8 +178,8 @@ func (c *StreamClient) Exchange(ctx context.Context, q *dnswire.Message) (*dnswi
 
 // ExchangeWire implements WireResolver: query leaves in one framed write
 // under a transaction ID from the client's sequence, patched into the
-// frame's own copy of it.
-func (c *StreamClient) ExchangeWire(ctx context.Context, query []byte) ([]byte, error) {
+// frame's own copy of it, and the read loop copies the response into dst.
+func (c *StreamClient) ExchangeWire(ctx context.Context, query, dst []byte) ([]byte, error) {
 	start := time.Now()
 	qid, err := queryID(query)
 	if err != nil {
@@ -195,7 +191,7 @@ func (c *StreamClient) ExchangeWire(ctx context.Context, query []byte) ([]byte, 
 	}
 
 	c.mu.Lock()
-	id, ch, err := c.pending.reserve(c.nextID)
+	id, ch, err := c.pending.reserve(c.nextID, dst)
 	if err != nil {
 		c.mu.Unlock()
 		return nil, err
@@ -217,11 +213,12 @@ func (c *StreamClient) ExchangeWire(ctx context.Context, query []byte) ([]byte, 
 			return nil, fmt.Errorf("dnstransport: connection failed mid-query")
 		}
 		releaseWaiter(ch)
-		if err := dnswire.ValidateResponseWire(query, id, resp); err != nil {
+		reply := resp[len(dst):]
+		if err := dnswire.ValidateResponseWire(query, id, reply); err != nil {
 			return nil, err
 		}
-		dnswire.PatchID(resp, qid)
-		tx.AddBytesReceived(len(resp))
+		dnswire.PatchID(reply, qid)
+		tx.AddBytesReceived(len(reply))
 		c.finish(conn, fresh, start)
 		return resp, nil
 	case <-ctx.Done():

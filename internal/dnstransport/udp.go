@@ -65,7 +65,8 @@ func (c *UDPClient) Close() error {
 }
 
 // readLoop hands every datagram to the exchange waiting on its transaction
-// ID, copied out of the read buffer into a slice of its own size.
+// ID, copied out of the read buffer into the buffer the exchange registered,
+// under the pending lock.
 func (c *UDPClient) readLoop() {
 	buf := make([]byte, 65535)
 	for {
@@ -77,9 +78,7 @@ func (c *UDPClient) readLoop() {
 			return
 		}
 		c.mu.Lock()
-		if ch := c.pending.take(buf[:n]); ch != nil {
-			ch <- append([]byte(nil), buf[:n]...)
-		}
+		c.pending.deliver(buf[:n])
 		c.mu.Unlock()
 	}
 }
@@ -90,8 +89,10 @@ func (c *UDPClient) Exchange(ctx context.Context, q *dnswire.Message) (*dnswire.
 }
 
 // ExchangeWire implements WireResolver: query is sent, and after a timeout
-// re-sent, under one transaction ID from the client's sequence.
-func (c *UDPClient) ExchangeWire(ctx context.Context, query []byte) ([]byte, error) {
+// re-sent, under one transaction ID from the client's sequence, and the read
+// loop copies the response into dst. A truncated response sent to the TCP
+// Fallback is overwritten by the fallback's.
+func (c *UDPClient) ExchangeWire(ctx context.Context, query, dst []byte) ([]byte, error) {
 	start := time.Now()
 	qid, err := queryID(query)
 	if err != nil {
@@ -102,7 +103,7 @@ func (c *UDPClient) ExchangeWire(ctx context.Context, query []byte) ([]byte, err
 		c.mu.Unlock()
 		return nil, ErrClosed
 	}
-	id, ch, err := c.pending.reserve(c.nextID)
+	id, ch, err := c.pending.reserve(c.nextID, dst)
 	if err != nil {
 		c.mu.Unlock()
 		return nil, err
@@ -142,24 +143,25 @@ func (c *UDPClient) ExchangeWire(ctx context.Context, query []byte) ([]byte, err
 				return nil, ErrClosed
 			}
 			releaseWaiter(ch)
-			if err := dnswire.ValidateResponseWire(query, id, resp); err != nil {
+			reply := resp[len(dst):]
+			if err := dnswire.ValidateResponseWire(query, id, reply); err != nil {
 				return nil, err
 			}
-			tx.AddBytesReceived(len(resp))
+			tx.AddBytesReceived(len(reply))
 			// The UDP attempt's payloads went over the wire whatever
 			// follows, so they are recorded here.
 			c.record(Cost{
-				UDPPayloads: append(payloads, len(resp)),
+				UDPPayloads: append(payloads, len(reply)),
 				Duration:    time.Since(start),
 			})
-			if resp[2]&0x02 != 0 && c.Fallback != nil {
+			if reply[2]&0x02 != 0 && c.Fallback != nil {
 				// RFC 7766 §5: a TC=1 answer is a referral to TCP, not an
 				// answer. The fallback's TCP leg is accounted by the
 				// fallback's own Recorder.
 				tx.TCFallback()
-				return AsWire(c.Fallback).ExchangeWire(ctx, query)
+				return AsWire(c.Fallback).ExchangeWire(ctx, query, dst)
 			}
-			dnswire.PatchID(resp, qid)
+			dnswire.PatchID(reply, qid)
 			return resp, nil
 		case <-ctx.Done():
 			timer.Stop()

@@ -259,7 +259,7 @@ func FindOPT(wire []byte) (qend, opt, end int, ok bool) {
 // record counts zeroed and the question name lower-cased, as Pack writes
 // every name. The caller vouches that qend is just past a well-formed first
 // question. It is the one builder of every such reply: the guard's TC=1
-// slip and REFUSED, and through Query.Reply the serving core's
+// slip and REFUSED, and through Query.AppendReply the serving core's
 // SERVFAIL and the proxy's breaker REFUSED.
 func AppendEcho(dst, query []byte, qend int, rcode RCode, tc bool) []byte {
 	base := len(dst)
@@ -283,17 +283,18 @@ func AppendEcho(dst, query []byte, qend int, rcode RCode, tc bool) []byte {
 	return dst
 }
 
-// Reply returns, in a slice of its own, the bytes Unpack → Reply → RCode =
-// rcode → Pack would produce for the query (FuzzEchoEquivalence holds it to
-// that): its echo, plus Message.Reply's OPT — the classic payload size, DO
+// AppendReply appends to dst the bytes Unpack → Reply → RCode = rcode →
+// Pack would produce for the query (FuzzEchoEquivalence holds it to that):
+// its echo, plus Message.Reply's OPT — the classic payload size, DO
 // mirrored — when the query carried EDNS.
-func (q *Query) Reply(rcode RCode) []byte {
+func (q *Query) AppendReply(dst []byte, rcode RCode) []byte {
 	qend := q.nameEnd + 1 + 4
 	if !q.HasEDNS {
-		return AppendEcho(make([]byte, 0, qend), q.Raw, qend, rcode, false)
+		return AppendEcho(dst, q.Raw, qend, rcode, false)
 	}
-	r := AppendEcho(make([]byte, 0, qend+11), q.Raw, qend, rcode, false)
-	r[11] = 1 // ARCOUNT
+	base := len(dst)
+	r := AppendEcho(dst, q.Raw, qend, rcode, false)
+	r[base+11] = 1 // ARCOUNT
 	// Root name, TYPE, CLASS = payload size, TTL = ext-rcode, version and
 	// flags (of the query's OPT only DO, the top bit of its third octet, is
 	// mirrored), RDLEN 0.

@@ -2,6 +2,7 @@ package dnswire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"net/netip"
 	"testing"
 )
@@ -139,7 +140,7 @@ func FuzzParseQueryConsistency(f *testing.F) {
 
 // FuzzEchoEquivalence holds the wire-built echo replies to the Message path,
 // which stays here as the oracle: for every input ParseQuery accepts,
-// Query.Reply's SERVFAIL and REFUSED are the bytes of Unpack → Reply → set
+// Query.AppendReply's SERVFAIL and REFUSED are the bytes of Unpack → Reply → set
 // RCode → Pack, and AppendEcho's TC=1 slip is the same reply truncated and
 // stripped of its OPT (the guard attaches its own). Neither panics on the
 // rest.
@@ -180,16 +181,81 @@ func FuzzEchoEquivalence(f *testing.F) {
 			}
 			return want
 		}
+		prefix := []byte{0xAA, 0xBB} // a stream's length prefix must survive
 		for _, rcode := range []RCode{RCodeServerFailure, RCodeRefused} {
 			want := oracle(func(r *Message) { r.RCode = rcode })
-			if got := q.Reply(rcode); !bytes.Equal(got, want) {
-				t.Errorf("Query.Reply(%v) diverges from Unpack→Reply→Pack:\n got  %x\n want %x", rcode, got, want)
+			if got := q.AppendReply(prefix[:2:2], rcode); !bytes.Equal(got[:2], prefix) || !bytes.Equal(got[2:], want) {
+				t.Errorf("Query.AppendReply(%v) diverges from Unpack→Reply→Pack:\n got  %x\n want %x", rcode, got[2:], want)
 			}
 		}
-		prefix := []byte{0xAA, 0xBB} // a stream's length prefix must survive
 		want := oracle(func(r *Message) { r.Truncated, r.EDNS = true, nil })
 		if got := AppendEcho(prefix[:2:2], data, qend, RCodeSuccess, true); !bytes.Equal(got[:2], prefix) || !bytes.Equal(got[2:], want) {
 			t.Errorf("AppendEcho(TC=1) diverges from the truncated Reply:\n got  %x\n want %x", got[2:], want)
+		}
+	})
+}
+
+// questionQuery builds the query a message claims to answer: a fresh header
+// over its own first question, uncompressed. ok=false when the message
+// carries nothing ParseQuery would accept as a question.
+func questionQuery(wire []byte) (Query, bool) {
+	if len(wire) < headerLen || binary.BigEndian.Uint16(wire[4:]) == 0 {
+		return Query{}, false
+	}
+	end := headerLen
+	for end < len(wire) && wire[end] != 0 && wire[end]&0xC0 == 0 {
+		end += 1 + int(wire[end])
+	}
+	if end+5 > len(wire) {
+		return Query{}, false
+	}
+	query := append([]byte{0xAB, 0xCD, 0x01, 0x00, 0, 1, 0, 0, 0, 0, 0, 0}, wire[headerLen:end+5]...)
+	return ParseQuery(query)
+}
+
+// FuzzUnpackAgainstReaders holds the two wire readers to the codec they
+// stand in for. Whatever ParseQuery accepts, Unpack accepts, and reads the
+// same ID, question, EDNS presence and UDP size. Whatever ScanResponse
+// accepts as a response to the question it carries, Unpack accepts, and
+// reads the same RCODE, TC bit and sections: as many answers, and as many
+// records in all as the scan reported TTL offsets. The scan is the gate for
+// every upstream reply a cache forwards or stores verbatim, so a reply it
+// passes can always take the Message path later. None of the three panics.
+func FuzzUnpackAgainstReaders(f *testing.F) {
+	fuzzSeeds(f)
+	f.Fuzz(func(t *testing.T, data []byte, _ uint16, _ uint32) {
+		var m Message
+		unpackErr := m.Unpack(data)
+		if q, ok := ParseQuery(data); ok {
+			if unpackErr != nil {
+				t.Fatalf("ParseQuery accepted what Unpack rejects: %v", unpackErr)
+			}
+			qq := m.Question1()
+			if q.ID != m.ID || q.Type != qq.Type || q.Class != qq.Class || len(m.Questions) != 1 {
+				t.Errorf("query view %+v disagrees with Unpack's %v", q, qq)
+			}
+			if got, want := Name(q.AppendCanonicalName(nil)), qq.Name.Canonical(); got != want {
+				t.Errorf("query view name %q, Unpack's %q", got, want)
+			}
+			if q.HasEDNS != (m.EDNS != nil) || (m.EDNS != nil && q.UDPSize != m.EDNS.UDPSize) {
+				t.Errorf("query view EDNS (%v, %d) disagrees with %+v", q.HasEDNS, q.UDPSize, m.EDNS)
+			}
+		}
+		q, ok := questionQuery(data)
+		if !ok {
+			return
+		}
+		scan, toffs, err := ScanResponse(data, &q, nil)
+		if err != nil {
+			return
+		}
+		if unpackErr != nil {
+			t.Fatalf("ScanResponse accepted what Unpack rejects: %v", unpackErr)
+		}
+		records := len(m.Answers) + len(m.Authorities) + len(m.Additionals)
+		if scan.RCode != m.RCode || scan.Truncated != m.Truncated || scan.Answers != len(m.Answers) || len(toffs) != 2*records {
+			t.Errorf("scan: rcode %v tc %v, %d answers, %d records; Unpack: rcode %v tc %v, %d answers, %d records",
+				scan.RCode, scan.Truncated, scan.Answers, len(toffs)/2, m.RCode, m.Truncated, len(m.Answers), records)
 		}
 	})
 }

@@ -292,11 +292,7 @@ func readString(data []byte) (string, []byte, error) {
 // the overhead experiments.
 func (e *Encoder) EncodedSize(fields []HeaderField) int {
 	clone := &Encoder{
-		table: dynamicTable{
-			entries: append([]HeaderField(nil), e.table.entries...),
-			size:    e.table.size,
-			maxSize: e.table.maxSize,
-		},
+		table:             e.table.clone(),
 		DisableHuffman:    e.DisableHuffman,
 		DisableDynamic:    e.DisableDynamic,
 		pendingSizeUpdate: e.pendingSizeUpdate,

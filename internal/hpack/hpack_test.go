@@ -3,6 +3,7 @@ package hpack
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -231,7 +232,7 @@ func TestTableSizeUpdate(t *testing.T) {
 	if _, err := d.Decode(blk); err != nil {
 		t.Fatal(err)
 	}
-	if len(d.table.entries) != 0 {
+	if d.table.n != 0 {
 		t.Error("decoder table not flushed")
 	}
 	// An update above the allowed bound is a protocol error.
@@ -315,5 +316,60 @@ func TestStaticTableLookups(t *testing.T) {
 	idx, full := tbl.lookup(HeaderField{Name: "content-type", Value: "nope"})
 	if full || idx != 31 {
 		t.Errorf("name-only lookup = %d %v", idx, full)
+	}
+}
+
+// TestDistinctPathsAllocs pins a warm connection's GETs, each with a :path
+// of its own — a DoH GET client's traffic, every query a literal the table
+// indexes and a long-gone one evicts: the encoder allocates nothing, and the
+// decoder only the decoded path's string. (Inserting into the table used to
+// copy all of it, on both sides, once per request.)
+func TestDistinctPathsAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector instruments allocations")
+	}
+	e, d := NewEncoder(), NewDecoder()
+	fields := []HeaderField{
+		{Name: ":method", Value: "GET"},
+		{Name: ":scheme", Value: "https"},
+		{Name: ":authority", Value: "dns.example"},
+		{Name: ":path"},
+		{Name: "accept", Value: "application/dns-message"},
+	}
+	paths := make([]string, 1000)
+	for i := range paths {
+		paths[i] = fmt.Sprintf("/dns-query?dns=q80BAAABAAAAAAAAA3d3dwdleGFtcGxl%04dAAABAAE", i)
+	}
+	const runs = 100
+	blocks := make([][]byte, len(paths))
+	for i := range blocks {
+		blocks[i] = make([]byte, 0, 256)
+	}
+	scratch := make([]HeaderField, 0, len(fields))
+	enc, dec := 0, 0
+	encode := func() {
+		fields[3].Value = paths[enc]
+		blocks[enc] = e.AppendEncode(blocks[enc][:0], fields)
+		enc++
+	}
+	decode := func() {
+		got, err := d.DecodeAppend(scratch[:0], blocks[dec])
+		if err != nil || len(got) != len(fields) || got[3].Value != paths[dec] {
+			t.Fatalf("block %d: %v, %v", dec, got, err)
+		}
+		dec++
+	}
+	for enc < len(paths)-runs-1 { // warm: the tables fill, then evict
+		encode()
+		decode()
+	}
+	if got := testing.AllocsPerRun(runs, encode); got != 0 {
+		t.Errorf("encoding a GET with a new path allocates %.1f times on a warm connection, want none", got)
+	}
+	if got := testing.AllocsPerRun(runs, decode); got != 1 {
+		t.Errorf("decoding a GET with a new path allocates %.1f times on a warm connection, want the path's string alone", got)
+	}
+	if e.table.n == 0 || e.table.n != d.table.n || e.table.size != d.table.size || e.table.size > e.table.maxSize {
+		t.Errorf("tables diverged: encoder %d entries / %d octets, decoder %d / %d", e.table.n, e.table.size, d.table.n, d.table.size)
 	}
 }

@@ -140,7 +140,8 @@ var (
 // EOS no longer than 7 bits, and the EOS symbol itself is a coding error
 // (RFC 7541 §5.2).
 func HuffmanDecode(data []byte) (string, error) {
-	var out []byte
+	var stack [256]byte // a header value's worth: the result string is the one allocation
+	out := stack[:0]
 	n := huffmanRoot
 	padBits := 0
 	for _, b := range data {

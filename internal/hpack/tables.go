@@ -93,16 +93,35 @@ func init() {
 }
 
 // dynamicTable is the shared FIFO of recently encoded/decoded fields
-// (RFC 7541 §2.3.2). Entry 0 is the most recently added.
+// (RFC 7541 §2.3.2), kept in a ring: an insert writes one slot and an
+// eviction clears one, so a warm table — a connection whose every request
+// indexes a new :path — neither allocates nor copies. Entry 0 in HPACK's
+// numbering is the newest, the slot before tail.
 type dynamicTable struct {
-	entries []HeaderField // entries[0] = newest
+	ring    []HeaderField // live entries ring[head], …, oldest first, wrapping
+	head, n int
 	size    int
 	maxSize int
 }
 
+// entry returns the di-th newest entry, 0 ≤ di < n.
+func (t *dynamicTable) entry(di int) HeaderField {
+	return t.ring[(t.head+t.n-1-di)%len(t.ring)]
+}
+
 func (t *dynamicTable) add(f HeaderField) {
 	f.Sensitive = false
-	t.entries = append([]HeaderField{f}, t.entries...)
+	if t.n == len(t.ring) {
+		// Full: double the ring, oldest first from slot 0. A table bounded
+		// by maxSize stops growing once it holds the most entries that fit.
+		ring := make([]HeaderField, max(8, 2*len(t.ring)))
+		for i := 0; i < t.n; i++ {
+			ring[i] = t.ring[(t.head+i)%len(t.ring)]
+		}
+		t.ring, t.head = ring, 0
+	}
+	t.ring[(t.head+t.n)%len(t.ring)] = f
+	t.n++
 	t.size += f.size()
 	t.evict()
 }
@@ -113,14 +132,24 @@ func (t *dynamicTable) setMaxSize(n int) {
 }
 
 func (t *dynamicTable) evict() {
-	for t.size > t.maxSize && len(t.entries) > 0 {
-		last := t.entries[len(t.entries)-1]
-		t.entries = t.entries[:len(t.entries)-1]
-		t.size -= last.size()
+	for t.size > t.maxSize && t.n > 0 {
+		t.size -= t.ring[t.head].size()
+		t.ring[t.head] = HeaderField{} // the strings go with the entry
+		t.head = (t.head + 1) % len(t.ring)
+		t.n--
 	}
-	if len(t.entries) == 0 {
+	if t.n == 0 {
 		t.size = 0
 	}
+}
+
+// clone returns a copy of t that shares no storage with it.
+func (t *dynamicTable) clone() dynamicTable {
+	c := dynamicTable{ring: make([]HeaderField, len(t.ring)), n: t.n, size: t.size, maxSize: t.maxSize}
+	for i := 0; i < t.n; i++ {
+		c.ring[i] = t.ring[(t.head+i)%len(t.ring)]
+	}
+	return c
 }
 
 // at returns the field at absolute HPACK index i (1-based across static then
@@ -133,28 +162,29 @@ func (t *dynamicTable) at(i int) (HeaderField, bool) {
 		return staticTable[i-1], true
 	}
 	di := i - len(staticTable) - 1
-	if di >= len(t.entries) {
+	if di >= t.n {
 		return HeaderField{}, false
 	}
-	return t.entries[di], true
+	return t.entry(di), true
 }
 
 // lookup finds the best index for f: a full match (indexed representation)
-// or a name-only match. Returns (index, nameOnly) with index 0 for no match.
+// or a name-only match, the newest dynamic entry first. Returns (index,
+// nameOnly) with index 0 for no match.
 func (t *dynamicTable) lookup(f HeaderField) (idx int, full bool) {
 	if i, ok := staticPairIndex[HeaderField{Name: f.Name, Value: f.Value}]; ok {
 		return i, true
 	}
-	for di, e := range t.entries {
-		if e.Name == f.Name && e.Value == f.Value {
+	for di := 0; di < t.n; di++ {
+		if e := t.entry(di); e.Name == f.Name && e.Value == f.Value {
 			return len(staticTable) + 1 + di, true
 		}
 	}
 	if i, ok := staticNameIndex[f.Name]; ok {
 		return i, false
 	}
-	for di, e := range t.entries {
-		if e.Name == f.Name {
+	for di := 0; di < t.n; di++ {
+		if t.entry(di).Name == f.Name {
 			return len(staticTable) + 1 + di, false
 		}
 	}

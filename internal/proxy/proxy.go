@@ -384,10 +384,10 @@ type link interface {
 }
 
 // stage is one middleware of the forwarding chain: exchange forwards query
-// to next, or decides not to.
+// to next, the reply appended to dst, or decides not to.
 type stage struct {
 	name     string
-	exchange func(ctx context.Context, query []byte, next dnstransport.WireResolver) ([]byte, error)
+	exchange func(ctx context.Context, query, dst []byte, next dnstransport.WireResolver) ([]byte, error)
 }
 
 // chained is a stage bound to the rest of the chain.
@@ -397,8 +397,8 @@ type chained struct {
 }
 
 // ExchangeWire implements dnstransport.WireResolver.
-func (c chained) ExchangeWire(ctx context.Context, query []byte) ([]byte, error) {
-	return c.exchange(ctx, query, c.next)
+func (c chained) ExchangeWire(ctx context.Context, query, dst []byte) ([]byte, error) {
+	return c.exchange(ctx, query, dst, c.next)
 }
 
 // Exchange implements dnstransport.Resolver over ExchangeWire.
@@ -415,7 +415,7 @@ func (c chained) Close() error { return c.next.Close() }
 // misses return guard.ErrMissBudget without touching the steerer; the
 // serving handler maps that to a DNS REFUSED.
 func breakerStage(g *guard.Guard) stage {
-	return stage{"breaker", func(ctx context.Context, query []byte, next dnstransport.WireResolver) ([]byte, error) {
+	return stage{"breaker", func(ctx context.Context, query, dst []byte, next dnstransport.WireResolver) ([]byte, error) {
 		// The breaker decision is the guard phase of a forwarded miss; on
 		// the listener side the guard runs before the transaction exists,
 		// so this span is the one place miss admission shows up in a trace.
@@ -427,7 +427,7 @@ func breakerStage(g *guard.Guard) stage {
 			return nil, err
 		}
 		defer g.MissDone()
-		return next.ExchangeWire(ctx, query)
+		return next.ExchangeWire(ctx, query, dst)
 	}}
 }
 
@@ -436,8 +436,8 @@ func breakerStage(g *guard.Guard) stage {
 // upstream for this query. Caller cancellations are neither success nor
 // failure — a departed client says nothing about the network.
 func stormStage(storm *dialer.Storm) stage {
-	return stage{"storm", func(ctx context.Context, query []byte, next dnstransport.WireResolver) ([]byte, error) {
-		resp, err := next.ExchangeWire(ctx, query)
+	return stage{"storm", func(ctx context.Context, query, dst []byte, next dnstransport.WireResolver) ([]byte, error) {
+		resp, err := next.ExchangeWire(ctx, query, dst)
 		if err == nil || !errors.Is(err, context.Canceled) {
 			storm.Note(err)
 		}
@@ -488,15 +488,17 @@ func (h fastHandler) ServeDNSWire(tx *telemetry.Transaction, q *dnswire.Query, d
 	return resp, true
 }
 
-// ServeDNSWireMiss implements dnsserver.WireMissResponder. A breaker-refused
-// miss is answered REFUSED here, from the query's own bytes.
-func (h fastHandler) ServeDNSWireMiss(ctx context.Context, q *dnswire.Query) ([]byte, error) {
+// ServeDNSWireMiss implements dnsserver.WireMissResponder: the reply lands
+// in the server's buffer, appended by the cache or, on a miss, by the
+// upstream's transport client. A breaker-refused miss is answered REFUSED
+// here, from the query's own bytes.
+func (h fastHandler) ServeDNSWireMiss(ctx context.Context, q *dnswire.Query, dst []byte) ([]byte, error) {
 	if !q.Parsed() {
-		return dnsserver.MessageAdapter{Handler: h}.ServeDNSWireMiss(ctx, q)
+		return dnsserver.MessageAdapter{Handler: h}.ServeDNSWireMiss(ctx, q, dst)
 	}
-	resp, err := h.p.cache.ExchangeQuery(ctx, q)
+	resp, err := h.p.cache.ExchangeQuery(ctx, q, dst)
 	if err != nil && errors.Is(err, guard.ErrMissBudget) {
-		return q.Reply(dnswire.RCodeRefused), nil
+		return q.AppendReply(dst, dnswire.RCodeRefused), nil
 	}
 	return resp, err
 }

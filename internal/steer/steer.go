@@ -109,10 +109,11 @@ func (p *Policy) UnmarshalText(text []byte) error {
 // Backend is the upstream capability the steerer drives. dnstransport.Pool
 // implements it; tests substitute scripted fakes.
 type Backend interface {
-	// ExchangeWire is the backend's native (failover-ordered) exchange.
-	ExchangeWire(ctx context.Context, query []byte) ([]byte, error)
+	// ExchangeWire is the backend's native (failover-ordered) exchange,
+	// appending the reply to dst as dnstransport.WireResolver does.
+	ExchangeWire(ctx context.Context, query, dst []byte) ([]byte, error)
 	// ExchangeUpstreamWire aims one exchange at upstream i, no failover.
-	ExchangeUpstreamWire(ctx context.Context, i int, query []byte) ([]byte, error)
+	ExchangeUpstreamWire(ctx context.Context, i int, query, dst []byte) ([]byte, error)
 	// NumUpstreams reports the upstream count; UpstreamName names them in
 	// preference order; UpstreamHealthy reports backoff state.
 	NumUpstreams() int
@@ -236,14 +237,14 @@ func (s *Steerer) Exchange(ctx context.Context, q *dnswire.Message) (*dnswire.Me
 
 // ExchangeWire implements WireResolver, dispatching on the configured
 // policy.
-func (s *Steerer) ExchangeWire(ctx context.Context, query []byte) ([]byte, error) {
+func (s *Steerer) ExchangeWire(ctx context.Context, query, dst []byte) ([]byte, error) {
 	switch s.cfg.Policy {
 	case PolicyFastest:
-		return s.exchangeFastest(ctx, query)
+		return s.exchangeFastest(ctx, query, dst)
 	case PolicyHedged:
-		return s.exchangeHedged(ctx, query)
+		return s.exchangeHedged(ctx, query, dst)
 	}
-	return s.backend.ExchangeWire(ctx, query)
+	return s.backend.ExchangeWire(ctx, query, dst)
 }
 
 // rank orders upstream indices by effective score, best first. Unhealthy
@@ -272,7 +273,7 @@ const downPenalty = float64(24 * time.Hour)
 // exchangeFastest routes to the best-ranked upstream, falling through the
 // ranking on failure. Every ExploreEvery-th query instead probes one of
 // the runners-up (rotating, so each gets refreshed in turn).
-func (s *Steerer) exchangeFastest(ctx context.Context, query []byte) ([]byte, error) {
+func (s *Steerer) exchangeFastest(ctx context.Context, query, dst []byte) ([]byte, error) {
 	tx := telemetry.FromContext(ctx)
 	ts := tx.TraceStart()
 	order := s.rank()
@@ -297,7 +298,7 @@ func (s *Steerer) exchangeFastest(ctx context.Context, query []byte) ([]byte, er
 			}
 			break
 		}
-		resp, err := s.backend.ExchangeUpstreamWire(ctx, i, query)
+		resp, err := s.backend.ExchangeUpstreamWire(ctx, i, query, dst)
 		if err == nil {
 			return resp, nil
 		}
@@ -320,19 +321,22 @@ func (s *Steerer) exchangeFastest(ctx context.Context, query []byte) ([]byte, er
 // dials, failures, bytes and exchange latency land in the aggregate
 // counters with exactly the measurement windows the other policies use,
 // and the caller's record is only attributed the winning upstream's name
-// (plus the hedge counters), never written from a leg goroutine.
-func (s *Steerer) exchangeHedged(ctx context.Context, query []byte) ([]byte, error) {
+// (plus the hedge counters), never written from a leg goroutine. For the
+// same reason each leg answers into a buffer of its own, never dst: the
+// winner's reply is copied into dst here, and a loser still mid-exchange
+// writes only into its own.
+func (s *Steerer) exchangeHedged(ctx context.Context, query, dst []byte) ([]byte, error) {
 	tx := telemetry.FromContext(ctx)
 	ts := tx.TraceStart()
 	order := s.rank()
 	tx.TraceSpan(qtrace.PhaseSteer, ts)
 	if len(order) == 1 {
-		return s.backend.ExchangeUpstreamWire(ctx, order[0], query)
+		return s.backend.ExchangeUpstreamWire(ctx, order[0], query, dst)
 	}
-	// The caller may recycle ctx and query the moment this call returns, and
-	// the losing leg can still be using them then: the legs run under a
-	// context of their own — ctx's deadline, none of its values — and share
-	// a copy of the query.
+	// The caller may recycle ctx, query and dst the moment this call
+	// returns, and the losing leg can still be using them then: the legs run
+	// under a context of their own — ctx's deadline, none of its values —
+	// share a copy of the query and answer into buffers of their own.
 	hctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	if d, ok := ctx.Deadline(); ok {
@@ -364,7 +368,7 @@ func (s *Steerer) exchangeHedged(ctx context.Context, query []byte) ([]byte, err
 		legTx := tx.Metrics().BeginBackground()
 		legCtx := telemetry.NewContext(hctx, legTx)
 		go func() {
-			resp, err := s.backend.ExchangeUpstreamWire(legCtx, up, query)
+			resp, err := s.backend.ExchangeUpstreamWire(legCtx, up, query, nil)
 			legTx.Finish()
 			results <- outcome{resp, err, hedge}
 		}()
@@ -415,7 +419,7 @@ func (s *Steerer) exchangeHedged(ctx context.Context, query []byte) ([]byte, err
 					}
 				}
 				tx.AttributeUpstream(s.backend.UpstreamName(win))
-				return out.resp, nil
+				return append(dst, out.resp...), nil
 			}
 			pending--
 			if firstErr == nil {
@@ -432,7 +436,7 @@ func (s *Steerer) exchangeHedged(ctx context.Context, query []byte) ([]byte, err
 				// point waiting out the timer, fire the hedge now.
 				fireHedge()
 			} else if pending == 0 {
-				return s.exchangeRest(ctx, order[2:], query, firstErr)
+				return s.exchangeRest(ctx, order[2:], query, dst, firstErr)
 			}
 		case <-ctx.Done():
 			return nil, ctx.Err()
@@ -442,12 +446,12 @@ func (s *Steerer) exchangeHedged(ctx context.Context, query []byte) ([]byte, err
 
 // exchangeRest walks the post-hedge remainder of the ranking; firstErr is
 // returned when nothing answers.
-func (s *Steerer) exchangeRest(ctx context.Context, order []int, query []byte, firstErr error) ([]byte, error) {
+func (s *Steerer) exchangeRest(ctx context.Context, order []int, query, dst []byte, firstErr error) ([]byte, error) {
 	for _, i := range order {
 		if ctx.Err() != nil {
 			break
 		}
-		if resp, err := s.backend.ExchangeUpstreamWire(ctx, i, query); err == nil {
+		if resp, err := s.backend.ExchangeUpstreamWire(ctx, i, query, dst); err == nil {
 			return resp, nil
 		}
 	}

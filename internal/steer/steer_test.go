@@ -17,8 +17,12 @@ import (
 // optional injected failure, and counters for directed exchanges and
 // cancellations.
 type fakeUpstream struct {
-	name      string
-	delay     time.Duration
+	name  string
+	delay time.Duration
+	// stubborn upstreams ignore cancellation: they answer after their delay
+	// whatever, and then report on answered.
+	stubborn  bool
+	answered  chan []byte
 	fail      atomic.Bool
 	healthy   atomic.Bool
 	exchanges atomic.Int64
@@ -50,12 +54,12 @@ func (b *fakeBackend) observe(name string, d time.Duration, err error) {
 	}
 }
 
-func (b *fakeBackend) ExchangeWire(ctx context.Context, query []byte) ([]byte, error) {
+func (b *fakeBackend) ExchangeWire(ctx context.Context, query, dst []byte) ([]byte, error) {
 	b.native.Add(1)
-	return b.ExchangeUpstreamWire(ctx, 0, query)
+	return b.ExchangeUpstreamWire(ctx, 0, query, dst)
 }
 
-func (b *fakeBackend) ExchangeUpstreamWire(ctx context.Context, i int, query []byte) ([]byte, error) {
+func (b *fakeBackend) ExchangeUpstreamWire(ctx context.Context, i int, query, dst []byte) ([]byte, error) {
 	var q dnswire.Message
 	if err := q.Unpack(query); err != nil {
 		return nil, err
@@ -66,7 +70,9 @@ func (b *fakeBackend) ExchangeUpstreamWire(ctx context.Context, i int, query []b
 	u := b.ups[i]
 	u.exchanges.Add(1)
 	start := time.Now()
-	if u.delay > 0 {
+	if u.stubborn {
+		time.Sleep(u.delay)
+	} else if u.delay > 0 {
 		select {
 		case <-time.After(u.delay):
 		case <-ctx.Done():
@@ -86,7 +92,11 @@ func (b *fakeBackend) ExchangeUpstreamWire(ctx context.Context, i int, query []b
 		Data: &dnswire.TXT{Strings: []string{u.name}},
 	})
 	b.observe(u.name, time.Since(start), nil)
-	return r.Pack()
+	resp, err := r.AppendPack(dst)
+	if u.answered != nil {
+		u.answered <- resp
+	}
+	return resp, err
 }
 
 func (b *fakeBackend) NumUpstreams() int         { return len(b.ups) }
@@ -526,6 +536,50 @@ func TestHedgedFailedPrimaryEarnsNoCensoredSample(t *testing.T) {
 			if u.Samples != 1 {
 				t.Errorf("failed primary samples = %d, want exactly its 1 failure", u.Samples)
 			}
+		}
+	}
+}
+
+// TestHedgedLoserNeverWritesDst: the caller's buffer is the caller's the
+// moment ExchangeWire returns, and a hedge loser can still be mid-exchange
+// then. A primary that ignores its cancellation and answers well after the
+// hedge won writes into a buffer of its own: the caller's holds the
+// winner's reply and, past it, exactly what it held before.
+func TestHedgedLoserNeverWritesDst(t *testing.T) {
+	slow := &fakeUpstream{name: "slow", delay: 50 * time.Millisecond, stubborn: true, answered: make(chan []byte, 1)}
+	fast := &fakeUpstream{name: "fast"}
+	s := New(newFakeBackend(slow, fast), Config{Policy: PolicyHedged, HedgeDelay: 5 * time.Millisecond})
+	query, err := q("loser.example.").Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]byte, 0, 1024)
+	for i := range dst[:cap(dst)] {
+		dst[:cap(dst)][i] = 0xEE
+	}
+	resp, err := s.ExchangeWire(context.Background(), query, dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &resp[0] != &dst[:1][0] {
+		t.Fatal("the winner's reply is not in the caller's buffer")
+	}
+	var m dnswire.Message
+	if err := m.Unpack(resp); err != nil || answeredBy(t, &m) != "fast" {
+		t.Fatalf("reply %v (%v), want the hedge's", &m, err)
+	}
+	won := append([]byte(nil), resp...)
+	loser := <-slow.answered // the primary answers, long after the hedge won
+	if len(loser) == 0 || &loser[0] == &dst[:1][0] {
+		t.Fatal("the losing leg answered into the caller's buffer")
+	}
+	all := dst[:cap(dst)]
+	if string(all[:len(won)]) != string(won) {
+		t.Error("the caller's reply changed after ExchangeWire returned")
+	}
+	for i, b := range all[len(won):] {
+		if b != 0xEE {
+			t.Fatalf("octet %d past the reply was written after ExchangeWire returned", len(won)+i)
 		}
 	}
 }

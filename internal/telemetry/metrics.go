@@ -348,6 +348,32 @@ func NewContext(ctx context.Context, tx *Transaction) context.Context {
 	return context.WithValue(ctx, ctxKey{}, tx)
 }
 
+// QueryContext is a context that carries one query's Transaction at a time:
+// a serving slot keeps one for its whole life, over a parent that outlives
+// the slot (a connection's context, or a server's), and Sets each query's
+// transaction for the length of its step — so handing a query its context
+// allocates nothing, where NewContext costs a layer per query. A context
+// derived from it is valid only until the step returns: the next query's
+// Set changes what it carries. Between steps it carries nil. Deadline, Done
+// and Err are the parent's, so a context derived from it is cancelled with
+// the parent without a goroutine of its own.
+type QueryContext struct {
+	context.Context // the parent, fixed for the QueryContext's life
+	tx              *Transaction
+}
+
+// Set installs tx as the transaction the context carries; nil clears it.
+func (c *QueryContext) Set(tx *Transaction) { c.tx = tx }
+
+// Value implements context.Context: the transaction Set installed, for
+// FromContext, and the parent's values otherwise.
+func (c *QueryContext) Value(key any) any {
+	if key == (ctxKey{}) {
+		return c.tx
+	}
+	return c.Context.Value(key)
+}
+
 // FromContext returns the Transaction carried by ctx, or nil — which is a
 // fully usable no-op Transaction — when there is none.
 func FromContext(ctx context.Context) *Transaction {

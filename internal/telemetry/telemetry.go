@@ -22,7 +22,8 @@
 //     outline-go-tun2socks — to receive one Summary per completed query.
 //
 // Instrumented packages obtain the Transaction with FromContext; servers
-// create it with Metrics.Begin and install it with NewContext. Because
+// create it with Metrics.Begin and install it in the QueryContext of the
+// slot the query's slow step runs in (NewContext where there is none). Because
 // dnscache detaches upstream exchanges from client cancellation with
 // context.WithoutCancel (which preserves values), annotations made deep in
 // the pool and transport layers land on the right record.

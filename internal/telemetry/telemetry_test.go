@@ -233,6 +233,50 @@ func TestContextRoundTrip(t *testing.T) {
 	}
 }
 
+// TestQueryContext: a slot's context carries whichever transaction was Set
+// last — nil between steps — and its parent's values and cancellation, and
+// handing it the next query's transaction allocates nothing.
+func TestQueryContext(t *testing.T) {
+	type parentKey struct{}
+	parent, cancel := context.WithCancel(context.WithValue(context.Background(), parentKey{}, "conn"))
+	qc := &QueryContext{Context: parent}
+	if FromContext(qc) != nil {
+		t.Fatal("a fresh QueryContext carries a transaction")
+	}
+	m := New(withShards(1))
+	for i := 0; i < 2; i++ {
+		tx := m.Begin(ProtoUDP)
+		qc.Set(tx)
+		if FromContext(qc) != tx || FromContext(context.WithoutCancel(qc)) != tx {
+			t.Fatalf("step %d: FromContext is not the transaction Set", i)
+		}
+		if qc.Value(parentKey{}) != "conn" {
+			t.Fatalf("step %d: the parent's value is lost", i)
+		}
+		qc.Set(nil)
+		tx.Finish()
+	}
+	if FromContext(qc) != nil {
+		t.Fatal("a cleared QueryContext still carries a transaction")
+	}
+	tx := m.Begin(ProtoUDP)
+	defer tx.Finish()
+	if got := testing.AllocsPerRun(100, func() { qc.Set(tx); FromContext(qc).SetCache(CacheMiss); qc.Set(nil) }); got != 0 {
+		t.Errorf("a step's Set and FromContext allocate %.1f times, want none", got)
+	}
+	child, stop := context.WithTimeout(qc, time.Hour)
+	defer stop()
+	cancel()
+	select {
+	case <-child.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("a context derived from a QueryContext outlived its parent's cancellation")
+	}
+	if qc.Err() != context.Canceled {
+		t.Errorf("Err = %v, want the parent's", qc.Err())
+	}
+}
+
 // TestWritePrometheus checks the exposition has the families, labels and
 // summary quantiles the docs promise, in scrapeable shape.
 func TestWritePrometheus(t *testing.T) {
