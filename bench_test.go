@@ -827,7 +827,7 @@ func BenchmarkCacheHitWirePath(b *testing.B) {
 		defer c.Close()
 		prime(b, c)
 		tel := telemetry.New()
-		g := guard.New(guard.Config{ClientQPS: 1e9, Burst: 1 << 30, CookieSecret: 1}, tel)
+		g := guard.New(guard.Config{ClientQPS: 1e9, Burst: 1 << 30, CookieSecret: 1})
 		key := guard.ClientKey(&net.UDPAddr{IP: net.IPv4(192, 0, 2, 7), Port: 53000})
 		dst := make([]byte, 0, 4096)
 		b.ReportAllocs()
@@ -1156,15 +1156,14 @@ func BenchmarkDNSWireUnpack(b *testing.B) {
 // the path every honest datagram pays: one CheckUDP that parses nothing
 // beyond the question bounds, takes one striped lock, and refills one
 // token bucket slot. The allocs/op column is the regression gate — the
-// allow path must stay at zero, with a live telemetry sink attached.
+// allow path must stay at zero.
 func BenchmarkGuardAllowPath(b *testing.B) {
-	tel := telemetry.New()
 	queryWire, err := dnswire.NewQuery(4242, "hot00.bench.example.", dnswire.TypeA).Pack()
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Run("plain", func(b *testing.B) {
-		g := guard.New(guard.Config{ClientQPS: 1e9, Burst: 1 << 30, CookieSecret: 1}, tel)
+		g := guard.New(guard.Config{ClientQPS: 1e9, Burst: 1 << 30, CookieSecret: 1})
 		key := guard.ClientKey(&net.UDPAddr{IP: net.IPv4(192, 0, 2, 7), Port: 53000})
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -1175,7 +1174,7 @@ func BenchmarkGuardAllowPath(b *testing.B) {
 		}
 	})
 	b.Run("parallel", func(b *testing.B) {
-		g := guard.New(guard.Config{ClientQPS: 1e9, Burst: 1 << 30, CookieSecret: 1}, tel)
+		g := guard.New(guard.Config{ClientQPS: 1e9, Burst: 1 << 30, CookieSecret: 1})
 		b.ReportAllocs()
 		var next atomic.Uint64
 		b.RunParallel(func(pb *testing.PB) {

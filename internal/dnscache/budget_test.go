@@ -188,7 +188,7 @@ func TestOversizedEntryNotCached(t *testing.T) {
 	// can configure budgets smaller than a worst-case DNSSEC answer.
 	sh := small.shards[0]
 	sh.mu.Lock()
-	_, rejected := small.insertLocked(sh, []byte("giant.example."), 1, make([]byte, int(sh.budget)+1), nil, &dnswire.ResponseScan{})
+	rejected := small.insertLocked(sh, []byte("giant.example."), 1, make([]byte, int(sh.budget)+1), nil, &dnswire.ResponseScan{})
 	sh.mu.Unlock()
 	if !rejected {
 		t.Fatal("entry larger than the shard budget was admitted")

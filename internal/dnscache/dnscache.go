@@ -612,7 +612,7 @@ func (c *Cache) ServeWire(tx *telemetry.Transaction, q *dnswire.Query, dst []byt
 		sh.stats.SketchResets++
 	}
 	sh.mu.Unlock()
-	c.afterHit(tx, sh, kb, h, hit)
+	c.afterHit(sh, kb, h, hit)
 	return hit.resp, hit.outcome, true
 }
 
@@ -681,9 +681,9 @@ func (c *Cache) serveLocked(sh *shard, ri uint32, kb []byte, id uint16, dst []by
 // afterHit starts the refresh serveLocked asked for, outside the shard
 // lock. maybeRefresh re-checks the flight table under the lock, so the
 // benign race with a just-started flight resolves to a no-op.
-func (c *Cache) afterHit(tx *telemetry.Transaction, sh *shard, kb []byte, h uint64, hit served) {
-	if hit.refresh && c.maybeRefresh(sh, kb, h, hit.prefetch) && hit.prefetch {
-		tx.Prefetch()
+func (c *Cache) afterHit(sh *shard, kb []byte, h uint64, hit served) {
+	if hit.refresh {
+		c.maybeRefresh(sh, kb, h, hit.prefetch)
 	}
 }
 
@@ -786,7 +786,7 @@ func (c *Cache) ExchangeQuery(ctx context.Context, q *dnswire.Query, dst []byte)
 			sh.mu.Unlock()
 			tx.TraceSpan(qtrace.PhaseCache, tl)
 			tx.SetCache(hit.outcome)
-			c.afterHit(tx, sh, kb, h, hit)
+			c.afterHit(sh, kb, h, hit)
 			return hit.resp, nil
 		}
 		sh.removeLocked(ri)
@@ -843,12 +843,8 @@ func (c *Cache) ExchangeQuery(ctx context.Context, q *dnswire.Query, dst []byte)
 	// The admission span covers the scan, the admission filter and the
 	// insert (evictions included) — the post-upstream cost of a miss.
 	ta := tx.TraceStart()
-	resp, evicted, rejected, err := c.land(sh, kb, h, f, q, dst, resp, err)
+	resp, err = c.land(sh, kb, h, f, q, dst, resp, err)
 	tx.TraceSpan(qtrace.PhaseAdmit, ta)
-	tx.CacheEvicted(evicted)
-	if rejected {
-		tx.CacheAdmissionRejected()
-	}
 	if err != nil {
 		return nil, err
 	}
@@ -864,7 +860,7 @@ func (c *Cache) ExchangeQuery(ctx context.Context, q *dnswire.Query, dst []byte)
 // under h. Coalesced callers get a private copy of the reply: resp is the
 // caller's, and free to be overwritten the moment ExchangeQuery returns.
 // Once land returns, f may already be another miss's.
-func (c *Cache) land(sh *shard, kb []byte, h uint64, f *flight, q *dnswire.Query, dst, resp []byte, err error) (_ []byte, evicted int, rejected bool, _ error) {
+func (c *Cache) land(sh *shard, kb []byte, h uint64, f *flight, q *dnswire.Query, dst, resp []byte, err error) ([]byte, error) {
 	var tbuf [64]byte // 32 records' TTL offsets before the scan allocates
 	toffs := tbuf[:0]
 	var scan dnswire.ResponseScan
@@ -881,7 +877,7 @@ func (c *Cache) land(sh *shard, kb []byte, h uint64, f *flight, q *dnswire.Query
 	}
 	shared := f.waiters > 0
 	if storable && cacheable(&scan) {
-		evicted, rejected = c.insertLocked(sh, kb, h, resp[len(dst):], toffs, &scan)
+		c.insertLocked(sh, kb, h, resp[len(dst):], toffs, &scan)
 	}
 	if idle && !shared && len(sh.free) < maxFreeFlights {
 		f.leader = nil
@@ -895,7 +891,7 @@ func (c *Cache) land(sh *shard, kb []byte, h uint64, f *flight, q *dnswire.Query
 		f.err = err
 		close(f.done)
 	}
-	return resp, evicted, rejected, err
+	return resp, err
 }
 
 // removeLocked drops record ri from the index and the LRU ring, releases its
@@ -976,10 +972,9 @@ func (c *Cache) rotateLocked(sh *shard) {
 // the duel would lose the name entirely — and evicts past the shard
 // bounds. Admission is decided from the sizes alone: a refused candidate
 // costs no record and no copy; an admitted one is one block in the arena
-// (key | wire | toffs) and one record, no heap object. It reports the
-// eviction count and whether admission refused the insert. Caller holds
-// sh.mu.
-func (c *Cache) insertLocked(sh *shard, kb []byte, h uint64, wire, toffs []byte, scan *dnswire.ResponseScan) (evicted int, rejected bool) {
+// (key | wire | toffs) and one record, no heap object. It reports whether
+// admission refused the insert. Caller holds sh.mu.
+func (c *Cache) insertLocked(sh *shard, kb []byte, h uint64, wire, toffs []byte, scan *dnswire.ResponseScan) (rejected bool) {
 	block := len(kb) + len(wire) + len(toffs)
 	cost := entryOverhead + block
 	old := sh.find(h, kb)
@@ -989,7 +984,7 @@ func (c *Cache) insertLocked(sh *shard, kb []byte, h uint64, wire, toffs []byte,
 		(sh.budget > 0 && int64(cost) > sh.budget) || // larger than the whole shard's budget
 		(old == 0 && sh.sk != nil && sh.needsEvict(cost) && !c.admitLocked(sh, h, cost)) {
 		sh.stats.AdmissionRejects++
-		return 0, true
+		return true
 	}
 	if old != 0 {
 		sh.removeLocked(old)
@@ -1026,20 +1021,19 @@ func (c *Cache) insertLocked(sh *shard, kb []byte, h uint64, wire, toffs []byte,
 		}
 		sh.removeLocked(oldest)
 		sh.stats.Evictions++
-		evicted++
 	}
-	return evicted, false
+	return false
 }
 
 // maybeRefresh starts a background singleflight refresh of key kb (hash h)
 // unless an exchange for it — or for a key sharing its hash — is already in
-// flight, reporting whether this call started one. prefetch labels the
-// trigger for stats. Caller must not hold sh.mu.
-func (c *Cache) maybeRefresh(sh *shard, kb []byte, h uint64, prefetch bool) bool {
+// flight. prefetch labels the trigger for stats. Caller must not hold
+// sh.mu.
+func (c *Cache) maybeRefresh(sh *shard, kb []byte, h uint64, prefetch bool) {
 	sh.mu.Lock()
 	if _, inflight := sh.flights[h]; inflight {
 		sh.mu.Unlock()
-		return false
+		return
 	}
 	f := &flight{key: append([]byte(nil), kb...)}
 	sh.flights[h] = f
@@ -1049,7 +1043,6 @@ func (c *Cache) maybeRefresh(sh *shard, kb []byte, h uint64, prefetch bool) bool
 	}
 	sh.mu.Unlock()
 	go c.refresh(sh, h, f)
-	return true
 }
 
 // refresh is the background half of serve-stale and prefetch: one upstream
@@ -1068,9 +1061,7 @@ func (c *Cache) refresh(sh *shard, h uint64, f *flight) {
 	if err == nil {
 		resp, err = c.wire.ExchangeWire(ctx, q.Raw, nil)
 	}
-	if _, _, rejected, _ := c.land(sh, f.key, h, f, &q, nil, resp, err); rejected {
-		tx.CacheAdmissionRejected()
-	}
+	c.land(sh, f.key, h, f, &q, nil, resp, err)
 }
 
 // refreshQuery rebuilds the question a cache key encodes — the canonical

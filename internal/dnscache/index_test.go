@@ -179,7 +179,7 @@ func runIndexOps(t testing.TB, data []byte) {
 			}
 			ttl := 1 + uint32(b&15)
 			epochs := sh.stats.ArenaEpochs
-			_, rejected := c.insertLocked(sh, kb, h, wire, toffs, &dnswire.ResponseScan{Answers: 1, MinTTL: ttl, HasTTL: true})
+			rejected := c.insertLocked(sh, kb, h, wire, toffs, &dnswire.ResponseScan{Answers: 1, MinTTL: ttl, HasTTL: true})
 			cost := int64(entryOverhead + len(k) + len(wire) + len(toffs))
 			if rejected != (budget > 0 && cost > budget) {
 				t.Fatalf("insert of %d B under budget %d: rejected = %v", cost, budget, rejected)

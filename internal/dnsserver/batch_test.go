@@ -130,10 +130,14 @@ func TestBatchShardedHotName(t *testing.T) {
 	if len(stats) != len(conns) {
 		t.Fatalf("ShardStats returned %d shards, want %d", len(stats), len(conns))
 	}
-	var hits, datagrams uint64
+	var hits, datagrams, reads, histogram uint64
 	for _, st := range stats {
 		hits += st.FastHits
 		datagrams += st.Datagrams
+		reads += st.Reads
+		for _, n := range st.BatchSizes {
+			histogram += n
+		}
 	}
 	if hits < clients*perClient {
 		t.Errorf("shards served %d fast hits, want >= %d", hits, clients*perClient)
@@ -141,9 +145,8 @@ func TestBatchShardedHotName(t *testing.T) {
 	if datagrams < hits {
 		t.Errorf("shards read %d datagrams but served %d hits", datagrams, hits)
 	}
-	if s := tel.Snapshot(); s.UDPBatchReads == 0 || s.UDPBatchDatagrams < uint64(clients*perClient) {
-		t.Errorf("batch telemetry reads=%d datagrams=%d, want nonzero/>=%d",
-			s.UDPBatchReads, s.UDPBatchDatagrams, clients*perClient)
+	if reads == 0 || histogram != reads {
+		t.Errorf("shards counted %d reads and %d in the batch-size histogram, want the same nonzero count", reads, histogram)
 	}
 
 	for _, c := range conns {
@@ -223,9 +226,9 @@ func TestSpillBounded(t *testing.T) {
 	if p := peak.Load(); p > bound {
 		t.Errorf("peak handler concurrency %d exceeds the bound %d", p, bound)
 	}
-	if snap := tel.Snapshot(); snap.UDPSpills != bound || srv.ShardStats()[0].Spills != bound {
-		t.Errorf("%d goroutines started (shard counter %d) for %d datagrams, want %d: the slots the first burst made serve the rest",
-			snap.UDPSpills, srv.ShardStats()[0].Spills, total, bound)
+	if spills := srv.ShardStats()[0].Spills; spills != bound {
+		t.Errorf("%d goroutines started for %d datagrams, want %d: the slots the first burst made serve the rest",
+			spills, total, bound)
 	}
 	replies := 0
 	c.SetReadDeadline(time.Now().Add(5 * time.Second))
@@ -233,5 +236,25 @@ func TestSpillBounded(t *testing.T) {
 		if _, err := c.Read(buf); err != nil {
 			t.Fatalf("%d of %d datagrams answered: %v", replies, total, err)
 		}
+	}
+}
+
+// TestUDPBatchSizeHistogram checks the shard's datagrams-per-read
+// histogram: the bucket boundaries, and one scripted read of a whole batch
+// landing in its bucket beside the read and datagram totals.
+func TestUDPBatchSizeHistogram(t *testing.T) {
+	for n, want := range map[int]string{
+		1: "1", 2: "2-3", 3: "2-3", 4: "4-7", 7: "4-7", 8: "8-15", 15: "8-15",
+		16: "16-31", 31: "16-31", 32: "32-63", 63: "32-63", 64: "64+", 200: "64+",
+	} {
+		if got := BatchSizeBuckets[batchBucket(n)]; got != want {
+			t.Errorf("a read of %d datagrams lands in bucket %q, want %q", n, got, want)
+		}
+	}
+	_, _, srv, _, _ := serveScripted(t, "histogram.example.", 1232, 32)
+	st := srv.ShardStats()[0]
+	if want := [len(BatchSizeBuckets)]uint64{5: 1}; st.Reads != 1 || st.Datagrams != 32 || st.BatchSizes != want {
+		t.Errorf("one read of 32 datagrams: reads %d, datagrams %d, histogram %v, want 1, 32, %v",
+			st.Reads, st.Datagrams, st.BatchSizes, want)
 	}
 }

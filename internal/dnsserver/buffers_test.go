@@ -58,7 +58,7 @@ func TestOversizeDatagramGoesToTCP(t *testing.T) {
 			q, wire := paddedQuery(t, 0x5151, "fast.example.", 5000)
 			stub := &refStub{}
 			// One query's burst, then nothing: the second datagram is the guard's.
-			g := guard.New(guard.Config{ClientQPS: 1e-6, Burst: 1, SlipEvery: -1, DisableCookies: true}, nil)
+			g := guard.New(guard.Config{ClientQPS: 1e-6, Burst: 1, SlipEvery: -1, DisableCookies: true})
 			pc := listenLoopback(t)
 			conn := tc.wrap(pc)
 			if tc.name == "kernel" && !conn.Batched() {

@@ -108,7 +108,7 @@ func (s *missStub) ServeDNSWireMiss(ctx context.Context, q *dnswire.Query, dst [
 // openGuard is a guard no test client can exhaust: every check runs, none
 // limits.
 func openGuard() *guard.Guard {
-	return guard.New(guard.Config{ClientQPS: 1e9, Burst: 1 << 30, CookieSecret: 0xc0ffee}, nil)
+	return guard.New(guard.Config{ClientQPS: 1e9, Burst: 1 << 30, CookieSecret: 0xc0ffee})
 }
 
 // streamExchange sends each query over one stream connection, in order.

@@ -187,7 +187,7 @@ func TestDoHInlineStep(t *testing.T) {
 // TestDoHInlineGuardRefuses: an over-limit plain POST is refused on the
 // read loop, in kind, and charged once.
 func TestDoHInlineGuardRefuses(t *testing.T) {
-	g := guard.New(guard.Config{ClientQPS: noRefill, Burst: 1}, nil)
+	g := guard.New(guard.Config{ClientQPS: noRefill, Burst: 1})
 	_, cc := dohOverH2(t, &DoH{Handler: &refStub{}, Guard: g})
 	_, wire := packQuery(t, 9, "fast.example.")
 	for i, want := range []dnswire.RCode{dnswire.RCodeSuccess, dnswire.RCodeRefused} {

@@ -94,7 +94,7 @@ func FuzzFitEquivalence(f *testing.F) {
 		f.Add(seed.reply, seed.limit, seed.cookie, true)
 	}
 	clock := time.Unix(1700000000, 0)
-	s := &UDPServer{Guard: guard.New(guard.Config{CookieSecret: 0xf17, Now: func() time.Time { return clock }}, nil)}
+	s := &UDPServer{Guard: guard.New(guard.Config{CookieSecret: 0xf17, Now: func() time.Time { return clock }})}
 	query := func(opts ...dnswire.EDNS0Option) []byte {
 		q := dnswire.NewQuery(0x5151, "fit.example.", dnswire.TypeA)
 		q.EDNS.Options = opts

@@ -15,7 +15,6 @@ import (
 
 	"dohcost/internal/dnswire"
 	"dohcost/internal/guard"
-	"dohcost/internal/telemetry"
 	"dohcost/internal/udpio"
 )
 
@@ -76,7 +75,7 @@ func respCookie(m *dnswire.Message) []byte {
 func TestUDPGuardSlipAndCookieBypass(t *testing.T) {
 	g := guard.New(guard.Config{
 		ClientQPS: noRefill, Burst: 2, SlipEvery: 1, CookieSecret: 0xc0ffee,
-	}, nil)
+	})
 	pc := listenLoopback(t)
 	srv := &UDPServer{
 		Handler: Static(netip.MustParseAddr("192.0.2.7"), 60),
@@ -131,7 +130,7 @@ func TestUDPGuardSlipAndCookieBypass(t *testing.T) {
 // inline hits.
 func TestUDPHotCacheEchoesCookie(t *testing.T) {
 	stub := newWireStub(t, "hot.example.")
-	g := guard.New(guard.Config{CookieSecret: 0xc0ffee}, nil)
+	g := guard.New(guard.Config{CookieSecret: 0xc0ffee})
 	pc := listenLoopback(t)
 	srv := &UDPServer{Handler: stub, Guard: g}
 	go srv.Serve(pc)
@@ -172,17 +171,15 @@ func TestUDPHotCacheEchoesCookie(t *testing.T) {
 // TestBatchGuardDroppedAccounting pins the ServeBatch fix: datagrams the
 // guard consumes (drops and slips) land in their own shard counter and the
 // batch ledger stays exact — Datagrams == FastHits + SlowPath +
-// GuardDropped — while the batch-size histogram keeps counting every read
-// datagram.
+// GuardDropped — and agrees with the guard's own Report.
 func TestBatchGuardDroppedAccounting(t *testing.T) {
 	stub := newWireStub(t, "hot.example.")
-	g := guard.New(guard.Config{ClientQPS: noRefill, Burst: 3, SlipEvery: 2}, nil)
+	g := guard.New(guard.Config{ClientQPS: noRefill, Burst: 3, SlipEvery: 2})
 	conns, err := udpio.ListenShards("udp", "127.0.0.1:0", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tel := telemetry.New()
-	srv := &UDPServer{Handler: stub, Guard: g, Telemetry: tel}
+	srv := &UDPServer{Handler: stub, Guard: g}
 	done := make(chan struct{})
 	go func() { defer close(done); srv.ServeBatch(conns, 8) }()
 
@@ -221,10 +218,6 @@ func TestBatchGuardDroppedAccounting(t *testing.T) {
 	if fast != 3 || guarded != total-3 {
 		t.Fatalf("fast=%d guarded=%d, want 3 and %d (burst then limits)", fast, guarded, total-3)
 	}
-	if s := tel.Snapshot(); s.UDPBatchDatagrams != datagrams {
-		t.Fatalf("batch histogram datagrams %d != shard datagrams %d (guard-dropped must still be sampled)",
-			s.UDPBatchDatagrams, datagrams)
-	}
 	rep := g.Report()
 	if rep.Drops+rep.Slips != guarded {
 		t.Fatalf("guard drops %d + slips %d != shard guarded %d", rep.Drops, rep.Slips, guarded)
@@ -247,7 +240,7 @@ func TestBatchGuardDroppedAccounting(t *testing.T) {
 // path. Limits are set high so every query is admitted and answered.
 func TestBatchGuardConcurrentHotName(t *testing.T) {
 	stub := newWireStub(t, "hot.example.")
-	g := guard.New(guard.Config{ClientQPS: 1e6, Burst: 1 << 20, Shards: 2, Slots: 64}, nil)
+	g := guard.New(guard.Config{ClientQPS: 1e6, Burst: 1 << 20, Shards: 2, Slots: 64})
 	conns, err := udpio.ListenShards("udp", "127.0.0.1:0", 4)
 	if err != nil {
 		t.Fatal(err)
@@ -297,7 +290,7 @@ func TestBatchGuardConcurrentHotName(t *testing.T) {
 // no TC, connection intact — and service resumes within the same
 // connection once the bucket refills.
 func TestStreamGuardRefuses(t *testing.T) {
-	g := guard.New(guard.Config{ClientQPS: noRefill, Burst: 1}, nil)
+	g := guard.New(guard.Config{ClientQPS: noRefill, Burst: 1})
 	srv := &StreamServer{Handler: Static(netip.MustParseAddr("192.0.2.7"), 60), Guard: g}
 	client, server := net.Pipe()
 	defer client.Close()
@@ -339,7 +332,7 @@ func TestStreamGuardRefuses(t *testing.T) {
 // carries the client identity, and an over-limit wire query comes back as
 // a DNS REFUSED inside an HTTP 200, per RFC 8484's resolution-error model.
 func TestDoHGuardRefuses(t *testing.T) {
-	g := guard.New(guard.Config{ClientQPS: noRefill, Burst: 1}, nil)
+	g := guard.New(guard.Config{ClientQPS: noRefill, Burst: 1})
 	d := &DoH{Handler: Static(netip.MustParseAddr("192.0.2.7"), 60), Guard: g}
 	ctx := guard.NewContext(t.Context(), 424242)
 

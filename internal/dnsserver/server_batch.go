@@ -29,11 +29,27 @@ import (
 // small enough that a batch of full read windows stays cache-warm.
 const DefaultBatch = 32
 
+// BatchSizeBuckets labels the datagrams-per-read histogram's buckets,
+// index-aligned with UDPShardStats.BatchSizes: powers of two from 1 to the
+// 64 of udpio.MaxBatch.
+var BatchSizeBuckets = [...]string{"1", "2-3", "4-7", "8-15", "16-31", "32-63", "64+"}
+
+// batchBucket maps a read's datagram count to its BatchSizeBuckets index.
+func batchBucket(n int) int {
+	b := 0
+	for n > 1 && b < len(BatchSizeBuckets)-1 {
+		n >>= 1
+		b++
+	}
+	return b
+}
+
 // shardCounters is one shard socket's serving counters, written by its
 // serve goroutine and read concurrently by ShardStats.
 type shardCounters struct {
 	reads        atomic.Uint64
 	datagrams    atomic.Uint64
+	batchSizes   [len(BatchSizeBuckets)]atomic.Uint64
 	fastHits     atomic.Uint64
 	slowPath     atomic.Uint64
 	guardDropped atomic.Uint64
@@ -52,6 +68,9 @@ type UDPShardStats struct {
 	// returned — their ratio is this shard's datagrams per syscall.
 	Reads     uint64 `json:"reads"`
 	Datagrams uint64 `json:"datagrams"`
+	// BatchSizes is the datagrams-per-read histogram: reads that returned
+	// a count in each BatchSizeBuckets bucket.
+	BatchSizes [len(BatchSizeBuckets)]uint64 `json:"batch_size_reads"`
 	// FastHits were answered inline from the batch loop; SlowPath were
 	// handed to a slow step (cache miss, unparseable, or a shape the wire
 	// path declines);
@@ -61,8 +80,8 @@ type UDPShardStats struct {
 	// with a TC=1 echo of their header and question, sending the client to
 	// TCP. Every read datagram lands in exactly one of the four, so
 	// Datagrams == FastHits + SlowPath + GuardDropped + Oversize — guard-
-	// limited datagrams still count in the batch-size histogram, which
-	// samples at read time.
+	// limited datagrams still count in BatchSizes, which samples at read
+	// time.
 	FastHits     uint64 `json:"fast_hits"`
 	SlowPath     uint64 `json:"slow_path"`
 	GuardDropped uint64 `json:"guard_dropped"`
@@ -97,6 +116,9 @@ func (s *UDPServer) ShardStats() []UDPShardStats {
 			Spills:           sc.spills.Load(),
 			Flushes:          sc.flushes.Load(),
 			FlushedDatagrams: sc.flushed.Load(),
+		}
+		for b := range sc.batchSizes {
+			out[i].BatchSizes[b] = sc.batchSizes[b].Load()
 		}
 	}
 	return out
@@ -242,9 +264,9 @@ func (s *UDPServer) serveShard(conn udpio.BatchConn, batch int, c *core, steps *
 			continue
 		}
 		consecutive = 0
-		s.Telemetry.ObserveUDPBatch(n)
 		sc.reads.Add(1)
 		sc.datagrams.Add(uint64(n))
+		sc.batchSizes[batchBucket(n)].Add(1)
 		tracing := s.Telemetry.Tracing()
 		v.tracing = tracing
 
@@ -377,7 +399,6 @@ func (v *batchVec) flushOut() {
 func (s *UDPServer) batchHandoff(conn udpio.BatchConn, m *udpio.Message, tx *telemetry.Transaction, q *dnswire.Query, gkey uint64, steps *slowSteps, sc *shardCounters) {
 	sc.slowPath.Add(1)
 	if steps.dispatch(tx, q, conn, m.Addr, gkey) {
-		s.Telemetry.UDPSpill()
 		sc.spills.Add(1)
 	}
 }

@@ -39,7 +39,7 @@ func fuzzSeeds(f *testing.F) {
 func FuzzCookieParse(f *testing.F) {
 	fuzzSeeds(f)
 	clk := newFakeClock()
-	g := New(Config{CookieSecret: 0xfeed, Now: clk.Now}, nil)
+	g := New(Config{CookieSecret: 0xfeed, Now: clk.Now})
 	f.Fuzz(func(t *testing.T, wire []byte) {
 		cc, sc, ok := cookieOption(wire)
 		if ok {
@@ -73,7 +73,7 @@ func FuzzGuardDecision(f *testing.F) {
 		mk := func() *Guard {
 			clk := newFakeClock()
 			return New(Config{ClientQPS: 3, Burst: 3, SlipEvery: 2,
-				CookieSecret: 0xfeed, Now: clk.Now}, nil)
+				CookieSecret: 0xfeed, Now: clk.Now})
 		}
 		g1, g2 := mk(), mk()
 		for i := 0; i < 8; i++ {

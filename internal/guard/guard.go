@@ -186,8 +186,8 @@ type Guard struct {
 	// Breaker global state.
 	inflight atomic.Int64
 
-	// Decision counters (the guard's own Report; the telemetry sink gets
-	// the same increments for /metrics).
+	// Decision counters: the only ledger of the guard's decisions. Report
+	// reads them, and the proxy's /metrics renders them from Report.
 	allowed          atomic.Uint64
 	drops            atomic.Uint64
 	slips            atomic.Uint64
@@ -195,14 +195,10 @@ type Guard struct {
 	breakerRefusals  atomic.Uint64
 	cookiesValidated atomic.Uint64
 	cookiesIssued    atomic.Uint64
-
-	tel *telemetry.Metrics
 }
 
-// New builds a Guard. tel, when non-nil, receives the guard's decision
-// counters alongside the Guard's own Report accounting; nil keeps the
-// guard fully functional without a metrics sink.
-func New(cfg Config, tel *telemetry.Metrics) *Guard {
+// New builds a Guard.
+func New(cfg Config) *Guard {
 	cfg = cfg.withDefaults()
 	nshards := nextPow2(cfg.Shards)
 	slotsPerShard := nextPow2((cfg.Slots + nshards - 1) / nshards)
@@ -214,7 +210,6 @@ func New(cfg Config, tel *telemetry.Metrics) *Guard {
 		missHalfLifeNs: int64(cfg.MissHalfLife),
 		missThreshold:  cfg.MissRate * cfg.MissHalfLife.Seconds() / math.Ln2,
 		k0:             cfg.CookieSecret,
-		tel:            tel,
 	}
 	if g.k0 == 0 {
 		g.k0, g.k1 = rand.Uint64(), rand.Uint64()
@@ -294,7 +289,6 @@ func (g *Guard) CheckUDP(key uint64, wire []byte) (a Action, cookieOwed bool) {
 		if cc, sc, ok := cookieOption(wire); ok {
 			if g.validCookie(cc, sc, key, now) {
 				g.cookiesValidated.Add(1)
-				g.tel.GuardCookieValid()
 				g.allowed.Add(1)
 				return ActionAllow, false
 			}
@@ -308,11 +302,9 @@ func (g *Guard) CheckUDP(key uint64, wire []byte) (a Action, cookieOwed bool) {
 		return ActionAllow, cookieOwed
 	case slip:
 		g.slips.Add(1)
-		g.tel.GuardSlip()
 		return ActionSlip, false
 	default:
 		g.drops.Add(1)
-		g.tel.GuardDrop()
 		return ActionDrop, false
 	}
 }
@@ -332,7 +324,6 @@ func (g *Guard) CheckStream(key uint64) Action {
 		return ActionAllow
 	}
 	g.refusals.Add(1)
-	g.tel.GuardRefusal()
 	return ActionRefuse
 }
 
@@ -349,7 +340,6 @@ func (g *Guard) AdmitMiss(ctx context.Context) error {
 		if !g.chargeMiss(key, g.cfg.Now().UnixNano()) {
 			g.breakerRefusals.Add(1)
 			g.refusals.Add(1)
-			g.tel.GuardBreakerRefusal()
 			return ErrMissBudget
 		}
 	}
@@ -357,7 +347,6 @@ func (g *Guard) AdmitMiss(ctx context.Context) error {
 		g.inflight.Add(-1)
 		g.breakerRefusals.Add(1)
 		g.refusals.Add(1)
-		g.tel.GuardBreakerRefusal()
 		return ErrMissBudget
 	}
 	return nil
@@ -402,7 +391,6 @@ func (g *Guard) AppendLimited(dst, query []byte, key uint64, a Action) ([]byte, 
 		0, EDNS0CookieCode, 0, fullCookieLen)
 	dst = g.appendServerCookie(dst, cc, key, g.cfg.Now())
 	g.cookiesIssued.Add(1)
-	g.tel.GuardCookieIssued()
 	binary.BigEndian.PutUint16(dst[base+10:], 1) // ARCOUNT=1
 	return dst, true
 }
@@ -421,7 +409,6 @@ func (g *Guard) ServerCookie(dst []byte, queryWire []byte, key uint64) ([]byte, 
 		return dst, false
 	}
 	g.cookiesIssued.Add(1)
-	g.tel.GuardCookieIssued()
 	return g.appendServerCookie(dst, cc, key, g.cfg.Now()), true
 }
 

@@ -74,6 +74,12 @@ var (
 // page-load simulator transfers object bytes analytically.
 const maxBodyBytes = 8 << 20
 
+// maxHeaderBlock bounds a message's start line and header fields together,
+// as h2 bounds a header block: a peer that never ends a line, or never ends
+// the block, is cut off here instead of being buffered without end. It
+// bounds each chunk-size line of a chunked body too.
+const maxHeaderBlock = 64 << 10
+
 // writeRequest serializes req with a Content-Length body.
 func writeRequest(w io.Writer, req *Request) error {
 	var sb strings.Builder
@@ -120,14 +126,16 @@ func statusText(code int) string {
 	return "Status"
 }
 
-// readHeaderBlock parses the start-line and header fields.
+// readHeaderBlock parses the start-line and header fields, at most
+// maxHeaderBlock octets of them.
 func readHeaderBlock(br *bufio.Reader) (startLine string, header Header, err error) {
-	startLine, err = readLine(br)
+	budget := maxHeaderBlock
+	startLine, err = readLine(br, &budget)
 	if err != nil {
 		return "", nil, err
 	}
 	for {
-		line, err := readLine(br)
+		line, err := readLine(br, &budget)
 		if err != nil {
 			return "", nil, err
 		}
@@ -142,12 +150,28 @@ func readHeaderBlock(br *bufio.Reader) (startLine string, header Header, err err
 	}
 }
 
-func readLine(br *bufio.Reader) (string, error) {
-	line, err := br.ReadString('\n')
-	if err != nil {
-		return "", err
+// readLine reads one line and charges its octets to *budget; a line that
+// would overdraw the budget is malformed, and is not read to its end.
+func readLine(br *bufio.Reader, budget *int) (string, error) {
+	var long []byte // the line so far, when it outgrows br's buffer
+	for {
+		frag, err := br.ReadSlice('\n')
+		if len(long)+len(frag) > *budget {
+			return "", fmt.Errorf("%w: header block over %d octets", ErrMalformed, maxHeaderBlock)
+		}
+		if err == bufio.ErrBufferFull {
+			long = append(long, frag...)
+			continue
+		}
+		if err != nil {
+			return "", err
+		}
+		if long != nil {
+			frag = append(long, frag...)
+		}
+		*budget -= len(frag)
+		return strings.TrimRight(string(frag), "\r\n"), nil
 	}
-	return strings.TrimRight(line, "\r\n"), nil
 }
 
 // readBody consumes the message body per Content-Length or chunked coding.
@@ -155,19 +179,20 @@ func readBody(br *bufio.Reader, header Header) ([]byte, error) {
 	if strings.EqualFold(header.Get("Transfer-Encoding"), "chunked") {
 		var body []byte
 		for {
-			line, err := readLine(br)
+			budget := maxHeaderBlock
+			line, err := readLine(br, &budget)
 			if err != nil {
 				return nil, err
 			}
 			n, err := strconv.ParseInt(strings.TrimSpace(line), 16, 64)
-			if err != nil {
+			if err != nil || n < 0 {
 				return nil, fmt.Errorf("%w: chunk size %q", ErrMalformed, line)
 			}
 			if n == 0 {
-				_, err = readLine(br) // trailing CRLF after last chunk
+				_, err = readLine(br, &budget) // trailing CRLF after last chunk
 				return body, err
 			}
-			if int64(len(body))+n > maxBodyBytes {
+			if n > maxBodyBytes-int64(len(body)) {
 				return nil, ErrBodyTooLong
 			}
 			chunk := make([]byte, n)
@@ -175,7 +200,7 @@ func readBody(br *bufio.Reader, header Header) ([]byte, error) {
 				return nil, err
 			}
 			body = append(body, chunk...)
-			if _, err := readLine(br); err != nil { // chunk CRLF
+			if _, err := readLine(br, &budget); err != nil { // chunk CRLF
 				return nil, err
 			}
 		}
@@ -339,25 +364,9 @@ func (c *PipelineClient) Do(ctx context.Context, req *Request) (*Response, error
 func (c *PipelineClient) readLoop() {
 	br := bufio.NewReader(c.conn)
 	for {
-		startLine, header, err := readHeaderBlock(br)
+		resp, err := readResponse(br)
 		if err != nil {
-			c.fail(fmt.Errorf("h1: read: %w", err))
-			return
-		}
-		var status int
-		parts := strings.SplitN(startLine, " ", 3)
-		if len(parts) < 2 || !strings.HasPrefix(parts[0], "HTTP/1.") {
-			c.fail(fmt.Errorf("%w: status line %q", ErrMalformed, startLine))
-			return
-		}
-		status, err = strconv.Atoi(parts[1])
-		if err != nil {
-			c.fail(fmt.Errorf("%w: status %q", ErrMalformed, parts[1]))
-			return
-		}
-		body, err := readBody(br, header)
-		if err != nil {
-			c.fail(fmt.Errorf("h1: body: %w", err))
+			c.fail(err)
 			return
 		}
 		c.mu.Lock()
@@ -369,7 +378,28 @@ func (c *PipelineClient) readLoop() {
 		p := c.queue[0]
 		c.queue = c.queue[1:]
 		c.mu.Unlock()
-		p.resp = &Response{Status: status, Header: header, Body: body}
+		p.resp = resp
 		close(p.done)
 	}
+}
+
+// readResponse reads the next response off br.
+func readResponse(br *bufio.Reader) (*Response, error) {
+	startLine, header, err := readHeaderBlock(br)
+	if err != nil {
+		return nil, fmt.Errorf("h1: read: %w", err)
+	}
+	parts := strings.SplitN(startLine, " ", 3)
+	if len(parts) < 2 || !strings.HasPrefix(parts[0], "HTTP/1.") {
+		return nil, fmt.Errorf("%w: status line %q", ErrMalformed, startLine)
+	}
+	status, err := strconv.Atoi(parts[1])
+	if err != nil {
+		return nil, fmt.Errorf("%w: status %q", ErrMalformed, parts[1])
+	}
+	body, err := readBody(br, header)
+	if err != nil {
+		return nil, fmt.Errorf("h1: body: %w", err)
+	}
+	return &Response{Status: status, Header: header, Body: body}, nil
 }

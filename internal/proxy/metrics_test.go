@@ -1,0 +1,326 @@
+package proxy
+
+import (
+	"bufio"
+	"context"
+	"encoding/json"
+	"fmt"
+	"net"
+	"net/http/httptest"
+	"os"
+	"regexp"
+	"strconv"
+	"strings"
+	"testing"
+	"time"
+
+	"dohcost/internal/dialer"
+	"dohcost/internal/dnstransport"
+	"dohcost/internal/dnswire"
+	"dohcost/internal/guard"
+	"dohcost/internal/netsim"
+	"dohcost/internal/qtrace"
+	"dohcost/internal/telemetry"
+)
+
+// scrape is one reading of a proxy's ops plane: /metrics as samples keyed
+// by series (name and labels as printed) and families keyed by name with
+// their type, and /debug/cost as generic JSON, read by key the way an
+// operator's script reads it.
+type scrape struct {
+	samples  map[string]float64
+	families map[string]string
+	cost     map[string]any
+}
+
+// scrapeOps fetches /debug/cost, then /metrics, from p's Observability.
+func scrapeOps(t *testing.T, p *Proxy) scrape {
+	t.Helper()
+	srv := httptest.NewServer(p.Observability())
+	defer srv.Close()
+	s := scrape{samples: map[string]float64{}, families: map[string]string{}}
+	if err := json.Unmarshal([]byte(httpGet(t, srv.URL+"/debug/cost")), &s.cost); err != nil {
+		t.Fatalf("/debug/cost is not JSON: %v", err)
+	}
+	sc := bufio.NewScanner(strings.NewReader(httpGet(t, srv.URL+"/metrics")))
+	for sc.Scan() {
+		line := sc.Text()
+		if f, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			name, typ, _ := strings.Cut(f, " ")
+			s.families[name] = typ
+			continue
+		}
+		if strings.HasPrefix(line, "#") || line == "" {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			t.Fatalf("/metrics line %q: %v", line, err)
+		}
+		s.samples[line[:i]] = v
+	}
+	return s
+}
+
+// field reads a number from the cost report by its JSON path; a missing
+// key reads as -1, which no counter equals.
+func (s scrape) field(path ...string) float64 {
+	var v any = s.cost
+	for _, k := range path {
+		m, ok := v.(map[string]any)
+		if !ok {
+			return -1
+		}
+		v = m[k]
+	}
+	if f, ok := v.(float64); ok {
+		return f
+	}
+	return -1
+}
+
+// shardSum sums one key over every record of the cost report's udp_shards;
+// at index, over one element of an array-valued key.
+func (s scrape) shardSum(key string, index int) float64 {
+	shards, _ := s.cost["udp_shards"].([]any)
+	sum := 0.0
+	for _, sh := range shards {
+		v := sh.(map[string]any)[key]
+		if index >= 0 {
+			arr, ok := v.([]any)
+			if !ok || index >= len(arr) {
+				return -1
+			}
+			v = arr[index]
+		}
+		f, ok := v.(float64)
+		if !ok {
+			return -1
+		}
+		sum += f
+	}
+	return sum
+}
+
+// TestMetricsAgreeWithCostReport: every series /metrics renders from a
+// component's own counters equals the field /debug/cost reports for that
+// component — the guard's decisions under "guard", the cache's under
+// "cache", the UDP serving counters summed over "udp_shards". The proxy
+// runs with all three busy: a miss breaker that fires, a one-shard cache
+// small enough to evict whose entries expire before its arena rotates (so
+// the rotation drops some as evictions), and the real-socket UDP listener
+// beside the simulated one.
+func TestMetricsAgreeWithCostReport(t *testing.T) {
+	n := netsim.New(43)
+	up := startUpstream(t, n, "recursive.upstream")
+	p, err := New(Config{
+		Upstreams:       []dnstransport.PoolUpstream{tcpUpstream(n, "proxy.dns", up.host)},
+		UpstreamTimeout: 2 * time.Second,
+		CacheBudget:     8 << 10,
+		CacheShards:     1,
+		MaxTTL:          100 * time.Millisecond,
+		// A client may miss about 43 times before the breaker refuses it.
+		Guard:     &guard.Config{ClientQPS: 1e6, Burst: 1 << 20, MissRate: 0.5, MissHalfLife: time.Minute},
+		UDPListen: "127.0.0.1:0",
+		UDPShards: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Start(n, "proxy.dns"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { p.Close() })
+	ctx := context.Background()
+
+	// Each stream client is a host of its own, so its misses are charged to
+	// a breaker score of their own.
+	query := func(from string, names []dnswire.Name) {
+		t.Helper()
+		c := dnstransport.NewTCPClient(func(ctx context.Context) (net.Conn, error) {
+			return n.DialContext(ctx, from, "proxy.dns:53")
+		})
+		defer c.Close()
+		for _, name := range names {
+			if _, err := c.Exchange(ctx, dnswire.NewQuery(0, name, dnswire.TypeA)); err != nil {
+				t.Fatalf("%s from %s: %v", name, from, err)
+			}
+		}
+	}
+	var names []dnswire.Name
+	for i := 0; i < 80; i++ {
+		names = append(names, dnswire.Name(fmt.Sprintf("n%d.fill.example.", i)))
+	}
+	query("fill-a", names[:40])
+	query("fill-b", names[40:]) // past the budget: LRU evictions
+	if p.CacheStats().Evictions == 0 {
+		t.Fatalf("80 names in an 8 KiB cache evicted nothing: %+v", p.CacheStats())
+	}
+	// Re-asking the newest names once they have expired replaces their
+	// entries, leaving dead arena bytes, until the arena rotates; the older
+	// survivors, expired and never asked again, are dropped by it.
+	for cycle := 0; p.CacheStats().ArenaEpochs == 0; cycle++ {
+		if cycle == 20 {
+			t.Fatalf("the arena never rotated: %+v", p.CacheStats())
+		}
+		time.Sleep(150 * time.Millisecond)
+		query(fmt.Sprintf("refill-%d", cycle), names[50:])
+	}
+
+	// One simulated UDP client misses past its breaker threshold.
+	pc, err := n.ListenPacket("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim := dnstransport.NewUDPClient(pc, netsim.Addr("proxy.dns:53"))
+	t.Cleanup(func() { sim.Close() })
+	for i := 0; i < 60; i++ {
+		if _, err := sim.Exchange(ctx, dnswire.NewQuery(0, dnswire.Name(fmt.Sprintf("n%d.flood.example.", i)), dnswire.TypeA)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if g := p.Guard().Report(); g.BreakerRefusals == 0 {
+		t.Fatalf("60 misses from one client never tripped the breaker: %+v", g)
+	}
+
+	// And a few queries over the kernel socket.
+	kpc, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	kernel := dnstransport.NewUDPClient(kpc, p.UDPAddr())
+	t.Cleanup(func() { kernel.Close() })
+	for i := 0; i < 5; i++ {
+		if _, err := kernel.Exchange(ctx, dnswire.NewQuery(0, "kernel.example.", dnswire.TypeA)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	s := scrapeOps(t, p)
+	if shards, _ := s.cost["udp_shards"].([]any); len(shards) != p.UDPShardCount()+1 {
+		t.Errorf("udp_shards lists %d shards, want the kernel listener's %d and the simulated listener's one",
+			len(shards), p.UDPShardCount())
+	}
+	checks := []struct {
+		series string
+		owner  float64
+	}{
+		{"dohcost_guard_drops_total", s.field("guard", "drops_total")},
+		{"dohcost_guard_slips_total", s.field("guard", "slips_total")},
+		{"dohcost_guard_refusals_total", s.field("guard", "refusals_total")},
+		{"dohcost_guard_breaker_refusals_total", s.field("guard", "breaker_refusals_total")},
+		{"dohcost_guard_cookies_validated_total", s.field("guard", "cookies_validated_total")},
+		{"dohcost_guard_cookies_issued_total", s.field("guard", "cookies_issued_total")},
+		{"dohcost_cache_evictions_total", s.field("cache", "evictions")},
+		{"dohcost_cache_admission_rejects_total", s.field("cache", "admission_rejects")},
+		{"dohcost_prefetches_total", s.field("cache", "prefetches")},
+		{"dohcost_udp_spills_total", s.shardSum("spills", -1)},
+		{"dohcost_udp_batch_reads_total", s.shardSum("reads", -1)},
+		{"dohcost_udp_batch_datagrams_total", s.shardSum("datagrams", -1)},
+	}
+	// The histogram's buckets, in the order METRICS.md gives for
+	// batch_size_reads.
+	for b, label := range []string{"1", "2-3", "4-7", "8-15", "16-31", "32-63", "64+"} {
+		if sum := s.shardSum("batch_size_reads", b); sum != 0 {
+			checks = append(checks, struct {
+				series string
+				owner  float64
+			}{fmt.Sprintf("dohcost_udp_batch_size_reads_total{datagrams=%q}", label), sum})
+		}
+	}
+	for _, c := range checks {
+		if got, ok := s.samples[c.series]; !ok || got != c.owner {
+			t.Errorf("/metrics %s = %v (present %v), /debug/cost owner says %v", c.series, got, ok, c.owner)
+		}
+	}
+	if s.field("guard", "breaker_refusals_total") <= 0 || s.field("cache", "evictions") <= 0 ||
+		s.field("cache", "arena_epochs") <= 0 || s.shardSum("reads", -1) <= 0 {
+		t.Errorf("the scenario left a counter under test at zero: guard %v, cache %v", s.cost["guard"], s.cost["cache"])
+	}
+}
+
+// documentedFamilies returns every dohcost_* family named in the first
+// column of a docs/METRICS.md table, labels stripped.
+func documentedFamilies(t *testing.T) map[string]bool {
+	t.Helper()
+	doc, err := os.ReadFile("../../docs/METRICS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	name := regexp.MustCompile("`(dohcost_[a-z0-9_]+)")
+	out := map[string]bool{}
+	for _, line := range strings.Split(string(doc), "\n") {
+		cells := strings.Split(line, "|")
+		if !strings.HasPrefix(line, "|") || len(cells) < 3 {
+			continue
+		}
+		for _, m := range name.FindAllStringSubmatch(cells[1], -1) {
+			out[m[1]] = true
+		}
+	}
+	return out
+}
+
+// TestMetricsDocumented keeps docs/METRICS.md's tables equal to what a
+// fully armed proxy emits — guard, tracing, profiling, bootstrap prober,
+// racing dialer and the kernel UDP listener, each with traffic through
+// it: no family emitted undocumented, none documented that is gone.
+func TestMetricsDocumented(t *testing.T) {
+	n := netsim.New(44)
+	startUpstream(t, n, "v4.up")
+	tel := telemetry.New()
+	he := dialer.New(dialer.Config{
+		Resolve: func(ctx context.Context, host string) ([]string, []string, error) {
+			return []string{"v4." + host + ":53"}, nil, nil
+		},
+		Dial: func(ctx context.Context, addr string) (net.Conn, error) {
+			return n.DialContext(ctx, "proxy.dns", addr)
+		},
+		Telemetry: tel,
+	})
+	p, err := New(Config{
+		Upstreams: []dnstransport.PoolUpstream{{Name: "up", Dial: func(ctx context.Context) (dnstransport.Resolver, error) {
+			return dnstransport.NewTCPClient(func(ctx context.Context) (net.Conn, error) { return he.DialContext(ctx, "up") }), nil
+		}}},
+		UpstreamTimeout: 2 * time.Second,
+		Guard:           &guard.Config{},
+		Tracing:         &qtrace.Config{SampleEvery: 1},
+		Profiling:       true,
+		Bootstrap:       &dialer.Prober{Targets: []dialer.Target{probeTarget(n, "proxy.dns", "v4.up")}},
+		Dialer:          he,
+		UDPListen:       "127.0.0.1:0",
+		UDPShards:       1,
+		Telemetry:       tel,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Start(n, "proxy.dns"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { p.Close() })
+	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := dnstransport.NewUDPClient(pc, p.UDPAddr())
+	t.Cleanup(func() { c.Close() })
+	for i := 0; i < 2; i++ { // a miss, then a hit
+		if _, err := c.Exchange(context.Background(), dnswire.NewQuery(0, "documented.example.", dnswire.TypeA)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	settled(p, func(s *telemetry.Snapshot) bool { return s.Queries["udp"] == 2 })
+
+	documented := documentedFamilies(t)
+	for family := range scrapeOps(t, p).families {
+		if !documented[family] {
+			t.Errorf("/metrics emits %s, which no docs/METRICS.md table names", family)
+		}
+		delete(documented, family)
+	}
+	for family := range documented {
+		t.Errorf("docs/METRICS.md names %s, which a fully armed proxy does not emit", family)
+	}
+}

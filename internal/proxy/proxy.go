@@ -320,7 +320,7 @@ func New(cfg Config) (*Proxy, error) {
 		// before it can occupy an upstream connection. It wraps outside the
 		// storm detector: breaker-refused misses are policy, not network
 		// evidence.
-		g = guard.New(*cfg.Guard, tel)
+		g = guard.New(*cfg.Guard)
 		stages = append(stages, breakerStage(g))
 	}
 	bootstrap := cfg.Bootstrap
@@ -580,17 +580,18 @@ func (p *Proxy) UDPShardCount() int {
 	return len(p.udpConns)
 }
 
-// UDPShardStats snapshots the UDP listener's per-shard serving counters:
-// the real-socket listener's when one is up, otherwise the simulated
-// listener's; nil before Start.
+// UDPShardStats snapshots the per-shard serving counters of every UDP
+// listener: the real-socket listener's shards (Config.UDPListen) first,
+// then the simulated listener's; nil before Start.
 func (p *Proxy) UDPShardStats() []dnsserver.UDPShardStats {
+	var out []dnsserver.UDPShardStats
 	if p.udpSrv != nil {
-		return p.udpSrv.ShardStats()
+		out = p.udpSrv.ShardStats()
 	}
 	if p.run != nil {
-		return p.run.UDPShardStats()
+		out = append(out, p.run.UDPShardStats()...)
 	}
-	return nil
+	return out
 }
 
 // Close stops the listeners (if started) and releases the cache and every
@@ -678,7 +679,7 @@ type CostReport struct {
 	// StormsFired counts error storms that triggered a bootstrap
 	// re-sweep.
 	StormsFired int `json:"storms_fired,omitempty"`
-	// UDPShards is the UDP listener's per-shard serving counters (see
+	// UDPShards is every UDP listener's per-shard serving counters (see
 	// UDPShardStats); omitted before Start.
 	UDPShards []dnsserver.UDPShardStats `json:"udp_shards,omitempty"`
 	// Trace is the tail sampler's decision counters and live slow
@@ -755,7 +756,7 @@ func (p *Proxy) Observability() http.Handler {
 		if err := report.Telemetry.WritePrometheus(w); err != nil {
 			return
 		}
-		writeGauges(w, report)
+		writeReport(w, report)
 		if p.cfg.Profiling {
 			writeRuntimeGauges(w)
 		}
@@ -817,23 +818,45 @@ type TraceReport struct {
 	Traces []qtrace.View `json:"traces"`
 }
 
-// writeGauges appends the scrape-time series /metrics can only learn from
-// the proxy itself — cache occupancy and hit ratio, per-upstream pool
-// exchanges, failures and up/down state — rendered from the same
-// CostReport /debug/cost serves, so the two endpoints can never
-// disagree. The exposition format itself lives in telemetry.TextWriter.
-func writeGauges(w io.Writer, report CostReport) error {
+// writeReport appends the series /metrics renders from the components
+// that own them rather than from the telemetry snapshot — cache occupancy
+// and decisions, UDP serving counters summed over every shard, per-upstream
+// pool and steering state, the guard's decisions — read from the same
+// CostReport /debug/cost serves, so the two endpoints can never disagree.
+// The exposition format itself lives in telemetry.TextWriter.
+func writeReport(w io.Writer, report CostReport) error {
 	t := telemetry.NewTextWriter(w)
-	t.Family("dohcost_cache_entries", "Live cache entries.", "gauge")
-	t.Value("dohcost_cache_entries", report.Cache.Entries)
-	t.Family("dohcost_cache_hit_ratio", "Fresh+stale hits over all lookups since start.", "gauge")
-	t.Value("dohcost_cache_hit_ratio", report.Cache.HitRatio)
-	t.Family("dohcost_cache_bytes_live", "Accounted bytes of live cache entries (payload + keys + index overhead).", "gauge")
-	t.Value("dohcost_cache_bytes_live", report.Cache.BytesLive)
-	t.Family("dohcost_cache_arena_epochs_total", "Cache arena epoch rotations (live entries compacted, slabs recycled).", "counter")
-	t.Value("dohcost_cache_arena_epochs_total", report.Cache.ArenaEpochs)
-	t.Family("dohcost_cache_sketch_resets_total", "TinyLFU sketch aging resets (counters halved, doorkeeper cleared).", "counter")
-	t.Value("dohcost_cache_sketch_resets_total", report.Cache.SketchResets)
+	c := &report.Cache
+	t.Gauge("dohcost_cache_entries", "Live cache entries.", c.Entries)
+	t.Gauge("dohcost_cache_hit_ratio", "Fresh+stale hits over all lookups since start.", c.HitRatio)
+	t.Gauge("dohcost_cache_bytes_live", "Accounted bytes of live cache entries (payload + keys + index overhead).", c.BytesLive)
+	t.Counter("dohcost_cache_evictions_total", "Cache entries evicted: LRU evictions past the bounds on insert, and expired entries dropped at arena rotation.", c.Evictions)
+	t.Counter("dohcost_cache_admission_rejects_total", "Cache insert candidates refused by the TinyLFU admission filter.", c.AdmissionRejects)
+	t.Counter("dohcost_prefetches_total", "Near-expiry background cache refreshes triggered by hits on hot names.", c.Prefetches)
+	t.Counter("dohcost_cache_arena_epochs_total", "Cache arena epoch rotations (live entries compacted, slabs recycled).", c.ArenaEpochs)
+	t.Counter("dohcost_cache_sketch_resets_total", "TinyLFU sketch aging resets (counters halved, doorkeeper cleared).", c.SketchResets)
+
+	var udp dnsserver.UDPShardStats
+	for _, sh := range report.UDPShards {
+		udp.Reads += sh.Reads
+		udp.Datagrams += sh.Datagrams
+		udp.Spills += sh.Spills
+		for b, n := range sh.BatchSizes {
+			udp.BatchSizes[b] += n
+		}
+	}
+	t.Counter("dohcost_udp_spills_total", "UDP slow-path hand-offs that had to start a goroutine (no parked slow-step slot free).", udp.Spills)
+	t.Counter("dohcost_udp_batch_reads_total", "Batched UDP read syscalls (recvmmsg wakeups) on the serving path.", udp.Reads)
+	t.Counter("dohcost_udp_batch_datagrams_total", "Datagrams returned by batched UDP reads; divide by reads for datagrams per syscall.", udp.Datagrams)
+	if udp.Reads > 0 {
+		t.Family("dohcost_udp_batch_size_reads_total", "Batched UDP reads by datagrams-returned bucket.", "counter")
+		for b, n := range udp.BatchSizes {
+			if n > 0 {
+				t.LabeledValue("dohcost_udp_batch_size_reads_total", "datagrams", dnsserver.BatchSizeBuckets[b], n)
+			}
+		}
+	}
+
 	t.Family("dohcost_upstream_exchanges_total", "Successful exchanges per upstream.", "counter")
 	for _, u := range report.Upstreams {
 		t.LabeledValue("dohcost_upstream_exchanges_total", "upstream", u.Name, u.Exchanges)
@@ -859,8 +882,7 @@ func writeGauges(w io.Writer, report CostReport) error {
 		t.LabeledValue("dohcost_upstream_success_rate", "upstream", u.Name, u.SuccessRate)
 	}
 	if b := report.Bootstrap; b != nil {
-		t.Family("dohcost_bootstrap_sweeps_total", "Completed reachability probe sweeps.", "counter")
-		t.Value("dohcost_bootstrap_sweeps_total", b.Sweeps)
+		t.Counter("dohcost_bootstrap_sweeps_total", "Completed reachability probe sweeps.", b.Sweeps)
 		t.Family("dohcost_bootstrap_target_ok", "Latest probe verdict per upstream/protocol combination (1 = reachable).", "gauge")
 		for _, v := range b.Verdicts {
 			ok := 0
@@ -869,24 +891,25 @@ func writeGauges(w io.Writer, report CostReport) error {
 			}
 			t.LabeledValue2("dohcost_bootstrap_target_ok", "upstream", v.Upstream, "proto", v.Proto, ok)
 		}
-		t.Family("dohcost_storms_fired_total", "Error storms that triggered a bootstrap re-sweep.", "counter")
-		t.Value("dohcost_storms_fired_total", report.StormsFired)
+		t.Counter("dohcost_storms_fired_total", "Error storms that triggered a bootstrap re-sweep.", report.StormsFired)
 	}
 	if g := report.Guard; g != nil {
-		t.Family("dohcost_guard_inflight_misses", "Cache misses currently holding a breaker slot.", "gauge")
-		t.Value("dohcost_guard_inflight_misses", g.InflightMisses)
-		t.Family("dohcost_guard_cookie_epoch", "Current server-cookie rotation epoch (0 when cookies are disabled).", "gauge")
-		t.Value("dohcost_guard_cookie_epoch", g.CookieEpoch)
+		t.Counter("dohcost_guard_drops_total", "UDP datagrams silently discarded by the abuse guard's per-client rate limit.", g.Drops)
+		t.Counter("dohcost_guard_slips_total", "Rate-limited UDP queries answered with a minimal TC=1 slip instead of a drop.", g.Slips)
+		t.Counter("dohcost_guard_refusals_total", "Queries answered REFUSED by the abuse guard (stream rate limit or miss breaker).", g.Refusals)
+		t.Counter("dohcost_guard_breaker_refusals_total", "Cache misses refused by the miss-flood circuit breaker.", g.BreakerRefusals)
+		t.Counter("dohcost_guard_cookies_validated_total", "UDP queries whose DNS server cookie validated, earning the rate-limit bypass.", g.CookiesValidated)
+		t.Counter("dohcost_guard_cookies_issued_total", "Fresh DNS server cookies attached to responses.", g.CookiesIssued)
+		t.Gauge("dohcost_guard_inflight_misses", "Cache misses currently holding a breaker slot.", g.InflightMisses)
+		t.Gauge("dohcost_guard_cookie_epoch", "Current server-cookie rotation epoch (0 when cookies are disabled).", g.CookieEpoch)
 	}
 	if tr := report.Trace; tr != nil {
-		t.Family("dohcost_trace_offered_total", "Completed transactions offered to the tail sampler.", "counter")
-		t.Value("dohcost_trace_offered_total", tr.Offered)
+		t.Counter("dohcost_trace_offered_total", "Completed transactions offered to the tail sampler.", tr.Offered)
 		t.Family("dohcost_trace_kept_total", "Traces kept by the tail sampler, by reason.", "counter")
 		t.LabeledValue("dohcost_trace_kept_total", "reason", "errored", tr.KeptErrored)
 		t.LabeledValue("dohcost_trace_kept_total", "reason", "slow", tr.KeptSlow)
 		t.LabeledValue("dohcost_trace_kept_total", "reason", "baseline", tr.KeptBaseline)
-		t.Family("dohcost_trace_ring_dropped_total", "Kept traces dropped at the ring (slot contended mid-write).", "counter")
-		t.Value("dohcost_trace_ring_dropped_total", tr.RingDropped)
+		t.Counter("dohcost_trace_ring_dropped_total", "Kept traces dropped at the ring (slot contended mid-write).", tr.RingDropped)
 		t.Family("dohcost_trace_slow_threshold_seconds", "Live adaptive slow threshold per trace class.", "gauge")
 		for _, cl := range [...]string{"error", "cache", "upstream"} {
 			t.LabeledValue("dohcost_trace_slow_threshold_seconds", "class", cl, tr.SlowThresholdMs[cl]/1e3)

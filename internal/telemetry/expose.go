@@ -52,15 +52,21 @@ func (t *TextWriter) LabeledValue2(name, l1, v1, l2, v2 string, v any) {
 	t.printf("%s{%s=%q,%s=%q} %v\n", name, l1, v1, l2, v2, v)
 }
 
-// counter emits a labelless counter family with its single sample.
-func (t *TextWriter) counter(name, help string, v uint64) {
+// Counter emits a labelless counter family with its single sample.
+func (t *TextWriter) Counter(name, help string, v any) {
 	t.Family(name, help, "counter")
 	t.Value(name, v)
 }
 
-// counterVec emits a counter family with one sample per label value, in
+// Gauge emits a labelless gauge family with its single sample.
+func (t *TextWriter) Gauge(name, help string, v any) {
+	t.Family(name, help, "gauge")
+	t.Value(name, v)
+}
+
+// CounterVec emits a counter family with one sample per label value, in
 // sorted order so scrapes are diffable.
-func (t *TextWriter) counterVec(name, help, label string, vals map[string]uint64) {
+func (t *TextWriter) CounterVec(name, help, label string, vals map[string]uint64) {
 	t.Family(name, help, "counter")
 	for _, k := range sortedKeys(vals) {
 		t.LabeledValue(name, label, k, vals[k])
@@ -107,23 +113,19 @@ func (t *TextWriter) summarySeries(name, label, labelVal string, d *Distribution
 // p50/p95/p99 quantiles the histograms were built to answer.
 func (s *Snapshot) WritePrometheus(w io.Writer) error {
 	t := NewTextWriter(w)
-	t.counterVec("dohcost_queries_total",
+	t.CounterVec("dohcost_queries_total",
 		"Completed DNS transactions by listener transport.", "proto", s.Queries)
-	t.counterVec("dohcost_query_verdicts_total",
+	t.CounterVec("dohcost_query_verdicts_total",
 		"Final query fates: ok, servfail, canceled.", "verdict", s.Verdicts)
-	t.counterVec("dohcost_cache_events_total",
+	t.CounterVec("dohcost_cache_events_total",
 		"Cache outcomes per query: hit, negative_hit, miss, coalesced, bypass, none.", "event", s.CacheEvents)
-	t.counter("dohcost_cache_evictions_total",
-		"LRU evictions performed while inserting answers.", s.CacheEvictions)
-	t.counter("dohcost_cache_admission_rejects_total",
-		"Cache insert candidates refused by the TinyLFU admission filter.", s.CacheAdmissionRejects)
-	t.counter("dohcost_pool_dials_total",
+	t.Counter("dohcost_pool_dials_total",
 		"Fresh upstream connections established by the pool.", s.PoolDials)
-	t.counter("dohcost_pool_exchanges_total",
+	t.Counter("dohcost_pool_exchanges_total",
 		"Successful upstream exchanges.", s.PoolExchanges)
-	t.counter("dohcost_pool_failures_total",
+	t.Counter("dohcost_pool_failures_total",
 		"Failed upstream attempts (dial or exchange) before failover.", s.PoolFailures)
-	t.counter("dohcost_pool_backoffs_total",
+	t.Counter("dohcost_pool_backoffs_total",
 		"Pool connection checkouts refused locally in redial backoff (no network activity).", s.PoolBackoffs)
 	if len(s.Dials) > 0 {
 		t.Family("dohcost_dials_total",
@@ -135,44 +137,20 @@ func (s *Snapshot) WritePrometheus(w io.Writer) error {
 		}
 	}
 	if len(s.DialWins) > 0 {
-		t.counterVec("dohcost_dial_wins_total",
+		t.CounterVec("dohcost_dial_wins_total",
 			"Happy-Eyeballs dial race wins by address family.", "family", s.DialWins)
 	}
-	t.counter("dohcost_hedges_fired_total",
+	t.Counter("dohcost_hedges_fired_total",
 		"Hedge exchanges launched by the steering layer (second attempt raced after the hedge delay).", s.HedgesFired)
-	t.counter("dohcost_hedges_won_total",
+	t.Counter("dohcost_hedges_won_total",
 		"Hedge exchanges whose answer beat the primary back to the client.", s.HedgesWon)
-	t.counter("dohcost_prefetches_total",
-		"Near-expiry background cache refreshes triggered by hits on hot names.", s.Prefetches)
-	t.counter("dohcost_udp_tc_tcp_retries_total",
+	t.Counter("dohcost_udp_tc_tcp_retries_total",
 		"Truncated UDP answers retried over TCP (RFC 7766).", s.TCFallbacks)
-	t.counter("dohcost_udp_retransmits_total",
+	t.Counter("dohcost_udp_retransmits_total",
 		"UDP query attempts re-sent after per-attempt timeouts.", s.UDPRetransmits)
-	t.counter("dohcost_udp_spills_total",
-		"UDP slow-path hand-offs that had to start a goroutine (no parked slow-step slot free).", s.UDPSpills)
-	t.counter("dohcost_udp_batch_reads_total",
-		"Batched UDP read syscalls (recvmmsg wakeups) on the serving path.", s.UDPBatchReads)
-	t.counter("dohcost_udp_batch_datagrams_total",
-		"Datagrams returned by batched UDP reads; divide by reads for datagrams per syscall.", s.UDPBatchDatagrams)
-	if len(s.UDPBatchSizes) > 0 {
-		t.counterVec("dohcost_udp_batch_size_reads_total",
-			"Batched UDP reads by datagrams-returned bucket.", "datagrams", s.UDPBatchSizes)
-	}
-	t.counter("dohcost_guard_drops_total",
-		"UDP datagrams silently discarded by the abuse guard's per-client rate limit.", s.GuardDrops)
-	t.counter("dohcost_guard_slips_total",
-		"Rate-limited UDP queries answered with a minimal TC=1 slip instead of a drop.", s.GuardSlips)
-	t.counter("dohcost_guard_refusals_total",
-		"Queries answered REFUSED by the abuse guard (stream rate limit or miss breaker).", s.GuardRefusals)
-	t.counter("dohcost_guard_breaker_refusals_total",
-		"Cache misses refused by the miss-flood circuit breaker.", s.GuardBreakerRefusals)
-	t.counter("dohcost_guard_cookies_validated_total",
-		"UDP queries whose DNS server cookie validated, earning the rate-limit bypass.", s.GuardCookiesValidated)
-	t.counter("dohcost_guard_cookies_issued_total",
-		"Fresh DNS server cookies attached to responses.", s.GuardCookiesIssued)
-	t.counter("dohcost_upstream_bytes_sent_total",
+	t.Counter("dohcost_upstream_bytes_sent_total",
 		"DNS message bytes sent to upstreams.", s.UpstreamBytesSent)
-	t.counter("dohcost_upstream_bytes_received_total",
+	t.Counter("dohcost_upstream_bytes_received_total",
 		"DNS message bytes received from upstreams.", s.UpstreamBytesReceived)
 
 	t.summaryVec("dohcost_query_latency_seconds",

@@ -20,36 +20,16 @@ type shard struct {
 	verdicts    [numVerdicts]atomic.Uint64
 	cacheEvents [numCacheOutcomes]atomic.Uint64
 
-	cacheEvictions   atomic.Uint64
-	admissionRejects atomic.Uint64
-	poolDials        atomic.Uint64
-	poolExchanges    atomic.Uint64
-	poolFailures     atomic.Uint64
-	poolBackoffs     atomic.Uint64
-	hedgesFired      atomic.Uint64
-	hedgesWon        atomic.Uint64
-	prefetches       atomic.Uint64
-	tcFallbacks      atomic.Uint64
-	udpRetransmits   atomic.Uint64
-	bytesSent        atomic.Uint64
-	bytesRecv        atomic.Uint64
-
-	// Batched-UDP serving: spills are slow-path hand-offs that had to start
-	// a goroutine; batch reads/datagrams and the size buckets together
-	// form the datagrams-per-syscall histogram.
-	udpSpills         atomic.Uint64
-	udpBatchReads     atomic.Uint64
-	udpBatchDatagrams atomic.Uint64
-	udpBatchSize      [numBatchBuckets]atomic.Uint64
-
-	// Abuse-guard decisions: UDP rate-limit drops and TC slips, stream and
-	// breaker refusals, and the DNS-cookie handshake counters.
-	guardDrops            atomic.Uint64
-	guardSlips            atomic.Uint64
-	guardRefusals         atomic.Uint64
-	guardBreakerRefusals  atomic.Uint64
-	guardCookiesValidated atomic.Uint64
-	guardCookiesIssued    atomic.Uint64
+	poolDials      atomic.Uint64
+	poolExchanges  atomic.Uint64
+	poolFailures   atomic.Uint64
+	poolBackoffs   atomic.Uint64
+	hedgesFired    atomic.Uint64
+	hedgesWon      atomic.Uint64
+	tcFallbacks    atomic.Uint64
+	udpRetransmits atomic.Uint64
+	bytesSent      atomic.Uint64
+	bytesRecv      atomic.Uint64
 
 	// Dial-layer ledger: socket dial attempts by family × outcome (the
 	// Happy-Eyeballs dialer records v4/v6 attempts; the pool mirrors its
@@ -210,52 +190,11 @@ func (m *Metrics) BeginBackground() *Transaction {
 	return tx
 }
 
-// numBatchBuckets is the datagrams-per-syscall histogram's bucket count:
-// powers of two from 1 to 64+ (the udpio.MaxBatch ceiling).
-const numBatchBuckets = 7
-
-// batchBucketLabels are the exposition labels, index-aligned with the
-// shard's udpBatchSize array.
-var batchBucketLabels = [numBatchBuckets]string{"1", "2-3", "4-7", "8-15", "16-31", "32-63", "64+"}
-
-// batchBucket maps a batch size to its histogram bucket.
-func batchBucket(n int) int {
-	b := 0
-	for n > 1 && b < numBatchBuckets-1 {
-		n >>= 1
-		b++
-	}
-	return b
-}
-
 // pick returns a shard for Metrics-level (not per-Transaction) counters,
 // round-robin like Begin so concurrent shard readers don't rendezvous on
 // one cache line.
 func (m *Metrics) pick() *shard {
 	return m.shards[m.cursor.Add(1)&uint64(len(m.shards)-1)]
-}
-
-// ObserveUDPBatch records one batched-read syscall that returned n
-// datagrams — the sample feeding the datagrams-per-syscall histogram and
-// the batch read/datagram totals. Nil-safe like every sink method.
-func (m *Metrics) ObserveUDPBatch(n int) {
-	if m == nil || n <= 0 {
-		return
-	}
-	sh := m.pick()
-	sh.udpBatchReads.Add(1)
-	sh.udpBatchDatagrams.Add(uint64(n))
-	sh.udpBatchSize[batchBucket(n)].Add(1)
-}
-
-// UDPSpill counts one UDP slow-path hand-off that had to start a goroutine
-// because no parked slow-step slot was free (dohcost_udp_spills_total): a
-// new high-water mark of slow queries in flight, bounded by their limit.
-func (m *Metrics) UDPSpill() {
-	if m == nil {
-		return
-	}
-	m.pick().udpSpills.Add(1)
 }
 
 // ObserveDial records one socket dial attempt: its address family, its
@@ -287,53 +226,6 @@ func (m *Metrics) DialWin(fam DialFamily) {
 		fam = DialFamilyUnknown
 	}
 	m.pick().dialWins[fam].Add(1)
-}
-
-// GuardDrop counts one UDP datagram silently discarded by the abuse
-// guard's per-client rate limit.
-func (m *Metrics) GuardDrop() {
-	if m != nil {
-		m.pick().guardDrops.Add(1)
-	}
-}
-
-// GuardSlip counts one rate-limited UDP query answered with a minimal
-// TC=1 truncation instead of a drop (the RRL slip escape hatch).
-func (m *Metrics) GuardSlip() {
-	if m != nil {
-		m.pick().guardSlips.Add(1)
-	}
-}
-
-// GuardRefusal counts one query answered REFUSED by the guard — stream
-// rate limiting or the miss breaker.
-func (m *Metrics) GuardRefusal() {
-	if m != nil {
-		m.pick().guardRefusals.Add(1)
-	}
-}
-
-// GuardBreakerRefusal counts one cache miss refused by the miss-flood
-// circuit breaker (a subset of GuardRefusal's total on serve paths).
-func (m *Metrics) GuardBreakerRefusal() {
-	if m != nil {
-		m.pick().guardBreakerRefusals.Add(1)
-	}
-}
-
-// GuardCookieValid counts one UDP query whose server cookie validated,
-// earning the rate-limit bypass.
-func (m *Metrics) GuardCookieValid() {
-	if m != nil {
-		m.pick().guardCookiesValidated.Add(1)
-	}
-}
-
-// GuardCookieIssued counts one fresh server cookie attached to a response.
-func (m *Metrics) GuardCookieIssued() {
-	if m != nil {
-		m.pick().guardCookiesIssued.Add(1)
-	}
 }
 
 // ctxKey is the context key for the Transaction.
@@ -429,8 +321,6 @@ func (m *Metrics) Snapshot() *Snapshot {
 		for o := CacheOutcome(0); o < numCacheOutcomes; o++ {
 			s.CacheEvents[o.String()] += sh.cacheEvents[o].Load()
 		}
-		s.CacheEvictions += sh.cacheEvictions.Load()
-		s.CacheAdmissionRejects += sh.admissionRejects.Load()
 		s.PoolDials += sh.poolDials.Load()
 		s.PoolExchanges += sh.poolExchanges.Load()
 		s.PoolFailures += sh.poolFailures.Load()
@@ -446,26 +336,8 @@ func (m *Metrics) Snapshot() *Snapshot {
 		}
 		s.HedgesFired += sh.hedgesFired.Load()
 		s.HedgesWon += sh.hedgesWon.Load()
-		s.Prefetches += sh.prefetches.Load()
 		s.TCFallbacks += sh.tcFallbacks.Load()
 		s.UDPRetransmits += sh.udpRetransmits.Load()
-		s.UDPSpills += sh.udpSpills.Load()
-		s.GuardDrops += sh.guardDrops.Load()
-		s.GuardSlips += sh.guardSlips.Load()
-		s.GuardRefusals += sh.guardRefusals.Load()
-		s.GuardBreakerRefusals += sh.guardBreakerRefusals.Load()
-		s.GuardCookiesValidated += sh.guardCookiesValidated.Load()
-		s.GuardCookiesIssued += sh.guardCookiesIssued.Load()
-		s.UDPBatchReads += sh.udpBatchReads.Load()
-		s.UDPBatchDatagrams += sh.udpBatchDatagrams.Load()
-		for b := 0; b < numBatchBuckets; b++ {
-			if v := sh.udpBatchSize[b].Load(); v > 0 {
-				if s.UDPBatchSizes == nil {
-					s.UDPBatchSizes = map[string]uint64{}
-				}
-				s.UDPBatchSizes[batchBucketLabels[b]] += v
-			}
-		}
 		s.UpstreamBytesSent += sh.bytesSent.Load()
 		s.UpstreamBytesReceived += sh.bytesRecv.Load()
 		c, sum := s.UpstreamLatency.merge(&sh.upstreamLatency)
@@ -540,11 +412,6 @@ type Snapshot struct {
 	// CacheEvents counts cache outcomes ("hit", "negative_hit", "miss",
 	// "coalesced", "bypass"; "none" when no cache was in the path).
 	CacheEvents map[string]uint64 `json:"cache_events_total"`
-	// CacheEvictions counts LRU evictions charged to insertions.
-	CacheEvictions uint64 `json:"cache_evictions_total"`
-	// CacheAdmissionRejects counts insert candidates the cache's TinyLFU
-	// admission filter refused.
-	CacheAdmissionRejects uint64 `json:"cache_admission_rejects_total"`
 	// PoolDials counts fresh upstream connections established.
 	PoolDials uint64 `json:"pool_dials_total"`
 	// PoolExchanges counts successful upstream exchanges.
@@ -566,38 +433,11 @@ type Snapshot struct {
 	// HedgesWon counts the ones whose answer beat the primary back.
 	HedgesFired uint64 `json:"hedges_fired_total"`
 	HedgesWon   uint64 `json:"hedges_won_total"`
-	// Prefetches counts near-expiry background refreshes triggered by
-	// cache hits on hot names.
-	Prefetches uint64 `json:"prefetches_total"`
 	// TCFallbacks counts truncated UDP answers retried over TCP.
 	TCFallbacks uint64 `json:"udp_tc_tcp_retries_total"`
 	// UDPRetransmits counts UDP query attempts re-sent after a per-attempt
 	// timeout — the client-visible face of datagram loss on the path.
 	UDPRetransmits uint64 `json:"udp_retransmits_total"`
-	// UDPSpills counts UDP slow-path hand-offs that had to start a
-	// goroutine: each a new high-water mark of slow queries in flight.
-	UDPSpills uint64 `json:"udp_spills_total"`
-	// UDPBatchReads / UDPBatchDatagrams count batched-read syscalls and
-	// the datagrams they returned; their ratio is the live mean
-	// datagrams-per-syscall of the batch serving path.
-	UDPBatchReads     uint64 `json:"udp_batch_reads_total"`
-	UDPBatchDatagrams uint64 `json:"udp_batch_datagrams_total"`
-	// UDPBatchSizes is the datagrams-per-syscall histogram: bucket label
-	// ("1", "2-3", …, "64+") → batched reads returning that many.
-	UDPBatchSizes map[string]uint64 `json:"udp_batch_size_reads,omitempty"`
-	// GuardDrops / GuardSlips count UDP datagrams the abuse guard rate-
-	// limited: silently discarded vs answered with a minimal TC=1 slip.
-	GuardDrops uint64 `json:"guard_drops_total"`
-	GuardSlips uint64 `json:"guard_slips_total"`
-	// GuardRefusals counts queries answered REFUSED by the guard;
-	// GuardBreakerRefusals is the miss-flood circuit breaker's share.
-	GuardRefusals        uint64 `json:"guard_refusals_total"`
-	GuardBreakerRefusals uint64 `json:"guard_breaker_refusals_total"`
-	// GuardCookiesValidated counts rate-limit bypasses earned by valid DNS
-	// server cookies; GuardCookiesIssued counts cookies attached to
-	// responses.
-	GuardCookiesValidated uint64 `json:"guard_cookies_validated_total"`
-	GuardCookiesIssued    uint64 `json:"guard_cookies_issued_total"`
 	// UpstreamBytesSent / UpstreamBytesReceived are upstream message
 	// bytes, the paper's Figure 3 axis.
 	UpstreamBytesSent     uint64 `json:"upstream_bytes_sent_total"`

@@ -313,22 +313,6 @@ func (t *Transaction) SetVerdict(v Verdict) {
 	}
 }
 
-// CacheEvicted charges n LRU evictions performed while inserting this
-// query's answer.
-func (t *Transaction) CacheEvicted(n int) {
-	if t != nil && n > 0 {
-		t.sh.cacheEvictions.Add(uint64(n))
-	}
-}
-
-// CacheAdmissionRejected counts one insert candidate refused by the
-// cache's TinyLFU admission filter while handling this query.
-func (t *Transaction) CacheAdmissionRejected() {
-	if t != nil {
-		t.sh.admissionRejects.Add(1)
-	}
-}
-
 // PoolDial counts one fresh upstream connection established for this query
 // (initial fill or redial after a failure).
 func (t *Transaction) PoolDial() {
@@ -420,14 +404,6 @@ func (t *Transaction) HedgeFired() {
 func (t *Transaction) HedgeWon() {
 	if t != nil {
 		t.sh.hedgesWon.Add(1)
-	}
-}
-
-// Prefetch counts one near-expiry background refresh triggered by this
-// query's cache hit (the cache's hot-name prefetch).
-func (t *Transaction) Prefetch() {
-	if t != nil {
-		t.sh.prefetches.Add(1)
 	}
 }
 

@@ -131,7 +131,6 @@ func TestTransactionCountersAndListener(t *testing.T) {
 	tx4.SetCache(CacheStaleHit)
 	tx4.HedgeFired()
 	tx4.HedgeWon()
-	tx4.Prefetch()
 	tx4.SetVerdict(VerdictOK)
 	tx4.Finish()
 
@@ -153,7 +152,6 @@ func TestTransactionCountersAndListener(t *testing.T) {
 		{"pool failures", s.PoolFailures, 1},
 		{"hedges fired", s.HedgesFired, 1},
 		{"hedges won", s.HedgesWon, 1},
-		{"prefetches", s.Prefetches, 1},
 		{"tc fallbacks", s.TCFallbacks, 1},
 		{"bytes sent", s.UpstreamBytesSent, 40},
 		{"bytes received", s.UpstreamBytesReceived, 120},
@@ -198,7 +196,6 @@ func TestNilMetricsIsNoOp(t *testing.T) {
 	// None of these may panic.
 	tx.SetCache(CacheHit)
 	tx.SetVerdict(VerdictOK)
-	tx.CacheEvicted(3)
 	tx.PoolDial()
 	tx.PoolFailure()
 	tx.ObserveUpstream("u", time.Millisecond)
@@ -207,7 +204,6 @@ func TestNilMetricsIsNoOp(t *testing.T) {
 	tx.TCFallback()
 	tx.HedgeFired()
 	tx.HedgeWon()
-	tx.Prefetch()
 	tx.Finish()
 	m.SetListener(ListenerFunc(func(*Summary) {}))
 	if s := m.Snapshot(); s == nil || len(s.Queries) != 0 {
@@ -303,7 +299,6 @@ func TestWritePrometheus(t *testing.T) {
 		"# TYPE dohcost_hedges_fired_total counter",
 		"dohcost_hedges_fired_total 0",
 		"dohcost_hedges_won_total 0",
-		"dohcost_prefetches_total 0",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q\n---\n%s", want, out)
@@ -386,57 +381,4 @@ func TestBackgroundTransaction(t *testing.T) {
 	}
 	var nilM *Metrics
 	nilM.BeginBackground().Finish() // nil-safe like Begin
-}
-
-// TestUDPBatchMetrics checks the batched-serving counters: histogram
-// bucketing, spill accounting, snapshot aggregation and exposition.
-func TestUDPBatchMetrics(t *testing.T) {
-	m := New(withShards(2))
-	for _, n := range []int{1, 2, 3, 4, 7, 8, 16, 31, 32, 64, 200} {
-		m.ObserveUDPBatch(n)
-	}
-	m.ObserveUDPBatch(0)  // ignored
-	m.ObserveUDPBatch(-5) // ignored
-	m.UDPSpill()
-	m.UDPSpill()
-
-	s := m.Snapshot()
-	if s.UDPBatchReads != 11 {
-		t.Errorf("UDPBatchReads = %d, want 11", s.UDPBatchReads)
-	}
-	if want := uint64(1 + 2 + 3 + 4 + 7 + 8 + 16 + 31 + 32 + 64 + 200); s.UDPBatchDatagrams != want {
-		t.Errorf("UDPBatchDatagrams = %d, want %d", s.UDPBatchDatagrams, want)
-	}
-	wantBuckets := map[string]uint64{
-		"1": 1, "2-3": 2, "4-7": 2, "8-15": 1, "16-31": 2, "32-63": 1, "64+": 2,
-	}
-	for k, v := range wantBuckets {
-		if s.UDPBatchSizes[k] != v {
-			t.Errorf("bucket %q = %d, want %d (all: %v)", k, s.UDPBatchSizes[k], v, s.UDPBatchSizes)
-		}
-	}
-	if s.UDPSpills != 2 {
-		t.Errorf("UDPSpills = %d, want 2", s.UDPSpills)
-	}
-
-	var b strings.Builder
-	if err := s.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{
-		"dohcost_udp_spills_total 2",
-		"dohcost_udp_batch_reads_total 11",
-		"# TYPE dohcost_udp_batch_size_reads_total counter",
-		`dohcost_udp_batch_size_reads_total{datagrams="64+"} 2`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("exposition missing %q\n---\n%s", want, out)
-		}
-	}
-
-	// Nil receiver safety for the serving loop's unconditional calls.
-	var nilM *Metrics
-	nilM.ObserveUDPBatch(8)
-	nilM.UDPSpill()
 }
