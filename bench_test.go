@@ -429,39 +429,19 @@ func BenchmarkAblationWarmCache(b *testing.B) {
 // forwarding proxy (client → UDP listener → sharded cache → singleflight →
 // pooled TCP upstream) and reports end-to-end queries/sec.
 func BenchmarkProxyThroughput(b *testing.B) {
-	n := netsim.New(42)
-	upSrv := &dnsserver.Server{Handler: dnsserver.Static(mustAddrBench, 300)}
-	upRun, err := upSrv.Start(n, "recursive.upstream")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer upRun.Close()
-
-	p, err := proxy.New(proxy.Config{
-		Upstreams: []dnstransport.PoolUpstream{{
-			Name: "recursive.upstream",
-			Dial: func(ctx context.Context) (dnstransport.Resolver, error) {
-				return dnstransport.NewTCPClient(func(ctx context.Context) (net.Conn, error) {
-					return n.DialContext(ctx, "proxy.dns", "recursive.upstream:53")
-				}), nil
-			},
-		}},
-		Pool: dnstransport.PoolConfig{ConnsPerUpstream: 4},
+	d, err := loadgen.Deploy(loadgen.Scenario{
+		Seed:              42,
+		UDPAttemptTimeout: 10 * time.Second,
+		Proxy:             proxy.Config{Pool: dnstransport.PoolConfig{ConnsPerUpstream: 4}},
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer p.Close()
-	if err := p.Start(n, "proxy.dns"); err != nil {
-		b.Fatal(err)
-	}
-
-	pc, err := n.ListenPacket("")
+	defer d.Close()
+	client, err := d.Resolver("udp", 0)
 	if err != nil {
 		b.Fatal(err)
 	}
-	client := dnstransport.NewUDPClient(pc, netsim.Addr("proxy.dns:53"))
-	client.Timeout = 10 * time.Second
 	defer client.Close()
 
 	var i atomic.Int64
@@ -482,7 +462,7 @@ func BenchmarkProxyThroughput(b *testing.B) {
 	elapsed := time.Since(start)
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)/elapsed.Seconds(), "queries/s")
-	s := p.CacheStats()
+	s := d.Proxy.CacheStats()
 	if total := s.Hits + s.Misses + s.Coalesced; total > 0 {
 		b.ReportMetric(float64(s.Hits)/float64(total)*100, "hit-%")
 	}

@@ -34,7 +34,6 @@ import (
 	"dohcost/internal/dnswire"
 	"dohcost/internal/guard"
 	"dohcost/internal/loadgen"
-	"dohcost/internal/netsim"
 	"dohcost/internal/proxy"
 	"dohcost/internal/qtrace"
 	"dohcost/internal/steer"
@@ -317,23 +316,6 @@ func (e *Environment) ProxyChain(host string) *tlsx.Chain {
 		}
 	}
 	return nil
-}
-
-// ProxyUDP returns a classic UDP resolver toward a proxy started with
-// StartProxy, with the same RFC 7766 TCP fallback Environment.UDP wires.
-func (e *Environment) ProxyUDP(host string, opts Options) (Resolver, error) {
-	pc, err := e.topo.Net.ListenPacket("")
-	if err != nil {
-		return nil, err
-	}
-	c := dnstransport.NewUDPClient(pc, netsim.Addr(host+":53"))
-	fb := dnstransport.NewTCPClient(func(ctx context.Context) (net.Conn, error) {
-		return e.topo.Net.DialContext(ctx, core.ClientHost, host+":53")
-	})
-	fb.Recorder = opts.Recorder
-	c.Fallback = fb
-	c.Recorder = opts.Recorder
-	return c, nil
 }
 
 // ProxyDoH returns a DoH resolver toward a proxy started with StartProxy,

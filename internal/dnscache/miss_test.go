@@ -451,7 +451,7 @@ func TestHostileUpstream(t *testing.T) {
 			go func() {
 				defer server.Close()
 				for {
-					query, err := dnsserver.ReadStreamMessage(server)
+					query, err := dnsserver.ReadStreamMessageInto(server, make([]byte, 2))
 					if err != nil {
 						return
 					}

@@ -119,7 +119,7 @@ func streamExchange(t *testing.T, conn net.Conn, queries map[uint16][]byte) map[
 		if err := WriteStreamMessage(conn, q); err != nil {
 			t.Fatal(err)
 		}
-		resp, err := ReadStreamMessage(conn)
+		resp, err := ReadStreamMessageInto(conn, make([]byte, 2))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -303,13 +303,13 @@ func TestStreamClosesOnBadQuery(t *testing.T) {
 		if err := WriteStreamMessage(c, good); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ReadStreamMessage(c); err != nil {
+		if _, err := ReadStreamMessageInto(c, make([]byte, 2)); err != nil {
 			t.Fatalf("out-of-order=%v: no reply to the good query: %v", ooo, err)
 		}
 		if err := WriteStreamMessage(c, []byte("not a DNS message")); err != nil {
 			t.Fatal(err)
 		}
-		if resp, err := ReadStreamMessage(c); err == nil {
+		if resp, err := ReadStreamMessageInto(c, make([]byte, 2)); err == nil {
 			t.Errorf("out-of-order=%v: a query that does not unpack was answered: %x", ooo, resp)
 		}
 		<-done // ServeConn returned: the connection is closed and its goroutines are gone

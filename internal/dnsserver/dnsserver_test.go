@@ -223,7 +223,7 @@ func TestStreamMessageFraming(t *testing.T) {
 	if buf.Len() != len(msg)+2 {
 		t.Errorf("framed length = %d", buf.Len())
 	}
-	got, err := ReadStreamMessage(&buf)
+	got, err := ReadStreamMessageInto(&buf, make([]byte, 2))
 	if err != nil || !bytes.Equal(got, msg) {
 		t.Errorf("read = %q, %v", got, err)
 	}
@@ -232,7 +232,7 @@ func TestStreamMessageFraming(t *testing.T) {
 		t.Error("70KB message accepted")
 	}
 	// Truncated stream errors.
-	if _, err := ReadStreamMessage(strings.NewReader("\x00\x10abc")); err == nil {
+	if _, err := ReadStreamMessageInto(strings.NewReader("\x00\x10abc"), make([]byte, 2)); err == nil {
 		t.Error("truncated stream accepted")
 	}
 }
@@ -352,5 +352,14 @@ func TestUDPMaxSizeClamp(t *testing.T) {
 		if resp.EDNS != nil {
 			t.Errorf("referral kept its OPT record (%d bytes) despite exceeding the cap", len(raw))
 		}
+	})
+}
+
+// Refuse answers everything with the given RCode.
+func Refuse(rcode dnswire.RCode) Handler {
+	return HandlerFunc(func(ctx context.Context, q *dnswire.Message) (*dnswire.Message, error) {
+		r := q.Reply()
+		r.RCode = rcode
+		return r, nil
 	})
 }

@@ -146,7 +146,7 @@ func TestStreamServerWireFastPath(t *testing.T) {
 	}
 	recv := func() *dnswire.Message {
 		conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-		wire, err := ReadStreamMessage(conn)
+		wire, err := ReadStreamMessageInto(conn, make([]byte, 2))
 		if err != nil {
 			t.Fatal(err)
 		}

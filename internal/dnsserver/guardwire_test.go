@@ -305,7 +305,7 @@ func TestStreamGuardRefuses(t *testing.T) {
 		if err := WriteStreamMessage(client, wire); err != nil {
 			t.Fatal(err)
 		}
-		raw, err := ReadStreamMessage(client)
+		raw, err := ReadStreamMessageInto(client, make([]byte, 2))
 		if err != nil {
 			t.Fatal(err)
 		}

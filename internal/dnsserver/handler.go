@@ -155,15 +155,6 @@ func Delay(d time.Duration, next Handler) Handler {
 	})
 }
 
-// Refuse answers everything with the given RCode.
-func Refuse(rcode dnswire.RCode) Handler {
-	return HandlerFunc(func(ctx context.Context, q *dnswire.Message) (*dnswire.Message, error) {
-		r := q.Reply()
-		r.RCode = rcode
-		return r, nil
-	})
-}
-
 // CacheMissDelay models recursive-resolver behaviour: with probability
 // missRate a query "misses the cache" and pays an upstream recursion delay
 // drawn uniformly from [min, max]. The paper's local university resolver

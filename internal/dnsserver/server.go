@@ -443,13 +443,6 @@ func StreamReader(conn net.Conn) io.Reader {
 	return bufio.NewReaderSize(conn, streamReadBuf)
 }
 
-// ReadStreamMessage reads one length-prefixed DNS message into a slice of
-// its own.
-func ReadStreamMessage(r io.Reader) ([]byte, error) {
-	var lenBuf [2]byte
-	return ReadStreamMessageInto(r, lenBuf[:])
-}
-
 // ReadStreamMessageInto reads one length-prefixed DNS message into buf —
 // a serving loop's pooled buffer, or a client read loop's own, whose head
 // also takes the length prefix, so an ordinary message allocates nothing —

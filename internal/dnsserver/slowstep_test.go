@@ -171,12 +171,12 @@ func TestSlowStepOwnsItsQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	client.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if resp, err := ReadStreamMessage(client); err != nil || binary.BigEndian.Uint16(resp) != 0x999 {
+	if resp, err := ReadStreamMessageInto(client, make([]byte, 2)); err != nil || binary.BigEndian.Uint16(resp) != 0x999 {
 		t.Fatalf("inline hit behind blocked misses: %x, %v", resp, err)
 	}
 	close(release)
 	for i := 0; i < n; i++ {
-		resp, err := ReadStreamMessage(client)
+		resp, err := ReadStreamMessageInto(client, make([]byte, 2))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -251,7 +251,7 @@ func TestStreamFloodIsBounded(t *testing.T) {
 	if err := WriteStreamMessage(other, hit); err != nil {
 		t.Fatal(err)
 	}
-	if resp, err := ReadStreamMessage(other); err != nil || binary.BigEndian.Uint16(resp) != 0x5151 {
+	if resp, err := ReadStreamMessageInto(other, make([]byte, 2)); err != nil || binary.BigEndian.Uint16(resp) != 0x5151 {
 		t.Fatalf("a second connection's hit during the flood: %x, %v", resp, err)
 	}
 
@@ -308,7 +308,7 @@ func TestStreamReadsOncePerBurst(t *testing.T) {
 		}
 		client.SetReadDeadline(time.Now().Add(5 * time.Second))
 		for i := 0; i < burst; i++ {
-			if resp, err := ReadStreamMessage(client); err != nil || binary.BigEndian.Uint16(resp) != uint16(i+1) {
+			if resp, err := ReadStreamMessageInto(client, make([]byte, 2)); err != nil || binary.BigEndian.Uint16(resp) != uint16(i+1) {
 				t.Fatalf("reply %d of %d: %x, %v", i+1, burst, resp, err)
 			}
 		}
@@ -334,7 +334,7 @@ func TestStreamReadsOncePerBurst(t *testing.T) {
 	if err := WriteStreamMessage(client, wire); err != nil {
 		t.Fatal(err)
 	}
-	if resp, err := ReadStreamMessage(client); err != nil || binary.BigEndian.Uint16(resp) != 0x7777 {
+	if resp, err := ReadStreamMessageInto(client, make([]byte, 2)); err != nil || binary.BigEndian.Uint16(resp) != 0x7777 {
 		t.Fatalf("reply to a %d-byte query: %x, %v", len(wire), resp, err)
 	}
 	client.Write([]byte{0, 40, 1, 2, 3})

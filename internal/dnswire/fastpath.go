@@ -310,42 +310,10 @@ func PatchID(wire []byte, id uint16) {
 	}
 }
 
-// TTLOffsets reports the byte offset of every resource record's TTL field
-// in a packed message, skipping OPT pseudo-records (their TTL field encodes
-// EDNS flags, not a lifetime — exactly the records the Message codec
-// diverts into Message.EDNS). It is ScanResponse's structural pass without
-// the question check, for callers holding a message rather than a reply to
-// a query of their own.
-func TTLOffsets(wire []byte) ([]int, error) {
-	_, packed, err := scanResponse(wire, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	offsets := make([]int, len(packed)/2)
-	for i := range offsets {
-		offsets[i] = int(binary.BigEndian.Uint16(packed[2*i:]))
-	}
-	return offsets, nil
-}
-
-// DecayTTLs caps every recorded TTL at remaining seconds, rewriting the
-// packed message in place. Offsets must come from TTLOffsets over the same
-// bytes; out-of-range offsets are ignored rather than panicking.
-func DecayTTLs(wire []byte, offsets []int, remaining uint32) {
-	for _, off := range offsets {
-		if off < 0 || off+4 > len(wire) {
-			continue
-		}
-		if binary.BigEndian.Uint32(wire[off:]) > remaining {
-			binary.BigEndian.PutUint32(wire[off:], remaining)
-		}
-	}
-}
-
 // PackTTLOffsets appends offsets as packed big-endian uint16 values to dst
 // and returns the extended slice — the form a cache can store contiguously
 // with the packed message it indexes (a DNS message is at most 65535
-// bytes, so every TTLOffsets result fits). Decoded by DecayTTLsPacked.
+// bytes, so every offset fits). Decoded by DecayTTLsPacked.
 func PackTTLOffsets(dst []byte, offsets []int) []byte {
 	for _, off := range offsets {
 		dst = append(dst, byte(off>>8), byte(off))
@@ -353,10 +321,10 @@ func PackTTLOffsets(dst []byte, offsets []int) []byte {
 	return dst
 }
 
-// DecayTTLsPacked is DecayTTLs for a PackTTLOffsets-encoded offset list:
-// every recorded TTL is capped at remaining seconds in place. A trailing
-// odd byte or an offset past the message end is ignored rather than
-// panicking, mirroring DecayTTLs.
+// DecayTTLsPacked caps every TTL a PackTTLOffsets-encoded offset list
+// records at remaining seconds, rewriting the packed message in place. A
+// trailing odd byte or an offset past the message end is ignored rather
+// than panicking.
 func DecayTTLsPacked(wire []byte, packed []byte, remaining uint32) {
 	for i := 0; i+2 <= len(packed); i += 2 {
 		off := int(binary.BigEndian.Uint16(packed[i:]))

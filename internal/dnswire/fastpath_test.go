@@ -258,3 +258,36 @@ func TestPatchIDShortSlice(t *testing.T) {
 		t.Error("two-byte patch failed")
 	}
 }
+
+// TTLOffsets reports the byte offset of every resource record's TTL field
+// in a packed message, skipping OPT pseudo-records (their TTL field encodes
+// EDNS flags, not a lifetime — exactly the records the Message codec
+// diverts into Message.EDNS). It is ScanResponse's structural pass without
+// the question check, the reference the fast-path tests and fuzz targets
+// hold ScanResponse's packed offsets to.
+func TTLOffsets(wire []byte) ([]int, error) {
+	_, packed, err := scanResponse(wire, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	offsets := make([]int, len(packed)/2)
+	for i := range offsets {
+		offsets[i] = int(binary.BigEndian.Uint16(packed[2*i:]))
+	}
+	return offsets, nil
+}
+
+// DecayTTLs caps every recorded TTL at remaining seconds, rewriting the
+// packed message in place: DecayTTLsPacked over TTLOffsets' unpacked
+// offsets, which the tests compare it with. Out-of-range offsets are
+// ignored rather than panicking.
+func DecayTTLs(wire []byte, offsets []int, remaining uint32) {
+	for _, off := range offsets {
+		if off < 0 || off+4 > len(wire) {
+			continue
+		}
+		if binary.BigEndian.Uint32(wire[off:]) > remaining {
+			binary.BigEndian.PutUint32(wire[off:], remaining)
+		}
+	}
+}

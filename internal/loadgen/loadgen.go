@@ -354,9 +354,16 @@ type Result struct {
 // Deployment is a scenario's testbed, up and serving: the simulated
 // network, the upstream recursive resolvers (dual-homed under
 // HappyEyeballs), the racing dialer and bootstrap prober when asked for,
-// and the started forwarding proxy. It is the only simulated proxy testbed
-// in the tree — Run drives it and harvests; cmd/dohproxy additionally
-// serves Proxy.Observability() on a real socket while it runs.
+// and the started forwarding proxy; Resolver opens the clients that query
+// it. It is the only simulated proxy testbed in the tree: Run drives it and
+// harvests, cmd/dohproxy additionally serves Proxy.Observability() on a
+// real socket, and the proxy's tests and benchmarks deploy through it too.
+//
+// Everything a test needs beyond Run is an accessor: Net for faults and
+// links, Chain for TLS clients of its own, Resolver for the clients Run
+// uses, and Upstreams for each resolver's served-query count and its
+// Close. A topology a Scenario cannot express stays outside; Deploy grows
+// no field for one test.
 type Deployment struct {
 	// Proxy is the started forwarding proxy under test.
 	Proxy *proxy.Proxy
@@ -365,9 +372,39 @@ type Deployment struct {
 	prof      netsim.Profile
 	net       *netsim.Network
 	chain     *tlsx.Chain
-	upstreams []*dnsserver.Running
+	upstreams []*Upstream
 	flapHosts []string
 }
+
+// Upstream is one recursive resolver behind a Deployment's proxy, on one
+// home or, under HappyEyeballs, on two.
+type Upstream struct {
+	// Host is the name the proxy's pool and steering report it by.
+	Host    string
+	queries atomic.Int64
+	runs    []*dnsserver.Running
+}
+
+// Queries is how many queries the resolver has answered, bootstrap probes
+// included, counted in its handler.
+func (u *Upstream) Queries() int64 { return u.queries.Load() }
+
+// Close takes the resolver down on every home, as a crash would: its
+// listeners and open connections close.
+func (u *Upstream) Close() {
+	for _, r := range u.runs {
+		r.Close()
+	}
+}
+
+// Net is the simulated network the deployment runs on.
+func (d *Deployment) Net() *netsim.Network { return d.net }
+
+// Chain is the proxy's TLS chain, which DoT and DoH clients trust.
+func (d *Deployment) Chain() *tlsx.Chain { return d.chain }
+
+// Upstreams lists the recursive resolvers in the pool's preference order.
+func (d *Deployment) Upstreams() []*Upstream { return d.upstreams }
 
 // Run executes the scenario and returns the harvest: Deploy, drive, Close.
 func Run(s Scenario) (*Result, error) {
@@ -431,14 +468,20 @@ func Deploy(s Scenario) (_ *Deployment, err error) {
 		if s.HappyEyeballs {
 			homes = []string{"v4." + uhost, "v6." + uhost}
 		}
+		up := &Upstream{Host: uhost}
+		d.upstreams = append(d.upstreams, up)
+		answer := dnsserver.Static(netip.MustParseAddr("192.0.2.53"), 300)
+		counted := dnsserver.HandlerFunc(func(ctx context.Context, q *dnswire.Message) (*dnswire.Message, error) {
+			up.queries.Add(1)
+			return answer.ServeDNS(ctx, q)
+		})
 		for _, home := range homes {
 			n.SetLink(ProxyHost, home, netsim.Link{Delay: rtt / 2})
-			upstream := &dnsserver.Server{Handler: dnsserver.Static(netip.MustParseAddr("192.0.2.53"), 300)}
-			upRun, err := upstream.Start(n, home)
+			upRun, err := (&dnsserver.Server{Handler: counted}).Start(n, home)
 			if err != nil {
 				return nil, fmt.Errorf("loadgen: starting upstream %s: %w", home, err)
 			}
-			d.upstreams = append(d.upstreams, upRun)
+			up.runs = append(up.runs, upRun)
 		}
 		if s.DialFault != "" {
 			dp, _ := netsim.LookupDialProfile(s.DialFault)
@@ -562,7 +605,7 @@ func (d *Deployment) Run() (*Result, error) {
 	}
 
 	for _, tr := range s.Transports {
-		trRes, err := runTransport(n, d.chain, s, tr, domains)
+		trRes, err := d.runTransport(tr, domains)
 		if err != nil {
 			if atkStop != nil {
 				close(atkStop)
@@ -745,8 +788,8 @@ func protoFor(tr string) telemetry.Proto {
 
 // runTransport drives one transport's full workload and harvests its
 // client-side telemetry sink.
-func runTransport(n *netsim.Network, chain *tlsx.Chain, s Scenario, tr string, domains []string) (TransportResult, error) {
-	m := telemetry.New()
+func (d *Deployment) runTransport(tr string, domains []string) (TransportResult, error) {
+	s, m := d.s, telemetry.New()
 	proto := protoFor(tr)
 
 	var wg sync.WaitGroup
@@ -767,7 +810,7 @@ func runTransport(n *netsim.Network, chain *tlsx.Chain, s Scenario, tr string, d
 		wg.Add(1)
 		go func(c, count int, names []dnswire.Name) {
 			defer wg.Done()
-			if err := runClient(n, chain, s, tr, m, proto, c, count, names); err != nil {
+			if err := d.runClient(tr, m, proto, c, count, names); err != nil {
 				errs <- fmt.Errorf("client %d: %w", c, err)
 			}
 		}(c, count, names)
@@ -811,12 +854,13 @@ func runTransport(n *netsim.Network, chain *tlsx.Chain, s Scenario, tr string, d
 
 // runClient executes one client's share of the workload: resolver setup,
 // then closed- or open-loop query issue.
-func runClient(n *netsim.Network, chain *tlsx.Chain, s Scenario, tr string, m *telemetry.Metrics, proto telemetry.Proto, c, count int, names []dnswire.Name) error {
-	r, err := newResolver(n, chain, s, tr, c)
+func (d *Deployment) runClient(tr string, m *telemetry.Metrics, proto telemetry.Proto, c, count int, names []dnswire.Name) error {
+	r, err := d.Resolver(tr, c)
 	if err != nil {
 		return err
 	}
 	defer r.Close()
+	s := d.s
 
 	rng := rand.New(rand.NewSource(s.Seed + 7919*int64(c) + transportSeed(tr)))
 	// nextName picks query i's name: a rank sampled from the shared Zipf
@@ -879,10 +923,13 @@ func query(m *telemetry.Metrics, proto telemetry.Proto, r dnstransport.Resolver,
 	}
 }
 
-// newResolver opens client c's resolver toward the proxy over one
-// transport. UDP carries the RFC 7766 TCP fallback for truncated answers.
-func newResolver(n *netsim.Network, chain *tlsx.Chain, s Scenario, tr string, c int) (dnstransport.Resolver, error) {
-	host := clientHost(c)
+// Resolver opens client c's resolver toward the proxy over transport tr
+// ("udp", "tcp", "dot" or "doh"), from c's own host: the access link and
+// the UDP retry schedule are the scenario's, and UDP carries the RFC 7766
+// TCP fallback for truncated answers. One UDP resolver per client is open
+// at a time; it binds the client host's port 5353. The caller closes it.
+func (d *Deployment) Resolver(tr string, c int) (dnstransport.Resolver, error) {
+	n, chain, s, host := d.net, d.chain, d.s, clientHost(c)
 	dial53 := func(ctx context.Context) (net.Conn, error) { return n.DialContext(ctx, host, ProxyHost+":53") }
 	switch tr {
 	case "udp":

@@ -158,9 +158,6 @@ type CountingConn struct {
 	in  atomic.Int64
 }
 
-// NewCountingConn wraps c.
-func NewCountingConn(c net.Conn) *CountingConn { return &CountingConn{Conn: c} }
-
 // Read implements net.Conn.
 func (c *CountingConn) Read(p []byte) (int, error) {
 	n, err := c.Conn.Read(p)
@@ -208,9 +205,6 @@ type RecordObserver struct {
 	outParse recordParser
 	inParse  recordParser
 }
-
-// NewRecordObserver wraps c.
-func NewRecordObserver(c net.Conn) *RecordObserver { return &RecordObserver{Conn: c} }
 
 // Read implements net.Conn.
 func (o *RecordObserver) Read(p []byte) (int, error) {

@@ -3,6 +3,7 @@ package meter
 import (
 	"crypto/tls"
 	"io"
+	"net"
 	"testing"
 	"testing/quick"
 
@@ -220,3 +221,9 @@ func TestRecordParserHandlesFragmentation(t *testing.T) {
 		t.Errorf("stats = %+v", q.stats)
 	}
 }
+
+// NewCountingConn wraps c.
+func NewCountingConn(c net.Conn) *CountingConn { return &CountingConn{Conn: c} }
+
+// NewRecordObserver wraps c.
+func NewRecordObserver(c net.Conn) *RecordObserver { return &RecordObserver{Conn: c} }

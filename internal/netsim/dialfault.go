@@ -288,16 +288,6 @@ var dialProfiles = map[string]DialProfile{
 	},
 }
 
-// DialProfiles returns the built-in dial-fault profiles sorted by name.
-func DialProfiles() []DialProfile {
-	out := make([]DialProfile, 0, len(dialProfiles))
-	for _, p := range dialProfiles {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
 // DialProfileNames returns the built-in dial-fault profile names, sorted.
 func DialProfileNames() []string {
 	names := make([]string, 0, len(dialProfiles))

@@ -3,6 +3,7 @@ package netsim
 import (
 	"context"
 	"errors"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -140,4 +141,14 @@ func TestDialProfilesRegistry(t *testing.T) {
 	if _, err := n.DialContext(ctx, "client", "v6.up:53"); err == nil {
 		t.Fatal("v6 dial under broken-v6 succeeded")
 	}
+}
+
+// DialProfiles returns the built-in dial-fault profiles sorted by name.
+func DialProfiles() []DialProfile {
+	out := make([]DialProfile, 0, len(dialProfiles))
+	for _, p := range dialProfiles {
+		out = append(out, p)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out
 }

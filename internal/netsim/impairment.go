@@ -68,16 +68,6 @@ var profiles = map[string]Profile{
 	},
 }
 
-// Profiles returns the built-in impairment profiles sorted by name.
-func Profiles() []Profile {
-	out := make([]Profile, 0, len(profiles))
-	for _, p := range profiles {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
 // ProfileNames returns the built-in profile names, sorted.
 func ProfileNames() []string {
 	names := make([]string, 0, len(profiles))

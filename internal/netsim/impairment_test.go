@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 )
@@ -319,4 +320,14 @@ func TestProfileRegistry(t *testing.T) {
 	if got := fmt.Sprintf("%v", base); got != base.String() {
 		t.Errorf("Sprintf(%%v) = %q", got)
 	}
+}
+
+// Profiles returns the built-in impairment profiles sorted by name.
+func Profiles() []Profile {
+	out := make([]Profile, 0, len(profiles))
+	for _, p := range profiles {
+		out = append(out, p)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out
 }

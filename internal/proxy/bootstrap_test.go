@@ -1,27 +1,31 @@
-package proxy
+package proxy_test
 
 import (
 	"context"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"dohcost/internal/dialer"
+	"dohcost/internal/dnsserver"
 	"dohcost/internal/dnstransport"
 	"dohcost/internal/dnswire"
+	"dohcost/internal/loadgen"
 	"dohcost/internal/netsim"
+	"dohcost/internal/proxy"
 	"dohcost/internal/steer"
 )
 
 // probeTarget builds a bootstrap probe that performs one real TCP
-// exchange against host from proxyHost.
-func probeTarget(n *netsim.Network, proxyHost, host string) dialer.Target {
+// exchange against host from proxy.dns.
+func probeTarget(n *netsim.Network, host string) dialer.Target {
 	return dialer.Target{
 		Upstream: host,
 		Proto:    "tcp",
 		Probe: func(ctx context.Context) (time.Duration, error) {
 			r := dnstransport.NewTCPClient(func(ctx context.Context) (net.Conn, error) {
-				return n.DialContext(ctx, proxyHost, host+":53")
+				return n.DialContext(ctx, "proxy.dns", host+":53")
 			})
 			defer r.Close()
 			t0 := time.Now()
@@ -39,9 +43,19 @@ func probeTarget(n *netsim.Network, proxyHost, host string) dialer.Target {
 // the healthy upstream — the dead one's server never sees a query and
 // no client ever pays its dial timeout.
 func TestBootstrapSeedsSteering(t *testing.T) {
+	// Deploy cannot express this topology: the blackhole must be in place
+	// before Start runs the sweep, on one upstream of two.
 	n := netsim.New(31)
-	alive := startUpstream(t, n, "alive.up")
-	dead := startUpstream(t, n, "dead.up")
+	counted := func(host string) *atomic.Int64 {
+		var queries atomic.Int64
+		static := dnsserver.Static(answer, 300)
+		serve(t, n, host, dnsserver.HandlerFunc(func(ctx context.Context, q *dnswire.Message) (*dnswire.Message, error) {
+			queries.Add(1)
+			return static.ServeDNS(ctx, q)
+		}))
+		return &queries
+	}
+	alive, dead := counted("alive.up"), counted("dead.up")
 	n.SetDialFault("dead.up", netsim.DialFault{Blackhole: true})
 
 	prober := &dialer.Prober{
@@ -50,25 +64,15 @@ func TestBootstrapSeedsSteering(t *testing.T) {
 			// The dead upstream is listed FIRST: without seeding, the
 			// fastest policy's cold-start cost of zero would send the
 			// very first query into the blackhole.
-			probeTarget(n, "proxy.dns", "dead.up"),
-			probeTarget(n, "proxy.dns", "alive.up"),
+			probeTarget(n, "dead.up"),
+			probeTarget(n, "alive.up"),
 		},
 	}
-	p, err := New(Config{
-		Upstreams: []dnstransport.PoolUpstream{
-			tcpUpstream(n, "proxy.dns", "dead.up"),
-			tcpUpstream(n, "proxy.dns", "alive.up"),
-		},
+	p, _ := startBespoke(t, n, proxy.Config{
+		Upstreams: []dnstransport.PoolUpstream{tcpUpstream(n, "dead.up"), tcpUpstream(n, "alive.up")},
 		Policy:    steer.PolicyFastest,
 		Bootstrap: prober,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	if err := p.Start(n, "proxy.dns"); err != nil {
-		t.Fatal(err)
-	}
 
 	// Start ran the sweep synchronously: verdicts are cached already.
 	report := p.Bootstrap().Report()
@@ -106,10 +110,10 @@ func TestBootstrapSeedsSteering(t *testing.T) {
 			t.Fatalf("query %d took %v; it explored the blackhole", i, e)
 		}
 	}
-	if got := dead.queries.Load(); got != 0 {
+	if got := dead.Load(); got != 0 {
 		t.Fatalf("dead upstream served %d queries, want 0", got)
 	}
-	if alive.queries.Load() == 0 {
+	if alive.Load() == 0 {
 		t.Fatal("alive upstream served nothing")
 	}
 }
@@ -117,34 +121,19 @@ func TestBootstrapSeedsSteering(t *testing.T) {
 // TestStormKicksBootstrap feeds the proxy's observer chain an error
 // storm and requires a rate-limited prober re-sweep.
 func TestStormKicksBootstrap(t *testing.T) {
-	n := netsim.New(32)
-	startUpstream(t, n, "alive.up")
-
-	prober := &dialer.Prober{
-		Timeout:      100 * time.Millisecond,
-		KickInterval: time.Nanosecond, // let the storm's kick through immediately
-		Targets:      []dialer.Target{probeTarget(n, "proxy.dns", "alive.up")},
-	}
 	storm := &dialer.Storm{Threshold: 3, Cooldown: time.Hour}
-	p, err := New(Config{
-		Upstreams: []dnstransport.PoolUpstream{tcpUpstream(n, "proxy.dns", "alive.up")},
-		Bootstrap: prober,
-		Storm:     storm,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	if err := p.Start(n, "proxy.dns"); err != nil {
-		t.Fatal(err)
-	}
+	d := deploy(t, loadgen.Scenario{Seed: 32, BootstrapProbe: true, Proxy: proxy.Config{Storm: storm}})
+	p, prober := d.Proxy, d.Proxy.Bootstrap()
+	// Let the storm's kick through immediately. Only a storm kicks, and no
+	// query has run yet.
+	prober.KickInterval = time.Nanosecond
 	if prober.Report().Sweeps != 1 {
 		t.Fatal("start did not sweep")
 	}
 
 	// Sever the upstream and hammer it: consecutive failures cross the
 	// storm threshold, which kicks an async re-sweep.
-	n.SetDialFault("alive.up", netsim.DialFault{ResetProb: 1})
+	d.Net().SetDialFault(loadgen.UpstreamHost, netsim.DialFault{ResetProb: 1})
 	h := p.Handler()
 	for i := 0; i < 6; i++ {
 		ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)

@@ -1,4 +1,4 @@
-package proxy
+package proxy_test
 
 import (
 	"context"
@@ -8,7 +8,7 @@ import (
 
 	"dohcost/internal/dnstransport"
 	"dohcost/internal/dnswire"
-	"dohcost/internal/netsim"
+	"dohcost/internal/loadgen"
 	"dohcost/internal/telemetry"
 )
 
@@ -21,16 +21,14 @@ import (
 // buffer was recycled mid-write (a corrupted answer would fail
 // validation or carry the wrong address).
 func TestConcurrentHotNameAllTransports(t *testing.T) {
-	n := netsim.New(7)
-	up := startUpstream(t, n, "recursive.upstream")
-	p, chain := startProxy(t, n, "proxy.dns", "recursive.upstream")
-	clients := proxyClients(t, n, "proxy.dns", chain)
+	d := deploy(t, loadgen.Scenario{Seed: 7})
+	p := d.Proxy
 
 	const hot = dnswire.Name("hot.fastpath.example.")
 
 	// Prime the cache so the storm below is all hits.
 	warm := dnswire.NewQuery(0, hot, dnswire.TypeA)
-	if _, err := clients["udp"].Exchange(context.Background(), warm); err != nil {
+	if _, err := resolver(t, d, "udp", 1).Exchange(context.Background(), warm); err != nil {
 		t.Fatal(err)
 	}
 
@@ -40,7 +38,8 @@ func TestConcurrentHotNameAllTransports(t *testing.T) {
 	)
 	var wg sync.WaitGroup
 	errs := make(chan error, 4*goroutinesPerTransport)
-	for name, c := range clients {
+	for _, name := range loadgen.Transports {
+		c := resolver(t, d, name, 0)
 		for g := 0; g < goroutinesPerTransport; g++ {
 			wg.Add(1)
 			go func(name string, c dnstransport.Resolver, g int) {
@@ -62,7 +61,7 @@ func TestConcurrentHotNameAllTransports(t *testing.T) {
 						t.Errorf("%s: %d answers, want 1", name, len(resp.Answers))
 						return
 					}
-					if a, ok := resp.Answers[0].Data.(*dnswire.A); !ok || a.Addr.String() != "192.0.2.77" {
+					if a, ok := resp.Answers[0].Data.(*dnswire.A); !ok || a.Addr != answer {
 						t.Errorf("%s: wrong answer %v", name, resp.Answers[0].Data)
 						return
 					}
@@ -82,7 +81,7 @@ func TestConcurrentHotNameAllTransports(t *testing.T) {
 
 	// One upstream exchange total: everything else was served from the
 	// cache (wire fast path for UDP/TCP/DoT and wireformat DoH).
-	if got := up.queries.Load(); got != 1 {
+	if got := d.Upstreams()[0].Queries(); got != 1 {
 		t.Errorf("upstream saw %d queries, want 1", got)
 	}
 	s := p.CacheStats()
@@ -114,18 +113,16 @@ func TestConcurrentHotNameAllTransports(t *testing.T) {
 // responses carry decayed TTLs and the client's IDs, which only the wire
 // patch path stamps on stored bytes).
 func TestFastPathServesWireHits(t *testing.T) {
-	n := netsim.New(8)
-	startUpstream(t, n, "recursive.upstream")
-	p, chain := startProxy(t, n, "proxy.dns", "recursive.upstream")
-	clients := proxyClients(t, n, "proxy.dns", chain)
+	d := deploy(t, loadgen.Scenario{Seed: 8})
+	p, udp := d.Proxy, resolver(t, d, "udp", 0)
 
 	q := dnswire.NewQuery(100, "pin.fastpath.example.", dnswire.TypeA)
-	if _, err := clients["udp"].Exchange(context.Background(), q); err != nil {
+	if _, err := udp.Exchange(context.Background(), q); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
 		q := dnswire.NewQuery(uint16(200+i), "pin.fastpath.example.", dnswire.TypeA)
-		resp, err := clients["udp"].Exchange(context.Background(), q)
+		resp, err := udp.Exchange(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}

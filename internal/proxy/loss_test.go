@@ -1,4 +1,4 @@
-package proxy
+package proxy_test
 
 import (
 	"context"
@@ -12,7 +12,9 @@ import (
 	"dohcost/internal/dnsserver"
 	"dohcost/internal/dnstransport"
 	"dohcost/internal/dnswire"
+	"dohcost/internal/loadgen"
 	"dohcost/internal/netsim"
+	"dohcost/internal/proxy"
 	"dohcost/internal/telemetry"
 )
 
@@ -32,14 +34,8 @@ func TestProxyUnderLossyWifi(t *testing.T) {
 		queriesPerConn = 20
 		total          = clients * queriesPerConn
 	)
-	n := netsim.New(99)
-	startUpstream(t, n, "up1.example")
-	p, _ := startProxy(t, n, "proxy.dns", "up1.example")
-
-	prof, ok := netsim.LookupProfile("lossy-wifi")
-	if !ok {
-		t.Fatal("lossy-wifi profile missing")
-	}
+	d := deploy(t, loadgen.Scenario{Seed: 99, Profile: "lossy-wifi", Clients: clients, UDPAttemptTimeout: 200 * time.Millisecond})
+	p := d.Proxy
 
 	var (
 		wg       sync.WaitGroup
@@ -47,22 +43,13 @@ func TestProxyUnderLossyWifi(t *testing.T) {
 		failures int
 	)
 	for c := 0; c < clients; c++ {
-		host := clientName(c)
-		n.ApplyProfile(host, "proxy.dns", prof)
-		pc, err := n.ListenPacket(host + ":5353")
-		if err != nil {
-			t.Fatal(err)
-		}
+		u := resolver(t, d, "udp", c)
 		wg.Add(1)
-		go func(c int, pc *netsim.PacketConn) {
+		go func(c int) {
 			defer wg.Done()
-			u := dnstransport.NewUDPClient(pc, netsim.Addr("proxy.dns:53"))
-			u.Timeout = 200 * time.Millisecond
-			u.Retries = 2
-			defer u.Close()
 			for i := 0; i < queriesPerConn; i++ {
 				// Few names per client: most queries must be cache hits.
-				name := dnswire.Name(clientName(c) + "-n" + string(rune('a'+i%4)) + ".example.")
+				name := dnswire.Name(fmt.Sprintf("lossy-c%d-n%c.example.", c, 'a'+i%4))
 				ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 				resp, err := u.Exchange(ctx, dnswire.NewQuery(0, name, dnswire.TypeA))
 				cancel()
@@ -72,7 +59,7 @@ func TestProxyUnderLossyWifi(t *testing.T) {
 					mu.Unlock()
 				}
 			}
-		}(c, pc)
+		}(c)
 	}
 	wg.Wait()
 
@@ -97,8 +84,6 @@ func TestProxyUnderLossyWifi(t *testing.T) {
 		t.Errorf("server saw %d udp queries, want >= %d", got, total-failures)
 	}
 }
-
-func clientName(c int) string { return "lossy-c" + string(rune('0'+c%10)) + string(rune('a'+c/10)) }
 
 // bigAnswerHandler returns enough A records to push the response past any
 // small-MTU UDP cap while remaining well-formed.
@@ -141,26 +126,13 @@ func testTCFallbackSmallMTU(t *testing.T, answers int) {
 	const mtu = 512
 	n := netsim.New(5)
 
-	// Upstream reached over TCP (no truncation); answer sizes over the UDP
-	// cap are chosen by the caller.
-	srv := &dnsserver.Server{Handler: bigAnswerHandler(answers)}
-	upRun, err := srv.Start(n, "up1.example")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(upRun.Close)
-
-	p, err := New(Config{
-		Upstreams:  []dnstransport.PoolUpstream{tcpUpstream(n, "proxy.dns", "up1.example")},
+	// Deploy's upstreams answer with one record: this one, reached over
+	// TCP (no truncation), answers with as many as the caller chooses.
+	serve(t, n, "up1.example", bigAnswerHandler(answers))
+	p, _ := startBespoke(t, n, proxy.Config{
+		Upstreams:  []dnstransport.PoolUpstream{tcpUpstream(n, "up1.example")},
 		MaxUDPSize: mtu - netsim.DatagramHeaderBytes, // clamp responses to the path MTU
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { p.Close() })
-	if err := p.Start(n, "proxy.dns"); err != nil {
-		t.Fatal(err)
-	}
 
 	// Small-MTU access link: anything larger than 512 bytes on the wire is
 	// blackholed, so only the clamp's TC=1 referral can get through.

@@ -1,4 +1,4 @@
-package proxy
+package proxy_test
 
 import (
 	"bufio"
@@ -14,11 +14,11 @@ import (
 	"testing"
 	"time"
 
-	"dohcost/internal/dialer"
 	"dohcost/internal/dnstransport"
 	"dohcost/internal/dnswire"
 	"dohcost/internal/guard"
-	"dohcost/internal/netsim"
+	"dohcost/internal/loadgen"
+	"dohcost/internal/proxy"
 	"dohcost/internal/qtrace"
 	"dohcost/internal/telemetry"
 )
@@ -34,7 +34,7 @@ type scrape struct {
 }
 
 // scrapeOps fetches /debug/cost, then /metrics, from p's Observability.
-func scrapeOps(t *testing.T, p *Proxy) scrape {
+func scrapeOps(t *testing.T, p *proxy.Proxy) scrape {
 	t.Helper()
 	srv := httptest.NewServer(p.Observability())
 	defer srv.Close()
@@ -112,10 +112,7 @@ func (s scrape) shardSum(key string, index int) float64 {
 // the rotation drops some as evictions), and the real-socket UDP listener
 // beside the simulated one.
 func TestMetricsAgreeWithCostReport(t *testing.T) {
-	n := netsim.New(43)
-	up := startUpstream(t, n, "recursive.upstream")
-	p, err := New(Config{
-		Upstreams:       []dnstransport.PoolUpstream{tcpUpstream(n, "proxy.dns", up.host)},
+	d := deploy(t, loadgen.Scenario{Seed: 43, Proxy: proxy.Config{
 		UpstreamTimeout: 2 * time.Second,
 		CacheBudget:     8 << 10,
 		CacheShards:     1,
@@ -124,27 +121,22 @@ func TestMetricsAgreeWithCostReport(t *testing.T) {
 		Guard:     &guard.Config{ClientQPS: 1e6, Burst: 1 << 20, MissRate: 0.5, MissHalfLife: time.Minute},
 		UDPListen: "127.0.0.1:0",
 		UDPShards: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Start(n, "proxy.dns"); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { p.Close() })
+	}})
+	p := d.Proxy
 	ctx := context.Background()
 
 	// Each stream client is a host of its own, so its misses are charged to
 	// a breaker score of their own.
-	query := func(from string, names []dnswire.Name) {
+	query := func(client int, names []dnswire.Name) {
 		t.Helper()
-		c := dnstransport.NewTCPClient(func(ctx context.Context) (net.Conn, error) {
-			return n.DialContext(ctx, from, "proxy.dns:53")
-		})
+		c, err := d.Resolver("tcp", client)
+		if err != nil {
+			t.Fatal(err)
+		}
 		defer c.Close()
 		for _, name := range names {
 			if _, err := c.Exchange(ctx, dnswire.NewQuery(0, name, dnswire.TypeA)); err != nil {
-				t.Fatalf("%s from %s: %v", name, from, err)
+				t.Fatalf("%s from client %d: %v", name, client, err)
 			}
 		}
 	}
@@ -152,8 +144,8 @@ func TestMetricsAgreeWithCostReport(t *testing.T) {
 	for i := 0; i < 80; i++ {
 		names = append(names, dnswire.Name(fmt.Sprintf("n%d.fill.example.", i)))
 	}
-	query("fill-a", names[:40])
-	query("fill-b", names[40:]) // past the budget: LRU evictions
+	query(0, names[:40])
+	query(1, names[40:]) // past the budget: LRU evictions
 	if p.CacheStats().Evictions == 0 {
 		t.Fatalf("80 names in an 8 KiB cache evicted nothing: %+v", p.CacheStats())
 	}
@@ -165,16 +157,11 @@ func TestMetricsAgreeWithCostReport(t *testing.T) {
 			t.Fatalf("the arena never rotated: %+v", p.CacheStats())
 		}
 		time.Sleep(150 * time.Millisecond)
-		query(fmt.Sprintf("refill-%d", cycle), names[50:])
+		query(2+cycle, names[50:])
 	}
 
 	// One simulated UDP client misses past its breaker threshold.
-	pc, err := n.ListenPacket("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim := dnstransport.NewUDPClient(pc, netsim.Addr("proxy.dns:53"))
-	t.Cleanup(func() { sim.Close() })
+	sim := resolver(t, d, "udp", 30)
 	for i := 0; i < 60; i++ {
 		if _, err := sim.Exchange(ctx, dnswire.NewQuery(0, dnswire.Name(fmt.Sprintf("n%d.flood.example.", i)), dnswire.TypeA)); err != nil {
 			t.Fatal(err)
@@ -267,39 +254,15 @@ func documentedFamilies(t *testing.T) map[string]bool {
 // racing dialer and the kernel UDP listener, each with traffic through
 // it: no family emitted undocumented, none documented that is gone.
 func TestMetricsDocumented(t *testing.T) {
-	n := netsim.New(44)
-	startUpstream(t, n, "v4.up")
-	tel := telemetry.New()
-	he := dialer.New(dialer.Config{
-		Resolve: func(ctx context.Context, host string) ([]string, []string, error) {
-			return []string{"v4." + host + ":53"}, nil, nil
-		},
-		Dial: func(ctx context.Context, addr string) (net.Conn, error) {
-			return n.DialContext(ctx, "proxy.dns", addr)
-		},
-		Telemetry: tel,
-	})
-	p, err := New(Config{
-		Upstreams: []dnstransport.PoolUpstream{{Name: "up", Dial: func(ctx context.Context) (dnstransport.Resolver, error) {
-			return dnstransport.NewTCPClient(func(ctx context.Context) (net.Conn, error) { return he.DialContext(ctx, "up") }), nil
-		}}},
+	d := deploy(t, loadgen.Scenario{Seed: 44, HappyEyeballs: true, BootstrapProbe: true, Proxy: proxy.Config{
 		UpstreamTimeout: 2 * time.Second,
 		Guard:           &guard.Config{},
 		Tracing:         &qtrace.Config{SampleEvery: 1},
 		Profiling:       true,
-		Bootstrap:       &dialer.Prober{Targets: []dialer.Target{probeTarget(n, "proxy.dns", "v4.up")}},
-		Dialer:          he,
 		UDPListen:       "127.0.0.1:0",
 		UDPShards:       1,
-		Telemetry:       tel,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Start(n, "proxy.dns"); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { p.Close() })
+	}})
+	p := d.Proxy
 	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

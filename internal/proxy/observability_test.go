@@ -1,4 +1,4 @@
-package proxy
+package proxy_test
 
 import (
 	"context"
@@ -10,43 +10,12 @@ import (
 	"testing"
 	"time"
 
-	"dohcost/internal/dnsserver"
 	"dohcost/internal/dnstransport"
 	"dohcost/internal/dnswire"
-	"dohcost/internal/netsim"
+	"dohcost/internal/loadgen"
+	"dohcost/internal/proxy"
 	"dohcost/internal/qtrace"
-	"dohcost/internal/tlsx"
 )
-
-// startTracedProxy brings up a proxy with tracing and profiling armed.
-func startTracedProxy(t *testing.T, n *netsim.Network, proxyHost string, upstreams ...string) (*Proxy, *tlsx.Chain) {
-	t.Helper()
-	chain, err := tlsx.GenerateChain(tlsx.CloudflareLike(proxyHost))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ups []dnstransport.PoolUpstream
-	for _, h := range upstreams {
-		ups = append(ups, tcpUpstream(n, proxyHost, h))
-	}
-	p, err := New(Config{
-		Upstreams:       ups,
-		Pool:            dnstransport.PoolConfig{ConnsPerUpstream: 2, MaxFailures: 1, BackoffBase: time.Minute},
-		Chain:           chain,
-		Endpoints:       []dnsserver.Endpoint{{Path: "/dns-query", Wire: true, JSON: true}},
-		UpstreamTimeout: 2 * time.Second,
-		Tracing:         &qtrace.Config{SampleEvery: 1},
-		Profiling:       true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Start(n, proxyHost); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { p.Close() })
-	return p, chain
-}
 
 // obsGet fetches one path from the proxy's observability mux.
 func obsGet(t *testing.T, srv *httptest.Server, path string) (int, string) {
@@ -64,10 +33,9 @@ func obsGet(t *testing.T, srv *httptest.Server, path string) (int, string) {
 }
 
 func TestObservabilityTraceEndpoint(t *testing.T) {
-	n := netsim.New(7)
-	startUpstream(t, n, "recursive.upstream")
-	p, chain := startTracedProxy(t, n, "proxy.dns", "recursive.upstream")
-	clients := proxyClients(t, n, "proxy.dns", chain)
+	d := deploy(t, loadgen.Scenario{Seed: 7, Proxy: proxy.Config{Tracing: &qtrace.Config{SampleEvery: 1}, Profiling: true}})
+	p := d.Proxy
+	clients := map[string]dnstransport.Resolver{"udp": resolver(t, d, "udp", 0), "dot": resolver(t, d, "dot", 0)}
 
 	// One miss then repeated hits, over UDP and DoT so several proto
 	// labels land in the rings.
@@ -91,7 +59,7 @@ func TestObservabilityTraceEndpoint(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("/debug/trace = %d: %s", code, body)
 	}
-	var report TraceReport
+	var report proxy.TraceReport
 	if err := json.Unmarshal([]byte(body), &report); err != nil {
 		t.Fatalf("bad /debug/trace JSON: %v", err)
 	}
@@ -111,11 +79,11 @@ func TestObservabilityTraceEndpoint(t *testing.T) {
 	}
 
 	// The upstream filter keeps only the miss that went to the pool.
-	code, body = obsGet(t, srv, "/debug/trace?upstream=recursive.upstream")
+	code, body = obsGet(t, srv, "/debug/trace?upstream="+loadgen.UpstreamHost)
 	if code != http.StatusOK {
 		t.Fatalf("filtered /debug/trace = %d", code)
 	}
-	var filtered TraceReport
+	var filtered proxy.TraceReport
 	if err := json.Unmarshal([]byte(body), &filtered); err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +91,7 @@ func TestObservabilityTraceEndpoint(t *testing.T) {
 		t.Error("upstream filter matched no traces; the miss should carry the upstream label")
 	}
 	for _, v := range filtered.Traces {
-		if v.Upstream != "recursive.upstream" {
+		if v.Upstream != loadgen.UpstreamHost {
 			t.Errorf("filtered trace upstream = %q", v.Upstream)
 		}
 	}
@@ -133,7 +101,7 @@ func TestObservabilityTraceEndpoint(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("min_ms /debug/trace = %d", code)
 	}
-	var none TraceReport
+	var none proxy.TraceReport
 	if err := json.Unmarshal([]byte(body), &none); err != nil {
 		t.Fatal(err)
 	}
@@ -171,9 +139,7 @@ func TestObservabilityTraceEndpoint(t *testing.T) {
 }
 
 func TestObservabilityTraceDisabled(t *testing.T) {
-	n := netsim.New(8)
-	startUpstream(t, n, "recursive.upstream")
-	p, _ := startProxy(t, n, "proxy.dns", "recursive.upstream")
+	p := deploy(t, loadgen.Scenario{Seed: 8}).Proxy
 
 	srv := httptest.NewServer(p.Observability())
 	defer srv.Close()

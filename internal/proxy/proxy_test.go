@@ -1,4 +1,4 @@
-package proxy
+package proxy_test
 
 import (
 	"context"
@@ -10,7 +10,6 @@ import (
 	"net/netip"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -18,111 +17,102 @@ import (
 	"dohcost/internal/dnsserver"
 	"dohcost/internal/dnstransport"
 	"dohcost/internal/dnswire"
+	"dohcost/internal/loadgen"
 	"dohcost/internal/netsim"
+	"dohcost/internal/proxy"
 	"dohcost/internal/steer"
 	"dohcost/internal/telemetry"
 	"dohcost/internal/tlsx"
 )
 
-// upstreamHost is one authoritative deployment behind the proxy.
-type upstreamHost struct {
-	host    string
-	queries atomic.Int64
-	run     *dnsserver.Running
-}
+// answer is the address every Deploy upstream resolves every name to.
+var answer = netip.MustParseAddr("192.0.2.53")
 
-// startUpstream deploys a counting Static resolver at host (UDP/TCP only —
-// the proxy forwards over TCP here).
-func startUpstream(t *testing.T, n *netsim.Network, host string) *upstreamHost {
+// failFast marks an upstream down on its first failure and keeps it down
+// for the rest of a test.
+var failFast = dnstransport.PoolConfig{ConnsPerUpstream: 2, MaxFailures: 1, BackoffBase: time.Minute}
+
+// deploy starts s's testbed for one test. Unless s says otherwise, its
+// upstream links are near instant, as an in-process resolver's are, and
+// its UDP clients wait the stub resolver's 2 s per attempt, so a slow run
+// under the race detector resends no query that an exact count would see
+// twice.
+func deploy(t testing.TB, s loadgen.Scenario) *loadgen.Deployment {
 	t.Helper()
-	u := &upstreamHost{host: host}
-	inner := dnsserver.Static(netip.MustParseAddr("192.0.2.77"), 300)
-	srv := &dnsserver.Server{
-		Handler: dnsserver.HandlerFunc(func(ctx context.Context, q *dnswire.Message) (*dnswire.Message, error) {
-			u.queries.Add(1)
-			return inner.ServeDNS(ctx, q)
-		}),
+	if s.UpstreamRTT == 0 {
+		s.UpstreamRTT = time.Microsecond
 	}
-	run, err := srv.Start(n, host)
+	if s.UDPAttemptTimeout == 0 {
+		s.UDPAttemptTimeout = 2 * time.Second
+	}
+	d, err := loadgen.Deploy(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	u.run = run
-	t.Cleanup(run.Close)
-	return u
+	t.Cleanup(d.Close)
+	return d
 }
 
-// tcpUpstream builds a pool upstream forwarding to host over TCP.
-func tcpUpstream(n *netsim.Network, proxyHost, host string) dnstransport.PoolUpstream {
+// resolver opens client c's resolver over transport tr for one test.
+func resolver(t testing.TB, d *loadgen.Deployment, tr string, c int) dnstransport.Resolver {
+	t.Helper()
+	r, err := d.Resolver(tr, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { r.Close() })
+	return r
+}
+
+// startBespoke starts cfg at proxy.dns on n, with a TLS chain for DoT and
+// DoH, for the topologies Deploy cannot express: an upstream it does not
+// serve, or a fault that must be in place before Start.
+func startBespoke(t *testing.T, n *netsim.Network, cfg proxy.Config) (*proxy.Proxy, *tlsx.Chain) {
+	t.Helper()
+	chain, err := tlsx.GenerateChain(tlsx.CloudflareLike("proxy.dns"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Chain = chain
+	p, err := proxy.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { p.Close() })
+	if err := p.Start(n, "proxy.dns"); err != nil {
+		t.Fatal(err)
+	}
+	return p, chain
+}
+
+// serve starts h as a resolver at host on n.
+func serve(t *testing.T, n *netsim.Network, host string, h dnsserver.Handler) {
+	t.Helper()
+	run, err := (&dnsserver.Server{Handler: h}).Start(n, host)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(run.Close)
+}
+
+// tcpUpstream builds a pool upstream forwarding from proxy.dns to host
+// over TCP.
+func tcpUpstream(n *netsim.Network, host string) dnstransport.PoolUpstream {
 	return dnstransport.PoolUpstream{
 		Name: host,
 		Dial: func(ctx context.Context) (dnstransport.Resolver, error) {
 			return dnstransport.NewTCPClient(func(ctx context.Context) (net.Conn, error) {
-				return n.DialContext(ctx, proxyHost, host+":53")
+				return n.DialContext(ctx, "proxy.dns", host+":53")
 			}), nil
 		},
 	}
 }
 
-// startProxy brings up a full-listener proxy at proxyHost forwarding to the
-// given upstream hosts.
-func startProxy(t *testing.T, n *netsim.Network, proxyHost string, upstreams ...string) (*Proxy, *tlsx.Chain) {
-	t.Helper()
-	chain, err := tlsx.GenerateChain(tlsx.CloudflareLike(proxyHost))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ups []dnstransport.PoolUpstream
-	for _, h := range upstreams {
-		ups = append(ups, tcpUpstream(n, proxyHost, h))
-	}
-	p, err := New(Config{
-		Upstreams:       ups,
-		Pool:            dnstransport.PoolConfig{ConnsPerUpstream: 2, MaxFailures: 1, BackoffBase: time.Minute},
-		Chain:           chain,
-		Endpoints:       []dnsserver.Endpoint{{Path: "/dns-query", Wire: true, JSON: true}},
-		UpstreamTimeout: 2 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Start(n, proxyHost); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { p.Close() })
-	return p, chain
-}
-
-func proxyClients(t *testing.T, n *netsim.Network, host string, chain *tlsx.Chain) map[string]dnstransport.Resolver {
-	t.Helper()
-	pc, err := n.ListenPacket("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	udp := dnstransport.NewUDPClient(pc, netsim.Addr(host+":53"))
-	tcp := dnstransport.NewTCPClient(func(ctx context.Context) (net.Conn, error) { return n.DialContext(ctx, "client", host+":53") })
-	dot := dnstransport.NewDoTClient(func(ctx context.Context) (net.Conn, error) { return n.DialContext(ctx, "client", host+":853") }, chain.ClientConfig(host))
-	doh := &dnstransport.DoHClient{
-		Dial:       func(ctx context.Context) (net.Conn, error) { return n.DialContext(ctx, "client", host+":443") },
-		TLS:        chain.ClientConfig(host),
-		Persistent: true,
-	}
-	clients := map[string]dnstransport.Resolver{"udp": udp, "tcp": tcp, "dot": dot, "doh": doh}
-	for _, c := range clients {
-		c := c
-		t.Cleanup(func() { c.Close() })
-	}
-	return clients
-}
-
 func TestProxyServesAllTransportsFromCacheAndPool(t *testing.T) {
-	n := netsim.New(1)
-	up := startUpstream(t, n, "recursive.upstream")
-	p, chain := startProxy(t, n, "proxy.dns", "recursive.upstream")
-	clients := proxyClients(t, n, "proxy.dns", chain)
-
-	for name, c := range clients {
-		t.Run(name, func(t *testing.T) {
+	d := deploy(t, loadgen.Scenario{Seed: 1})
+	for _, tr := range loadgen.Transports {
+		c := resolver(t, d, tr, 0)
+		t.Run(tr, func(t *testing.T) {
 			// Same qname over every transport: the first transport pays the
 			// upstream round trip, the rest hit the shared cache.
 			resp, err := c.Exchange(context.Background(), dnswire.NewQuery(0, "shared.example.", dnswire.TypeA))
@@ -132,41 +122,24 @@ func TestProxyServesAllTransportsFromCacheAndPool(t *testing.T) {
 			if resp.RCode != dnswire.RCodeSuccess || len(resp.Answers) != 1 {
 				t.Fatalf("resp = %v", resp)
 			}
-			if a := resp.Answers[0].Data.(*dnswire.A); a.Addr != netip.MustParseAddr("192.0.2.77") {
+			if a := resp.Answers[0].Data.(*dnswire.A); a.Addr != answer {
 				t.Fatalf("answer = %v", a.Addr)
 			}
 		})
 	}
-	if got := up.queries.Load(); got != 1 {
+	if got := d.Upstreams()[0].Queries(); got != 1 {
 		t.Errorf("upstream saw %d queries, want 1 (cache shared across listeners)", got)
 	}
-	s := p.CacheStats()
+	s := d.Proxy.CacheStats()
 	if s.Misses != 1 || s.Hits != 3 {
 		t.Errorf("cache stats = %+v, want 1 miss + 3 hits", s)
 	}
 }
 
 func TestProxyCoalescesConcurrentMisses(t *testing.T) {
-	n := netsim.New(2)
-	// A slow upstream widens the coalescing window.
-	slow := &upstreamHost{host: "slow.upstream"}
-	inner := dnsserver.Static(netip.MustParseAddr("192.0.2.77"), 300)
-	srv := &dnsserver.Server{
-		Handler: dnsserver.HandlerFunc(func(ctx context.Context, q *dnswire.Message) (*dnswire.Message, error) {
-			slow.queries.Add(1)
-			time.Sleep(30 * time.Millisecond)
-			return inner.ServeDNS(ctx, q)
-		}),
-	}
-	run, err := srv.Start(n, slow.host)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(run.Close)
-
-	p, chain := startProxy(t, n, "proxy.dns", slow.host)
-	clients := proxyClients(t, n, "proxy.dns", chain)
-	c := clients["tcp"]
+	// A slow upstream link widens the coalescing window.
+	d := deploy(t, loadgen.Scenario{Seed: 2, UpstreamRTT: 60 * time.Millisecond})
+	c := resolver(t, d, "tcp", 0)
 
 	var wg sync.WaitGroup
 	for i := 0; i < 12; i++ {
@@ -184,31 +157,28 @@ func TestProxyCoalescesConcurrentMisses(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := slow.queries.Load(); got != 1 {
+	if got := d.Upstreams()[0].Queries(); got != 1 {
 		t.Errorf("upstream saw %d exchanges, want 1 (singleflight)", got)
 	}
-	if s := p.CacheStats(); s.Coalesced != 11 {
+	if s := d.Proxy.CacheStats(); s.Coalesced != 11 {
 		t.Errorf("coalesced = %d, want 11", s.Coalesced)
 	}
 }
 
 func TestProxyFailsOverAcrossUpstreams(t *testing.T) {
-	n := netsim.New(3)
-	prim := startUpstream(t, n, "primary.upstream")
-	sec := startUpstream(t, n, "secondary.upstream")
-	p, chain := startProxy(t, n, "proxy.dns", "primary.upstream", "secondary.upstream")
-	clients := proxyClients(t, n, "proxy.dns", chain)
-	c := clients["udp"]
+	d := deploy(t, loadgen.Scenario{Seed: 3, Upstreams: 2, Proxy: proxy.Config{Pool: failFast, UpstreamTimeout: 2 * time.Second}})
+	prim, sec := d.Upstreams()[0], d.Upstreams()[1]
+	c := resolver(t, d, "udp", 0)
 
 	if _, err := c.Exchange(context.Background(), dnswire.NewQuery(0, "one.example.", dnswire.TypeA)); err != nil {
 		t.Fatal(err)
 	}
-	if prim.queries.Load() != 1 || sec.queries.Load() != 0 {
-		t.Fatalf("primary=%d secondary=%d", prim.queries.Load(), sec.queries.Load())
+	if prim.Queries() != 1 || sec.Queries() != 0 {
+		t.Fatalf("primary=%d secondary=%d", prim.Queries(), sec.Queries())
 	}
 
 	// Kill the primary; fresh names must be answered by the secondary.
-	prim.run.Close()
+	prim.Close()
 	for i := 0; i < 3; i++ {
 		resp, err := c.Exchange(context.Background(), dnswire.NewQuery(0, dnswire.Name(fmt.Sprintf("fo%d.example.", i)), dnswire.TypeA))
 		if err != nil {
@@ -218,26 +188,22 @@ func TestProxyFailsOverAcrossUpstreams(t *testing.T) {
 			t.Fatalf("failover query %d: rcode %v", i, resp.RCode)
 		}
 	}
-	if sec.queries.Load() == 0 {
+	if sec.Queries() == 0 {
 		t.Error("secondary never reached after primary died")
 	}
-	stats := p.UpstreamStats()
+	stats := d.Proxy.UpstreamStats()
 	if !stats[0].Down {
 		t.Errorf("primary not marked down: %+v", stats)
 	}
 }
 
 func TestProxyAnswersSERVFAILWhenAllUpstreamsDown(t *testing.T) {
-	n := netsim.New(4)
-	up := startUpstream(t, n, "only.upstream")
-	_, chain := startProxy(t, n, "proxy.dns", "only.upstream")
-	clients := proxyClients(t, n, "proxy.dns", chain)
-	up.run.Close()
+	d := deploy(t, loadgen.Scenario{Seed: 4, Proxy: proxy.Config{Pool: failFast, UpstreamTimeout: 2 * time.Second}})
+	d.Upstreams()[0].Close()
 
-	for name, c := range clients {
-		if name == "udp" {
-			continue // UDP would retry into its timeout; streams fail fast
-		}
+	// UDP would retry into its timeout; streams fail fast.
+	for _, name := range []string{"tcp", "dot", "doh"} {
+		c := resolver(t, d, name, 0)
 		t.Run(name, func(t *testing.T) {
 			resp, err := c.Exchange(context.Background(), dnswire.NewQuery(0, dnswire.Name("dead-"+name+".example."), dnswire.TypeA))
 			if err != nil {
@@ -251,20 +217,18 @@ func TestProxyAnswersSERVFAILWhenAllUpstreamsDown(t *testing.T) {
 }
 
 func TestProxyNegativeAnswersForwarded(t *testing.T) {
+	// Deploy's upstreams answer every name; this one is a zone, so names
+	// outside it get NXDOMAIN with authority.
 	n := netsim.New(5)
-	// Upstream is a zone: names outside it get NXDOMAIN with authority.
 	zone := dnsserver.NewZone("example.org.")
 	zone.AddA("www.example.org.", 300, &dnswire.A{Addr: netip.MustParseAddr("192.0.2.80")})
-	srv := &dnsserver.Server{Handler: zone}
-	run, err := srv.Start(n, "zone.upstream")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(run.Close)
+	serve(t, n, "zone.upstream", zone)
 
-	p, chain := startProxy(t, n, "proxy.dns", "zone.upstream")
-	clients := proxyClients(t, n, "proxy.dns", chain)
-	c := clients["dot"]
+	p, chain := startBespoke(t, n, proxy.Config{Upstreams: []dnstransport.PoolUpstream{tcpUpstream(n, "zone.upstream")}})
+	c := dnstransport.NewDoTClient(func(ctx context.Context) (net.Conn, error) {
+		return n.DialContext(ctx, "client", "proxy.dns:853")
+	}, chain.ClientConfig("proxy.dns"))
+	t.Cleanup(func() { c.Close() })
 
 	for i := 0; i < 3; i++ {
 		resp, err := c.Exchange(context.Background(), dnswire.NewQuery(0, "missing.example.org.", dnswire.TypeA))
@@ -281,38 +245,19 @@ func TestProxyNegativeAnswersForwarded(t *testing.T) {
 }
 
 // TestProxyHedgedPolicySteersAroundDegradedUpstream deploys the preferred
-// upstream behind a 100ms (one-way) link and a clean runner-up, with the
+// upstream behind a 200ms round trip and a clean runner-up, with the
 // hedged policy and a 10ms hedge delay: queries must be answered far below
 // the degraded upstream's RTT, the hedge counters must move, and the
 // steering model must learn to rank the clean upstream first.
 func TestProxyHedgedPolicySteersAroundDegradedUpstream(t *testing.T) {
-	n := netsim.New(6)
-	slow := startUpstream(t, n, "slow.upstream")
-	fast := startUpstream(t, n, "fast.upstream")
-	n.SetLink("proxy.dns", "slow.upstream", netsim.Link{Delay: 100 * time.Millisecond})
-
-	p, err := New(Config{
-		Upstreams: []dnstransport.PoolUpstream{
-			tcpUpstream(n, "proxy.dns", "slow.upstream"),
-			tcpUpstream(n, "proxy.dns", "fast.upstream"),
-		},
-		Policy:          steer.PolicyHedged,
-		HedgeDelay:      10 * time.Millisecond,
-		UpstreamTimeout: 2 * time.Second,
+	d := deploy(t, loadgen.Scenario{
+		Seed:                6,
+		Upstreams:           2,
+		DegradedUpstreamRTT: 200 * time.Millisecond,
+		Proxy:               proxy.Config{Policy: steer.PolicyHedged, HedgeDelay: 10 * time.Millisecond, UpstreamTimeout: 2 * time.Second},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { p.Close() })
-	if err := p.Start(n, "proxy.dns"); err != nil {
-		t.Fatal(err)
-	}
-	pc, err := n.ListenPacket("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := dnstransport.NewUDPClient(pc, netsim.Addr("proxy.dns:53"))
-	t.Cleanup(func() { c.Close() })
+	p, slow, fast := d.Proxy, d.Upstreams()[0], d.Upstreams()[1]
+	c := resolver(t, d, "udp", 0)
 
 	for i := 0; i < 6; i++ {
 		start := time.Now()
@@ -327,7 +272,7 @@ func TestProxyHedgedPolicySteersAroundDegradedUpstream(t *testing.T) {
 			t.Errorf("query %d took %v, hedging should beat the 200ms degraded round trip", i, elapsed)
 		}
 	}
-	if fast.queries.Load() == 0 {
+	if fast.Queries() == 0 {
 		t.Error("clean upstream never answered: hedging did not steer")
 	}
 	snap := settled(p, func(s *telemetry.Snapshot) bool { return s.HedgesFired > 0 })
@@ -338,10 +283,9 @@ func TestProxyHedgedPolicySteersAroundDegradedUpstream(t *testing.T) {
 	if rep.Policy != "hedged" {
 		t.Errorf("steering policy = %q, want hedged", rep.Policy)
 	}
-	if len(rep.Upstreams) != 2 || rep.Upstreams[0].Name != "fast.upstream" {
-		t.Errorf("steering rank = %+v, want fast.upstream first", rep.Upstreams)
+	if len(rep.Upstreams) != 2 || rep.Upstreams[0].Name != fast.Host {
+		t.Errorf("steering rank = %+v, want %s first", rep.Upstreams, fast.Host)
 	}
-	_ = slow
 
 	// The new steering series reach /metrics alongside the hedge counters.
 	srv := httptest.NewServer(p.Observability())
@@ -357,8 +301,8 @@ func TestProxyHedgedPolicySteersAroundDegradedUpstream(t *testing.T) {
 	}
 	for _, want := range []string{
 		"dohcost_hedges_fired_total",
-		"dohcost_upstream_srtt_seconds{upstream=\"fast.upstream\"}",
-		"dohcost_upstream_success_rate{upstream=\"slow.upstream\"}",
+		fmt.Sprintf("dohcost_upstream_srtt_seconds{upstream=%q}", fast.Host),
+		fmt.Sprintf("dohcost_upstream_success_rate{upstream=%q}", slow.Host),
 	} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("/metrics missing %q", want)
@@ -387,7 +331,7 @@ func TestProxyFastestScoresThroughServeStaleCache(t *testing.T) {
 			return c, nil
 		}}
 	}
-	p, err := New(Config{
+	p, err := proxy.New(proxy.Config{
 		Upstreams:      []dnstransport.PoolUpstream{dot(core.CFHost), dot(core.GOHost)},
 		Policy:         steer.PolicyFastest,
 		ServeStale:     time.Minute,
@@ -428,34 +372,19 @@ func TestProxyFastestScoresThroughServeStaleCache(t *testing.T) {
 // proxy keeps answering from the stale entry (RFC 8767) instead of
 // SERVFAILing.
 func TestProxyServeStaleAnswersWithDeadUpstream(t *testing.T) {
-	n := netsim.New(7)
-	up := startUpstream(t, n, "mortal.upstream")
-	p, err := New(Config{
-		Upstreams:       []dnstransport.PoolUpstream{tcpUpstream(n, "proxy.dns", "mortal.upstream")},
+	d := deploy(t, loadgen.Scenario{Seed: 7, Proxy: proxy.Config{
 		MaxTTL:          500 * time.Millisecond,
 		ServeStale:      time.Minute,
 		UpstreamTimeout: time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { p.Close() })
-	if err := p.Start(n, "proxy.dns"); err != nil {
-		t.Fatal(err)
-	}
-	pc, err := n.ListenPacket("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := dnstransport.NewUDPClient(pc, netsim.Addr("proxy.dns:53"))
-	c.Timeout = 2 * time.Second
-	t.Cleanup(func() { c.Close() })
+	}})
+	p := d.Proxy
+	c := resolver(t, d, "udp", 0)
 
 	if _, err := c.Exchange(context.Background(), dnswire.NewQuery(0, "st.example.", dnswire.TypeA)); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(700 * time.Millisecond) // past the clamped TTL
-	up.run.Close()                     // upstream gone
+	d.Upstreams()[0].Close()           // upstream gone
 
 	start := time.Now()
 	resp, err := c.Exchange(context.Background(), dnswire.NewQuery(0, "st.example.", dnswire.TypeA))
@@ -478,11 +407,7 @@ func TestProxyServeStaleAnswersWithDeadUpstream(t *testing.T) {
 	// The background refresh's failed attempt against the dead upstream is
 	// visible in the aggregate accounting (it runs in a background
 	// Transaction)…
-	deadline := time.Now().Add(2 * time.Second)
-	for snap.PoolFailures == 0 && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-		snap = p.Telemetry().Snapshot()
-	}
+	snap = settled(p, func(s *telemetry.Snapshot) bool { return s.PoolFailures > 0 })
 	if snap.PoolFailures == 0 {
 		t.Error("background refresh failure invisible to telemetry")
 	}

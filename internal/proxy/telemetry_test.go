@@ -1,11 +1,10 @@
-package proxy
+package proxy_test
 
 import (
 	"context"
 	"encoding/json"
 	"errors"
 	"io"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -18,7 +17,8 @@ import (
 	"dohcost/internal/dnstransport"
 	"dohcost/internal/dnswire"
 	"dohcost/internal/guard"
-	"dohcost/internal/netsim"
+	"dohcost/internal/loadgen"
+	"dohcost/internal/proxy"
 	"dohcost/internal/telemetry"
 )
 
@@ -28,9 +28,8 @@ import (
 // upstream exchange bytes, and final verdict — then scrapes /metrics and
 // /debug/cost and checks both expositions carry the same story.
 func TestProxyTelemetryEndToEnd(t *testing.T) {
-	n := netsim.New(1)
-	up := startUpstream(t, n, "up0.recursive")
-	p, chain := startProxy(t, n, "proxy.dns", up.host)
+	d := deploy(t, loadgen.Scenario{Seed: 1})
+	p, up := d.Proxy, d.Upstreams()[0]
 
 	var summaries []*telemetry.Summary
 	var mu sync.Mutex
@@ -43,18 +42,7 @@ func TestProxyTelemetryEndToEnd(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 
-	pc, err := n.ListenPacket("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	udp := dnstransport.NewUDPClient(pc, netsim.Addr("proxy.dns:53"))
-	defer udp.Close()
-	doh := &dnstransport.DoHClient{
-		Dial:       func(ctx context.Context) (net.Conn, error) { return n.DialContext(ctx, "client", "proxy.dns:443") },
-		TLS:        chain.ClientConfig("proxy.dns"),
-		Persistent: true,
-	}
-	defer doh.Close()
+	udp, doh := resolver(t, d, "udp", 0), resolver(t, d, "doh", 0)
 
 	// Query 1 (UDP): cold cache → miss, pool dial, upstream exchange.
 	// Query 2 (UDP): same name → hit. Query 3 (DoH): same name → hit.
@@ -103,7 +91,7 @@ func TestProxyTelemetryEndToEnd(t *testing.T) {
 			missSummary = s
 		}
 	}
-	if missSummary == nil || missSummary.Server != up.host || missSummary.BytesReceived == 0 {
+	if missSummary == nil || missSummary.Server != up.Host || missSummary.BytesReceived == 0 {
 		t.Errorf("miss summary should name the upstream and carry bytes: %+v", missSummary)
 	}
 	mu.Unlock()
@@ -120,15 +108,15 @@ func TestProxyTelemetryEndToEnd(t *testing.T) {
 		"dohcost_pool_exchanges_total 1",
 		`dohcost_query_latency_seconds{proto="udp",quantile="0.99"}`,
 		"dohcost_cache_entries 1",
-		`dohcost_upstream_up{upstream="up0.recursive"} 1`,
-		`dohcost_upstream_exchanges_total{upstream="up0.recursive"} 1`,
+		`dohcost_upstream_up{upstream="recursive.upstream"} 1`,
+		`dohcost_upstream_exchanges_total{upstream="recursive.upstream"} 1`,
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
 	}
 
-	var report CostReport
+	var report proxy.CostReport
 	if err := json.Unmarshal([]byte(httpGet(t, srv.URL+"/debug/cost")), &report); err != nil {
 		t.Fatalf("/debug/cost is not JSON: %v", err)
 	}
@@ -155,7 +143,7 @@ func TestForwardingChainOrder(t *testing.T) {
 	up := dnstransport.PoolUpstream{Name: "never-dialed", Dial: func(context.Context) (dnstransport.Resolver, error) {
 		return nil, errors.New("not in this test")
 	}}
-	p, err := New(Config{Upstreams: []dnstransport.PoolUpstream{up}, Guard: &guard.Config{}, Bootstrap: &dialer.Prober{}})
+	p, err := proxy.New(proxy.Config{Upstreams: []dnstransport.PoolUpstream{up}, Guard: &guard.Config{}, Bootstrap: &dialer.Prober{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,19 +157,13 @@ func TestForwardingChainOrder(t *testing.T) {
 // accounting: with every upstream unreachable the pipeline synthesizes
 // SERVFAIL, and telemetry must say so rather than counting an ok.
 func TestProxyTelemetrySERVFAILVerdict(t *testing.T) {
-	n := netsim.New(2)
-	up := startUpstream(t, n, "up0.recursive")
-	p, _ := startProxy(t, n, "proxy.dns", up.host)
-	up.run.Close() // upstream gone before the first query
+	d := deploy(t, loadgen.Scenario{Seed: 2, Proxy: proxy.Config{Pool: failFast, UpstreamTimeout: 2 * time.Second}})
+	p := d.Proxy
+	d.Upstreams()[0].Close() // upstream gone before the first query
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	pc, err := n.ListenPacket("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	udp := dnstransport.NewUDPClient(pc, netsim.Addr("proxy.dns:53"))
-	defer udp.Close()
+	udp := resolver(t, d, "udp", 0)
 
 	resp, err := udp.Exchange(ctx, dnswire.NewQuery(0, "doomed.example.", dnswire.TypeA))
 	if err != nil {
@@ -221,7 +203,7 @@ func httpGet(t *testing.T, url string) string {
 // counters a test is about to assert on have arrived, or two seconds have
 // passed: a server finishes a query's transaction just after its reply
 // leaves, so the client holding the reply can be a moment ahead of them.
-func settled(p *Proxy, done func(*telemetry.Snapshot) bool) *telemetry.Snapshot {
+func settled(p *proxy.Proxy, done func(*telemetry.Snapshot) bool) *telemetry.Snapshot {
 	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
 		if snap := p.Telemetry().Snapshot(); done(snap) || time.Now().After(deadline) {
 			return snap

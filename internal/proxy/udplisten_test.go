@@ -1,17 +1,17 @@
-package proxy
+package proxy_test
 
 import (
 	"context"
 	"net"
 	"net/http/httptest"
-	"net/netip"
 	"strings"
 	"testing"
 	"time"
 
 	"dohcost/internal/dnstransport"
 	"dohcost/internal/dnswire"
-	"dohcost/internal/netsim"
+	"dohcost/internal/loadgen"
+	"dohcost/internal/proxy"
 )
 
 // TestProxyUDPListenBatchedRealSocket brings the proxy up with the
@@ -20,22 +20,13 @@ import (
 // upstream, repeats hit the cache through the batched fast path, and the
 // cost report carries per-shard counters.
 func TestProxyUDPListenBatchedRealSocket(t *testing.T) {
-	n := netsim.New(41)
-	up := startUpstream(t, n, "recursive.upstream")
-	p, err := New(Config{
-		Upstreams:       []dnstransport.PoolUpstream{tcpUpstream(n, "proxy.dns", up.host)},
+	d := deploy(t, loadgen.Scenario{Seed: 41, Proxy: proxy.Config{
 		UpstreamTimeout: 2 * time.Second,
 		UDPListen:       "127.0.0.1:0",
 		UDPShards:       2,
 		UDPBatch:        16,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Start(n, "proxy.dns"); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { p.Close() })
+	}})
+	p := d.Proxy
 
 	addr := p.UDPAddr()
 	if addr == nil {
@@ -57,11 +48,11 @@ func TestProxyUDPListenBatchedRealSocket(t *testing.T) {
 		if resp.RCode != dnswire.RCodeSuccess || len(resp.Answers) != 1 {
 			t.Fatalf("query %d: resp = %v", i, resp)
 		}
-		if a := resp.Answers[0].Data.(*dnswire.A); a.Addr != netip.MustParseAddr("192.0.2.77") {
+		if a := resp.Answers[0].Data.(*dnswire.A); a.Addr != answer {
 			t.Fatalf("query %d: answer = %v", i, a.Addr)
 		}
 	}
-	if got := up.queries.Load(); got != 1 {
+	if got := d.Upstreams()[0].Queries(); got != 1 {
 		t.Errorf("upstream saw %d queries, want 1 (9 repeats served from cache)", got)
 	}
 

@@ -164,23 +164,6 @@ func Zipf(n int, s float64) []float64 {
 	return w
 }
 
-// WeightedChoice picks an index according to the given weights (which need
-// not be normalized).
-func WeightedChoice(rng *rand.Rand, weights []float64) int {
-	var total float64
-	for _, w := range weights {
-		total += w
-	}
-	r := rng.Float64() * total
-	for i, w := range weights {
-		r -= w
-		if r < 0 {
-			return i
-		}
-	}
-	return len(weights) - 1
-}
-
 // LogNormal draws from a log-normal distribution with the given parameters
 // of the underlying normal.
 func LogNormal(rng *rand.Rand, mu, sigma float64) float64 {

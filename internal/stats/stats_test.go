@@ -218,3 +218,20 @@ func TestCDFPoints(t *testing.T) {
 		t.Errorf("last P = %v", pts[4].P)
 	}
 }
+
+// WeightedChoice picks an index according to the given weights (which need
+// not be normalized).
+func WeightedChoice(rng *rand.Rand, weights []float64) int {
+	var total float64
+	for _, w := range weights {
+		total += w
+	}
+	r := rng.Float64() * total
+	for i, w := range weights {
+		r -= w
+		if r < 0 {
+			return i
+		}
+	}
+	return len(weights) - 1
+}

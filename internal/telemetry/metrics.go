@@ -273,19 +273,6 @@ func FromContext(ctx context.Context) *Transaction {
 	return tx
 }
 
-// DetachContext returns ctx with any carried Transaction shadowed:
-// FromContext on the result yields nil. A Transaction is single-goroutine
-// property that is recycled at Finish, so any layer fanning work out to
-// goroutines that can outlive the serving request — the hedged steering
-// policy's racing exchanges — must detach first; a straggler annotating
-// the recycled record would corrupt a later query's accounting.
-func DetachContext(ctx context.Context) context.Context {
-	if FromContext(ctx) == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, ctxKey{}, (*Transaction)(nil))
-}
-
 // Snapshot merges every shard into one coherent view. Counters are read
 // with atomic loads, so a snapshot taken under load is a consistent-enough
 // scrape (individual counters are exact; cross-counter skew is bounded by

@@ -38,7 +38,7 @@ const MaxBatch = 64
 // Batch implementations may reuse the Addr value (a *net.UDPAddr rewritten
 // in place) across ReadBatch calls on the same Message slot — a caller
 // handing an address to a goroutine that outlives the next ReadBatch must
-// CloneAddr it first.
+// copy it first.
 type Message struct {
 	// Buf is the datagram payload storage, owned by the caller.
 	Buf []byte
@@ -85,24 +85,6 @@ func Wrap(pc net.PacketConn) BatchConn {
 		}
 	}
 	return &fallbackConn{pc: pc}
-}
-
-// CloneAddr returns a copy of addr safe to retain after the Message slot
-// it came from is reused by a later ReadBatch. Address types other than
-// *net.UDPAddr are returned as-is: only the kernel batch implementation
-// rewrites addresses in place, and it always produces *net.UDPAddr.
-func CloneAddr(addr net.Addr) net.Addr {
-	ua, ok := addr.(*net.UDPAddr)
-	if !ok {
-		return addr
-	}
-	// One allocation holds the address and the bytes its IP slices.
-	c := &struct {
-		net.UDPAddr
-		ip [net.IPv6len]byte
-	}{UDPAddr: net.UDPAddr{Port: ua.Port, Zone: ua.Zone}}
-	c.IP = c.ip[:copy(c.ip[:], ua.IP)]
-	return &c.UDPAddr
 }
 
 // fallbackConn is the portable BatchConn: one datagram per syscall under

@@ -281,3 +281,21 @@ func TestListenShards(t *testing.T) {
 		t.Fatalf("shards received %d datagrams, sent %d", got, sent)
 	}
 }
+
+// CloneAddr returns a copy of addr safe to retain after the Message slot
+// it came from is reused by a later ReadBatch. Address types other than
+// *net.UDPAddr are returned as-is: only the kernel batch implementation
+// rewrites addresses in place, and it always produces *net.UDPAddr.
+func CloneAddr(addr net.Addr) net.Addr {
+	ua, ok := addr.(*net.UDPAddr)
+	if !ok {
+		return addr
+	}
+	// One allocation holds the address and the bytes its IP slices.
+	c := &struct {
+		net.UDPAddr
+		ip [net.IPv6len]byte
+	}{UDPAddr: net.UDPAddr{Port: ua.Port, Zone: ua.Zone}}
+	c.IP = c.ip[:copy(c.ip[:], ua.IP)]
+	return &c.UDPAddr
+}
