@@ -43,12 +43,12 @@ const (
 	DefaultStagger = 250 * time.Millisecond
 	// DefaultDialTimeout bounds each individual attempt.
 	DefaultDialTimeout = 5 * time.Second
-	// DefaultStickyTTL bounds how long a winning family is trusted
-	// without re-racing.
-	DefaultStickyTTL = 10 * time.Minute
-	// DefaultDemoteAfter is how many consecutive failures of the sticky
-	// family revoke its preference.
-	DefaultDemoteAfter = 2
+	// stickyTTL bounds how long a remembered winning family keeps
+	// leading the race without re-racing.
+	stickyTTL = 10 * time.Minute
+	// demoteAfter is how many consecutive failures of the sticky family
+	// revoke its preference.
+	demoteAfter = 2
 )
 
 // Config tunes a HappyEyeballs dialer. Resolve and Dial are required.
@@ -65,13 +65,6 @@ type Config struct {
 	// DialTimeout bounds each individual attempt. Zero means
 	// DefaultDialTimeout.
 	DialTimeout time.Duration
-	// StickyTTL is how long a remembered winning family keeps leading
-	// the race. Zero means DefaultStickyTTL; negative disables
-	// stickiness.
-	StickyTTL time.Duration
-	// DemoteAfter is the consecutive-failure budget before the sticky
-	// family loses its preference. Zero means DefaultDemoteAfter.
-	DemoteAfter int
 	// PreferV6 leads with IPv6 when no sticky winner applies, matching
 	// RFC 8305's default preference. The zero value leads with IPv4,
 	// which suits the study's v4-dominant vantage points.
@@ -89,12 +82,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DialTimeout == 0 {
 		c.DialTimeout = DefaultDialTimeout
-	}
-	if c.StickyTTL == 0 {
-		c.StickyTTL = DefaultStickyTTL
-	}
-	if c.DemoteAfter == 0 {
-		c.DemoteAfter = DefaultDemoteAfter
 	}
 	if c.now == nil {
 		c.now = time.Now
@@ -147,16 +134,13 @@ func (h *HappyEyeballs) preferredFamily(host string) telemetry.DialFamily {
 	if h.cfg.PreferV6 {
 		def = telemetry.DialFamilyV6
 	}
-	if h.cfg.StickyTTL < 0 {
-		return def
-	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	st := h.hosts[host]
 	if st == nil || st.winner == telemetry.DialFamilyUnknown {
 		return def
 	}
-	if h.cfg.now().Sub(st.winnerAt) > h.cfg.StickyTTL {
+	if h.cfg.now().Sub(st.winnerAt) > stickyTTL {
 		st.winner = telemetry.DialFamilyUnknown
 		return def
 	}
@@ -177,7 +161,7 @@ func (h *HappyEyeballs) noteWin(host string, fam telemetry.DialFamily) {
 }
 
 // noteFail charges one failed attempt of host's sticky family; after
-// DemoteAfter consecutive charges the preference is revoked and the next
+// demoteAfter consecutive charges the preference is revoked and the next
 // race starts from the configured default order.
 func (h *HappyEyeballs) noteFail(host string, fam telemetry.DialFamily) {
 	h.mu.Lock()
@@ -187,7 +171,7 @@ func (h *HappyEyeballs) noteFail(host string, fam telemetry.DialFamily) {
 		return
 	}
 	st.fails++
-	if st.fails >= h.cfg.DemoteAfter {
+	if st.fails >= demoteAfter {
 		st.winner = telemetry.DialFamilyUnknown
 		st.fails = 0
 	}
@@ -336,8 +320,7 @@ type HostReport struct {
 type Report struct {
 	// StaggerMs is the configured connection-attempt delay.
 	StaggerMs float64 `json:"stagger_ms"`
-	// StickyTTLMs is the winner-memory bound; 0 when stickiness is
-	// disabled.
+	// StickyTTLMs is the winner-memory bound.
 	StickyTTLMs float64 `json:"sticky_ttl_ms"`
 	// Hosts lists per-upstream race memory, sorted by host.
 	Hosts []HostReport `json:"hosts,omitempty"`
@@ -345,9 +328,9 @@ type Report struct {
 
 // Report snapshots the dialer's per-upstream memory.
 func (h *HappyEyeballs) Report() Report {
-	r := Report{StaggerMs: float64(h.cfg.Stagger) / float64(time.Millisecond)}
-	if h.cfg.StickyTTL > 0 {
-		r.StickyTTLMs = float64(h.cfg.StickyTTL) / float64(time.Millisecond)
+	r := Report{
+		StaggerMs:   float64(h.cfg.Stagger) / float64(time.Millisecond),
+		StickyTTLMs: float64(stickyTTL) / float64(time.Millisecond),
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()

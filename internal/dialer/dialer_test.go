@@ -78,10 +78,10 @@ func TestHappyEyeballsPrefersStickyWinner(t *testing.T) {
 	}
 
 	// Blackhole v6: the race falls over to v4 within one stagger and,
-	// after DemoteAfter consecutive sticky failures, the preference is
+	// after demoteAfter consecutive sticky failures, the preference is
 	// revoked so v4 leads the next race outright.
 	n.SetDialFault("v6.up", netsim.DialFault{Blackhole: true})
-	for i := 0; i < DefaultDemoteAfter; i++ {
+	for i := 0; i < demoteAfter; i++ {
 		c, err = h.DialContext(context.Background(), "up")
 		if err != nil {
 			t.Fatal(err)
@@ -126,7 +126,7 @@ func TestHappyEyeballsStickyTTLExpires(t *testing.T) {
 	if h.preferredFamily("up") != telemetry.DialFamilyV6 {
 		t.Fatal("forced v6 winner not preferred")
 	}
-	now = now.Add(DefaultStickyTTL + time.Second)
+	now = now.Add(stickyTTL + time.Second)
 	if h.preferredFamily("up") != telemetry.DialFamilyV4 {
 		t.Fatal("expired winner still preferred")
 	}
@@ -348,4 +348,47 @@ func ExampleHappyEyeballs_DialContext() {
 	}
 	fmt.Println(err)
 	// Output: <nil>
+}
+
+// BenchmarkHappyEyeballsDial measures one RFC 8305 dial race over a
+// dual-homed upstream on the simulated network: resolve both families,
+// race staggered attempts, first established connection wins. With both
+// families healthy the preferred family connects immediately, so this is
+// the dialer's fixed per-connection overhead (goroutines, timers, race
+// bookkeeping) on top of a raw netsim dial.
+func BenchmarkHappyEyeballsDial(b *testing.B) {
+	n := netsim.New(1)
+	for _, h := range []string{"v4.up", "v6.up"} {
+		l, err := n.Listen(h + ":53")
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer l.Close()
+		go func() {
+			for {
+				c, err := l.Accept()
+				if err != nil {
+					return
+				}
+				c.Close()
+			}
+		}()
+	}
+	he := New(Config{
+		Resolve: func(ctx context.Context, host string) ([]string, []string, error) {
+			return []string{"v4." + host + ":53"}, []string{"v6." + host + ":53"}, nil
+		},
+		Dial: func(ctx context.Context, addr string) (net.Conn, error) {
+			return n.DialContext(ctx, "client", addr)
+		},
+	})
+	ctx := context.Background()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c, err := he.DialContext(ctx, "up")
+		if err != nil {
+			b.Fatal(err)
+		}
+		c.Close()
+	}
 }

@@ -378,13 +378,10 @@ func WithExchangeTimeout(d time.Duration) Option {
 // their context and are unaffected.
 func WithTelemetry(m *telemetry.Metrics) Option { return func(c *Cache) { c.tel = m } }
 
-// WithClock replaces the cache's clock. Exposed for tests and benchmarks
-// that need to age entries without sleeping (the serve-stale and prefetch
-// paths are clock-driven).
-func WithClock(now func() time.Time) Option { return func(c *Cache) { c.now = now } }
-
-// withClock replaces the clock (tests).
-func withClock(now func() time.Time) Option { return WithClock(now) }
+// withClock replaces the cache's clock, for tests and benchmarks that age
+// entries without sleeping (the serve-stale and prefetch paths are
+// clock-driven).
+func withClock(now func() time.Time) Option { return func(c *Cache) { c.now = now } }
 
 // minShardBudget is the smallest per-shard byte budget worth partitioning
 // for: below it the shard count shrinks, the way a small entry bound does.

@@ -3,6 +3,7 @@ package dnscache
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
@@ -139,22 +140,60 @@ func TestServeWireNegativeHit(t *testing.T) {
 	}
 }
 
+// TestServeWireHitAllocFree pins the zero-alloc wire hit on a fresh arena
+// and in the arena's steady production state: a byte-budgeted cache whose
+// arena has been through churn-forced epoch rotations (compacted slabs,
+// recycled free list), so the hits read relocated blocks in recycled slabs,
+// not pristine first-epoch ones. One shard, so every hot entry lives in
+// the arena that rotated.
 func TestServeWireHitAllocFree(t *testing.T) {
-	up := &countingUpstream{ttl: 300}
-	c := New(up)
-	defer c.Close()
-	if _, err := c.Exchange(context.Background(), dnswire.NewQuery(1, "hot.example.", dnswire.TypeA)); err != nil {
-		t.Fatal(err)
-	}
-	fq, _ := fastParse(t, dnswire.NewQuery(7, "hot.example.", dnswire.TypeA))
-	dst := make([]byte, 0, 4096)
-	allocs := testing.AllocsPerRun(200, func() {
-		if _, _, ok := c.ServeWire(nil, &fq, dst[:0], 4096); !ok {
-			t.Fatal("hit lost")
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("wire hit allocates %.1f per query, want 0", allocs)
+	for _, tc := range []struct {
+		name   string
+		opts   []Option
+		epochs int64
+	}{
+		{"fresh", nil, 0},
+		{"rotated", []Option{WithShards(1), WithMemoryBudget(256 << 10)}, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := New(&countingUpstream{ttl: 300}, tc.opts...)
+			defer c.Close()
+			ctx := context.Background()
+			const hot = 64
+			hotName := func(i int) dnswire.Name { return dnswire.Name(fmt.Sprintf("hot%02d.example.", i)) }
+			prime := func() {
+				for i := 0; i < hot; i++ {
+					if _, err := c.Exchange(ctx, dnswire.NewQuery(1, hotName(i), dnswire.TypeA)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			prime()
+			for i := 0; c.Stats().ArenaEpochs < tc.epochs; i++ {
+				if i == 1<<20 {
+					t.Fatalf("no %d arena rotations after %d inserts: %+v", tc.epochs, i, c.Stats())
+				}
+				if _, err := c.Exchange(ctx, dnswire.NewQuery(1, dnswire.Name(fmt.Sprintf("churn%d.example.", i)), dnswire.TypeA)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			prime() // re-prime anything the churn evicted
+			queries := make([]dnswire.Query, hot)
+			for i := range queries {
+				queries[i], _ = fastParse(t, dnswire.NewQuery(uint16(i), hotName(i), dnswire.TypeA))
+			}
+			dst := make([]byte, 0, 4096)
+			next := 0
+			allocs := testing.AllocsPerRun(200, func() {
+				if _, _, ok := c.ServeWire(nil, &queries[next%hot], dst[:0], 4096); !ok {
+					t.Fatal("hit lost")
+				}
+				next++
+			})
+			if allocs != 0 {
+				t.Errorf("wire hit allocates %.1f per query, want 0", allocs)
+			}
+		})
 	}
 }
 

@@ -175,11 +175,11 @@ func (q *Query) AppendCanonicalName(dst []byte) []byte {
 	return dst
 }
 
-// SkipName returns the offset just past the (possibly compressed) name at
+// skipName returns the offset just past the (possibly compressed) name at
 // off in a packed message, or ok=false when the bytes run out or a label
 // length is malformed. It never follows pointers — for skipping, a pointer
 // ends the name.
-func SkipName(wire []byte, off int) (int, bool) {
+func skipName(wire []byte, off int) (int, bool) {
 	for {
 		if off >= len(wire) {
 			return 0, false
@@ -209,7 +209,7 @@ func QuestionEnd(wire []byte) (int, bool) {
 	if len(wire) < headerLen || binary.BigEndian.Uint16(wire[4:]) == 0 {
 		return 0, false
 	}
-	off, ok := SkipName(wire, headerLen)
+	off, ok := skipName(wire, headerLen)
 	if !ok || off+4 > len(wire) {
 		return 0, false
 	}
@@ -217,7 +217,7 @@ func QuestionEnd(wire []byte) (int, bool) {
 }
 
 // FindOPT walks a packed message to its first OPT record, as leniently as
-// SkipName walks names: qend is the end of the question section, and the
+// skipName walks names: qend is the end of the question section, and the
 // record's TYPE field starts at opt (0 when there is none) and its RDATA
 // ends at end. A message with no records past its questions is not walked:
 // qend is its length. ok=false when the walk runs past the end.
@@ -232,14 +232,14 @@ func FindOPT(wire []byte) (qend, opt, end int, ok bool) {
 	}
 	off := headerLen
 	for i := 0; i < qd; i++ {
-		if off, ok = SkipName(wire, off); !ok || off+4 > len(wire) {
+		if off, ok = skipName(wire, off); !ok || off+4 > len(wire) {
 			return 0, 0, 0, false
 		}
 		off += 4
 	}
 	qend = off
 	for i := 0; i < rrs; i++ {
-		if off, ok = SkipName(wire, off); !ok || off+10 > len(wire) {
+		if off, ok = skipName(wire, off); !ok || off+10 > len(wire) {
 			return 0, 0, 0, false
 		}
 		if end = off + 10 + int(binary.BigEndian.Uint16(wire[off+8:])); end > len(wire) {

@@ -63,7 +63,7 @@ func (p *Prober) ProbeAll() ([]Features, error) {
 				continue
 			}
 			seen[svc.Marker] = true
-			f, err := p.ProbeService(prov, svc)
+			f, err := p.probeService(prov, svc)
 			if err != nil {
 				return nil, fmt.Errorf("landscape: probing %s: %w", svc.URL, err)
 			}
@@ -73,8 +73,8 @@ func (p *Prober) ProbeAll() ([]Features, error) {
 	return out, nil
 }
 
-// ProbeService probes one service column.
-func (p *Prober) ProbeService(prov *Provider, svc Service) (Features, error) {
+// probeService probes one service column.
+func (p *Prober) probeService(prov *Provider, svc Service) (Features, error) {
 	f := Features{
 		Marker:   svc.Marker,
 		URL:      svc.URL,

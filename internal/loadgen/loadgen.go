@@ -118,9 +118,6 @@ type Scenario struct {
 	// retransmits; zero derives max(6×(profile delay+jitter), 500ms) so
 	// impaired paths retry on genuine loss, not on their own tail latency.
 	UDPAttemptTimeout time.Duration
-	// UDPRetries is how many retransmissions follow a timed-out UDP
-	// attempt (default 2, the stub-resolver classic).
-	UDPRetries int
 	// UpstreamRTT is the clean proxy↔upstream round trip (default 4ms).
 	UpstreamRTT time.Duration
 	// Upstreams is how many recursive resolvers stand behind the proxy
@@ -233,9 +230,6 @@ func (s Scenario) withDefaults() (Scenario, netsim.Profile, error) {
 		if s.UDPAttemptTimeout < 500*time.Millisecond {
 			s.UDPAttemptTimeout = 500 * time.Millisecond
 		}
-	}
-	if s.UDPRetries <= 0 {
-		s.UDPRetries = 2
 	}
 	if s.UpstreamRTT <= 0 {
 		s.UpstreamRTT = 4 * time.Millisecond
@@ -923,6 +917,10 @@ func query(m *telemetry.Metrics, proto telemetry.Proto, r dnstransport.Resolver,
 	}
 }
 
+// udpRetries is how many retransmissions follow a timed-out UDP attempt:
+// the stub-resolver classic.
+const udpRetries = 2
+
 // Resolver opens client c's resolver toward the proxy over transport tr
 // ("udp", "tcp", "dot" or "doh"), from c's own host: the access link and
 // the UDP retry schedule are the scenario's, and UDP carries the RFC 7766
@@ -939,7 +937,7 @@ func (d *Deployment) Resolver(tr string, c int) (dnstransport.Resolver, error) {
 		}
 		u := dnstransport.NewUDPClient(pc, netsim.Addr(ProxyHost+":53"))
 		u.Timeout = s.UDPAttemptTimeout
-		u.Retries = s.UDPRetries
+		u.Retries = udpRetries
 		u.Fallback = dnstransport.NewTCPClient(dial53)
 		return u, nil
 	case "tcp":

@@ -109,16 +109,6 @@ func (n *Network) SetDialFault(host string, f DialFault) {
 	hf.rng = rand.New(rand.NewSource(n.seed ^ faultSeed(h)))
 }
 
-// ClearDialFault removes the dial fault for host, keeping any flap schedule.
-func (n *Network) ClearDialFault(host string) {
-	h := Addr(host).host()
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if hf, ok := n.faults[h]; ok {
-		hf.fault = DialFault{}
-	}
-}
-
 // SetLinkFlap installs a link-flap schedule for host: during each window
 // (measured from the moment of this call) the host is unreachable — new
 // dials to it are refused, and writes on established connections touching

@@ -138,7 +138,6 @@ const DefaultMSS = 1460
 type Network struct {
 	mu        sync.Mutex
 	seed      int64
-	def       Link
 	mss       int
 	links     map[linkKey]Link
 	states    map[linkKey]*linkState
@@ -182,21 +181,6 @@ func New(seed int64) *Network {
 	}
 }
 
-// SetDefaultLink sets the profile used for host pairs without a specific
-// link.
-func (n *Network) SetDefaultLink(l Link) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.def = l
-	// Links without a specific profile resolve through the default; their
-	// cached states (including RNG position) must restart from it.
-	for k := range n.states {
-		if _, specific := n.links[k]; !specific {
-			delete(n.states, k)
-		}
-	}
-}
-
 // SetLink installs a symmetric link profile between two hosts (both
 // directions). Installing a profile resets the pair's random schedule, so
 // configure links before traffic flows for reproducible runs.
@@ -230,10 +214,7 @@ func (n *Network) stateFor(from, to Addr) *linkState {
 	if ls, ok := n.states[key]; ok {
 		return ls
 	}
-	l, ok := n.links[key]
-	if !ok {
-		l = n.def
-	}
+	l := n.links[key] // a pair without a profile gets the zero Link
 	ls := &linkState{Link: l, rng: rand.New(rand.NewSource(n.seed ^ linkSeed(key)))}
 	n.states[key] = ls
 	return ls

@@ -207,13 +207,6 @@ func (s *Steerer) observe(name string, d time.Duration, err error) {
 	}
 }
 
-// Observe feeds one exchange attempt into the model by upstream name. It
-// is the exported face of the steerer's own observer, for callers that
-// chain additional sinks onto the backend's single ExchangeObserver slot:
-// replace the observer with your own and call Observe from it so the
-// scoreboard keeps learning.
-func (s *Steerer) Observe(name string, d time.Duration, err error) { s.observe(name, d, err) }
-
 // Seed primes upstream name's model with one synthetic observation — a
 // bootstrap probe's verdict, typically — and is a no-op once the upstream
 // has real samples or when the name is unknown. ok=false plants d (the

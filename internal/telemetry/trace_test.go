@@ -113,17 +113,25 @@ func TestUntracedHelpersNoop(t *testing.T) {
 // TestTracedPathAllocFree pins the tentpole's zero-allocation contract:
 // a fully traced wire-hit-shaped transaction — record acquire, parse span,
 // qname capture, cache span, finish, sampler offer with baseline sampling
-// active — allocates nothing in steady state.
+// active — allocates nothing in steady state, and every query it ran
+// reached the tail sampler.
 func TestTracedPathAllocFree(t *testing.T) {
 	m := New()
-	m.SetTracer(qtrace.New(qtrace.Config{SampleEvery: 16}))
+	tr := qtrace.New(qtrace.Config{SampleEvery: 16})
+	defer tr.Close()
+	m.SetTracer(tr)
 	wire := packQuery(t, "alloc.example.")
+	runs := 0
+	hit := func() { tracedWireHit(m, wire); runs++ }
 	// Warm the pools (first transactions and records allocate once).
 	for i := 0; i < 100; i++ {
-		tracedWireHit(m, wire)
+		hit()
 	}
-	if avg := testing.AllocsPerRun(1000, func() { tracedWireHit(m, wire) }); avg != 0 {
+	if avg := testing.AllocsPerRun(1000, hit); avg != 0 {
 		t.Errorf("traced wire-hit path allocates %.2f/op, want 0", avg)
+	}
+	if st := tr.Stats(); st.Offered != uint64(runs) {
+		t.Errorf("tracer offered %d records for %d queries", st.Offered, runs)
 	}
 }
 
