@@ -100,7 +100,7 @@ func TestRunRejectsMisconfiguration(t *testing.T) {
 	}{
 		{[]string{"-guard-qps", "1"}, "-guard-qps requires -guard"},
 		{[]string{"-udp-shards", "2"}, "-udp-listen"},
-		{[]string{"-cache-admission", "lfu"}, "unknown admission policy"},
+		{[]string{"-shards", "4096"}, "CacheShards 4096 exceeds 1024"},
 		{[]string{"-transports", "doq"}, "unknown transport"},
 		{[]string{"-arrival", "batch"}, "unknown arrival model"},
 	} {

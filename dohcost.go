@@ -28,7 +28,6 @@ import (
 
 	"dohcost/internal/core"
 	"dohcost/internal/dialer"
-	"dohcost/internal/dnscache"
 	"dohcost/internal/dnsserver"
 	"dohcost/internal/dnstransport"
 	"dohcost/internal/dnswire"
@@ -210,15 +209,6 @@ const (
 	SteerFastest = steer.PolicyFastest
 	// SteerHedged races a delayed second exchange, first answer wins.
 	SteerHedged = steer.PolicyHedged
-)
-
-// The cache admission policies (ForwardingProxyConfig.CacheAdmission); the
-// zero value is TinyLFU under a CacheBudget and LRU otherwise.
-const (
-	// CacheAdmitLRU admits every insert and evicts least-recently-used.
-	CacheAdmitLRU = dnscache.AdmissionLRU
-	// CacheAdmitTinyLFU gates inserts on estimated lookup frequency.
-	CacheAdmitTinyLFU = dnscache.AdmissionTinyLFU
 )
 
 // OpenTraceQueryLog opens (appending) a JSONL query log rotated at

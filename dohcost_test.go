@@ -121,7 +121,7 @@ func TestFacadeRunScenario(t *testing.T) {
 		Queries:    16,
 		Names:      4,
 		Seed:       11,
-		Proxy:      ForwardingProxyConfig{Policy: SteerFastest, CacheBudget: 1 << 20, CacheAdmission: CacheAdmitLRU},
+		Proxy:      ForwardingProxyConfig{Policy: SteerFastest, CacheBudget: 1 << 20},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -134,8 +134,8 @@ func TestFacadeRunScenario(t *testing.T) {
 			t.Errorf("%s: %+v", tr.Transport, tr)
 		}
 	}
-	if res.Steering.Policy != "fastest" || res.Scenario.Proxy.CacheAdmission != CacheAdmitLRU {
-		t.Errorf("LoadScenario.Proxy did not reach the proxy: policy %q, admission %v", res.Steering.Policy, res.Scenario.Proxy.CacheAdmission)
+	if res.Steering.Policy != "fastest" || res.Scenario.Proxy.CacheBudget != 1<<20 {
+		t.Errorf("LoadScenario.Proxy did not reach the proxy: policy %q, budget %d", res.Steering.Policy, res.Scenario.Proxy.CacheBudget)
 	}
 	if out := RenderScenario(res); !strings.Contains(out, "udp") || !strings.Contains(out, "doh") {
 		t.Errorf("render:\n%s", out)

@@ -41,8 +41,8 @@ const (
 	// the race waits for an attempt before starting the next one. The
 	// RFC recommends 250 ms (§5).
 	DefaultStagger = 250 * time.Millisecond
-	// DefaultDialTimeout bounds each individual attempt.
-	DefaultDialTimeout = 5 * time.Second
+	// dialTimeout bounds each individual attempt.
+	dialTimeout = 5 * time.Second
 	// stickyTTL bounds how long a remembered winning family keeps
 	// leading the race without re-racing.
 	stickyTTL = 10 * time.Minute
@@ -62,9 +62,6 @@ type Config struct {
 	// Stagger is the connection-attempt delay between successive dials
 	// in the race. Zero means DefaultStagger.
 	Stagger time.Duration
-	// DialTimeout bounds each individual attempt. Zero means
-	// DefaultDialTimeout.
-	DialTimeout time.Duration
 	// PreferV6 leads with IPv6 when no sticky winner applies, matching
 	// RFC 8305's default preference. The zero value leads with IPv4,
 	// which suits the study's v4-dominant vantage points.
@@ -79,9 +76,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Stagger == 0 {
 		c.Stagger = DefaultStagger
-	}
-	if c.DialTimeout == 0 {
-		c.DialTimeout = DefaultDialTimeout
 	}
 	if c.now == nil {
 		c.now = time.Now
@@ -272,7 +266,7 @@ func (h *HappyEyeballs) DialContext(ctx context.Context, host string) (net.Conn,
 // cancellation but are not counted as dial errors in telemetry — a
 // loser says nothing about the address it was aimed at.
 func (h *HappyEyeballs) dialOne(ctx context.Context, a attempt, out chan<- result) {
-	actx, acancel := context.WithTimeout(ctx, h.cfg.DialTimeout)
+	actx, acancel := context.WithTimeout(ctx, dialTimeout)
 	defer acancel()
 	t0 := time.Now()
 	c, err := h.cfg.Dial(actx, a.addr)

@@ -39,7 +39,7 @@ func (u *sizedUpstream) Close() error { return nil }
 
 // checkBudgetInvariants locks every shard and compares the incremental
 // accounting against a shadow recount of the live records: shard byte
-// totals, arena-block totals, the entry count and the budget ceiling, and —
+// totals, arena-block totals and the budget ceiling, and —
 // checkTables — that the index, the LRU ring and the free list agree on
 // which records are live. This is the property that catches leak-on-replace
 // and stale-refresh double-count bugs.
@@ -61,11 +61,8 @@ func checkBudgetInvariants(t testing.TB, c *Cache) {
 		if sh.wireBytes != wireBytes {
 			t.Errorf("shard %d: wireBytes %d, shadow recount %d", i, sh.wireBytes, wireBytes)
 		}
-		if sh.budget > 0 && sh.bytes > sh.budget {
+		if sh.bytes > sh.budget {
 			t.Errorf("shard %d: %d B live exceeds budget %d B", i, sh.bytes, sh.budget)
-		}
-		if sh.n > sh.maxEntries {
-			t.Errorf("shard %d: %d entries exceed the bound %d", i, sh.n, sh.maxEntries)
 		}
 		sh.mu.Unlock()
 	}
@@ -149,8 +146,8 @@ func TestMemoryBudgetInvariant(t *testing.T) {
 	}
 }
 
-// TestMemoryBudgetLiftsCountBound: a budget-only cache must not silently
-// keep the 4096-entry default on top.
+// TestMemoryBudgetLiftsCountBound: WithMemoryBudget replaces the default
+// budget, whose 4 096 typical entries it must not silently keep on top.
 func TestMemoryBudgetLiftsCountBound(t *testing.T) {
 	up := &sizedUpstream{ttl: 300}
 	c := New(up, WithMemoryBudget(64<<20), WithShards(1))
@@ -159,15 +156,15 @@ func TestMemoryBudgetLiftsCountBound(t *testing.T) {
 		c.Exchange(context.Background(), dnswire.NewQuery(1, dnswire.Name(fmt.Sprintf("l%d.example.", i)), dnswire.TypeA))
 	}
 	if c.Len() != 5000 {
-		t.Errorf("entries = %d, want 5000 (count bound must be lifted under a roomy budget)", c.Len())
+		t.Errorf("entries = %d, want 5000 (the default budget must be lifted under a roomy one)", c.Len())
 	}
 	if s := c.Stats(); s.Evictions != 0 {
 		t.Errorf("evictions = %d, want 0", s.Evictions)
 	}
 }
 
-// TestSmallBudgetShrinksShardCount mirrors the entry-count shrink rule for
-// byte budgets.
+// TestSmallBudgetShrinksShardCount: a budget too small to split 16 ways
+// runs on as many shards as hold minShardBudget each.
 func TestSmallBudgetShrinksShardCount(t *testing.T) {
 	up := &sizedUpstream{ttl: 300}
 	c := New(up, WithMemoryBudget(4<<10)) // 16 shards would leave 256 B each
@@ -364,12 +361,30 @@ func TestParseByteSize(t *testing.T) {
 	}
 }
 
-// TestCountBoundSlabFootprint pins what a default count-bound cache — 4 096
-// entries over 16 shards, no byte budget — holds for a handful of answers:
-// every shard's arena slab is sized from its share of the bound, so 64
-// names pin at most 512 KiB in all. A fixed 256 KiB slab per shard pinned
-// about 4 MB.
-func TestCountBoundSlabFootprint(t *testing.T) {
+// TestDefaultCache pins the cache New builds with no options: the
+// documented default budget, 16 shards, LRU without a sketch, and a 9 216 B
+// arena slab per shard — a quarter of each shard's 36 KiB share. These are
+// the numbers the 4 096-entry bound it replaced produced.
+func TestDefaultCache(t *testing.T) {
+	c := New(replyUpstream{})
+	if got, want := c.MemoryBudget(), int64(576<<10); got != want || defaultBudget != want {
+		t.Errorf("MemoryBudget() = %d, defaultBudget %d; want %d", got, defaultBudget, want)
+	}
+	if c.Shards() != 16 {
+		t.Errorf("shards = %d, want 16", c.Shards())
+	}
+	for i, sh := range c.shards {
+		if sh.sk != nil || sh.arena.slabSize != 9216 || sh.budget != 36<<10 {
+			t.Errorf("shard %d: sketch %v, slab %d B, budget %d B; want none, 9216 and %d", i, sh.sk != nil, sh.arena.slabSize, sh.budget, 36<<10)
+		}
+	}
+}
+
+// TestDefaultSlabFootprint pins what the default cache holds for a handful
+// of answers: every shard's arena slab is sized from its share of the
+// budget, so 64 names pin at most 512 KiB in all. A fixed 256 KiB slab per
+// shard pinned about 4 MB.
+func TestDefaultSlabFootprint(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's shadow memory is not the cache's footprint")
 	}
@@ -393,7 +408,7 @@ func TestCountBoundSlabFootprint(t *testing.T) {
 		t.Fatalf("%d entries in %d shards, want 64 in 16", c.Len(), len(c.shards))
 	}
 	if grown > 512<<10 {
-		t.Errorf("a count-bound cache holding 64 names grew the heap by %d B, want at most 512 KiB", grown)
+		t.Errorf("the default cache holding 64 names grew the heap by %d B, want at most 512 KiB", grown)
 	}
 	runtime.KeepAlive(c)
 }

@@ -25,15 +25,15 @@
 // pack, ExchangeWire, unpack) and get a fresh message that shares nothing
 // with the stored entry.
 //
-// Capacity can be bounded two ways: WithMaxEntries counts entries, while
-// WithMemoryBudget accounts bytes — each entry charged its arena block
-// and the size of its index record and slot — which is the bound that stays
-// honest when answer sizes vary. WithTinyLFU adds frequency-gated
-// admission on top of either bound: a per-shard count-min sketch (4-bit
-// counters, periodic halving, doorkeeper bloom for one-hit wonders)
-// estimates every name's lookup frequency, and an insert that would evict
-// must beat its victims' frequency to be admitted — the policy that keeps
-// a long tail of once-asked names from churning the working set.
+// Capacity has one bound, bytes: each entry is charged its arena block and
+// the size of its index record and slot, the bound that stays honest when
+// answer sizes vary. WithMemoryBudget sets it; without it a cache holds
+// 576 KiB. WithTinyLFU adds frequency-gated admission on top of the bound:
+// a per-shard count-min sketch (4-bit counters, periodic halving,
+// doorkeeper bloom for one-hit wonders) estimates every name's lookup
+// frequency, and an insert that would evict must beat its victims'
+// frequency to be admitted — the policy that keeps a long tail of
+// once-asked names from churning the working set.
 //
 // Two resilience mechanisms keep hot answers flowing when the upstream is
 // slow or down. With WithServeStale, expired entries stay answerable for a
@@ -206,11 +206,10 @@ type shard struct {
 	// key bytes tell colliding keys apart (see ExchangeQuery).
 	flights map[uint64]*flight
 	// free holds landed flights ready for the next miss (see flight).
-	free       []*flight
-	stats      Stats
-	maxEntries int
-	// budget bounds the accounted bytes of live entries (0 = no byte
-	// bound); bytes is the current accounted total (sum of record.cost) and
+	free  []*flight
+	stats Stats
+	// budget bounds the accounted bytes of live entries; bytes is the
+	// current accounted total (sum of record.cost) and
 	// wireBytes the live arena blocks alone — the rotation heuristic's
 	// live measure.
 	budget    int64
@@ -232,22 +231,19 @@ type Cache struct {
 	// tests force keys to collide with it.
 	rehash func(h uint64) uint64
 
-	// maxEntries bounds the cache across all shards (LRU eviction per
-	// shard); unset means 4096, or unbounded when a memory budget rules
-	// instead.
-	maxEntries int
 	// budget bounds the cache in accounted bytes across all shards
-	// (WithMemoryBudget); 0 disables the byte bound.
+	// (WithMemoryBudget; defaultBudget when unset).
 	budget int64
 	// admission enables the TinyLFU admission filter (WithTinyLFU).
 	admission bool
 	// slabSize overrides the arena slab size (tests force rotations with
 	// tiny slabs); 0 derives it from the budget.
 	slabSize int
-	// nshards is the shard count, rounded up to a power of two; 0 means 16.
+	// nshards is the shard count, rounded up to a power of two and capped
+	// at MaxShards; the default is 16.
 	nshards int
-	// minTTL/maxTTL clamp record TTLs (resolver-style cache policy).
-	minTTL, maxTTL time.Duration
+	// maxTTL caps record TTLs (resolver-style cache policy).
+	maxTTL time.Duration
 	// negTTL caps negative-cache TTLs and is the fallback when a negative
 	// response carries no SOA (RFC 2308 leaves that response uncacheable;
 	// we hold it briefly, the way production resolvers do).
@@ -271,16 +267,11 @@ type Cache struct {
 // Option configures a Cache.
 type Option func(*Cache)
 
-// WithMaxEntries bounds the cache size across all shards.
-func WithMaxEntries(n int) Option { return func(c *Cache) { c.maxEntries = n } }
-
-// WithMemoryBudget bounds the cache by accounted bytes instead of entry
-// count: every entry is charged its arena block (key + packed response +
-// TTL offsets) and entryOverhead of index cost, and the budget is
-// split across shards the way WithMaxEntries is. Setting a budget lifts
-// the default 4096-entry count bound (an explicit WithMaxEntries still
-// applies on top); an entry larger than a whole shard's budget is not
-// cached at all. Non-positive budgets are ignored.
+// WithMemoryBudget bounds the cache by accounted bytes in place of
+// defaultBudget: every entry is charged its arena block (key + packed
+// response + TTL offsets) and entryOverhead of index cost, and the budget
+// is split evenly across shards; an entry larger than a whole shard's
+// budget is not cached at all. Non-positive budgets are ignored.
 func WithMemoryBudget(bytes int64) Option {
 	return func(c *Cache) {
 		if bytes > 0 {
@@ -330,19 +321,25 @@ func withRehash(rehash func(h uint64) uint64) Option { return func(c *Cache) { c
 // frequent epoch rotations.
 func withArenaSlab(n int) Option { return func(c *Cache) { c.slabSize = n } }
 
-// WithTTLBounds clamps cached TTLs.
-func WithTTLBounds(min, max time.Duration) Option {
-	return func(c *Cache) { c.minTTL, c.maxTTL = min, max }
+// WithMaxTTL caps cached TTLs in place of the default 24 hours.
+// Non-positive values are ignored.
+func WithMaxTTL(d time.Duration) Option {
+	return func(c *Cache) {
+		if d > 0 {
+			c.maxTTL = d
+		}
+	}
 }
 
 // WithShards sets the number of lock partitions (rounded up to a power of
-// two). One shard reproduces the classic single-mutex cache; the default
-// 16 keeps the hit path off any global lock.
+// two, at most MaxShards). One shard reproduces the classic single-mutex
+// cache; the default 16 keeps the hit path off any global lock.
 func WithShards(n int) Option { return func(c *Cache) { c.nshards = n } }
 
-// WithNegativeTTL caps how long NXDOMAIN/NODATA answers are cached; it is
-// also the TTL used when a negative response carries no SOA.
-func WithNegativeTTL(d time.Duration) Option { return func(c *Cache) { c.negTTL = d } }
+// withNegativeTTL replaces DefaultNegativeTTL as the cap on how long
+// NXDOMAIN/NODATA answers are cached and the TTL of a negative response
+// that carries no SOA (tests move it to see which one decides).
+func withNegativeTTL(d time.Duration) Option { return func(c *Cache) { c.negTTL = d } }
 
 // WithServeStale keeps expired entries answerable for window past expiry
 // (RFC 8767): a query hitting an expired-but-stale entry is answered
@@ -363,9 +360,10 @@ func WithPrefetch(window time.Duration) Option {
 
 // WithExchangeTimeout bounds each upstream exchange the cache starts — a
 // miss's flight, a background refresh (serve-stale and prefetch), an
-// uncacheable query passing through; the default is 5s. A caller's earlier
-// deadline still applies to its own flight. The flight carries the one
-// timer of a miss: coalesced callers are bounded by the flight ending.
+// uncacheable query passing through; the default is
+// DefaultExchangeTimeout. A caller's earlier deadline still applies to its
+// own flight. The flight carries the one timer of a miss: coalesced callers
+// are bounded by the flight ending.
 func WithExchangeTimeout(d time.Duration) Option {
 	return func(c *Cache) { c.exchangeTimeout = d }
 }
@@ -384,105 +382,78 @@ func WithTelemetry(m *telemetry.Metrics) Option { return func(c *Cache) { c.tel 
 func withClock(now func() time.Time) Option { return func(c *Cache) { c.now = now } }
 
 // minShardBudget is the smallest per-shard byte budget worth partitioning
-// for: below it the shard count shrinks, the way a small entry bound does.
+// for: below it the shard count shrinks.
 const minShardBudget = 2 << 10
+
+// MaxShards caps the shard count: past it a partition buys no parallelism,
+// only tables.
+const MaxShards = 1 << 10
+
+// typicalBlock is the arena block of a typical one-address answer — key,
+// reply and TTL offsets — which sizes what the byte budget alone cannot:
+// the default budget, the arena slab and the admission sketch.
+const typicalBlock = 96
+
+// defaultBudget is the byte budget of a cache built without
+// WithMemoryBudget: 4 096 typical entries, 576 KiB at a 48-byte
+// entryOverhead — 16 shards with a 9 216-byte arena slab each.
+const defaultBudget = int64(4096 * (entryOverhead + typicalBlock))
+
+// DefaultExchangeTimeout bounds an upstream exchange the cache starts when
+// WithExchangeTimeout does not.
+const DefaultExchangeTimeout = 5 * time.Second
 
 // New wraps upstream with a cache.
 func New(upstream dnstransport.Resolver, opts ...Option) *Cache {
 	c := &Cache{
 		upstream:        upstream,
 		wire:            dnstransport.AsWire(upstream),
-		maxEntries:      -1, // sentinel: default decided after options
+		budget:          defaultBudget,
 		nshards:         16,
 		maxTTL:          24 * time.Hour,
 		negTTL:          DefaultNegativeTTL,
-		exchangeTimeout: 5 * time.Second,
+		exchangeTimeout: DefaultExchangeTimeout,
 		now:             time.Now,
 		seed:            maphash.MakeSeed(),
 	}
 	for _, o := range opts {
 		o(c)
 	}
-	if c.maxEntries < 0 {
-		if c.budget > 0 {
-			// The byte budget is the bound; no entry-count ceiling.
-			c.maxEntries = math.MaxInt
-		} else {
-			c.maxEntries = 4096
-		}
-	}
 	n := 1
-	for n < c.nshards {
+	for n < min(c.nshards, MaxShards) {
 		n <<= 1
 	}
-	// A bound smaller than the shard count would overshoot (every shard
-	// holds at least one entry), so shrink the partition count until the
-	// configured bound is exact. A small byte budget shrinks the same way,
-	// so every remaining shard has room for real entries.
-	for n > 1 && c.maxEntries/n < 1 {
-		n >>= 1
-	}
-	for n > 1 && c.budget > 0 && c.budget/int64(n) < minShardBudget {
+	// A small budget shrinks the partition count, so every remaining shard
+	// has room for real entries.
+	for n > 1 && c.budget/int64(n) < minShardBudget {
 		n >>= 1
 	}
 	c.nshards = n
+	per, extra := c.budget/int64(n), c.budget%int64(n)
 	slab := c.slabSize
 	if slab <= 0 {
-		slab = c.shardSlab(n)
+		// A quarter of the shard's share, so a small cache's resident
+		// footprint is not rounded up to whole defaultSlabSize slabs;
+		// newArena applies the minSlabSize floor.
+		slab = int(min(per/4, defaultSlabSize))
 	}
-	perShard, extra := c.maxEntries/n, c.maxEntries%n
-	perB, extraB := c.budget/int64(n), c.budget%int64(n)
 	for i := 0; i < n; i++ {
-		max := perShard
-		if i < extra {
-			max++
-		}
-		budget := perB
-		if int64(i) < extraB {
+		budget := per
+		if int64(i) < extra {
 			budget++
 		}
 		sh := &shard{
-			flights:    make(map[uint64]*flight),
-			maxEntries: max,
-			budget:     budget,
-			arena:      newArena(slab),
+			flights: make(map[uint64]*flight),
+			budget:  budget,
+			arena:   newArena(slab),
 		}
 		sh.resetIndex()
 		if c.admission {
-			sh.sk = newSketch(c.expectedPerShard(budget, max))
+			sh.sk = newSketch(int(budget) / (entryOverhead + typicalBlock))
 		}
 		c.shards = append(c.shards, sh)
 	}
 	return c
-}
-
-// shardSlab sizes the arena slab of each of n shards from the cache's bound,
-// so a small cache's resident footprint is not rounded up to whole
-// defaultSlabSize slabs: a quarter of the shard's share — of the byte
-// budget, or of the entry bound at a typical one-address answer's block
-// (some 96 bytes) plus the index cost each — within [minSlabSize,
-// defaultSlabSize]. newArena applies the floor.
-func (c *Cache) shardSlab(n int) int {
-	share := c.budget / int64(n)
-	if c.budget <= 0 {
-		share = int64(min(c.maxEntries/n, defaultSlabSize) * (entryOverhead + 96))
-	}
-	return int(min(share/4, defaultSlabSize))
-}
-
-// expectedPerShard estimates how many entries one shard will hold — the
-// admission sketch's sizing input. Budget-bound shards assume a typical
-// one-address answer's block (key, reply and TTL offsets: some 96 bytes) on
-// top of the real index cost; count-bound shards use the bound itself,
-// capped so an unbounded cache does not size an unbounded sketch.
-func (c *Cache) expectedPerShard(budget int64, max int) int {
-	if budget > 0 {
-		return int(budget / int64(entryOverhead+96))
-	}
-	if max > 1<<15 {
-		return 1 << 15
-	}
-	return max
 }
 
 // DefaultNegativeTTL is the fallback negative-caching duration for
@@ -539,8 +510,8 @@ func (c *Cache) BytesLive() int64 {
 	return n
 }
 
-// MemoryBudget reports the configured byte budget (0 = entry-count bound
-// only).
+// MemoryBudget reports the byte budget: WithMemoryBudget's, or
+// defaultBudget.
 func (c *Cache) MemoryBudget() int64 { return c.budget }
 
 // Len reports the number of live entries (expired ones may linger until
@@ -905,10 +876,9 @@ func (sh *shard) removeLocked(ri uint32) {
 }
 
 // needsEvict reports whether installing one more entry of the given cost
-// would push the shard past either bound. Caller holds sh.mu.
+// would push the shard past its budget. Caller holds sh.mu.
 func (sh *shard) needsEvict(cost int) bool {
-	return sh.n+1 > sh.maxEntries ||
-		(sh.budget > 0 && sh.bytes+int64(cost) > sh.budget)
+	return sh.bytes+int64(cost) > sh.budget
 }
 
 // admitLocked runs the TinyLFU admission duel for a candidate that would
@@ -921,18 +891,13 @@ func (sh *shard) needsEvict(cost int) bool {
 func (c *Cache) admitLocked(sh *shard, h uint64, cost int) bool {
 	cf := sh.sk.estimate(h)
 	now := c.now().UnixNano()
-	freedBytes, freed := int64(0), 0
-	for vi := sh.recs[0].prev; vi != 0; vi = sh.recs[vi].prev {
-		if sh.n-freed+1 <= sh.maxEntries &&
-			(sh.budget <= 0 || sh.bytes-freedBytes+int64(cost) <= sh.budget) {
-			break
-		}
+	freed := int64(0)
+	for vi := sh.recs[0].prev; vi != 0 && sh.bytes-freed+int64(cost) > sh.budget; vi = sh.recs[vi].prev {
 		v := &sh.recs[vi]
 		if now < v.expires+int64(c.staleWindow) && sh.sk.estimate(v.hash) >= cf {
 			return false
 		}
-		freedBytes += int64(v.cost())
-		freed++
+		freed += int64(v.cost())
 	}
 	return true
 }
@@ -967,7 +932,7 @@ func (c *Cache) rotateLocked(sh *shard) {
 // a still-present stale entry does; replacement bypasses the admission
 // filter, because a refresh that first dropped the old entry and then lost
 // the duel would lose the name entirely — and evicts past the shard
-// bounds. Admission is decided from the sizes alone: a refused candidate
+// budget. Admission is decided from the sizes alone: a refused candidate
 // costs no record and no copy; an admitted one is one block in the arena
 // (key | wire | toffs) and one record, no heap object. It reports whether
 // admission refused the insert. Caller holds sh.mu.
@@ -978,7 +943,7 @@ func (c *Cache) insertLocked(sh *shard, kb []byte, h uint64, wire, toffs []byte,
 	// A key (keyBufLen) and the TTL offsets of a reply that fits (two
 	// octets a record) always fit a record's length fields.
 	if len(wire) > math.MaxUint16 ||
-		(sh.budget > 0 && int64(cost) > sh.budget) || // larger than the whole shard's budget
+		int64(cost) > sh.budget || // larger than the whole shard's budget
 		(old == 0 && sh.sk != nil && sh.needsEvict(cost) && !c.admitLocked(sh, h, cost)) {
 		sh.stats.AdmissionRejects++
 		return true
@@ -992,7 +957,7 @@ func (c *Cache) insertLocked(sh *shard, kb []byte, h uint64, wire, toffs []byte,
 	if sh.arena.used+block > 2*(sh.wireBytes+block)+sh.arena.slabSize {
 		c.rotateLocked(sh)
 	}
-	ttl := c.clampTTL(c.ttlOf(scan))
+	ttl := min(c.ttlOf(scan), c.maxTTL)
 	ri := sh.newRecord()
 	r := &sh.recs[ri]
 	r.hash, r.expires = h, c.now().Add(ttl).UnixNano()
@@ -1011,12 +976,8 @@ func (c *Cache) insertLocked(sh *shard, kb []byte, h uint64, wire, toffs []byte,
 	sh.link(ri)
 	sh.bytes += int64(cost)
 	sh.wireBytes += block
-	for sh.n > sh.maxEntries || (sh.budget > 0 && sh.bytes > sh.budget) {
-		oldest := sh.recs[0].prev
-		if oldest == 0 {
-			break
-		}
-		sh.removeLocked(oldest)
+	for sh.bytes > sh.budget {
+		sh.removeLocked(sh.recs[0].prev)
 		sh.stats.Evictions++
 	}
 	return false
@@ -1081,16 +1042,6 @@ func refreshQuery(k []byte) (dnswire.Query, error) {
 	return q, nil
 }
 
-func (c *Cache) clampTTL(ttl time.Duration) time.Duration {
-	if ttl < c.minTTL {
-		ttl = c.minTTL
-	}
-	if c.maxTTL > 0 && ttl > c.maxTTL {
-		ttl = c.maxTTL
-	}
-	return ttl
-}
-
 // cacheable accepts positive answers and NXDOMAIN/NODATA (negative caching
 // per RFC 2308); a truncated response, or any other RCODE, is forwarded
 // but never stored.
@@ -1108,7 +1059,7 @@ func (c *Cache) ttlOf(scan *dnswire.ResponseScan) time.Duration {
 		return time.Duration(scan.MinTTL) * time.Second
 	}
 	ttl := c.negTTL
-	if soa := time.Duration(scan.SOATTL) * time.Second; scan.HasSOA && (c.negTTL <= 0 || soa < c.negTTL) {
+	if soa := time.Duration(scan.SOATTL) * time.Second; scan.HasSOA && soa < c.negTTL {
 		ttl = soa
 	}
 	return ttl

@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"dohcost/internal/dnstransport"
 	"dohcost/internal/dnswire"
 )
 
@@ -110,25 +112,50 @@ func TestCacheExpiry(t *testing.T) {
 	}
 }
 
+// TestTTLClamping caps week-long records at the default 24 hours and at
+// WithMaxTTL's hour: the answer carries the capped TTL, and the entry
+// expires when the cap says, not when the record does.
 func TestTTLClamping(t *testing.T) {
-	now := time.Now()
-	up := &countingUpstream{ttl: 1} // 1-second records
-	c := New(up,
-		withClock(func() time.Time { return now }),
-		WithTTLBounds(60*time.Second, time.Hour))
-	defer c.Close()
-	c.Exchange(context.Background(), dnswire.NewQuery(1, "clamp.example.", dnswire.TypeA))
-	now = now.Add(30 * time.Second) // beyond record TTL, inside MinTTL
-	c.Exchange(context.Background(), dnswire.NewQuery(2, "clamp.example.", dnswire.TypeA))
-	if up.calls.Load() != 1 {
-		t.Error("MinTTL clamp not applied")
+	for _, tt := range []struct {
+		opts []Option
+		cap  time.Duration
+	}{
+		{nil, 24 * time.Hour},
+		{[]Option{WithMaxTTL(time.Hour)}, time.Hour},
+	} {
+		now := time.Now()
+		up := &countingUpstream{ttl: 7 * 24 * 3600}
+		c := New(up, append(tt.opts, withClock(func() time.Time { return now }))...)
+		if _, err := c.Exchange(context.Background(), dnswire.NewQuery(1, "clamp.example.", dnswire.TypeA)); err != nil {
+			t.Fatal(err)
+		}
+		now = now.Add(tt.cap - time.Second)
+		resp, err := c.Exchange(context.Background(), dnswire.NewQuery(2, "clamp.example.", dnswire.TypeA))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if up.calls.Load() != 1 || resp.Answers[0].TTL != 1 {
+			t.Errorf("cap %v: %d upstream calls, TTL %d a second before the cap; want 1 and 1", tt.cap, up.calls.Load(), resp.Answers[0].TTL)
+		}
+		now = now.Add(2 * time.Second)
+		c.Exchange(context.Background(), dnswire.NewQuery(3, "clamp.example.", dnswire.TypeA))
+		if up.calls.Load() != 2 {
+			t.Errorf("cap %v: entry outlived the cap", tt.cap)
+		}
 	}
+}
+
+// entryCost is what one answer from up to name costs a cache's budget.
+func entryCost(up dnstransport.Resolver, name dnswire.Name) int64 {
+	c := New(up)
+	c.Exchange(context.Background(), dnswire.NewQuery(1, name, dnswire.TypeA))
+	return c.BytesLive()
 }
 
 func TestLRUEviction(t *testing.T) {
 	up := &countingUpstream{ttl: 300}
-	// One shard: the global bound is exact and eviction order is pure LRU.
-	c := New(up, WithMaxEntries(3), WithShards(1))
+	// One shard: the budget is exact and eviction order is pure LRU.
+	c := New(up, WithMemoryBudget(3*entryCost(&countingUpstream{ttl: 300}, "n0.example.")), WithShards(1))
 	defer c.Close()
 	for i := 0; i < 5; i++ {
 		c.Exchange(context.Background(), dnswire.NewQuery(1, dnswire.Name(fmt.Sprintf("n%d.example.", i)), dnswire.TypeA))
@@ -272,25 +299,39 @@ func TestUpstreamKeepsCallerDeadline(t *testing.T) {
 	}
 }
 
+// TestSmallBoundShrinksShardCount fills a cache whose budget, split 16
+// ways, would leave every shard too little for real entries: it runs on
+// fewer shards and holds its budget.
 func TestSmallBoundShrinksShardCount(t *testing.T) {
 	up := &countingUpstream{ttl: 300}
-	c := New(up, WithMaxEntries(4)) // default 16 shards would overshoot to 16
+	c := New(up, WithMemoryBudget(4*minShardBudget))
 	defer c.Close()
 	if c.Shards() != 4 {
-		t.Errorf("shards = %d, want 4 (shrunk to honour the bound)", c.Shards())
+		t.Errorf("shards = %d, want 4 (shrunk so each holds minShardBudget)", c.Shards())
 	}
-	for i := 0; i < 20; i++ {
+	for i := 0; i < 200; i++ {
 		c.Exchange(context.Background(), dnswire.NewQuery(1, dnswire.Name(fmt.Sprintf("b%d.example.", i)), dnswire.TypeA))
 	}
-	if c.Len() > 4 {
-		t.Errorf("entries = %d, exceeds WithMaxEntries(4)", c.Len())
+	if s := c.Stats(); s.Evictions == 0 || c.BytesLive() > 4*minShardBudget {
+		t.Errorf("%d B live after %d evictions, want evictions and at most %d B", c.BytesLive(), s.Evictions, 4*minShardBudget)
 	}
+	checkBudgetInvariants(t, c)
 }
 
+// TestShardCountRoundsToPowerOfTwo also holds a shard count past MaxShards —
+// one whose rounding would overflow int — to the cap.
 func TestShardCountRoundsToPowerOfTwo(t *testing.T) {
 	up := &countingUpstream{ttl: 300}
-	for _, tt := range []struct{ ask, want int }{{1, 1}, {2, 2}, {3, 4}, {16, 16}, {17, 32}} {
-		c := New(up, WithShards(tt.ask))
+	big := WithMemoryBudget(MaxShards * minShardBudget)
+	for _, tt := range []struct {
+		ask  int
+		want int
+		opts []Option
+	}{
+		{1, 1, nil}, {2, 2, nil}, {3, 4, nil}, {16, 16, nil}, {17, 32, nil},
+		{MaxShards + 1, MaxShards, []Option{big}}, {math.MaxInt, MaxShards, []Option{big}},
+	} {
+		c := New(up, append(tt.opts, WithShards(tt.ask))...)
 		if c.Shards() != tt.want {
 			t.Errorf("WithShards(%d) → %d shards, want %d", tt.ask, c.Shards(), tt.want)
 		}
@@ -359,7 +400,7 @@ func TestNegativeTTLFromSOAMinimum(t *testing.T) {
 	up := &countingUpstream{rcode: dnswire.RCodeNameError, authority: []dnswire.ResourceRecord{soa}}
 	c := New(up,
 		withClock(func() time.Time { return now }),
-		WithNegativeTTL(10*time.Minute)) // lift the cap: the SOA decides
+		withNegativeTTL(10*time.Minute)) // lift the cap: the SOA decides
 	defer c.Close()
 
 	c.Exchange(context.Background(), dnswire.NewQuery(1, "nx.example.", dnswire.TypeA))
@@ -387,7 +428,7 @@ func TestNegativeTTLNodataAndCap(t *testing.T) {
 	up := &countingUpstream{noAnswer: true, authority: []dnswire.ResourceRecord{soa}}
 	c := New(up,
 		withClock(func() time.Time { return now }),
-		WithNegativeTTL(30*time.Second))
+		withNegativeTTL(30*time.Second))
 	defer c.Close()
 
 	c.Exchange(context.Background(), dnswire.NewQuery(1, "nodata.example.", dnswire.TypeTXT))
@@ -408,9 +449,13 @@ func TestNegativeTTLNodataAndCap(t *testing.T) {
 // shard or was evicted from one.
 func TestEvictionAccountingAcrossShards(t *testing.T) {
 	up := &countingUpstream{ttl: 300}
-	c := New(up, WithMaxEntries(64), WithShards(16))
+	const budget = 16 * minShardBudget // some 250 entries
+	c := New(up, WithMemoryBudget(budget), WithShards(16))
 	defer c.Close()
-	const inserts = 500
+	if c.Shards() != 16 {
+		t.Fatalf("shards = %d, want 16", c.Shards())
+	}
+	const inserts = 1000
 	for i := 0; i < inserts; i++ {
 		c.Exchange(context.Background(), dnswire.NewQuery(1, dnswire.Name(fmt.Sprintf("evict%d.example.", i)), dnswire.TypeA))
 	}
@@ -418,11 +463,11 @@ func TestEvictionAccountingAcrossShards(t *testing.T) {
 	if s.Misses != inserts {
 		t.Fatalf("misses = %d, want %d", s.Misses, inserts)
 	}
-	if c.Len() > 64 {
-		t.Errorf("entries = %d, exceeds global bound 64", c.Len())
+	if c.BytesLive() > budget {
+		t.Errorf("%d B live, exceeds the budget %d B", c.BytesLive(), budget)
 	}
 	if s.Evictions == 0 {
-		t.Error("no evictions recorded despite 500 inserts into 64 slots")
+		t.Errorf("no evictions recorded despite %d inserts into %d B", inserts, budget)
 	}
 	if int64(c.Len())+s.Evictions != s.Misses {
 		t.Errorf("accounting broken: live %d + evicted %d != inserted %d", c.Len(), s.Evictions, s.Misses)

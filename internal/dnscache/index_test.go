@@ -136,10 +136,10 @@ var indexHashes = []func(id uint64) uint64{
 }
 
 // runIndexOps drives one shard's tables and the model through the
-// operations data encodes — the first octet picks hash function, bound and
-// stale window, then three octets an operation — and compares them after
-// every step: lookups, served bytes, recency order, Len, BytesLive, and
-// checkTables' no-leak accounting.
+// operations data encodes — the first octet picks hash function, byte
+// budget and stale window, then three octets an operation — and compares
+// them after every step: lookups, served bytes, recency order, Len,
+// BytesLive, and checkTables' no-leak accounting.
 func runIndexOps(t testing.TB, data []byte) {
 	if len(data) == 0 {
 		return
@@ -149,13 +149,13 @@ func runIndexOps(t testing.TB, data []byte) {
 	now := time.Unix(10_000, 0)
 	opts := []Option{WithShards(1), withArenaSlab(minSlabSize), withClock(func() time.Time { return now })}
 	m := &indexModel{entries: map[string]modelEntry{}}
-	maxEntries, budget := 12, int64(0)
-	if cfg&4 != 0 {
-		maxEntries, budget = 1<<30, minShardBudget
-		opts = append(opts, WithMemoryBudget(budget))
-	} else {
-		opts = append(opts, WithMaxEntries(maxEntries))
+	// Some ten entries, or some four: either way most inserts evict, and
+	// every entry the operations build fits.
+	budget := int64(minShardBudget)
+	if cfg&4 == 0 {
+		budget = minShardBudget / 2
 	}
+	opts = append(opts, WithMemoryBudget(budget))
 	if cfg&8 != 0 {
 		m.stale = 5 * time.Second
 		opts = append(opts, WithServeStale(m.stale))
@@ -181,7 +181,7 @@ func runIndexOps(t testing.TB, data []byte) {
 			epochs := sh.stats.ArenaEpochs
 			rejected := c.insertLocked(sh, kb, h, wire, toffs, &dnswire.ResponseScan{Answers: 1, MinTTL: ttl, HasTTL: true})
 			cost := int64(entryOverhead + len(k) + len(wire) + len(toffs))
-			if rejected != (budget > 0 && cost > budget) {
+			if rejected != (cost > budget) {
 				t.Fatalf("insert of %d B under budget %d: rejected = %v", cost, budget, rejected)
 			}
 			if rejected {
@@ -193,7 +193,7 @@ func runIndexOps(t testing.TB, data []byte) {
 			}
 			m.entries[k] = modelEntry{wire, toffs, now.Add(time.Duration(ttl) * time.Second)}
 			m.touch(k)
-			for len(m.order) > maxEntries || (budget > 0 && m.bytes() > budget) {
+			for m.bytes() > budget {
 				m.remove(m.order[len(m.order)-1])
 			}
 		case op < 6: // lookup: hit, stale hit, or expired and dropped
@@ -256,7 +256,7 @@ func runIndexOps(t testing.TB, data []byte) {
 }
 
 // TestIndexAgainstModel runs seeded random operation sequences through
-// every hash function, bound and stale-window combination.
+// every hash function, budget and stale-window combination.
 func TestIndexAgainstModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for cfg := byte(0); cfg < 16; cfg++ {

@@ -605,7 +605,7 @@ func queryFor(reply []byte) (dnswire.Query, bool) {
 // oracle.
 func FuzzScanResponse(f *testing.F) {
 	fuzzReplies(f)
-	c := New(&wireUpstream{}, WithTTLBounds(0, 0), WithNegativeTTL(40*time.Second))
+	c := New(&wireUpstream{}, withNegativeTTL(40*time.Second))
 	f.Fuzz(func(t *testing.T, wire []byte) {
 		q, ok := queryFor(wire)
 		if !ok {

@@ -48,14 +48,10 @@ const (
 // exported configuration and call Exchange. Safe for concurrent use.
 type DoHClient struct {
 	// Dial opens the raw transport to the server's :443. It receives the
-	// dial context (the exchange context capped by DialTimeout) and must
+	// dial context (the exchange context capped by dialTimeout) and must
 	// honor its cancellation — a blackholed address must surface as a dial
 	// error within the budget, not a stalled exchange.
 	Dial func(ctx context.Context) (net.Conn, error)
-	// DialTimeout caps connection establishment (dial, TLS handshake, HTTP
-	// setup) independently of the exchange context. 0 means
-	// DefaultDialTimeout; negative disables the cap.
-	DialTimeout time.Duration
 	// TLS must carry trust anchors and server name; ALPN is set per Mode.
 	TLS *tls.Config
 	// Mode selects HTTP/2 (default) or pipelined HTTP/1.1.
@@ -180,7 +176,7 @@ func (c *DoHClient) connect(ctx context.Context) error {
 }
 
 // ensure returns live HTTP clients, dialing when needed. Dials run under
-// ctx capped by DialTimeout.
+// ctx capped by dialTimeout.
 func (c *DoHClient) ensure(ctx context.Context) (h2c *h2.ClientConn, h1c *h1.PipelineClient, fresh bool, err error) {
 	c.genmu.Lock()
 	defer c.genmu.Unlock()
@@ -194,7 +190,7 @@ func (c *DoHClient) ensure(ctx context.Context) (h2c *h2.ClientConn, h1c *h1.Pip
 	if h2c != nil || h1c != nil {
 		return h2c, h1c, false, nil
 	}
-	dctx, cancel := dialContext(ctx, c.DialTimeout)
+	dctx, cancel := context.WithTimeout(ctx, dialTimeout)
 	err = c.connect(dctx)
 	cancel()
 	if err != nil {

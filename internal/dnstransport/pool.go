@@ -27,7 +27,8 @@ type PoolUpstream struct {
 // PoolConfig tunes a Pool.
 type PoolConfig struct {
 	// ConnsPerUpstream is the number of persistent connections multiplexed
-	// per upstream; 0 means 2.
+	// per upstream; 0 means 2. NewPool allocates every slot up front, so a
+	// configuration surface caps it at MaxConnsPerUpstream.
 	ConnsPerUpstream int
 	// MaxFailures is how many consecutive exchange failures mark an
 	// upstream down; 0 means 3.
@@ -43,6 +44,10 @@ type PoolConfig struct {
 	// rand is the backoff jitter source in [0,1), replaceable in tests.
 	rand func() float64
 }
+
+// MaxConnsPerUpstream is the ceiling configuration surfaces hold
+// ConnsPerUpstream to: far past any multiplexing an upstream rewards.
+const MaxConnsPerUpstream = 1 << 10
 
 func (c PoolConfig) withDefaults() PoolConfig {
 	if c.ConnsPerUpstream <= 0 {

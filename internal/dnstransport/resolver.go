@@ -166,24 +166,12 @@ var (
 	ErrBackoff = errors.New("dnstransport: connection in redial backoff")
 )
 
-// DefaultDialTimeout caps connection establishment when no explicit
-// DialTimeout is configured. Connection setup is the cost the paper's
-// Figures 3–5 dwell on; five seconds is far beyond any honest handshake and
-// exists only to put a floor under blackholed paths.
-const DefaultDialTimeout = 5 * time.Second
-
-// dialContext derives the context a dial attempt runs under: ctx capped by
-// the configured timeout (0 selects DefaultDialTimeout, negative disables
-// the cap). The caller must call the returned cancel func.
-func dialContext(ctx context.Context, timeout time.Duration) (context.Context, context.CancelFunc) {
-	if timeout == 0 {
-		timeout = DefaultDialTimeout
-	}
-	if timeout < 0 {
-		return context.WithCancel(ctx)
-	}
-	return context.WithTimeout(ctx, timeout)
-}
+// dialTimeout caps connection establishment (dial, TLS handshake, HTTP
+// setup) independently of the exchange context: a blackholed address must
+// not eat a caller's whole query budget. Connection setup is the cost the
+// paper's Figures 3–5 dwell on; five seconds is far beyond any honest
+// handshake and exists only to put a floor under blackholed paths.
+const dialTimeout = 5 * time.Second
 
 // statsConn is the wire-statistics capability of simulated connections.
 type statsConn interface {

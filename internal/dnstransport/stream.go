@@ -27,12 +27,6 @@ type StreamClient struct {
 	// Persistent keeps one connection across exchanges; otherwise each
 	// exchange dials, resolves and closes.
 	Persistent bool
-	// DialTimeout caps connection establishment (dial plus any TLS
-	// handshake) independently of the exchange context: a blackholed
-	// address must not eat a caller's whole query budget. 0 means
-	// DefaultDialTimeout; negative disables the cap (the caller's context
-	// still applies).
-	DialTimeout time.Duration
 	// Recorder, when set, receives per-exchange costs. On persistent
 	// connections costs are per-exchange deltas.
 	Recorder CostRecorder
@@ -48,7 +42,7 @@ type StreamClient struct {
 }
 
 // NewTCPClient builds a StreamClient over plain TCP. The dial function
-// receives the dial context (the exchange context capped by DialTimeout)
+// receives the dial context (the exchange context capped by dialTimeout)
 // and must honor its cancellation.
 func NewTCPClient(dial func(ctx context.Context) (net.Conn, error)) *StreamClient {
 	return &StreamClient{dial: dial, Persistent: true, pending: newPendingMap(), nextID: 1}
@@ -94,7 +88,7 @@ func (c *StreamClient) Close() error {
 
 // ensureConn returns the live connection, dialing if necessary, and reports
 // whether this call established it. Dials run under ctx capped by
-// DialTimeout, so a caller's deadline always bounds connection setup.
+// dialTimeout, so a caller's deadline always bounds connection setup.
 func (c *StreamClient) ensureConn(ctx context.Context) (net.Conn, bool, error) {
 	c.genmu.Lock()
 	defer c.genmu.Unlock()
@@ -110,7 +104,7 @@ func (c *StreamClient) ensureConn(ctx context.Context) (net.Conn, bool, error) {
 	}
 	c.mu.Unlock()
 
-	dctx, cancel := dialContext(ctx, c.DialTimeout)
+	dctx, cancel := context.WithTimeout(ctx, dialTimeout)
 	conn, err := c.dial(dctx)
 	cancel()
 	if err != nil {

@@ -19,7 +19,7 @@ import (
 // The server cookie uses the RFC 9018 interoperable layout: one byte of
 // version (1), three reserved zero bytes, a four-byte unix timestamp, and
 // an eight-byte SipHash-2-4 over (client cookie, version|timestamp, client
-// key) under a per-epoch secret. Epochs rotate every CookieRotation: a
+// key) under a per-epoch secret. Epochs rotate every cookieRotation: a
 // cookie is validated against the secret of the epoch its own timestamp
 // names, so cookies stay valid across one rotation and a stolen secret
 // ages out.
@@ -38,6 +38,11 @@ const (
 // cookieClockSkew is how far into the future a cookie timestamp may sit
 // before validation rejects it (client/server clock disagreement bound).
 const cookieClockSkew = 5 * time.Minute
+
+// cookieRotation is the server-cookie epoch length: cookies validate
+// against the epoch their timestamp names and expire two rotations after
+// issue.
+const cookieRotation = time.Hour
 
 // cookieOption scans a packed DNS message's OPT record (dnswire.FindOPT)
 // for an EDNS COOKIE option and returns its client part (exactly 8 bytes)
@@ -69,7 +74,7 @@ func cookieOption(wire []byte) (cc, sc []byte, ok bool) {
 
 // epochOf maps a unix-seconds timestamp to its rotation epoch.
 func (g *Guard) epochOf(unix int64) uint64 {
-	return uint64(unix) / uint64(g.cfg.CookieRotation/time.Second)
+	return uint64(unix) / uint64(cookieRotation/time.Second)
 }
 
 // epochSecret derives the SipHash key for one epoch from the base secret.
@@ -99,7 +104,7 @@ func (g *Guard) validCookie(cc, sc []byte, clientKey uint64, now time.Time) bool
 	ts := binary.BigEndian.Uint32(sc[4:8])
 	nowUnix := now.Unix()
 	if int64(ts) > nowUnix+int64(cookieClockSkew/time.Second) ||
-		int64(ts) < nowUnix-2*int64(g.cfg.CookieRotation/time.Second) {
+		int64(ts) < nowUnix-2*int64(cookieRotation/time.Second) {
 		return false
 	}
 	return binary.BigEndian.Uint64(sc[8:16]) == g.cookieHash(cc, ts, clientKey)

@@ -106,10 +106,6 @@ type Config struct {
 	// at construction (cookies then do not survive process restarts, which
 	// RFC 7873 permits — clients just re-handshake).
 	CookieSecret uint64
-	// CookieRotation is the server-cookie epoch length (default 1h).
-	// Cookies validate against the epoch their timestamp names and expire
-	// two rotations after issue.
-	CookieRotation time.Duration
 	// MissRate is the per-client sustained cache-miss rate (misses/second)
 	// above which the breaker refuses that client's misses (default 20).
 	MissRate float64
@@ -148,9 +144,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Shards <= 0 {
 		c.Shards = 16
-	}
-	if c.CookieRotation <= 0 {
-		c.CookieRotation = time.Hour
 	}
 	if c.MissRate <= 0 {
 		c.MissRate = 20

@@ -172,7 +172,7 @@ func TestCookieHandshakeBypassesRateLimit(t *testing.T) {
 
 func TestCookieRejections(t *testing.T) {
 	clk := newFakeClock()
-	g := New(Config{CookieSecret: 0xfeed, CookieRotation: time.Hour, Now: clk.Now})
+	g := New(Config{CookieSecret: 0xfeed, Now: clk.Now})
 	key := uint64(1111)
 	cc := []byte{9, 9, 9, 9, 9, 9, 9, 9}
 	sc := g.appendServerCookie(nil, cc, key, clk.Now())[clientCookieLen:]

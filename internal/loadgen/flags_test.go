@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"dohcost/internal/dnscache"
 	"dohcost/internal/dnstransport"
 	"dohcost/internal/guard"
 	"dohcost/internal/proxy"
@@ -64,8 +63,8 @@ func TestBindFlags(t *testing.T) {
 		},
 		{
 			name: "proxy flags land in Scenario.Proxy",
-			argv: []string{"-policy", "fastest", "-cache-budget", "8m", "-cache-admission", "tinylfu", "-conns", "4", "-guard", "-guard-qps", "2000", "-trace"},
-			want: Scenario{Proxy: proxy.Config{Policy: steer.PolicyFastest, CacheBudget: 8 << 20, CacheAdmission: dnscache.AdmissionTinyLFU,
+			argv: []string{"-policy", "fastest", "-cache-budget", "8m", "-conns", "4", "-guard", "-guard-qps", "2000", "-trace"},
+			want: Scenario{Proxy: proxy.Config{Policy: steer.PolicyFastest, CacheBudget: 8 << 20,
 				Pool:  dnstransport.PoolConfig{ConnsPerUpstream: 4},
 				Guard: &guard.Config{ClientQPS: 2000}, Tracing: &qtrace.Config{}}},
 		},
@@ -89,7 +88,7 @@ func TestBindFlags(t *testing.T) {
 	}
 	for _, argv := range [][]string{
 		{"-policy", "fastset"},
-		{"-cache-admission", "lfu"},
+		{"-conns", "1025"},
 		{"-guard-qps", "1"}, // silently ignored before PR 14
 		{"-udp-batch", "8"},
 	} {
@@ -193,10 +192,10 @@ func TestResultMarshalsWithEverySectionArmed(t *testing.T) {
 		HEStagger:      20 * time.Millisecond,
 		BootstrapProbe: true,
 		Proxy: proxy.Config{
-			Policy:         steer.PolicyHedged,
-			CacheAdmission: dnscache.AdmissionTinyLFU,
-			Guard:          &guard.Config{Now: time.Now},
-			Tracing:        &qtrace.Config{SlowLog: io.Discard},
+			Policy:      steer.PolicyHedged,
+			CacheBudget: 1 << 20,
+			Guard:       &guard.Config{Now: time.Now},
+			Tracing:     &qtrace.Config{SlowLog: io.Discard},
 		},
 	})
 	if err != nil {
@@ -209,7 +208,7 @@ func TestResultMarshalsWithEverySectionArmed(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Result does not marshal: %v", err)
 	}
-	for _, want := range []string{`"Policy":"hedged"`, `"CacheAdmission":"tinylfu"`} {
+	for _, want := range []string{`"Policy":"hedged"`, `"CacheBudget":1048576`} {
 		if !strings.Contains(string(out), want) {
 			t.Errorf("echoed scenario lacks %s", want)
 		}
@@ -218,7 +217,7 @@ func TestResultMarshalsWithEverySectionArmed(t *testing.T) {
 	if err := json.Unmarshal(out, &back); err != nil {
 		t.Fatalf("Result does not unmarshal: %v", err)
 	}
-	if p := back.Scenario.Proxy; p.Policy != steer.PolicyHedged || p.CacheAdmission != dnscache.AdmissionTinyLFU || p.Guard == nil || p.Tracing == nil {
+	if p := back.Scenario.Proxy; p.Policy != steer.PolicyHedged || p.CacheBudget != 1<<20 || p.Guard == nil || p.Tracing == nil {
 		t.Errorf("round-tripped Scenario.Proxy = %+v", p)
 	}
 }

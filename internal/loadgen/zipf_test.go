@@ -123,7 +123,7 @@ func TestScenarioZipfSmoke(t *testing.T) {
 		Queries:    400,
 		Seed:       11,
 		ZipfNames:  200_000,
-		Proxy:      proxy.Config{CacheBudget: 16 << 10, CacheAdmission: dnscache.AdmissionTinyLFU},
+		Proxy:      proxy.Config{CacheBudget: 16 << 10},
 	})
 	if err != nil {
 		t.Fatal(err)

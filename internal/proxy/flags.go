@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"dohcost/internal/dnscache"
+	"dohcost/internal/dnstransport"
 	"dohcost/internal/guard"
 	"dohcost/internal/qtrace"
 )
@@ -25,13 +26,12 @@ import (
 // flags, and validates every knob except Upstreams, which the caller wires
 // afterwards (New checks those).
 func BindFlags(fs *flag.FlagSet, cfg *Config) (finish func() error) {
-	fs.IntVar(&cfg.Pool.ConnsPerUpstream, "conns", cfg.Pool.ConnsPerUpstream, "persistent connections per upstream (0 = default 2)")
-	fs.IntVar(&cfg.CacheShards, "shards", cfg.CacheShards, "cache lock partitions (0 = default 16)")
-	fs.Func("cache-budget", "bound the cache by accounted bytes instead of entries, e.g. 64m or 512k (unset = entry-count bound)", func(s string) (err error) {
+	fs.IntVar(&cfg.Pool.ConnsPerUpstream, "conns", cfg.Pool.ConnsPerUpstream, fmt.Sprintf("persistent connections per upstream, at most %d (0 = default 2)", dnstransport.MaxConnsPerUpstream))
+	fs.IntVar(&cfg.CacheShards, "shards", cfg.CacheShards, fmt.Sprintf("cache lock partitions, at most %d (0 = default 16)", dnscache.MaxShards))
+	fs.Func("cache-budget", "cache byte budget with TinyLFU admission, e.g. 64m or 512k (unset = the default 576k, LRU)", func(s string) (err error) {
 		cfg.CacheBudget, err = dnscache.ParseByteSize(s)
 		return err
 	})
-	fs.TextVar(&cfg.CacheAdmission, "cache-admission", cfg.CacheAdmission, "cache admission policy: lru or tinylfu (unset = tinylfu when -cache-budget is set, else lru)")
 	fs.TextVar(&cfg.Policy, "policy", cfg.Policy, "upstream steering policy: failover, fastest or hedged")
 	fs.DurationVar(&cfg.HedgeDelay, "hedge-delay", cfg.HedgeDelay, "hedged policy: wait before the second exchange (0 = adaptive SRTT+4·RTTVAR)")
 	fs.DurationVar(&cfg.ServeStale, "serve-stale", cfg.ServeStale, "serve expired cache entries this long past expiry while refreshing in the background (RFC 8767; 0 disables)")

@@ -42,9 +42,8 @@ func TestBindFlags(t *testing.T) {
 		{name: "no flags leave the zero config", want: Config{}},
 		{
 			name: "cache",
-			argv: []string{"-shards", "8", "-cache-budget", "64m", "-cache-admission", "lru", "-serve-stale", "1m", "-prefetch", "10s"},
-			want: Config{CacheShards: 8, CacheBudget: 64 << 20, CacheAdmission: dnscache.AdmissionLRU,
-				ServeStale: time.Minute, PrefetchWindow: 10 * time.Second},
+			argv: []string{"-shards", "8", "-cache-budget", "64m", "-serve-stale", "1m", "-prefetch", "10s"},
+			want: Config{CacheShards: 8, CacheBudget: 64 << 20, ServeStale: time.Minute, PrefetchWindow: 10 * time.Second},
 		},
 		{
 			name: "steering and pool",
@@ -127,7 +126,6 @@ func TestBindFlagsRejects(t *testing.T) {
 		want string // substring of the error
 	}{
 		{[]string{"-policy", "fastset"}, "unknown policy"},
-		{[]string{"-cache-admission", "lfu"}, "unknown admission policy"},
 		{[]string{"-cache-budget", "9999999999g"}, "invalid byte size"},
 		{[]string{"-guard-qps", "1"}, "-guard-qps requires -guard"},
 		{[]string{"-guard-no-cookies"}, "-guard-no-cookies requires -guard"},
@@ -152,11 +150,10 @@ func TestValidate(t *testing.T) {
 	ok := []Config{
 		{Upstreams: ups},
 		{Upstreams: ups, HedgeDelay: time.Second}, // held constant across a policy sweep
-		{Upstreams: ups, ExploreEvery: -1},        // negative disables exploration
-		{Upstreams: ups, MinTTL: time.Minute},     // one-sided TTL clamp
 		{Upstreams: ups, UDPListen: ":0", UDPBatch: 8, UDPShards: 2},
 		{Upstreams: ups, Bootstrap: &dialer.Prober{}, Storm: &dialer.Storm{}},
-		{Upstreams: ups, Policy: steer.PolicyHedged, CacheAdmission: dnscache.AdmissionTinyLFU},
+		{Upstreams: ups, Policy: steer.PolicyHedged, CacheBudget: 64 << 20},
+		{Upstreams: ups, CacheShards: dnscache.MaxShards, Pool: dnstransport.PoolConfig{ConnsPerUpstream: dnstransport.MaxConnsPerUpstream}},
 	}
 	for _, c := range ok {
 		if err := c.Validate(); err != nil {
@@ -166,21 +163,18 @@ func TestValidate(t *testing.T) {
 	bad := map[string]Config{
 		"no upstreams":        {},
 		"policy range":        {Upstreams: ups, Policy: steer.PolicyHedged + 1},
-		"admission range":     {Upstreams: ups, CacheAdmission: dnscache.AdmissionTinyLFU + 1},
-		"CacheEntries":        {Upstreams: ups, CacheEntries: -1},
 		"CacheBudget":         {Upstreams: ups, CacheBudget: -1},
 		"CacheShards":         {Upstreams: ups, CacheShards: -1},
 		"MaxUDPSize":          {Upstreams: ups, MaxUDPSize: -1},
 		"UDPShards":           {Upstreams: ups, UDPListen: ":0", UDPShards: -1},
 		"UDPBatch":            {Upstreams: ups, UDPListen: ":0", UDPBatch: -1},
-		"MinTTL":              {Upstreams: ups, MinTTL: -1},
 		"MaxTTL":              {Upstreams: ups, MaxTTL: -1},
-		"NegativeTTL":         {Upstreams: ups, NegativeTTL: -1},
 		"UpstreamTimeout":     {Upstreams: ups, UpstreamTimeout: -1},
 		"HedgeDelay":          {Upstreams: ups, HedgeDelay: -1},
 		"ServeStale":          {Upstreams: ups, ServeStale: -1},
 		"PrefetchWindow":      {Upstreams: ups, PrefetchWindow: -1},
-		"MinTTL over MaxTTL":  {Upstreams: ups, MinTTL: time.Hour, MaxTTL: time.Minute},
+		"CacheShards ceiling": {Upstreams: ups, CacheShards: dnscache.MaxShards + 1},
+		"conns ceiling":       {Upstreams: ups, Pool: dnstransport.PoolConfig{ConnsPerUpstream: dnstransport.MaxConnsPerUpstream + 1}},
 		"UDPShards no listen": {Upstreams: ups, UDPShards: 2},
 		"UDPBatch no listen":  {Upstreams: ups, UDPBatch: 8},
 		"Storm no Bootstrap":  {Upstreams: ups, Storm: &dialer.Storm{}},

@@ -47,28 +47,23 @@ type Config struct {
 	// Upstreams are the recursive resolvers to forward cache misses to, in
 	// failover preference order. Required.
 	Upstreams []dnstransport.PoolUpstream `json:"-"`
-	// Pool tunes the upstream connection pool (conns per upstream, health
-	// thresholds, backoff).
+	// Pool tunes the upstream connection pool (conns per upstream, at most
+	// dnstransport.MaxConnsPerUpstream; health thresholds, backoff).
 	Pool dnstransport.PoolConfig
-	// CacheEntries bounds the response cache; 0 means the dnscache default.
-	CacheEntries int
-	// CacheBudget bounds the response cache in accounted bytes instead of
-	// entries (dnscache.WithMemoryBudget); 0 keeps the entry-count bound.
+	// CacheBudget bounds the response cache in accounted bytes
+	// (dnscache.WithMemoryBudget) and arms TinyLFU admission
+	// (dnscache.WithTinyLFU), the combination built for heavy-tailed name
+	// streams. 0 keeps the dnscache default budget, admitting every insert
+	// and evicting LRU.
 	CacheBudget int64
-	// CacheAdmission selects the cache admission policy: AdmissionLRU
-	// (admit everything, evict LRU) or AdmissionTinyLFU (frequency-gated
-	// admission, dnscache.WithTinyLFU). The zero value, AdmissionAuto, is
-	// TinyLFU under a CacheBudget — the combination built for heavy-tailed
-	// name streams — and LRU otherwise.
-	CacheAdmission dnscache.Admission
-	// CacheShards sets the cache's lock partitions; 0 means the default.
+	// CacheShards sets the cache's lock partitions, at most
+	// dnscache.MaxShards; 0 means the default.
 	CacheShards int
-	// MinTTL/MaxTTL clamp cached TTLs; zero values use dnscache defaults.
-	MinTTL, MaxTTL time.Duration
-	// NegativeTTL caps NXDOMAIN/NODATA caching; 0 means the default.
-	NegativeTTL time.Duration
+	// MaxTTL caps cached TTLs; 0 means the dnscache default (24 h).
+	MaxTTL time.Duration
 	// UpstreamTimeout bounds each forwarded exchange (on top of the
-	// client-connection-lifetime context); 0 means 5s.
+	// client-connection-lifetime context); 0 means
+	// dnscache.DefaultExchangeTimeout.
 	UpstreamTimeout time.Duration
 	// Chain supplies TLS material for the DoT and DoH listeners; nil
 	// serves UDP/TCP only.
@@ -104,10 +99,6 @@ type Config struct {
 	// HedgeDelay is the hedged policy's wait before the second exchange;
 	// 0 adapts per query to the primary upstream's live SRTT + 4·RTTVAR.
 	HedgeDelay time.Duration
-	// ExploreEvery is the fastest policy's exploration cadence (every Nth
-	// query probes a non-best upstream); 0 means the steer default,
-	// negative disables exploration.
-	ExploreEvery int
 	// ServeStale keeps expired cache entries answerable this long past
 	// expiry (RFC 8767): stale hits are served immediately while one
 	// background refresh re-populates the entry. Zero disables.
@@ -142,15 +133,11 @@ type Config struct {
 	Storm *dialer.Storm `json:"-"`
 	// Telemetry, when non-nil, is the metrics sink shared with the caller;
 	// nil makes the proxy create its own (telemetry is always on — its
-	// hot path is sharded atomics, cheap enough to never gate).
+	// hot path is sharded atomics, cheap enough to never gate). A listener
+	// receiving one Summary per completed query — the DNSSummary idiom —
+	// is registered on the sink (Proxy.Telemetry().SetListener), so
+	// proxies sharing a sink share their listener too.
 	Telemetry *telemetry.Metrics `json:"-"`
-	// OnTransaction, when non-nil, receives one Summary per completed
-	// query — the embedder hook mirroring the DNSSummary idiom. It is
-	// installed on the Telemetry sink with SetListener, so when several
-	// proxies share one sink the listener is shared too (the last
-	// configured one wins); give each proxy its own sink for per-proxy
-	// callbacks.
-	OnTransaction telemetry.Listener `json:"-"`
 	// Tracing, when non-nil, arms per-query lifecycle tracing
 	// (internal/qtrace): every serving layer records monotonic phase
 	// spans into a per-transaction record, and completed records are
@@ -200,11 +187,12 @@ type Proxy struct {
 
 // Validate rejects a configuration that can be shown to be nonsense,
 // before anything is built from it: no upstreams, an out-of-range enum, a
-// negative size or duration, inverted TTL bounds, and knobs that would be
-// silently inert (UDP serve-loop tuning without the real-socket listener,
-// a storm detector without the prober it kicks). It does not police
-// combinations that are merely unused — a HedgeDelay under a non-hedged
-// Policy is legal, so a policy sweep can hold it constant.
+// negative size or duration, a shard or connection count past its ceiling,
+// and knobs that would be silently inert (UDP serve-loop tuning without
+// the real-socket listener, a storm detector without the prober it kicks).
+// It does not police combinations that are merely unused — a HedgeDelay
+// under a non-hedged Policy is legal, so a policy sweep can hold it
+// constant.
 func (c *Config) Validate() error {
 	if len(c.Upstreams) == 0 {
 		return errors.New("proxy: no upstreams configured")
@@ -218,17 +206,13 @@ func (c *Config) validateKnobs() error {
 	if !c.Policy.Valid() {
 		return fmt.Errorf("proxy: Policy %d out of range", c.Policy)
 	}
-	if !c.CacheAdmission.Valid() {
-		return fmt.Errorf("proxy: CacheAdmission %d out of range", c.CacheAdmission)
-	}
 	for _, f := range [...]struct {
 		name string
 		v    int64
 	}{
-		{"CacheEntries", int64(c.CacheEntries)}, {"CacheBudget", c.CacheBudget},
-		{"CacheShards", int64(c.CacheShards)}, {"MaxUDPSize", int64(c.MaxUDPSize)},
-		{"UDPShards", int64(c.UDPShards)}, {"UDPBatch", int64(c.UDPBatch)},
-		{"MinTTL", int64(c.MinTTL)}, {"MaxTTL", int64(c.MaxTTL)}, {"NegativeTTL", int64(c.NegativeTTL)},
+		{"CacheBudget", c.CacheBudget}, {"CacheShards", int64(c.CacheShards)},
+		{"MaxUDPSize", int64(c.MaxUDPSize)}, {"UDPShards", int64(c.UDPShards)},
+		{"UDPBatch", int64(c.UDPBatch)}, {"MaxTTL", int64(c.MaxTTL)},
 		{"UpstreamTimeout", int64(c.UpstreamTimeout)}, {"HedgeDelay", int64(c.HedgeDelay)},
 		{"ServeStale", int64(c.ServeStale)}, {"PrefetchWindow", int64(c.PrefetchWindow)},
 	} {
@@ -236,8 +220,11 @@ func (c *Config) validateKnobs() error {
 			return fmt.Errorf("proxy: %s must not be negative", f.name)
 		}
 	}
-	if c.MinTTL > 0 && c.MaxTTL > 0 && c.MinTTL > c.MaxTTL {
-		return fmt.Errorf("proxy: MinTTL %v exceeds MaxTTL %v", c.MinTTL, c.MaxTTL)
+	if c.CacheShards > dnscache.MaxShards {
+		return fmt.Errorf("proxy: CacheShards %d exceeds %d", c.CacheShards, dnscache.MaxShards)
+	}
+	if c.Pool.ConnsPerUpstream > dnstransport.MaxConnsPerUpstream {
+		return fmt.Errorf("proxy: Pool.ConnsPerUpstream %d exceeds %d", c.Pool.ConnsPerUpstream, dnstransport.MaxConnsPerUpstream)
 	}
 	if c.UDPListen == "" && (c.UDPShards > 0 || c.UDPBatch > 0) {
 		return errors.New("proxy: UDPShards/UDPBatch (-udp-shards/-udp-batch) tune the UDPListen (-udp-listen) serve loop and do nothing without it")
@@ -258,27 +245,14 @@ func New(cfg Config) (*Proxy, error) {
 		return nil, err
 	}
 	var opts []dnscache.Option
-	if cfg.CacheEntries > 0 {
-		opts = append(opts, dnscache.WithMaxEntries(cfg.CacheEntries))
-	}
 	if cfg.CacheBudget > 0 {
-		opts = append(opts, dnscache.WithMemoryBudget(cfg.CacheBudget))
-	}
-	if a := cfg.CacheAdmission; a == dnscache.AdmissionTinyLFU || (a == dnscache.AdmissionAuto && cfg.CacheBudget > 0) {
-		opts = append(opts, dnscache.WithTinyLFU())
+		opts = append(opts, dnscache.WithMemoryBudget(cfg.CacheBudget), dnscache.WithTinyLFU())
 	}
 	if cfg.CacheShards > 0 {
 		opts = append(opts, dnscache.WithShards(cfg.CacheShards))
 	}
-	if cfg.MinTTL > 0 || cfg.MaxTTL > 0 {
-		opts = append(opts, dnscache.WithTTLBounds(cfg.MinTTL, cfg.MaxTTL))
-	}
-	if cfg.NegativeTTL > 0 {
-		opts = append(opts, dnscache.WithNegativeTTL(cfg.NegativeTTL))
-	}
-	timeout := cfg.UpstreamTimeout
-	if timeout == 0 {
-		timeout = 5 * time.Second
+	if cfg.MaxTTL > 0 {
+		opts = append(opts, dnscache.WithMaxTTL(cfg.MaxTTL))
 	}
 	if cfg.ServeStale > 0 {
 		opts = append(opts, dnscache.WithServeStale(cfg.ServeStale))
@@ -286,9 +260,11 @@ func New(cfg Config) (*Proxy, error) {
 	if cfg.PrefetchWindow > 0 {
 		opts = append(opts, dnscache.WithPrefetch(cfg.PrefetchWindow))
 	}
-	// One bound for every upstream exchange the cache starts: a miss's
-	// flight, a background refresh, an uncacheable query passing through.
-	opts = append(opts, dnscache.WithExchangeTimeout(timeout))
+	if cfg.UpstreamTimeout > 0 {
+		// One bound for every upstream exchange the cache starts: a miss's
+		// flight, a background refresh, an uncacheable query passing through.
+		opts = append(opts, dnscache.WithExchangeTimeout(cfg.UpstreamTimeout))
+	}
 	tel := cfg.Telemetry
 	if tel == nil {
 		tel = telemetry.New()
@@ -296,19 +272,12 @@ func New(cfg Config) (*Proxy, error) {
 	// …and background refreshes' upstream traffic stays visible in the
 	// cost accounting.
 	opts = append(opts, dnscache.WithTelemetry(tel))
-	if cfg.OnTransaction != nil {
-		tel.SetListener(cfg.OnTransaction)
-	}
 	var tracer *qtrace.Tracer
 	if cfg.Tracing != nil {
 		tracer = qtrace.New(*cfg.Tracing)
 		tel.SetTracer(tracer)
 	}
-	st := steer.New(pool, steer.Config{
-		Policy:       cfg.Policy,
-		HedgeDelay:   cfg.HedgeDelay,
-		ExploreEvery: cfg.ExploreEvery,
-	})
+	st := steer.New(pool, steer.Config{Policy: cfg.Policy, HedgeDelay: cfg.HedgeDelay})
 
 	// The forwarding chain between the cache and the steerer, outermost
 	// first: the one place its order is decided.
@@ -645,9 +614,9 @@ type CacheReport struct {
 	// Entries is the live entry count; Shards the lock-partition count.
 	Entries int `json:"entries"`
 	Shards  int `json:"shards"`
-	// BudgetBytes is the configured memory budget; omitted when the cache
-	// is entry-count bounded (bytes_live in Stats still reports footprint).
-	BudgetBytes int64 `json:"budget_bytes,omitempty"`
+	// BudgetBytes is the cache's byte budget: Config.CacheBudget, or the
+	// dnscache default.
+	BudgetBytes int64 `json:"budget_bytes"`
 	// HitRatio is cache-answered lookups — fresh and stale hits — over
 	// all lookups (hits+stale_hits+misses+coalesced), 0–1. Stale hits
 	// count as hits: with serve-stale carrying traffic through an

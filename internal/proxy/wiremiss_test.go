@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"dohcost/internal/dnscache"
 	"dohcost/internal/dnsserver"
 	"dohcost/internal/dnstransport"
 	"dohcost/internal/dnswire"
@@ -182,7 +181,7 @@ func TestRejectedMissBuildsNoEntry(t *testing.T) {
 	// newcomer at the ceiling at most, and ties keep the incumbent. The
 	// 1 290 lookups stay under the sketch's aging sample (2 048), so nothing
 	// is halved on the way.
-	full, _ := missProxy(t, Config{CacheShards: 1, CacheBudget: 4 << 10, CacheAdmission: dnscache.AdmissionTinyLFU})
+	full, _ := missProxy(t, Config{CacheShards: 1, CacheBudget: 4 << 10})
 	h := full.Handler()
 	for round := 0; round < 17; round++ {
 		for i := 0; i < 64; i++ {

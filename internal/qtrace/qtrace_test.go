@@ -33,7 +33,7 @@ func offerRec(t *Tracer, seq int, dur time.Duration, failed bool, verdict, cache
 // tail-based sampling contract — while the ring has capacity to receive
 // them without slot contention.
 func TestTailSamplerNeverDropsErroredOrSlow(t *testing.T) {
-	tr := New(Config{Capacity: 4096, SampleEvery: -1, SlowFloor: 10 * time.Millisecond})
+	tr := New(Config{capacity: 4096, SampleEvery: -1, SlowFloor: 10 * time.Millisecond})
 	rng := rand.New(rand.NewSource(7))
 	var errored, slow uint64
 	for i := 0; i < 1000; i++ {
@@ -146,7 +146,7 @@ func TestTracesFilter(t *testing.T) {
 // TestRingWrapKeepsNewest overflows a tiny ring and checks the survivors
 // are the most recent keeps.
 func TestRingWrapKeepsNewest(t *testing.T) {
-	tr := New(Config{Capacity: 16, SampleEvery: -1})
+	tr := New(Config{capacity: 16, SampleEvery: -1})
 	for i := 0; i < 100; i++ {
 		offerRec(tr, i, time.Millisecond, true, "servfail", "", "up0")
 	}
@@ -345,7 +345,7 @@ func TestNilTracerSafe(t *testing.T) {
 // TestConcurrentOfferAndScrape is the package's own -race workout:
 // concurrent offerers (mixed outcomes) against a scraping reader.
 func TestConcurrentOfferAndScrape(t *testing.T) {
-	tr := New(Config{Capacity: 64, SampleEvery: 2})
+	tr := New(Config{capacity: 64, SampleEvery: 2})
 	done := make(chan struct{})
 	go func() {
 		defer close(done)

@@ -12,10 +12,10 @@ import (
 // Config parameterizes a Tracer. The zero value is usable: every field has
 // a serving-safe default.
 type Config struct {
-	// Capacity is the total kept-trace ring capacity, split across shards
-	// (default 1024). The rings hold the most recent kept traces; older
-	// ones are overwritten.
-	Capacity int
+	// capacity is the total kept-trace ring capacity, split across shards
+	// (default 1024; tests shrink it). The rings hold the most recent kept
+	// traces; older ones are overwritten.
+	capacity int
 	// SampleEvery is the healthy-query baseline: 1-in-N non-errored,
 	// non-slow queries are kept so the rings also show what normal looks
 	// like (default 64; negative disables the baseline entirely).
@@ -107,8 +107,8 @@ type Tracer struct {
 
 // New builds a Tracer from cfg, applying defaults for unset fields.
 func New(cfg Config) *Tracer {
-	if cfg.Capacity <= 0 {
-		cfg.Capacity = 1024
+	if cfg.capacity <= 0 {
+		cfg.capacity = 1024
 	}
 	if cfg.SampleEvery == 0 {
 		cfg.SampleEvery = 64
@@ -117,7 +117,7 @@ func New(cfg Config) *Tracer {
 		cfg.SlowFloor = 10 * time.Millisecond
 	}
 	t := &Tracer{cfg: cfg}
-	per := (cfg.Capacity + ringShards - 1) / ringShards
+	per := (cfg.capacity + ringShards - 1) / ringShards
 	if per < 1 {
 		per = 1
 	}

@@ -138,18 +138,18 @@ type Config struct {
 	// [MinHedgeDelay, MaxHedgeDelay] (DefaultHedgeDelay while the primary
 	// is unsampled).
 	HedgeDelay time.Duration
-	// ExploreEvery is PolicyFastest's exploration cadence: every Nth query
+	// exploreEvery is PolicyFastest's exploration cadence: every Nth query
 	// is routed to a non-best upstream, rotating through the runners-up,
 	// so a demoted upstream keeps producing fresh samples and can win
 	// traffic back after it recovers. Zero means DefaultExploreEvery;
-	// negative disables exploration.
-	ExploreEvery int
+	// negative disables exploration (tests pin the ranking with it).
+	exploreEvery int
 }
 
 // Steering timing defaults.
 const (
-	// DefaultExploreEvery is the exploration cadence when Config leaves it
-	// zero: one probe per 16 queries.
+	// DefaultExploreEvery is PolicyFastest's exploration cadence: one probe
+	// per 16 queries.
 	DefaultExploreEvery = 16
 	// DefaultHedgeDelay is the adaptive hedge delay before the primary has
 	// any samples.
@@ -176,8 +176,8 @@ type Steerer struct {
 // switching policies at deploy time starts from live scores, and
 // PolicyFailover deployments still expose the model in their cost report).
 func New(backend Backend, cfg Config) *Steerer {
-	if cfg.ExploreEvery == 0 {
-		cfg.ExploreEvery = DefaultExploreEvery
+	if cfg.exploreEvery == 0 {
+		cfg.exploreEvery = DefaultExploreEvery
 	}
 	n := backend.NumUpstreams()
 	s := &Steerer{
@@ -264,13 +264,13 @@ func (s *Steerer) rank() []int {
 const downPenalty = float64(24 * time.Hour)
 
 // exchangeFastest routes to the best-ranked upstream, falling through the
-// ranking on failure. Every ExploreEvery-th query instead probes one of
-// the runners-up (rotating, so each gets refreshed in turn).
+// ranking on failure. Every DefaultExploreEvery-th query instead probes
+// one of the runners-up (rotating, so each gets refreshed in turn).
 func (s *Steerer) exchangeFastest(ctx context.Context, query, dst []byte) ([]byte, error) {
 	tx := telemetry.FromContext(ctx)
 	ts := tx.TraceStart()
 	order := s.rank()
-	if ee := s.cfg.ExploreEvery; ee > 0 && len(order) > 1 {
+	if ee := s.cfg.exploreEvery; ee > 0 && len(order) > 1 {
 		if n := s.n.Add(1); n%uint64(ee) == 0 {
 			// Rotate the probed upstream to the front rather than swapping:
 			// the rest keep their rank order, so a failed probe falls back

@@ -182,7 +182,7 @@ func TestFastestRoutesToLowestSRTT(t *testing.T) {
 	slow := &fakeUpstream{name: "slow"}
 	fast := &fakeUpstream{name: "fast"}
 	b := newFakeBackend(slow, fast)
-	s := New(b, Config{Policy: PolicyFastest, ExploreEvery: -1})
+	s := New(b, Config{Policy: PolicyFastest, exploreEvery: -1})
 	defer s.Close()
 	seed(s, "slow", 80*time.Millisecond, 8)
 	seed(s, "fast", 2*time.Millisecond, 8)
@@ -205,7 +205,7 @@ func TestFastestFailsOverOnError(t *testing.T) {
 	good := &fakeUpstream{name: "good"}
 	bad.fail.Store(true)
 	b := newFakeBackend(bad, good)
-	s := New(b, Config{Policy: PolicyFastest, ExploreEvery: -1})
+	s := New(b, Config{Policy: PolicyFastest, exploreEvery: -1})
 	defer s.Close()
 	// Cold start ranks by index, so "bad" is tried first and fails; the
 	// exchange must still answer via "good".
@@ -235,7 +235,7 @@ func TestFastestExplorationProbesRunnersUp(t *testing.T) {
 	best := &fakeUpstream{name: "best"}
 	other := &fakeUpstream{name: "other"}
 	b := newFakeBackend(best, other)
-	s := New(b, Config{Policy: PolicyFastest, ExploreEvery: 4})
+	s := New(b, Config{Policy: PolicyFastest, exploreEvery: 4})
 	defer s.Close()
 	seed(s, "best", time.Millisecond, 8)
 	seed(s, "other", 50*time.Millisecond, 8)
@@ -376,7 +376,7 @@ func TestRankDemotesUnhealthyUpstreams(t *testing.T) {
 	down := &fakeUpstream{name: "down"}
 	up := &fakeUpstream{name: "up"}
 	b := newFakeBackend(down, up)
-	s := New(b, Config{Policy: PolicyFastest, ExploreEvery: -1})
+	s := New(b, Config{Policy: PolicyFastest, exploreEvery: -1})
 	defer s.Close()
 	seed(s, "down", time.Millisecond, 4) // best latency...
 	seed(s, "up", 40*time.Millisecond, 4)
@@ -437,7 +437,7 @@ func TestConcurrentExchangesRace(t *testing.T) {
 // TestFastestExplorationFallbackPreservesRank pins the probe rotation:
 // when an exploration probe fails, the fallthrough must land on the
 // actual best upstream, not on whichever runner-up a pairwise swap left
-// in front. With ExploreEvery=1 every query probes, alternating between
+// in front. With exploreEvery=1 every query probes, alternating between
 // the failing "bad" and the mid-ranked "mid"; bad-probe queries must be
 // answered by "best", so all three exchange counts stay equal.
 func TestFastestExplorationFallbackPreservesRank(t *testing.T) {
@@ -446,7 +446,7 @@ func TestFastestExplorationFallbackPreservesRank(t *testing.T) {
 	bad := &fakeUpstream{name: "bad"}
 	bad.fail.Store(true)
 	b := newFakeBackend(best, mid, bad)
-	s := New(b, Config{Policy: PolicyFastest, ExploreEvery: 1})
+	s := New(b, Config{Policy: PolicyFastest, exploreEvery: 1})
 	defer s.Close()
 	seed(s, "best", time.Millisecond, 16)
 	seed(s, "mid", 30*time.Millisecond, 16)
