@@ -44,8 +44,9 @@ func readmeFlags(t *testing.T, heading string) map[string]bool {
 }
 
 // TestFlagsDocumented keeps README's flag tables equal to the flag set
-// dohproxy registers: nothing undocumented, nothing documented that is
-// gone.
+// dohproxy registers — nothing undocumented, nothing documented that is
+// gone — and README's prose about the proxy and load generation from
+// naming a flag the tables do not have.
 func TestFlagsDocumented(t *testing.T) {
 	documented := map[string]bool{}
 	for _, h := range []string{"### Proxy flags", "### Scenario flags", "### `dohproxy` only"} {
@@ -53,8 +54,7 @@ func TestFlagsDocumented(t *testing.T) {
 			documented[name] = true
 		}
 	}
-	fs := registered()
-	fs.VisitAll(func(f *flag.Flag) {
+	registered().VisitAll(func(f *flag.Flag) {
 		if !documented[f.Name] {
 			t.Errorf("-%s is registered but not in README's flag tables", f.Name)
 		}
@@ -63,10 +63,20 @@ func TestFlagsDocumented(t *testing.T) {
 	for name := range documented {
 		t.Errorf("README documents -%s for dohproxy, which does not register it", name)
 	}
+
+	tables := readmeFlags(t, "## Command-line flags")
+	for _, h := range []string{"## The forwarding proxy", "## Observability", "## Impairment profiles & load generation"} {
+		for name := range readmeFlags(t, h) {
+			if !tables[name] {
+				t.Errorf("README section %q mentions -%s, which no flag table lists", h, name)
+			}
+		}
+	}
 }
 
 // TestSharedFlagTable: every scenario and proxy flag reaches dohproxy
-// through the one declaration, help string included.
+// through the one declaration, help string included, and the only other
+// flags are the ops plane's and -json.
 func TestSharedFlagTable(t *testing.T) {
 	shared := flag.NewFlagSet("shared", flag.ContinueOnError)
 	loadgen.BindFlags(shared, new(loadgen.Scenario))
@@ -76,9 +86,15 @@ func TestSharedFlagTable(t *testing.T) {
 			t.Errorf("-%s missing from dohproxy or declared with another help string", sf.Name)
 		}
 	})
-	for name, want := range map[string]string{"clients": "1", "queries": "400", "names": "50", "upstreams": "2", "upstream-rtt": "8ms", "conns": "2", "shards": "16"} {
+	own := map[string]bool{"metrics-addr": true, "hold": true, "cost-json": true, "json": true}
+	fs.VisitAll(func(f *flag.Flag) {
+		if shared.Lookup(f.Name) == nil && !own[f.Name] {
+			t.Errorf("dohproxy registers -%s, which is neither a shared flag nor its own", f.Name)
+		}
+	})
+	for name, want := range map[string]string{"clients": "10", "queries": "1000", "names": "16", "upstreams": "1", "upstream-rtt": "4ms", "seed": "1"} {
 		if got := fs.Lookup(name).DefValue; got != want {
-			t.Errorf("-%s defaults to %s, want dohproxy's %s", name, got, want)
+			t.Errorf("-%s defaults to %s, want %s", name, got, want)
 		}
 	}
 }
@@ -92,9 +108,14 @@ func TestRunRejectsMisconfiguration(t *testing.T) {
 	}{
 		{[]string{"-guard-qps", "1"}, "-guard-qps requires -guard"},
 		{[]string{"-udp-batch", "8"}, "-udp-listen"},
+		{[]string{"-udp-shards", "2"}, "-udp-listen"},
 		{[]string{"-cache-budget", "9999999999g"}, "invalid byte size"},
 		{[]string{"-policy", "nope"}, "unknown policy"},
 		{[]string{"-profile", "5g"}, "unknown impairment profile"},
+		{[]string{"-shards", "4096"}, "CacheShards 4096 exceeds 1024"},
+		{[]string{"-transports", "doq"}, "unknown transport"},
+		{[]string{"-arrival", "batch"}, "unknown arrival model"},
+		{[]string{"-json", "-cost-json"}, "-json and -cost-json"},
 	} {
 		fs := flag.NewFlagSet("dohproxy", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)

@@ -15,10 +15,12 @@
 //	r, err := env.DoH(dohcost.Cloudflare, dohcost.Options{Persistent: true})
 //	resp, err := r.Exchange(ctx, dohcost.NewQuery("example.com", dohcost.TypeA))
 //
-// The experiment entry points mirror the paper's artefacts: RunFigure1,
-// RunTables (Tables 1–2), RunFigure2 (head-of-line blocking), RunOverhead
-// (Figures 3–5), and RunFigure6 (page-load study). Each returns a result
-// with a Render function producing the rows the paper reports.
+// Three experiment entry points mirror the paper's artefacts with
+// parameters an outside module can pass: RunFigure1, RunTables (Tables
+// 1–2) and RunOverhead (Figures 3–5). Each returns a result with a Render
+// function producing the rows the paper reports. Figure 2 (head-of-line
+// blocking) and Figure 6 (page-load study) are cmd/dohbench and
+// cmd/dohpageload.
 package dohcost
 
 import (
@@ -369,12 +371,8 @@ func RunScenario(s LoadScenario) (*LoadResult, error) { return loadgen.Run(s) }
 type (
 	// Figure1Result is the queries-per-page survey (Figure 1).
 	Figure1Result = core.Fig1Result
-	// Figure2Result is the head-of-line-blocking comparison (Figure 2).
-	Figure2Result = core.Fig2Result
 	// OverheadResult covers byte/packet/layer costs (Figures 3–5).
 	OverheadResult = core.OverheadResult
-	// Figure6Result is the page-load study (Figure 6).
-	Figure6Result = core.Fig6Result
 	// TablesResult is the landscape survey (Tables 1–2).
 	TablesResult = core.TableResult
 )
@@ -387,11 +385,6 @@ func RunFigure1(pages int, seed int64) *Figure1Result {
 // RunTables regenerates Tables 1 and 2 by deploying and probing the nine
 // providers.
 func RunTables(seed int64) (*TablesResult, error) { return core.RunTables(seed) }
-
-// RunFigure2 regenerates Figure 2. A zero config runs the paper's
-// parameters (100 queries, 10 qps, 1-in-25 delayed 1 s), which takes about
-// 80 seconds of real time across the eight runs.
-func RunFigure2(cfg core.Fig2Config) (*Figure2Result, error) { return core.RunFig2(cfg) }
 
 // RunOverhead regenerates Figures 3, 4 and 5 over a sample of the synthetic
 // Alexa corpus.
@@ -407,15 +400,10 @@ func RunOverheadUnder(profile string, domains int, seed int64) (*OverheadResult,
 	return core.RunOverhead(core.OverheadConfig{Domains: domains, Seed: seed, Profile: profile})
 }
 
-// RunFigure6 regenerates Figure 6.
-func RunFigure6(cfg core.Fig6Config) (*Figure6Result, error) { return core.RunFig6(cfg) }
-
-// Render functions, re-exported for the cmd tools and examples.
+// Render functions for the results above, re-exported from the study core.
 var (
 	RenderFigure1  = core.RenderFig1
-	RenderFigure2  = core.RenderFig2
 	RenderFig3Fig4 = core.RenderFig3Fig4
 	RenderFig5     = core.RenderFig5
-	RenderFigure6  = core.RenderFig6
 	RenderTables   = core.RenderTables
 )

@@ -147,9 +147,16 @@ func (c *core) answer(ctx context.Context, tx *telemetry.Transaction, q *dnswire
 // Respond → AppendPack. newCore wraps a handler that has no wire miss step
 // of its own in it, once, and a WireMissResponder hands it the views
 // ParseQuery declined. It writes the query's HasEDNS and UDPSize into the
-// view, for UDP's size limit. Handler failures fold into SERVFAIL; its error
-// is a query the codec cannot read, or whose SERVFAIL does not even pack.
+// view, for UDP's size limit. Only a QUERY reaches the handler: a response
+// (QR=1) is an error, the fate of a query the codec cannot read, and any
+// other opcode is echoed NOTIMP (RFC 1035 §4.1.1). Handler failures fold
+// into SERVFAIL; its error is a query the codec cannot read, a response,
+// or a query whose SERVFAIL does not even pack.
 type MessageAdapter struct{ Handler Handler }
+
+// errResponse is MessageAdapter's error for a message that is itself a
+// response: answering it could loop two servers into each other.
+var errResponse = errors.New("dnsserver: message is a response, not a query")
 
 // ServeDNSWireMiss implements WireMissResponder.
 func (a MessageAdapter) ServeDNSWireMiss(ctx context.Context, q *dnswire.Query, dst []byte) ([]byte, error) {
@@ -162,6 +169,9 @@ func (a MessageAdapter) ServeDNSWireMiss(ctx context.Context, q *dnswire.Query, 
 	if err := m.Unpack(q.Raw); err != nil {
 		return nil, err
 	}
+	if m.Response {
+		return nil, errResponse
+	}
 	if !q.Parsed() {
 		// The hit step's parse never ran: this is the query's parse.
 		tx.TraceSpan(qtrace.PhaseParse, tParse)
@@ -169,6 +179,11 @@ func (a MessageAdapter) ServeDNSWireMiss(ctx context.Context, q *dnswire.Query, 
 	}
 	if q.HasEDNS = m.EDNS != nil; q.HasEDNS {
 		q.UDPSize = m.EDNS.UDPSize
+	}
+	if m.OpCode != dnswire.OpCodeQuery {
+		r := m.Reply()
+		r.RCode = dnswire.RCodeNotImplemented
+		return r.AppendPack(dst)
 	}
 	reply, err := Respond(ctx, a.Handler, &m).AppendPack(dst)
 	if err != nil {

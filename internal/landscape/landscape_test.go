@@ -1,6 +1,7 @@
 package landscape
 
 import (
+	"crypto/tls"
 	"strings"
 	"testing"
 
@@ -112,6 +113,53 @@ func TestRenderTable2GroundTruth(t *testing.T) {
 	}
 	if strings.Count(ocspRow, "Y") != 0 {
 		t.Errorf("OCSP row: %q", ocspRow)
+	}
+}
+
+// TestDeployAndProbeExtraProvider: the Table 1/2 apparatus reaches past
+// the paper's nine providers. A tenth — TLS 1.3 only, OCSP must-staple,
+// DoT-capable, the hardening the paper found no provider adopting — is
+// deployed beside them and probed as its ground truth says.
+func TestDeployAndProbeExtraProvider(t *testing.T) {
+	providers := append(DefaultProviders(), Provider{
+		Name: "Example Research", Host: "doh.research.example",
+		Services: []Service{{
+			Marker: "ER", URL: "https://doh.research.example/dns-query",
+			Host: "doh.research.example", Path: "/dns-query", Wire: true, JSON: true,
+		}},
+		TLSMin: tls.VersionTLS13, TLSMax: tls.VersionTLS13,
+		ChainBytes: 2200,
+		CT:         true, OCSPMustStaple: true,
+		DoT:      true,
+		Steering: SteeringAnycast,
+	})
+	n := netsim.New(99)
+	dep, err := Deploy(n, providers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dep.Close()
+
+	got, err := NewProber(dep).ProbeAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if diffs := Diff(ExpectedTable2(providers), got); len(diffs) > 0 {
+		t.Errorf("probed matrix deviates from ground truth:\n%s", strings.Join(diffs, "\n"))
+		t.Logf("probed:\n%s", RenderTable2(got))
+	}
+	var er *Features
+	for i := range got {
+		if got[i].Marker == "ER" {
+			er = &got[i]
+		}
+	}
+	if er == nil {
+		t.Fatalf("no ER column in the probed matrix:\n%s", RenderTable2(got))
+	}
+	if er.TLS[tls.VersionTLS12] || !er.TLS[tls.VersionTLS13] || !er.OCSP || !er.DoT {
+		t.Errorf("ER probed as TLS 1.2=%v 1.3=%v, OCSP must-staple %v, DoT %v; want TLS 1.3 only, must-staple, DoT",
+			er.TLS[tls.VersionTLS12], er.TLS[tls.VersionTLS13], er.OCSP, er.DoT)
 	}
 }
 

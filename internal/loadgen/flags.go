@@ -10,11 +10,11 @@ import (
 
 // BindFlags declares the scenario's own flags on fs — workload, access
 // network, upstream topology, fault injection, adversaries — and, through
-// proxy.BindFlags, every proxy flag for s.Proxy: the whole flag surface
-// cmd/dohloadgen and cmd/dohproxy share. Defaults are whatever the caller
-// pre-populated in *s; a field left zero still resolves to the Scenario
-// default at Deploy. The returned finish step runs after fs.Parse and is
-// proxy.BindFlags' finish step.
+// proxy.BindFlags, every proxy flag for s.Proxy: the flag surface of
+// cmd/dohproxy, which adds only its ops-plane and output flags. Defaults
+// are whatever the caller pre-populated in *s; a field left zero still
+// resolves to the Scenario default at Deploy. The returned finish step
+// runs after fs.Parse and is proxy.BindFlags' finish step.
 func BindFlags(fs *flag.FlagSet, s *Scenario) (finish func() error) {
 	fs.StringVar(&s.Profile, "profile", s.Profile, "impairment profile on client access links: "+strings.Join(netsim.ProfileNames(), ", ")+" (empty = ideal)")
 	fs.Func("transports", "comma-separated subset of "+strings.Join(Transports, ",")+" to drive, in order (unset = all four)", func(v string) error {

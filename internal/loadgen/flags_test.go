@@ -177,7 +177,7 @@ func TestScenarioRejectsTopologyOwnedProxyFields(t *testing.T) {
 	}
 }
 
-// TestResultMarshalsWithEverySectionArmed pins `dohloadgen -guard -json`:
+// TestResultMarshalsWithEverySectionArmed pins `dohproxy -guard -json`:
 // the echoed Scenario.Proxy drags guard.Config (with its clock func) and
 // qtrace.Config (with its writers) into the encoder, which must skip the
 // wiring and echo the knobs — enums by name.
