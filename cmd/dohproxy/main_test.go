@@ -48,55 +48,64 @@ func readmeFlags(t *testing.T, heading string) map[string]bool {
 // gone — and README's prose about the proxy and load generation from
 // naming a flag the tables do not have.
 func TestFlagsDocumented(t *testing.T) {
-	documented := map[string]bool{}
-	for _, h := range []string{"### Proxy flags", "### Scenario flags", "### `dohproxy` only"} {
-		for name := range readmeFlags(t, h) {
-			documented[name] = true
-		}
-	}
-	registered().VisitAll(func(f *flag.Flag) {
-		if !documented[f.Name] {
-			t.Errorf("-%s is registered but not in README's flag tables", f.Name)
-		}
-		delete(documented, f.Name)
-	})
-	for name := range documented {
-		t.Errorf("README documents -%s for dohproxy, which does not register it", name)
-	}
-
-	tables := readmeFlags(t, "## Command-line flags")
-	for _, h := range []string{"## The forwarding proxy", "## Observability", "## Impairment profiles & load generation"} {
-		for name := range readmeFlags(t, h) {
-			if !tables[name] {
-				t.Errorf("README section %q mentions -%s, which no flag table lists", h, name)
+	t.Run("tables", func(t *testing.T) {
+		documented := map[string]bool{}
+		for _, h := range []string{"### Proxy flags", "### Scenario flags", "### `dohproxy` only"} {
+			for name := range readmeFlags(t, h) {
+				documented[name] = true
 			}
 		}
-	}
+		registered().VisitAll(func(f *flag.Flag) {
+			if !documented[f.Name] {
+				t.Errorf("-%s is registered but not in README's flag tables", f.Name)
+			}
+			delete(documented, f.Name)
+		})
+		for name := range documented {
+			t.Errorf("README documents -%s for dohproxy, which does not register it", name)
+		}
+	})
+
+	t.Run("prose", func(t *testing.T) {
+		tables := readmeFlags(t, "## Command-line flags")
+		for _, h := range []string{"## The forwarding proxy", "## Observability", "## Impairment profiles & load generation"} {
+			for name := range readmeFlags(t, h) {
+				if !tables[name] {
+					t.Errorf("README section %q mentions -%s, which no flag table lists", h, name)
+				}
+			}
+		}
+	})
 }
 
 // TestSharedFlagTable: every scenario and proxy flag reaches dohproxy
-// through the one declaration, help string included, and the only other
-// flags are the ops plane's and -json.
+// through the one declaration, help string included, the only other
+// flags are the ops plane's and -json, and the defaults are the load
+// generator's.
 func TestSharedFlagTable(t *testing.T) {
 	shared := flag.NewFlagSet("shared", flag.ContinueOnError)
 	loadgen.BindFlags(shared, new(loadgen.Scenario))
 	fs := registered()
-	shared.VisitAll(func(sf *flag.Flag) {
-		if f := fs.Lookup(sf.Name); f == nil || f.Usage != sf.Usage {
-			t.Errorf("-%s missing from dohproxy or declared with another help string", sf.Name)
+	t.Run("declarations", func(t *testing.T) {
+		shared.VisitAll(func(sf *flag.Flag) {
+			if f := fs.Lookup(sf.Name); f == nil || f.Usage != sf.Usage {
+				t.Errorf("-%s missing from dohproxy or declared with another help string", sf.Name)
+			}
+		})
+		own := map[string]bool{"metrics-addr": true, "hold": true, "cost-json": true, "json": true}
+		fs.VisitAll(func(f *flag.Flag) {
+			if shared.Lookup(f.Name) == nil && !own[f.Name] {
+				t.Errorf("dohproxy registers -%s, which is neither a shared flag nor its own", f.Name)
+			}
+		})
+	})
+	t.Run("defaults", func(t *testing.T) {
+		for name, want := range map[string]string{"clients": "10", "queries": "1000", "names": "16", "upstreams": "1", "upstream-rtt": "4ms", "seed": "1"} {
+			if got := fs.Lookup(name).DefValue; got != want {
+				t.Errorf("-%s defaults to %s, want %s", name, got, want)
+			}
 		}
 	})
-	own := map[string]bool{"metrics-addr": true, "hold": true, "cost-json": true, "json": true}
-	fs.VisitAll(func(f *flag.Flag) {
-		if shared.Lookup(f.Name) == nil && !own[f.Name] {
-			t.Errorf("dohproxy registers -%s, which is neither a shared flag nor its own", f.Name)
-		}
-	})
-	for name, want := range map[string]string{"clients": "10", "queries": "1000", "names": "16", "upstreams": "1", "upstream-rtt": "4ms", "seed": "1"} {
-		if got := fs.Lookup(name).DefValue; got != want {
-			t.Errorf("-%s defaults to %s, want %s", name, got, want)
-		}
-	}
 }
 
 // TestRunRejectsMisconfiguration: the silent misconfigurations are loud,
@@ -117,10 +126,12 @@ func TestRunRejectsMisconfiguration(t *testing.T) {
 		{[]string{"-arrival", "batch"}, "unknown arrival model"},
 		{[]string{"-json", "-cost-json"}, "-json and -cost-json"},
 	} {
-		fs := flag.NewFlagSet("dohproxy", flag.ContinueOnError)
-		fs.SetOutput(io.Discard)
-		if err := run(fs, tc.argv); err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("argv %v: err = %v, want one containing %q", tc.argv, err, tc.want)
-		}
+		t.Run(strings.TrimPrefix(tc.argv[0], "-"), func(t *testing.T) {
+			fs := flag.NewFlagSet("dohproxy", flag.ContinueOnError)
+			fs.SetOutput(io.Discard)
+			if err := run(fs, tc.argv); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("argv %v: err = %v, want one containing %q", tc.argv, err, tc.want)
+			}
+		})
 	}
 }
