@@ -12,14 +12,14 @@
 // and failure counts on the client side, and cache/upstream counters on
 // the proxy side. Closed-loop runs with the same seed reproduce their
 // aggregate counters exactly. -json prints the whole result as JSON
-// instead of the table.
+// instead of the table; its "cost" section is the /debug/cost report
+// taken at the end of the run.
 //
 // The ops plane exposes the proxy's per-query cost telemetry on a real
 // (not simulated) HTTP socket while the tool runs: -metrics-addr serves
 // Prometheus text on /metrics, the JSON cost report on /debug/cost and,
 // with -trace, sampled query traces on /debug/trace; -hold keeps the
-// process alive after the workload so they can be curled; -cost-json
-// prints the /debug/cost payload to stdout at exit.
+// process alive after the workload so they can be curled.
 //
 // Every other flag is the shared scenario and proxy table
 // (loadgen.BindFlags), over the Scenario defaults; run with -h for the
@@ -28,7 +28,6 @@ package main
 
 import (
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -52,7 +51,6 @@ func main() {
 type ops struct {
 	metricsAddr string
 	hold        time.Duration
-	costJSON    bool
 	asJSON      bool
 }
 
@@ -75,7 +73,6 @@ func bind(fs *flag.FlagSet) (s *loadgen.Scenario, o *ops, finish func() error) {
 	o = new(ops)
 	fs.StringVar(&o.metricsAddr, "metrics-addr", "", "serve /metrics, /debug/cost and /debug/trace on this real TCP address (e.g. 127.0.0.1:9090); empty disables")
 	fs.DurationVar(&o.hold, "hold", 0, "keep serving the observability endpoints this long after the workload")
-	fs.BoolVar(&o.costJSON, "cost-json", false, "print the /debug/cost JSON report to stdout at exit")
 	fs.BoolVar(&o.asJSON, "json", false, "print the full result as JSON instead of the table")
 	return s, o, finish
 }
@@ -87,9 +84,6 @@ func run(fs *flag.FlagSet, args []string) error {
 	}
 	if err := finish(); err != nil {
 		return err
-	}
-	if o.asJSON && o.costJSON {
-		return errors.New("-json and -cost-json each print a JSON document; pick one")
 	}
 	// With -json, standard output carries the one JSON document and the
 	// progress lines go to standard error.
@@ -147,13 +141,6 @@ func run(fs *flag.FlagSet, args []string) error {
 	if o.hold > 0 {
 		fmt.Fprintf(info, "\nholding %v for observability scrapes...\n", o.hold)
 		time.Sleep(o.hold)
-	}
-	if o.costJSON {
-		out, err := json.MarshalIndent(d.Proxy.CostReport(), "", "  ")
-		if err != nil {
-			return err
-		}
-		fmt.Printf("\n%s\n", out)
 	}
 	return nil
 }

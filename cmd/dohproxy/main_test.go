@@ -92,7 +92,7 @@ func TestSharedFlagTable(t *testing.T) {
 				t.Errorf("-%s missing from dohproxy or declared with another help string", sf.Name)
 			}
 		})
-		own := map[string]bool{"metrics-addr": true, "hold": true, "cost-json": true, "json": true}
+		own := map[string]bool{"metrics-addr": true, "hold": true, "json": true}
 		fs.VisitAll(func(f *flag.Flag) {
 			if shared.Lookup(f.Name) == nil && !own[f.Name] {
 				t.Errorf("dohproxy registers -%s, which is neither a shared flag nor its own", f.Name)
@@ -124,7 +124,6 @@ func TestRunRejectsMisconfiguration(t *testing.T) {
 		{[]string{"-shards", "4096"}, "CacheShards 4096 exceeds 1024"},
 		{[]string{"-transports", "doq"}, "unknown transport"},
 		{[]string{"-arrival", "batch"}, "unknown arrival model"},
-		{[]string{"-json", "-cost-json"}, "-json and -cost-json"},
 	} {
 		t.Run(strings.TrimPrefix(tc.argv[0], "-"), func(t *testing.T) {
 			fs := flag.NewFlagSet("dohproxy", flag.ContinueOnError)

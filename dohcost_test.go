@@ -134,8 +134,8 @@ func TestFacadeRunScenario(t *testing.T) {
 			t.Errorf("%s: %+v", tr.Transport, tr)
 		}
 	}
-	if res.Steering.Policy != "fastest" || res.Scenario.Proxy.CacheBudget != 1<<20 {
-		t.Errorf("LoadScenario.Proxy did not reach the proxy: policy %q, budget %d", res.Steering.Policy, res.Scenario.Proxy.CacheBudget)
+	if res.Cost.Steering.Policy != "fastest" || res.Scenario.Proxy.CacheBudget != 1<<20 {
+		t.Errorf("LoadScenario.Proxy did not reach the proxy: policy %q, budget %d", res.Cost.Steering.Policy, res.Scenario.Proxy.CacheBudget)
 	}
 	if out := RenderScenario(res); !strings.Contains(out, "udp") || !strings.Contains(out, "doh") {
 		t.Errorf("render:\n%s", out)

@@ -19,12 +19,6 @@ import (
 // column order.
 var Fig2Transports = []string{"udp", "tls", "http1", "http2"}
 
-// Fig2ExtendedTransports adds "tls-ooo", DoT against a server that answers
-// out of order (the Cloudflare deployment style): an extension column
-// showing DoT's head-of-line blocking is the deployment default, not the
-// protocol's fate.
-var Fig2ExtendedTransports = []string{"udp", "tls", "tls-ooo", "http1", "http2"}
-
 // Fig2Config parameterizes the head-of-line-blocking experiment. The
 // defaults are the paper's §3 setup: 100 unique names (5-char random prefix
 // on a fixed base), Poisson arrivals at 10 queries/second, and a delayed
@@ -44,7 +38,10 @@ type Fig2Config struct {
 	// recovery, not resolver stalls, drives the knock-on effects. Empty
 	// keeps the paper's ideal links.
 	Profile string
-	// Transports defaults to Fig2Transports.
+	// Transports defaults to Fig2Transports. "tls-ooo" is also accepted:
+	// DoT against a server that answers out of order (the Cloudflare
+	// deployment style), showing DoT's head-of-line blocking is the
+	// deployment default, not the protocol's fate.
 	Transports []string
 }
 

@@ -205,7 +205,8 @@ func serveScripted(t *testing.T, name dnswire.Name, edns uint16, batch int) (con
 		want = append(want, resp)
 	}
 	var fin atomic.Int64
-	tel := telemetry.New(telemetry.WithListener(telemetry.ListenerFunc(func(*telemetry.Summary) { fin.Add(1) })))
+	tel := telemetry.New()
+	tel.SetListener(telemetry.ListenerFunc(func(*telemetry.Summary) { fin.Add(1) }))
 	stub = &refStub{}
 	srv = &UDPServer{Handler: stub, Telemetry: tel}
 	done := make(chan error)

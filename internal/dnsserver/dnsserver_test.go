@@ -78,7 +78,7 @@ func TestRefuseHandler(t *testing.T) {
 
 func TestZoneNodata(t *testing.T) {
 	z := NewZone("example.com.")
-	z.AddA("www.example.com.", 60, &dnswire.A{Addr: netip.MustParseAddr("192.0.2.1")})
+	z.Add(dnswire.ResourceRecord{Name: "www.example.com.", Class: dnswire.ClassINET, TTL: 60, Data: &dnswire.A{Addr: netip.MustParseAddr("192.0.2.1")}})
 	r := serveT(t, z, dnswire.NewQuery(1, "www.example.com.", dnswire.TypeAAAA))
 	if r.RCode != dnswire.RCodeSuccess || len(r.Answers) != 0 {
 		t.Errorf("nodata reply = %+v", r)

@@ -40,11 +40,6 @@ func (z *Zone) Add(rr dnswire.ResourceRecord) {
 	byType[rr.Type()] = append(byType[rr.Type()], rr)
 }
 
-// AddA is shorthand for adding an A record from presentation values.
-func (z *Zone) AddA(name dnswire.Name, ttl uint32, a *dnswire.A) {
-	z.Add(dnswire.ResourceRecord{Name: name, Class: dnswire.ClassINET, TTL: ttl, Data: a})
-}
-
 // ServeDNS implements Handler.
 func (z *Zone) ServeDNS(ctx context.Context, q *dnswire.Message) (*dnswire.Message, error) {
 	r := q.Reply()

@@ -151,7 +151,7 @@ type poolUpstream struct {
 type UpstreamStats struct {
 	Name      string `json:"name"`
 	Exchanges int64  `json:"exchanges"` // successful exchanges
-	Failures  int64  `json:"failures"`  // failed exchanges (including dial errors)
+	Failures  int64  `json:"failures"`  // failed exchanges, dial errors included; backoff refusals not
 	Down      bool   `json:"down"`      // currently marked down (in backoff)
 }
 
@@ -251,11 +251,15 @@ func jitterBackoff(d time.Duration, cfg PoolConfig) time.Duration {
 	return half + time.Duration(cfg.rand()*float64(half))
 }
 
-// fail counts one failure and, past the threshold, marks the upstream down
-// with jittered exponential backoff.
-func (u *poolUpstream) fail(cfg PoolConfig) {
+// fail counts one failure toward the upstream's health and, past the
+// threshold, marks it down with jittered exponential backoff. A refused
+// attempt (a slot in redial backoff) is charged to health only: it is not
+// a failed exchange, so UpstreamStats.Failures does not count it.
+func (u *poolUpstream) fail(cfg PoolConfig, refused bool) {
 	u.mu.Lock()
-	u.errors++
+	if !refused {
+		u.errors++
+	}
 	u.failures++
 	if u.failures >= cfg.MaxFailures {
 		u.backoff = nextBackoff(u.backoff, cfg)
@@ -395,11 +399,11 @@ func (p *Pool) exchangeVia(ctx context.Context, u *poolUpstream, query, dst []by
 			// toward MaxFailures is what lets the pool mark it down and
 			// skip it instead of bouncing off the backoff every query.
 			tx.PoolBackoff()
-			u.fail(p.cfg)
+			u.fail(p.cfg, true)
 			return nil, err
 		}
 		tx.PoolFailure()
-		u.fail(p.cfg)
+		u.fail(p.cfg, false)
 		p.observe(u.name, time.Since(start), err)
 		return nil, err
 	}
@@ -414,7 +418,7 @@ func (p *Pool) exchangeVia(ctx context.Context, u *poolUpstream, query, dst []by
 		if !errors.Is(ctx.Err(), context.Canceled) {
 			tx.PoolFailure()
 			slot.drop(r, p.cfg)
-			u.fail(p.cfg)
+			u.fail(p.cfg, false)
 		}
 		p.observe(u.name, time.Since(start), err)
 		return nil, err

@@ -469,7 +469,7 @@ func TestCostRecordingDoHPersistentAmortizes(t *testing.T) {
 
 func TestZoneHandlerThroughTransports(t *testing.T) {
 	zone := dnsserver.NewZone("example.org.")
-	zone.AddA("www.example.org.", 300, &dnswire.A{Addr: netip.MustParseAddr("192.0.2.80")})
+	zone.Add(dnswire.ResourceRecord{Name: "www.example.org.", Class: dnswire.ClassINET, TTL: 300, Data: &dnswire.A{Addr: netip.MustParseAddr("192.0.2.80")}})
 	zone.Add(dnswire.ResourceRecord{
 		Name: "alias.example.org.", Class: dnswire.ClassINET, TTL: 300,
 		Data: &dnswire.CNAME{Target: "www.example.org."},

@@ -25,26 +25,6 @@ func (n Name) Canonical() Name {
 	return Name(s)
 }
 
-// Labels splits the name into its labels, root excluded.
-// "www.example.com." → ["www", "example", "com"].
-func (n Name) Labels() []string {
-	s := strings.TrimSuffix(string(n.Canonical()), ".")
-	if s == "" {
-		return nil
-	}
-	return strings.Split(s, ".")
-}
-
-// Parent returns the name with its leftmost label removed;
-// the parent of the root is the root.
-func (n Name) Parent() Name {
-	labels := n.Labels()
-	if len(labels) <= 1 {
-		return Root
-	}
-	return Name(strings.Join(labels[1:], ".") + ".")
-}
-
 // IsSubdomainOf reports whether n falls at or under zone (both canonicalized).
 func (n Name) IsSubdomainOf(zone Name) bool {
 	nz, zz := string(n.Canonical()), string(zone.Canonical())

@@ -26,31 +26,6 @@ func TestNameCanonical(t *testing.T) {
 	}
 }
 
-func TestNameLabels(t *testing.T) {
-	if got := Name("www.example.com.").Labels(); len(got) != 3 || got[0] != "www" || got[2] != "com" {
-		t.Errorf("Labels = %v", got)
-	}
-	if got := Root.Labels(); got != nil {
-		t.Errorf("root Labels = %v, want nil", got)
-	}
-}
-
-func TestNameParent(t *testing.T) {
-	tests := []struct {
-		in, want Name
-	}{
-		{"www.example.com.", "example.com."},
-		{"example.com.", "com."},
-		{"com.", "."},
-		{".", "."},
-	}
-	for _, tt := range tests {
-		if got := tt.in.Parent(); got != tt.want {
-			t.Errorf("Parent(%q) = %q, want %q", tt.in, got, tt.want)
-		}
-	}
-}
-
 func TestNameIsSubdomainOf(t *testing.T) {
 	tests := []struct {
 		name, zone Name

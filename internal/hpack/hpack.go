@@ -131,21 +131,14 @@ var (
 // Decoder decompresses header blocks. Not safe for concurrent use.
 type Decoder struct {
 	table dynamicTable
-	// maxAllowedTableSize bounds size updates, per the connection's
-	// SETTINGS_HEADER_TABLE_SIZE.
-	maxAllowedTableSize int
 }
 
 // NewDecoder returns a decoder with the default table size.
 func NewDecoder() *Decoder {
-	d := &Decoder{maxAllowedTableSize: DefaultMaxDynamicTableSize}
+	d := &Decoder{}
 	d.table.setMaxSize(DefaultMaxDynamicTableSize)
 	return d
 }
-
-// SetMaxAllowedTableSize adjusts the ceiling the peer may raise its encoder
-// table to (from our SETTINGS).
-func (d *Decoder) SetMaxAllowedTableSize(n int) { d.maxAllowedTableSize = n }
 
 // Decode parses one complete header block into a slice of its own.
 func (d *Decoder) Decode(data []byte) ([]HeaderField, error) {
@@ -185,7 +178,9 @@ func (d *Decoder) DecodeAppend(dst []HeaderField, data []byte) ([]HeaderField, e
 			if err != nil {
 				return nil, err
 			}
-			if size > uint64(d.maxAllowedTableSize) {
+			// Our SETTINGS_HEADER_TABLE_SIZE is the default, so the
+			// peer's encoder may not grow its table past it.
+			if size > DefaultMaxDynamicTableSize {
 				return nil, ErrTableSizeBound
 			}
 			d.table.setMaxSize(int(size))
@@ -285,18 +280,4 @@ func readString(data []byte) (string, []byte, error) {
 		return "", nil, err
 	}
 	return s, rest, nil
-}
-
-// EncodedSize returns the bytes AppendEncode would emit for fields right
-// now, without mutating encoder state. It drives header-cost projections in
-// the overhead experiments.
-func (e *Encoder) EncodedSize(fields []HeaderField) int {
-	clone := &Encoder{
-		table:             e.table.clone(),
-		DisableHuffman:    e.DisableHuffman,
-		DisableDynamic:    e.DisableDynamic,
-		pendingSizeUpdate: e.pendingSizeUpdate,
-		newMaxSize:        e.newMaxSize,
-	}
-	return len(clone.AppendEncode(nil, fields))
 }

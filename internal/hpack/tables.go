@@ -143,15 +143,6 @@ func (t *dynamicTable) evict() {
 	}
 }
 
-// clone returns a copy of t that shares no storage with it.
-func (t *dynamicTable) clone() dynamicTable {
-	c := dynamicTable{ring: make([]HeaderField, len(t.ring)), n: t.n, size: t.size, maxSize: t.maxSize}
-	for i := 0; i < t.n; i++ {
-		c.ring[i] = t.ring[(t.head+i)%len(t.ring)]
-	}
-	return c
-}
-
 // at returns the field at absolute HPACK index i (1-based across static then
 // dynamic).
 func (t *dynamicTable) at(i int) (HeaderField, bool) {

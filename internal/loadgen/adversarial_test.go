@@ -111,7 +111,7 @@ func TestAdversarialFloodGuarded(t *testing.T) {
 		t.Errorf("flood got %d/%d answered — guard let more than 20%% through", a.Answered, a.Queries)
 	}
 
-	g := res.Guard
+	g := res.Cost.Guard
 	if g == nil {
 		t.Fatal("guarded run returned no guard report")
 	}
@@ -139,8 +139,8 @@ func TestAdversarialFloodUnguarded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Guard != nil {
-		t.Fatalf("unguarded run produced a guard report: %+v", res.Guard)
+	if res.Cost.Guard != nil {
+		t.Fatalf("unguarded run produced a guard report: %+v", res.Cost.Guard)
 	}
 	a := res.Attack
 	if a == nil || a.Queries == 0 {
@@ -152,9 +152,9 @@ func TestAdversarialFloodUnguarded(t *testing.T) {
 	if a.Answered == 0 {
 		t.Errorf("unguarded proxy answered none of the flood: %+v", a)
 	}
-	if misses := uint64(res.Cache.Misses); misses < a.Answered {
+	if misses := uint64(res.Cost.Cache.Misses); misses < a.Answered {
 		t.Errorf("cache misses %d < answered flood %d: the flood must be all misses", misses, a.Answered)
 	}
 	t.Logf("unguarded flood: %d queries → %d answered / %d dropped; honest p99 %.2fms; upstream exchanges %d",
-		a.Queries, a.Answered, a.Dropped, res.PerTransport[0].P99Ms, res.Server.PoolExchanges)
+		a.Queries, a.Answered, a.Dropped, res.PerTransport[0].P99Ms, res.Cost.Telemetry.PoolExchanges)
 }

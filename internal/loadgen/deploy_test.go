@@ -44,12 +44,12 @@ func TestRunReconcilesUpstreamCounts(t *testing.T) {
 			for _, u := range d.Upstreams() {
 				served += u.Queries()
 			}
-			for _, u := range res.Upstreams {
+			for _, u := range res.Cost.Upstreams {
 				exchanged += u.Exchanges
 			}
-			if served == 0 || served != exchanged || exchanged != res.Cache.Misses {
+			if served == 0 || served != exchanged || exchanged != res.Cost.Cache.Misses {
 				t.Errorf("upstreams answered %d queries, the pool made %d exchanges, the cache counted %d misses; want three equal, nonzero counts",
-					served, exchanged, res.Cache.Misses)
+					served, exchanged, res.Cost.Cache.Misses)
 			}
 		})
 	}

@@ -34,18 +34,18 @@ func TestBrokenV6ConvergesToV4(t *testing.T) {
 	if tr.Failures != 0 {
 		t.Fatalf("%d client-visible failures under broken-v6, want 0", tr.Failures)
 	}
-	if res.Dialer == nil || len(res.Dialer.Hosts) == 0 {
+	if res.Cost.Dialer == nil || len(res.Cost.Dialer.Hosts) == 0 {
 		t.Fatal("no dialer report")
 	}
-	for _, h := range res.Dialer.Hosts {
+	for _, h := range res.Cost.Dialer.Hosts {
 		if h.Winner != "v4" {
-			t.Fatalf("upstream %s winner %q, want v4 (report %+v)", h.Host, h.Winner, res.Dialer)
+			t.Fatalf("upstream %s winner %q, want v4 (report %+v)", h.Host, h.Winner, res.Cost.Dialer)
 		}
 	}
-	if res.Bootstrap == nil || res.Bootstrap.Sweeps != 1 {
-		t.Fatalf("bootstrap report %+v, want exactly one pre-listen sweep", res.Bootstrap)
+	if res.Cost.Bootstrap == nil || res.Cost.Bootstrap.Sweeps != 1 {
+		t.Fatalf("bootstrap report %+v, want exactly one pre-listen sweep", res.Cost.Bootstrap)
 	}
-	for _, v := range res.Bootstrap.Verdicts {
+	for _, v := range res.Cost.Bootstrap.Verdicts {
 		if !v.OK {
 			t.Fatalf("bootstrap verdict %+v, want reachable via the v4 fallback", v)
 		}
@@ -59,10 +59,10 @@ func TestBrokenV6ConvergesToV4(t *testing.T) {
 	}
 	// The race memory means v6 is attempted once per upstream (the probe
 	// race), not once per dial: v4 wins outnumber v6 attempts' wins.
-	if res.Server.DialWins["v6"] != 0 {
-		t.Fatalf("v6 recorded %d race wins under blackhole", res.Server.DialWins["v6"])
+	if res.Cost.Telemetry.DialWins["v6"] != 0 {
+		t.Fatalf("v6 recorded %d race wins under blackhole", res.Cost.Telemetry.DialWins["v6"])
 	}
-	if res.Server.DialWins["v4"] == 0 {
+	if res.Cost.Telemetry.DialWins["v4"] == 0 {
 		t.Fatal("no v4 race wins recorded")
 	}
 }
@@ -95,13 +95,13 @@ func TestLinkFlapRecoversWithoutServfails(t *testing.T) {
 	}
 	// The flap must actually have bitten: the pool saw upstream attempts
 	// fail and failed over.
-	if res.Server.PoolFailures == 0 {
+	if res.Cost.Telemetry.PoolFailures == 0 {
 		t.Fatal("flap produced no pool failures; the outage never landed")
 	}
 	// Both upstreams carried traffic: upstream 0 before (and possibly
 	// after) the flap, upstream 1 during it.
 	var ups [2]uint64
-	for i, u := range res.Steering.Upstreams {
+	for i, u := range res.Cost.Steering.Upstreams {
 		_ = i
 		switch u.Name {
 		case upstreamHost(0):

@@ -201,8 +201,8 @@ func TestResultMarshalsWithEverySectionArmed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Guard == nil || res.Trace == nil || res.Dialer == nil || res.Bootstrap == nil {
-		t.Fatalf("a section did not arm: guard=%v trace=%v dialer=%v bootstrap=%v", res.Guard, res.Trace, res.Dialer, res.Bootstrap)
+	if res.Cost.Guard == nil || res.Cost.Trace == nil || res.Cost.Dialer == nil || res.Cost.Bootstrap == nil {
+		t.Fatalf("a section did not arm: guard=%v trace=%v dialer=%v bootstrap=%v", res.Cost.Guard, res.Cost.Trace, res.Cost.Dialer, res.Cost.Bootstrap)
 	}
 	out, err := json.Marshal(res)
 	if err != nil {

@@ -41,15 +41,12 @@ import (
 
 	"dohcost/internal/alexa"
 	"dohcost/internal/dialer"
-	"dohcost/internal/dnscache"
 	"dohcost/internal/dnsserver"
 	"dohcost/internal/dnstransport"
 	"dohcost/internal/dnswire"
-	"dohcost/internal/guard"
 	"dohcost/internal/netsim"
 	"dohcost/internal/proxy"
 	"dohcost/internal/qtrace"
-	"dohcost/internal/steer"
 	"dohcost/internal/telemetry"
 	"dohcost/internal/tlsx"
 )
@@ -175,8 +172,8 @@ type Scenario struct {
 	// it. Deploy overlays what the topology owns — Upstreams, Chain,
 	// Endpoints, Dialer, Bootstrap, Telemetry and the MTU-derived
 	// MaxUDPSize — and rejects a scenario that set any of those itself.
-	// With Proxy.Tracing armed the harvest grows Result.Trace and
-	// Result.SlowTraces; with Proxy.Guard armed, Result.Guard.
+	// With Proxy.Tracing armed the harvest grows Result.Cost.Trace and
+	// Result.SlowTraces; with Proxy.Guard armed, Result.Cost.Guard.
 	Proxy proxy.Config
 }
 
@@ -315,30 +312,13 @@ type Result struct {
 	Profile netsim.Profile `json:"profile"`
 	// PerTransport holds one harvest per driven transport, in run order.
 	PerTransport []TransportResult `json:"per_transport"`
-	// Server is the proxy-side telemetry snapshot across all transports.
-	Server *telemetry.Snapshot `json:"server"`
-	// Cache is the proxy cache's effectiveness over the whole run.
-	Cache dnscache.Stats `json:"cache"`
-	// Upstreams is the pool's end-of-run per-upstream health: exchanges,
-	// failures and whether the upstream finished in backoff.
-	Upstreams []dnstransport.UpstreamStats `json:"upstreams"`
-	// Steering is the proxy's end-of-run steering model: policy and
-	// per-upstream SRTT/success scores, best-ranked first.
-	Steering steer.Report `json:"steering"`
+	// Cost is the proxy's cost report at the end of the run, as
+	// /debug/cost would serve it: telemetry, cache, per-upstream pool
+	// health, steering, and — when armed — guard, dialer, bootstrap and
+	// trace sections.
+	Cost proxy.CostReport `json:"cost"`
 	// Attack is the flooder population's harvest; nil without Attackers.
 	Attack *AttackResult `json:"attack,omitempty"`
-	// Guard is the proxy guard's end-of-run report; nil when unguarded.
-	Guard *guard.Report `json:"guard,omitempty"`
-	// Dialer is the Happy-Eyeballs race memory at end of run (winning
-	// family and demotion state per upstream); nil without
-	// Scenario.HappyEyeballs.
-	Dialer *dialer.Report `json:"dialer,omitempty"`
-	// Bootstrap is the reachability prober's verdict table; nil without
-	// Scenario.BootstrapProbe.
-	Bootstrap *dialer.ProbeReport `json:"bootstrap,omitempty"`
-	// Trace is the tail sampler's decision counters and live slow
-	// thresholds; nil without Scenario.Proxy.Tracing.
-	Trace *qtrace.Stats `json:"trace,omitempty"`
 	// SlowTraces is the slow-trace digest: the slowest sampled traces of
 	// the run (up to five), phase spans included, slowest first. Nil
 	// without Scenario.Proxy.Tracing.
@@ -621,11 +601,7 @@ func (d *Deployment) Run() (*Result, error) {
 			Dropped:   atk.dropped.Load(),
 		}
 	}
-	// The proxy-side sections are the proxy's own cost report, as
-	// /debug/cost would serve it at this instant.
-	cost := p.CostReport()
-	res.Server, res.Cache, res.Upstreams, res.Steering = cost.Telemetry, cost.Cache.Stats, cost.Upstreams, cost.Steering
-	res.Guard, res.Dialer, res.Bootstrap, res.Trace = cost.Guard, cost.Dialer, cost.Bootstrap, cost.Trace
+	res.Cost = p.CostReport()
 	if tr := p.Tracer(); tr != nil {
 		res.SlowTraces = slowestTraces(tr, 5)
 	}
@@ -966,7 +942,7 @@ func Render(r *Result) string {
 		label = "ideal"
 	}
 	fmt.Fprintf(&sb, "scenario: %d clients × %s arrivals, %d queries/transport, profile %s, policy %s, seed %d\n",
-		r.Scenario.Clients, r.Scenario.Arrival, r.Scenario.Queries, label, r.Steering.Policy, r.Scenario.Seed)
+		r.Scenario.Clients, r.Scenario.Arrival, r.Scenario.Queries, label, r.Cost.Steering.Policy, r.Scenario.Seed)
 	if r.Profile.Name != "" {
 		fmt.Fprintf(&sb, "access link: %s\n", r.Profile)
 	}
@@ -977,21 +953,16 @@ func Render(r *Result) string {
 			t.Transport, t.Queries, t.Failures, t.UDPRetransmits, t.TCFallbacks,
 			t.P50Ms, t.P95Ms, t.P99Ms, t.BytesSent+t.BytesReceived, t.QPS)
 	}
-	cs := r.Cache
-	total := cs.Hits + cs.StaleHits + cs.Misses + cs.Coalesced
-	ratio := 0.0
-	if total > 0 {
-		ratio = float64(cs.Hits+cs.StaleHits) / float64(total) * 100
-	}
+	cs := r.Cost.Cache
 	if a := r.Attack; a != nil {
 		fmt.Fprintf(&sb, "\nattack: %d flooders, %d queries → %d answered / %d refused / %d tc-slipped / %d dropped\n",
 			a.Attackers, a.Queries, a.Answered, a.Refused, a.Truncated, a.Dropped)
 	}
-	if g := r.Guard; g != nil {
+	if g := r.Cost.Guard; g != nil {
 		fmt.Fprintf(&sb, "guard: %d allowed / %d dropped / %d slipped / %d refused (%d breaker), %d cookies issued, %d validated\n",
 			g.Allowed, g.Drops, g.Slips, g.Refusals, g.BreakerRefusals, g.CookiesIssued, g.CookiesValidated)
 	}
-	if d := r.Dialer; d != nil {
+	if d := r.Cost.Dialer; d != nil {
 		fmt.Fprintf(&sb, "dialer: %.0fms stagger", d.StaggerMs)
 		for _, h := range d.Hosts {
 			w := h.Winner
@@ -1002,7 +973,7 @@ func Render(r *Result) string {
 		}
 		sb.WriteString("\n")
 	}
-	if b := r.Bootstrap; b != nil {
+	if b := r.Cost.Bootstrap; b != nil {
 		fmt.Fprintf(&sb, "bootstrap: %d sweeps", b.Sweeps)
 		for _, v := range b.Verdicts {
 			state := "dead"
@@ -1013,7 +984,7 @@ func Render(r *Result) string {
 		}
 		sb.WriteString("\n")
 	}
-	if t := r.Trace; t != nil {
+	if t := r.Cost.Trace; t != nil {
 		fmt.Fprintf(&sb, "trace: %d offered, kept %d errored / %d slow / %d baseline, %d ring-dropped\n",
 			t.Offered, t.KeptErrored, t.KeptSlow, t.KeptBaseline, t.RingDropped)
 		for _, v := range r.SlowTraces {
@@ -1025,10 +996,11 @@ func Render(r *Result) string {
 		}
 	}
 	fmt.Fprintf(&sb, "\nproxy: %d hits / %d stale / %d misses / %d coalesced (%.1f%% hit rate)",
-		cs.Hits, cs.StaleHits, cs.Misses, cs.Coalesced, ratio)
-	if r.Server != nil {
+		cs.Hits, cs.StaleHits, cs.Misses, cs.Coalesced, cs.HitRatio*100)
+	tel := r.Cost.Telemetry
+	if tel != nil {
 		fmt.Fprintf(&sb, "; upstream %d exchanges, %d B up, %d B down\n",
-			r.Server.PoolExchanges, r.Server.UpstreamBytesSent, r.Server.UpstreamBytesReceived)
+			tel.PoolExchanges, tel.UpstreamBytesSent, tel.UpstreamBytesReceived)
 	} else {
 		sb.WriteString("\n")
 	}
@@ -1036,32 +1008,32 @@ func Render(r *Result) string {
 		fmt.Fprintf(&sb, "cache budget: %d B live of %d B, %d evictions, %d admission rejects, %d arena epochs\n",
 			cs.BytesLive, b, cs.Evictions, cs.AdmissionRejects, cs.ArenaEpochs)
 	}
-	for _, u := range r.Upstreams {
+	for _, u := range r.Cost.Upstreams {
 		state := "up"
 		if u.Down {
 			state = "down"
 		}
 		fmt.Fprintf(&sb, "upstream %-22s %5d exchanges, %d failures, %s\n", u.Name, u.Exchanges, u.Failures, state)
 	}
-	for _, u := range r.Steering.Upstreams {
+	for _, u := range r.Cost.Steering.Upstreams {
 		fmt.Fprintf(&sb, "steer    %-22s srtt %.2fms ±%.2fms, success %.2f (%d samples)\n",
 			u.Name, u.SRTTMs, u.RTTVarMs, u.SuccessRate, u.Samples)
 	}
-	if r.Server == nil {
+	if tel == nil {
 		return sb.String()
 	}
 	// The proxy's own view of the same workload: accept-to-response latency
 	// per listener transport, beside the client-observed table above.
 	for _, proto := range Transports {
-		if d := r.Server.Latency[proto]; d != nil {
+		if d := tel.Latency[proto]; d != nil {
 			fmt.Fprintf(&sb, "server   %-4s %8d queries | %7.2fms %7.2fms %7.2fms (p50 p95 p99)\n",
 				proto, d.Count, d.P50Ms, d.P95Ms, d.P99Ms)
 		}
 	}
 	for _, fam := range []string{"v4", "v6", "unknown"} {
-		if d := r.Server.Dials[fam]; d != nil {
+		if d := tel.Dials[fam]; d != nil {
 			fmt.Fprintf(&sb, "dials    %-7s ok=%d error=%d backoff=%d wins=%d\n",
-				fam, d["ok"], d["error"], d["backoff"], r.Server.DialWins[fam])
+				fam, d["ok"], d["error"], d["backoff"], tel.DialWins[fam])
 		}
 	}
 	return sb.String()

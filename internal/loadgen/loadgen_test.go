@@ -48,14 +48,14 @@ func TestScenarioSmokeIdeal(t *testing.T) {
 	}
 	// 3 clients × 5 names × 4 transports = 60 distinct names; everything
 	// else must hit the proxy cache.
-	if res.Cache.Misses != 60 {
-		t.Errorf("cache misses = %d, want 60 (names are disjoint per client and transport)", res.Cache.Misses)
+	if res.Cost.Cache.Misses != 60 {
+		t.Errorf("cache misses = %d, want 60 (names are disjoint per client and transport)", res.Cost.Cache.Misses)
 	}
-	if res.Cache.Hits != 4*30-60 {
-		t.Errorf("cache hits = %d, want %d", res.Cache.Hits, 4*30-60)
+	if res.Cost.Cache.Hits != 4*30-60 {
+		t.Errorf("cache hits = %d, want %d", res.Cost.Cache.Hits, 4*30-60)
 	}
-	if res.Server == nil || res.Server.Queries["udp"] == 0 || res.Server.Queries["doh"] == 0 {
-		t.Errorf("server snapshot missing per-proto queries: %+v", res.Server)
+	if res.Cost.Telemetry == nil || res.Cost.Telemetry.Queries["udp"] == 0 || res.Cost.Telemetry.Queries["doh"] == 0 {
+		t.Errorf("server snapshot missing per-proto queries: %+v", res.Cost.Telemetry)
 	}
 }
 
@@ -73,8 +73,8 @@ func counters(res *Result) any {
 		rows = append(rows, row{tr.Transport, tr.Queries, tr.Failures,
 			tr.UDPRetransmits, tr.TCFallbacks, tr.BytesSent, tr.BytesReceived})
 	}
-	return []any{rows, res.Cache, res.Server.CacheEvents, res.Server.PoolExchanges,
-		res.Server.UpstreamBytesSent, res.Server.UpstreamBytesReceived}
+	return []any{rows, res.Cost.Cache.Stats, res.Cost.Telemetry.CacheEvents, res.Cost.Telemetry.PoolExchanges,
+		res.Cost.Telemetry.UpstreamBytesSent, res.Cost.Telemetry.UpstreamBytesReceived}
 }
 
 // TestScenarioDeterministicCounters is the loadgen reproducibility
@@ -209,17 +209,17 @@ func TestHedgedBeatsFailoverWithDegradedUpstream(t *testing.T) {
 			if hp99 >= fp99 {
 				t.Errorf("hedged p99 = %.1fms did not beat failover p99 = %.1fms", hp99, fp99)
 			}
-			if hedged.Server.HedgesFired == 0 {
+			if hedged.Cost.Telemetry.HedgesFired == 0 {
 				t.Error("hedged run fired no hedges")
 			}
-			if failover.Server.HedgesFired != 0 {
-				t.Errorf("failover run fired %d hedges, want 0", failover.Server.HedgesFired)
+			if failover.Cost.Telemetry.HedgesFired != 0 {
+				t.Errorf("failover run fired %d hedges, want 0", failover.Cost.Telemetry.HedgesFired)
 			}
-			if hedged.Steering.Policy != "hedged" || failover.Steering.Policy != "failover" {
-				t.Errorf("policies reported as %q/%q", hedged.Steering.Policy, failover.Steering.Policy)
+			if hedged.Cost.Steering.Policy != "hedged" || failover.Cost.Steering.Policy != "failover" {
+				t.Errorf("policies reported as %q/%q", hedged.Cost.Steering.Policy, failover.Cost.Steering.Policy)
 			}
 			t.Logf("%s: failover p99 %.1fms vs hedged p99 %.1fms (%d hedges fired, %d won)",
-				profile, fp99, hp99, hedged.Server.HedgesFired, hedged.Server.HedgesWon)
+				profile, fp99, hp99, hedged.Cost.Telemetry.HedgesFired, hedged.Cost.Telemetry.HedgesWon)
 		})
 	}
 }

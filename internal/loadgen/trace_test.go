@@ -25,16 +25,16 @@ func TestScenarioTraceHarvest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Trace == nil {
+	if res.Cost.Trace == nil {
 		t.Fatal("Scenario.Proxy.Tracing did not harvest sampler stats")
 	}
-	if res.Trace.Offered < 2*60 {
-		t.Errorf("tracer saw %d offers, want >= %d (one per served query)", res.Trace.Offered, 2*60)
+	if res.Cost.Trace.Offered < 2*60 {
+		t.Errorf("tracer saw %d offers, want >= %d (one per served query)", res.Cost.Trace.Offered, 2*60)
 	}
-	if kept := res.Trace.KeptErrored + res.Trace.KeptSlow + res.Trace.KeptBaseline; kept == 0 {
+	if kept := res.Cost.Trace.KeptErrored + res.Cost.Trace.KeptSlow + res.Cost.Trace.KeptBaseline; kept == 0 {
 		t.Error("lossy-wifi run sampled no traces")
 	}
-	if len(res.Trace.SlowThresholdMs) == 0 {
+	if len(res.Cost.Trace.SlowThresholdMs) == 0 {
 		t.Error("no adaptive slow thresholds in harvested stats")
 	}
 	if len(res.SlowTraces) == 0 {

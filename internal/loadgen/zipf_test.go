@@ -128,16 +128,16 @@ func TestScenarioZipfSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Cache.Hits == 0 {
+	if res.Cost.Cache.Hits == 0 {
 		t.Error("no cache hits: Zipf head names should repeat across clients")
 	}
-	if res.Cache.Misses == 0 {
+	if res.Cost.Cache.Misses == 0 {
 		t.Error("no cache misses over a 200k-name universe")
 	}
-	if res.Cache.AdmissionRejects == 0 {
+	if res.Cost.Cache.AdmissionRejects == 0 {
 		t.Error("no admission rejects: the Zipf tail should overflow a 16 KiB budget")
 	}
-	if res.Cache.BytesLive == 0 || res.Cache.BytesLive > 16<<10 {
-		t.Errorf("bytes live = %d, want within (0, 16384]", res.Cache.BytesLive)
+	if res.Cost.Cache.BytesLive == 0 || res.Cost.Cache.BytesLive > 16<<10 {
+		t.Errorf("bytes live = %d, want within (0, 16384]", res.Cost.Cache.BytesLive)
 	}
 }

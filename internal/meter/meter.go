@@ -12,10 +12,7 @@
 package meter
 
 import (
-	"encoding/binary"
 	"fmt"
-	"net"
-	"sync/atomic"
 
 	"dohcost/internal/netsim"
 )
@@ -77,7 +74,7 @@ type WireCost struct {
 	Packets int64
 }
 
-// String renders the pair the way EXPERIMENTS.md tabulates it.
+// String renders the pair as "N bytes / M packets".
 func (w WireCost) String() string {
 	return fmt.Sprintf("%d bytes / %d packets", w.Bytes, w.Packets)
 }
@@ -146,136 +143,5 @@ func ComposeBreakdown(wire netsim.ConnStats, h2 H2Layer, includeSetup bool) Brea
 		Mgmt: h2.MgmtBytes,
 		TLS:  tlsOverhead,
 		TCP:  acct.HeaderBytes(),
-	}
-}
-
-// CountingConn wraps a net.Conn and tallies the bytes crossing it. Placed
-// between an application protocol and TLS it measures plaintext; placed
-// under TLS it measures ciphertext. Counters are safe for concurrent use.
-type CountingConn struct {
-	net.Conn
-	out atomic.Int64
-	in  atomic.Int64
-}
-
-// Read implements net.Conn.
-func (c *CountingConn) Read(p []byte) (int, error) {
-	n, err := c.Conn.Read(p)
-	c.in.Add(int64(n))
-	return n, err
-}
-
-// Write implements net.Conn.
-func (c *CountingConn) Write(p []byte) (int, error) {
-	n, err := c.Conn.Write(p)
-	c.out.Add(int64(n))
-	return n, err
-}
-
-// BytesOut reports bytes written through the wrapper.
-func (c *CountingConn) BytesOut() int64 { return c.out.Load() }
-
-// BytesIn reports bytes read through the wrapper.
-func (c *CountingConn) BytesIn() int64 { return c.in.Load() }
-
-// TLS record content types (RFC 8446 §5.1).
-const (
-	RecordChangeCipherSpec = 20
-	RecordAlert            = 21
-	RecordHandshake        = 22
-	RecordApplicationData  = 23
-)
-
-// RecordStats tallies one direction of a TLS record stream.
-type RecordStats struct {
-	Records        int64
-	RecordBytes    int64 // total including 5-byte record headers
-	HandshakeBytes int64 // visible content-type-22 records (pre-encryption)
-	AppDataBytes   int64 // content-type-23 records (in TLS 1.3, most of the
-	// handshake also travels disguised as application data)
-	AlertBytes int64
-	CCSBytes   int64
-}
-
-// RecordObserver wraps the conn under crypto/tls and parses record framing
-// in both directions. It verifies that the byte stream really is TLS and
-// feeds the record-census column of EXPERIMENTS.md.
-type RecordObserver struct {
-	net.Conn
-	outParse recordParser
-	inParse  recordParser
-}
-
-// Read implements net.Conn.
-func (o *RecordObserver) Read(p []byte) (int, error) {
-	n, err := o.Conn.Read(p)
-	if n > 0 {
-		o.inParse.feed(p[:n])
-	}
-	return n, err
-}
-
-// Write implements net.Conn.
-func (o *RecordObserver) Write(p []byte) (int, error) {
-	n, err := o.Conn.Write(p)
-	if n > 0 {
-		o.outParse.feed(p[:n])
-	}
-	return n, err
-}
-
-// Outbound returns the census of records written by this endpoint.
-func (o *RecordObserver) Outbound() RecordStats { return o.outParse.stats }
-
-// Inbound returns the census of records received by this endpoint.
-func (o *RecordObserver) Inbound() RecordStats { return o.inParse.stats }
-
-// recordParser is a streaming TLS record-header scanner. It is not
-// goroutine-safe; each direction of a connection is fed from a single
-// goroutine (crypto/tls serializes reads and writes independently).
-type recordParser struct {
-	stats   RecordStats
-	header  [5]byte
-	hdrLen  int
-	skip    int // payload bytes of the current record still to consume
-	curType byte
-}
-
-func (r *recordParser) feed(b []byte) {
-	for len(b) > 0 {
-		if r.skip > 0 {
-			n := min(r.skip, len(b))
-			r.creditPayload(int64(n))
-			r.skip -= n
-			b = b[n:]
-			continue
-		}
-		need := 5 - r.hdrLen
-		n := copy(r.header[r.hdrLen:], b[:min(need, len(b))])
-		r.hdrLen += n
-		b = b[n:]
-		if r.hdrLen < 5 {
-			return
-		}
-		r.hdrLen = 0
-		r.curType = r.header[0]
-		length := int(binary.BigEndian.Uint16(r.header[3:]))
-		r.stats.Records++
-		r.stats.RecordBytes += 5 + int64(length)
-		r.creditPayload(0) // classify header cost lazily via creditPayload
-		r.skip = length
-	}
-}
-
-func (r *recordParser) creditPayload(n int64) {
-	switch r.curType {
-	case RecordHandshake:
-		r.stats.HandshakeBytes += n
-	case RecordApplicationData:
-		r.stats.AppDataBytes += n
-	case RecordAlert:
-		r.stats.AlertBytes += n
-	case RecordChangeCipherSpec:
-		r.stats.CCSBytes += n
 	}
 }

@@ -1,14 +1,10 @@
 package meter
 
 import (
-	"crypto/tls"
-	"io"
-	"net"
 	"testing"
 	"testing/quick"
 
 	"dohcost/internal/netsim"
-	"dohcost/internal/tlsx"
 )
 
 func TestAccountTCPBasic(t *testing.T) {
@@ -116,114 +112,3 @@ func TestBreakdownInvariantProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestCountingConn(t *testing.T) {
-	n := netsim.New(1)
-	l, _ := n.Listen("s:1")
-	go func() {
-		c, _ := l.Accept()
-		buf := make([]byte, 10)
-		io.ReadFull(c, buf)
-		c.Write([]byte("ok"))
-	}()
-	raw, err := n.Dial("c", "s:1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cc := NewCountingConn(raw)
-	defer cc.Close()
-	cc.Write(make([]byte, 10))
-	buf := make([]byte, 2)
-	io.ReadFull(cc, buf)
-	if cc.BytesOut() != 10 || cc.BytesIn() != 2 {
-		t.Errorf("counts = out %d in %d", cc.BytesOut(), cc.BytesIn())
-	}
-}
-
-func TestRecordObserverSeesTLSRecords(t *testing.T) {
-	chain, err := tlsx.GenerateChain(tlsx.CloudflareLike("m.test"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := netsim.New(1)
-	l, _ := n.Listen("m.test:443")
-	go func() {
-		raw, err := l.Accept()
-		if err != nil {
-			return
-		}
-		tc := tls.Server(raw, chain.ServerConfig(0, 0))
-		defer tc.Close()
-		buf := make([]byte, 16)
-		nn, err := tc.Read(buf)
-		if err != nil {
-			return
-		}
-		tc.Write(buf[:nn])
-	}()
-	raw, err := n.Dial("client", "m.test:443")
-	if err != nil {
-		t.Fatal(err)
-	}
-	obs := NewRecordObserver(raw)
-	tc := tls.Client(obs, chain.ClientConfig("m.test"))
-	defer tc.Close()
-	if err := tc.Handshake(); err != nil {
-		t.Fatal(err)
-	}
-	tc.Write([]byte("query"))
-	buf := make([]byte, 5)
-	if _, err := io.ReadFull(tc, buf); err != nil {
-		t.Fatal(err)
-	}
-
-	out, in := obs.Outbound(), obs.Inbound()
-	if out.Records < 2 { // ClientHello + at least finished/appdata
-		t.Errorf("outbound records = %d", out.Records)
-	}
-	if in.Records < 2 { // ServerHello + encrypted flight
-		t.Errorf("inbound records = %d", in.Records)
-	}
-	// The visible ClientHello travels as a type-22 record.
-	if out.HandshakeBytes == 0 {
-		t.Error("no visible outbound handshake bytes")
-	}
-	// In TLS 1.3 the certificate flight arrives as application data; with
-	// a ~2KB chain it must dominate.
-	if in.AppDataBytes < 1500 {
-		t.Errorf("inbound appdata bytes = %d, want > 1500 (cert flight)", in.AppDataBytes)
-	}
-	// Record header accounting: total equals 5*records + payloads.
-	sum := out.HandshakeBytes + out.AppDataBytes + out.AlertBytes + out.CCSBytes + 5*out.Records
-	if out.RecordBytes != sum {
-		t.Errorf("outbound record bytes %d != parts %d", out.RecordBytes, sum)
-	}
-}
-
-func TestRecordParserHandlesFragmentation(t *testing.T) {
-	// One 300-byte handshake record delivered a byte at a time.
-	var p recordParser
-	rec := make([]byte, 305)
-	rec[0] = RecordHandshake
-	rec[1], rec[2] = 3, 3
-	rec[3], rec[4] = 0x01, 0x2C // length 300
-	for i := range rec {
-		p.feed(rec[i : i+1])
-	}
-	if p.stats.Records != 1 || p.stats.HandshakeBytes != 300 || p.stats.RecordBytes != 305 {
-		t.Errorf("stats = %+v", p.stats)
-	}
-	// Two records in one buffer.
-	var q recordParser
-	two := append(append([]byte{}, 23, 3, 3, 0, 2, 'h', 'i'), 21, 3, 3, 0, 1, 'x')
-	q.feed(two)
-	if q.stats.Records != 2 || q.stats.AppDataBytes != 2 || q.stats.AlertBytes != 1 {
-		t.Errorf("stats = %+v", q.stats)
-	}
-}
-
-// NewCountingConn wraps c.
-func NewCountingConn(c net.Conn) *CountingConn { return &CountingConn{Conn: c} }
-
-// NewRecordObserver wraps c.
-func NewRecordObserver(c net.Conn) *RecordObserver { return &RecordObserver{Conn: c} }

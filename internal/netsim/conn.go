@@ -193,7 +193,7 @@ func (c *Conn) Write(p []byte) (int, error) {
 		// established connections is the point of the flap schedule.
 		return 0, errLinkDown("write", string(c.remote))
 	}
-	mss := c.link.mss(c.net.mssValue())
+	mss := c.link.mss()
 	packets := int64((len(p) + mss - 1) / mss)
 	retrans := c.link.streamRetransmits(packets)
 	delay := c.link.delay() + time.Duration(retrans)*c.link.rto()

@@ -259,19 +259,16 @@ func TestDatagramReordering(t *testing.T) {
 // TestLinkMSS checks the MTU cap on stream packetization.
 func TestLinkMSS(t *testing.T) {
 	cases := []struct {
-		link       Link
-		networkMSS int
-		want       int
+		link Link
+		want int
 	}{
-		{Link{}, 0, DefaultMSS},
-		{Link{}, 100, 100},
-		{Link{MTU: 1500}, 0, 1460},
-		{Link{MTU: 576}, 0, 536},
-		{Link{MTU: 576}, 100, 100},
+		{Link{}, DefaultMSS},
+		{Link{MTU: 1500}, 1460},
+		{Link{MTU: 576}, 536},
 	}
 	for _, c := range cases {
-		if got := c.link.mss(c.networkMSS); got != c.want {
-			t.Errorf("Link{MTU:%d}.mss(%d) = %d, want %d", c.link.MTU, c.networkMSS, got, c.want)
+		if got := c.link.mss(); got != c.want {
+			t.Errorf("Link{MTU:%d}.mss() = %d, want %d", c.link.MTU, got, c.want)
 		}
 	}
 }

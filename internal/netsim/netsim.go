@@ -62,7 +62,7 @@ type Link struct {
 	// including network/transport headers. Datagrams whose payload plus the
 	// 28-byte IP+UDP header exceed it are dropped (DF-style blackholing —
 	// the failure mode RFC 7766 §5's TCP fallback exists for), and stream
-	// segments packetize at min(network MSS, MTU-40).
+	// segments packetize at min(DefaultMSS, MTU-40).
 	MTU int
 	// RTO is the retransmission timeout charged per lost stream packet;
 	// zero derives max(2*(Delay+Jitter), 50ms).
@@ -95,17 +95,13 @@ func (l Link) rto() time.Duration {
 // derive the cap from this constant rather than re-guessing the header.
 const DatagramHeaderBytes = 28
 
-// mss returns the stream packetization size for this link: the network MSS
+// mss returns the stream packetization size for this link: DefaultMSS
 // capped by the link MTU minus 40 bytes of IP+TCP headers.
-func (l Link) mss(networkMSS int) int {
-	mss := networkMSS
-	if mss <= 0 {
-		mss = DefaultMSS
+func (l Link) mss() int {
+	if l.MTU > 40 && l.MTU-40 < DefaultMSS {
+		return l.MTU - 40
 	}
-	if l.MTU > 40 && l.MTU-40 < mss {
-		mss = l.MTU - 40
-	}
-	return mss
+	return DefaultMSS
 }
 
 // Addr is a netsim endpoint address. Its network is "sim" and its string
@@ -138,7 +134,6 @@ const DefaultMSS = 1460
 type Network struct {
 	mu        sync.Mutex
 	seed      int64
-	mss       int
 	links     map[linkKey]Link
 	states    map[linkKey]*linkState
 	listeners map[Addr]*Listener
@@ -150,22 +145,6 @@ type Network struct {
 	// per-write flap check stays lock-free on un-faulted networks.
 	faults       map[string]*hostFault
 	faultsActive atomic.Int32
-}
-
-// SetMSS overrides the TCP maximum segment size used for packet accounting.
-func (n *Network) SetMSS(mss int) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.mss = mss
-}
-
-func (n *Network) mssValue() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.mss <= 0 {
-		return DefaultMSS
-	}
-	return n.mss
 }
 
 // New returns an empty network whose links default to zero delay. seed

@@ -451,7 +451,7 @@ func TestAddrHost(t *testing.T) {
 
 func TestConnStats(t *testing.T) {
 	n := New(1)
-	n.SetMSS(10)
+	n.SetLink("cli", "srv", Link{MTU: 50}) // MSS 10
 	l, _ := n.Listen("srv:1")
 	serverDone := make(chan ConnStats, 1)
 	go func() {

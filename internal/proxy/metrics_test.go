@@ -287,3 +287,41 @@ func TestMetricsDocumented(t *testing.T) {
 		t.Errorf("docs/METRICS.md names %s, which a fully armed proxy does not emit", family)
 	}
 }
+
+// TestUpstreamCountersSumToPoolTotals: with the preferred upstream dead,
+// the per-upstream failure and exchange series sum to the pool totals. A
+// checkout the pool refuses while the dead upstream rests in backoff
+// counts only in dohcost_pool_backoffs_total, not as a failure of its own.
+func TestUpstreamCountersSumToPoolTotals(t *testing.T) {
+	d := deploy(t, loadgen.Scenario{Seed: 45, Upstreams: 2, Proxy: proxy.Config{UpstreamTimeout: 2 * time.Second}})
+	d.Upstreams()[0].Close()
+	c := resolver(t, d, "tcp", 0)
+	for i := 0; i < 20; i++ {
+		if _, err := c.Exchange(context.Background(), dnswire.NewQuery(0, dnswire.Name(fmt.Sprintf("n%d.dead.example.", i)), dnswire.TypeA)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	settled(d.Proxy, func(s *telemetry.Snapshot) bool { return s.Queries["tcp"] == 20 })
+
+	s := scrapeOps(t, d.Proxy)
+	sum := func(family string) (total float64) {
+		for series, v := range s.samples {
+			if strings.HasPrefix(series, family+"{") {
+				total += v
+			}
+		}
+		return total
+	}
+	for _, c := range []struct{ perUpstream, pool string }{
+		{"dohcost_upstream_failures_total", "dohcost_pool_failures_total"},
+		{"dohcost_upstream_exchanges_total", "dohcost_pool_exchanges_total"},
+	} {
+		if got, want := sum(c.perUpstream), s.samples[c.pool]; got != want {
+			t.Errorf("%s sums to %v over upstreams, %s = %v", c.perUpstream, got, c.pool, want)
+		}
+	}
+	if s.samples["dohcost_pool_failures_total"] == 0 || s.samples["dohcost_pool_backoffs_total"] == 0 {
+		t.Errorf("the dead upstream was never both failed (%v) and refused in backoff (%v)",
+			s.samples["dohcost_pool_failures_total"], s.samples["dohcost_pool_backoffs_total"])
+	}
+}

@@ -160,14 +160,10 @@ type Config struct {
 // hedged — and the cache can serve stale and prefetch around it. A miss
 // travels the whole chain as packed bytes (dnstransport.WireResolver).
 type Proxy struct {
-	cfg   Config // as validated by New
-	pool  *dnstransport.Pool
-	steer *steer.Steerer
-	cache *dnscache.Cache
-	guard *guard.Guard
-	// chain names the forwarding chain's stages in the order a miss
-	// crosses them.
-	chain  []string
+	cfg    Config // as validated by New
+	pool   *dnstransport.Pool
+	cache  *dnscache.Cache
+	fwd    forward // what the cache forwards a miss to
 	server *dnsserver.Server
 	run    *dnsserver.Running
 	tel    *telemetry.Metrics
@@ -178,9 +174,6 @@ type Proxy struct {
 	udpConns []udpio.BatchConn
 	udpWG    sync.WaitGroup
 
-	// storm is Config.Storm, or the default detector New built for a
-	// Config.Bootstrap without one.
-	storm *dialer.Storm
 	// tracer is the query tracer built from Config.Tracing.
 	tracer *qtrace.Tracer
 }
@@ -279,58 +272,30 @@ func New(cfg Config) (*Proxy, error) {
 	}
 	st := steer.New(pool, steer.Config{Policy: cfg.Policy, HedgeDelay: cfg.HedgeDelay})
 
-	// The forwarding chain between the cache and the steerer, outermost
-	// first: the one place its order is decided.
-	var stages []stage
-	var g *guard.Guard
+	fwd := forward{steer: st}
 	if cfg.Guard != nil {
-		// The breaker sits directly behind the cache, so every miss —
-		// foreground or background refresh — passes through AdmitMiss
-		// before it can occupy an upstream connection. It wraps outside the
-		// storm detector: breaker-refused misses are policy, not network
-		// evidence.
-		g = guard.New(*cfg.Guard)
-		stages = append(stages, breakerStage(g))
+		fwd.guard = guard.New(*cfg.Guard)
 	}
-	bootstrap := cfg.Bootstrap
-	storm := cfg.Storm
-	if bootstrap != nil {
+	if bootstrap := cfg.Bootstrap; bootstrap != nil {
 		if bootstrap.Seeder == nil {
 			bootstrap.Seeder = st
 		}
-		if storm == nil {
-			storm = &dialer.Storm{}
+		fwd.storm = cfg.Storm
+		if fwd.storm == nil {
+			fwd.storm = &dialer.Storm{}
 		}
-		if storm.OnStorm == nil {
-			storm.OnStorm = func() { bootstrap.Kick(context.Background()) }
+		if fwd.storm.OnStorm == nil {
+			fwd.storm.OnStorm = func() { bootstrap.Kick(context.Background()) }
 		}
-		// The storm detector watches final forwarding outcomes, directly
-		// above the steerer: a query fails there only after steering and
-		// failover exhausted every upstream — and a run of those is what an
-		// access-network change looks like. Watching per-attempt pool
-		// events instead would starve the detector the moment the pool's
-		// slots settle into redial backoff (refusals bypass the observer).
-		stages = append(stages, stormStage(storm))
-	}
-	var resolver link = st
-	for i := len(stages) - 1; i >= 0; i-- {
-		resolver = chained{stage: stages[i], next: resolver}
-	}
-	chain := []string{"cache"}
-	for _, s := range stages {
-		chain = append(chain, s.name)
 	}
 	p := &Proxy{
 		cfg:    cfg,
 		pool:   pool,
-		steer:  st,
-		cache:  dnscache.New(resolver, opts...),
-		guard:  g,
-		chain:  append(chain, "steer", "pool"),
+		fwd:    fwd,
 		tel:    tel,
-		storm:  storm,
 		tracer: tracer,
 	}
+	p.cache = dnscache.New(&p.fwd, opts...)
 	p.server = &dnsserver.Server{
 		Handler:   p.Handler(),
 		Chain:     cfg.Chain,
@@ -339,79 +304,78 @@ func New(cfg Config) (*Proxy, error) {
 		// Cloudflare did this, and credits it for DoT's best-case behaviour.
 		DoTOutOfOrder: true,
 		MaxUDPSize:    cfg.MaxUDPSize,
-		Guard:         g,
+		Guard:         fwd.guard,
 		Telemetry:     tel,
 	}
 	return p, nil
 }
 
-// link is what every element of the forwarding chain is: a resolver in
-// both forms, wire being the native one.
-type link interface {
-	dnstransport.Resolver
-	dnstransport.WireResolver
+// forward is the forwarding chain between the cache and the upstream pool,
+// the one place its order is decided. A miss crosses, outermost first:
+//
+//   - the guard's cache-miss circuit breaker (nil: no Config.Guard). It
+//     sits directly behind the cache, so every miss — foreground or
+//     background refresh — passes AdmitMiss before it can occupy an
+//     upstream connection, and outside the storm note: breaker-refused
+//     misses are policy, not network evidence;
+//   - the steerer, which picks the upstream and fails over across the pool;
+//   - the error-storm note (nil: no Config.Bootstrap; Config.Storm, or a
+//     default detector). It watches final forwarding outcomes: a query fails
+//     there only after steering and failover exhausted every upstream — and
+//     a run of those is what an access-network change looks like. Watching
+//     per-attempt pool events instead would starve the detector the moment
+//     the pool's slots settle into redial backoff (refusals bypass the
+//     observer).
+type forward struct {
+	guard *guard.Guard
+	storm *dialer.Storm
+	steer *steer.Steerer
 }
 
-// stage is one middleware of the forwarding chain: exchange forwards query
-// to next, the reply appended to dst, or decides not to.
-type stage struct {
-	name     string
-	exchange func(ctx context.Context, query, dst []byte, next dnstransport.WireResolver) ([]byte, error)
-}
-
-// chained is a stage bound to the rest of the chain.
-type chained struct {
-	stage
-	next link
-}
-
-// ExchangeWire implements dnstransport.WireResolver.
-func (c chained) ExchangeWire(ctx context.Context, query, dst []byte) ([]byte, error) {
-	return c.exchange(ctx, query, dst, c.next)
-}
-
-// Exchange implements dnstransport.Resolver over ExchangeWire.
-func (c chained) Exchange(ctx context.Context, q *dnswire.Message) (*dnswire.Message, error) {
-	return dnstransport.ExchangeMessage(ctx, c, q)
-}
-
-// Close implements dnstransport.Resolver.
-func (c chained) Close() error { return c.next.Close() }
-
-// breakerStage gates upstream exchanges behind the guard's cache-miss
-// circuit breaker: a per-client miss-rate check (when the serving layer
-// put a client key in ctx) plus the global in-flight-miss ceiling. Refused
-// misses return guard.ErrMissBudget without touching the steerer; the
-// serving handler maps that to a DNS REFUSED.
-func breakerStage(g *guard.Guard) stage {
-	return stage{"breaker", func(ctx context.Context, query, dst []byte, next dnstransport.WireResolver) ([]byte, error) {
+// ExchangeWire implements dnstransport.WireResolver. A breaker-refused miss
+// returns guard.ErrMissBudget without touching the steerer; the serving
+// handler maps that to a DNS REFUSED.
+func (f *forward) ExchangeWire(ctx context.Context, query, dst []byte) ([]byte, error) {
+	if f.guard != nil {
 		// The breaker decision is the guard phase of a forwarded miss; on
 		// the listener side the guard runs before the transaction exists,
 		// so this span is the one place miss admission shows up in a trace.
 		tx := telemetry.FromContext(ctx)
 		tg := tx.TraceStart()
-		err := g.AdmitMiss(ctx)
+		err := f.guard.AdmitMiss(ctx)
 		tx.TraceSpan(qtrace.PhaseGuard, tg)
 		if err != nil {
 			return nil, err
 		}
-		defer g.MissDone()
-		return next.ExchangeWire(ctx, query, dst)
-	}}
+		defer f.guard.MissDone()
+	}
+	resp, err := f.steer.ExchangeWire(ctx, query, dst)
+	// Caller cancellations are neither success nor failure — a departed
+	// client says nothing about the network.
+	if f.storm != nil && (err == nil || !errors.Is(err, context.Canceled)) {
+		f.storm.Note(err)
+	}
+	return resp, err
 }
 
-// stormStage feeds every final forwarding outcome to the error-storm
-// detector: an error here means steering and pool failover exhausted every
-// upstream for this query. Caller cancellations are neither success nor
-// failure — a departed client says nothing about the network.
-func stormStage(storm *dialer.Storm) stage {
-	return stage{"storm", func(ctx context.Context, query, dst []byte, next dnstransport.WireResolver) ([]byte, error) {
-		resp, err := next.ExchangeWire(ctx, query, dst)
-		if err == nil || !errors.Is(err, context.Canceled) {
-			storm.Note(err)
-		}
-		return resp, err
-	}}
+// Exchange implements dnstransport.Resolver over ExchangeWire.
+func (f *forward) Exchange(ctx context.Context, q *dnswire.Message) (*dnswire.Message, error) {
+	return dnstransport.ExchangeMessage(ctx, f, q)
+}
+
+// Close implements dnstransport.Resolver.
+func (f *forward) Close() error { return f.steer.Close() }
+
+// chain names the stages a miss crosses, in order.
+func (f *forward) chain() []string {
+	chain := []string{"cache"}
+	if f.guard != nil {
+		chain = append(chain, "breaker")
+	}
+	if f.storm != nil {
+		chain = append(chain, "storm")
+	}
+	return append(chain, "steer", "pool")
 }
 
 // fastHandler is the proxy's serving handler. It implements the three
@@ -521,7 +485,7 @@ func (p *Proxy) startUDPListen() error {
 	p.udpConns = conns
 	p.udpSrv = &dnsserver.UDPServer{
 		Handler:   p.Handler(),
-		Guard:     p.guard,
+		Guard:     p.fwd.guard,
 		Telemetry: p.tel,
 	}
 	p.udpWG.Add(1)
@@ -593,11 +557,11 @@ func (p *Proxy) UpstreamStats() []dnstransport.UpstreamStats { return p.pool.Sta
 
 // SteeringReport snapshots the steering layer: the active policy and each
 // upstream's live SRTT/success model, best-ranked first.
-func (p *Proxy) SteeringReport() steer.Report { return p.steer.Report() }
+func (p *Proxy) SteeringReport() steer.Report { return p.fwd.steer.Report() }
 
 // Guard returns the proxy's abuse guard, or nil when Config.Guard was not
 // set — for tests and embedders that want the live Report.
-func (p *Proxy) Guard() *guard.Guard { return p.guard }
+func (p *Proxy) Guard() *guard.Guard { return p.fwd.guard }
 
 // Bootstrap returns the proxy's reachability prober, or nil when
 // Config.Bootstrap was not set — for embedders that want to Kick a
@@ -672,12 +636,12 @@ func (p *Proxy) CostReport() CostReport {
 		Telemetry: p.tel.Snapshot(),
 		Cache:     cr,
 		Upstreams: p.pool.Stats(),
-		Steering:  p.steer.Report(),
-		Chain:     p.chain,
+		Steering:  p.fwd.steer.Report(),
+		Chain:     p.fwd.chain(),
 		UDPShards: p.UDPShardStats(),
 	}
-	if p.guard != nil {
-		gr := p.guard.Report()
+	if p.fwd.guard != nil {
+		gr := p.fwd.guard.Report()
 		report.Guard = &gr
 	}
 	if p.cfg.Dialer != nil {
@@ -688,8 +652,8 @@ func (p *Proxy) CostReport() CostReport {
 		br := p.cfg.Bootstrap.Report()
 		report.Bootstrap = &br
 	}
-	if p.storm != nil {
-		report.StormsFired = p.storm.Fired()
+	if p.fwd.storm != nil {
+		report.StormsFired = p.fwd.storm.Fired()
 	}
 	if p.tracer != nil {
 		ts := p.tracer.Stats()
@@ -830,7 +794,7 @@ func writeReport(w io.Writer, report CostReport) error {
 	for _, u := range report.Upstreams {
 		t.LabeledValue("dohcost_upstream_exchanges_total", "upstream", u.Name, u.Exchanges)
 	}
-	t.Family("dohcost_upstream_failures_total", "Failed exchanges per upstream.", "counter")
+	t.Family("dohcost_upstream_failures_total", "Failed exchanges per upstream; backoff refusals count only in dohcost_pool_backoffs_total.", "counter")
 	for _, u := range report.Upstreams {
 		t.LabeledValue("dohcost_upstream_failures_total", "upstream", u.Name, u.Failures)
 	}

@@ -221,7 +221,7 @@ func TestProxyNegativeAnswersForwarded(t *testing.T) {
 	// outside it get NXDOMAIN with authority.
 	n := netsim.New(5)
 	zone := dnsserver.NewZone("example.org.")
-	zone.AddA("www.example.org.", 300, &dnswire.A{Addr: netip.MustParseAddr("192.0.2.80")})
+	zone.Add(dnswire.ResourceRecord{Name: "www.example.org.", Class: dnswire.ClassINET, TTL: 300, Data: &dnswire.A{Addr: netip.MustParseAddr("192.0.2.80")}})
 	serve(t, n, "zone.upstream", zone)
 
 	p, chain := startBespoke(t, n, proxy.Config{Upstreams: []dnstransport.PoolUpstream{tcpUpstream(n, "zone.upstream")}})

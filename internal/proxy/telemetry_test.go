@@ -4,7 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -18,6 +20,7 @@ import (
 	"dohcost/internal/dnswire"
 	"dohcost/internal/guard"
 	"dohcost/internal/loadgen"
+	"dohcost/internal/netsim"
 	"dohcost/internal/proxy"
 	"dohcost/internal/telemetry"
 )
@@ -136,7 +139,7 @@ func TestProxyTelemetryEndToEnd(t *testing.T) {
 	}
 }
 
-// TestForwardingChainOrder pins the order of the one stage list: the
+// TestForwardingChainOrder pins the order forward reports: the
 // breaker directly behind the cache, so refreshes pass it too, and outside
 // the storm detector, so its refusals are not network evidence.
 func TestForwardingChainOrder(t *testing.T) {
@@ -150,6 +153,61 @@ func TestForwardingChainOrder(t *testing.T) {
 	defer p.Close()
 	if want := []string{"cache", "breaker", "storm", "steer", "pool"}; !slices.Equal(p.CostReport().Chain, want) {
 		t.Errorf("chain = %v, want %v", p.CostReport().Chain, want)
+	}
+}
+
+// TestForwardingChainBehaviour drives the chain TestForwardingChainOrder
+// names. Breaker-refused misses never reach the storm detector, however
+// long their run; a run of upstream failures past the threshold fires it;
+// and every admitted miss gives its in-flight slot back.
+func TestForwardingChainBehaviour(t *testing.T) {
+	storm := &dialer.Storm{Threshold: 3, Cooldown: time.Hour}
+	d := deploy(t, loadgen.Scenario{Seed: 46, BootstrapProbe: true, Proxy: proxy.Config{
+		UpstreamTimeout: 2 * time.Second,
+		// Each client may miss twice before the breaker refuses it.
+		Guard: &guard.Config{ClientQPS: 1e6, Burst: 1 << 20, MissRate: 2 * math.Ln2 / 3600, MissHalfLife: time.Hour},
+		Storm: storm,
+	}})
+	p := d.Proxy
+	ask := func(client int, name string) dnswire.RCode {
+		t.Helper()
+		c := resolver(t, d, "tcp", client)
+		resp, err := c.Exchange(context.Background(), dnswire.NewQuery(0, dnswire.Name(name), dnswire.TypeA))
+		if err != nil {
+			t.Fatalf("%s from client %d: %v", name, client, err)
+		}
+		return resp.RCode
+	}
+
+	refused := 0
+	for i := 0; i < 8; i++ {
+		if ask(0, fmt.Sprintf("n%d.refused.example.", i)) == dnswire.RCodeRefused {
+			refused++
+		}
+	}
+	if refused <= storm.Threshold {
+		t.Fatalf("%d of 8 misses refused by the breaker, want more than the storm threshold %d", refused, storm.Threshold)
+	}
+	if got := p.Guard().Report().BreakerRefusals; got != uint64(refused) {
+		t.Errorf("breaker refusals = %d, client saw %d REFUSED", got, refused)
+	}
+	if storm.Fired() != 0 {
+		t.Fatalf("storm fired %d times on breaker refusals alone", storm.Fired())
+	}
+
+	// Sever the upstream's link, pooled connection included; a fresh
+	// client per query keeps each miss under its breaker budget.
+	d.Net().SetLinkFlap(loadgen.UpstreamHost, netsim.FlapWindow{End: time.Hour})
+	for i := 1; i <= storm.Threshold+1; i++ {
+		if rc := ask(i, fmt.Sprintf("n%d.failed.example.", i)); rc != dnswire.RCodeServerFailure {
+			t.Fatalf("miss %d with the upstream gone: rcode %v, want SERVFAIL", i, rc)
+		}
+	}
+	if storm.Fired() != 1 {
+		t.Errorf("storm fired %d times on %d upstream failures, want 1", storm.Fired(), storm.Threshold+1)
+	}
+	if got := p.Guard().Report().InflightMisses; got != 0 {
+		t.Errorf("%d misses still in flight after every reply", got)
 	}
 }
 

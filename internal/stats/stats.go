@@ -66,26 +66,6 @@ func (c *CDF) Quantile(p float64) float64 {
 	return c.sorted[lo]*(1-frac) + c.sorted[hi]*frac
 }
 
-// Points returns up to n evenly spaced (x, P(X<=x)) pairs suitable for
-// plotting the CDF curve; it always includes the extremes.
-func (c *CDF) Points(n int) []Point {
-	if len(c.sorted) == 0 || n < 2 {
-		return nil
-	}
-	pts := make([]Point, 0, n)
-	for i := 0; i < n; i++ {
-		idx := i * (len(c.sorted) - 1) / (n - 1)
-		pts = append(pts, Point{X: c.sorted[idx], P: float64(idx+1) / float64(len(c.sorted))})
-	}
-	return pts
-}
-
-// Point is one sample point of a rendered CDF.
-type Point struct {
-	X float64 // sample value
-	P float64 // cumulative probability
-}
-
 // Summary is the five-number summary plus mean, matching the paper's box
 // plots whose whiskers span the full range of values.
 type Summary struct {

@@ -39,9 +39,6 @@ func TestCDFEmpty(t *testing.T) {
 	if !math.IsNaN(c.At(1)) || !math.IsNaN(c.Quantile(0.5)) {
 		t.Error("empty CDF should return NaN")
 	}
-	if pts := c.Points(10); pts != nil {
-		t.Errorf("Points on empty = %v", pts)
-	}
 }
 
 func TestCDFDoesNotAliasInput(t *testing.T) {
@@ -202,20 +199,6 @@ func TestASCIICDF(t *testing.T) {
 	}
 	if got := ASCIICDF(nil, 40, 10, "x"); !strings.Contains(got, "no data") {
 		t.Errorf("empty plot = %q", got)
-	}
-}
-
-func TestCDFPoints(t *testing.T) {
-	c := NewCDF([]float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
-	pts := c.Points(5)
-	if len(pts) != 5 {
-		t.Fatalf("got %d points", len(pts))
-	}
-	if pts[0].X != 1 || pts[4].X != 10 {
-		t.Errorf("extremes = %v, %v", pts[0], pts[4])
-	}
-	if pts[4].P != 1 {
-		t.Errorf("last P = %v", pts[4].P)
 	}
 }
 

@@ -63,11 +63,6 @@ type listenerBox struct{ l Listener }
 // Option configures New.
 type Option func(*Metrics)
 
-// WithListener registers a per-transaction Listener at construction.
-func WithListener(l Listener) Option {
-	return func(m *Metrics) { m.SetListener(l) }
-}
-
 // withShards overrides the shard count (tests).
 func withShards(n int) Option {
 	return func(m *Metrics) { m.shards = make([]*shard, nextPow2(n)) }

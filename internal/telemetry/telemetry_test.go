@@ -99,11 +99,12 @@ func TestHistogramQuantileAccuracyConcurrent(t *testing.T) {
 func TestTransactionCountersAndListener(t *testing.T) {
 	var summaries []*Summary
 	var mu sync.Mutex
-	m := New(withShards(2), WithListener(ListenerFunc(func(s *Summary) {
+	m := New(withShards(2))
+	m.SetListener(ListenerFunc(func(s *Summary) {
 		mu.Lock()
 		summaries = append(summaries, s)
 		mu.Unlock()
-	})))
+	}))
 
 	tx := m.Begin(ProtoDoH)
 	tx.SetCache(CacheMiss)
@@ -358,7 +359,8 @@ func BenchmarkTransactionLifecycle(b *testing.B) {
 // no query, verdict, cache event, latency sample or listener call.
 func TestBackgroundTransaction(t *testing.T) {
 	var calls int
-	m := New(withShards(1), WithListener(ListenerFunc(func(*Summary) { calls++ })))
+	m := New(withShards(1))
+	m.SetListener(ListenerFunc(func(*Summary) { calls++ }))
 	tx := m.BeginBackground()
 	tx.PoolDial()
 	tx.ObserveUpstream("refresh-target", 2*time.Millisecond)
