@@ -1,7 +1,7 @@
 package dnscache
 
 // This file is the storage half of the cache: each shard packs its entries'
-// bytes (key, packed wire response, packed TTL offsets — one block) into
+// bytes (packed wire response, packed TTL offsets — one block) into
 // append-only slabs instead of heap allocations per entry, so at production
 // scale the garbage collector scans a handful of large []byte objects
 // rather than millions of small ones. A block is addressed by slab number

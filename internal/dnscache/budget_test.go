@@ -185,7 +185,7 @@ func TestOversizedEntryNotCached(t *testing.T) {
 	// can configure budgets smaller than a worst-case DNSSEC answer.
 	sh := small.shards[0]
 	sh.mu.Lock()
-	rejected := small.insertLocked(sh, []byte("giant.example."), 1, make([]byte, int(sh.budget)+1), nil, &dnswire.ResponseScan{})
+	rejected := small.insertLocked(sh, []byte("\x05giant\x07example\x00\x00\x01\x00\x01"), 1, make([]byte, int(sh.budget)+1), nil, &dnswire.ResponseScan{})
 	sh.mu.Unlock()
 	if !rejected {
 		t.Fatal("entry larger than the shard budget was admitted")
@@ -289,10 +289,12 @@ func TestRefreshReplaceKeepsAccounting(t *testing.T) {
 // distinct names of the benchmark's Zipf shape and one-address answers, and
 // after a forced collection the heap may have grown by no more than the
 // pointer-and-map layout's own ratio to the budget (it grew 5.07 MB under a
-// 4 MiB budget, 71.6 MB under 64 MiB) while holding at least twice the
-// entries that layout held (14 560 and 233 008). Lowering entryOverhead
-// without shrinking what an entry really occupies admits more entries than
-// the bytes allow, and fails the first bound.
+// 4 MiB budget, 71.6 MB under 64 MiB) while holding at least 2.4 times the
+// entries that layout held (14 560 and 233 008): 35 840 and 573 568 since an
+// entry's key is its reply's question, 29 120 and 466 032 when it was
+// stored apart. Lowering entryOverhead without shrinking what an entry
+// really occupies admits more entries than the bytes allow, and fails the
+// first bound; an entry that grows again fails the second.
 func TestFootprintMatchesBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's shadow memory is not the cache's footprint")
@@ -302,8 +304,8 @@ func TestFootprintMatchesBudget(t *testing.T) {
 		growth     float64
 		minEntries int
 	}{
-		{4 << 20, 1.21, 2 * 14560},
-		{64 << 20, 1.07, 2 * 233008},
+		{4 << 20, 1.21, 35000},
+		{64 << 20, 1.07, 560000},
 	} {
 		t.Run(fmt.Sprintf("%dMiB", tt.budget>>20), func(t *testing.T) {
 			if testing.Short() && tt.budget > 4<<20 {

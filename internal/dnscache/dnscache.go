@@ -13,14 +13,15 @@
 // own bytes and gets the upstream's bytes back; one strict scan
 // (dnswire.ScanResponse) decides whether they may be served and stored
 // verbatim and finds every TTL field on the way, so an entry holds
-// validated upstream bytes with their key and TTL offsets, packed into
-// per-shard append-only arenas and found through a pointer-free index
-// (index.go), so the GC sees a handful of large slabs and tables instead
-// of objects per entry; when a shard's arena accumulates more
-// dead bytes than live ones, it rotates the epoch — live entries are
-// compacted into fresh slabs and the retired slabs recycled. A hit is
-// served by copying the stored bytes, restamping the transaction ID and
-// decaying the TTLs in place (ServeWire — no Unpack, no clone, no Pack).
+// validated upstream bytes, whose question is the key, and their TTL
+// offsets, packed into per-shard append-only arenas and found through a
+// pointer-free index (index.go), so the GC sees a handful of large slabs
+// and tables instead of objects per entry; when a shard's arena
+// accumulates more dead bytes than live ones, it rotates the epoch — live
+// entries are compacted into fresh slabs and the retired slabs recycled. A
+// hit is served by copying the stored bytes, restamping the transaction ID
+// and the asker's question and decaying the TTLs in place (ServeWire — no
+// Unpack, no clone, no Pack).
 // Callers that hold a *dnswire.Message go through one adapter (Exchange:
 // pack, ExchangeWire, unpack) and get a fresh message that shares nothing
 // with the stored entry.
@@ -65,22 +66,15 @@ import (
 	"dohcost/internal/telemetry"
 )
 
-// keyBufLen bounds a stack-allocated key buffer: a canonical name is at
-// most 254 presentation octets, followed by four octets of type and class.
+// keyBufLen bounds a stack-allocated key buffer: the key is the question in
+// canonical wire form (Query.AppendCanonicalQuestion), a name of at most 255
+// octets followed by four octets of type and class.
 const keyBufLen = 260
 
-// appendKey renders the cache key for (name, qtype, class): the canonical
-// name followed by the big-endian type and class.
-func appendKey(dst []byte, name dnswire.Name, qtype dnswire.Type, class dnswire.Class) []byte {
-	return appendKeyTail(append(dst, string(name)...), qtype, class)
-}
-
-// appendKeyTail appends the four type/class octets that close a key whose
-// name part is already rendered (the wire fast path renders it from the
-// packed question directly).
-func appendKeyTail(dst []byte, qtype dnswire.Type, class dnswire.Class) []byte {
-	return append(dst, byte(qtype>>8), byte(qtype), byte(class>>8), byte(class))
-}
+// questionAt is where a message's question starts, past its 12-octet
+// header. A stored reply's question is its key: ScanResponse has checked
+// that it sits there, uncompressed, equal to the query's up to ASCII case.
+const questionAt = 12
 
 // Stats counts cache effectiveness, aggregated across shards. The JSON
 // tags match the snake_case style of the telemetry snapshot, which
@@ -103,7 +97,7 @@ type Stats struct {
 	// (includes entries too large for a whole shard's budget).
 	AdmissionRejects int64 `json:"admission_rejects"`
 	// BytesLive is the accounted footprint of live entries (arena block:
-	// key, reply, TTL offsets; plus entryOverhead of index each) at snapshot
+	// reply and TTL offsets; plus entryOverhead of index each) at snapshot
 	// time — a gauge, not a counter.
 	BytesLive int64 `json:"bytes_live"`
 	// ArenaEpochs counts arena epoch rotations: live entries compacted
@@ -136,19 +130,23 @@ func (s *Stats) add(o Stats) {
 // of them, under the shard lock, and closed by land once resp and err are
 // written — resp a private copy of the reply, made for them, since the
 // leader's is in its caller's buffer — and each appends resp to its own
-// buffer and patches its own ID in. To the upstream it is a context.Context
-// (see arm): bounded by the earlier of the exchange timeout and the
-// leader's deadline, carrying the leader's values, deaf to the leader's
-// cancellation — a flight must not die with one caller's client — its Done
-// closed by its own timer, only when the deadline really passes. One that
-// lands with no follower and its timer stopped in time nobody can still
-// hold (an upstream must not use ctx after ExchangeWire returns): it goes
-// back on its shard's free list, timer and channel too.
+// buffer and patches its own ID and question in. To the upstream it is a
+// context.Context (see arm): bounded by the earlier of the exchange timeout
+// and the leader's deadline, carrying the leader's values, deaf to the
+// leader's cancellation — a flight must not die with one caller's client —
+// its Done closed by its own timer, only when the deadline really passes.
+// One that lands with no follower and its timer stopped in time nobody can
+// still hold (an upstream must not use ctx after ExchangeWire returns): it
+// goes back on its shard's free list, timer and channel too.
 type flight struct {
 	key  []byte // the key's bytes; storage kept across recycling
 	done chan struct{}
 	resp []byte
 	err  error
+	// scanned reports that resp passed ScanResponse, so its question sits at
+	// questionAt, equal to each follower's up to ASCII case: only then does
+	// a follower write its own question over it.
+	scanned bool
 	// waiters counts the coalesced callers that will copy resp, under the
 	// shard lock; with none, the leader keeps resp for itself.
 	waiters  int
@@ -268,8 +266,8 @@ type Cache struct {
 type Option func(*Cache)
 
 // WithMemoryBudget bounds the cache by accounted bytes in place of
-// defaultBudget: every entry is charged its arena block (key + packed
-// response + TTL offsets) and entryOverhead of index cost, and the budget
+// defaultBudget: every entry is charged its arena block (packed response
+// + TTL offsets) and entryOverhead of index cost, and the budget
 // is split evenly across shards; an entry larger than a whole shard's
 // budget is not cached at all. Non-positive budgets are ignored.
 func WithMemoryBudget(bytes int64) Option {
@@ -389,13 +387,15 @@ const minShardBudget = 2 << 10
 // only tables.
 const MaxShards = 1 << 10
 
-// typicalBlock is the arena block of a typical one-address answer — key,
-// reply and TTL offsets — which sizes what the byte budget alone cannot:
-// the default budget, the arena slab and the admission sketch.
+// typicalBlock sizes what the byte budget alone cannot: the default budget,
+// the arena slab and the admission sketch. It is the arena block a typical
+// one-address answer had while the block stored its key apart from the
+// reply; blocks are 58–69 bytes now, and it stays, so those three stay as
+// they were (docs/CACHE.md).
 const typicalBlock = 96
 
 // defaultBudget is the byte budget of a cache built without
-// WithMemoryBudget: 4 096 typical entries, 576 KiB at a 48-byte
+// WithMemoryBudget: 4 096 typicalBlock entries, 576 KiB at a 48-byte
 // entryOverhead — 16 shards with a 9 216-byte arena slab each.
 const defaultBudget = int64(4096 * (entryOverhead + typicalBlock))
 
@@ -543,12 +543,12 @@ func (c *Cache) Flush() {
 
 // ServeWire is the zero-allocation cache-hit path: it answers a fast-parsed
 // wire query by appending a complete response — the stored packed bytes
-// with the client's transaction ID and decayed TTLs patched in — to dst
-// (typically sliced from a pooled buffer) and returns the extended slice
-// plus the telemetry outcome to record. ok=false sends the caller to the
-// miss path (ExchangeQuery) without anything having been counted: a miss or
-// an expired entry past any stale window (the miss path re-counts and
-// refreshes it), or a response larger than limit (truncation needs
+// with the client's transaction ID, question and decayed TTLs patched in —
+// to dst (typically sliced from a pooled buffer) and returns the extended
+// slice plus the telemetry outcome to record. ok=false sends the caller to
+// the miss path (ExchangeQuery) without anything having been counted: a
+// miss or an expired entry past any stale window (the miss path re-counts
+// and refreshes it), or a response larger than limit (truncation needs
 // Message-level surgery on the bytes the miss path returns).
 //
 // With a serve-stale window configured, an expired-but-stale entry is
@@ -559,7 +559,7 @@ func (c *Cache) Flush() {
 // path stays allocation-free.
 func (c *Cache) ServeWire(tx *telemetry.Transaction, q *dnswire.Query, dst []byte, limit int) ([]byte, telemetry.CacheOutcome, bool) {
 	var kbuf [keyBufLen]byte
-	kb := appendKeyTail(q.AppendCanonicalName(kbuf[:0]), q.Type, q.Class)
+	kb := q.AppendCanonicalQuestion(kbuf[:0])
 	sh, h := c.shardFor(kb)
 
 	sh.mu.Lock()
@@ -568,7 +568,7 @@ func (c *Cache) ServeWire(tx *telemetry.Transaction, q *dnswire.Query, dst []byt
 		sh.mu.Unlock()
 		return nil, telemetry.CacheNone, false
 	}
-	hit, ok := c.serveLocked(sh, ri, kb, q.ID, dst[:0])
+	hit, ok := c.serveLocked(sh, ri, q.Raw[questionAt:questionAt+len(kb)], q.ID, dst[:0])
 	if !ok {
 		sh.mu.Unlock()
 		return nil, telemetry.CacheNone, false
@@ -595,14 +595,15 @@ type served struct {
 }
 
 // serveLocked answers from record ri — fresh, or expired within the stale
-// window — by appending the stored bytes to dst with id and decayed TTLs
+// window — by appending the stored bytes to dst with the asker's question
+// (the key's bytes as the asker cased them, DNS 0x20), id and decayed TTLs
 // patched in; ok=false means it is expired past any stale window and nothing
 // was counted. It counts the hit, promotes the entry and decides whether a
 // refresh is due. Caller holds sh.mu: an epoch rotation relocates entry
 // blocks and recycles their old slabs, so they are only safe to read while
 // the lock pins the arena, and the copy — a few hundred bytes, far cheaper
 // than a second lock round trip — means a response never aliases a slab.
-func (c *Cache) serveLocked(sh *shard, ri uint32, kb []byte, id uint16, dst []byte) (h served, ok bool) {
+func (c *Cache) serveLocked(sh *shard, ri uint32, question []byte, id uint16, dst []byte) (h served, ok bool) {
 	now := c.now().UnixNano()
 	r := &sh.recs[ri]
 	stale := now >= r.expires
@@ -639,10 +640,12 @@ func (c *Cache) serveLocked(sh *shard, ri uint32, kb []byte, id uint16, dst []by
 		_, inflight := sh.flights[r.hash]
 		h.refresh, h.prefetch = !inflight, h.prefetch && !inflight
 	}
-	_, wire, toffs := sh.blockOf(r)
+	wire, toffs := sh.blockOf(r)
 	h.resp = append(dst, wire...)
-	dnswire.PatchID(h.resp, id)
-	dnswire.DecayTTLsPacked(h.resp, toffs, uint32(remaining/time.Second))
+	resp := h.resp[len(dst):]
+	dnswire.PatchID(resp, id)
+	copy(resp[questionAt:], question)
+	dnswire.DecayTTLsPacked(resp, toffs, uint32(remaining/time.Second))
 	return h, true
 }
 
@@ -720,12 +723,12 @@ func vet(dst, resp []byte, q *dnswire.Query, toffs []byte) (_ []byte, scan dnswi
 
 // ExchangeQuery answers the query q views, in packed form end to end, and
 // appends the reply to dst: a hit is the stored bytes re-stamped with q's ID
-// and decayed TTLs; a miss goes upstream as q.Raw, concurrent identical
-// questions coalescing into one exchange, and comes back as the upstream's
-// own bytes once the strict scan has passed them — the leader's written
-// into dst by the upstream itself, a follower's copied there from the
-// flight. Only the query's shard is locked, and never across the upstream
-// call. The query's telemetry Transaction (if its server began one) learns
+// and question and decayed TTLs; a miss goes upstream as q.Raw, concurrent
+// identical questions coalescing into one exchange, and comes back as the
+// upstream's own bytes once the strict scan has passed them — the leader's
+// written into dst by the upstream itself, a follower's copied there from
+// the flight. Only the query's shard is locked, and never across the
+// upstream call. The query's telemetry Transaction (if its server began one) learns
 // the outcome — hit, negative hit, miss, coalesced or bypass — outside the
 // shard lock.
 func (c *Cache) ExchangeQuery(ctx context.Context, q *dnswire.Query, dst []byte) ([]byte, error) {
@@ -738,7 +741,8 @@ func (c *Cache) ExchangeQuery(ctx context.Context, q *dnswire.Query, dst []byte)
 	// upstream wait never inflates it.
 	tl := tx.TraceStart()
 	var kbuf [keyBufLen]byte
-	kb := appendKeyTail(q.AppendCanonicalName(kbuf[:0]), q.Type, q.Class)
+	kb := q.AppendCanonicalQuestion(kbuf[:0])
+	question := q.Raw[questionAt : questionAt+len(kb)]
 	sh, h := c.shardFor(kb)
 
 	sh.mu.Lock()
@@ -750,7 +754,7 @@ func (c *Cache) ExchangeQuery(ctx context.Context, q *dnswire.Query, dst []byte)
 		sh.stats.SketchResets++
 	}
 	if ri := sh.find(h, kb); ri != 0 {
-		if hit, ok := c.serveLocked(sh, ri, kb, q.ID, dst); ok {
+		if hit, ok := c.serveLocked(sh, ri, question, q.ID, dst); ok {
 			sh.mu.Unlock()
 			tx.TraceSpan(qtrace.PhaseCache, tl)
 			tx.SetCache(hit.outcome)
@@ -783,6 +787,9 @@ func (c *Cache) ExchangeQuery(ctx context.Context, q *dnswire.Query, dst []byte)
 			}
 			resp := append(dst, f.resp...)
 			dnswire.PatchID(resp[len(dst):], q.ID)
+			if f.scanned {
+				copy(resp[len(dst)+questionAt:], question)
+			}
 			return resp, nil
 		case <-ctx.Done():
 			return nil, ctx.Err()
@@ -856,7 +863,7 @@ func (c *Cache) land(sh *shard, kb []byte, h uint64, f *flight, q *dnswire.Query
 		if err == nil {
 			f.resp = append([]byte(nil), resp[len(dst):]...)
 		}
-		f.err = err
+		f.err, f.scanned = err, storable
 		close(f.done)
 	}
 	return resp, err
@@ -934,14 +941,15 @@ func (c *Cache) rotateLocked(sh *shard) {
 // the duel would lose the name entirely — and evicts past the shard
 // budget. Admission is decided from the sizes alone: a refused candidate
 // costs no record and no copy; an admitted one is one block in the arena
-// (key | wire | toffs) and one record, no heap object. It reports whether
+// (wire | toffs, wire's question overwritten with kb, which it equals up to
+// ASCII case) and one record, no heap object. It reports whether
 // admission refused the insert. Caller holds sh.mu.
 func (c *Cache) insertLocked(sh *shard, kb []byte, h uint64, wire, toffs []byte, scan *dnswire.ResponseScan) (rejected bool) {
-	block := len(kb) + len(wire) + len(toffs)
+	block := len(wire) + len(toffs)
 	cost := entryOverhead + block
 	old := sh.find(h, kb)
-	// A key (keyBufLen) and the TTL offsets of a reply that fits (two
-	// octets a record) always fit a record's length fields.
+	// The TTL offsets of a reply that fits (two octets a record) always fit
+	// a record's length field.
 	if len(wire) > math.MaxUint16 ||
 		int64(cost) > sh.budget || // larger than the whole shard's budget
 		(old == 0 && sh.sk != nil && sh.needsEvict(cost) && !c.admitLocked(sh, h, cost)) {
@@ -961,16 +969,16 @@ func (c *Cache) insertLocked(sh *shard, kb []byte, h uint64, wire, toffs []byte,
 	ri := sh.newRecord()
 	r := &sh.recs[ri]
 	r.hash, r.expires = h, c.now().Add(ttl).UnixNano()
-	r.klen, r.wlen, r.tlen = uint16(len(kb)), uint16(len(wire)), uint16(len(toffs))
+	r.wlen, r.tlen = uint16(len(wire)), uint16(len(toffs))
 	if scan.Negative() {
 		r.flags = flagNegative
 	} else if c.prefetchWindow > 0 && ttl > c.prefetchWindow {
 		r.flags = flagPrefetchable
 	}
 	r.slab, r.off = sh.arena.alloc(block)
-	key, w, t := sh.blockOf(r)
-	copy(key, kb)
+	w, t := sh.blockOf(r)
 	copy(w, wire)
+	copy(w[questionAt:], kb)
 	copy(t, toffs)
 	sh.pushFront(ri)
 	sh.link(ri)
@@ -1022,19 +1030,12 @@ func (c *Cache) refresh(sh *shard, h uint64, f *flight) {
 	c.land(sh, f.key, h, f, &q, nil, resp, err)
 }
 
-// refreshQuery rebuilds the question a cache key encodes — the canonical
-// name followed by four octets of type and class — into a fresh packed
-// query for the background refresh, viewed the way a client's is.
+// refreshQuery packs the question a cache key is into a fresh query for the
+// background refresh, viewed the way a client's is: ID 0, RD set, and the
+// OPT record (UDP size 4096) dnswire.NewQuery gives a query.
 func refreshQuery(k []byte) (dnswire.Query, error) {
-	name := dnswire.Name(k[:len(k)-4])
-	qtype := dnswire.Type(uint16(k[len(k)-4])<<8 | uint16(k[len(k)-3]))
-	class := dnswire.Class(uint16(k[len(k)-2])<<8 | uint16(k[len(k)-1]))
-	m := dnswire.NewQuery(0, name, qtype)
-	m.Questions[0].Class = class
-	wire, err := m.Pack()
-	if err != nil {
-		return dnswire.Query{}, err
-	}
+	wire := append([]byte{0, 0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 1}, k...)
+	wire = append(wire, 0, 0, byte(dnswire.TypeOPT), 4096>>8, 0, 0, 0, 0, 0, 0, 0)
 	q, ok := dnswire.ParseQuery(wire)
 	if !ok {
 		return q, fmt.Errorf("dnscache: cannot rebuild the query of key %q", k)

@@ -11,13 +11,14 @@ import "unsafe"
 // live: an epoch rotation rewrites slab and off, nothing else.
 
 // record is one cached response's fixed-size descriptor. Its bytes live in
-// the shard's arena as one block, key | wire | toffs: the cache key, the
-// packed response as the upstream sent it (still carrying the flight
-// leader's transaction ID — hits restamp their own copy), and the packed
-// big-endian uint16 list of its TTL offsets (dnswire.PackTTLOffsets form)
-// for in-place decay. The block is never rewritten in place, but epoch
-// rotation relocates it, so readers copy out under the shard lock, which
-// guards every field here too.
+// the shard's arena as one block, wire | toffs: the packed response as the
+// upstream sent it but for its question, overwritten with the cache key
+// (the same question, letters lower-cased), still carrying the flight
+// leader's transaction ID — hits restamp their own copy with the asker's
+// question and ID — then the packed big-endian uint16 list of its TTL
+// offsets (dnswire.PackTTLOffsets form) for in-place decay. The block is
+// never rewritten in place, but epoch rotation relocates it, so readers
+// copy out under the shard lock, which guards every field here too.
 type record struct {
 	// hash is the key's maphash: the index probes by it, and the admission
 	// filter estimates an eviction victim's frequency from it.
@@ -25,9 +26,9 @@ type record struct {
 	expires int64 // Unix nanoseconds
 	// prev and next link the shard's LRU ring by record number (recs[0] is
 	// the sentinel); next also threads the free list.
-	prev, next       uint32
-	slab, off        uint32
-	klen, wlen, tlen uint16
+	prev, next uint32
+	slab, off  uint32
+	wlen, tlen uint16
 	// hits counts fresh hits since insertion, saturating — the hotness
 	// signal the near-expiry prefetch gates on.
 	hits  uint8
@@ -53,20 +54,21 @@ const (
 const entryOverhead = int(unsafe.Sizeof(record{})) + 2*4
 
 // size is the record's arena block length.
-func (r *record) size() int { return int(r.klen) + int(r.wlen) + int(r.tlen) }
+func (r *record) size() int { return int(r.wlen) + int(r.tlen) }
 
 // cost is the entry's accounted footprint against the memory budget.
 func (r *record) cost() int { return entryOverhead + r.size() }
 
-// blockOf returns r's arena block split into its three parts.
-func (sh *shard) blockOf(r *record) (key, wire, toffs []byte) {
+// blockOf returns r's arena block split into its two parts.
+func (sh *shard) blockOf(r *record) (wire, toffs []byte) {
 	b := sh.arena.block(r.slab, r.off, r.size())
-	k, w := int(r.klen), int(r.klen)+int(r.wlen)
-	return b[:k], b[k:w:w], b[w:]
+	return b[:r.wlen:r.wlen], b[r.wlen:]
 }
 
 // find returns the number of the record holding key kb, whose hash is h,
-// or 0. The table always has an empty slot, so the probe ends.
+// or 0: the one whose stored question is kb (a wire name ends where its
+// root octet does, so no key is a prefix of another). The table always
+// has an empty slot, so the probe ends.
 func (sh *shard) find(h uint64, kb []byte) uint32 {
 	mask := uint64(len(sh.index) - 1)
 	for i := h & mask; ; i = (i + 1) & mask {
@@ -74,8 +76,8 @@ func (sh *shard) find(h uint64, kb []byte) uint32 {
 		if ri == 0 {
 			return 0
 		}
-		if r := &sh.recs[ri]; r.hash == h && int(r.klen) == len(kb) &&
-			string(sh.arena.block(r.slab, r.off, len(kb))) == string(kb) {
+		if r := &sh.recs[ri]; r.hash == h && int(r.wlen) >= questionAt+len(kb) &&
+			string(sh.arena.block(r.slab, r.off+questionAt, len(kb))) == string(kb) {
 			return ri
 		}
 	}

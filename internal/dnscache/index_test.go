@@ -43,7 +43,7 @@ func checkTables(t testing.TB, sh *shard) []uint32 {
 		if r.prev != prev {
 			t.Fatalf("record %d: prev = %d, want %d", ri, r.prev, prev)
 		}
-		key, _, _ := sh.blockOf(r)
+		key := keyOf(sh, r)
 		if got := sh.find(r.hash, key); got != ri {
 			t.Fatalf("record %d (key %q) is found as record %d", ri, key, got)
 		}
@@ -70,7 +70,19 @@ func checkTables(t testing.TB, sh *shard) []uint32 {
 	return live
 }
 
-// modelEntry is what the reference model keeps of one cached reply.
+// keyOf returns the key record r is filed under: its stored reply's
+// question. Caller holds sh.mu.
+func keyOf(sh *shard, r *record) []byte {
+	wire, _ := sh.blockOf(r)
+	end := questionAt
+	for wire[end] != 0 {
+		end += 1 + int(wire[end])
+	}
+	return wire[questionAt : end+5]
+}
+
+// modelEntry is what the reference model keeps of one cached reply: wire
+// carries the key as its question.
 type modelEntry struct {
 	wire, toffs []byte
 	expires     time.Time
@@ -117,8 +129,8 @@ func (m *indexModel) sweep(now time.Time) {
 }
 
 func (m *indexModel) bytes() (n int64) {
-	for k, e := range m.entries {
-		n += int64(entryOverhead + len(k) + len(e.wire) + len(e.toffs))
+	for _, e := range m.entries {
+		n += int64(entryOverhead + len(e.wire) + len(e.toffs))
 	}
 	return n
 }
@@ -166,21 +178,23 @@ func runIndexOps(t testing.TB, data []byte) {
 	for ops := data[1:]; len(ops) >= 3; ops = ops[3:] {
 		op, a, b := ops[0]%8, ops[1], ops[2]
 		id := uint64(a & 63)
-		kb := appendKey(nil, dnswire.Name([]byte{'k', 'a' + byte(id>>3), 'a' + byte(id&7), '.'}), dnswire.TypeA, dnswire.ClassINET)
+		kb := []byte{3, 'k', 'a' + byte(id>>3), 'a' + byte(id&7), 0, 0, byte(dnswire.TypeA), 0, byte(dnswire.ClassINET)}
 		k, h := string(kb), hash(id)
 		sh.mu.Lock()
 		switch {
 		case op < 4: // insert or replace
-			wire := bytes.Repeat([]byte{a}, 16+int(b))
+			// The key is the stored reply's question: insert writes it at
+			// questionAt over whatever the reply held there.
+			wire := bytes.Repeat([]byte{a}, questionAt+len(kb)+4+int(b))
 			var toffs []byte
 			if b&1 != 0 {
-				binary.BigEndian.PutUint32(wire[12:], 3600)
-				toffs = dnswire.PackTTLOffsets(nil, []int{12})
+				binary.BigEndian.PutUint32(wire[questionAt+len(kb):], 3600)
+				toffs = dnswire.PackTTLOffsets(nil, []int{questionAt + len(kb)})
 			}
 			ttl := 1 + uint32(b&15)
 			epochs := sh.stats.ArenaEpochs
 			rejected := c.insertLocked(sh, kb, h, wire, toffs, &dnswire.ResponseScan{Answers: 1, MinTTL: ttl, HasTTL: true})
-			cost := int64(entryOverhead + len(k) + len(wire) + len(toffs))
+			cost := int64(entryOverhead + len(wire) + len(toffs))
 			if rejected != (cost > budget) {
 				t.Fatalf("insert of %d B under budget %d: rejected = %v", cost, budget, rejected)
 			}
@@ -191,6 +205,7 @@ func runIndexOps(t testing.TB, data []byte) {
 			if sh.stats.ArenaEpochs != epochs {
 				m.sweep(now) // the insert rotated first, and rotation sweeps
 			}
+			copy(wire[questionAt:], kb)
 			m.entries[k] = modelEntry{wire, toffs, now.Add(time.Duration(ttl) * time.Second)}
 			m.touch(k)
 			for m.bytes() > budget {
@@ -205,7 +220,13 @@ func runIndexOps(t testing.TB, data []byte) {
 			if !ok {
 				break
 			}
-			hit, served := c.serveLocked(sh, ri, kb, 0xBEEF, nil)
+			// The asker's question is the key, its letters upper-cased now
+			// and then: a hit echoes it as asked.
+			asked := kb
+			if b&2 != 0 {
+				asked = bytes.ToUpper(kb)
+			}
+			hit, served := c.serveLocked(sh, ri, asked, 0xBEEF, nil)
 			if served == m.dead(e, now) {
 				t.Fatalf("%q served = %v at %v, expires %v (stale window %v)", k, served, now, e.expires, m.stale)
 			}
@@ -216,6 +237,7 @@ func runIndexOps(t testing.TB, data []byte) {
 			}
 			want := append([]byte(nil), e.wire...)
 			dnswire.PatchID(want, 0xBEEF)
+			copy(want[questionAt:], asked)
 			remaining := StaleTTL
 			if now.Before(e.expires) {
 				remaining = e.expires.Sub(now)
@@ -244,7 +266,7 @@ func runIndexOps(t testing.TB, data []byte) {
 			t.Fatalf("%d live records, model holds %d", len(live), len(m.order))
 		}
 		for i, ri := range live {
-			if key, _, _ := sh.blockOf(&sh.recs[ri]); string(key) != m.order[i] {
+			if key := keyOf(sh, &sh.recs[ri]); string(key) != m.order[i] {
 				t.Fatalf("LRU position %d holds %q, model says %q", i, key, m.order[i])
 			}
 		}

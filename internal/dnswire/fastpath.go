@@ -175,6 +175,24 @@ func (q *Query) AppendCanonicalName(dst []byte) []byte {
 	return dst
 }
 
+// AppendCanonicalQuestion appends the question in canonical wire form — the
+// name's label octets with ASCII letters lower-cased, then type and class —
+// to dst and returns the extended slice. Unlike the presentation form it
+// keeps label boundaries, so a label holding a '.' and two labels differ;
+// and it is, byte for byte, the lower-cased question of any reply
+// ScanResponse passes for q, so a cache can key on the reply's own
+// question. Length octets (at most 63) are never letters.
+func (q *Query) AppendCanonicalQuestion(dst []byte) []byte {
+	n := len(dst)
+	dst = append(dst, q.Raw[headerLen:q.nameEnd+5]...)
+	for i, c := range dst[n : n+q.nameEnd-headerLen] {
+		if 'A' <= c && c <= 'Z' {
+			dst[n+i] = c + ('a' - 'A')
+		}
+	}
+	return dst
+}
+
 // skipName returns the offset just past the (possibly compressed) name at
 // off in a packed message, or ok=false when the bytes run out or a label
 // length is malformed. It never follows pointers — for skipping, a pointer

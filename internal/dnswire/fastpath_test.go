@@ -50,11 +50,44 @@ func TestParseQueryMatchesUnpack(t *testing.T) {
 			if got, want := Name(q.AppendCanonicalName(nil)), qq.Name.Canonical(); got != want {
 				t.Errorf("AppendCanonicalName = %q, want %q", got, want)
 			}
+			if got, want := q.AppendCanonicalQuestion(nil), mustPack(t, &Message{Questions: []Question{qq}})[headerLen:]; !bytes.Equal(got, want) {
+				t.Errorf("AppendCanonicalQuestion = %x, want the packed question %x", got, want)
+			}
 			if (q.HasEDNS != (m.EDNS != nil)) ||
 				(m.EDNS != nil && q.UDPSize != m.EDNS.UDPSize) {
 				t.Errorf("EDNS view (%v, %d) disagrees with %+v", q.HasEDNS, q.UDPSize, m.EDNS)
 			}
 		})
+	}
+}
+
+// TestCanonicalQuestionKeepsLabels: the canonical question lower-cases
+// ASCII letters and nothing else, and keeps label boundaries the
+// presentation form loses — one label "a.b" and two labels a, b render
+// alike as names but not as questions.
+func TestCanonicalQuestionKeepsLabels(t *testing.T) {
+	raw := func(labels ...string) []byte {
+		q := []byte{0, 1, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0}
+		for _, l := range labels {
+			q = append(append(q, byte(len(l))), l...)
+		}
+		return append(q, 0, 0, byte(TypeA), 0, byte(ClassINET))
+	}
+	key := func(query []byte) []byte {
+		q, ok := ParseQuery(query)
+		if !ok {
+			t.Fatalf("query %x not fast-parseable", query)
+		}
+		return q.AppendCanonicalQuestion(nil)
+	}
+	one, two := raw("a.b"), raw("a", "b")
+	q1, _ := ParseQuery(one)
+	q2, _ := ParseQuery(two)
+	if string(q1.AppendCanonicalName(nil)) != string(q2.AppendCanonicalName(nil)) || bytes.Equal(key(one), key(two)) {
+		t.Errorf("one label %q and two %q: questions %x and %x", q1.AppendCanonicalName(nil), q2.AppendCanonicalName(nil), key(one), key(two))
+	}
+	if got, want := key(raw("WiRe", "Ex@mP[e")), raw("wire", "ex@mp[e")[headerLen:]; !bytes.Equal(got, want) {
+		t.Errorf("canonical question %x, want %x", got, want)
 	}
 }
 

@@ -132,6 +132,10 @@ func FuzzParseQueryConsistency(f *testing.F) {
 		if got, want := Name(q.AppendCanonicalName(nil)), qq.Name.Canonical(); got != want {
 			t.Errorf("canonical name %q != %q", got, want)
 		}
+		// The echo lower-cases the question's name by its own label walk.
+		if got, want := q.AppendCanonicalQuestion(nil), AppendEcho(nil, data, q.nameEnd+5, RCodeSuccess, false)[headerLen:]; !bytes.Equal(got, want) {
+			t.Errorf("canonical question %x, echoed %x", got, want)
+		}
 		if q.HasEDNS != (m.EDNS != nil) || (m.EDNS != nil && q.UDPSize != m.EDNS.UDPSize) {
 			t.Errorf("EDNS view (%v, %d) disagrees with %+v", q.HasEDNS, q.UDPSize, m.EDNS)
 		}

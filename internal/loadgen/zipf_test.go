@@ -60,7 +60,8 @@ func (zipfUpstream) Close() error { return nil }
 // filter: the same Zipf(s=1.0) name stream over a million-name universe,
 // the same byte budget, and the hit rate with TinyLFU admission must beat
 // plain LRU by a recorded margin. The stream is seeded, so the two runs
-// see the identical query sequence.
+// see the identical query sequence. At 2 MiB both policies must also reach
+// the hit rates an entry's size buys there.
 func TestZipfTinyLFUBeatsLRU(t *testing.T) {
 	if testing.Short() {
 		t.Skip("million-name Zipf replay skipped in -short")
@@ -68,9 +69,8 @@ func TestZipfTinyLFUBeatsLRU(t *testing.T) {
 	const (
 		universe = 1_200_000
 		queries  = 400_000
-		budget   = 2 << 20
 	)
-	run := func(opts ...dnscache.Option) float64 {
+	run := func(budget int64, opts ...dnscache.Option) float64 {
 		c := dnscache.New(zipfUpstream{}, append([]dnscache.Option{
 			dnscache.WithMemoryBudget(budget),
 			dnscache.WithShards(8),
@@ -90,25 +90,35 @@ func TestZipfTinyLFUBeatsLRU(t *testing.T) {
 		}
 		return float64(s.Hits) / float64(s.Hits+s.Misses)
 	}
-	lru := run()
 	// TinyLFU's hit rate moves with the hash seed each cache draws (it
 	// decides which names share sketch counters), LRU's hardly at all: one
 	// TinyLFU run lands anywhere in a spread of ±0.003, so the policy is
 	// judged by its mean over several caches, each with a seed of its own.
-	const seeds = 8
-	var tlfu float64
-	for i := 0; i < seeds; i++ {
-		tlfu += run(dnscache.WithTinyLFU()) / seeds
+	rates := func(budget int64) (lru, tlfu float64) {
+		const seeds = 8
+		lru = run(budget)
+		for i := 0; i < seeds; i++ {
+			tlfu += run(budget, dnscache.WithTinyLFU()) / seeds
+		}
+		t.Logf("hit rate over %d Zipf queries at %d B: lru %.4f, tinylfu %.4f (mean of %d seeds)", queries, budget, lru, tlfu, seeds)
+		return lru, tlfu
 	}
-	t.Logf("hit rate over %d Zipf queries at %d B: lru %.4f, tinylfu %.4f (mean of %d seeds)", queries, budget, lru, tlfu, seeds)
-	// Measured on this workload with the pointer-free index's entry cost,
-	// over 42 single seeds: LRU 0.582, TinyLFU 0.610–0.617 — a gap of
-	// +0.028 to +0.034, +0.032 on average. The mean of eight seeds landed
-	// at +0.031 to +0.033 over ten runs (standard deviation 0.0006), so
-	// the margin fails on real policy breakage, not on hash-seed noise.
+	// The margin was recorded at 2 MiB, which held 14 456 of this stream's
+	// 145-byte entries; 13<<17 B holds 14 440 at the 118 bytes an entry
+	// costs now that its key is its reply's question. Measured over 42 single
+	// seeds: LRU 0.582, TinyLFU 0.610–0.617 — a gap of +0.028 to +0.034,
+	// +0.032 on average. The mean of eight seeds landed at +0.031 to +0.033
+	// over ten runs (standard deviation 0.0006), so the margin fails on real
+	// policy breakage, not on hash-seed noise.
 	const margin = 0.03
-	if tlfu < lru+margin {
+	if lru, tlfu := rates(13 << 17); tlfu < lru+margin {
 		t.Errorf("TinyLFU hit rate %.4f does not beat LRU %.4f by %.2f", tlfu, lru, margin)
+	}
+	// At 2 MiB the smaller entry holds 17 768 names: LRU reads 0.598 and
+	// TinyLFU 0.623–0.624, where 145-byte entries read 0.582 and 0.614. A
+	// floor under each keeps a fatter entry from passing unseen.
+	if lru, tlfu := rates(2 << 20); lru < 0.59 || tlfu < 0.62 {
+		t.Errorf("at 2 MiB: LRU hit rate %.4f, TinyLFU %.4f; want at least 0.59 and 0.62", lru, tlfu)
 	}
 }
 
