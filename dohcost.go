@@ -249,12 +249,13 @@ func NewRacingDialer(cfg RacingDialerConfig) *RacingDialer { return dialer.New(c
 // ForwardingProxy always carries a Telemetry sink; embedders can also
 // build one with NewTelemetry and pass it through ForwardingProxyConfig
 // to share a sink across deployments, or register a TransactionListener
-// (the DNSSummary idiom) to stream one summary per completed query.
+// (the DNSSummary idiom) to read each completed query's record.
 type (
 	// Telemetry is the lock-free sharded metrics sink.
 	Telemetry = telemetry.Metrics
-	// TransactionSummary is one completed query's cost record.
-	TransactionSummary = telemetry.Summary
+	// TransactionSummary is one completed query's record, the one the
+	// tracer samples; a listener gets it only for the call's duration.
+	TransactionSummary = qtrace.Record
 	// TransactionListener receives one TransactionSummary per query.
 	TransactionListener = telemetry.Listener
 	// TransactionListenerFunc adapts a function to TransactionListener.

@@ -18,6 +18,7 @@ import (
 
 	"dohcost/internal/dnswire"
 	"dohcost/internal/guard"
+	"dohcost/internal/qtrace"
 	"dohcost/internal/telemetry"
 	"dohcost/internal/udpio"
 )
@@ -206,7 +207,7 @@ func serveScripted(t *testing.T, name dnswire.Name, edns uint16, batch int) (con
 	}
 	var fin atomic.Int64
 	tel := telemetry.New()
-	tel.SetListener(telemetry.ListenerFunc(func(*telemetry.Summary) { fin.Add(1) }))
+	tel.SetListener(telemetry.ListenerFunc(func(*qtrace.Record) { fin.Add(1) }))
 	stub = &refStub{}
 	srv = &UDPServer{Handler: stub, Telemetry: tel}
 	done := make(chan error)

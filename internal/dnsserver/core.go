@@ -148,8 +148,10 @@ func (c *core) answer(ctx context.Context, tx *telemetry.Transaction, q *dnswire
 // of its own in it, once, and a WireMissResponder hands it the views
 // ParseQuery declined. It writes the query's HasEDNS and UDPSize into the
 // view, for UDP's size limit. Only a QUERY reaches the handler: a response
-// (QR=1) is an error, the fate of a query the codec cannot read, and any
-// other opcode is echoed NOTIMP (RFC 1035 §4.1.1). Handler failures fold
+// (QR=1) is an error, the fate of a query the codec cannot read, any
+// other opcode is echoed NOTIMP (RFC 1035 §4.1.1), and an OPT of an EDNS
+// version other than 0 is echoed BADVERS, no answer, under an OPT of
+// version 0 (RFC 6891 §6.1.3). Handler failures fold
 // into SERVFAIL; its error is a query the codec cannot read, a response,
 // or a query whose SERVFAIL does not even pack.
 type MessageAdapter struct{ Handler Handler }
@@ -183,6 +185,12 @@ func (a MessageAdapter) ServeDNSWireMiss(ctx context.Context, q *dnswire.Query, 
 	if m.OpCode != dnswire.OpCodeQuery {
 		r := m.Reply()
 		r.RCode = dnswire.RCodeNotImplemented
+		return r.AppendPack(dst)
+	}
+	if m.EDNS != nil && m.EDNS.Version != 0 {
+		r := m.Reply() // its OPT is version 0, the one this server speaks
+		r.RCode = dnswire.RCodeBadVersion
+		r.EDNS.ExtendedRCode = uint8(dnswire.RCodeBadVersion >> 4)
 		return r.AppendPack(dst)
 	}
 	reply, err := Respond(ctx, a.Handler, &m).AppendPack(dst)

@@ -76,7 +76,7 @@ func packQuery(t *testing.T, id uint16, name dnswire.Name) (*dnswire.Message, []
 func TestDoHInlineStep(t *testing.T) {
 	var finished atomic.Int64
 	tel := telemetry.New()
-	tel.SetListener(telemetry.ListenerFunc(func(*telemetry.Summary) { finished.Add(1) }))
+	tel.SetListener(telemetry.ListenerFunc(func(*qtrace.Record) { finished.Add(1) }))
 	tracer := qtrace.New(qtrace.Config{SampleEvery: 1})
 	defer tracer.Close()
 	tel.SetTracer(tracer)

@@ -139,6 +139,9 @@ const (
 	RCodeNameError      RCode = 3 // NXDOMAIN
 	RCodeNotImplemented RCode = 4 // NOTIMP
 	RCodeRefused        RCode = 5 // REFUSED
+	// RCodeBadVersion is extended: the OPT record carries its upper 8
+	// bits (RFC 6891 §6.1.3).
+	RCodeBadVersion RCode = 16 // BADVERS
 )
 
 // String implements fmt.Stringer.
@@ -156,6 +159,8 @@ func (r RCode) String() string {
 		return "NOTIMP"
 	case RCodeRefused:
 		return "REFUSED"
+	case RCodeBadVersion:
+		return "BADVERS"
 	}
 	return fmt.Sprintf("RCODE%d", uint16(r))
 }

@@ -1,7 +1,10 @@
 package loadgen
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -56,6 +59,54 @@ func (zipfUpstream) Exchange(ctx context.Context, q *dnswire.Message) (*dnswire.
 
 func (zipfUpstream) Close() error { return nil }
 
+// ExchangeWire is Exchange without the codec: the echo Reply packs, with
+// the TXT answer written in after the question (its name a pointer to the
+// question's), ahead of the echo's OPT.
+func (zipfUpstream) ExchangeWire(ctx context.Context, query, dst []byte) ([]byte, error) {
+	q, ok := dnswire.ParseQuery(query)
+	if !ok {
+		return nil, errors.New("zipfUpstream: not a stub query")
+	}
+	qend, _ := dnswire.QuestionEnd(query)
+	base := len(dst)
+	r := q.AppendReply(dst, dnswire.RCodeSuccess)
+	var opt [11]byte
+	n := copy(opt[:], r[base+qend:])
+	r = append(r[:base+qend],
+		0xC0, 12, 0, byte(dnswire.TypeTXT), 0, byte(dnswire.ClassINET), 0, 1, 0x51, 0x80, // TTL 86400
+		0, 5, 4, 'z', 'i', 'p', 'f')
+	binary.BigEndian.PutUint16(r[base+6:], 1) // ANCOUNT
+	return append(r, opt[:n]...), nil
+}
+
+// TestZipfUpstreamWireMatchesExchange holds the wire face of the Zipf
+// upstream to its Message face, byte for byte, with and without EDNS.
+func TestZipfUpstreamWireMatchesExchange(t *testing.T) {
+	ctx := context.Background()
+	plain := dnswire.NewQuery(7, ZipfName(3), dnswire.TypeA)
+	plain.EDNS = nil
+	do := dnswire.NewQuery(8, ZipfName(1_000_000), dnswire.TypeA)
+	do.EDNS.DO = true
+	for _, q := range []*dnswire.Message{dnswire.NewQuery(6, ZipfName(1), dnswire.TypeA), plain, do} {
+		r, _ := zipfUpstream{}.Exchange(ctx, q)
+		want, err := r.Pack()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wire, err := q.Pack()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := zipfUpstream{}.ExchangeWire(ctx, wire, []byte("prefix"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, append([]byte("prefix"), want...)) {
+			t.Errorf("%s: wire reply\n%x\nwant\n%x", q.Question1().Name, got[len("prefix"):], want)
+		}
+	}
+}
+
 // TestZipfTinyLFUBeatsLRU is the paper-scale regression for the admission
 // filter: the same Zipf(s=1.0) name stream over a million-name universe,
 // the same byte budget, and the hit rate with TinyLFU admission must beat
@@ -70,19 +121,32 @@ func TestZipfTinyLFUBeatsLRU(t *testing.T) {
 		universe = 1_200_000
 		queries  = 400_000
 	)
+	// The seeded stream, packed once: query i is stream[ends[i-1]:ends[i]].
+	var stream []byte
+	ends := make([]int, queries)
+	z := NewZipf(universe, 1.0)
+	rng := rand.New(rand.NewSource(99))
+	for i := range ends {
+		var err error
+		if stream, err = dnswire.NewQuery(uint16(i), ZipfName(z.Rank(rng)), dnswire.TypeA).AppendPack(stream); err != nil {
+			t.Fatal(err)
+		}
+		ends[i] = len(stream)
+	}
 	run := func(budget int64, opts ...dnscache.Option) float64 {
 		c := dnscache.New(zipfUpstream{}, append([]dnscache.Option{
 			dnscache.WithMemoryBudget(budget),
 			dnscache.WithShards(8),
 		}, opts...)...)
 		defer c.Close()
-		z := NewZipf(universe, 1.0)
-		rng := rand.New(rand.NewSource(99))
 		ctx := context.Background()
-		for i := 0; i < queries; i++ {
-			if _, err := c.Exchange(ctx, dnswire.NewQuery(uint16(i), ZipfName(z.Rank(rng)), dnswire.TypeA)); err != nil {
+		buf := make([]byte, 0, 512)
+		start := 0
+		for _, end := range ends {
+			if _, err := c.ExchangeWire(ctx, stream[start:end], buf); err != nil {
 				t.Fatal(err)
 			}
+			start = end
 		}
 		s := c.Stats()
 		if s.BytesLive > budget {

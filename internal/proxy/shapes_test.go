@@ -121,8 +121,10 @@ func fateClients(n *netsim.Network, chain *tlsx.Chain, wait time.Duration) map[s
 // TestNonQueriesNeverReachTheHandler: only a QUERY is resolved. A message
 // that is itself a response (QR=1) takes the fate of a query the codec
 // cannot read — UDP drops it, TCP and DoT close the connection, DoH
-// answers HTTP 400 — and a NOTIFY or an UPDATE is echoed NOTIMP under its
-// own ID and opcode. On every transport, none of them is forwarded.
+// answers HTTP 400 — a NOTIFY or an UPDATE is echoed NOTIMP under its own
+// ID and opcode, and a query with an OPT of EDNS version 1 is echoed
+// BADVERS with no answer and an OPT of version 0 (RFC 6891 §6.1.3). On
+// every transport, none of them is forwarded.
 func TestNonQueriesNeverReachTheHandler(t *testing.T) {
 	d := deploy(t, loadgen.Scenario{Seed: 34})
 	up := d.Upstreams()[0]
@@ -133,6 +135,17 @@ func TestNonQueriesNeverReachTheHandler(t *testing.T) {
 	notify.OpCode, notify.RecursionDesired = dnswire.OpCodeNotify, false
 	update := dnswire.NewQuery(0x3303, "zone.example.", dnswire.TypeSOA)
 	update.OpCode, update.RecursionDesired, update.EDNS = dnswire.OpCodeUpdate, false, nil
+	badvers := dnswire.NewQuery(0x3304, "badvers.example.", dnswire.TypeA)
+	badvers.EDNS.Version = 1
+	echoes := []struct {
+		name  string
+		q     *dnswire.Message
+		rcode dnswire.RCode
+	}{
+		{notify.OpCode.String(), notify, dnswire.RCodeNotImplemented},
+		{update.OpCode.String(), update, dnswire.RCodeNotImplemented},
+		{"badvers", badvers, dnswire.RCodeBadVersion},
+	}
 
 	for _, tr := range []string{"udp", "tcp", "dot", "doh-h1", "doh-h2"} {
 		send := clients[tr]
@@ -163,8 +176,9 @@ func TestNonQueriesNeverReachTheHandler(t *testing.T) {
 				t.Errorf("%d upstream queries, want none", n)
 			}
 		})
-		for _, q := range []*dnswire.Message{notify, update} {
-			t.Run(tr+"/"+q.OpCode.String(), func(t *testing.T) {
+		for _, e := range echoes {
+			q := e.q
+			t.Run(tr+"/"+e.name, func(t *testing.T) {
 				msg, err := q.Pack()
 				if err != nil {
 					t.Fatal(err)
@@ -178,9 +192,15 @@ func TestNonQueriesNeverReachTheHandler(t *testing.T) {
 				if err := r.Unpack(got.reply); err != nil {
 					t.Fatalf("reply %x: %v", got.reply, err)
 				}
-				if !r.Response || r.ID != q.ID || r.OpCode != q.OpCode || r.RCode != dnswire.RCodeNotImplemented {
-					t.Errorf("reply QR=%v ID=%#x opcode %v rcode %v, want QR=1 ID=%#x opcode %v rcode NOTIMP",
-						r.Response, r.ID, r.OpCode, r.RCode, q.ID, q.OpCode)
+				if !r.Response || r.ID != q.ID || r.OpCode != q.OpCode || r.RCode != e.rcode {
+					t.Errorf("reply QR=%v ID=%#x opcode %v rcode %v, want QR=1 ID=%#x opcode %v rcode %v",
+						r.Response, r.ID, r.OpCode, r.RCode, q.ID, q.OpCode, e.rcode)
+				}
+				if len(r.Answers) != 0 {
+					t.Errorf("echo carries %d answers, want none", len(r.Answers))
+				}
+				if q.EDNS != nil && (r.EDNS == nil || r.EDNS.Version != 0) {
+					t.Errorf("reply OPT %+v, want one of version 0", r.EDNS)
 				}
 				if n := up.Queries() - before; n != 0 {
 					t.Errorf("%d upstream queries, want none", n)

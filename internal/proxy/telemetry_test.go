@@ -22,6 +22,7 @@ import (
 	"dohcost/internal/loadgen"
 	"dohcost/internal/netsim"
 	"dohcost/internal/proxy"
+	"dohcost/internal/qtrace"
 	"dohcost/internal/telemetry"
 )
 
@@ -34,11 +35,11 @@ func TestProxyTelemetryEndToEnd(t *testing.T) {
 	d := deploy(t, loadgen.Scenario{Seed: 1})
 	p, up := d.Proxy, d.Upstreams()[0]
 
-	var summaries []*telemetry.Summary
+	var summaries []qtrace.Record
 	var mu sync.Mutex
-	p.Telemetry().SetListener(telemetry.ListenerFunc(func(s *telemetry.Summary) {
+	p.Telemetry().SetListener(telemetry.ListenerFunc(func(s *qtrace.Record) {
 		mu.Lock()
-		summaries = append(summaries, s)
+		summaries = append(summaries, *s) // the record is valid only for the call
 		mu.Unlock()
 	}))
 
@@ -88,10 +89,10 @@ func TestProxyTelemetryEndToEnd(t *testing.T) {
 	if len(summaries) != 3 {
 		t.Fatalf("listener saw %d summaries, want 3", len(summaries))
 	}
-	var missSummary *telemetry.Summary
-	for _, s := range summaries {
-		if s.Cache == "miss" {
-			missSummary = s
+	var missSummary *qtrace.Record
+	for i := range summaries {
+		if summaries[i].Cache == "miss" {
+			missSummary = &summaries[i]
 		}
 	}
 	if missSummary == nil || missSummary.Server != up.Host || missSummary.BytesReceived == 0 {

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"os"
 	"sync"
-	"time"
 )
 
 // QueryLog is the structured query log: one JSON object per kept trace,
@@ -44,42 +43,12 @@ func OpenQueryLog(path string, maxBytes int64) (*QueryLog, error) {
 	return &QueryLog{path: path, max: maxBytes, f: f, size: st.Size()}, nil
 }
 
-// logRecord is the JSONL schema (documented in docs/TRACING.md).
-type logRecord struct {
-	// Time is the query's accept time, RFC 3339 with nanoseconds.
-	Time time.Time `json:"time"`
-	// QName and QType identify the query.
-	QName string `json:"qname"`
-	QType uint16 `json:"qtype"`
-	// Proto is the listener transport ("udp", "tcp", "dot", "doh").
-	Proto string `json:"proto"`
-	// Verdict, Cache and Upstream are the outcome labels.
-	Verdict  string `json:"verdict"`
-	Cache    string `json:"cache,omitempty"`
-	Upstream string `json:"upstream,omitempty"`
-	// DurationMs is the accept-to-finish latency.
-	DurationMs float64 `json:"duration_ms"`
-	// Spans are the phase timings.
-	Spans []SpanView `json:"spans"`
-}
-
-// Write appends one trace as a JSONL line, rotating first if the active
-// file is over the size threshold. Write allocates (JSON marshalling);
-// it runs only for kept traces, never on the per-query fast path.
-func (l *QueryLog) Write(r *Rec) error {
-	v := viewOf(r)
-	rec := logRecord{
-		Time:       v.Time,
-		QName:      v.QName,
-		QType:      v.QType,
-		Proto:      v.Proto,
-		Verdict:    v.Verdict,
-		Cache:      v.Cache,
-		Upstream:   v.Upstream,
-		DurationMs: v.DurationMs,
-		Spans:      v.Spans,
-	}
-	b, err := json.Marshal(rec)
+// Write appends one trace as a JSONL line — the View that /debug/trace
+// serves for it — rotating first if the active file is over the size
+// threshold. Write allocates (JSON marshalling); it runs only for kept
+// traces, never on the per-query fast path.
+func (l *QueryLog) Write(r *Record) error {
+	b, err := json.Marshal(viewOf(r))
 	if err != nil {
 		return err
 	}

@@ -9,10 +9,11 @@
 //
 // The design is built around two constraints:
 //
-//   - The untraced path must cost one nil test per instrumentation point,
-//     and the traced fast path must stay allocation-free: trace records
-//     (Rec) are fixed-size — inline span array, inline qname buffer — and
-//     recycled through a pool, so steady-state tracing allocates nothing.
+//   - The untraced path must cost one flag test per instrumentation point,
+//     and the traced fast path must stay allocation-free: the Record is
+//     fixed-size — inline span array, inline qname buffer — and lives by
+//     value in the query's telemetry Transaction, so tracing allocates
+//     nothing of its own.
 //   - Keeping everything is pointless and keeping a uniform sample misses
 //     the tail, so the keep decision is made at Finish (tail-based
 //     sampling): errored queries are always kept, queries slower than an
@@ -21,15 +22,15 @@
 //     represented. Kept records land in sharded rings whose writers never
 //     block (a contended slot is skipped, not waited on).
 //
+// Record is the one per-query record: the transaction writes it, the
+// telemetry Listener reads it, and the tracer copies the ones it keeps.
 // Consumers read the rings through Tracer.Traces (the /debug/trace JSON),
-// stream kept records to a rotating JSONL query log (QueryLog), or get a
-// one-line console digest per slow query (Config.SlowLog).
+// stream kept records to a rotating JSONL query log (QueryLog) in the same
+// View rendering, or get a one-line console digest per slow query
+// (Config.SlowLog).
 package qtrace
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 // Phase identifies one stage of a query's life inside the proxy. Spans are
 // recorded against these phases; their order here is the canonical
@@ -104,36 +105,51 @@ const MaxSpans = 16
 const MaxQName = 96
 
 // Span is one recorded phase interval, stored as offsets from the record's
-// Start so a Rec is position-independent. Start may be slightly negative:
-// pre-accept work (guard check, parse) runs before the transaction clock
-// starts.
+// Start so a Record is position-independent. Start may be slightly
+// negative: pre-accept work (guard check, parse) runs before the
+// transaction clock starts.
 type Span struct {
 	// Phase is what the interval covers.
 	Phase Phase
-	// Start is the offset of the interval's beginning from Rec.Start.
+	// Start is the offset of the interval's beginning from Record.Start.
 	Start time.Duration
 	// Dur is the interval's length.
 	Dur time.Duration
 }
 
-// Rec is one query's trace record: identity, outcome and the phase spans.
-// It is fixed-size and pooled; instrumented code writes it through the
-// owning telemetry Transaction from a single goroutine, and the tracer
-// copies it into a ring slot at Offer if the sampler keeps it.
-type Rec struct {
+// Record is one query's record — the DNSSummary of outline-go-tun2socks
+// with the phase spans added: identity, outcome, upstream bytes and
+// latency. The telemetry Transaction holds it by value and writes it from
+// one goroutine at a time; at Finish the tracer copies it into a ring slot
+// if the sampler keeps it, and the Listener reads it in place. The qname
+// and spans are filled only while a tracer is installed.
+type Record struct {
 	// Start is when the server accepted the query.
 	Start time.Time
-	// Dur is the accept-to-finish duration, filled at Offer time.
-	Dur time.Duration
-	// Proto, Verdict, Cache and Upstream are the transaction's label
-	// strings (interned by the telemetry layer, so storing them allocates
-	// nothing).
-	Proto, Verdict, Cache, Upstream string
+	// Latency is the accept-to-response duration.
+	Latency time.Duration
+	// Proto is the listener transport ("udp", "tcp", "dot", "doh").
+	Proto string
+	// Verdict is "ok", "servfail" or "canceled" ("none" for a query that
+	// never reached a response); any other than "ok" is a failure the
+	// sampler always keeps.
+	Verdict string
+	// Cache is the cache outcome label ("hit", "miss", …, or "none").
+	Cache string
+	// Server names the upstream that answered; empty when the answer came
+	// from cache (or the query failed before reaching an upstream).
+	Server string
+	// BytesSent and BytesReceived are the upstream exchange's message
+	// bytes (zero for cache hits).
+	BytesSent, BytesReceived int
+	// UDPRetransmits counts query attempts re-sent after per-attempt
+	// timeouts within this transaction.
+	UDPRetransmits int
 	// QType is the query type code.
 	QType uint16
-	// Failed marks a query whose verdict was not OK; the sampler always
-	// keeps failed queries.
-	Failed bool
+	// TCFallback reports a UDP answer that arrived truncated and was
+	// retried over TCP (RFC 7766 §5).
+	TCFallback bool
 
 	qnameLen uint8
 	nspans   uint8
@@ -141,15 +157,10 @@ type Rec struct {
 	spans    [MaxSpans]Span
 }
 
-// reset clears the record for reuse without releasing its storage.
-func (r *Rec) reset(start time.Time) {
-	*r = Rec{Start: start}
-}
-
 // AddSpan appends one phase interval (offset start, length dur). Spans
 // beyond MaxSpans are dropped.
-func (r *Rec) AddSpan(p Phase, start, dur time.Duration) {
-	if r == nil || int(r.nspans) >= MaxSpans {
+func (r *Record) AddSpan(p Phase, start, dur time.Duration) {
+	if int(r.nspans) >= MaxSpans {
 		return
 	}
 	r.spans[r.nspans] = Span{Phase: p, Start: start, Dur: dur}
@@ -157,53 +168,23 @@ func (r *Rec) AddSpan(p Phase, start, dur time.Duration) {
 }
 
 // Spans returns the recorded intervals, in recording order. The slice
-// aliases the record's inline array and is only valid while the caller
-// owns the record.
-func (r *Rec) Spans() []Span {
-	if r == nil {
-		return nil
-	}
+// aliases the record's inline array.
+func (r *Record) Spans() []Span {
 	return r.spans[:r.nspans]
 }
 
-// QNameBuf returns an empty slice over the record's inline qname buffer;
-// callers append the presentation-form name into it (alloc-free for names
-// up to MaxQName) and hand the result to CommitQName.
-func (r *Rec) QNameBuf() []byte {
-	return r.qname[:0]
-}
-
-// CommitQName stores the query name and type. name may alias the buffer
-// returned by QNameBuf (the common, alloc-free case) or be any other
-// byte slice; over-long names are truncated.
-func (r *Rec) CommitQName(name []byte, qtype uint16) {
-	if r == nil {
-		return
-	}
-	r.qnameLen = uint8(copy(r.qname[:], name))
-	r.QType = qtype
-}
-
-// SetQName stores a presentation-form query name from a string, truncating
-// at MaxQName. The copy out of the string is allocation-free.
-func (r *Rec) SetQName(name string, qtype uint16) {
-	if r == nil {
-		return
-	}
+// SetQName stores the presentation-form query name and type; names over
+// MaxQName bytes are truncated. The copy is allocation-free.
+func (r *Record) SetQName(name []byte, qtype uint16) {
 	r.qnameLen = uint8(copy(r.qname[:], name))
 	r.QType = qtype
 }
 
 // QName returns the stored query name. The returned string allocates; it
 // is meant for view building, not the hot path.
-func (r *Rec) QName() string {
-	if r == nil {
-		return ""
-	}
+func (r *Record) QName() string {
 	return string(r.qname[:r.qnameLen])
 }
 
-// recPool recycles trace records across all tracers. Package-level rather
-// than per-Tracer so a record acquired before a tracer swap can always be
-// released safely.
-var recPool = sync.Pool{New: func() any { return new(Rec) }}
+// failed reports a query whose verdict was not OK.
+func (r *Record) failed() bool { return r.Verdict != "ok" }

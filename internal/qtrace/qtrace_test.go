@@ -11,20 +11,21 @@ import (
 	"time"
 )
 
-// offerRec builds and offers one record with the given outcome. start is
-// an arbitrary fixed base time plus seq, so newest-first ordering in the
-// rings is deterministic.
-func offerRec(t *Tracer, seq int, dur time.Duration, failed bool, verdict, cache, upstream string) {
-	r := t.Acquire(time.Unix(1700000000, 0).Add(time.Duration(seq) * time.Millisecond))
-	r.SetQName("q.example.", 1)
-	r.Proto = "udp"
-	r.Verdict = verdict
-	r.Cache = cache
-	r.Upstream = upstream
-	r.Failed = failed
+// offerRec builds and offers one record with the given outcome (any
+// verdict but "ok" is a failure). start is an arbitrary fixed base time
+// plus seq, so newest-first ordering in the rings is deterministic.
+func offerRec(t *Tracer, seq int, dur time.Duration, verdict, cache, upstream string) {
+	r := Record{
+		Start:   time.Unix(1700000000, 0).Add(time.Duration(seq) * time.Millisecond),
+		Latency: dur,
+		Proto:   "udp",
+		Verdict: verdict,
+		Cache:   cache,
+		Server:  upstream,
+	}
+	r.SetQName([]byte("q.example."), 1)
 	r.AddSpan(PhaseParse, 0, time.Microsecond)
-	r.Dur = dur
-	t.Offer(r)
+	t.Offer(&r)
 }
 
 // TestTailSamplerNeverDropsErroredOrSlow is the sampler's property test:
@@ -39,13 +40,13 @@ func TestTailSamplerNeverDropsErroredOrSlow(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		switch rng.Intn(3) {
 		case 0: // healthy and fast: under every possible threshold
-			offerRec(tr, i, time.Millisecond, false, "ok", "hit", "")
+			offerRec(tr, i, time.Millisecond, "ok", "hit", "")
 		case 1: // slow: 1s stays >= the adaptive estimate, which approaches
 			// it from below and never reaches it
-			offerRec(tr, i, time.Second, false, "ok", "", "up0")
+			offerRec(tr, i, time.Second, "ok", "", "up0")
 			slow++
 		case 2: // errored: kept regardless of duration
-			offerRec(tr, i, time.Millisecond, true, "servfail", "", "up0")
+			offerRec(tr, i, time.Millisecond, "servfail", "", "up0")
 			errored++
 		}
 	}
@@ -84,7 +85,7 @@ func min64(a, b uint64) uint64 {
 func TestBaselineSampling(t *testing.T) {
 	tr := New(Config{SampleEvery: 4, SlowFloor: time.Hour})
 	for i := 0; i < 100; i++ {
-		offerRec(tr, i, time.Millisecond, false, "ok", "hit", "")
+		offerRec(tr, i, time.Millisecond, "ok", "hit", "")
 	}
 	st := tr.Stats()
 	if st.KeptBaseline != 25 {
@@ -101,7 +102,7 @@ func TestBaselineSampling(t *testing.T) {
 func TestAdaptiveThresholdTracksTail(t *testing.T) {
 	tr := New(Config{SlowFloor: 10 * time.Millisecond, SampleEvery: -1})
 	for i := 0; i < 200; i++ {
-		offerRec(tr, i, 100*time.Millisecond, false, "ok", "hit", "")
+		offerRec(tr, i, 100*time.Millisecond, "ok", "hit", "")
 	}
 	st := tr.Stats()
 	got := st.SlowThresholdMs["cache"]
@@ -116,9 +117,9 @@ func TestAdaptiveThresholdTracksTail(t *testing.T) {
 // TestTracesFilter exercises every Filter field against a mixed ring.
 func TestTracesFilter(t *testing.T) {
 	tr := New(Config{SampleEvery: -1})
-	offerRec(tr, 0, time.Second, true, "servfail", "", "up0")
-	offerRec(tr, 1, 2*time.Second, true, "canceled", "", "up1")
-	offerRec(tr, 2, 3*time.Second, false, "ok", "", "up0")
+	offerRec(tr, 0, time.Second, "servfail", "", "up0")
+	offerRec(tr, 1, 2*time.Second, "canceled", "", "up1")
+	offerRec(tr, 2, 3*time.Second, "ok", "", "up0")
 	for name, tc := range map[string]struct {
 		f    Filter
 		want int
@@ -148,7 +149,7 @@ func TestTracesFilter(t *testing.T) {
 func TestRingWrapKeepsNewest(t *testing.T) {
 	tr := New(Config{capacity: 16, SampleEvery: -1})
 	for i := 0; i < 100; i++ {
-		offerRec(tr, i, time.Millisecond, true, "servfail", "", "up0")
+		offerRec(tr, i, time.Millisecond, "servfail", "", "up0")
 	}
 	views := tr.Traces(Filter{Limit: 1 << 20})
 	if len(views) != 16 {
@@ -167,16 +168,12 @@ func TestRingWrapKeepsNewest(t *testing.T) {
 // included), and the inline qname round-trips.
 func TestViewSpansAndQName(t *testing.T) {
 	tr := New(Config{SampleEvery: -1})
-	r := tr.Acquire(time.Unix(1700000000, 0))
-	r.SetQName("spans.example.", 28)
-	r.Proto = "doh"
-	r.Verdict = "servfail"
-	r.Failed = true
+	r := Record{Start: time.Unix(1700000000, 0), Latency: 6 * time.Millisecond, Proto: "doh", Verdict: "servfail"}
+	r.SetQName([]byte("spans.example."), 28)
 	r.AddSpan(PhaseGuard, -50*time.Microsecond, 30*time.Microsecond)
 	r.AddSpan(PhaseParse, -20*time.Microsecond, 20*time.Microsecond)
 	r.AddSpan(PhaseUpstream, time.Millisecond, 4*time.Millisecond)
-	r.Dur = 6 * time.Millisecond
-	tr.Offer(r)
+	tr.Offer(&r)
 
 	views := tr.Traces(Filter{})
 	if len(views) != 1 {
@@ -200,7 +197,7 @@ func TestViewSpansAndQName(t *testing.T) {
 // TestSpanOverflowDropped pins the fixed-size contract: spans past
 // MaxSpans are dropped, never grown.
 func TestSpanOverflowDropped(t *testing.T) {
-	var r Rec
+	var r Record
 	for i := 0; i < MaxSpans+10; i++ {
 		r.AddSpan(PhaseCache, 0, time.Microsecond)
 	}
@@ -210,18 +207,17 @@ func TestSpanOverflowDropped(t *testing.T) {
 }
 
 // TestQNameTruncation: over-long names truncate at MaxQName instead of
-// corrupting the fixed buffer, through both the string and append paths.
+// corrupting the fixed buffer, and a shorter name replaces a longer one.
 func TestQNameTruncation(t *testing.T) {
 	long := strings.Repeat("a", 2*MaxQName)
-	var r Rec
-	r.SetQName(long, 1)
+	var r Record
+	r.SetQName([]byte(long), 1)
 	if got := r.QName(); len(got) != MaxQName || got != long[:MaxQName] {
 		t.Errorf("SetQName: len %d, want %d", len(got), MaxQName)
 	}
-	var r2 Rec
-	r2.CommitQName(append(r2.QNameBuf(), "short.example."...), 1)
-	if r2.QName() != "short.example." {
-		t.Errorf("CommitQName via QNameBuf = %q", r2.QName())
+	r.SetQName([]byte("short.example."), 28)
+	if r.QName() != "short.example." || r.QType != 28 {
+		t.Errorf("SetQName over a longer name = %q/%d", r.QName(), r.QType)
 	}
 }
 
@@ -230,14 +226,10 @@ func TestQNameTruncation(t *testing.T) {
 func TestSlowLogLine(t *testing.T) {
 	var buf bytes.Buffer
 	tr := New(Config{SlowFloor: 10 * time.Millisecond, SlowLog: &buf, SampleEvery: -1})
-	r := tr.Acquire(time.Unix(1700000000, 0))
-	r.SetQName("slow.example.", 1)
-	r.Proto = "udp"
-	r.Verdict = "ok"
-	r.Upstream = "up0"
+	r := Record{Start: time.Unix(1700000000, 0), Latency: 50 * time.Millisecond, Proto: "udp", Verdict: "ok", Server: "up0"}
+	r.SetQName([]byte("slow.example."), 1)
 	r.AddSpan(PhaseUpstream, time.Millisecond, 40*time.Millisecond)
-	r.Dur = 50 * time.Millisecond
-	tr.Offer(r)
+	tr.Offer(&r)
 
 	line := buf.String()
 	for _, want := range []string{"slow-query", "udp", "slow.example.", "verdict=ok", "upstream=up0", "total=50.0ms", "upstream=40.0ms"} {
@@ -261,7 +253,7 @@ func TestQueryLogWritesAndRotates(t *testing.T) {
 	}
 	tr := New(Config{SampleEvery: -1, Log: ql})
 	for i := 0; i < 64; i++ {
-		offerRec(tr, i, time.Second, false, "ok", "", "up0") // slow → kept → logged
+		offerRec(tr, i, time.Second, "ok", "", "up0") // slow → kept → logged
 	}
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
@@ -314,20 +306,17 @@ func TestQueryLogWritesAndRotates(t *testing.T) {
 	}
 
 	// Writes after Close are reported, not lost silently.
-	offerRec(tr, 99, time.Second, false, "ok", "", "up0")
+	offerRec(tr, 99, time.Second, "ok", "", "up0")
 	if st := tr.Stats(); st.LogDropped != 1 {
 		t.Errorf("post-close log write not counted dropped: %+v", st)
 	}
 }
 
 // TestNilTracerSafe: a nil *Tracer is the documented "tracing off" value
-// for every method, and Offer still recycles the record.
+// for every method.
 func TestNilTracerSafe(t *testing.T) {
 	var tr *Tracer
-	if r := tr.Acquire(time.Now()); r != nil {
-		t.Error("nil tracer Acquire returned a record")
-	}
-	tr.Offer(new(Rec))
+	tr.Offer(new(Record))
 	tr.Offer(nil)
 	if err := tr.Close(); err != nil {
 		t.Error(err)
@@ -338,8 +327,6 @@ func TestNilTracerSafe(t *testing.T) {
 	if st := tr.Stats(); st.Offered != 0 {
 		t.Errorf("nil tracer Stats = %+v", st)
 	}
-	Release(nil)
-	Release(new(Rec))
 }
 
 // TestConcurrentOfferAndScrape is the package's own -race workout:
@@ -361,7 +348,11 @@ func TestConcurrentOfferAndScrape(t *testing.T) {
 		go func(w int) {
 			defer close(ch)
 			for i := 0; i < 500; i++ {
-				offerRec(tr, w*1000+i, time.Duration(i)*time.Microsecond, i%7 == 0, "ok", "hit", "")
+				verdict := "ok"
+				if i%7 == 0 {
+					verdict = "servfail"
+				}
+				offerRec(tr, w*1000+i, time.Duration(i)*time.Microsecond, verdict, "hit", "")
 			}
 		}(w)
 	}
@@ -371,5 +362,59 @@ func TestConcurrentOfferAndScrape(t *testing.T) {
 	<-done
 	if st := tr.Stats(); st.Offered != 2000 {
 		t.Errorf("offered = %d, want 2000", st.Offered)
+	}
+}
+
+// goldenTraces is /debug/trace's JSON for goldenRecord, captured before
+// the trace record, the listener's summary and the query log's schema
+// became one Record: the rendering must not move.
+const goldenTraces = `[{"time":"2023-11-14T22:13:20.123456789Z","duration_ms":6.125,"proto":"doh","qname":"golden.example.","qtype":28,"verdict":"servfail","cache":"miss","upstream":"up0","spans":[{"phase":"guard","start_ms":-0.05,"duration_ms":0.03},{"phase":"cache","start_ms":0.01,"duration_ms":0.0025},{"phase":"upstream","start_ms":1,"duration_ms":4.25}]}]`
+
+// goldenRecord is one failed DoH miss with a pre-accept guard span.
+func goldenRecord() Record {
+	r := Record{
+		Start:   time.Date(2023, 11, 14, 22, 13, 20, 123456789, time.UTC),
+		Latency: 6125 * time.Microsecond,
+		Proto:   "doh",
+		Verdict: "servfail",
+		Cache:   "miss",
+		Server:  "up0",
+	}
+	r.SetQName([]byte("golden.example."), 28)
+	r.AddSpan(PhaseGuard, -50*time.Microsecond, 30*time.Microsecond)
+	r.AddSpan(PhaseCache, 10*time.Microsecond, 2500*time.Nanosecond)
+	r.AddSpan(PhaseUpstream, time.Millisecond, 4250*time.Microsecond)
+	return r
+}
+
+// TestOneRendering pins the record's one JSON rendering: /debug/trace's
+// Traces marshal to the golden byte for byte, and the query log's line is
+// the same object, View's keys in View's order.
+func TestOneRendering(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "q.jsonl")
+	ql, err := OpenQueryLog(path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := New(Config{SampleEvery: -1, Log: ql})
+	r := goldenRecord()
+	tr.Offer(&r)
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	got, err := json.Marshal(tr.Traces(Filter{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != goldenTraces {
+		t.Errorf("/debug/trace JSON moved:\n got %s\nwant %s", got, goldenTraces)
+	}
+	line, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := goldenTraces[1:len(goldenTraces)-1] + "\n"; string(line) != want {
+		t.Errorf("query log line is not the trace's View:\n got %s\nwant %s", line, want)
 	}
 }

@@ -50,8 +50,8 @@ var classLabels = [numClasses]string{"error", "cache", "upstream"}
 // classify buckets a record for threshold tracking. The cache labels
 // mirror telemetry.CacheOutcome's strings; qtrace cannot import telemetry
 // (telemetry imports qtrace), so the coupling is by label.
-func classify(r *Rec) int {
-	if r.Failed {
+func classify(r *Record) int {
+	if r.failed() {
 		return classError
 	}
 	switch r.Cache {
@@ -73,7 +73,7 @@ const ringShards = 8
 type slot struct {
 	mu   sync.Mutex
 	full bool
-	rec  Rec
+	rec  Record
 }
 
 // ring is one stripe of the kept-trace buffer.
@@ -138,46 +138,22 @@ func (t *Tracer) Close() error {
 	return t.cfg.Log.Close()
 }
 
-// Acquire returns a reset trace record stamped with the query's accept
-// time. Records come from a pool, so steady-state acquisition is
-// allocation-free.
-func (t *Tracer) Acquire(start time.Time) *Rec {
-	if t == nil {
-		return nil
-	}
-	r := recPool.Get().(*Rec)
-	r.reset(start)
-	return r
-}
-
-// Release returns an unoffered record to the pool (a transaction that
-// turned out to be background work, or a tracer torn down mid-flight).
-func Release(r *Rec) {
-	if r != nil {
-		recPool.Put(r)
-	}
-}
-
-// Offer hands a completed record to the sampler and releases it. The
-// caller must have filled Dur and the label fields; after Offer the record
-// must not be touched. The keep decision is tail-based: errored always,
-// slower than the class's effective threshold always, 1-in-SampleEvery
-// baseline otherwise.
-func (t *Tracer) Offer(r *Rec) {
-	if r == nil {
-		return
-	}
-	if t == nil {
-		recPool.Put(r)
+// Offer hands a completed record to the sampler, which copies it into a
+// ring slot if it keeps it; r is not retained. The caller must have
+// filled Latency and the label fields. The keep decision is tail-based:
+// errored always, slower than the class's effective threshold always,
+// 1-in-SampleEvery baseline otherwise.
+func (t *Tracer) Offer(r *Record) {
+	if t == nil || r == nil {
 		return
 	}
 	t.offered.Add(1)
 	cl := classify(r)
-	slow := r.Dur >= t.effectiveThreshold(cl)
-	t.adapt(cl, r.Dur)
+	slow := r.Latency >= t.effectiveThreshold(cl)
+	t.adapt(cl, r.Latency)
 	keep := false
 	switch {
-	case r.Failed:
+	case r.failed():
 		keep = true
 		t.keptErrored.Add(1)
 	case slow:
@@ -200,7 +176,6 @@ func (t *Tracer) Offer(r *Rec) {
 			}
 		}
 	}
-	recPool.Put(r)
 }
 
 // effectiveThreshold is the slow cutoff for a class: the adaptive p99
@@ -234,7 +209,7 @@ func (t *Tracer) adapt(cl int, d time.Duration) {
 // slot in a round-robin shard and TryLocks it; on contention (a concurrent
 // reader or a lapped writer holds it) the sample is dropped rather than
 // waited for — the serving path never blocks on observability.
-func (t *Tracer) store(r *Rec) {
+func (t *Tracer) store(r *Record) {
 	sh := &t.shards[t.cursor.Add(1)%ringShards]
 	s := &sh.slots[(sh.seq.Add(1)-1)%uint64(len(sh.slots))]
 	if !s.mu.TryLock() {
@@ -247,12 +222,12 @@ func (t *Tracer) store(r *Rec) {
 }
 
 // slowLine emits the one-line console digest for an over-threshold query.
-func (t *Tracer) slowLine(r *Rec) {
+func (t *Tracer) slowLine(r *Record) {
 	t.slowMu.Lock()
 	defer t.slowMu.Unlock()
 	fmt.Fprintf(t.slowLog(), "slow-query %s %s qtype=%d verdict=%s cache=%s upstream=%s total=%.1fms",
-		r.Proto, r.QName(), r.QType, r.Verdict, orNone(r.Cache), orNone(r.Upstream),
-		float64(r.Dur)/float64(time.Millisecond))
+		r.Proto, r.QName(), r.QType, r.Verdict, orNone(r.Cache), orNone(r.Server),
+		float64(r.Latency)/float64(time.Millisecond))
 	for _, sp := range r.Spans() {
 		fmt.Fprintf(t.slowLog(), " %s=%.1fms", sp.Phase, float64(sp.Dur)/float64(time.Millisecond))
 	}
@@ -334,8 +309,8 @@ type SpanView struct {
 	DurMs float64 `json:"duration_ms"`
 }
 
-// View is one kept trace rendered for JSON consumers (/debug/trace, the
-// loadgen digest).
+// View is one kept trace rendered for JSON consumers: /debug/trace, the
+// loadgen digest and the query log's lines.
 type View struct {
 	// Time is the query's accept time.
 	Time time.Time `json:"time"`
@@ -346,7 +321,8 @@ type View struct {
 	// QName and QType identify the query.
 	QName string `json:"qname"`
 	QType uint16 `json:"qtype"`
-	// Verdict, Cache and Upstream are the transaction's outcome labels.
+	// Verdict, Cache and Upstream are the transaction's outcome labels
+	// (Upstream is the record's Server).
 	Verdict  string `json:"verdict"`
 	Cache    string `json:"cache,omitempty"`
 	Upstream string `json:"upstream,omitempty"`
@@ -355,16 +331,16 @@ type View struct {
 }
 
 // viewOf renders a record.
-func viewOf(r *Rec) View {
+func viewOf(r *Record) View {
 	v := View{
 		Time:       r.Start,
-		DurationMs: float64(r.Dur) / float64(time.Millisecond),
+		DurationMs: float64(r.Latency) / float64(time.Millisecond),
 		Proto:      r.Proto,
 		QName:      r.QName(),
 		QType:      r.QType,
 		Verdict:    r.Verdict,
 		Cache:      r.Cache,
-		Upstream:   r.Upstream,
+		Upstream:   r.Server,
 		Spans:      make([]SpanView, 0, r.nspans),
 	}
 	for _, sp := range r.Spans() {
@@ -405,12 +381,12 @@ func (t *Tracer) Traces(f Filter) []View {
 }
 
 // matches applies a filter to a record.
-func matches(r *Rec, f Filter) bool {
+func matches(r *Record, f Filter) bool {
 	if f.Verdict != "" && r.Verdict != f.Verdict {
 		return false
 	}
-	if f.Upstream != "" && r.Upstream != f.Upstream {
+	if f.Upstream != "" && r.Server != f.Upstream {
 		return false
 	}
-	return r.Dur >= f.MinDur
+	return r.Latency >= f.MinDur
 }

@@ -111,8 +111,8 @@ func (m *Metrics) SetListener(l Listener) {
 }
 
 // SetTracer installs (or, with nil, removes) the per-query lifecycle
-// tracer: while installed, every Begin attaches a pooled trace record to
-// the Transaction and every Finish offers it to the tracer's tail
+// tracer: while installed, every Transaction begun records its qname and
+// phase spans, and its Finish offers the record to the tracer's tail
 // sampler. Safe to call while serving.
 func (m *Metrics) SetTracer(tr *qtrace.Tracer) {
 	if m == nil {
@@ -157,10 +157,8 @@ func (m *Metrics) Begin(proto Proto) *Transaction {
 	if sh == nil || tx.m != m {
 		sh = m.shards[m.cursor.Add(1)&uint64(len(m.shards)-1)]
 	}
-	*tx = Transaction{m: m, sh: sh, proto: proto, start: time.Now()}
-	if tr := m.tracer.Load(); tr != nil {
-		tx.trace = tr.Acquire(tx.start)
-	}
+	*tx = Transaction{m: m, sh: sh, proto: proto, traced: m.tracer.Load() != nil}
+	tx.rec.Start = time.Now()
 	return tx
 }
 
@@ -170,17 +168,12 @@ func (m *Metrics) Begin(proto Proto) *Transaction {
 // aggregate counters exactly as for client queries, so the upstream cost
 // the resilience features generate stays visible in /metrics; Finish,
 // however, records no query, verdict, cache event or latency sample and
-// calls no Listener — background work is not a client query.
+// calls neither the tracer nor a Listener — background work is not a
+// client query, so it records no spans either.
 func (m *Metrics) BeginBackground() *Transaction {
 	tx := m.Begin(ProtoUDP) // proto is irrelevant: a background Finish records none
 	if tx != nil {
-		tx.background = true
-		if tx.trace != nil {
-			// Background records never reach the tail sampler; hand the
-			// trace back immediately instead of carrying dead weight.
-			qtrace.Release(tx.trace)
-			tx.trace = nil
-		}
+		tx.background, tx.traced = true, false
 	}
 	return tx
 }

@@ -19,7 +19,8 @@
 //   - Two consumers: machines scrape Snapshot via the Prometheus text
 //     exposition (WritePrometheus) or a JSON report, and embedders can
 //     register a per-transaction Listener — the DNSSummary idiom from
-//     outline-go-tun2socks — to receive one Summary per completed query.
+//     outline-go-tun2socks — to read each completed query's qtrace.Record,
+//     the same record the tracer samples.
 //
 // Instrumented packages obtain the Transaction with FromContext; servers
 // create it with Metrics.Begin and install it in the QueryContext of the
@@ -218,70 +219,42 @@ type Transaction struct {
 	m     *Metrics
 	sh    *shard
 	proto Proto
-	start time.Time
 
 	cache      CacheOutcome
 	verdict    Verdict
-	upstream   string
-	sent, recv int
-	tcRetry    bool
-	udpRetries int
 	background bool
 	finished   bool
+	// traced is set at Begin when a tracer is installed on the Metrics:
+	// only then do the Trace* methods read the clock and fill rec's qname
+	// and spans, and Finish offers rec to the tracer's tail sampler.
+	traced bool
 	// client is the abuse guard's key for the query's client, when the
-	// server set one (SetClient): it rides the record the server already
-	// carries in the query's context instead of a context layer of its own.
-	client    uint64
+	// server set one (SetClient, hasClient): it rides the record the server
+	// already carries in the query's context instead of a context layer of
+	// its own. The flags pack ahead of it, so the Transaction is 640 B.
 	hasClient bool
+	client    uint64
 
-	// trace is the query's lifecycle record, attached at Begin when a
-	// tracer is installed on the Metrics and offered to the tracer's
-	// tail sampler at Finish. Nil when tracing is off — every Trace*
-	// method degrades to one pointer test.
-	trace *qtrace.Rec
+	// rec is the query's one record: start, upstream, bytes, retries,
+	// qname and spans as they are annotated, labels and latency at Finish,
+	// when the tracer and the Listener read it.
+	rec qtrace.Record
 }
 
-// Summary is the completed-transaction report delivered to a Listener —
-// the same unit of DoH cost accounting as outline-go-tun2socks's
-// DNSSummary: one record per resolution with server, status, latency and
-// bytes both ways.
-type Summary struct {
-	// Proto is the listener transport ("udp", "tcp", "dot", "doh").
-	Proto string
-	// Server names the upstream that answered; empty when the answer came
-	// from cache (or the query failed before reaching an upstream).
-	Server string
-	// Verdict is "ok", "servfail" or "canceled".
-	Verdict string
-	// Cache is the cache outcome label ("hit", "miss", …, or "none").
-	Cache string
-	// Latency is the accept-to-response duration.
-	Latency time.Duration
-	// BytesSent and BytesReceived are the upstream exchange's message
-	// bytes (zero for cache hits).
-	BytesSent, BytesReceived int
-	// TCFallback reports a UDP answer that arrived truncated and was
-	// retried over TCP (RFC 7766 §5).
-	TCFallback bool
-	// UDPRetransmits counts query attempts re-sent after per-attempt
-	// timeouts within this transaction.
-	UDPRetransmits int
-	// Start is when the server accepted the query.
-	Start time.Time
-}
-
-// Listener receives one Summary per completed transaction. Implementations
+// Listener receives each completed transaction's record. Implementations
 // must be fast and safe for concurrent use: they run inline on serving
-// goroutines.
+// goroutines. The record is valid only for the duration of the call —
+// the Transaction holding it is recycled after — so a listener that keeps
+// it copies the value.
 type Listener interface {
-	OnTransaction(*Summary)
+	OnTransaction(*qtrace.Record)
 }
 
 // ListenerFunc adapts a function to Listener.
-type ListenerFunc func(*Summary)
+type ListenerFunc func(*qtrace.Record)
 
 // OnTransaction implements Listener.
-func (f ListenerFunc) OnTransaction(s *Summary) { f(s) }
+func (f ListenerFunc) OnTransaction(r *qtrace.Record) { f(r) }
 
 // SetClient records the abuse guard's key for the query's client, for the
 // stages behind the server that attribute work to it (guard.KeyFromContext).
@@ -346,7 +319,7 @@ func (t *Transaction) ObserveUpstream(name string, d time.Duration) {
 	if t == nil {
 		return
 	}
-	t.upstream = name
+	t.rec.Server = name
 	t.sh.poolExchanges.Add(1)
 	t.sh.upstreamLatency.observe(d)
 }
@@ -358,7 +331,7 @@ func (t *Transaction) ObserveUpstream(name string, d time.Duration) {
 // record.
 func (t *Transaction) AttributeUpstream(name string) {
 	if t != nil {
-		t.upstream = name
+		t.rec.Server = name
 	}
 }
 
@@ -376,7 +349,7 @@ func (t *Transaction) Metrics() *Metrics {
 // attempt, so UDP retransmissions count each time).
 func (t *Transaction) AddBytesSent(n int) {
 	if t != nil && n > 0 {
-		t.sent += n
+		t.rec.BytesSent += n
 		t.sh.bytesSent.Add(uint64(n))
 	}
 }
@@ -384,7 +357,7 @@ func (t *Transaction) AddBytesSent(n int) {
 // AddBytesReceived charges n message bytes received from an upstream.
 func (t *Transaction) AddBytesReceived(n int) {
 	if t != nil && n > 0 {
-		t.recv += n
+		t.rec.BytesReceived += n
 		t.sh.bytesRecv.Add(uint64(n))
 	}
 }
@@ -412,7 +385,7 @@ func (t *Transaction) HedgeWon() {
 // about.
 func (t *Transaction) TCFallback() {
 	if t != nil {
-		t.tcRetry = true
+		t.rec.TCFallback = true
 		t.sh.tcFallbacks.Add(1)
 	}
 }
@@ -422,16 +395,16 @@ func (t *Transaction) TCFallback() {
 // the aggregate: each retransmission is a drop the client recovered from.
 func (t *Transaction) UDPRetransmit() {
 	if t != nil {
-		t.udpRetries++
+		t.rec.UDPRetransmits++
 		t.sh.udpRetransmits.Add(1)
 	}
 }
 
-// Traced reports whether this transaction carries a trace record — the
-// cheap test instrumentation points use to skip clock reads entirely when
-// tracing is off or the query was not selected.
+// Traced reports whether this transaction records its qname and spans —
+// the cheap test instrumentation points use to skip clock reads entirely
+// when tracing is off.
 func (t *Transaction) Traced() bool {
-	return t != nil && t.trace != nil
+	return t != nil && t.traced
 }
 
 // TraceStart returns the current time when the transaction is traced and
@@ -442,7 +415,7 @@ func (t *Transaction) Traced() bool {
 //	... phase work ...
 //	tx.TraceSpan(qtrace.PhaseCache, t0)
 func (t *Transaction) TraceStart() time.Time {
-	if t == nil || t.trace == nil {
+	if !t.Traced() {
 		return time.Time{}
 	}
 	return time.Now()
@@ -452,10 +425,10 @@ func (t *Transaction) TraceStart() time.Time {
 // t0 (from TraceStart on an untraced transaction) is a no-op, so the
 // TraceStart/TraceSpan pair needs no branching at the call site.
 func (t *Transaction) TraceSpan(p qtrace.Phase, t0 time.Time) {
-	if t == nil || t.trace == nil || t0.IsZero() {
+	if !t.Traced() || t0.IsZero() {
 		return
 	}
-	t.trace.AddSpan(p, t0.Sub(t.start), time.Since(t0))
+	t.rec.AddSpan(p, t0.Sub(t.rec.Start), time.Since(t0))
 }
 
 // TraceSpanBetween records a phase interval with an explicit end — for
@@ -463,36 +436,38 @@ func (t *Transaction) TraceSpan(p qtrace.Phase, t0 time.Time) {
 // before Begin; their offsets come out slightly negative) or shared
 // intervals like the batched-UDP flush.
 func (t *Transaction) TraceSpanBetween(p qtrace.Phase, t0, end time.Time) {
-	if t == nil || t.trace == nil || t0.IsZero() {
+	if !t.Traced() || t0.IsZero() {
 		return
 	}
-	t.trace.AddSpan(p, t0.Sub(t.start), end.Sub(t0))
+	t.rec.AddSpan(p, t0.Sub(t.rec.Start), end.Sub(t0))
 }
 
-// TraceQuery stamps the trace with the wire fast path's parsed query
-// identity. The canonical name is appended straight into the record's
-// inline buffer, so the traced wire path stays allocation-free.
+// TraceQuery stamps the record with the wire fast path's parsed query
+// identity. The canonical name is rendered into a stack buffer the size of
+// the record's, so the traced wire path stays allocation-free.
 func (t *Transaction) TraceQuery(q *dnswire.Query) {
-	if t == nil || t.trace == nil {
+	if !t.Traced() {
 		return
 	}
-	t.trace.CommitQName(q.AppendCanonicalName(t.trace.QNameBuf()), uint16(q.Type))
+	var buf [qtrace.MaxQName]byte
+	t.rec.SetQName(q.AppendCanonicalName(buf[:0]), uint16(q.Type))
 }
 
-// TraceQueryName stamps the trace with a query identity already in
+// TraceQueryName stamps the record with a query identity already in
 // presentation form (the Message path's question name).
 func (t *Transaction) TraceQueryName(name string, qtype uint16) {
-	if t == nil || t.trace == nil {
+	if !t.Traced() {
 		return
 	}
-	t.trace.SetQName(name, qtype)
+	t.rec.SetQName([]byte(name), qtype)
 }
 
 // Finish closes the record: the accept-to-now latency lands in the proto's
 // histogram, every counter the transaction accumulated becomes visible in
-// snapshots, and the Listener (if any) receives the Summary. Finish must
-// be called exactly once per Begin, and the Transaction must not be used
-// afterwards — the record goes back to a pool for the next query.
+// snapshots, the tracer (if any) samples the record, and the Listener (if
+// any) reads it. Finish must be called exactly once per Begin, and the
+// Transaction must not be used afterwards — it goes back to a pool for the
+// next query.
 func (t *Transaction) Finish() {
 	if t == nil || t.finished {
 		return
@@ -501,47 +476,27 @@ func (t *Transaction) Finish() {
 	if t.background {
 		// Background work (cache refreshes) annotated its resource
 		// counters as it went; it is not a client query, so no query,
-		// verdict, cache event, latency sample or Listener call.
-		if t.trace != nil {
-			// Defensive: BeginBackground detaches the trace up front.
-			qtrace.Release(t.trace)
-			t.trace = nil
-		}
+		// verdict, cache event, latency sample, trace or Listener call.
 		txPool.Put(t)
 		return
 	}
-	d := time.Since(t.start)
-	if rec := t.trace; rec != nil {
-		t.trace = nil
-		rec.Dur = d
-		rec.Proto = t.proto.String()
-		rec.Verdict = t.verdict.String()
-		rec.Cache = t.cache.String()
-		rec.Upstream = t.upstream
-		rec.Failed = t.verdict != VerdictOK
-		// Offer makes the tail-sampling keep decision and releases the
-		// record either way; the tracer may have been swapped since
-		// Begin, in which case the record is simply recycled.
-		t.m.tracer.Load().Offer(rec)
+	r := &t.rec
+	r.Latency = time.Since(r.Start)
+	r.Proto = t.proto.String()
+	r.Verdict = t.verdict.String()
+	r.Cache = t.cache.String()
+	if t.traced {
+		// The tracer may have been removed since Begin; a nil Tracer's
+		// Offer does nothing.
+		t.m.tracer.Load().Offer(r)
 	}
 	sh := t.sh
 	sh.queries[t.proto].Add(1)
 	sh.verdicts[t.verdict].Add(1)
 	sh.cacheEvents[t.cache].Add(1)
-	sh.latency[t.proto].observe(d)
+	sh.latency[t.proto].observe(r.Latency)
 	if l := t.m.listener.Load(); l != nil {
-		l.l.OnTransaction(&Summary{
-			Proto:          t.proto.String(),
-			Server:         t.upstream,
-			Verdict:        t.verdict.String(),
-			Cache:          t.cache.String(),
-			Latency:        d,
-			BytesSent:      t.sent,
-			BytesReceived:  t.recv,
-			TCFallback:     t.tcRetry,
-			UDPRetransmits: t.udpRetries,
-			Start:          t.start,
-		})
+		l.l.OnTransaction(r)
 	}
 	txPool.Put(t)
 }

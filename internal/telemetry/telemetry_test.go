@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"dohcost/internal/qtrace"
 )
 
 // TestBucketLayout walks every bucket and checks the log-linear layout is
@@ -58,7 +60,7 @@ func TestHistogramQuantileAccuracyConcurrent(t *testing.T) {
 				// Uniform latencies in (0, 1s]: quantile q should read ~q·1s.
 				d := time.Duration(rng.Int63n(maxMs*1000)+1) * time.Microsecond
 				tx := m.Begin(ProtoUDP)
-				tx.start = time.Now().Add(-d) // backdate so Finish observes d
+				tx.rec.Start = time.Now().Add(-d) // backdate so Finish observes d
 				tx.SetVerdict(VerdictOK)
 				tx.Finish()
 			}
@@ -97,12 +99,12 @@ func TestHistogramQuantileAccuracyConcurrent(t *testing.T) {
 // annotation path and checks the snapshot and the listener summary agree
 // with what happened.
 func TestTransactionCountersAndListener(t *testing.T) {
-	var summaries []*Summary
+	var summaries []qtrace.Record
 	var mu sync.Mutex
 	m := New(withShards(2))
-	m.SetListener(ListenerFunc(func(s *Summary) {
+	m.SetListener(ListenerFunc(func(s *qtrace.Record) {
 		mu.Lock()
-		summaries = append(summaries, s)
+		summaries = append(summaries, *s) // the record is valid only for the call
 		mu.Unlock()
 	}))
 
@@ -206,7 +208,7 @@ func TestNilMetricsIsNoOp(t *testing.T) {
 	tx.HedgeFired()
 	tx.HedgeWon()
 	tx.Finish()
-	m.SetListener(ListenerFunc(func(*Summary) {}))
+	m.SetListener(ListenerFunc(func(*qtrace.Record) {}))
 	if s := m.Snapshot(); s == nil || len(s.Queries) != 0 {
 		t.Fatal("nil Metrics should snapshot empty")
 	}
@@ -360,7 +362,7 @@ func BenchmarkTransactionLifecycle(b *testing.B) {
 func TestBackgroundTransaction(t *testing.T) {
 	var calls int
 	m := New(withShards(1))
-	m.SetListener(ListenerFunc(func(*Summary) { calls++ }))
+	m.SetListener(ListenerFunc(func(*qtrace.Record) { calls++ }))
 	tx := m.BeginBackground()
 	tx.PoolDial()
 	tx.ObserveUpstream("refresh-target", 2*time.Millisecond)
@@ -383,4 +385,29 @@ func TestBackgroundTransaction(t *testing.T) {
 	}
 	var nilM *Metrics
 	nilM.BeginBackground().Finish() // nil-safe like Begin
+}
+
+// TestListenerPathAllocFree pins the listener's zero-allocation contract:
+// Finish hands the Listener the transaction's own record, so a query with
+// a listener installed allocates nothing for it.
+func TestListenerPathAllocFree(t *testing.T) {
+	m := New()
+	var sent int
+	m.SetListener(ListenerFunc(func(r *qtrace.Record) { sent += r.BytesSent }))
+	query := func() {
+		tx := m.Begin(ProtoUDP)
+		tx.AddBytesSent(40)
+		tx.SetVerdict(VerdictOK)
+		tx.Finish()
+	}
+	// Warm the transaction pool.
+	for i := 0; i < 100; i++ {
+		query()
+	}
+	if avg := testing.AllocsPerRun(1000, query); avg != 0 {
+		t.Errorf("Begin/Finish with a listener allocates %.2f/query, want 0", avg)
+	}
+	if want := 40 * (100 + 1001); sent != want { // AllocsPerRun runs once more to warm up
+		t.Errorf("listener saw %d bytes sent, want %d", sent, want)
+	}
 }

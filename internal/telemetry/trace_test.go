@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -132,6 +133,32 @@ func TestTracedPathAllocFree(t *testing.T) {
 	}
 	if st := tr.Stats(); st.Offered != uint64(runs) {
 		t.Errorf("tracer offered %d records for %d queries", st.Offered, runs)
+	}
+}
+
+// TestTraceQueryNameAllocFree: stamping a presentation-form name (the
+// Message path's question) into the record allocates nothing, even past
+// the 32 bytes a non-escaping conversion can hold on the stack, and the
+// record keeps the name.
+func TestTraceQueryNameAllocFree(t *testing.T) {
+	m := New()
+	tr := qtrace.New(qtrace.Config{SampleEvery: 1})
+	m.SetTracer(tr)
+	name := strings.Repeat("a", 60) + ".example."
+	query := func() {
+		tx := m.Begin(ProtoTCP)
+		tx.TraceQueryName(name, uint16(dnswire.TypeAAAA))
+		tx.SetVerdict(VerdictOK)
+		tx.Finish()
+	}
+	for i := 0; i < 100; i++ {
+		query()
+	}
+	if avg := testing.AllocsPerRun(1000, query); avg != 0 {
+		t.Errorf("TraceQueryName allocates %.2f/query, want 0", avg)
+	}
+	if v := tr.Traces(qtrace.Filter{Limit: 1}); len(v) != 1 || v[0].QName != name || v[0].QType != uint16(dnswire.TypeAAAA) {
+		t.Errorf("newest trace = %+v, want %s AAAA", v, name)
 	}
 }
 
