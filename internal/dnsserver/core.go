@@ -190,7 +190,6 @@ func (a MessageAdapter) ServeDNSWireMiss(ctx context.Context, q *dnswire.Query, 
 	if m.EDNS != nil && m.EDNS.Version != 0 {
 		r := m.Reply() // its OPT is version 0, the one this server speaks
 		r.RCode = dnswire.RCodeBadVersion
-		r.EDNS.ExtendedRCode = uint8(dnswire.RCodeBadVersion >> 4)
 		return r.AppendPack(dst)
 	}
 	reply, err := Respond(ctx, a.Handler, &m).AppendPack(dst)

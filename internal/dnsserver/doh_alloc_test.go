@@ -31,8 +31,8 @@ func (s *cannedWire) ServeDNSWire(tx *telemetry.Transaction, q *dnswire.Query, d
 // ClientConn in front. The serving side — header block into the connection's
 // scratch, a recycled stream, the hit appended into the connection's body
 // scratch, one shared header slice, the response written on the read loop —
-// allocates nothing once warm; what is left is the client's Response and
-// its body, which the caller keeps.
+// allocates nothing once warm, and neither does a client whose Request is
+// reused: the Response and its body are that Request's storage.
 func TestDoHHitAllocs(t *testing.T) {
 	q, wire := packQuery(t, 0x1234, "fast.example.")
 	want, err := Respond(context.Background(), &refStub{}, q).Pack()
@@ -64,25 +64,29 @@ func TestDoHHitAllocs(t *testing.T) {
 	defer cc.Close()
 
 	req := &h2.Request{Method: "POST", Scheme: "https", Authority: "doh.test", Path: "/dns-query", Header: dohPOSTHeader, Body: wire}
-	var last *h2.Response
 	exchange := func() {
 		resp, err := cc.RoundTrip(context.Background(), req)
 		if err != nil || resp.Status != 200 || !bytes.Equal(resp.Body, want) || resp.HeaderValue("content-type") != ContentTypeWire {
 			t.Fatalf("DoH hit: %+v, %v", resp, err)
 		}
-		last = resp
 	}
 	for i := 0; i < 4; i++ { // SETTINGS and HPACK indexing are behind us
 		exchange()
 	}
-	kept := last
-	if allocs := testing.AllocsPerRun(200, exchange); allocs > 3 {
-		t.Errorf("DoH hit round trip: %v allocs/op, want the Response and its body, 3 at most", allocs)
-	} else {
-		t.Logf("DoH hit round trip: %v allocs/op", allocs)
+	once := *req // a Request of its own, never sent again
+	kept, err := cc.RoundTrip(context.Background(), &once)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The response is the caller's: 200 later hits, answered from the same
-	// connection-owned scratch, have not touched it.
+	// Under -race the count is not read, but the hits still run: the
+	// detector's sync.Pool drops some of the clientStreams and Transactions
+	// put back, and a miss allocates one.
+	if allocs := testing.AllocsPerRun(200, exchange); allocs != 0 && !raceEnabled {
+		t.Errorf("DoH hit round trip with a reused Request: %v allocs/op, want 0", allocs)
+	}
+	// A response whose Request is not sent again is the caller's: 200 later
+	// hits, answered from the same connection-owned scratch, have not
+	// touched it.
 	if kept.Status != 200 || !bytes.Equal(kept.Body, want) || kept.HeaderValue("content-type") != ContentTypeWire {
 		t.Errorf("a response changed after it was returned: %+v", kept)
 	}

@@ -225,7 +225,9 @@ func (c *DoHClient) Exchange(ctx context.Context, q *dnswire.Message) (*dnswire.
 	}
 	qq := q.Question1()
 	path := dnsserver.EncodeJSONGETPath(c.path(), qq.Name, qq.Type)
-	body, err := c.roundTrip(ctx, dohRequest{method: "GET", path: path, accept: dnsserver.ContentTypeJSON, size: len(path)})
+	ex := dohExchanges.Get().(*dohExchange)
+	defer dohExchanges.Put(ex)
+	body, err := c.roundTrip(ctx, ex, dohRequest{method: "GET", path: path, accept: dnsserver.ContentTypeJSON, size: len(path)})
 	if err != nil {
 		return nil, err
 	}
@@ -245,7 +247,10 @@ func (c *DoHClient) ExchangeWire(ctx context.Context, query, dst []byte) ([]byte
 	if err != nil {
 		return nil, err
 	}
-	wire := append([]byte(nil), query...) // the request keeps it until sent
+	ex := dohExchanges.Get().(*dohExchange)
+	defer dohExchanges.Put(ex)
+	wire := append(ex.query[:0], query...) // the caller's query keeps its ID
+	ex.query = wire
 	dnswire.PatchID(wire, 0)
 	var req dohRequest
 	switch c.Encoding {
@@ -258,7 +263,7 @@ func (c *DoHClient) ExchangeWire(ctx context.Context, query, dst []byte) ([]byte
 	default:
 		return nil, fmt.Errorf("dnstransport: unknown encoding %d", c.Encoding)
 	}
-	body, err := c.roundTrip(ctx, req)
+	body, err := c.roundTrip(ctx, ex, req)
 	if err != nil {
 		return nil, err
 	}
@@ -282,11 +287,22 @@ type dohRequest struct {
 	size                int
 }
 
+// dohExchange is the storage one exchange reuses from the last: the h2
+// request, which owns the storage its response is received into, that
+// request's header fields, and the query under ID 0.
+type dohExchange struct {
+	req    h2.Request
+	header [2]hpack.HeaderField
+	query  []byte
+}
+
+var dohExchanges = sync.Pool{New: func() any { return new(dohExchange) }}
+
 // roundTrip runs req on the client's connection, dialing when needed, and
-// returns the body of a 200 response in a slice the caller owns. A failed
-// exchange drops the connection; a successful one records its cost, and
-// closes the connection of a non-persistent client.
-func (c *DoHClient) roundTrip(ctx context.Context, req dohRequest) ([]byte, error) {
+// returns the body of a 200 response, valid until ex goes back to
+// dohExchanges. A failed exchange drops the connection; a successful one
+// records its cost, and closes the connection of a non-persistent client.
+func (c *DoHClient) roundTrip(ctx context.Context, ex *dohExchange, req dohRequest) ([]byte, error) {
 	start := time.Now()
 	h2c, h1c, fresh, err := c.ensure(ctx)
 	if err != nil {
@@ -298,10 +314,9 @@ func (c *DoHClient) roundTrip(ctx context.Context, req dohRequest) ([]byte, erro
 	var body []byte
 	switch {
 	case h2c != nil:
-		hreq := &h2.Request{
-			Method: req.method, Scheme: "https", Authority: c.authority(), Path: req.path,
-			Body: req.body,
-		}
+		hreq := &ex.req
+		hreq.Method, hreq.Scheme, hreq.Authority, hreq.Path, hreq.Body = req.method, "https", c.authority(), req.path, req.body
+		hreq.Header = ex.header[:0]
 		if req.contentType != "" {
 			hreq.Header = append(hreq.Header, hpack.HeaderField{Name: "content-type", Value: req.contentType})
 		}

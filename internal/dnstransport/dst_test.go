@@ -3,6 +3,7 @@ package dnstransport
 import (
 	"bytes"
 	"context"
+	"crypto/tls"
 	"encoding/binary"
 	"errors"
 	"io"
@@ -11,6 +12,8 @@ import (
 	"time"
 
 	"dohcost/internal/dnswire"
+	"dohcost/internal/h2"
+	"dohcost/internal/tlsx"
 )
 
 // What a wire exchange may do to the caller's buffer: append the reply and
@@ -156,6 +159,57 @@ func TestStreamExchangeIntoDstAllocs(t *testing.T) {
 	exchange() // dial
 	if got := testing.AllocsPerRun(200, exchange); got > 0 {
 		t.Errorf("a stream exchange into a buffer with room allocates %.1f times, want none", got)
+	}
+}
+
+// echoH2 answers every DoH request inline with its body's echo, from a
+// Response of its own: the server side of an exchange without its garbage.
+type echoH2 struct{ resp h2.Response }
+
+func (*echoH2) ServeH2(req *h2.Request) *h2.Response {
+	return &h2.Response{Status: 200, Body: echoReply(nil, req.Body)}
+}
+
+func (h *echoH2) ServeH2Inline(req *h2.Request) (*h2.Response, func() *h2.Response) {
+	h.resp.Status, h.resp.Body = 200, echoReply(h.resp.Body[:0], req.Body)
+	return &h.resp, nil
+}
+
+// TestDoHExchangeIntoDstAllocs pins a persistent h2 DoH exchange on loopback
+// TLS: a pooled request that owns its response storage, the query's ID-0
+// copy in the same pooled exchange, and the body appended to the caller's
+// buffer. With room for it there, what is left is crypto/tls's per-read
+// allocation, on the client's read of the response and the server's read of
+// the request.
+func TestDoHExchangeIntoDstAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool and instrumentation allocate")
+	}
+	chain, err := tlsx.GenerateChain(tlsx.CloudflareLike("resolver.test"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, server := loopback(t)
+	go (&h2.Server{Handler: &echoH2{}}).ServeConn(tls.Server(server, chain.ServerConfig(tls.VersionTLS13, tls.VersionTLS13, "h2")))
+	c := &DoHClient{Dial: func(context.Context) (net.Conn, error) { return client, nil },
+		TLS: chain.ClientConfig("resolver.test"), Persistent: true}
+	defer c.Close()
+	query, err := q("alloc.example.").Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst, want := make([]byte, 0, 512), echoReply(nil, query)
+	exchange := func() {
+		resp, err := c.ExchangeWire(context.Background(), query, dst)
+		if err != nil || !bytes.Equal(resp, want) || &resp[0] != &dst[:1][0] {
+			t.Fatalf("exchange: %x, %v", resp, err)
+		}
+	}
+	for i := 0; i < 4; i++ { // dial, SETTINGS, HPACK indexing
+		exchange()
+	}
+	if got := testing.AllocsPerRun(200, exchange); got > 2 {
+		t.Errorf("a DoH exchange into a buffer with room allocates %.1f times, want crypto/tls's per-read allocation on each side, 2 at most", got)
 	}
 }
 

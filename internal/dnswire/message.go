@@ -43,13 +43,14 @@ func (rr ResourceRecord) String() string {
 }
 
 // EDNS carries the fields of an OPT pseudo-record in unpacked form
-// (RFC 6891). A nil *EDNS on a Message means no OPT record is present.
+// (RFC 6891). A nil *EDNS on a Message means no OPT record is present. The
+// OPT's share of the 12-bit extended RCODE, its upper 8 bits, is not here:
+// it is the Message's RCode above 15.
 type EDNS struct {
-	UDPSize       uint16 // requestor's maximum UDP payload
-	ExtendedRCode uint8  // upper 8 bits of the 12-bit extended RCODE
-	Version       uint8
-	DO            bool // DNSSEC OK
-	Options       []EDNS0Option
+	UDPSize uint16 // requestor's maximum UDP payload
+	Version uint8
+	DO      bool // DNSSEC OK
+	Options []EDNS0Option
 }
 
 // Message is a complete DNS message in unpacked form. The zero value is a
@@ -206,6 +207,9 @@ func (m *Message) appendPack(buf []byte, offsets map[string]int) ([]byte, error)
 		len(m.Authorities) > 0xFFFF || additionals > 0xFFFF {
 		return buf, ErrTooManyRecords
 	}
+	if m.RCode > 0xFFF || (m.RCode > 0xF && m.EDNS == nil) {
+		return buf, ErrRCodeRange
+	}
 
 	buf = binary.BigEndian.AppendUint16(buf, m.ID)
 	buf = binary.BigEndian.AppendUint16(buf, m.flags())
@@ -231,7 +235,7 @@ func (m *Message) appendPack(buf []byte, offsets map[string]int) ([]byte, error)
 		}
 	}
 	if m.EDNS != nil {
-		if buf, err = appendOPT(buf, m.EDNS); err != nil {
+		if buf, err = appendOPT(buf, m.EDNS, m.RCode); err != nil {
 			return buf, err
 		}
 	}
@@ -265,14 +269,16 @@ func appendRR(buf []byte, rr ResourceRecord, cmap compressionMap) ([]byte, error
 	return buf, nil
 }
 
-func appendOPT(buf []byte, e *EDNS) ([]byte, error) {
+// appendOPT appends e as an OPT record carrying rcode's upper 8 bits; the
+// header carries the lower 4.
+func appendOPT(buf []byte, e *EDNS, rcode RCode) ([]byte, error) {
 	var err error
 	if buf, err = appendName(buf, Root, compressionMap{}); err != nil {
 		return buf, err
 	}
 	buf = binary.BigEndian.AppendUint16(buf, uint16(TypeOPT))
 	buf = binary.BigEndian.AppendUint16(buf, e.UDPSize)
-	ttl := uint32(e.ExtendedRCode)<<24 | uint32(e.Version)<<16
+	ttl := uint32(uint8(rcode>>4))<<24 | uint32(e.Version)<<16
 	if e.DO {
 		ttl |= 1 << 15
 	}
@@ -370,10 +376,9 @@ func (m *Message) readSection(data []byte, off, count int, dst []ResourceRecord)
 		}
 		if typ == TypeOPT {
 			e := &EDNS{
-				UDPSize:       uint16(class),
-				ExtendedRCode: uint8(ttl >> 24),
-				Version:       uint8(ttl >> 16),
-				DO:            ttl&(1<<15) != 0,
+				UDPSize: uint16(class),
+				Version: uint8(ttl >> 16),
+				DO:      ttl&(1<<15) != 0,
 			}
 			opt := &OPT{}
 			if err := opt.decodeFrom(data, off, rdlen); err != nil {
@@ -381,7 +386,7 @@ func (m *Message) readSection(data []byte, off, count int, dst []ResourceRecord)
 			}
 			e.Options = opt.Options
 			m.EDNS = e
-			m.RCode |= RCode(e.ExtendedRCode) << 4
+			m.RCode |= RCode(ttl>>24) << 4
 			off += rdlen
 			continue
 		}

@@ -205,19 +205,34 @@ func TestEDNSRoundTrip(t *testing.T) {
 	}
 }
 
+// TestExtendedRCode: an RCODE above 15 packs its upper 8 bits into the OPT
+// record's TTL and its lower 4 into the header, and Unpack folds them back:
+// a BADVERS reply with a fresh OPT round-trips as BADVERS. One that has no
+// OPT record to carry those bits, or needs more than 12 of them, does not
+// pack.
 func TestExtendedRCode(t *testing.T) {
-	m := &Message{ID: 1, Response: true, RCode: RCode(16)} // BADVERS needs EDNS
-	m.EDNS = &EDNS{UDPSize: 512, ExtendedRCode: uint8(16 >> 4)}
+	m := &Message{ID: 1, Response: true, RCode: RCodeBadVersion, EDNS: &EDNS{UDPSize: 512}}
 	wire, err := m.Pack()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if low, high := wire[3]&0xF, wire[len(wire)-6]; low != 0 || high != 1 {
+		t.Errorf("BADVERS packed as header RCODE %d, OPT extended RCODE %d; want 0 and 1", low, high)
 	}
 	var got Message
 	if err := got.Unpack(wire); err != nil {
 		t.Fatal(err)
 	}
-	if got.RCode != RCode(16) {
-		t.Errorf("extended rcode = %d, want 16", got.RCode)
+	if got.RCode != RCodeBadVersion {
+		t.Errorf("extended rcode = %s, want BADVERS", got.RCode)
+	}
+	for _, bad := range []*Message{
+		{Response: true, RCode: RCodeBadVersion},
+		{Response: true, RCode: 0x1000, EDNS: &EDNS{UDPSize: 512}},
+	} {
+		if _, err := bad.Pack(); !errors.Is(err, ErrRCodeRange) {
+			t.Errorf("RCODE %d with EDNS %v packed with error %v, want ErrRCodeRange", bad.RCode, bad.EDNS != nil, err)
+		}
 	}
 }
 

@@ -185,6 +185,7 @@ var (
 	ErrTrailingGarbage  = fmt.Errorf("dnswire: trailing bytes after message")
 	ErrTooManyRecords   = fmt.Errorf("dnswire: section count exceeds message size")
 	ErrMessageTooLarge  = fmt.Errorf("dnswire: message exceeds 65535 octets")
+	ErrRCodeRange       = fmt.Errorf("dnswire: RCODE above 15 without an OPT record, or above 4095")
 	ErrNotAResponse     = fmt.Errorf("dnswire: message is not a response")
 	ErrIDMismatch       = fmt.Errorf("dnswire: response ID does not match query")
 	ErrRDataOutOfBounds = fmt.Errorf("dnswire: rdata extends past message")

@@ -15,6 +15,11 @@ import (
 
 // Request is an HTTP/2 request. Header carries only regular fields; the
 // pseudo-headers travel in the dedicated struct fields.
+//
+// A Request a client sends owns the storage its response is received into:
+// the Response RoundTrip returns for it is valid until the same *Request is
+// passed to RoundTrip again, which reuses that storage. A copy of a Request
+// gets storage of its own. One *Request carries one round trip at a time.
 type Request struct {
 	Method    string
 	Scheme    string
@@ -22,9 +27,12 @@ type Request struct {
 	Path      string
 	Header    []hpack.HeaderField
 	Body      []byte
+
+	resp *Response // the response storage, when resp.owner is this Request
 }
 
-// Response is a complete HTTP/2 response.
+// Response is a complete HTTP/2 response. One a client received belongs to
+// its Request: valid until that Request's next round trip.
 type Response struct {
 	Status int
 	Header []hpack.HeaderField
@@ -32,7 +40,8 @@ type Response struct {
 
 	// few backs Header for a response the client received with no more
 	// fields than a DoH answer has, so they cost no allocation of their own.
-	few [2]hpack.HeaderField
+	few   [2]hpack.HeaderField
+	owner *Request
 }
 
 // HeaderValue returns the first value of a regular header field, or "".
@@ -48,8 +57,8 @@ func (r *Response) HeaderValue(name string) string {
 // ErrConnClosed reports the connection is no longer usable for new streams.
 var ErrConnClosed = errors.New("h2: connection closed")
 
-// clientStream tracks one in-flight request. The response is the caller's
-// to keep, so it is an allocation of its own; the rest is pooled.
+// clientStream tracks one in-flight request. The response is its
+// Request's storage; the rest is pooled.
 type clientStream struct {
 	stream
 	resp *Response
@@ -129,15 +138,21 @@ func (cc *ClientConn) failAll(err error) {
 }
 
 // RoundTrip sends req and waits for the complete response or ctx expiry.
-// Concurrent RoundTrips multiplex onto independent streams.
+// Concurrent RoundTrips multiplex onto independent streams, each with a
+// Request of its own. The response is received into storage req owns: it is
+// valid until req is passed to RoundTrip again.
 func (cc *ClientConn) RoundTrip(ctx context.Context, req *Request) (*Response, error) {
-	cs, err := cc.startRequest(req)
+	cs, err := cc.startRequest(ctx, req)
 	if err != nil {
+		req.resp = nil
 		return nil, err
 	}
 	select {
 	case <-cs.done:
 		if cs.err != nil {
+			// The read loop may still hold the response (see clientStreams):
+			// the next round trip starts from storage of its own.
+			req.resp = nil
 			return nil, cs.err
 		}
 		resp := cs.resp
@@ -145,15 +160,36 @@ func (cc *ClientConn) RoundTrip(ctx context.Context, req *Request) (*Response, e
 		clientStreams.Put(cs)
 		return resp, nil
 	case <-ctx.Done():
+		req.resp = nil
 		cc.abortStream(cs, ErrCodeCancel)
 		return nil, ctx.Err()
 	}
 }
 
-// startRequest opens a stream and sends req on it as one message.
-func (cc *ClientConn) startRequest(req *Request) (*clientStream, error) {
+// response returns req's response storage emptied, or new storage when req
+// has none of its own: a copied Request still points at the original's. A
+// body past maxKeptBody is let go, so one large reply does not stay pinned
+// for the Request's life.
+func (req *Request) response() *Response {
+	resp := req.resp
+	if resp == nil || resp.owner != req {
+		resp = &Response{owner: req}
+		req.resp = resp
+		return resp
+	}
+	body := resp.Body[:0]
+	if cap(body) > maxKeptBody {
+		body = nil
+	}
+	*resp = Response{Body: body, owner: req}
+	return resp
+}
+
+// startRequest opens a stream and sends req on it as one message; a body
+// that must wait for window waits no longer than ctx.
+func (cc *ClientConn) startRequest(ctx context.Context, req *Request) (*clientStream, error) {
 	cs := clientStreams.Get().(*clientStream)
-	cs.resp = new(Response)
+	cs.resp, cs.ctx = req.response(), ctx
 	cc.encMu.Lock()
 	cc.mu.Lock()
 	if err := cc.err; err != nil {
@@ -174,6 +210,12 @@ func (cc *ClientConn) startRequest(req *Request) (*clientStream, error) {
 	)
 	cc.fields = append(cc.fields, req.Header...)
 	if _, err := cc.writeMessage(&cs.stream, req.Body, false); err != nil {
+		if ctx.Err() != nil {
+			// Cancelled while the body waited for window: the same
+			// CANCEL RoundTrip sends for a cancellation after it.
+			cc.abortStream(cs, ErrCodeCancel)
+			return nil, ctx.Err()
+		}
 		cc.abortStream(cs, ErrCodeInternal)
 		return nil, fmt.Errorf("h2: writing request: %w", err)
 	}

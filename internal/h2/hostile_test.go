@@ -1,8 +1,8 @@
 package h2
 
-// The server against peers that do not follow the protocol, or follow it to
-// exhaust the server: frames on finished streams, unbounded bodies, more
-// streams than advertised, arbitrary bytes.
+// Both ends against peers that do not follow the protocol, or follow it to
+// exhaust them: frames on finished streams, unbounded bodies, more streams
+// than advertised, windows that never open, arbitrary bytes.
 
 import (
 	"bytes"
@@ -441,6 +441,195 @@ func FuzzServerConn(f *testing.F) {
 				}
 			}
 			b = b[end:]
+		}
+	})
+}
+
+// rawServer is the server end of a connection to a ClientConn, speaking
+// frames directly: the client's preface is read, its frames are read and
+// dropped by a goroutine that reports each stream it opens on opened and
+// each RST_STREAM's error code on resets, and ends once the connection does
+// (drained is closed then).
+func rawServer(s net.Conn) (opened chan uint32, resets chan ErrCode, drained chan struct{}) {
+	opened, resets, drained = make(chan uint32, 8), make(chan ErrCode, 8), make(chan struct{})
+	go func() {
+		defer close(drained)
+		fr := NewFramer(s)
+		if fr.ReadPreface() != nil {
+			return
+		}
+		for {
+			f, err := fr.ReadFrame()
+			if err != nil {
+				return
+			}
+			switch {
+			case f.Type == FrameHeaders:
+				select {
+				case opened <- f.StreamID:
+				default:
+				}
+			case f.Type == FrameRSTStream && len(f.Payload) == 4:
+				select {
+				case resets <- ErrCode(binary.BigEndian.Uint32(f.Payload)):
+				default:
+				}
+			}
+		}
+	}()
+	return opened, resets, drained
+}
+
+// TestRequestWaitingForWindowHonoursContext: a request body the server's
+// SETTINGS leave no window for waits for WINDOW_UPDATE only as long as the
+// request's context lasts, and its stream is reset with CANCEL, as one
+// cancelled while awaiting its response is.
+func TestRequestWaitingForWindowHonoursContext(t *testing.T) {
+	c, s := net.Pipe()
+	opened, resets, drained := rawServer(s)
+	cc, err := NewClientConn(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { cc.Close(); s.Close(); <-drained }()
+	srv := NewFramer(s)
+	if err := srv.WriteFrame(FrameSettings, 0, 0, encodeSettings([]Setting{{SettingInitialWindowSize, 0}})); err != nil {
+		t.Fatal(err)
+	}
+	// The pipe's write returns once the client's read loop has read the
+	// PING, by when it has applied the SETTINGS: the request below sees a
+	// zero window.
+	if err := srv.WriteFrame(FramePing, 0, 0, make([]byte, 8)); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := cc.RoundTrip(ctx, &Request{Method: "POST", Scheme: "https", Authority: "h2.test", Path: "/", Body: []byte("query")})
+		done <- err
+	}()
+	<-opened // the header block has left; the body waits for window
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("round trip waiting for window: %v, want context.Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a cancelled round trip still waits for window")
+	}
+	select {
+	case code := <-resets:
+		if code != ErrCodeCancel {
+			t.Errorf("cancelled stream reset with %v, want CANCEL", code)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a cancelled round trip left its stream open")
+	}
+}
+
+// cutAfterEnds splits data after each frame whose flags have END_STREAM's
+// bit set, into at most n parts, the last taking whatever is left.
+func cutAfterEnds(data []byte, n int) [][]byte {
+	var parts [][]byte
+	start := 0
+	for off := 0; off+frameHeaderLen <= len(data) && len(parts) < n-1; {
+		end := min(len(data), off+frameHeaderLen+(int(data[off])<<16|int(data[off+1])<<8|int(data[off+2])))
+		if data[off+4]&FlagEndStream != 0 {
+			parts, start = append(parts, data[start:end]), end
+		}
+		off = end
+	}
+	return append(parts, data[start:])
+}
+
+// FuzzClientConn plays arbitrary server bytes, after the server's SETTINGS,
+// to a ClientConn whose three round trips reuse one Request. The bytes are
+// cut after each frame with END_STREAM's bit set into three parts; part k
+// is written once round trip k has opened its stream, and then that round
+// trip is cancelled. Whatever the bytes: no panic, every round trip returns,
+// a response is received into its Request's storage, and once the
+// connection is closed no goroutine is left.
+func FuzzClientConn(f *testing.F) {
+	script := func(write func(fr *Framer, enc *hpack.Encoder)) []byte {
+		var b bytes.Buffer
+		write(NewFramer(&b), hpack.NewEncoder())
+		return b.Bytes()
+	}
+	answer := func(fr *Framer, enc *hpack.Encoder, id uint32, body string) {
+		fr.WriteFrame(FrameHeaders, FlagEndHeaders, id, enc.AppendEncode(nil, []hpack.HeaderField{
+			{Name: ":status", Value: "200"}, {Name: "content-type", Value: "application/dns-message"}}))
+		fr.WriteFrame(FrameData, FlagEndStream, id, []byte(body))
+	}
+	f.Add(script(func(fr *Framer, enc *hpack.Encoder) { // three answers
+		for id := uint32(1); id <= 5; id += 2 {
+			answer(fr, enc, id, "answer")
+		}
+	}))
+	f.Add(script(func(fr *Framer, enc *hpack.Encoder) { // a long body, then a short one into the same storage
+		fr.WriteFrame(FrameHeaders, FlagEndHeaders, 1, enc.AppendEncode(nil, []hpack.HeaderField{{Name: ":status", Value: "200"}}))
+		for i := 0; i < 3; i++ {
+			fr.WriteFrame(FrameData, 0, 1, make([]byte, maxKeptBody))
+		}
+		fr.WriteFrame(FrameData, FlagEndStream, 1, nil)
+		answer(fr, enc, 3, "short")
+	}))
+	f.Add(script(func(fr *Framer, enc *hpack.Encoder) { // a body left open, stale DATA, a reset, trailers
+		fr.WriteFrame(FrameHeaders, FlagEndHeaders, 1, enc.AppendEncode(nil, []hpack.HeaderField{{Name: ":status", Value: "200"}}))
+		fr.WriteFrame(FrameData, 0, 1, []byte("half"))
+		fr.WriteFrame(FrameRSTStream, FlagEndStream, 3, []byte{0, 0, 0, 8})
+		fr.WriteFrame(FrameData, FlagEndStream, 1, []byte("stale"))
+		fr.WriteFrame(FrameHeaders, FlagEndHeaders, 5, enc.AppendEncode(nil, []hpack.HeaderField{{Name: ":status", Value: "200"}}))
+		fr.WriteFrame(FrameHeaders, FlagEndHeaders|FlagEndStream, 5, enc.AppendEncode(nil, []hpack.HeaderField{{Name: "x-trailer", Value: "1"}}))
+	}))
+	f.Add(script(func(fr *Framer, enc *hpack.Encoder) { // windows shut, a header block over CONTINUATION, GOAWAY
+		fr.WriteFrame(FrameSettings, FlagEndStream, 0, encodeSettings([]Setting{{SettingInitialWindowSize, 0}, {SettingMaxFrameSize, 1 << 14}}))
+		block := enc.AppendEncode(nil, []hpack.HeaderField{{Name: ":status", Value: "200"}, {Name: "x-long", Value: "continued"}})
+		fr.WriteFrame(FrameHeaders, FlagEndStream, 3, block[:2])
+		fr.WriteFrame(FrameContinuation, FlagEndHeaders, 3, block[2:])
+		fr.WriteFrame(FrameGoAway, 0, 0, make([]byte, 8))
+	}))
+	var settings bytes.Buffer
+	NewFramer(&settings).WriteFrame(FrameSettings, 0, 0, nil)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		base := runtime.NumGoroutine()
+		c, s := net.Pipe()
+		opened, _, drained := rawServer(s)
+		cc, err := NewClientConn(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Write(settings.Bytes())
+		req := &Request{Method: "POST", Scheme: "https", Authority: "h2.test", Path: "/dns-query", Body: []byte("query")}
+		for _, part := range cutAfterEnds(data, 3) {
+			ctx, cancel := context.WithCancel(context.Background())
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				if resp, err := cc.RoundTrip(ctx, req); err == nil && resp.owner != req {
+					t.Error("a response received outside its Request's storage")
+				}
+			}()
+			select {
+			case <-opened:
+			case <-done:
+			}
+			s.Write(part) // an error means the client has closed the connection
+			cancel()
+			select {
+			case <-done:
+			case <-time.After(10 * time.Second):
+				t.Fatal("a cancelled round trip did not return")
+			}
+		}
+		cc.Close()
+		s.Close()
+		<-drained
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d goroutines left behind", runtime.NumGoroutine()-base)
+			}
 		}
 	})
 }

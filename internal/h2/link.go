@@ -1,6 +1,7 @@
 package h2
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"io"
@@ -21,6 +22,9 @@ type stream struct {
 	// reset is set when the peer resets the stream, so a writer waiting
 	// for its window gives up. Guarded by link.mu.
 	reset error
+	// ctx is a client request's context, whose end a writer waiting for
+	// window gives up on too; nil on a server's stream.
+	ctx context.Context
 }
 
 // endpoint is the part of inbound frame handling on which a client and a
@@ -272,19 +276,40 @@ func (l *link) writeMessage(st *stream, body []byte, noWait bool) (sent bool, er
 	}
 	err = l.fr.End()
 	l.encMu.Unlock()
-	for !whole && err == nil && len(body) > 0 {
-		var n int
-		if n, err = l.reserve(st, len(body)); err != nil {
-			break
+	if !whole && err == nil {
+		err = l.writeData(st, body)
+	}
+	return true, err
+}
+
+// writeData sends body on st frame by frame as send window arrives; a
+// client's stream gives up when its request's context ends. It is a leaf of
+// its own so that writeMessage's frame, under which a new goroutine's
+// response encodes its header block, stays small (see serverConn.release).
+func (l *link) writeData(st *stream, body []byte) error {
+	if st.ctx != nil {
+		stop := context.AfterFunc(st.ctx, func() {
+			l.mu.Lock()
+			l.cond.Broadcast()
+			l.mu.Unlock()
+		})
+		defer stop()
+	}
+	for len(body) > 0 {
+		n, err := l.reserve(st, len(body))
+		if err != nil {
+			return err
 		}
-		flags = 0
+		flags := uint8(0)
 		if n == len(body) {
 			flags = FlagEndStream
 		}
-		err = l.fr.WriteFrame(FrameData, flags, st.id, body[:n])
+		if err := l.fr.WriteFrame(FrameData, flags, st.id, body[:n]); err != nil {
+			return err
+		}
 		body = body[n:]
 	}
-	return true, err
+	return nil
 }
 
 // reserve blocks until both the connection and st have send window, then
@@ -298,6 +323,9 @@ func (l *link) reserve(st *stream, want int) (int, error) {
 		}
 		if st.reset != nil {
 			return 0, st.reset
+		}
+		if st.ctx != nil && st.ctx.Err() != nil {
+			return 0, st.ctx.Err()
 		}
 		n := min(int64(want), l.connSendWindow, l.initialWindow-st.used, int64(l.peerMaxFrame))
 		if n > 0 {

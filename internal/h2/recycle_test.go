@@ -276,8 +276,8 @@ func (h *fixedInline) ServeH2Inline(*Request) (*Response, func() *Response) {
 // handler answers inline from storage of its own. The server side — header
 // block decoded into the connection's scratch, stream off the free list,
 // :status from a constant, response written on the read loop — allocates
-// nothing; the client allocates what its caller keeps, the Response and its
-// body.
+// nothing, and neither does the client once its Request is reused: the
+// Response and its body are that Request's storage.
 func TestInlineRoundTripAllocs(t *testing.T) {
 	h := &fixedInline{Response{Status: 200, Body: make([]byte, 64),
 		Header: []hpack.HeaderField{{Name: "content-type", Value: "application/dns-message"}}}}
@@ -347,10 +347,11 @@ func TestInlineRoundTripAllocs(t *testing.T) {
 		for i := 0; i < 4; i++ {
 			exchange()
 		}
-		if allocs := testing.AllocsPerRun(200, exchange); allocs > 3 {
-			t.Errorf("inline round trip: %v allocs/op, want the Response and its body, 3 at most", allocs)
-		} else {
-			t.Logf("inline round trip: %v allocs/op", allocs)
+		// req is reused, so its Response and body are too: nothing is left.
+		// Under -race the count is not read: the detector's sync.Pool drops
+		// some of the clientStreams put back, and a miss allocates one.
+		if allocs := testing.AllocsPerRun(200, exchange); allocs != 0 && !raceEnabled {
+			t.Errorf("inline round trip with a reused Request: %v allocs/op, want 0", allocs)
 		}
 	})
 }
