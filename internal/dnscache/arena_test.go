@@ -14,18 +14,18 @@ import (
 
 func TestArenaAlloc(t *testing.T) {
 	a := newArena(minSlabSize)
-	s1, o1 := a.alloc(100)
-	b1 := a.block(s1, o1, 100)
+	a1 := a.alloc(100)
+	b1 := a.block(a1, 100)
 	if len(b1) != 100 || cap(b1) != 100 {
 		t.Errorf("block len/cap = %d/%d, want 100/100 (capacity clamp)", len(b1), cap(b1))
 	}
-	s2, o2 := a.alloc(50)
-	if s2 != s1 || o2 != o1+100 {
-		t.Errorf("second block at slab %d offset %d, want packed behind the first (%d, %d)", s2, o2, s1, o1+100)
+	a2 := a.alloc(50)
+	if a2 != a1+100 {
+		t.Errorf("second block at %#x, want packed behind the first (%#x)", a2, a1+100)
 	}
 	// The clamp means an append to b1 cannot run into b2's bytes.
 	b1 = append(b1, 0xFF)
-	if a.block(s2, o2, 50)[0] == 0xFF {
+	if a.block(a2, 50)[0] == 0xFF {
 		t.Error("append to one block scribbled on its neighbour")
 	}
 	if a.used != 150 {
@@ -34,12 +34,12 @@ func TestArenaAlloc(t *testing.T) {
 
 	// Oversize blocks get a dedicated slab, retired with the epoch, and
 	// leave the active slab active.
-	sb, ob := a.alloc(minSlabSize + 1)
-	if sb == s1 || ob != 0 || len(a.block(sb, ob, minSlabSize+1)) != minSlabSize+1 {
-		t.Fatalf("oversize block at slab %d offset %d", sb, ob)
+	ab := a.alloc(minSlabSize + 1)
+	if ab>>offBits == a1>>offBits || ab&offMask != 0 || len(a.block(ab, minSlabSize+1)) != minSlabSize+1 {
+		t.Fatalf("oversize block at slab %d offset %d", ab>>offBits, ab&offMask)
 	}
-	if s3, o3 := a.alloc(10); s3 != s1 || o3 != 150 {
-		t.Errorf("block after an oversize one at (%d, %d), want the active slab (%d, 150)", s3, o3, s1)
+	if a3 := a.alloc(10); a3 != a1+150 {
+		t.Errorf("block after an oversize one at %#x, want the active slab's %#x", a3, a1+150)
 	}
 
 	retired := a.beginEpoch()
@@ -56,7 +56,7 @@ func TestArenaAlloc(t *testing.T) {
 
 	// The next slab must come from the free list, not a fresh allocation.
 	reused := a.free[0]
-	if s, o := a.alloc(10); &a.block(s, o, 10)[0] != &reused[0] {
+	if ad := a.alloc(10); &a.block(ad, 10)[0] != &reused[0] {
 		t.Error("recycled slab not reused")
 	}
 }

@@ -51,8 +51,8 @@ func checkBudgetInvariants(t testing.TB, c *Cache) {
 		wireBytes := 0
 		for _, ri := range checkTables(t, sh) {
 			r := &sh.recs[ri]
-			bytes += int64(entryOverhead + r.size())
-			wireBytes += r.size()
+			bytes += int64(sh.cost(r))
+			wireBytes += sh.size(r)
 		}
 		if sh.bytes != bytes {
 			t.Errorf("shard %d: accounted %d B, shadow recount %d B (%d entries)",
@@ -289,12 +289,13 @@ func TestRefreshReplaceKeepsAccounting(t *testing.T) {
 // distinct names of the benchmark's Zipf shape and one-address answers, and
 // after a forced collection the heap may have grown by no more than the
 // pointer-and-map layout's own ratio to the budget (it grew 5.07 MB under a
-// 4 MiB budget, 71.6 MB under 64 MiB) while holding at least 2.4 times the
-// entries that layout held (14 560 and 233 008): 35 840 and 573 568 since an
-// entry's key is its reply's question, 29 120 and 466 032 when it was
-// stored apart. Lowering entryOverhead without shrinking what an entry
-// really occupies admits more entries than the bytes allow, and fails the
-// first bound; an entry that grows again fails the second.
+// 4 MiB budget, 71.6 MB under 64 MiB) while holding at least 2.7 times the
+// entries that layout held (14 560 and 233 008): about 40 700 and 651 500
+// since a record is 24 bytes, 35 840 and 573 568 while it was 40, 29 120
+// and 466 032 when the key was stored apart from the reply. Lowering
+// entryOverhead without shrinking what an entry really occupies admits more
+// entries than the bytes allow, and fails the first bound; an entry that
+// grows again fails the second.
 func TestFootprintMatchesBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's shadow memory is not the cache's footprint")
@@ -304,8 +305,8 @@ func TestFootprintMatchesBudget(t *testing.T) {
 		growth     float64
 		minEntries int
 	}{
-		{4 << 20, 1.21, 35000},
-		{64 << 20, 1.07, 560000},
+		{4 << 20, 1.21, 40000},
+		{64 << 20, 1.07, 640000},
 	} {
 		t.Run(fmt.Sprintf("%dMiB", tt.budget>>20), func(t *testing.T) {
 			if testing.Short() && tt.budget > 4<<20 {
@@ -319,7 +320,7 @@ func TestFootprintMatchesBudget(t *testing.T) {
 			runtime.GC()
 			runtime.ReadMemStats(&before)
 			ctx := context.Background()
-			for i := 0; i < int(tt.budget/100); i++ { // a third more names than fit
+			for i := 0; i < int(tt.budget/75); i++ { // a third more names than fit
 				name := dnswire.Name(fmt.Sprintf("z%08d.zipf.example.", i))
 				if _, err := c.Exchange(ctx, dnswire.NewQuery(1, name, dnswire.TypeA)); err != nil {
 					t.Fatal(err)
@@ -413,4 +414,74 @@ func TestDefaultSlabFootprint(t *testing.T) {
 		t.Errorf("the default cache holding 64 names grew the heap by %d B, want at most 512 KiB", grown)
 	}
 	runtime.KeepAlive(c)
+}
+
+// TestBudgetAddressBound holds the packed arena address to the budgets it
+// must cover. The arithmetic first: maxShardBudget's epoch spans fewer
+// than 8·budget/slab + 3 slabs, which must number within maxSlabs, and a
+// standard slab's offsets within offBits. Then the arena itself: a shard
+// churned with block sizes built to waste slabs — just over half a slab,
+// oversize, tiny — never holds more slabs than that bound for its budget.
+// Last the refusal: a budget past MaxMemoryBudget is ignored like a
+// non-positive one, and one within it that a shard count cannot address
+// runs on more shards.
+func TestBudgetAddressBound(t *testing.T) {
+	if n := 8*maxShardBudget/defaultSlabSize + 3; n > maxSlabs {
+		t.Errorf("a %d B shard spans up to %d slabs, the address numbers %d", maxShardBudget, n, maxSlabs)
+	}
+	if defaultSlabSize-1 > offMask {
+		t.Errorf("a %d B slab's offsets overflow %d bits", defaultSlabSize, offBits)
+	}
+
+	const budget = 64 << 10
+	c := New(replyUpstream{}, WithMemoryBudget(budget), WithShards(1), withArenaSlab(minSlabSize))
+	sh := c.shards[0]
+	bound := 8*budget/minSlabSize + 3
+	rng := rand.New(rand.NewSource(7))
+	kb := []byte("\x05churn\x07example\x00\x00\x01\x00\x01")
+	peak := 0
+	for i := 0; i < 20000; i++ {
+		var n int
+		switch rng.Intn(8) {
+		case 0:
+			n = minSlabSize + 1 + rng.Intn(budget/2)
+		case 1:
+			n = questionAt + len(kb) + rng.Intn(200)
+		default:
+			n = minSlabSize/2 + 1 + rng.Intn(64)
+		}
+		kb[1] = byte(i)
+		kb[2] = byte(i >> 8)
+		sh.mu.Lock()
+		c.insertLocked(sh, kb, uint64(i), make([]byte, n), nil, &dnswire.ResponseScan{Answers: 1, MinTTL: 300, HasTTL: true})
+		peak = max(peak, len(sh.arena.slabs))
+		sh.mu.Unlock()
+	}
+	t.Logf("peak %d slabs of %d B under a %d B budget, bound %d", peak, minSlabSize, budget, bound)
+	if peak >= bound {
+		t.Errorf("an epoch spanned %d slabs, the bound is %d", peak, bound)
+	}
+	checkBudgetInvariants(t, c)
+
+	if got := New(replyUpstream{}, WithMemoryBudget(MaxMemoryBudget+1)).MemoryBudget(); got != defaultBudget {
+		t.Errorf("a budget past MaxMemoryBudget was taken: %d", got)
+	}
+	for _, tt := range []struct {
+		budget int64
+		shards int
+	}{
+		{4 * maxShardBudget, 4},
+		{4*maxShardBudget + 1, 8},
+		{MaxMemoryBudget, MaxShards},
+	} {
+		c := New(replyUpstream{}, WithMemoryBudget(tt.budget), WithShards(1))
+		if c.MemoryBudget() != tt.budget || c.Shards() != tt.shards {
+			t.Errorf("budget %d: took %d over %d shards, want %d shards", tt.budget, c.MemoryBudget(), c.Shards(), tt.shards)
+		}
+		for _, sh := range c.shards {
+			if sh.budget > maxShardBudget {
+				t.Fatalf("budget %d: a shard holds %d, past %d", tt.budget, sh.budget, maxShardBudget)
+			}
+		}
+	}
 }

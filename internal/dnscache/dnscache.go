@@ -53,6 +53,7 @@ package dnscache
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"hash/maphash"
 	"math"
@@ -97,8 +98,8 @@ type Stats struct {
 	// (includes entries too large for a whole shard's budget).
 	AdmissionRejects int64 `json:"admission_rejects"`
 	// BytesLive is the accounted footprint of live entries (arena block:
-	// reply and TTL offsets; plus entryOverhead of index each) at snapshot
-	// time — a gauge, not a counter.
+	// TTL-offset count, reply and TTL offsets; plus entryOverhead of index
+	// each) at snapshot time — a gauge, not a counter.
 	BytesLive int64 `json:"bytes_live"`
 	// ArenaEpochs counts arena epoch rotations: live entries compacted
 	// into fresh slabs, retired slabs recycled.
@@ -258,21 +259,24 @@ type Cache struct {
 	// tel, when set, makes background refreshes report their upstream
 	// resource usage (WithTelemetry).
 	tel *telemetry.Metrics
-	// now is the clock, replaceable in tests.
-	now func() time.Time
+	// now is the clock, replaceable in tests; epoch is what it read in New,
+	// the origin of the records' expiry seconds.
+	now   func() time.Time
+	epoch time.Time
 }
 
 // Option configures a Cache.
 type Option func(*Cache)
 
 // WithMemoryBudget bounds the cache by accounted bytes in place of
-// defaultBudget: every entry is charged its arena block (packed response
-// + TTL offsets) and entryOverhead of index cost, and the budget
-// is split evenly across shards; an entry larger than a whole shard's
-// budget is not cached at all. Non-positive budgets are ignored.
+// defaultBudget: every entry is charged its arena block (TTL-offset count,
+// packed response, TTL offsets) and entryOverhead of index cost, and the
+// budget is split evenly across shards; an entry larger than a whole
+// shard's budget is not cached at all. Budgets that are not positive or
+// exceed MaxMemoryBudget are ignored.
 func WithMemoryBudget(bytes int64) Option {
 	return func(c *Cache) {
-		if bytes > 0 {
+		if bytes > 0 && bytes <= MaxMemoryBudget {
 			c.budget = bytes
 		}
 	}
@@ -387,17 +391,21 @@ const minShardBudget = 2 << 10
 // only tables.
 const MaxShards = 1 << 10
 
-// typicalBlock sizes what the byte budget alone cannot: the default budget,
-// the arena slab and the admission sketch. It is the arena block a typical
-// one-address answer had while the block stored its key apart from the
-// reply; blocks are 58–69 bytes now, and it stays, so those three stay as
-// they were (docs/CACHE.md).
+// MaxMemoryBudget is the largest budget a cache takes, 256 GiB: what
+// MaxShards shards address. A budget whose shards would each hold more than
+// maxShardBudget runs on more of them.
+const MaxMemoryBudget = MaxShards * maxShardBudget
+
+// typicalBlock sizes the admission sketch, which the byte budget alone
+// cannot: it is the arena block a typical one-address answer had while the
+// block stored its key apart from the reply; blocks are 60–71 bytes now,
+// and it stays, so the sketch's width stays as it was (docs/CACHE.md).
 const typicalBlock = 96
 
 // defaultBudget is the byte budget of a cache built without
-// WithMemoryBudget: 4 096 typicalBlock entries, 576 KiB at a 48-byte
-// entryOverhead — 16 shards with a 9 216-byte arena slab each.
-const defaultBudget = int64(4096 * (entryOverhead + typicalBlock))
+// WithMemoryBudget: 576 KiB, what 4 096 typicalBlock entries cost while a
+// record was 40 bytes — 16 shards with a 9 216-byte arena slab each.
+const defaultBudget = 576 << 10
 
 // DefaultExchangeTimeout bounds an upstream exchange the cache starts when
 // WithExchangeTimeout does not.
@@ -419,14 +427,19 @@ func New(upstream dnstransport.Resolver, opts ...Option) *Cache {
 	for _, o := range opts {
 		o(c)
 	}
+	c.epoch = c.now()
 	n := 1
 	for n < min(c.nshards, MaxShards) {
 		n <<= 1
 	}
 	// A small budget shrinks the partition count, so every remaining shard
-	// has room for real entries.
+	// has room for real entries; a large one grows it, so every shard's
+	// share stays within what its arena addresses cover.
 	for n > 1 && c.budget/int64(n) < minShardBudget {
 		n >>= 1
+	}
+	for (c.budget+int64(n)-1)/int64(n) > maxShardBudget {
+		n <<= 1
 	}
 	c.nshards = n
 	per, extra := c.budget/int64(n), c.budget%int64(n)
@@ -470,17 +483,28 @@ const StaleTTL = 30 * time.Second
 // one-off lookups from paying refresh traffic.
 const prefetchMinHits = 2
 
-// shardFor hashes a key to its partition, returning the full hash too —
-// the admission sketch keys on it. maphash.Bytes is the runtime's
-// AES-based hash — cheap enough that sharding never shows up next to the
-// per-hit response copy.
+// shardFor hashes a key to its partition, returning the full hash too:
+// the index, the flight table and the admission sketch key on it.
 func (c *Cache) shardFor(kb []byte) (*shard, uint64) {
+	h := c.keyHash(kb)
+	return c.shards[(h>>32)&uint64(len(c.shards)-1)], h
+}
+
+// keyHash is key kb's 64-bit hash. maphash.Bytes is the runtime's AES-based
+// hash — cheap enough that sharding never shows up next to the per-hit
+// response copy.
+func (c *Cache) keyHash(kb []byte) uint64 {
 	h := maphash.Bytes(c.seed, kb)
 	if c.rehash != nil {
 		h = c.rehash(h)
 	}
-	return c.shards[(h>>32)&uint64(len(c.shards)-1)], h
+	return h
 }
+
+// sinceEpoch reads the clock as a record's expiry is measured: from the
+// epoch, and never before it. Reading an earlier clock as the epoch only
+// ages entries, so it can serve none later than its exact expiry allows.
+func (c *Cache) sinceEpoch() time.Duration { return max(c.now().Sub(c.epoch), 0) }
 
 // Close implements Resolver; it closes the upstream.
 func (c *Cache) Close() error { return c.upstream.Close() }
@@ -568,7 +592,7 @@ func (c *Cache) ServeWire(tx *telemetry.Transaction, q *dnswire.Query, dst []byt
 		sh.mu.Unlock()
 		return nil, telemetry.CacheNone, false
 	}
-	hit, ok := c.serveLocked(sh, ri, q.Raw[questionAt:questionAt+len(kb)], q.ID, dst[:0])
+	hit, ok := c.serveLocked(sh, ri, h, q.Raw[questionAt:questionAt+len(kb)], q.ID, dst[:0])
 	if !ok {
 		sh.mu.Unlock()
 		return nil, telemetry.CacheNone, false
@@ -594,21 +618,23 @@ type served struct {
 	refresh, prefetch bool
 }
 
-// serveLocked answers from record ri — fresh, or expired within the stale
-// window — by appending the stored bytes to dst with the asker's question
-// (the key's bytes as the asker cased them, DNS 0x20), id and decayed TTLs
-// patched in; ok=false means it is expired past any stale window and nothing
-// was counted. It counts the hit, promotes the entry and decides whether a
-// refresh is due. Caller holds sh.mu: an epoch rotation relocates entry
-// blocks and recycles their old slabs, so they are only safe to read while
-// the lock pins the arena, and the copy — a few hundred bytes, far cheaper
-// than a second lock round trip — means a response never aliases a slab.
-func (c *Cache) serveLocked(sh *shard, ri uint32, question []byte, id uint16, dst []byte) (h served, ok bool) {
-	now := c.now().UnixNano()
+// serveLocked answers from record ri, whose key hashes to h — fresh, or
+// expired within the stale window — by appending the stored bytes to dst
+// with the asker's question (the key's bytes as the asker cased them, DNS
+// 0x20), id and decayed TTLs patched in; ok=false means it is expired past
+// any stale window and nothing was counted. It counts the hit, promotes the
+// entry and decides whether a refresh is due. Caller holds sh.mu: an epoch
+// rotation relocates entry blocks and recycles their old slabs, so they are
+// only safe to read while the lock pins the arena, and the copy — a few
+// hundred bytes, far cheaper than a second lock round trip — means a
+// response never aliases a slab.
+func (c *Cache) serveLocked(sh *shard, ri uint32, h uint64, question []byte, id uint16, dst []byte) (hit served, ok bool) {
+	now := c.sinceEpoch()
 	r := &sh.recs[ri]
-	stale := now >= r.expires
-	if stale && now >= r.expires+int64(c.staleWindow) {
-		return h, false
+	expires := r.expiry()
+	stale := now >= expires
+	if stale && now >= expires+c.staleWindow {
+		return hit, false
 	}
 	sh.unlink(ri)
 	sh.pushFront(ri)
@@ -618,35 +644,35 @@ func (c *Cache) serveLocked(sh *shard, ri uint32, question []byte, id uint16, ds
 		// while one background refresh re-populates it — the client never
 		// waits on the upstream.
 		sh.stats.StaleHits++
-		h.outcome = telemetry.CacheStaleHit
+		hit.outcome = telemetry.CacheStaleHit
 	} else {
 		sh.stats.Hits++
 		if r.hits < math.MaxUint8 {
 			r.hits++
 		}
-		remaining = time.Duration(r.expires - now)
-		h.outcome = telemetry.CacheHit
+		remaining = expires - now
+		hit.outcome = telemetry.CacheHit
 		if r.flags&flagNegative != 0 {
-			h.outcome = telemetry.CacheNegativeHit
+			hit.outcome = telemetry.CacheNegativeHit
 		}
-		h.prefetch = r.flags&flagPrefetchable != 0 && r.hits >= prefetchMinHits && remaining <= c.prefetchWindow
+		hit.prefetch = r.flags&flagPrefetchable != 0 && r.hits >= prefetchMinHits && remaining <= c.prefetchWindow
 	}
-	if stale || h.prefetch {
+	if stale || hit.prefetch {
 		// Checked here, under the lock already held, so the steady state
 		// of an upstream outage — every hit stale, one refresh parked on
 		// the dead upstream — pays no extra lock round trip per hit. A
 		// colliding key's flight holds the refresh off too: it is best
 		// effort.
-		_, inflight := sh.flights[r.hash]
-		h.refresh, h.prefetch = !inflight, h.prefetch && !inflight
+		_, inflight := sh.flights[h]
+		hit.refresh, hit.prefetch = !inflight, hit.prefetch && !inflight
 	}
 	wire, toffs := sh.blockOf(r)
-	h.resp = append(dst, wire...)
-	resp := h.resp[len(dst):]
+	hit.resp = append(dst, wire...)
+	resp := hit.resp[len(dst):]
 	dnswire.PatchID(resp, id)
 	copy(resp[questionAt:], question)
 	dnswire.DecayTTLsPacked(resp, toffs, uint32(remaining/time.Second))
-	return h, true
+	return hit, true
 }
 
 // afterHit starts the refresh serveLocked asked for, outside the shard
@@ -754,7 +780,7 @@ func (c *Cache) ExchangeQuery(ctx context.Context, q *dnswire.Query, dst []byte)
 		sh.stats.SketchResets++
 	}
 	if ri := sh.find(h, kb); ri != 0 {
-		if hit, ok := c.serveLocked(sh, ri, question, q.ID, dst); ok {
+		if hit, ok := c.serveLocked(sh, ri, h, question, q.ID, dst); ok {
 			sh.mu.Unlock()
 			tx.TraceSpan(qtrace.PhaseCache, tl)
 			tx.SetCache(hit.outcome)
@@ -876,8 +902,9 @@ func (sh *shard) removeLocked(ri uint32) {
 	r := &sh.recs[ri]
 	sh.unindex(ri)
 	sh.unlink(ri)
-	sh.bytes -= int64(r.cost())
-	sh.wireBytes -= r.size()
+	size := sh.size(r)
+	sh.bytes -= int64(entryOverhead + size)
+	sh.wireBytes -= size
 	*r = record{next: sh.freeRec}
 	sh.freeRec = ri
 }
@@ -894,41 +921,45 @@ func (sh *shard) needsEvict(cost int) bool {
 // stale window is dead weight and never vetoes; a live victim vetoes when
 // its estimated frequency is at least the candidate's — ties keep the
 // incumbent, which is what stops a stream of once-asked names from
-// churning an established working set. Caller holds sh.mu.
+// churning an established working set. A victim's record keeps half its
+// hash; the sketch's estimate hashes its stored key again. Caller holds
+// sh.mu.
 func (c *Cache) admitLocked(sh *shard, h uint64, cost int) bool {
 	cf := sh.sk.estimate(h)
-	now := c.now().UnixNano()
+	now := c.sinceEpoch()
 	freed := int64(0)
 	for vi := sh.recs[0].prev; vi != 0 && sh.bytes-freed+int64(cost) > sh.budget; vi = sh.recs[vi].prev {
 		v := &sh.recs[vi]
-		if now < v.expires+int64(c.staleWindow) && sh.sk.estimate(v.hash) >= cf {
+		if now < v.expiry()+c.staleWindow && sh.sk.estimate(c.keyHash(sh.key(v))) >= cf {
 			return false
 		}
-		freed += int64(v.cost())
+		freed += int64(sh.cost(v))
 	}
 	return true
 }
 
-// rotateLocked starts a fresh arena epoch: live entries' blocks are
-// compacted into new slabs — only the records' addresses change — entries
-// expired past any stale window are dropped on the way (rotation doubles as
-// the expiry sweep, and the drops count as evictions), and the retired
+// rotateLocked starts a fresh arena epoch: entries expired past any stale
+// window are dropped first (rotation doubles as the expiry sweep, and the
+// drops count as evictions), then the live entries' blocks are compacted
+// into new slabs — only the records' addresses change — and the retired
 // slabs are recycled onto the free list. Caller holds sh.mu.
 func (c *Cache) rotateLocked(sh *shard) {
-	retired := sh.arena.beginEpoch()
-	now := c.now().UnixNano()
+	now := c.sinceEpoch()
 	for ri := sh.recs[0].next; ri != 0; {
 		r := &sh.recs[ri]
 		next := r.next
-		if now >= r.expires+int64(c.staleWindow) {
+		if now >= r.expiry()+c.staleWindow {
 			sh.removeLocked(ri)
 			sh.stats.Evictions++
-		} else {
-			old := retired[r.slab][r.off:]
-			r.slab, r.off = sh.arena.alloc(r.size())
-			copy(sh.arena.block(r.slab, r.off, r.size()), old)
 		}
 		ri = next
+	}
+	retired := sh.arena.beginEpoch()
+	for ri := sh.recs[0].next; ri != 0; ri = sh.recs[ri].next {
+		r := &sh.recs[ri]
+		old := r.blockIn(retired)
+		r.addr = sh.arena.alloc(len(old))
+		copy(sh.arena.block(r.addr, len(old)), old)
 	}
 	sh.arena.recycle(retired)
 	sh.stats.ArenaEpochs++
@@ -941,15 +972,22 @@ func (c *Cache) rotateLocked(sh *shard) {
 // the duel would lose the name entirely — and evicts past the shard
 // budget. Admission is decided from the sizes alone: a refused candidate
 // costs no record and no copy; an admitted one is one block in the arena
-// (wire | toffs, wire's question overwritten with kb, which it equals up to
-// ASCII case) and one record, no heap object. It reports whether
-// admission refused the insert. Caller holds sh.mu.
+// (count | wire | toffs, wire's question overwritten with kb, which it
+// equals up to ASCII case) and one record, no heap object. It reports
+// whether admission refused the insert; a reply that expired before the
+// cache's epoch (a test clock set back past New) is not stored either.
+// Caller holds sh.mu.
 func (c *Cache) insertLocked(sh *shard, kb []byte, h uint64, wire, toffs []byte, scan *dnswire.ResponseScan) (rejected bool) {
-	block := len(wire) + len(toffs)
+	ttl := min(c.ttlOf(scan), c.maxTTL)
+	expires, ok := expiryAt(c.now().Sub(c.epoch), ttl)
+	if !ok {
+		return false
+	}
+	block := blockHead + len(wire) + len(toffs)
 	cost := entryOverhead + block
 	old := sh.find(h, kb)
-	// The TTL offsets of a reply that fits (two octets a record) always fit
-	// a record's length field.
+	// The TTL offsets of a reply that fits (two octets a record of at least
+	// eleven) always fit the block's count.
 	if len(wire) > math.MaxUint16 ||
 		int64(cost) > sh.budget || // larger than the whole shard's budget
 		(old == 0 && sh.sk != nil && sh.needsEvict(cost) && !c.admitLocked(sh, h, cost)) {
@@ -965,17 +1003,16 @@ func (c *Cache) insertLocked(sh *shard, kb []byte, h uint64, wire, toffs []byte,
 	if sh.arena.used+block > 2*(sh.wireBytes+block)+sh.arena.slabSize {
 		c.rotateLocked(sh)
 	}
-	ttl := min(c.ttlOf(scan), c.maxTTL)
 	ri := sh.newRecord()
 	r := &sh.recs[ri]
-	r.hash, r.expires = h, c.now().Add(ttl).UnixNano()
-	r.wlen, r.tlen = uint16(len(wire)), uint16(len(toffs))
+	r.hash, r.expires, r.wlen = uint32(h), expires, uint16(len(wire))
 	if scan.Negative() {
 		r.flags = flagNegative
 	} else if c.prefetchWindow > 0 && ttl > c.prefetchWindow {
 		r.flags = flagPrefetchable
 	}
-	r.slab, r.off = sh.arena.alloc(block)
+	r.addr = sh.arena.alloc(block)
+	binary.BigEndian.PutUint16(sh.arena.block(r.addr, blockHead), uint16(len(toffs)/2))
 	w, t := sh.blockOf(r)
 	copy(w, wire)
 	copy(w[questionAt:], kb)

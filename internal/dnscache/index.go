@@ -1,6 +1,11 @@
 package dnscache
 
-import "unsafe"
+import (
+	"encoding/binary"
+	"math"
+	"time"
+	"unsafe"
+)
 
 // This file is the index half of the cache's storage: what a shard keeps
 // per cached name outside the arena (docs/CACHE.md draws index → record →
@@ -8,27 +13,33 @@ import "unsafe"
 // collector never walks the index, however many names it holds. The index
 // is open-addressed with linear probing and backward-shift deletion (no
 // tombstones), doubled when three quarters full. Records never move while
-// live: an epoch rotation rewrites slab and off, nothing else.
+// live: an epoch rotation rewrites addr, nothing else.
 
-// record is one cached response's fixed-size descriptor. Its bytes live in
-// the shard's arena as one block, wire | toffs: the packed response as the
+// record is one cached response's fixed-size descriptor, 24 bytes. Its
+// bytes live in the shard's arena as one block, count | wire | toffs: the
+// big-endian uint16 number of its TTL offsets; the packed response as the
 // upstream sent it but for its question, overwritten with the cache key
 // (the same question, letters lower-cased), still carrying the flight
 // leader's transaction ID — hits restamp their own copy with the asker's
-// question and ID — then the packed big-endian uint16 list of its TTL
+// question and ID; then the packed big-endian uint16 list of its TTL
 // offsets (dnswire.PackTTLOffsets form) for in-place decay. The block is
 // never rewritten in place, but epoch rotation relocates it, so readers
 // copy out under the shard lock, which guards every field here too.
 type record struct {
-	// hash is the key's maphash: the index probes by it, and the admission
-	// filter estimates an eviction victim's frequency from it.
-	hash    uint64
-	expires int64 // Unix nanoseconds
+	// hash is the low half of the key's 64-bit hash: the index places and
+	// probes by it and compares it before any key byte. The flight table
+	// and the admission sketch key on the whole hash, which a lookup has
+	// and an eviction victim's estimate recomputes from its stored key.
+	hash uint32
+	// expires is the entry's expiry in whole seconds past the cache's
+	// epoch, rounded down (expiryAt).
+	expires uint32
 	// prev and next link the shard's LRU ring by record number (recs[0] is
 	// the sentinel); next also threads the free list.
 	prev, next uint32
-	slab, off  uint32
-	wlen, tlen uint16
+	// addr is the block's arena address, slab<<offBits | off.
+	addr uint32
+	wlen uint16
 	// hits counts fresh hits since insertion, saturating — the hotness
 	// signal the near-expiry prefetch gates on.
 	hits  uint8
@@ -53,16 +64,60 @@ const (
 // record plus its index slot at the table's mean load of one half.
 const entryOverhead = int(unsafe.Sizeof(record{})) + 2*4
 
-// size is the record's arena block length.
-func (r *record) size() int { return int(r.wlen) + int(r.tlen) }
+// blockHead is the length of a block's TTL-offset count.
+const blockHead = 2
 
-// cost is the entry's accounted footprint against the memory budget.
-func (r *record) cost() int { return entryOverhead + r.size() }
+// expiryAt is the expiry a record stores for an entry that lives ttl past
+// now, both measured from the cache's epoch: the exact expiry rounded down
+// to a whole second, so the entry is never fresh, stale-servable or due a
+// prefetch later, nor served a higher TTL, than the exact one allows. One
+// past what 32 bits of seconds hold is cut to the last of them; ok=false
+// means the exact expiry precedes the epoch, which no stored expiry can be
+// rounded down to.
+func expiryAt(now, ttl time.Duration) (expires uint32, ok bool) {
+	e := now + ttl
+	if ttl > 0 && e < now {
+		e = math.MaxInt64 // overflowed
+	}
+	if e < 0 {
+		return 0, false
+	}
+	return uint32(min(e/time.Second, math.MaxUint32)), true
+}
 
-// blockOf returns r's arena block split into its two parts.
+// expiry is r's expiry past the cache's epoch.
+func (r *record) expiry() time.Duration { return time.Duration(r.expires) * time.Second }
+
+// blockIn returns r's block, count | wire | toffs, in slabs: the arena's,
+// or during a rotation the retired epoch's.
+func (r *record) blockIn(slabs [][]byte) []byte {
+	b := at(slabs, r.addr)
+	n := blockHead + int(r.wlen) + 2*int(binary.BigEndian.Uint16(b))
+	return b[:n:n]
+}
+
+// blockOf returns r's arena block split into its reply and TTL offsets.
 func (sh *shard) blockOf(r *record) (wire, toffs []byte) {
-	b := sh.arena.block(r.slab, r.off, r.size())
-	return b[:r.wlen:r.wlen], b[r.wlen:]
+	b := r.blockIn(sh.arena.slabs)
+	w := blockHead + int(r.wlen)
+	return b[blockHead:w:w], b[w:]
+}
+
+// size is the length of r's arena block.
+func (sh *shard) size(r *record) int { return len(r.blockIn(sh.arena.slabs)) }
+
+// cost is r's accounted footprint against the memory budget.
+func (sh *shard) cost(r *record) int { return entryOverhead + sh.size(r) }
+
+// key returns the key r is filed under: its stored reply's question, a
+// name ScanResponse has read uncompressed, then type and class.
+func (sh *shard) key(r *record) []byte {
+	wire, _ := sh.blockOf(r)
+	end := questionAt
+	for wire[end] != 0 {
+		end += 1 + int(wire[end])
+	}
+	return wire[questionAt : end+5]
 }
 
 // find returns the number of the record holding key kb, whose hash is h,
@@ -76,8 +131,8 @@ func (sh *shard) find(h uint64, kb []byte) uint32 {
 		if ri == 0 {
 			return 0
 		}
-		if r := &sh.recs[ri]; r.hash == h && int(r.wlen) >= questionAt+len(kb) &&
-			string(sh.arena.block(r.slab, r.off+questionAt, len(kb))) == string(kb) {
+		if r := &sh.recs[ri]; r.hash == uint32(h) && int(r.wlen) >= questionAt+len(kb) &&
+			string(at(sh.arena.slabs, r.addr)[blockHead+questionAt:][:len(kb)]) == string(kb) {
 			return ri
 		}
 	}
@@ -102,7 +157,7 @@ func (sh *shard) link(ri uint32) {
 // place puts ri in the first empty slot of its probe run.
 func (sh *shard) place(ri uint32) {
 	mask := uint64(len(sh.index) - 1)
-	i := sh.recs[ri].hash & mask
+	i := uint64(sh.recs[ri].hash) & mask
 	for sh.index[i] != 0 {
 		i = (i + 1) & mask
 	}
@@ -114,13 +169,13 @@ func (sh *shard) place(ri uint32) {
 // slot allows, so every probe still finds what it found before.
 func (sh *shard) unindex(ri uint32) {
 	mask := uint64(len(sh.index) - 1)
-	i := sh.recs[ri].hash & mask
+	i := uint64(sh.recs[ri].hash) & mask
 	for sh.index[i] != ri {
 		i = (i + 1) & mask
 	}
 	for j := (i + 1) & mask; sh.index[j] != 0; j = (j + 1) & mask {
 		// A record whose home lies cyclically in (i, j] must stay behind i.
-		if home := sh.recs[sh.index[j]].hash & mask; (j-home)&mask >= (j-i)&mask {
+		if home := uint64(sh.recs[sh.index[j]].hash) & mask; (j-home)&mask >= (j-i)&mask {
 			sh.index[i] = sh.index[j]
 			i = j
 		}

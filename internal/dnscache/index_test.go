@@ -2,12 +2,15 @@ package dnscache
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"math/rand"
 	"testing"
 	"time"
+	"unsafe"
 
 	"dohcost/internal/dnswire"
+	"dohcost/internal/telemetry"
 )
 
 // checkTables verifies that a shard's three views of its records — the
@@ -43,8 +46,8 @@ func checkTables(t testing.TB, sh *shard) []uint32 {
 		if r.prev != prev {
 			t.Fatalf("record %d: prev = %d, want %d", ri, r.prev, prev)
 		}
-		key := keyOf(sh, r)
-		if got := sh.find(r.hash, key); got != ri {
+		key := sh.key(r)
+		if got := sh.find(uint64(r.hash), key); got != ri {
 			t.Fatalf("record %d (key %q) is found as record %d", ri, key, got)
 		}
 		live = append(live, ri)
@@ -68,17 +71,6 @@ func checkTables(t testing.TB, sh *shard) []uint32 {
 			sh.n, slots, len(live), free, len(sh.recs))
 	}
 	return live
-}
-
-// keyOf returns the key record r is filed under: its stored reply's
-// question. Caller holds sh.mu.
-func keyOf(sh *shard, r *record) []byte {
-	wire, _ := sh.blockOf(r)
-	end := questionAt
-	for wire[end] != 0 {
-		end += 1 + int(wire[end])
-	}
-	return wire[questionAt : end+5]
 }
 
 // modelEntry is what the reference model keeps of one cached reply: wire
@@ -130,7 +122,7 @@ func (m *indexModel) sweep(now time.Time) {
 
 func (m *indexModel) bytes() (n int64) {
 	for _, e := range m.entries {
-		n += int64(entryOverhead + len(e.wire) + len(e.toffs))
+		n += int64(entryOverhead + blockHead + len(e.wire) + len(e.toffs))
 	}
 	return n
 }
@@ -194,7 +186,7 @@ func runIndexOps(t testing.TB, data []byte) {
 			ttl := 1 + uint32(b&15)
 			epochs := sh.stats.ArenaEpochs
 			rejected := c.insertLocked(sh, kb, h, wire, toffs, &dnswire.ResponseScan{Answers: 1, MinTTL: ttl, HasTTL: true})
-			cost := int64(entryOverhead + len(wire) + len(toffs))
+			cost := int64(entryOverhead + blockHead + len(wire) + len(toffs))
 			if rejected != (cost > budget) {
 				t.Fatalf("insert of %d B under budget %d: rejected = %v", cost, budget, rejected)
 			}
@@ -226,7 +218,7 @@ func runIndexOps(t testing.TB, data []byte) {
 			if b&2 != 0 {
 				asked = bytes.ToUpper(kb)
 			}
-			hit, served := c.serveLocked(sh, ri, asked, 0xBEEF, nil)
+			hit, served := c.serveLocked(sh, ri, h, asked, 0xBEEF, nil)
 			if served == m.dead(e, now) {
 				t.Fatalf("%q served = %v at %v, expires %v (stale window %v)", k, served, now, e.expires, m.stale)
 			}
@@ -266,7 +258,7 @@ func runIndexOps(t testing.TB, data []byte) {
 			t.Fatalf("%d live records, model holds %d", len(live), len(m.order))
 		}
 		for i, ri := range live {
-			if key := keyOf(sh, &sh.recs[ri]); string(key) != m.order[i] {
+			if key := sh.key(&sh.recs[ri]); string(key) != m.order[i] {
 				t.Fatalf("LRU position %d holds %q, model says %q", i, key, m.order[i])
 			}
 		}
@@ -301,4 +293,85 @@ func FuzzIndex(f *testing.F) {
 		}
 		runIndexOps(t, data)
 	})
+}
+
+// TestRecordLayout pins the record at 24 bytes and the index cost the
+// budget charges an entry at the record plus its slot at half load.
+func TestRecordLayout(t *testing.T) {
+	if got := unsafe.Sizeof(record{}); got != 24 {
+		t.Errorf("record is %d bytes, want 24", got)
+	}
+	if entryOverhead != 32 {
+		t.Errorf("entryOverhead = %d, want 32", entryOverhead)
+	}
+}
+
+// TestExpiryNeverOutlivesExactLifetime inserts an entry at sub-second
+// offsets from the cache's epoch and probes it every few milliseconds
+// through its lifetime, its serve-stale window and past them: a record
+// keeps its expiry in whole seconds, and at no probe may the entry be
+// fresh, stale-servable or due a prefetch later than its nanosecond-exact
+// expiry allows, nor be served a TTL above its exact remaining lifetime.
+// Rounding may move each of those less than a second earlier, no more.
+func TestExpiryNeverOutlivesExactLifetime(t *testing.T) {
+	const (
+		ttl      = 10 * time.Second
+		window   = 5 * time.Second // serve-stale
+		prefetch = 3 * time.Second
+	)
+	epoch := time.Unix(1_000, 0)
+	for _, offset := range []time.Duration{0, 1, 250 * time.Millisecond, 500 * time.Millisecond, time.Second - 1, 3*time.Second + 700*time.Millisecond} {
+		now := epoch
+		c := New(&countingUpstream{ttl: uint32(ttl / time.Second)}, WithShards(1),
+			WithServeStale(window), WithPrefetch(prefetch), withClock(func() time.Time { return now }))
+		now = epoch.Add(offset)
+		if _, err := c.Exchange(context.Background(), dnswire.NewQuery(1, "exact.example.", dnswire.TypeA)); err != nil {
+			t.Fatal(err)
+		}
+		expires := now.Add(ttl)
+		q, _ := fastParse(t, dnswire.NewQuery(2, "exact.example.", dnswire.TypeA))
+		var kbuf [keyBufLen]byte
+		kb := q.AppendCanonicalQuestion(kbuf[:0])
+		sh, h := c.shardFor(kb)
+		for step := time.Duration(0); step < ttl+window+2*time.Second; step += 7 * time.Millisecond {
+			now = expires.Add(-ttl + step)
+			left := expires.Sub(now)
+			sh.mu.Lock()
+			ri := sh.find(h, kb)
+			if ri == 0 {
+				sh.mu.Unlock()
+				t.Fatalf("offset %v: entry gone at %v of its lifetime", offset, step)
+			}
+			hit, served := c.serveLocked(sh, ri, h, q.Raw[questionAt:questionAt+len(kb)], q.ID, nil)
+			sh.mu.Unlock()
+			switch fresh := served && hit.outcome == telemetry.CacheHit; {
+			case served && left+window <= 0:
+				t.Fatalf("offset %v: served %v past its exact expiry, beyond the %v stale window", offset, -left, window)
+			case fresh && left <= 0:
+				t.Fatalf("offset %v: fresh %v past its exact expiry", offset, -left)
+			case !fresh && left > time.Second:
+				t.Fatalf("offset %v: not fresh with %v of exact lifetime left", offset, left)
+			case fresh && !hit.prefetch && left <= prefetch:
+				t.Fatalf("offset %v: no prefetch due with %v left, window %v", offset, left, prefetch)
+			case fresh && hit.prefetch && left > prefetch+time.Second:
+				t.Fatalf("offset %v: prefetch due with %v left, window %v", offset, left, prefetch)
+			case !served && left+window > time.Second:
+				t.Fatalf("offset %v: refused with %v of stale window left", offset, left+window)
+			}
+			if !served {
+				continue
+			}
+			var m dnswire.Message
+			if err := m.Unpack(hit.resp); err != nil {
+				t.Fatal(err)
+			}
+			got := time.Duration(m.Answers[0].TTL) * time.Second
+			if hit.outcome == telemetry.CacheHit && (got > left || got <= left-2*time.Second) {
+				t.Fatalf("offset %v: served TTL %v with %v left, want at most it and less than 2s below", offset, got, left)
+			}
+			if hit.outcome == telemetry.CacheStaleHit && got > StaleTTL {
+				t.Fatalf("offset %v: stale hit served TTL %v", offset, got)
+			}
+		}
+	}
 }

@@ -40,8 +40,6 @@ type sketch struct {
 	// adds counts add calls since the last reset; at sample the sketch
 	// ages itself.
 	adds, sample int
-	// resets counts aging resets, surfaced as the sketch_resets stat.
-	resets int64
 }
 
 // newSketch sizes a sketch for roughly expected concurrently-tracked keys:
@@ -110,7 +108,6 @@ func (s *sketch) reset() {
 		s.door[i] = 0
 	}
 	s.adds /= 2
-	s.resets++
 }
 
 // cmsMin is the count-min estimate: the minimum of the key's counter

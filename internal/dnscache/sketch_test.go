@@ -54,9 +54,6 @@ func TestSketchResetHalves(t *testing.T) {
 	if got := s.estimate(h); got != 4 {
 		t.Errorf("post-reset estimate = %d, want 4", got)
 	}
-	if s.resets != 1 {
-		t.Errorf("resets = %d, want 1", s.resets)
-	}
 }
 
 func TestSketchAdmitTiesKeepIncumbent(t *testing.T) {
@@ -86,8 +83,8 @@ func TestSketchSampleTriggersAging(t *testing.T) {
 			fired++
 		}
 	}
-	if fired != 1 || s.resets != 1 {
-		t.Errorf("fired=%d resets=%d after one full sample window, want 1/1", fired, s.resets)
+	if fired != 1 {
+		t.Errorf("fired=%d after one full sample window, want 1", fired)
 	}
 	if s.adds != s.sample/2 {
 		t.Errorf("adds = %d after aging, want %d (window restarts half-full)", s.adds, s.sample/2)
